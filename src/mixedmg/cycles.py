@@ -21,6 +21,11 @@ measures, for every step, the deviation of the computed quantity from the
 exact reference computed with the same operators, in the norm the
 accumulation proof uses for that line (see
 :data:`mixedmg.bounds.PROOF_LINES`).
+
+Every cycle, coarse solve and relaxation takes one right-hand side ``(n,)``
+or a block ``(n, T)`` of them, which runs through each kernel in one call.
+Each column of a block gives bit for bit what it gives on its own, so a
+block of trials reproduces the per-trial results exactly.
 """
 
 from __future__ import annotations
@@ -40,10 +45,14 @@ from .linops import (
 from .precision import (
     CARRIER,
     PrecisionFormat,
+    column_norms,
     quantize_vector,
     rounded_add_sub,
     rounded_matvec,
     rounded_residual,
+    rounded_scale,
+    _columns,
+    _from_columns,
     _round_array,
 )
 
@@ -75,14 +84,15 @@ class RelaxationOp:
     contraction: float
 
     def apply_exact(self, z: np.ndarray) -> np.ndarray:
-        return self.diag * z
+        z = np.asarray(z, dtype=np.float64)
+        return (self.diag[:, None] * z.reshape(len(self.diag), -1)).reshape(z.shape)
 
     def apply_rounded(self, z: np.ndarray, fmt: PrecisionFormat):
+        """``(fl(M z), bound)`` for a vector, or per column for a block."""
         if fmt != self.fmt:
             raise ValueError("relaxation operator was built for a different format")
-        value = _round_array(self.diag * z, fmt.significand_bits)
-        bound = self.alpha * fmt.unit_roundoff * float(np.linalg.norm(z))
-        return value, bound
+        out = rounded_scale(self.diag, z, fmt, self.alpha)
+        return out.value, out.a_priori_bound
 
 
 def _finalize_relaxation(kind: str, A: SparseSpd, diag: np.ndarray,
@@ -147,24 +157,24 @@ class CoarseSolver:
     nu: int = 1
 
     def apply(self, level: GridLevel, r_c: np.ndarray) -> np.ndarray:
+        """``B_c A_c^{-1} r_c`` for a coarse vector or block."""
         if self.variant == "exact":
             return solve_spd(level.A_c, r_c)
         if self.variant == "perturbed":
-            return self.bc_matrix @ solve_spd(level.A_c, r_c)
+            x = solve_spd(level.A_c, r_c)
+            # one matrix-vector product per contiguous column: a dense
+            # matrix times a block goes through gemm, which rounds
+            # differently from the gemv a lone vector gets
+            cols = _columns(x, level.A_c.n)
+            return _from_columns(np.stack([self.bc_matrix @ c for c in cols]), x)
         if self.variant == "recursive":
             return v_cycle(list(self.sub_levels), self.mu, self.nu, r_c,
                            CARRIER, smoothers=list(self.sub_smoothers))
         raise ValueError(f"unknown coarse solver variant {self.variant!r}")
 
     def solve_matrix(self, level: GridLevel) -> np.ndarray:
-        """Dense ``B_c A_c^{-1}`` assembled column by column."""
-        n_c = level.A_c.n
-        W = np.empty((n_c, n_c))
-        for i in range(n_c):
-            e = np.zeros(n_c)
-            e[i] = 1.0
-            W[:, i] = self.apply(level, e)
-        return W
+        """Dense ``B_c A_c^{-1}``: the solver applied to the identity block."""
+        return np.ascontiguousarray(self.apply(level, np.eye(level.A_c.n)))
 
 
 def make_exact_coarse() -> CoarseSolver:
@@ -235,11 +245,12 @@ class CycleTrace:
     error given perturbed inputs; total lines: accumulated deviation from
     the exact reference run with identical operators).
     ``delta_y_energy`` is the energy norm of the final accumulated
-    deviation and ``y_reference`` the exact-arithmetic result.
+    deviation and ``y_reference`` the exact-arithmetic result.  For a block
+    of right-hand sides every norm is an array with one entry per column.
     """
 
-    line_norms: dict[str, float]
-    delta_y_energy: float
+    line_norms: dict[str, float | np.ndarray]
+    delta_y_energy: float | np.ndarray
     y_reference: np.ndarray
 
 
@@ -282,6 +293,7 @@ def tg_cycle(level: GridLevel, r, M: RelaxationOp, N: RelaxationOp,
              coarse: CoarseSolver, fmt: PrecisionFormat):
     """One reduced-precision two-grid cycle with a full deviation trace.
 
+    ``r`` is one right-hand side ``(n,)`` or a block ``(n, T)`` of them.
     Returns the computed result and a :class:`CycleTrace` whose entries are
     measured against the exact reference computed with the same ``M``,
     ``N`` and coarse solver.
@@ -289,42 +301,42 @@ def tg_cycle(level: GridLevel, r, M: RelaxationOp, N: RelaxationOp,
     if level.P is None:
         raise ValueError("tg_cycle needs a level with a coarse grid")
     A = level.A
+    rq = quantize_vector(r, fmt).value  # rejects a non-finite right-hand side
     r = np.asarray(r, dtype=np.float64)
     ref = _reference_stages(level, r, M, N, coarse)
 
     eta_A = level.a_constants.eta_abs
     eta_P = level.p_constants.eta_abs
 
-    rq = quantize_vector(r, fmt).value
     y_mu, _ = M.apply_rounded(rq, fmt)
-    r_mu = rounded_residual(A.matrix, y_mu, rq, fmt, eta_abs=eta_A).value
-    r_c = rounded_matvec(level.P_t, r_mu, fmt, eta_abs=eta_P).value
+    r_mu = rounded_residual(A, y_mu, rq, fmt, eta_abs=eta_A).value
+    r_c = rounded_matvec(level.P_t_layout, r_mu, fmt, eta_abs=eta_P).value
     d_c = coarse.apply(level, r_c)
-    d = rounded_matvec(level.P, d_c, fmt, eta_abs=eta_P).value
+    d = rounded_matvec(level.P_layout, d_c, fmt, eta_abs=eta_P).value
     y_nu = rounded_add_sub(y_mu, d, "-", fmt).value
-    r_nu = rounded_residual(A.matrix, y_nu, rq, fmt, eta_abs=eta_A).value
+    r_nu = rounded_residual(A, y_nu, rq, fmt, eta_abs=eta_A).value
     r_N, _ = N.apply_rounded(r_nu, fmt)
     y = rounded_add_sub(y_nu, r_N, "-", fmt).value
 
-    euclid = np.linalg.norm
+    euclid = column_norms
     e_A = lambda v: energy_norm(v, A)  # noqa: E731
     e_Ac = lambda v: energy_norm(v, level.A_c)  # noqa: E731
     Am = A.matrix
     norms = {
-        "rhs_quantize": float(euclid(rq - r)),
-        "pre_relax_step": float(euclid(y_mu - M.apply_exact(rq))),
-        "pre_relax_total": float(euclid(y_mu - ref.y_mu)),
-        "pre_residual_step": float(euclid(r_mu - (Am @ y_mu - rq))),
-        "pre_residual_total": float(euclid(r_mu - ref.r_mu)),
-        "restrict_step": float(euclid(r_c - level.P_t @ r_mu)),
+        "rhs_quantize": euclid(rq - r),
+        "pre_relax_step": euclid(y_mu - M.apply_exact(rq)),
+        "pre_relax_total": euclid(y_mu - ref.y_mu),
+        "pre_residual_step": euclid(r_mu - (Am @ y_mu - rq)),
+        "pre_residual_total": euclid(r_mu - ref.r_mu),
+        "restrict_step": euclid(r_c - level.P_t @ r_mu),
         "coarse_correction_total": e_Ac(d_c - ref.d_c),
         "prolong_step": e_A(d - level.P @ d_c),
         "prolong_total": e_A(d - ref.d),
-        "correction_sub_step": float(euclid(y_nu - (y_mu - d))),
+        "correction_sub_step": euclid(y_nu - (y_mu - d)),
         "corrected_total": e_A(y_nu - ref.y_nu),
         "post_residual_step": e_A(r_nu - (Am @ y_nu - rq)),
         "post_residual_total": e_A(r_nu - ref.r_nu),
-        "post_relax_step": float(euclid(r_N - N.apply_exact(r_nu))),
+        "post_relax_step": euclid(r_N - N.apply_exact(r_nu)),
         "post_relax_total": e_A(r_N - ref.r_N),
         "final_sub_step": e_A(y - (y_nu - r_N)),
     }
@@ -359,6 +371,7 @@ def v_cycle(levels, mu: int, nu: int, r, fmt: PrecisionFormat, *,
             smoothers=None) -> np.ndarray:
     """Recursive V(mu, nu)-cycle over a hierarchy, all levels in ``fmt``.
 
+    ``r`` is one right-hand side ``(n,)`` or a block ``(n, T)`` of them.
     The first pre-relaxation sweep on the zero initial guess is the literal
     ``y <- M r``; later sweeps run the full residual/relax/subtract kernel
     sequence.  The coarsest system is solved directly in the carrier.  With
@@ -385,26 +398,26 @@ def v_cycle(levels, mu: int, nu: int, r, fmt: PrecisionFormat, *,
     r = np.asarray(r, dtype=np.float64)
     rq = quantize_vector(r, fmt).value
 
-    y = np.zeros(A.n)
+    y = np.zeros_like(rq)
     for sweep in range(mu):
         if sweep == 0:
             y, _ = M.apply_rounded(rq, fmt)
         else:
-            res = rounded_residual(A.matrix, y, rq, fmt, eta_abs=eta_A).value
+            res = rounded_residual(A, y, rq, fmt, eta_abs=eta_A).value
             z, _ = M.apply_rounded(res, fmt)
             y = rounded_add_sub(y, z, "-", fmt).value
 
-    r_mu = rounded_residual(A.matrix, y, rq, fmt, eta_abs=eta_A).value
-    r_c = rounded_matvec(level.P_t, r_mu, fmt, eta_abs=eta_P).value
+    r_mu = rounded_residual(A, y, rq, fmt, eta_abs=eta_A).value
+    r_c = rounded_matvec(level.P_t_layout, r_mu, fmt, eta_abs=eta_P).value
     if len(levels) == 2:
         d_c = solve_spd(level.A_c, r_c)
     else:
         d_c = v_cycle(levels[1:], mu, nu, r_c, fmt, smoothers=smoothers[1:])
-    d = rounded_matvec(level.P, d_c, fmt, eta_abs=eta_P).value
+    d = rounded_matvec(level.P_layout, d_c, fmt, eta_abs=eta_P).value
     y = rounded_add_sub(y, d, "-", fmt).value
 
     for _ in range(nu):
-        r_nu = rounded_residual(A.matrix, y, rq, fmt, eta_abs=eta_A).value
+        r_nu = rounded_residual(A, y, rq, fmt, eta_abs=eta_A).value
         r_N, _ = N.apply_rounded(r_nu, fmt)
         y = rounded_add_sub(y, r_N, "-", fmt).value
     return y
@@ -414,7 +427,7 @@ def measure_bc_deviation(levels, mu: int, nu: int, *, smoothers=None) -> float:
     """Energy deviation from identity of the effective recursive coarse solve.
 
     Applies the carrier-precision recursive cycle (direct solve when the
-    hierarchy below has a single level) to each coarse unit vector to
+    hierarchy below has a single level) to the coarse identity block to
     assemble ``B_c A_c^{-1}`` densely, multiplies by ``A_c`` and returns
     the coarse energy norm of ``B_c - I``.
     """
@@ -432,11 +445,7 @@ def measure_bc_deviation(levels, mu: int, nu: int, *, smoothers=None) -> float:
             smoothers = default_smoothers(sub, CARRIER)
         elif len(smoothers) == len(levels) - 1:
             smoothers = smoothers[1:]
-        W = np.empty((n_c, n_c))
-        for i in range(n_c):
-            e = np.zeros(n_c)
-            e[i] = 1.0
-            W[:, i] = v_cycle(sub, mu, nu, e, CARRIER, smoothers=smoothers)
+        W = v_cycle(sub, mu, nu, np.eye(n_c), CARRIER, smoothers=smoothers)
     B_c = W @ A_c.dense
     return energy_operator_norm(B_c - np.eye(n_c), A_c)
 

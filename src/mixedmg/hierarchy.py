@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -26,6 +27,7 @@ from .linops import (
     spectral_norm,
     write_matrix_market,
 )
+from .precision import RowLayout
 
 _EPS = float(np.finfo(np.float64).eps)
 
@@ -121,6 +123,16 @@ class GridLevel:
         if self.kappa_c is None:
             return None
         return float(np.sqrt(self.kappa_c / self.kappa))
+
+    @cached_property
+    def P_layout(self) -> RowLayout:
+        """The padded row layout of ``P`` for the rounded kernels, built once."""
+        return RowLayout.of(self.P)
+
+    @cached_property
+    def P_t_layout(self) -> RowLayout:
+        """The padded row layout of ``P'`` for the rounded kernels, built once."""
+        return RowLayout.of(self.P_t)
 
 
 def _unit_scale(A: SparseSpd) -> tuple[SparseSpd, float]:

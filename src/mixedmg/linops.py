@@ -5,6 +5,12 @@ symmetric eigensolves (problems are desk scale, n up to a few thousand), so
 no estimation error enters the bound validation.  Decompositions are cached
 on the matrix object because energy norms and operator norms are evaluated
 thousands of times per experiment sweep.
+
+:func:`energy_norm` and :func:`solve_spd` take a vector ``(n,)`` or a block
+``(n, T)``.  They work column by column on contiguous copies, so each column
+of a block gives bit for bit what the same vector gives on its own: a
+multi-column Cholesky solve and a reduction over a strided column both
+round differently.
 """
 
 from __future__ import annotations
@@ -15,9 +21,18 @@ from functools import cached_property
 import numpy as np
 import scipy.io
 import scipy.linalg
+import scipy.linalg.lapack
 import scipy.sparse as sparse
 
-from .precision import PrecisionFormat, PrecisionTooLowError
+# mdot_plus_eps is defined with the kernels it inflates and re-exported here
+from .precision import (
+    PrecisionFormat,
+    RowLayout,
+    _columns,
+    _from_columns,
+    _per_column,
+    mdot_plus_eps,
+)
 
 _EPS = float(np.finfo(np.float64).eps)
 
@@ -65,6 +80,11 @@ class SparseSpd:
     def m_row(self) -> int:
         """Maximum number of stored nonzeros in any row."""
         return int(np.diff(self._matrix.indptr).max(initial=0))
+
+    @cached_property
+    def row_layout(self) -> RowLayout:
+        """The padded row layout the rounded kernels traverse, built once."""
+        return RowLayout.of(self._matrix)
 
     @cached_property
     def dense(self) -> np.ndarray:
@@ -122,18 +142,19 @@ class OperatorConstants:
     eta_abs: float
 
 
-def energy_norm(w, A: SparseSpd) -> float:
-    """The A-weighted norm ``sqrt(w' A w)`` evaluated in the carrier."""
-    w = np.asarray(w, dtype=np.float64)
-    if w.shape[0] != A.n:
-        raise ValueError(f"dimension mismatch: {w.shape[0]} vs {A.n}")
-    q = float(w @ A.apply(w))
-    if q < 0:
-        tol = 64 * _EPS * A._row_sum_bound * float(w @ w)
-        if q < -tol:
-            raise SpdError(f"negative quadratic form {q}; matrix not SPD")
-        q = 0.0
-    return float(np.sqrt(q))
+def energy_norm(w, A: SparseSpd):
+    """The A-weighted norm ``sqrt(w' A w)`` evaluated in the carrier.
+
+    A float for a vector, an array with one norm per column for a block.
+    """
+    rows = _columns(w, A.n)
+    q = np.vecdot(rows, _columns(A.apply(rows.T), A.n))
+    if np.any(q < 0):
+        tol = 64 * _EPS * A._row_sum_bound * np.vecdot(rows, rows)
+        if np.any(q < -tol):
+            raise SpdError(f"negative quadratic form {q.min()}; matrix not SPD")
+        q = np.where(q < 0, 0.0, q)
+    return _per_column(np.sqrt(q), w)
 
 
 def spectral_norm(K) -> float:
@@ -163,26 +184,28 @@ def condition_number(A: SparseSpd) -> float:
     return float(w[-1] / w[0])
 
 
-def mdot_plus_eps(m: int, eps: float) -> float:
-    """The inflation factor ``(m + 1) / (1 - (m + 1) * eps)``."""
-    if m < 0:
-        raise ValueError("m must be nonnegative")
-    if (m + 1) * eps >= 1.0:
-        raise PrecisionTooLowError(
-            f"(m + 1) * u = {(m + 1) * eps} >= 1; inflation factor undefined"
-        )
-    return (m + 1) / (1.0 - (m + 1) * eps)
-
-
 def mdot_plus(m: int, fmt: PrecisionFormat) -> float:
     """:func:`mdot_plus_eps` at the unit roundoff of ``fmt``."""
     return mdot_plus_eps(m, fmt.unit_roundoff)
 
 
 def solve_spd(A: SparseSpd, b) -> np.ndarray:
-    """Direct Cholesky solve in the carrier; the 'exact' solve proxy."""
-    b = np.asarray(b, dtype=np.float64)
-    return scipy.linalg.cho_solve(A.cholesky, b)
+    """Direct Cholesky solve in the carrier; the 'exact' solve proxy.
+
+    ``b`` is a vector or an ``(n, T)`` block, which is checked for
+    finiteness once and solved one column at a time against the cached
+    factor (LAPACK ``potrs`` with one right-hand side each).
+    """
+    rows = _columns(b, A.n)
+    if not np.all(np.isfinite(rows)):
+        raise ValueError("array must not contain infs or NaNs")
+    c, lower = A.cholesky
+    out = np.empty_like(rows)
+    for i, row in enumerate(rows):
+        out[i], info = scipy.linalg.lapack.dpotrs(c, row, lower=lower)
+        if info != 0:
+            raise ValueError(f"illegal value in {-info}th argument of potrs")
+    return _from_columns(out, b)
 
 
 def energy_operator_norm(K, A: SparseSpd) -> float:

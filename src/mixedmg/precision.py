@@ -11,6 +11,13 @@ Matrix kernels accumulate each row sequentially left to right over the
 stored nonzeros, with the right-hand side subtracted last, so the error
 accounting matches the ``(m + 1)``-term inflation factor
 ``(m + 1) * u / (1 - (m + 1) * u)`` exactly.
+
+Every kernel takes a vector ``(n,)`` or a block ``(n, T)`` of ``T`` vectors
+side by side.  A vector runs as a one-column block, and each column of a
+block gives bit for bit what the same vector gives on its own: the rounding
+is entrywise, and every per-column norm is summed over a contiguous copy of
+that column (see :func:`column_norms`).  For a block, ``a_priori_bound`` is
+an array with one bound per column.
 """
 
 from __future__ import annotations
@@ -60,16 +67,28 @@ class PrecisionFormat:
 CARRIER = PrecisionFormat(CARRIER_BITS)
 
 
+def mdot_plus_eps(m: int, eps: float) -> float:
+    """The inflation factor ``(m + 1) / (1 - (m + 1) * eps)``."""
+    if m < 0:
+        raise ValueError("m must be nonnegative")
+    if (m + 1) * eps >= 1.0:
+        raise PrecisionTooLowError(
+            f"(m + 1) * u = {(m + 1) * eps} >= 1; inflation factor undefined"
+        )
+    return (m + 1) / (1.0 - (m + 1) * eps)
+
+
 @dataclass(frozen=True, eq=False)
 class RoundedResult:
     """A kernel result together with its a-priori Euclidean error bound.
 
     Whenever the exact result is recomputed by a high-precision oracle,
-    ``norm(value - exact) <= a_priori_bound`` holds.
+    ``norm(value - exact) <= a_priori_bound`` holds, column by column for a
+    block, whose ``a_priori_bound`` is an array with one entry per column.
     """
 
     value: np.ndarray
-    a_priori_bound: float
+    a_priori_bound: float | np.ndarray
 
 
 def _round_array(x: np.ndarray, bits: int) -> np.ndarray:
@@ -84,16 +103,57 @@ def _round_array(x: np.ndarray, bits: int) -> np.ndarray:
         return np.ldexp(np.rint(np.ldexp(m, bits)), e - bits)
 
 
-def _as_finite_vector(w, name: str) -> np.ndarray:
+def _as_block(w, name: str) -> np.ndarray:
+    """``w`` as a finite ``(n, T)`` float64 block; a vector is one column."""
     w = np.asarray(w, dtype=np.float64)
+    if w.ndim not in (1, 2):
+        raise ValueError(
+            f"{name} must be a vector (n,) or a block (n, T), got shape {w.shape}")
     if not np.all(np.isfinite(w)):
         raise ValueError(f"{name} must be finite")
-    return w
+    return w.reshape(w.shape[0], -1)
 
 
 def _check_carrier_range(value: np.ndarray):
     if not np.all(np.isfinite(value)):
         raise OverflowError("result overflows the float64 carrier")
+
+
+def _columns(w, n: int | None = None) -> np.ndarray:
+    """A vector or an ``(n, T)`` block as ``(T, n)`` contiguous rows, one per column."""
+    w = np.asarray(w, dtype=np.float64)
+    if w.ndim not in (1, 2) or (n is not None and w.shape[0] != n):
+        raise ValueError(f"dimension mismatch: {w.shape} vs {n}")
+    return np.ascontiguousarray(w.reshape(w.shape[0], -1).T)
+
+
+def _from_columns(rows: np.ndarray, like) -> np.ndarray:
+    """Inverse of :func:`_columns`: a vector, or a C-contiguous ``(n, T)`` block."""
+    return rows[0] if np.ndim(like) == 1 else np.ascontiguousarray(rows.T)
+
+
+def _per_column(values: np.ndarray, like):
+    """Per-column values, as a float when ``like`` is a vector."""
+    return float(values[0]) if np.ndim(like) == 1 else values
+
+
+def _result(value: np.ndarray, bound: np.ndarray, like) -> RoundedResult:
+    if np.ndim(like) == 1:
+        return RoundedResult(value[:, 0], float(bound[0]))
+    return RoundedResult(value, bound)
+
+
+def column_norms(w):
+    """Euclidean norm of a vector, or of every column of an ``(n, T)`` block.
+
+    A column's norm is bit-identical to ``np.linalg.norm`` of that column
+    alone; for a block the result is an array with one norm per column.
+    """
+    # one dot product per contiguous column copy: the sum runs in the same
+    # order as for the lone vector, which a reduction along axis 0 of the
+    # block (or a dot product over a strided column) does not guarantee
+    rows = _columns(w)
+    return _per_column(np.sqrt(np.vecdot(rows, rows)), w)
 
 
 def round_scalar(x: float, fmt: PrecisionFormat) -> float:
@@ -107,17 +167,20 @@ def round_scalar(x: float, fmt: PrecisionFormat) -> float:
 
 def round_vector(w, fmt: PrecisionFormat) -> np.ndarray:
     """Componentwise :func:`round_scalar` without the error bound."""
-    out = _round_array(_as_finite_vector(w, "w"), fmt.significand_bits)
+    w = np.asarray(w, dtype=np.float64)
+    if not np.all(np.isfinite(w)):
+        raise ValueError("w must be finite")
+    out = _round_array(w, fmt.significand_bits)
     _check_carrier_range(out)
     return out
 
 
 def quantize_vector(w, fmt: PrecisionFormat) -> RoundedResult:
-    """Round a vector into ``fmt``; bound is ``u * norm(w)``."""
-    w = _as_finite_vector(w, "w")
-    value = _round_array(w, fmt.significand_bits)
+    """Round a vector (or block) into ``fmt``; bound is ``u * norm(w)`` per column."""
+    W = _as_block(w, "w")
+    value = _round_array(W, fmt.significand_bits)
     _check_carrier_range(value)
-    return RoundedResult(value, fmt.unit_roundoff * float(np.linalg.norm(w)))
+    return _result(value, fmt.unit_roundoff * column_norms(W), w)
 
 
 def rounded_add_sub(v, w, sign: str, fmt: PrecisionFormat) -> RoundedResult:
@@ -126,19 +189,33 @@ def rounded_add_sub(v, w, sign: str, fmt: PrecisionFormat) -> RoundedResult:
     Both operands are expected to be representable in ``fmt`` already; the
     single rounding then gives the componentwise ``(1 + d)`` model.
     """
-    v = _as_finite_vector(v, "v")
-    w = _as_finite_vector(w, "w")
-    if v.shape != w.shape:
-        raise ValueError(f"shape mismatch: {v.shape} vs {w.shape}")
+    V = _as_block(v, "v")
+    W = _as_block(w, "w")
+    if np.shape(v) != np.shape(w):
+        raise ValueError(f"shape mismatch: {np.shape(v)} vs {np.shape(w)}")
     if sign == "+":
-        exact = v + w
+        exact = V + W
     elif sign == "-":
-        exact = v - w
+        exact = V - W
     else:
         raise ValueError(f"sign must be '+' or '-', got {sign!r}")
     value = _round_array(exact, fmt.significand_bits)
     _check_carrier_range(value)
-    return RoundedResult(value, fmt.unit_roundoff * float(np.linalg.norm(exact)))
+    return _result(value, fmt.unit_roundoff * column_norms(exact), v)
+
+
+def rounded_scale(d: np.ndarray, w, fmt: PrecisionFormat, alpha: float) -> RoundedResult:
+    """Componentwise rounded ``diag(d) @ w``; bound is ``alpha * u * norm(w)``.
+
+    ``alpha`` must certify the scaling, ``alpha >= max |d|`` for entries of
+    ``d`` already representable in ``fmt``.
+    """
+    W = _as_block(w, "w")
+    if W.shape[0] != len(d):
+        raise ValueError(f"dimension mismatch: {len(d)} vs {W.shape[0]}")
+    value = _round_array(d[:, None] * W, fmt.significand_bits)
+    _check_carrier_range(value)
+    return _result(value, alpha * fmt.unit_roundoff * column_norms(W), w)
 
 
 def _csr(K) -> sparse.csr_array:
@@ -152,48 +229,63 @@ def _csr(K) -> sparse.csr_array:
     return M
 
 
-def _padded_rows(K: sparse.csr_array):
-    """Row-major (values, column-index) arrays padded with explicit zeros.
+@dataclass(frozen=True, eq=False)
+class RowLayout:
+    """An operator's stored nonzeros as row-major slots padded with zeros.
 
-    Padding with zero terms is exact under rounding (adding an exact zero to
-    a representable partial sum is a fixed point), so it does not disturb
-    the per-row error accounting.
+    Slot ``j`` of row ``i`` holds the ``j``-th stored nonzero of that row
+    (``vals[j, i, 0]``, column ``cols[j, i]``), or an explicit zero past the
+    row's end.  Padding with zero terms is exact under rounding (adding an
+    exact zero to a representable partial sum is a fixed point), so it does
+    not disturb the per-row error accounting.  ``m`` is the largest number
+    of stored nonzeros in any row.  Operators that are applied repeatedly
+    build their layout once (:attr:`mixedmg.linops.SparseSpd.row_layout`,
+    :attr:`mixedmg.hierarchy.GridLevel.P_layout`).
     """
-    n_rows = K.shape[0]
-    counts = np.diff(K.indptr)
-    width = max(int(counts.max(initial=0)), 1)
-    vals = np.zeros((n_rows, width))
-    cols = np.zeros((n_rows, width), dtype=np.int64)
-    rows = np.repeat(np.arange(n_rows), counts)
-    slots = np.arange(K.nnz) - np.repeat(K.indptr[:-1], counts)
-    vals[rows, slots] = K.data
-    cols[rows, slots] = K.indices
-    return vals, cols, int(counts.max(initial=0))
 
+    matrix: sparse.csr_array
+    vals: np.ndarray
+    cols: np.ndarray
+    m: int
 
-def _inflation(m: int, eps: float) -> float:
-    if (m + 1) * eps >= 1.0:
-        raise PrecisionTooLowError(
-            f"(m + 1) * u = {(m + 1) * eps} >= 1; error model undefined"
-        )
-    return (m + 1) / (1.0 - (m + 1) * eps)
+    @classmethod
+    def of(cls, K) -> RowLayout:
+        """The layout of ``K``, reusing the one ``K`` caches when it has one."""
+        if isinstance(K, RowLayout):
+            return K
+        cached = getattr(K, "row_layout", None)
+        if cached is not None:
+            return cached
+        M = _csr(K)
+        n_rows = M.shape[0]
+        counts = np.diff(M.indptr)
+        width = max(int(counts.max(initial=0)), 1)
+        vals = np.zeros((width, n_rows, 1))
+        cols = np.zeros((width, n_rows), dtype=np.int64)
+        rows = np.repeat(np.arange(n_rows), counts)
+        slots = np.arange(M.nnz) - np.repeat(M.indptr[:-1], counts)
+        vals[slots, rows, 0] = M.data
+        cols[slots, rows] = M.indices
+        return cls(M, vals, cols, int(counts.max(initial=0)))
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return self.matrix.shape
 
 
 def _abs_two_norm(K: sparse.csr_array) -> float:
     return float(np.linalg.norm(np.abs(K.toarray()), 2))
 
 
-def _rounded_row_accumulate(K, w, c, fmt: PrecisionFormat):
-    vals, cols, m = _padded_rows(K)
-    bits = fmt.significand_bits
-    acc = _round_array(vals[:, 0] * w[cols[:, 0]], bits)
-    for j in range(1, vals.shape[1]):
-        term = _round_array(vals[:, j] * w[cols[:, j]], bits)
+def _rounded_row_accumulate(rows: RowLayout, W: np.ndarray, C, bits: int):
+    acc = _round_array(rows.vals[0] * W[rows.cols[0]], bits)
+    for vals, cols in zip(rows.vals[1:], rows.cols[1:]):
+        term = _round_array(vals * W[cols], bits)
         acc = _round_array(acc + term, bits)
-    if c is not None:
-        acc = _round_array(acc - c, bits)
+    if C is not None:
+        acc = _round_array(acc - C, bits)
     _check_carrier_range(acc)
-    return acc, m
+    return acc
 
 
 def rounded_residual(K, w, c, fmt: PrecisionFormat, *, eta_abs: float | None = None) -> RoundedResult:
@@ -203,32 +295,34 @@ def rounded_residual(K, w, c, fmt: PrecisionFormat, *, eta_abs: float | None = N
     where ``inflation = (m + 1) / (1 - (m + 1) u)`` with ``m`` the maximum
     number of stored nonzeros in any row of ``K`` and ``eta_abs`` the
     spectral norm of the entrywise absolute value of ``K`` (computed densely
-    when not supplied).
+    when not supplied).  ``K`` is a matrix, anything with a ``.matrix``, or
+    a :class:`RowLayout`; ``w`` and ``c`` are both vectors or both blocks.
     """
-    K = _csr(K)
-    w = _as_finite_vector(w, "w")
-    c = _as_finite_vector(c, "c")
-    if K.shape[1] != w.shape[0] or K.shape[0] != c.shape[0]:
+    rows = RowLayout.of(K)
+    W = _as_block(w, "w")
+    C = _as_block(c, "c")
+    if (np.ndim(w) != np.ndim(c) or rows.shape[1] != W.shape[0]
+            or rows.shape[0] != C.shape[0] or W.shape[1] != C.shape[1]):
         raise ValueError("nonconformal residual dimensions")
-    value, m = _rounded_row_accumulate(K, w, c, fmt)
-    inflation = _inflation(m, fmt.unit_roundoff)
+    value = _rounded_row_accumulate(rows, W, C, fmt.significand_bits)
+    inflation = mdot_plus_eps(rows.m, fmt.unit_roundoff)
     if eta_abs is None:
-        eta_abs = _abs_two_norm(K)
+        eta_abs = _abs_two_norm(rows.matrix)
     bound = fmt.unit_roundoff * inflation * (
-        float(np.linalg.norm(c)) + eta_abs * float(np.linalg.norm(w))
+        column_norms(C) + eta_abs * column_norms(W)
     )
-    return RoundedResult(value, bound)
+    return _result(value, bound, w)
 
 
 def rounded_matvec(K, w, fmt: PrecisionFormat, *, eta_abs: float | None = None) -> RoundedResult:
     """Compute ``K @ w`` row by row in ``fmt``; bound ``u * inflation * eta_abs * norm(w)``."""
-    K = _csr(K)
-    w = _as_finite_vector(w, "w")
-    if K.shape[1] != w.shape[0]:
+    rows = RowLayout.of(K)
+    W = _as_block(w, "w")
+    if rows.shape[1] != W.shape[0]:
         raise ValueError("nonconformal matvec dimensions")
-    value, m = _rounded_row_accumulate(K, w, None, fmt)
-    inflation = _inflation(m, fmt.unit_roundoff)
+    value = _rounded_row_accumulate(rows, W, None, fmt.significand_bits)
+    inflation = mdot_plus_eps(rows.m, fmt.unit_roundoff)
     if eta_abs is None:
-        eta_abs = _abs_two_norm(K)
-    bound = fmt.unit_roundoff * inflation * eta_abs * float(np.linalg.norm(w))
-    return RoundedResult(value, bound)
+        eta_abs = _abs_two_norm(rows.matrix)
+    bound = fmt.unit_roundoff * inflation * eta_abs * column_norms(W)
+    return _result(value, bound, w)

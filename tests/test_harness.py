@@ -81,6 +81,31 @@ class TestConfig:
         with pytest.raises(ConfigError):
             ExperimentConfig(coarse="amg")
 
+    @pytest.mark.parametrize("old, new", [
+        ("[run]", "[runn]"),                       # misspelled section
+        ("bits = 8 12", "bit = 8 12"),             # misspelled key
+        ("kind = exact", "kind = exact\nsigam = 0.1"),  # unknown key
+        ("[problem]", "[DEFAULT]\nsize = 15\n\n[problem]"),
+    ])
+    def test_rejects_unknown_names(self, tmp_path, old, new):
+        path = tmp_path / "typo.ini"
+        path.write_text(CONFIG_TEXT.replace(old, new, 1))
+        with pytest.raises(ConfigError, match="unknown"):
+            load_config(path)
+
+    def test_rejects_bits_and_pi_target(self, tmp_path):
+        path = tmp_path / "both.ini"
+        path.write_text(CONFIG_TEXT.replace(
+            "bits = 8 12", "bits = 8 12\npi_target = 0.00390625"))
+        with pytest.raises(ConfigError, match="not both"):
+            load_config(path)
+
+    def test_rejects_unparsable_file(self, tmp_path):
+        path = tmp_path / "headless.ini"
+        path.write_text("size = 15\n" + CONFIG_TEXT)
+        with pytest.raises(ConfigError):
+            load_config(path)
+
 
 class TestRunExperiment:
     def test_deterministic_csv_bytes(self):
@@ -247,6 +272,17 @@ class TestCli:
     def test_run_missing_config_exits_2(self, tmp_path):
         code = cli_main(["run", "--config", str(tmp_path / "absent.ini")])
         assert code == 2
+
+    @pytest.mark.parametrize("old, new", [
+        ("[run]", "[runn]"),
+        ("bits = 8 12", "bit = 8 12"),
+        ("bits = 8 12", "bits = 8 12\npi_target = 0.00390625"),
+    ])
+    def test_run_config_typo_exits_2(self, tmp_path, capsys, old, new):
+        path = tmp_path / "typo.ini"
+        path.write_text(CONFIG_TEXT.replace(old, new, 1))
+        assert cli_main(["run", "--config", str(path)]) == 2
+        assert capsys.readouterr().out == ""
 
     def test_bounds_zero_roundoff(self, capsys):
         code = cli_main([
