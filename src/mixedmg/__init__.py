@@ -14,7 +14,6 @@ from .bounds import (
     BoundReport,
     PROOF_LINES,
     compute_constants,
-    delta_rho_tg,
     gamma_constants,
     per_line_bounds,
     progressive_epsilon,
@@ -37,7 +36,6 @@ from .cycles import (
     tg_cycle,
     v_cycle,
 )
-from .cli import cli_main
 from .harness import (
     ExperimentConfig,
     TrialRecord,

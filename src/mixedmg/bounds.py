@@ -198,11 +198,6 @@ def compute_constants(
     )
 
 
-def delta_rho_tg(report: BoundReport) -> float:
-    """The accumulated-deviation coefficient ``c3 + c4 + c5``."""
-    return report.c3 + report.c4 + report.c5
-
-
 def _limit_inputs(inputs: BoundInputs) -> BoundInputs:
     # invert mdot = (m+1)/(1-(m+1)e) to recover the zero-roundoff limit m+1
     e = inputs.eps

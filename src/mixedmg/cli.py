@@ -87,6 +87,22 @@ def _add_validate(sub):
     p.add_argument("--csv", required=True)
 
 
+def _report(records, out) -> int:
+    """Write the CSV to ``out`` (stdout when unset); exit 1 on a violation."""
+    if out:
+        write_csv(records, out)
+        print(f"wrote {len(records)} trial records to {out}")
+    else:
+        sys.stdout.write(render_csv(records))
+    failed = sum(not r.passed for r in records)
+    if failed:
+        print(f"BOUND VIOLATION in {failed} / {len(records)} trials",
+              file=sys.stderr)
+        return 1
+    print(f"all {len(records)} trials satisfy their bounds", file=sys.stderr)
+    return 0
+
+
 def _cmd_run(args) -> int:
     config = load_config(args.config)
     overrides = {}
@@ -103,19 +119,7 @@ def _cmd_run(args) -> int:
         overrides["output_path"] = args.out
     if overrides:
         config = replace(config, **overrides)
-    records = run_experiment(config)
-    if config.output_path:
-        write_csv(records, config.output_path)
-        print(f"wrote {len(records)} trial records to {config.output_path}")
-    else:
-        sys.stdout.write(render_csv(records))
-    failed = [r for r in records if not r.passed]
-    if failed:
-        print(f"BOUND VIOLATION in {len(failed)} / {len(records)} trials",
-              file=sys.stderr)
-        return 1
-    print(f"all {len(records)} trials satisfy their bounds", file=sys.stderr)
-    return 0
+    return _report(run_experiment(config), config.output_path)
 
 
 def _cmd_bounds(args) -> int:
@@ -152,19 +156,7 @@ def _cmd_sweep(args) -> int:
             bits=tuple(args.bits), trials=args.trials, rng_seed=args.seed,
         )
         all_records.extend(run_experiment(config))
-    if args.out:
-        write_csv(all_records, args.out)
-        print(f"wrote {len(all_records)} trial records to {args.out}")
-    else:
-        sys.stdout.write(render_csv(all_records))
-    failed = [r for r in all_records if not r.passed]
-    if failed:
-        print(f"BOUND VIOLATION in {len(failed)} / {len(all_records)} trials",
-              file=sys.stderr)
-        return 1
-    print(f"all {len(all_records)} trials satisfy their bounds",
-          file=sys.stderr)
-    return 0
+    return _report(all_records, args.out)
 
 
 def _cmd_progressive(args) -> int:
@@ -210,9 +202,6 @@ def main(argv=None) -> int:
     except (ConfigError, FileNotFoundError, ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-
-
-cli_main = main
 
 
 if __name__ == "__main__":

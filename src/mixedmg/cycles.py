@@ -1,10 +1,10 @@
 """Two-grid and V-cycle solvers with per-line rounding-error instrumentation.
 
-The reduced-precision cycle and its exact-arithmetic reference execute the
-same ten steps:
+Every cycle runs one step sequence, written once:
 
 1.  round the right-hand side into the working format
-2.  pre-relax on the zero initial guess, ``y <- M r``
+2.  pre-relax ``mu`` times; the first sweep on the zero initial guess is
+    ``y <- M r``, each later one ``y <- y - M (A y - r)``
 3.  residual of the pre-relaxed iterate, ``A y - r``
 4.  restrict the residual to the coarse level
 5.  coarse correction ``B_c A_c^{-1} r_c`` (always in the carrier)
@@ -14,11 +14,17 @@ same ten steps:
 9.  precondition that residual, ``N r``
 10. subtract to obtain the post-relaxed result
 
-Steps 2-4 and 6-10 run through the certified kernels of
-:mod:`mixedmg.precision`; step 5 is a carrier-precision solve, optionally
-perturbed or realized by a recursive cycle.  :func:`tg_cycle` additionally
-measures, for every step, the deviation of the computed quantity from the
-exact reference computed with the same operators, in the norm the
+and repeats steps 8-10 for each of ``nu`` post-relaxation sweeps.  In a
+reduced format the steps other than 5 run through the certified kernels of
+:mod:`mixedmg.precision`; in the carrier they are the plain float64
+operations, which give the bits of those kernels at 53 bits.  The
+exact-arithmetic reference is this sequence in the carrier.  Step 5 is a
+carrier-precision solve, optionally perturbed or realized by a recursive
+cycle; in :func:`v_cycle` it is the V-cycle one level down.
+
+:func:`tg_cycle` runs the sequence with ``mu = nu = 1`` in the working
+format and in the carrier, and measures, for every step, the deviation of
+the computed quantity from the exact reference, in the norm the
 accumulation proof uses for that line (see
 :data:`mixedmg.bounds.PROOF_LINES`).
 
@@ -30,12 +36,13 @@ block of trials reproduces the per-trial results exactly.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .bounds import PROOF_LINES
-from .hierarchy import GridLevel, coarsest_level
+from .hierarchy import GridLevel
 from .linops import (
     SparseSpd,
     energy_norm,
@@ -256,37 +263,78 @@ class CycleTrace:
 
 @dataclass(frozen=True, eq=False)
 class _Stages:
+    """The named intermediates of one cycle.
+
+    ``r`` is the rounded right-hand side; ``r_nu`` and ``r_N`` come from the
+    last post-relaxation sweep and are None when ``nu = 0``.
+    """
+
+    r: np.ndarray
     y_mu: np.ndarray
     r_mu: np.ndarray
     r_c: np.ndarray
     d_c: np.ndarray
     d: np.ndarray
     y_nu: np.ndarray
-    r_nu: np.ndarray
-    r_N: np.ndarray
+    r_nu: np.ndarray | None
+    r_N: np.ndarray | None
     y: np.ndarray
 
 
-def _reference_stages(level: GridLevel, r, M: RelaxationOp, N: RelaxationOp,
-                      coarse: CoarseSolver) -> _Stages:
-    A = level.A.matrix
-    r = np.asarray(r, dtype=np.float64)
-    y_mu = M.apply_exact(r)
-    r_mu = A @ y_mu - r
-    r_c = level.P_t @ r_mu
-    d_c = coarse.apply(level, r_c)
-    d = level.P @ d_c
-    y_nu = y_mu - d
-    r_nu = A @ y_nu - r
-    r_N = N.apply_exact(r_nu)
-    y = y_nu - r_N
-    return _Stages(y_mu, r_mu, r_c, d_c, d, y_nu, r_nu, r_N, y)
+def _operations(level: GridLevel, fmt: PrecisionFormat):
+    """The five operations of a cycle step on ``level`` in ``fmt``.
+
+    ``(relax, residual, restrict, prolong, subtract)``: ``K z``,
+    ``A y - r``, ``P' z``, ``P z`` and ``v - w``.
+
+    A reduced format runs the certified kernels; the carrier runs the plain
+    float64 operations, which give the bits of those kernels at 53 bits.
+    """
+    if fmt == CARRIER:
+        return (lambda K, z: K.apply_exact(z),
+                lambda y, r: level.A.matrix @ y - r,
+                lambda z: level.P_t @ z,
+                lambda z: level.P @ z,
+                lambda v, w: v - w)
+    eta_A = level.a_constants.eta_abs
+    eta_P = level.p_constants.eta_abs
+    return (lambda K, z: K.apply_rounded(z, fmt)[0],
+            lambda y, r: rounded_residual(level.A, y, r, fmt, eta_abs=eta_A).value,
+            lambda z: rounded_matvec(level.P_t_layout, z, fmt, eta_abs=eta_P).value,
+            lambda z: rounded_matvec(level.P_layout, z, fmt, eta_abs=eta_P).value,
+            lambda v, w: rounded_add_sub(v, w, "-", fmt).value)
+
+
+def _cycle(level: GridLevel, r, M: RelaxationOp, N: RelaxationOp, mu: int,
+           nu: int, coarse, fmt: PrecisionFormat) -> _Stages:
+    """The cycle's step sequence in ``fmt``; ``coarse`` maps ``r_c`` to ``d_c``."""
+    relax, residual, restrict, prolong, subtract = _operations(level, fmt)
+    rq = quantize_vector(r, fmt).value  # rejects a non-finite right-hand side
+    y = np.zeros_like(rq)
+    for sweep in range(mu):
+        if sweep == 0:
+            y = relax(M, rq)
+        else:
+            y = subtract(y, relax(M, residual(y, rq)))
+    y_mu = y
+    r_mu = residual(y_mu, rq)
+    r_c = restrict(r_mu)
+    d_c = coarse(r_c)
+    d = prolong(d_c)
+    y = y_nu = subtract(y_mu, d)
+    r_nu = r_N = None
+    for _ in range(nu):
+        r_nu = residual(y, rq)
+        r_N = relax(N, r_nu)
+        y = subtract(y, r_N)
+    return _Stages(rq, y_mu, r_mu, r_c, d_c, d, y_nu, r_nu, r_N, y)
 
 
 def exact_tg_reference(level: GridLevel, r, M: RelaxationOp, N: RelaxationOp,
                        coarse: CoarseSolver) -> np.ndarray:
-    """The ten-step cycle in the carrier: the exact-arithmetic proxy."""
-    return _reference_stages(level, r, M, N, coarse).y
+    """The two-grid cycle in the carrier: the exact-arithmetic proxy."""
+    return _cycle(level, r, M, N, 1, 1, lambda r_c: coarse.apply(level, r_c),
+                  CARRIER).y
 
 
 def tg_cycle(level: GridLevel, r, M: RelaxationOp, N: RelaxationOp,
@@ -300,53 +348,40 @@ def tg_cycle(level: GridLevel, r, M: RelaxationOp, N: RelaxationOp,
     """
     if level.P is None:
         raise ValueError("tg_cycle needs a level with a coarse grid")
-    A = level.A
-    rq = quantize_vector(r, fmt).value  # rejects a non-finite right-hand side
-    r = np.asarray(r, dtype=np.float64)
-    ref = _reference_stages(level, r, M, N, coarse)
-
-    eta_A = level.a_constants.eta_abs
-    eta_P = level.p_constants.eta_abs
-
-    y_mu, _ = M.apply_rounded(rq, fmt)
-    r_mu = rounded_residual(A, y_mu, rq, fmt, eta_abs=eta_A).value
-    r_c = rounded_matvec(level.P_t_layout, r_mu, fmt, eta_abs=eta_P).value
-    d_c = coarse.apply(level, r_c)
-    d = rounded_matvec(level.P_layout, d_c, fmt, eta_abs=eta_P).value
-    y_nu = rounded_add_sub(y_mu, d, "-", fmt).value
-    r_nu = rounded_residual(A, y_nu, rq, fmt, eta_abs=eta_A).value
-    r_N, _ = N.apply_rounded(r_nu, fmt)
-    y = rounded_add_sub(y_nu, r_N, "-", fmt).value
+    solve = lambda r_c: coarse.apply(level, r_c)  # noqa: E731
+    s = _cycle(level, r, M, N, 1, 1, solve, fmt)
+    ref = _cycle(level, r, M, N, 1, 1, solve, CARRIER)
+    # step oracles: the carrier operation applied to the computed inputs
+    relax, residual, restrict, prolong, subtract = _operations(level, CARRIER)
 
     euclid = column_norms
-    e_A = lambda v: energy_norm(v, A)  # noqa: E731
+    e_A = lambda v: energy_norm(v, level.A)  # noqa: E731
     e_Ac = lambda v: energy_norm(v, level.A_c)  # noqa: E731
-    Am = A.matrix
     norms = {
-        "rhs_quantize": euclid(rq - r),
-        "pre_relax_step": euclid(y_mu - M.apply_exact(rq)),
-        "pre_relax_total": euclid(y_mu - ref.y_mu),
-        "pre_residual_step": euclid(r_mu - (Am @ y_mu - rq)),
-        "pre_residual_total": euclid(r_mu - ref.r_mu),
-        "restrict_step": euclid(r_c - level.P_t @ r_mu),
-        "coarse_correction_total": e_Ac(d_c - ref.d_c),
-        "prolong_step": e_A(d - level.P @ d_c),
-        "prolong_total": e_A(d - ref.d),
-        "correction_sub_step": euclid(y_nu - (y_mu - d)),
-        "corrected_total": e_A(y_nu - ref.y_nu),
-        "post_residual_step": e_A(r_nu - (Am @ y_nu - rq)),
-        "post_residual_total": e_A(r_nu - ref.r_nu),
-        "post_relax_step": euclid(r_N - N.apply_exact(r_nu)),
-        "post_relax_total": e_A(r_N - ref.r_N),
-        "final_sub_step": e_A(y - (y_nu - r_N)),
+        "rhs_quantize": euclid(s.r - ref.r),
+        "pre_relax_step": euclid(s.y_mu - relax(M, s.r)),
+        "pre_relax_total": euclid(s.y_mu - ref.y_mu),
+        "pre_residual_step": euclid(s.r_mu - residual(s.y_mu, s.r)),
+        "pre_residual_total": euclid(s.r_mu - ref.r_mu),
+        "restrict_step": euclid(s.r_c - restrict(s.r_mu)),
+        "coarse_correction_total": e_Ac(s.d_c - ref.d_c),
+        "prolong_step": e_A(s.d - prolong(s.d_c)),
+        "prolong_total": e_A(s.d - ref.d),
+        "correction_sub_step": euclid(s.y_nu - subtract(s.y_mu, s.d)),
+        "corrected_total": e_A(s.y_nu - ref.y_nu),
+        "post_residual_step": e_A(s.r_nu - residual(s.y_nu, s.r)),
+        "post_residual_total": e_A(s.r_nu - ref.r_nu),
+        "post_relax_step": euclid(s.r_N - relax(N, s.r_nu)),
+        "post_relax_total": e_A(s.r_N - ref.r_N),
+        "final_sub_step": e_A(s.y - subtract(s.y_nu, s.r_N)),
     }
     assert set(norms) == set(PROOF_LINES)
     trace = CycleTrace(
         line_norms=norms,
-        delta_y_energy=e_A(y - ref.y),
+        delta_y_energy=e_A(s.y - ref.y),
         y_reference=ref.y,
     )
-    return y, trace
+    return s.y, trace
 
 
 def rho_star(level: GridLevel, M: RelaxationOp, N: RelaxationOp,
@@ -372,10 +407,11 @@ def v_cycle(levels, mu: int, nu: int, r, fmt: PrecisionFormat, *,
     """Recursive V(mu, nu)-cycle over a hierarchy, all levels in ``fmt``.
 
     ``r`` is one right-hand side ``(n,)`` or a block ``(n, T)`` of them.
-    The first pre-relaxation sweep on the zero initial guess is the literal
-    ``y <- M r``; later sweeps run the full residual/relax/subtract kernel
-    sequence.  The coarsest system is solved directly in the carrier.  With
-    two levels and ``mu = nu = 1`` the kernel sequence is identical to
+    Each level runs the step sequence of :func:`tg_cycle` with ``mu`` pre-
+    and ``nu`` post-relaxation sweeps, and its coarse correction is the
+    V-cycle one level down; the coarsest system is solved directly in the
+    carrier.  In the carrier the cycle is the exact-arithmetic proxy.  With
+    two levels and ``mu = nu = 1`` the result is bit for bit that of
     :func:`tg_cycle` with an exact coarse solver.
 
     ``smoothers`` is one ``(M, N)`` pair per non-coarsest level; damped
@@ -389,65 +425,38 @@ def v_cycle(levels, mu: int, nu: int, r, fmt: PrecisionFormat, *,
         smoothers = default_smoothers(levels, fmt)
     if len(smoothers) != len(levels) - 1:
         raise ValueError("need one smoother pair per non-coarsest level")
-
     level = levels[0]
-    M, N = smoothers[0]
-    A = level.A
-    eta_A = level.a_constants.eta_abs
-    eta_P = level.p_constants.eta_abs
-    r = np.asarray(r, dtype=np.float64)
-    rq = quantize_vector(r, fmt).value
-
-    y = np.zeros_like(rq)
-    for sweep in range(mu):
-        if sweep == 0:
-            y, _ = M.apply_rounded(rq, fmt)
-        else:
-            res = rounded_residual(A, y, rq, fmt, eta_abs=eta_A).value
-            z, _ = M.apply_rounded(res, fmt)
-            y = rounded_add_sub(y, z, "-", fmt).value
-
-    r_mu = rounded_residual(A, y, rq, fmt, eta_abs=eta_A).value
-    r_c = rounded_matvec(level.P_t_layout, r_mu, fmt, eta_abs=eta_P).value
     if len(levels) == 2:
-        d_c = solve_spd(level.A_c, r_c)
+        coarse = lambda r_c: solve_spd(level.A_c, r_c)  # noqa: E731
     else:
-        d_c = v_cycle(levels[1:], mu, nu, r_c, fmt, smoothers=smoothers[1:])
-    d = rounded_matvec(level.P_layout, d_c, fmt, eta_abs=eta_P).value
-    y = rounded_add_sub(y, d, "-", fmt).value
-
-    for _ in range(nu):
-        r_nu = rounded_residual(A, y, rq, fmt, eta_abs=eta_A).value
-        r_N, _ = N.apply_rounded(r_nu, fmt)
-        y = rounded_add_sub(y, r_N, "-", fmt).value
-    return y
+        coarse = lambda r_c: v_cycle(levels[1:], mu, nu, r_c, fmt,  # noqa: E731
+                                     smoothers=smoothers[1:])
+    M, N = smoothers[0]
+    return _cycle(level, r, M, N, mu, nu, coarse, fmt).y
 
 
 def measure_bc_deviation(levels, mu: int, nu: int, *, smoothers=None) -> float:
     """Energy deviation from identity of the effective recursive coarse solve.
 
-    Applies the carrier-precision recursive cycle (direct solve when the
-    hierarchy below has a single level) to the coarse identity block to
-    assemble ``B_c A_c^{-1}`` densely, multiplies by ``A_c`` and returns
-    the coarse energy norm of ``B_c - I``.
+    Assembles ``B_c A_c^{-1}`` densely with :meth:`CoarseSolver.solve_matrix`
+    of the carrier-precision recursive cycle on ``levels[1:]`` (the direct
+    solve when that hierarchy has a single level), multiplies by ``A_c`` and
+    returns the coarse energy norm of ``B_c - I``.  ``smoothers`` is one
+    ``(M, N)`` pair per non-coarsest level of ``levels[1:]``.
     """
     if len(levels) < 2:
         raise ValueError("need at least two levels")
     level = levels[0]
-    A_c = level.A_c
-    n_c = A_c.n
-    if len(levels) == 2:
-        solver = CoarseSolver(variant="exact", bc_deviation=0.0)
-        W = solver.solve_matrix(level)
-    else:
-        sub = levels[1:]
+    solver = make_exact_coarse()
+    if len(levels) > 2:
+        sub = tuple(levels[1:])
         if smoothers is None:
             smoothers = default_smoothers(sub, CARRIER)
-        elif len(smoothers) == len(levels) - 1:
-            smoothers = smoothers[1:]
-        W = v_cycle(sub, mu, nu, np.eye(n_c), CARRIER, smoothers=smoothers)
-    B_c = W @ A_c.dense
-    return energy_operator_norm(B_c - np.eye(n_c), A_c)
+        solver = CoarseSolver(variant="recursive", bc_deviation=math.nan,
+                              sub_levels=sub, sub_smoothers=tuple(smoothers),
+                              mu=mu, nu=nu)
+    B_c = solver.solve_matrix(level) @ level.A_c.dense
+    return energy_operator_norm(B_c - np.eye(level.A_c.n), level.A_c)
 
 
 def _projector_similarity(level: GridLevel) -> np.ndarray:

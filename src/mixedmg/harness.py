@@ -173,18 +173,10 @@ def load_config(path) -> ExperimentConfig:
 
 @dataclass(frozen=True)
 class TrialRecord:
-    """One trial's measurements next to the bound report that judges them."""
+    """One trial's measurements next to the config and bound report behind them."""
 
     report: BoundReport
-    problem: str
-    levels: int
-    smoother: str
-    omega: float
-    coarse: str
-    sigma: float
-    mu: int
-    nu: int
-    rng_seed: int
+    config: ExperimentConfig
     trial: int
     ref_error: float
     fp_error: float
@@ -193,9 +185,14 @@ class TrialRecord:
     passed: bool = True
 
 
-TRIAL_COLUMNS = (
+# the ExperimentConfig fields each trial row repeats
+_CONFIG_COLUMNS = (
     "problem", "levels", "smoother", "omega", "coarse", "sigma", "mu", "nu",
-    "rng_seed", "trial", "ref_error", "fp_error", "measured_ratio",
+    "rng_seed",
+)
+
+TRIAL_COLUMNS = _CONFIG_COLUMNS + (
+    "trial", "ref_error", "fp_error", "measured_ratio",
 ) + tuple(f"ratio_{name}" for name in PROOF_LINES) + ("passed",)
 
 CSV_COLUMNS = bounds_mod.REPORT_COLUMNS + TRIAL_COLUMNS
@@ -293,15 +290,7 @@ def run_experiment(config: ExperimentConfig) -> list[TrialRecord]:
                 )
                 records.append(TrialRecord(
                     report=report,
-                    problem=config.problem,
-                    levels=config.levels,
-                    smoother=config.smoother,
-                    omega=config.omega,
-                    coarse=config.coarse,
-                    sigma=config.sigma,
-                    mu=config.mu,
-                    nu=config.nu,
-                    rng_seed=config.rng_seed,
+                    config=config,
                     trial=first + t,
                     ref_error=float(ref_error[t]),
                     fp_error=float(fp_error[t]),
@@ -323,9 +312,8 @@ def _format_cell(value) -> str:
 
 
 def _trial_cells(rec: TrialRecord) -> list[str]:
-    cells = [rec.problem, rec.levels, rec.smoother, rec.omega, rec.coarse,
-             rec.sigma, rec.mu, rec.nu, rec.rng_seed, rec.trial,
-             rec.ref_error, rec.fp_error, rec.measured_ratio]
+    cells = [getattr(rec.config, name) for name in _CONFIG_COLUMNS]
+    cells += [rec.trial, rec.ref_error, rec.fp_error, rec.measured_ratio]
     cells += [rec.line_ratios[name] for name in PROOF_LINES]
     cells += [rec.passed]
     return [_format_cell(c) for c in cells]

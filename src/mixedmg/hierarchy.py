@@ -146,6 +146,19 @@ def _unit_scale(A: SparseSpd) -> tuple[SparseSpd, float]:
     return SparseSpd(A.matrix * (1.0 / s)), s
 
 
+def _fine_side(A) -> dict:
+    """The fine-side fields of a :class:`GridLevel`: ``A`` scaled to unit norm."""
+    if not isinstance(A, SparseSpd):
+        A = SparseSpd(A)
+    A1, a_scale = _unit_scale(A)
+    return dict(
+        A=A1,
+        a_constants=OperatorConstants(m=A1.m_row, eta_abs=abs_matrix_norm(A1)),
+        kappa=condition_number(A1),
+        a_scale=a_scale,
+    )
+
+
 def normalize_hierarchy(A, P) -> GridLevel:
     """Scale ``A`` to unit norm and ``P`` so the Galerkin coarse matrix follows.
 
@@ -153,9 +166,8 @@ def normalize_hierarchy(A, P) -> GridLevel:
     A-scaling), the minimal change that keeps ``A_c = P' A P`` exact while
     enforcing ``norm(A_c) = 1``.
     """
-    if not isinstance(A, SparseSpd):
-        A = SparseSpd(A)
-    A1, a_scale = _unit_scale(A)
+    fine = _fine_side(A)
+    A1 = fine["A"]
     P = sparse.csr_array(P).astype(np.float64)
     if P.shape[0] != A1.n or P.shape[1] > P.shape[0]:
         raise ValueError(f"prolongation shape {P.shape} incompatible with n={A1.n}")
@@ -171,36 +183,20 @@ def normalize_hierarchy(A, P) -> GridLevel:
     P1_t.sort_indices()
     m_p = int(np.diff(P1.indptr).max(initial=0))
     return GridLevel(
-        A=A1,
+        **fine,
         P=P1,
         P_t=P1_t,
         A_c=A_c,
-        a_constants=OperatorConstants(m=A1.m_row, eta_abs=abs_matrix_norm(A1)),
         p_constants=OperatorConstants(m=m_p, eta_abs=abs_matrix_norm(P1)),
-        kappa=condition_number(A1),
         kappa_c=condition_number(A_c),
-        a_scale=a_scale,
         p_scale=p_scale,
     )
 
 
 def coarsest_level(A) -> GridLevel:
     """Wrap a matrix as the terminal (direct-solve) level of a hierarchy."""
-    if not isinstance(A, SparseSpd):
-        A = SparseSpd(A)
-    A1, a_scale = _unit_scale(A)
-    return GridLevel(
-        A=A1,
-        P=None,
-        P_t=None,
-        A_c=None,
-        a_constants=OperatorConstants(m=A1.m_row, eta_abs=abs_matrix_norm(A1)),
-        p_constants=None,
-        kappa=condition_number(A1),
-        kappa_c=None,
-        a_scale=a_scale,
-        p_scale=None,
-    )
+    return GridLevel(**_fine_side(A), P=None, P_t=None, A_c=None,
+                     p_constants=None, kappa_c=None, p_scale=None)
 
 
 def _check_refinable(size: int, levels: int):

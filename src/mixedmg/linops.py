@@ -24,13 +24,15 @@ import scipy.linalg
 import scipy.linalg.lapack
 import scipy.sparse as sparse
 
-# mdot_plus_eps is defined with the kernels it inflates and re-exported here
+# mdot_plus_eps and abs_matrix_norm are defined with the kernels that use
+# them and re-exported here
 from .precision import (
     PrecisionFormat,
     RowLayout,
     _columns,
     _from_columns,
     _per_column,
+    abs_matrix_norm,
     mdot_plus_eps,
 )
 
@@ -166,14 +168,6 @@ def spectral_norm(K) -> float:
     if dense.shape[0] != dense.shape[1]:
         raise ValueError("spectral_norm requires a square matrix")
     return float(np.abs(np.linalg.eigvalsh(dense)).max())
-
-
-def abs_matrix_norm(K) -> float:
-    """Spectral norm of the entrywise absolute value (rectangular allowed)."""
-    dense = K.dense if isinstance(K, SparseSpd) else (
-        K.toarray() if sparse.issparse(K) else np.asarray(K, dtype=np.float64)
-    )
-    return float(np.linalg.norm(np.abs(dense), 2))
 
 
 def condition_number(A: SparseSpd) -> float:

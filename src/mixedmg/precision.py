@@ -273,8 +273,15 @@ class RowLayout:
         return self.matrix.shape
 
 
-def _abs_two_norm(K: sparse.csr_array) -> float:
-    return float(np.linalg.norm(np.abs(K.toarray()), 2))
+def abs_matrix_norm(K) -> float:
+    """Spectral norm of the entrywise absolute value (rectangular allowed).
+
+    ``K`` is a dense or sparse matrix, or anything with a cached ``.dense``
+    form (:class:`mixedmg.linops.SparseSpd`).
+    """
+    K = getattr(K, "dense", K)
+    dense = K.toarray() if sparse.issparse(K) else np.asarray(K, dtype=np.float64)
+    return float(np.linalg.norm(np.abs(dense), 2))
 
 
 def _rounded_row_accumulate(rows: RowLayout, W: np.ndarray, C, bits: int):
@@ -307,7 +314,7 @@ def rounded_residual(K, w, c, fmt: PrecisionFormat, *, eta_abs: float | None = N
     value = _rounded_row_accumulate(rows, W, C, fmt.significand_bits)
     inflation = mdot_plus_eps(rows.m, fmt.unit_roundoff)
     if eta_abs is None:
-        eta_abs = _abs_two_norm(rows.matrix)
+        eta_abs = abs_matrix_norm(rows.matrix)
     bound = fmt.unit_roundoff * inflation * (
         column_norms(C) + eta_abs * column_norms(W)
     )
@@ -323,6 +330,6 @@ def rounded_matvec(K, w, fmt: PrecisionFormat, *, eta_abs: float | None = None) 
     value = _rounded_row_accumulate(rows, W, None, fmt.significand_bits)
     inflation = mdot_plus_eps(rows.m, fmt.unit_roundoff)
     if eta_abs is None:
-        eta_abs = _abs_two_norm(rows.matrix)
+        eta_abs = abs_matrix_norm(rows.matrix)
     bound = fmt.unit_roundoff * inflation * eta_abs * column_norms(W)
     return _result(value, bound, w)

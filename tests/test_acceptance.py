@@ -41,7 +41,7 @@ from mixedmg import (
     tg_cycle,
     v_cycle,
 )
-from mixedmg.cycles import _reference_stages
+from mixedmg.cycles import _cycle
 from mixedmg.harness import ExperimentConfig, progressive_study, run_experiment
 from mixedmg.hierarchy import coarsest_level, linear_interpolation, poisson_1d
 
@@ -160,7 +160,8 @@ def test_a4_exact_arithmetic_structure():
             r = rng.standard_normal(31)
             x = solve_spd(lvl.A, r)
             xn = energy_norm(x, lvl.A)
-            st = _reference_stages(lvl, r, M, N, coarse)
+            st = _cycle(lvl, r, M, N, 1, 1,
+                        lambda r_c: coarse.apply(lvl, r_c), CARRIER)
             ynu = energy_norm(st.y_nu - x, lvl.A) / xn
             dc = float(np.linalg.norm(st.d_c)) / xn
             ytot = energy_norm(st.y, lvl.A) / xn

@@ -6,7 +6,9 @@ import pytest
 from mixedmg import (
     CARRIER,
     PrecisionFormat,
+    build_multilevel,
     energy_norm,
+    exact_tg_reference,
     make_exact_coarse,
     make_jacobi,
     make_perturbed_coarse,
@@ -127,6 +129,26 @@ class TestCarrierOperations:
         for t in range(32):
             assert np.array_equal(X[:, t], solve_spd(A, np.array(B[:, t])))
 
+    @pytest.mark.parametrize("problem", ["poisson1d", "poisson2d"])
+    def test_kernels_at_carrier_are_plain_float64(self, problem):
+        # the exact cycle runs these plain operations in place of the kernels
+        lvl = build_multilevel(15, 2, problem=problem)[0]
+        rng = np.random.default_rng(15)
+        Y, C = rng.standard_normal((2, lvl.n, T))
+        Z = rng.standard_normal((lvl.n_c, T))
+        M = make_jacobi(lvl.A, 2.0 / 3.0, CARRIER)
+        pairs = [
+            (quantize_vector(Y, CARRIER).value, Y),
+            (rounded_residual(lvl.A, Y, C, CARRIER).value, lvl.A.matrix @ Y - C),
+            (rounded_matvec(lvl.P_t_layout, Y, CARRIER).value, lvl.P_t @ Y),
+            (rounded_matvec(lvl.P_layout, Z, CARRIER).value, lvl.P @ Z),
+            (rounded_add_sub(Y, C, "-", CARRIER).value, Y - C),
+            (M.apply_rounded(Y, CARRIER)[0], M.apply_exact(Y)),
+        ]
+        for kernel, plain in pairs:
+            assert kernel.shape == plain.shape
+            assert kernel.tobytes() == plain.tobytes()
+
     def test_energy_norm(self, level31):
         W = np.random.default_rng(8).standard_normal((31, T))
         norms = energy_norm(W, level31.A)
@@ -215,6 +237,10 @@ class TestFailuresInOneColumn:
             solve_spd(level31.A, X)
         with pytest.raises(ValueError):
             tg_cycle(level31, X, jacobi31, jacobi31, make_exact_coarse(), FMT)
+        with pytest.raises(ValueError):
+            exact_tg_reference(level31, X, jacobi31, jacobi31, make_exact_coarse())
+        with pytest.raises(ValueError):
+            v_cycle([level31, coarsest_level(level31.A_c)], 1, 1, X, CARRIER)
 
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_overflow_raises(self, level31):

@@ -13,7 +13,6 @@ from mixedmg import (
     PrecisionFormat,
     PrecisionUnachievableError,
     compute_constants,
-    delta_rho_tg,
     gamma_constants,
     per_line_bounds,
     progressive_epsilon,
@@ -137,17 +136,16 @@ class TestComputeConstants:
 
 class TestDeltaRho:
     def test_zero_case(self):
-        assert delta_rho_tg(compute_constants(identity_like_inputs(0.0))) == 0.0
+        assert compute_constants(identity_like_inputs(0.0)).delta_rho == 0.0
 
     def test_simple_sum(self):
         report = compute_constants(identity_like_inputs(2.0**-12))
-        assert delta_rho_tg(report) == report.c3 + report.c4 + report.c5
-        assert delta_rho_tg(report) == report.delta_rho
+        assert report.delta_rho == report.c3 + report.c4 + report.c5
 
     def test_matches_oracle_sum(self):
         inputs = identity_like_inputs(2.0**-20)
         expected = constants_oracle(inputs)
-        assert delta_rho_tg(compute_constants(inputs)) == pytest.approx(
+        assert compute_constants(inputs).delta_rho == pytest.approx(
             expected[3] + expected[4] + expected[5], rel=1e-13)
 
 

@@ -30,11 +30,17 @@ from mixedmg import (
     tg_cycle,
     v_cycle,
 )
-from mixedmg.cycles import default_smoothers
+from mixedmg.cycles import _cycle, default_smoothers
 from mixedmg.hierarchy import linear_interpolation, poisson_1d
 
 EPS = float(np.finfo(np.float64).eps)
 FMT12 = PrecisionFormat(12)
+
+
+def _exact_stages(level, r, M, N, coarse):
+    """The intermediates of the exact two-grid cycle."""
+    return _cycle(level, r, M, N, 1, 1, lambda r_c: coarse.apply(level, r_c),
+                  CARRIER)
 
 
 @pytest.fixture(scope="module")
@@ -134,22 +140,18 @@ class TestExactReference:
     def test_intermediate_iterate_does_not_grow(self, level31, jacobi31, sigma):
         # the corrected iterate before post-relaxation cannot increase the
         # initial energy error, for any coarse perturbation below one
-        from mixedmg.cycles import _reference_stages
-
         M, N = jacobi31
         coarse = make_perturbed_coarse(level31, sigma, seed=5)
         rng = np.random.default_rng(2)
         for _ in range(100):
             r = rng.standard_normal(31)
             x = solve_spd(level31.A, r)
-            stages = _reference_stages(level31, r, M, N, coarse)
+            stages = _exact_stages(level31, r, M, N, coarse)
             xn = energy_norm(x, level31.A)
             assert energy_norm(stages.y_nu - x, level31.A) <= (1 + 1e-10) * xn
 
     @pytest.mark.parametrize("sigma", [0.0, 0.3, 0.9])
     def test_coarse_correction_euclid_bound(self, level31, jacobi31, sigma):
-        from mixedmg.cycles import _reference_stages
-
         M, N = jacobi31
         coarse = make_perturbed_coarse(level31, sigma, seed=5)
         bound_factor = 2.0 * math.sqrt(level31.kappa_c)
@@ -157,7 +159,7 @@ class TestExactReference:
         for _ in range(100):
             r = rng.standard_normal(31)
             x = solve_spd(level31.A, r)
-            stages = _reference_stages(level31, r, M, N, coarse)
+            stages = _exact_stages(level31, r, M, N, coarse)
             assert (np.linalg.norm(stages.d_c)
                     <= bound_factor * energy_norm(x, level31.A) * (1 + 1e-12))
 
@@ -306,6 +308,12 @@ class TestRecursiveCoarse:
     def test_three_level_deviation_below_one(self, levels31_3):
         dev = measure_bc_deviation(levels31_3, 1, 1)
         assert 0.0 < dev < 1.0
+
+    def test_smoothers_for_the_whole_hierarchy_rejected(self, levels31_3):
+        # one pair per non-coarsest level of levels[1:], not of levels
+        smoothers = default_smoothers(levels31_3, CARRIER)
+        with pytest.raises(ValueError):
+            measure_bc_deviation(levels31_3, 1, 1, smoothers=smoothers)
 
     def test_deviation_equals_coarse_cycle_rho(self, levels31_3):
         dev = measure_bc_deviation(levels31_3, 1, 1)
