@@ -37,9 +37,10 @@ block of trials reproduces the per-trial results exactly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 
 import numpy as np
+import scipy.sparse as sparse
 
 from .bounds import PROOF_LINES
 from .hierarchy import GridLevel
@@ -48,6 +49,7 @@ from .linops import (
     energy_norm,
     energy_operator_norm,
     solve_spd,
+    spectral_norm,
 )
 from .precision import (
     CARRIER,
@@ -105,18 +107,17 @@ class RelaxationOp:
 def _finalize_relaxation(kind: str, A: SparseSpd, diag: np.ndarray,
                          fmt: PrecisionFormat) -> RelaxationOp:
     eta_euclid = float(np.abs(diag).max())
-    W, Wi = A.sqrt_dense, A.inv_sqrt_dense
-    # A^(1/2) (I - M A) A^(-1/2) = I - A^(1/2) M A^(1/2), symmetric for
-    # diagonal M; symmetrize against formation roundoff before eigensolving.
-    S = W @ (diag[:, None] * W)
-    S = 0.5 * (S + S.T)
-    contraction = float(np.abs(np.linalg.eigvalsh(np.eye(A.n) - S)).max())
+    # with A = L L', L' (I - M A) L'^{-1} = I - L' M L: symmetric for
+    # diagonal M and banded like A; only its lower band is read
+    U = A.cholesky_upper
+    contraction = spectral_norm(
+        sparse.eye_array(A.n) - U @ sparse.diags_array(diag) @ U.T)
     if contraction >= 1.0:
         raise ContractionError(
             f"{kind} relaxation does not contract: energy norm of the error "
             f"propagator is {contraction:.6f}"
         )
-    eta_energy = float(np.linalg.norm(W @ (diag[:, None] * Wi), 2))
+    eta_energy = energy_operator_norm(np.diag(diag), A)
     alpha = eta_euclid * (1.0 + fmt.unit_roundoff)
     return RelaxationOp(
         kind=kind,
@@ -162,6 +163,9 @@ class CoarseSolver:
     sub_smoothers: tuple | None = None
     mu: int = 1
     nu: int = 1
+    # solve_matrix per level, assembled once; dataclasses.replace hands the
+    # same dict to the copy
+    _matrices: dict = field(default_factory=dict, repr=False)
 
     def apply(self, level: GridLevel, r_c: np.ndarray) -> np.ndarray:
         """``B_c A_c^{-1} r_c`` for a coarse vector or block."""
@@ -180,8 +184,16 @@ class CoarseSolver:
         raise ValueError(f"unknown coarse solver variant {self.variant!r}")
 
     def solve_matrix(self, level: GridLevel) -> np.ndarray:
-        """Dense ``B_c A_c^{-1}``: the solver applied to the identity block."""
-        return np.ascontiguousarray(self.apply(level, np.eye(level.A_c.n)))
+        """Dense ``B_c A_c^{-1}``: the solver applied to the identity block.
+
+        Assembled on the first call for ``level`` and kept, read-only.
+        """
+        W = self._matrices.get(level)
+        if W is None:
+            W = np.ascontiguousarray(self.apply(level, np.eye(level.A_c.n)))
+            W.flags.writeable = False
+            self._matrices[level] = W
+        return W
 
 
 def make_exact_coarse() -> CoarseSolver:
@@ -221,26 +233,16 @@ def make_recursive_coarse(levels, mu: int, nu: int, smoothers=None) -> CoarseSol
     With only two levels the recursion bottoms out immediately and the
     solver degenerates to the exact direct solve.
     """
-    if len(levels) < 2:
-        raise ValueError("a recursive coarse solver needs at least two levels")
-    if len(levels) == 2:
-        return make_exact_coarse()
-    sub_levels = tuple(levels[1:])
-    if smoothers is None:
-        smoothers = default_smoothers(list(sub_levels), CARRIER)
-    dev = measure_bc_deviation(levels, mu, nu, smoothers=smoothers)
+    solver = _sub_hierarchy_solver(levels, mu, nu, smoothers)
+    if solver.variant == "exact":
+        return solver
+    dev = _bc_deviation(levels[0], solver)
     if dev >= 1.0:
         raise ContractionError(
             f"recursive coarse solve does not contract (deviation {dev:.4f})"
         )
-    return CoarseSolver(
-        variant="recursive",
-        bc_deviation=dev,
-        sub_levels=sub_levels,
-        sub_smoothers=tuple(smoothers),
-        mu=mu,
-        nu=nu,
-    )
+    # the copy keeps the B_c A_c^{-1} just assembled for the deviation
+    return replace(solver, bc_deviation=dev)
 
 
 @dataclass(frozen=True, eq=False)
@@ -388,18 +390,19 @@ def rho_star(level: GridLevel, M: RelaxationOp, N: RelaxationOp,
              coarse: CoarseSolver) -> float:
     """Energy norm of the exact-arithmetic two-grid error propagator.
 
-    Assembles ``(I - N A)(I - P B_c A_c^{-1} P' A)(I - M A)`` densely and
-    returns its energy operator norm.  A value >= 1 is reported, not
-    raised: the convergence bound is then vacuous for this configuration.
+    Forms ``E = (I - N A)(I - P X P' A)(I - M A)`` with ``X = B_c A_c^{-1}``
+    from the sparse factors and the dense ``X``, and returns its energy
+    operator norm.  A value >= 1 is reported, not raised: the convergence
+    bound is then vacuous for this configuration.
     """
-    A = level.A
-    n = A.n
-    W = coarse.solve_matrix(level)
-    Pd = level.P.toarray()
-    correction = np.eye(n) - Pd @ (W @ (Pd.T @ A.dense))
-    pre = np.eye(n) - M.diag[:, None] * A.dense
-    post = np.eye(n) - N.diag[:, None] * A.dense
-    return energy_operator_norm(post @ correction @ pre, A)
+    A = level.A.matrix
+    eye = sparse.eye_array(level.n)
+    pre = eye - sparse.diags_array(M.diag) @ A
+    post = eye - sparse.diags_array(N.diag) @ A
+    X = coarse.solve_matrix(level)
+    restricted = (level.P_t @ (A @ pre)).toarray()
+    E = post @ (pre.toarray() - level.P @ (X @ restricted))
+    return energy_operator_norm(E, level.A)
 
 
 def v_cycle(levels, mu: int, nu: int, r, fmt: PrecisionFormat, *,
@@ -435,6 +438,30 @@ def v_cycle(levels, mu: int, nu: int, r, fmt: PrecisionFormat, *,
     return _cycle(level, r, M, N, mu, nu, coarse, fmt).y
 
 
+def _sub_hierarchy_solver(levels, mu: int, nu: int, smoothers) -> CoarseSolver:
+    """The coarse solve one carrier cycle on ``levels[1:]`` gives, deviation unset.
+
+    The exact direct solve when that hierarchy has a single level.
+    """
+    if len(levels) < 2:
+        raise ValueError("need at least two levels")
+    if len(levels) == 2:
+        return make_exact_coarse()
+    sub = tuple(levels[1:])
+    if smoothers is None:
+        smoothers = default_smoothers(sub, CARRIER)
+    return CoarseSolver(variant="recursive", bc_deviation=math.nan,
+                        sub_levels=sub, sub_smoothers=tuple(smoothers),
+                        mu=mu, nu=nu)
+
+
+def _bc_deviation(level: GridLevel, solver: CoarseSolver) -> float:
+    """Coarse energy norm of ``B_c - I``, with ``B_c = (B_c A_c^{-1}) A_c``."""
+    A_c = level.A_c
+    B_c = (A_c.matrix @ solver.solve_matrix(level).T).T  # A_c is symmetric
+    return energy_operator_norm(B_c - np.eye(A_c.n), A_c)
+
+
 def measure_bc_deviation(levels, mu: int, nu: int, *, smoothers=None) -> float:
     """Energy deviation from identity of the effective recursive coarse solve.
 
@@ -444,39 +471,29 @@ def measure_bc_deviation(levels, mu: int, nu: int, *, smoothers=None) -> float:
     returns the coarse energy norm of ``B_c - I``.  ``smoothers`` is one
     ``(M, N)`` pair per non-coarsest level of ``levels[1:]``.
     """
-    if len(levels) < 2:
-        raise ValueError("need at least two levels")
-    level = levels[0]
-    solver = make_exact_coarse()
-    if len(levels) > 2:
-        sub = tuple(levels[1:])
-        if smoothers is None:
-            smoothers = default_smoothers(sub, CARRIER)
-        solver = CoarseSolver(variant="recursive", bc_deviation=math.nan,
-                              sub_levels=sub, sub_smoothers=tuple(smoothers),
-                              mu=mu, nu=nu)
-    B_c = solver.solve_matrix(level) @ level.A_c.dense
-    return energy_operator_norm(B_c - np.eye(level.A_c.n), level.A_c)
+    return _bc_deviation(levels[0], _sub_hierarchy_solver(levels, mu, nu, smoothers))
 
 
 def _projector_similarity(level: GridLevel) -> np.ndarray:
-    # orthogonal complement projector of range(A^(1/2) P); the energy
-    # projector below is its similarity transform by A^(-1/2)
-    A = level.A
-    Q = A.sqrt_dense @ level.P.toarray()
+    # orthogonal complement projector of range(L' P), A = L L'; the energy
+    # projector below is its similarity transform by L'^{-1}
+    Q = level.A.cholesky_upper @ level.P.toarray()
     U, _ = np.linalg.qr(Q)
-    S = np.eye(A.n) - U @ U.T
+    S = np.eye(level.n) - U @ U.T
     return 0.5 * (S + S.T)
 
 
 def coarse_complement_projector(level: GridLevel) -> np.ndarray:
     """The energy-orthogonal projector ``I - P (P' A P)^{-1} P' A``.
 
-    Formed through an orthonormal basis of ``A^(1/2) P`` so that the
-    computed matrix is idempotent up to roundoff.
+    Formed as ``L'^{-1} (I - U U') L'`` with ``A = L L'`` and ``U`` an
+    orthonormal basis of ``L' P``, so that the computed matrix is
+    idempotent up to roundoff.
     """
     A = level.A
-    return A.inv_sqrt_dense @ _projector_similarity(level) @ A.sqrt_dense
+    # S L' = (L S')' with S symmetric
+    S_Lt = (A.cholesky_upper.T @ _projector_similarity(level)).T
+    return A.solve_factor(S_Lt, transposed=True)
 
 
 def projector_energy_norm(level: GridLevel) -> float:
@@ -485,6 +502,6 @@ def projector_energy_norm(level: GridLevel) -> float:
     The energy norm of the projector equals the Euclidean norm of its
     similarity form ``I - U U'``; measuring that form directly avoids the
     condition-number amplification a redundant conjugation round trip
-    through ``A^(1/2) .. A^(-1/2)`` would add.
+    through ``L' .. L'^{-1}`` would add.
     """
     return float(np.linalg.norm(_projector_similarity(level), 2))

@@ -312,8 +312,7 @@ def _format_cell(value) -> str:
 
 
 def _trial_cells(rec: TrialRecord) -> list[str]:
-    cells = [getattr(rec.config, name) for name in _CONFIG_COLUMNS]
-    cells += [rec.trial, rec.ref_error, rec.fp_error, rec.measured_ratio]
+    cells = [rec.trial, rec.ref_error, rec.fp_error, rec.measured_ratio]
     cells += [rec.line_ratios[name] for name in PROOF_LINES]
     cells += [rec.passed]
     return [_format_cell(c) for c in cells]
@@ -324,13 +323,16 @@ def render_csv(records: list[TrialRecord]) -> str:
     buf.write(CSV_HEADER_COMMENT + "\n")
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(CSV_COLUMNS)
-    # the bound report is shared by all trials of a format: format it once
-    report_cells: dict[int, list[str]] = {}
+    # the bound report is shared by all trials of a format and the config by
+    # all trials of a sweep: format each once
+    shared_cells: dict[tuple[int, int], list[str]] = {}
     for rec in records:
-        key = id(rec.report)
-        if key not in report_cells:
-            report_cells[key] = [_format_cell(c) for c in rec.report.csv_fields()]
-        writer.writerow(report_cells[key] + _trial_cells(rec))
+        key = (id(rec.report), id(rec.config))
+        if key not in shared_cells:
+            shared_cells[key] = (
+                [_format_cell(c) for c in rec.report.csv_fields()]
+                + [_format_cell(getattr(rec.config, name)) for name in _CONFIG_COLUMNS])
+        writer.writerow(shared_cells[key] + _trial_cells(rec))
     return buf.getvalue()
 
 

@@ -1,16 +1,18 @@
 """High-precision sparse SPD linear algebra: norms, spectra, structural constants.
 
-Everything here runs in the float64 carrier.  Spectral quantities use dense
-symmetric eigensolves (problems are desk scale, n up to a few thousand), so
-no estimation error enters the bound validation.  Decompositions are cached
-on the matrix object because energy norms and operator norms are evaluated
-thousands of times per experiment sweep.
+Everything here runs in the float64 carrier.  Each :class:`SparseSpd` keeps
+one banded Cholesky factor ``A = L L'`` (bandwidth 1 for the 1D model
+problem, ``k`` for the 2D one), built once from the sparse entries.  It
+serves the direct solves, and the energy operator norm
+``norm(A^(1/2) K A^(-1/2)) = norm(L' K L'^{-1})``.  Extreme eigenvalues come
+from LAPACK's banded symmetric eigensolver.  All of these are direct,
+backward-stable LAPACK methods, so no estimation error enters the bound
+validation.
 
 :func:`energy_norm` and :func:`solve_spd` take a vector ``(n,)`` or a block
-``(n, T)``.  They work column by column on contiguous copies, so each column
-of a block gives bit for bit what the same vector gives on its own: a
-multi-column Cholesky solve and a reduction over a strided column both
-round differently.
+``(n, T)``, and each column of a block gives bit for bit what the same
+vector gives on its own: norms are summed over contiguous column copies,
+and the banded solve runs its triangular solves one column at a time.
 """
 
 from __future__ import annotations
@@ -29,8 +31,9 @@ import scipy.sparse as sparse
 from .precision import (
     PrecisionFormat,
     RowLayout,
+    _band_eigenvalues,
     _columns,
-    _from_columns,
+    _lower_band,
     _per_column,
     abs_matrix_norm,
     mdot_plus_eps,
@@ -44,11 +47,12 @@ class SpdError(ValueError):
 
 
 class SparseSpd:
-    """A sparse symmetric positive definite matrix with cached spectral data.
+    """A sparse symmetric positive definite matrix with a cached banded factor.
 
     Symmetry is checked entrywise at construction and positive definiteness
-    is verified by a Cholesky factorization of the dense form.  Instances
-    are immutable after construction and safe to share across threads.
+    is verified by the banded Cholesky factorization ``A = L L'``.
+    Instances are immutable after construction and safe to share across
+    threads.
     """
 
     def __init__(self, matrix, *, validate: bool = True):
@@ -88,41 +92,49 @@ class SparseSpd:
         """The padded row layout the rounded kernels traverse, built once."""
         return RowLayout.of(self._matrix)
 
-    @cached_property
+    @property
     def dense(self) -> np.ndarray:
+        """A fresh dense copy; nothing in the library keeps one."""
         return self._matrix.toarray()
 
     @cached_property
-    def cholesky(self):
+    def band(self) -> np.ndarray:
+        """Lower band storage ``(b + 1, n)`` of the matrix, bandwidth ``b``."""
+        return _lower_band(self._matrix)
+
+    @cached_property
+    def cholesky(self) -> np.ndarray:
+        """The lower Cholesky factor ``L`` of ``A = L L'`` in lower band storage."""
         try:
-            return scipy.linalg.cho_factor(self.dense, lower=True)
+            return scipy.linalg.cholesky_banded(self.band, lower=True)
         except scipy.linalg.LinAlgError as exc:
             raise SpdError(f"Cholesky factorization failed: {exc}") from exc
 
     @cached_property
-    def eigh(self) -> tuple[np.ndarray, np.ndarray]:
-        """Ascending eigenvalues and orthonormal eigenvectors."""
-        w, v = np.linalg.eigh(self.dense)
-        return w, v
+    def cholesky_upper(self) -> sparse.csr_array:
+        """The transposed factor ``L'`` as a sparse upper triangular matrix."""
+        L, n = self.cholesky, self.n
+        return sparse.csr_array(sparse.diags_array(
+            [L[i, :n - i] for i in range(L.shape[0])],
+            offsets=list(range(L.shape[0])), shape=(n, n)))
+
+    def solve_factor(self, B: np.ndarray, *, transposed: bool = False) -> np.ndarray:
+        """``L^{-1} B``, or ``L'^{-1} B`` when ``transposed``, for an ``(n, k)`` ``B``."""
+        X, info = scipy.linalg.lapack.dtbtrs(
+            self.cholesky, B, uplo="L", trans="T" if transposed else "N")
+        if info != 0:
+            raise SpdError(f"banded triangular solve failed (info {info})")
+        return X
 
     @cached_property
-    def sqrt_dense(self) -> np.ndarray:
-        w, v = self.eigh
-        if w[0] <= 0:
-            raise SpdError(f"smallest eigenvalue {w[0]} is not positive")
-        return (v * np.sqrt(w)) @ v.T
-
-    @cached_property
-    def inv_sqrt_dense(self) -> np.ndarray:
-        w, v = self.eigh
-        if w[0] <= 0:
-            raise SpdError(f"smallest eigenvalue {w[0]} is not positive")
-        return (v / np.sqrt(w)) @ v.T
+    def eigenvalues(self) -> np.ndarray:
+        """Ascending eigenvalues, from the band (no eigenvectors)."""
+        return _band_eigenvalues(self.band)
 
     @cached_property
     def _row_sum_bound(self) -> float:
         # max absolute row sum, a cheap upper bound on the spectral norm
-        return float(np.abs(self.dense).sum(axis=1).max(initial=0.0))
+        return float(abs(self._matrix).sum(axis=1).max(initial=0.0))
 
     def diagonal(self) -> np.ndarray:
         return self._matrix.diagonal()
@@ -160,19 +172,19 @@ def energy_norm(w, A: SparseSpd):
 
 
 def spectral_norm(K) -> float:
-    """Largest eigenvalue magnitude of a symmetric matrix (dense eigensolve)."""
+    """Largest eigenvalue magnitude of a symmetric matrix, from its band."""
     if isinstance(K, SparseSpd):
-        w, _ = K.eigh
-        return float(np.abs(w).max())
-    dense = K.toarray() if sparse.issparse(K) else np.asarray(K, dtype=np.float64)
-    if dense.shape[0] != dense.shape[1]:
-        raise ValueError("spectral_norm requires a square matrix")
-    return float(np.abs(np.linalg.eigvalsh(dense)).max())
+        w = K.eigenvalues
+    else:
+        if np.shape(K)[0] != np.shape(K)[1]:
+            raise ValueError("spectral_norm requires a square matrix")
+        w = _band_eigenvalues(_lower_band(K))
+    return float(max(-w[0], w[-1]))
 
 
 def condition_number(A: SparseSpd) -> float:
-    """Two-norm condition number from the cached dense eigendecomposition."""
-    w, _ = A.eigh
+    """Two-norm condition number from the extreme eigenvalues of the band."""
+    w = A.eigenvalues
     if w[0] <= 0:
         raise SpdError(f"smallest eigenvalue {w[0]} is not positive")
     return float(w[-1] / w[0])
@@ -186,30 +198,37 @@ def mdot_plus(m: int, fmt: PrecisionFormat) -> float:
 def solve_spd(A: SparseSpd, b) -> np.ndarray:
     """Direct Cholesky solve in the carrier; the 'exact' solve proxy.
 
-    ``b`` is a vector or an ``(n, T)`` block, which is checked for
-    finiteness once and solved one column at a time against the cached
-    factor (LAPACK ``potrs`` with one right-hand side each).
+    ``b`` is a vector or an ``(n, T)`` block, solved in one LAPACK ``pbtrs``
+    call against the cached banded factor.  ``pbtrs`` runs its two
+    triangular band solves one column at a time, so each column of a block
+    gets the bits it gets alone.
     """
-    rows = _columns(b, A.n)
-    if not np.all(np.isfinite(rows)):
-        raise ValueError("array must not contain infs or NaNs")
-    c, lower = A.cholesky
-    out = np.empty_like(rows)
-    for i, row in enumerate(rows):
-        out[i], info = scipy.linalg.lapack.dpotrs(c, row, lower=lower)
-        if info != 0:
-            raise ValueError(f"illegal value in {-info}th argument of potrs")
-    return _from_columns(out, b)
+    b = np.asarray(b, dtype=np.float64)
+    if b.ndim not in (1, 2) or b.shape[0] != A.n:
+        raise ValueError(f"dimension mismatch: {b.shape} vs {A.n}")
+    x = scipy.linalg.cho_solve_banded((A.cholesky, True), b)
+    return np.ascontiguousarray(x)
 
 
 def energy_operator_norm(K, A: SparseSpd) -> float:
-    """Operator norm of a dense square ``K`` in the A-energy inner product.
+    """Operator norm of a square ``K`` in the A-energy inner product.
 
-    Evaluates ``norm(A^(1/2) K A^(-1/2))`` with the cached matrix square
-    roots; this equals the energy norm of ``K`` as a linear map.
+    With ``A = L L'`` this is the 2-norm of ``Y = L' K L'^{-1}``, which is
+    orthogonally similar to ``A^(1/2) K A^(-1/2)``.  ``K`` need not be
+    symmetric.  ``Y`` costs one banded triangular solve and one banded
+    product; its norm is the square root of the largest eigenvalue of the
+    Gram matrix ``Y' Y``, the one dense order-``n`` eigenvalue problem.
     """
-    K = np.asarray(K, dtype=np.float64)
-    return float(np.linalg.norm(A.sqrt_dense @ K @ A.inv_sqrt_dense, 2))
+    K = K.toarray() if sparse.issparse(K) else np.asarray(K, dtype=np.float64)
+    if K.shape != (A.n, A.n):
+        raise ValueError(f"dimension mismatch: {K.shape} vs {A.n}")
+    # K L'^{-1} = (L^{-1} K')'
+    Y = A.cholesky_upper @ A.solve_factor(K.T).T
+    # all eigenvalues by implicit QL/QR ('ev'): selecting the top one with
+    # the 'evr' or 'evx' driver fails outright when all eigenvalues
+    # coincide, as for a multiple of the identity
+    top = scipy.linalg.eigvalsh(Y.T @ Y, driver="ev")[-1]
+    return float(np.sqrt(max(top, 0.0)))
 
 
 def read_matrix_market(path) -> SparseSpd:

@@ -30,7 +30,7 @@ from mixedmg import (
     tg_cycle,
     v_cycle,
 )
-from mixedmg.cycles import _cycle, default_smoothers
+from mixedmg.cycles import CoarseSolver, _cycle, default_smoothers
 from mixedmg.hierarchy import linear_interpolation, poisson_1d
 
 EPS = float(np.finfo(np.float64).eps)
@@ -321,6 +321,22 @@ class TestRecursiveCoarse:
         M, N = default_smoothers(sub, CARRIER)[0]
         rho_coarse = rho_star(sub[0], M, N, make_exact_coarse())
         assert dev == pytest.approx(rho_coarse, rel=1e-10)
+
+    @pytest.mark.parametrize("variant", ["exact", "recursive"])
+    def test_solve_matrix_assembled_once(self, levels31_3, monkeypatch, variant):
+        # the deviation and every format's rho_star share one B_c A_c^{-1}
+        applied = []
+        apply = CoarseSolver.apply
+        monkeypatch.setattr(CoarseSolver, "apply", lambda self, level, r_c: (
+            applied.append(r_c.shape), apply(self, level, r_c))[1])
+        lvl = levels31_3[0]
+        solver = (make_recursive_coarse(levels31_3, 1, 1) if variant == "recursive"
+                  else make_exact_coarse())
+        for bits in (8, 12):
+            M = make_jacobi(lvl.A, 2.0 / 3.0, PrecisionFormat(bits))
+            rho_star(lvl, M, M, solver)
+        assert applied == [(lvl.n_c, lvl.n_c)]
+        assert not solver.solve_matrix(lvl).flags.writeable
 
     def test_recursive_solver_in_tg_cycle(self, levels31_3):
         solver = make_recursive_coarse(levels31_3, 1, 1)

@@ -1,16 +1,41 @@
-"""Golden CSVs: the committed sweeps under results/ regenerate byte for byte."""
+"""Golden CSVs: the committed sweeps under results/ regenerate byte for byte.
+
+The CSVs are rendered in a child process with BLAS pinned to one thread,
+the benchmark's setting.  A threaded BLAS splits the dense Gram products and
+eigenvalue reductions of the set-up differently with the thread count, which
+moves the last bits of ``eta_N`` and ``rho_star`` and of everything computed
+from them; pinned, the verdict does not depend on the thread count the test
+run itself has.  A mismatch reports the first differing line, not a diff of
+two whole files.
+"""
 
 import hashlib
 import importlib.util
-from dataclasses import replace
+import json
+import os
+import subprocess
+import sys
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import pytest
 
-from mixedmg.harness import ExperimentConfig, load_config, render_csv, run_experiment
+from mixedmg.harness import ExperimentConfig, load_config
 
 ROOT = Path(__file__).resolve().parent.parent
 RESULTS = ROOT / "results"
+
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+# reads {name: ExperimentConfig fields} on stdin, writes {name: csv text}
+_CHILD = """
+import json, sys
+from mixedmg.harness import ExperimentConfig, render_csv, run_experiment
+jobs = json.load(sys.stdin)
+json.dump({name: render_csv(run_experiment(
+    ExperimentConfig(**dict(fields, bits=tuple(fields["bits"])))))
+    for name, fields in jobs.items()}, sys.stdout)
+"""
 
 
 def _default_sweep_script():
@@ -21,23 +46,16 @@ def _default_sweep_script():
     return module
 
 
-def test_default_config_csv_is_byte_identical():
-    config = load_config(ROOT / "scripts" / "configs" / "default.ini")
-    config = replace(config, output_path=None)
-    expected = (RESULTS / "default_sweep.csv").read_text()
-    assert render_csv(run_experiment(config)) == expected
-
-
 _SWEEP = _default_sweep_script()
 
-
-@pytest.mark.parametrize("size", _SWEEP.SIZES)
-def test_default_sweep_csv_is_byte_identical(size):
-    config = ExperimentConfig(size=size, bits=_SWEEP.BITS, trials=_SWEEP.TRIALS,
-                              rng_seed=_SWEEP.SEED)
-    expected = (RESULTS / f"sweep_n{size}.csv").read_text()
-    assert render_csv(run_experiment(config)) == expected
-
+# config of each golden CSV, by file name under results/
+_GOLDEN = {
+    "default_sweep.csv": replace(
+        load_config(ROOT / "scripts" / "configs" / "default.ini"), output_path=None),
+    **{f"sweep_n{size}.csv": ExperimentConfig(
+        size=size, bits=_SWEEP.BITS, trials=_SWEEP.TRIALS, rng_seed=_SWEEP.SEED)
+       for size in _SWEEP.SIZES},
+}
 
 # sha256 of render_csv(run_experiment(config)) for configs the golden CSVs
 # do not reach: recursive and perturbed coarse solves, 2D, Richardson
@@ -45,23 +63,74 @@ _PINNED = {
     "recursive1d": (
         ExperimentConfig(size=63, levels=4, coarse="recursive", mu=2, nu=2,
                          trials=30),
-        "0c6e517cf98aa49ea682ba21436bb220fddb458ebb45ecbccc4f54d0e0974084"),
+        "70d0775ae3f703c63d395b6a67fb2419ad541a41992ddc84723adc7927c1b4de"),
     "recursive2d": (
         ExperimentConfig(problem="poisson2d", size=15, levels=3,
                          coarse="recursive", trials=30),
-        "aee06a047109f4985ad53ecfbbb19b058dcc110bafa4199730fc713397a19db0"),
+        "1e13f6d6fd6bbdbc7efa3b2d0aa22c20924a18e0d215fbaa16b8a5f0c1ce21ce"),
     "perturbed2d": (
         ExperimentConfig(problem="poisson2d", size=15, coarse="perturbed",
                          sigma=0.3, trials=30),
-        "dd0e7b7ab252bfb7d7264589833363c3848e61bbc965ff35c38f9740b2b58e18"),
+        "9d18d12b081f8f8caf026fe1ff0283d8a312e27a9ae12d23ec6357207610d3c6"),
     "richardson1d": (
         ExperimentConfig(size=63, smoother="richardson", trials=30),
-        "62f74014102ec4c989fbe6fc209ebc11c7f7f474c6fd6deb4dcba01ce5c6d3bb"),
+        "d3b830b2497ef2487a4c6b9a0c8280624acdd1328c3654e1e3b228fe846e2bf8"),
 }
 
 
+def render_one_thread(configs: dict) -> dict[str, str]:
+    """``render_csv(run_experiment(config))`` of each config, BLAS on one thread."""
+    env = dict(os.environ, **{var: "1" for var in BLAS_THREAD_VARS})
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p)
+    jobs = {name: asdict(config) for name, config in configs.items()}
+    proc = subprocess.run([sys.executable, "-c", _CHILD], input=json.dumps(jobs),
+                          capture_output=True, text=True, env=env, check=False)
+    if proc.returncode:
+        pytest.fail(f"rendering child failed:\n{proc.stderr[-4000:]}", pytrace=False)
+    return json.loads(proc.stdout)
+
+
+@pytest.fixture(scope="module")
+def rendered() -> dict[str, str]:
+    return render_one_thread(
+        {**_GOLDEN, **{name: config for name, (config, _) in _PINNED.items()}})
+
+
+def first_difference(actual: str, expected: str) -> str | None:
+    """None when equal, else the first differing line of the two texts."""
+    if actual == expected:
+        return None
+    got, want = actual.splitlines(), expected.splitlines()
+    i = next((i for i, (g, w) in enumerate(zip(got, want)) if g != w),
+             min(len(got), len(want)))
+    line = lambda lines: lines[i] if i < len(lines) else "<end of text>"  # noqa: E731
+    return (f"first difference at line {i + 1} of {len(want)}:\n"
+            f"  got:      {line(got)[:300]}\n  expected: {line(want)[:300]}")
+
+
+def _assert_golden(rendered, name):
+    difference = first_difference(rendered[name], (RESULTS / name).read_text())
+    if difference is not None:
+        pytest.fail(f"{name}: {difference}", pytrace=False)
+
+
+def test_default_config_csv_is_byte_identical(rendered):
+    _assert_golden(rendered, "default_sweep.csv")
+
+
+@pytest.mark.parametrize("size", _SWEEP.SIZES)
+def test_default_sweep_csv_is_byte_identical(rendered, size):
+    _assert_golden(rendered, f"sweep_n{size}.csv")
+
+
 @pytest.mark.parametrize("name", sorted(_PINNED))
-def test_pinned_csv_digest(name):
-    config, digest = _PINNED[name]
-    text = render_csv(run_experiment(config))
-    assert hashlib.sha256(text.encode()).hexdigest() == digest
+def test_pinned_csv_digest(rendered, name):
+    _, digest = _PINNED[name]
+    assert hashlib.sha256(rendered[name].encode()).hexdigest() == digest
+
+
+def test_first_difference_names_the_line():
+    assert first_difference("a\nb\n", "a\nb\n") is None
+    assert "line 2 of 3" in first_difference("a\nx\nc", "a\nb\nc")
+    assert "<end of text>" in first_difference("a\n", "a\nb\n")

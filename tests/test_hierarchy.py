@@ -31,7 +31,7 @@ class TestPoisson1d:
 
     def test_eigenvalues_closed_form(self):
         # 2 - 2 cos(k pi / 4) for k = 1, 2, 3
-        w, _ = poisson_1d(3).eigh
+        w = poisson_1d(3).eigenvalues
         expected = sorted(2.0 - 2.0 * math.cos(k * math.pi / 4) for k in (1, 2, 3))
         assert w == pytest.approx(expected, rel=1e-14)
 

@@ -5,12 +5,14 @@ import math
 import numpy as np
 import pytest
 
+import dense_oracle as oracle
 from mixedmg import (
     PrecisionFormat,
     PrecisionTooLowError,
     SparseSpd,
     SpdError,
     abs_matrix_norm,
+    build_multilevel,
     condition_number,
     energy_norm,
     mdot_plus,
@@ -109,6 +111,16 @@ class TestSpectralQuantities:
         assert abs_matrix_norm(np.eye(3)) == pytest.approx(1.0)
         assert abs_matrix_norm(-np.eye(3)) == pytest.approx(1.0)
 
+    def test_abs_matrix_norm_rectangular_and_unsymmetric(self):
+        rng = np.random.default_rng(8)
+        for K in (rng.standard_normal((9, 4)), rng.standard_normal((4, 9)),
+                  rng.standard_normal((6, 6))):
+            assert abs_matrix_norm(K) == pytest.approx(
+                oracle.abs_matrix_norm(K), rel=1e-12)
+
+    def test_spectral_norm_indefinite(self):
+        assert spectral_norm(np.diag([1.0, -3.0, 2.0])) == pytest.approx(3.0)
+
     def test_abs_matrix_norm_tridiagonal(self):
         # |A| = tridiag(1, 2, 1) has largest eigenvalue 2 + sqrt(2)
         assert abs_matrix_norm(poisson_1d(3)) == pytest.approx(
@@ -192,6 +204,24 @@ class TestEnergyOperatorNorm:
     def test_identity_has_unit_norm(self, level31):
         assert energy_operator_norm(np.eye(31), level31.A) == pytest.approx(
             1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("scale", [1.28271484375, 2.0 / 3.0])
+    def test_scalar_multiple_of_identity(self, scale):
+        # every eigenvalue of the Gram matrix coincides; LAPACK's 'evr' and
+        # 'evx' drivers fail on such a matrix when asked for the top one
+        A = build_multilevel(7, 2, problem="poisson2d")[0].A
+        norm = energy_operator_norm(scale * np.eye(A.n), A)
+        assert norm == pytest.approx(scale, rel=1e-12)
+
+    def test_not_symmetric(self, level15):
+        # the energy adjoint of K is A^{-1} K' A, not K'; an upper shift
+        # and its transpose have different energy norms
+        A = level15.A
+        K = np.eye(15, k=1)
+        assert energy_operator_norm(K, A) == pytest.approx(
+            oracle.energy_operator_norm(K, A), rel=1e-10)
+        assert energy_operator_norm(K.T, A) == pytest.approx(
+            oracle.energy_operator_norm(K.T, A), rel=1e-10)
 
     def test_matches_vector_definition(self, level15):
         A = level15.A

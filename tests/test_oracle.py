@@ -1,0 +1,137 @@
+"""The banded set-up constants against the dense oracle, and the guard that
+keeps the dense forms off the experiment path."""
+
+import functools
+import importlib
+
+import numpy as np
+import pytest
+import scipy.linalg
+
+import dense_oracle as oracle
+from mixedmg import (
+    CARRIER,
+    PrecisionFormat,
+    SparseSpd,
+    build_multilevel,
+    make_exact_coarse,
+    make_jacobi,
+    make_perturbed_coarse,
+    make_recursive_coarse,
+    make_richardson,
+    measure_bc_deviation,
+    rho_star,
+)
+from mixedmg.harness import ExperimentConfig, run_experiment
+
+REL = 1e-10
+FMT = PrecisionFormat(12)
+
+# (problem, size): 1D n = 15, 63, 255 and 2D k = 7, 15, three levels each
+HIERARCHIES = {
+    "1d-15": ("poisson1d", 15),
+    "1d-63": ("poisson1d", 63),
+    "1d-255": ("poisson1d", 255),
+    "2d-7": ("poisson2d", 7),
+    "2d-15": ("poisson2d", 15),
+}
+
+
+@functools.cache
+def hierarchy(name):
+    problem, size = HIERARCHIES[name]
+    return build_multilevel(size, 3, problem=problem)
+
+
+def smoother(kind, A, fmt=FMT):
+    make = make_jacobi if kind == "jacobi" else make_richardson
+    return make(A, 2.0 / 3.0, fmt)
+
+
+def coarse_solver(variant, levels):
+    if variant == "exact":
+        return make_exact_coarse()
+    if variant == "perturbed":
+        return make_perturbed_coarse(levels[0], 0.3, seed=5)
+    return make_recursive_coarse(levels, 1, 1)
+
+
+def assert_close(got, expected, what):
+    assert abs(got - expected) <= REL * abs(expected), (what, got, expected)
+
+
+@pytest.mark.parametrize("name", HIERARCHIES)
+def test_level_constants(name):
+    for lvl in hierarchy(name)[:-1]:
+        assert_close(lvl.kappa, oracle.condition_number(lvl.A), "kappa")
+        assert_close(lvl.kappa_c, oracle.condition_number(lvl.A_c), "kappa_c")
+        assert_close(lvl.a_constants.eta_abs, oracle.abs_matrix_norm(lvl.A.dense), "eta_A")
+        assert_close(lvl.p_constants.eta_abs, oracle.abs_matrix_norm(lvl.P), "eta_P")
+
+
+@pytest.mark.parametrize("kind", ["jacobi", "richardson"])
+@pytest.mark.parametrize("name", HIERARCHIES)
+def test_smoother_constants(name, kind):
+    A = hierarchy(name)[0].A
+    for fmt in (FMT, CARRIER):
+        K = smoother(kind, A, fmt)
+        assert_close(K.contraction, oracle.contraction(A, K.diag), "contraction")
+        assert_close(K.eta_energy, oracle.energy_operator_norm(np.diag(K.diag), A),
+                     "eta_energy")
+
+
+@pytest.mark.parametrize("variant", ["exact", "perturbed", "recursive"])
+@pytest.mark.parametrize("kind", ["jacobi", "richardson"])
+@pytest.mark.parametrize("name", HIERARCHIES)
+def test_rho_star(name, kind, variant):
+    levels = hierarchy(name)
+    level = levels[0]
+    M = smoother(kind, level.A)
+    coarse = coarse_solver(variant, levels)
+    assert_close(rho_star(level, M, M, coarse),
+                 oracle.rho_star(level, M, M, coarse), "rho_star")
+
+
+@pytest.mark.parametrize("name", HIERARCHIES)
+def test_recursive_bc_deviation(name):
+    levels = hierarchy(name)
+    coarse = make_recursive_coarse(levels, 1, 1)
+    expected = oracle.bc_deviation(levels[0], coarse)
+    assert_close(coarse.bc_deviation, expected, "bc_deviation")
+    assert_close(measure_bc_deviation(levels, 1, 1), expected, "measure_bc_deviation")
+
+
+@pytest.mark.parametrize("name", HIERARCHIES)
+def test_perturbed_normalisation(name):
+    level = hierarchy(name)[0]
+    coarse = make_perturbed_coarse(level, 0.3, seed=5)
+    assert_close(oracle.bc_deviation(level, coarse), 0.3, "sigma")
+
+
+def _forbidden(*_args, **_kwargs):
+    raise AssertionError("dense spectral path reached")
+
+
+@pytest.mark.parametrize("config", [
+    ExperimentConfig(size=63, trials=5),
+    ExperimentConfig(size=63, levels=4, coarse="recursive", trials=5),
+    ExperimentConfig(problem="poisson2d", size=15, coarse="perturbed", sigma=0.3,
+                     trials=5),
+], ids=["1d-exact", "1d-recursive", "2d-perturbed"])
+def test_run_experiment_takes_no_dense_spectral_path(monkeypatch, config):
+    linalg = importlib.import_module("numpy.linalg._linalg")
+    for owner, name in ((np.linalg, "svd"), (linalg, "svd"), (np.linalg, "eigh"),
+                        (linalg, "eigh"), (scipy.linalg, "svd"),
+                        (scipy.linalg, "svdvals"), (scipy.linalg, "eigh"),
+                        (scipy.linalg, "cho_factor")):
+        monkeypatch.setattr(owner, name, _forbidden)
+    for name in ("eigh", "sqrt_dense", "inv_sqrt_dense", "dense"):
+        monkeypatch.setattr(SparseSpd, name, property(_forbidden), raising=False)
+    # the patches reach the dense forms, a matrix 2-norm included
+    with pytest.raises(AssertionError, match="dense spectral path"):
+        np.linalg.norm(np.eye(2), 2)
+    with pytest.raises(AssertionError, match="dense spectral path"):
+        SparseSpd(np.eye(2)).dense  # noqa: B018
+    records = run_experiment(config)
+    assert len(records) == 5 * len(config.bits)
+    assert all(r.passed for r in records)
