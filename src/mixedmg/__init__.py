@@ -54,18 +54,14 @@ from .hierarchy import (
     normalize_hierarchy,
     poisson_1d,
     poisson_2d,
-    save_hierarchy,
 )
 from .linops import (
-    OperatorConstants,
     SparseSpd,
     SpdError,
     abs_matrix_norm,
     condition_number,
     energy_norm,
     energy_operator_norm,
-    mdot_plus,
-    read_matrix_market,
     solve_spd,
     spectral_norm,
 )
@@ -76,6 +72,7 @@ from .precision import (
     PrecisionTooLowError,
     PrecisionUnachievableError,
     RoundedResult,
+    mdot_plus_eps,
     quantize_vector,
     round_scalar,
     round_vector,

@@ -30,7 +30,7 @@ from .harness import (
     validate_csv,
     write_csv,
 )
-from .linops import mdot_plus_eps
+from .precision import mdot_plus_eps
 
 
 def _add_run(sub):
@@ -104,6 +104,8 @@ def _report(records, out) -> int:
 
 
 def _cmd_run(args) -> int:
+    if args.bits is not None and args.pi_target is not None:
+        raise ConfigError("run: give at most one of --bits / --pi-target")
     config = load_config(args.config)
     overrides = {}
     if args.seed is not None:

@@ -298,8 +298,7 @@ def _operations(level: GridLevel, fmt: PrecisionFormat):
                 lambda z: level.P_t @ z,
                 lambda z: level.P @ z,
                 lambda v, w: v - w)
-    eta_A = level.a_constants.eta_abs
-    eta_P = level.p_constants.eta_abs
+    eta_A, eta_P = level.eta_A, level.eta_P
     return (lambda K, z: K.apply_rounded(z, fmt)[0],
             lambda y, r: rounded_residual(level.A, y, r, fmt, eta_abs=eta_A).value,
             lambda z: rounded_matvec(level.P_t_layout, z, fmt, eta_abs=eta_P).value,

@@ -48,9 +48,9 @@ from .cycles import (
     rho_star,
     tg_cycle,
 )
-from .hierarchy import GridLevel, build_multilevel
-from .linops import energy_norm, mdot_plus, solve_spd
-from .precision import PrecisionFormat, column_norms
+from .hierarchy import GridLevel, build_multilevel, check_refinable
+from .linops import energy_norm, solve_spd
+from .precision import PrecisionFormat, column_norms, mdot_plus_eps
 
 
 #: Trials per blocked cycle call.  Wider blocks cut per-call overhead
@@ -96,11 +96,18 @@ class ExperimentConfig:
             raise ConfigError("need a nonempty bits list or a pi_target")
         if not 0.0 <= self.sigma < 1.0:
             raise ConfigError("sigma must be in [0, 1)")
-        k = int(round(np.log2(self.size + 1)))
-        if 2**k - 1 != self.size or k < self.levels:
-            raise ConfigError(
-                f"size {self.size} is not coarsenable to {self.levels} levels"
-            )
+        # a key the chosen coarse solver never reads would be echoed into
+        # every CSV row as if it had run
+        if self.sigma != 0.0 and self.coarse != "perturbed":
+            raise ConfigError(f"sigma applies only to coarse = perturbed, "
+                              f"not {self.coarse}")
+        if (self.mu, self.nu) != (1, 1) and self.coarse != "recursive":
+            raise ConfigError(f"mu and nu apply only to coarse = recursive, "
+                              f"not {self.coarse}")
+        try:
+            check_refinable(self.size, self.levels)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
 
 
 _SCHEMA = {
@@ -215,19 +222,15 @@ def bound_inputs_for(level: GridLevel, M: RelaxationOp, N: RelaxationOp,
         eps=fmt.unit_roundoff,
         kappa=level.kappa,
         kappa_c=level.kappa_c,
-        eta_A=level.a_constants.eta_abs,
-        eta_P=level.p_constants.eta_abs,
+        eta_A=level.eta_A,
+        eta_P=level.eta_P,
         eta_M=M.eta_euclid,
         eta_N=N.eta_energy,
-        mdot_A=mdot_plus(level.a_constants.m, fmt),
-        mdot_P=mdot_plus(level.p_constants.m, fmt),
+        mdot_A=mdot_plus_eps(level.A.row_layout.m, fmt.unit_roundoff),
+        mdot_P=mdot_plus_eps(level.P_layout.m, fmt.unit_roundoff),
         alpha_M=M.alpha,
         alpha_N=N.alpha,
     )
-
-
-def build_problem(config: ExperimentConfig) -> list[GridLevel]:
-    return build_multilevel(config.size, config.levels, problem=config.problem)
 
 
 def _make_coarse(config: ExperimentConfig, levels) -> CoarseSolver:
@@ -247,7 +250,7 @@ def _resolve_bits(config: ExperimentConfig, level: GridLevel) -> tuple[int, ...]
 
 def run_experiment(config: ExperimentConfig) -> list[TrialRecord]:
     """Run the configured sweep; deterministic given the config."""
-    levels = build_problem(config)
+    levels = build_multilevel(config.size, config.levels, problem=config.problem)
     level = levels[0]
     coarse = _make_coarse(config, levels)
     records: list[TrialRecord] = []
@@ -378,21 +381,18 @@ def validate_csv(path) -> tuple[bool, list[str]]:
 
 
 def progressive_study(sizes, pi_target: float, trials: int, *,
-                      problem: str = "poisson1d", smoother: str = "jacobi",
-                      omega: float = 2.0 / 3.0, seed: int = 0,
-                      delta_cap: float = 1.0) -> dict:
+                      problem: str = "poisson1d", seed: int = 0) -> dict:
     """Pick a format per size so ``sqrt(kappa) * u`` stays near the target.
 
     For each size the study runs the trials at the selected format, records
     the worst observed deviation beyond the exact contraction factor, and
     checks it against the predicted ``delta_rho``; it also checks that
-    ``delta_rho`` itself stays below ``delta_cap`` across sizes.
+    ``delta_rho`` itself stays at most 1 across sizes.
     """
     per_size: dict[int, dict] = {}
     base = ExperimentConfig(problem=problem, size=int(sizes[0]), levels=2,
-                            smoother=smoother, omega=omega, coarse="exact",
-                            bits=(), pi_target=pi_target, trials=trials,
-                            rng_seed=seed)
+                            coarse="exact", bits=(), pi_target=pi_target,
+                            trials=trials, rng_seed=seed)
     for size in sizes:
         cfg = replace(base, size=int(size))
         records = run_experiment(cfg)
@@ -406,7 +406,7 @@ def progressive_study(sizes, pi_target: float, trials: int, *,
             "delta_rho": report.delta_rho,
             "max_observed_delta": max_observed,
             "within_bound": bool(max_observed <= report.delta_rho),
-            "below_cap": bool(report.delta_rho <= delta_cap),
+            "below_cap": bool(report.delta_rho <= 1.0),
         }
     deltas = [v["delta_rho"] for v in per_size.values()]
     return {

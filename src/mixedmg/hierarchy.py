@@ -10,22 +10,18 @@ arguments behind the convergence theory require.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from functools import cached_property
-from pathlib import Path
 
 import numpy as np
 import scipy.sparse as sparse
 
 from .linops import (
-    OperatorConstants,
     SparseSpd,
     SpdError,
     abs_matrix_norm,
     condition_number,
     spectral_norm,
-    write_matrix_market,
 )
 from .precision import RowLayout
 
@@ -94,16 +90,19 @@ class GridLevel:
     """One normalized fine/coarse pair of a multigrid hierarchy.
 
     ``A`` and ``A_c`` have unit spectral norm; ``A_c`` equals ``P' A P``
-    with the stored (rescaled) ``P``.  The coarsest level of a hierarchy
-    has ``P``, ``A_c`` and the coarse constants set to ``None``.
+    with the stored (rescaled) ``P``.  ``eta_A`` and ``eta_P`` are the
+    spectral norms of the entrywise absolute values ``|A|`` and ``|P|``;
+    the row counts the error model inflates are ``A.row_layout.m`` and
+    ``P_layout.m``.  The coarsest level of a hierarchy has ``P``, ``A_c``
+    and the coarse constants set to ``None``.
     """
 
     A: SparseSpd
     P: sparse.csr_array | None
     P_t: sparse.csr_array | None
     A_c: SparseSpd | None
-    a_constants: OperatorConstants
-    p_constants: OperatorConstants | None
+    eta_A: float
+    eta_P: float | None
     kappa: float
     kappa_c: float | None
     a_scale: float
@@ -153,7 +152,7 @@ def _fine_side(A) -> dict:
     A1, a_scale = _unit_scale(A)
     return dict(
         A=A1,
-        a_constants=OperatorConstants(m=A1.m_row, eta_abs=abs_matrix_norm(A1)),
+        eta_A=abs_matrix_norm(A1),
         kappa=condition_number(A1),
         a_scale=a_scale,
     )
@@ -181,13 +180,12 @@ def normalize_hierarchy(A, P) -> GridLevel:
     A_c = galerkin_coarse(A1, P1)
     P1_t = sparse.csr_array(P1.T)
     P1_t.sort_indices()
-    m_p = int(np.diff(P1.indptr).max(initial=0))
     return GridLevel(
         **fine,
         P=P1,
         P_t=P1_t,
         A_c=A_c,
-        p_constants=OperatorConstants(m=m_p, eta_abs=abs_matrix_norm(P1)),
+        eta_P=abs_matrix_norm(P1),
         kappa_c=condition_number(A_c),
         p_scale=p_scale,
     )
@@ -196,10 +194,11 @@ def normalize_hierarchy(A, P) -> GridLevel:
 def coarsest_level(A) -> GridLevel:
     """Wrap a matrix as the terminal (direct-solve) level of a hierarchy."""
     return GridLevel(**_fine_side(A), P=None, P_t=None, A_c=None,
-                     p_constants=None, kappa_c=None, p_scale=None)
+                     eta_P=None, kappa_c=None, p_scale=None)
 
 
-def _check_refinable(size: int, levels: int):
+def check_refinable(size: int, levels: int):
+    """Raise ``ValueError`` unless a ``size``-point grid halves ``levels - 1`` times."""
     k = int(round(np.log2(size + 1)))
     if 2**k - 1 != size:
         raise ValueError(f"size must be 2**k - 1, got {size}")
@@ -216,7 +215,7 @@ def build_multilevel(n_finest: int, levels: int, problem: str = "poisson1d") -> 
     """
     if levels < 1:
         raise ValueError("levels must be >= 1")
-    _check_refinable(n_finest, levels)
+    check_refinable(n_finest, levels)
     if problem == "poisson1d":
         A = poisson_1d(n_finest)
         interp = linear_interpolation
@@ -236,33 +235,3 @@ def build_multilevel(n_finest: int, levels: int, problem: str = "poisson1d") -> 
         size = (size - 1) // 2
     out.append(coarsest_level(current))
     return out
-
-
-def save_hierarchy(levels: list[GridLevel], directory) -> Path:
-    """Serialize a hierarchy as Matrix Market files plus a JSON manifest."""
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    manifest = []
-    for i, lvl in enumerate(levels):
-        entry = {
-            "level": i,
-            "n": lvl.n,
-            "n_c": lvl.n_c,
-            "kappa": lvl.kappa,
-            "kappa_c": lvl.kappa_c,
-            "m_A": lvl.a_constants.m,
-            "eta_A": lvl.a_constants.eta_abs,
-            "m_P": None if lvl.p_constants is None else lvl.p_constants.m,
-            "eta_P": None if lvl.p_constants is None else lvl.p_constants.eta_abs,
-            "a_scale": lvl.a_scale,
-            "p_scale": lvl.p_scale,
-            "a_file": f"level{i}_A.mtx",
-            "p_file": None if lvl.P is None else f"level{i}_P.mtx",
-        }
-        write_matrix_market(directory / entry["a_file"], lvl.A)
-        if lvl.P is not None:
-            write_matrix_market(directory / entry["p_file"], lvl.P)
-        manifest.append(entry)
-    path = directory / "manifest.json"
-    path.write_text(json.dumps(manifest, indent=2))
-    return path

@@ -17,26 +17,21 @@ and the banded solve runs its triangular solves one column at a time.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import scipy.io
 import scipy.linalg
 import scipy.linalg.lapack
 import scipy.sparse as sparse
 
-# mdot_plus_eps and abs_matrix_norm are defined with the kernels that use
-# them and re-exported here
+# abs_matrix_norm is defined with the kernels that use it and re-exported here
 from .precision import (
-    PrecisionFormat,
     RowLayout,
     _band_eigenvalues,
     _columns,
     _lower_band,
     _per_column,
     abs_matrix_norm,
-    mdot_plus_eps,
 )
 
 _EPS = float(np.finfo(np.float64).eps)
@@ -81,11 +76,6 @@ class SparseSpd:
     @property
     def n(self) -> int:
         return self._matrix.shape[0]
-
-    @cached_property
-    def m_row(self) -> int:
-        """Maximum number of stored nonzeros in any row."""
-        return int(np.diff(self._matrix.indptr).max(initial=0))
 
     @cached_property
     def row_layout(self) -> RowLayout:
@@ -143,19 +133,6 @@ class SparseSpd:
         return self._matrix @ w
 
 
-@dataclass(frozen=True)
-class OperatorConstants:
-    """Structural constants of a sparse operator used by the error model.
-
-    ``m`` is the maximum number of stored nonzeros per row; the model
-    inflates it to ``m + 1`` through :func:`mdot_plus`.  ``eta_abs`` is the
-    spectral norm of the entrywise absolute value of the operator.
-    """
-
-    m: int
-    eta_abs: float
-
-
 def energy_norm(w, A: SparseSpd):
     """The A-weighted norm ``sqrt(w' A w)`` evaluated in the carrier.
 
@@ -188,11 +165,6 @@ def condition_number(A: SparseSpd) -> float:
     if w[0] <= 0:
         raise SpdError(f"smallest eigenvalue {w[0]} is not positive")
     return float(w[-1] / w[0])
-
-
-def mdot_plus(m: int, fmt: PrecisionFormat) -> float:
-    """:func:`mdot_plus_eps` at the unit roundoff of ``fmt``."""
-    return mdot_plus_eps(m, fmt.unit_roundoff)
 
 
 def solve_spd(A: SparseSpd, b) -> np.ndarray:
@@ -229,15 +201,3 @@ def energy_operator_norm(K, A: SparseSpd) -> float:
     # coincide, as for a multiple of the identity
     top = scipy.linalg.eigvalsh(Y.T @ Y, driver="ev")[-1]
     return float(np.sqrt(max(top, 0.0)))
-
-
-def read_matrix_market(path) -> SparseSpd:
-    """Import a real symmetric Matrix Market coordinate file as :class:`SparseSpd`."""
-    M = scipy.io.mmread(path)
-    return SparseSpd(M)
-
-
-def write_matrix_market(path, K, comment: str = ""):
-    """Write a sparse matrix in Matrix Market coordinate format."""
-    M = K.matrix if isinstance(K, SparseSpd) else K
-    scipy.io.mmwrite(path, sparse.coo_matrix(M), comment=comment)

@@ -191,14 +191,14 @@ def test_a5_gamma_linearization():
     structure = dict(
         kappa=lvl.kappa,
         kappa_c=lvl.kappa_c,
-        eta_A=lvl.a_constants.eta_abs,
-        eta_P=lvl.p_constants.eta_abs,
+        eta_A=lvl.eta_A,
+        eta_P=lvl.eta_P,
         eta_M=M.eta_euclid,
         eta_N=M.eta_energy,
         alpha_M=M.eta_euclid,
         alpha_N=M.eta_euclid,
     )
-    m_a, m_p = lvl.a_constants.m, lvl.p_constants.m
+    m_a, m_p = lvl.A.row_layout.m, lvl.P_layout.m
     gammas = gamma_constants(BoundInputs(
         eps=0.0, mdot_A=float(m_a + 1), mdot_P=float(m_p + 1), **structure))
 

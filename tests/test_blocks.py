@@ -77,7 +77,7 @@ class TestKernels:
     def test_matvec(self, level31, which):
         K = level31.P if which == "P" else level31.P_t
         W = _block(np.random.default_rng(2), K.shape[1])
-        eta = level31.p_constants.eta_abs
+        eta = level31.eta_P
         call = lambda w: _pair(rounded_matvec(K, w, FMT, eta_abs=eta))  # noqa: E731
         _assert_columns_match(call, W)
 

@@ -201,7 +201,7 @@ class TestGammaConstants:
         M = make_jacobi(level31.A, 2.0 / 3.0, CARRIER)
         limit = BoundInputs(
             eps=0.0, kappa=level31.kappa, kappa_c=level31.kappa_c,
-            eta_A=level31.a_constants.eta_abs, eta_P=level31.p_constants.eta_abs,
+            eta_A=level31.eta_A, eta_P=level31.eta_P,
             eta_M=M.eta_euclid, eta_N=M.eta_energy,
             mdot_A=4.0, mdot_P=3.0,
             alpha_M=M.eta_euclid, alpha_N=M.eta_euclid,

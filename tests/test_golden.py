@@ -6,11 +6,11 @@ eigenvalue reductions of the set-up differently with the thread count, which
 moves the last bits of ``eta_N`` and ``rho_star`` and of everything computed
 from them; pinned, the verdict does not depend on the thread count the test
 run itself has.  A mismatch reports the first differing line, not a diff of
-two whole files.
+two whole files.  The CLI commands that regenerate the golden CSVs (see the
+README) are run in the same one-thread environment.
 """
 
 import hashlib
-import importlib.util
 import json
 import os
 import subprocess
@@ -38,23 +38,19 @@ json.dump({name: render_csv(run_experiment(
 """
 
 
-def _default_sweep_script():
-    spec = importlib.util.spec_from_file_location(
-        "default_sweep", ROOT / "scripts" / "default_sweep.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+DEFAULT_INI = ROOT / "scripts" / "configs" / "default.ini"
 
-
-_SWEEP = _default_sweep_script()
+# the default sweep, as `mixedmg sweep` takes it: results/sweep_n{size}.csv
+SIZES = (15, 31, 63)
+BITS = (8, 12, 16, 23)
+TRIALS = 100
+SEED = 20240801
 
 # config of each golden CSV, by file name under results/
 _GOLDEN = {
-    "default_sweep.csv": replace(
-        load_config(ROOT / "scripts" / "configs" / "default.ini"), output_path=None),
+    "default_sweep.csv": replace(load_config(DEFAULT_INI), output_path=None),
     **{f"sweep_n{size}.csv": ExperimentConfig(
-        size=size, bits=_SWEEP.BITS, trials=_SWEEP.TRIALS, rng_seed=_SWEEP.SEED)
-       for size in _SWEEP.SIZES},
+        size=size, bits=BITS, trials=TRIALS, rng_seed=SEED) for size in SIZES},
 }
 
 # sha256 of render_csv(run_experiment(config)) for configs the golden CSVs
@@ -78,17 +74,23 @@ _PINNED = {
 }
 
 
-def render_one_thread(configs: dict) -> dict[str, str]:
-    """``render_csv(run_experiment(config))`` of each config, BLAS on one thread."""
+def run_one_thread(args: list[str], stdin: str | None = None) -> str:
+    """Run ``python args`` with BLAS on one thread; its stdout, or fail the test."""
     env = dict(os.environ, **{var: "1" for var in BLAS_THREAD_VARS})
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p)
-    jobs = {name: asdict(config) for name, config in configs.items()}
-    proc = subprocess.run([sys.executable, "-c", _CHILD], input=json.dumps(jobs),
+    proc = subprocess.run([sys.executable, *args], input=stdin,
                           capture_output=True, text=True, env=env, check=False)
     if proc.returncode:
-        pytest.fail(f"rendering child failed:\n{proc.stderr[-4000:]}", pytrace=False)
-    return json.loads(proc.stdout)
+        pytest.fail(f"child {args[:3]} exited {proc.returncode}:\n"
+                    f"{proc.stderr[-4000:]}", pytrace=False)
+    return proc.stdout
+
+
+def render_one_thread(configs: dict) -> dict[str, str]:
+    """``render_csv(run_experiment(config))`` of each config, BLAS on one thread."""
+    jobs = {name: asdict(config) for name, config in configs.items()}
+    return json.loads(run_one_thread(["-c", _CHILD], stdin=json.dumps(jobs)))
 
 
 @pytest.fixture(scope="module")
@@ -109,19 +111,33 @@ def first_difference(actual: str, expected: str) -> str | None:
             f"  got:      {line(got)[:300]}\n  expected: {line(want)[:300]}")
 
 
-def _assert_golden(rendered, name):
-    difference = first_difference(rendered[name], (RESULTS / name).read_text())
+def _assert_golden(text, name):
+    difference = first_difference(text, (RESULTS / name).read_text())
     if difference is not None:
         pytest.fail(f"{name}: {difference}", pytrace=False)
 
 
 def test_default_config_csv_is_byte_identical(rendered):
-    _assert_golden(rendered, "default_sweep.csv")
+    _assert_golden(rendered["default_sweep.csv"], "default_sweep.csv")
 
 
-@pytest.mark.parametrize("size", _SWEEP.SIZES)
+@pytest.mark.parametrize("size", SIZES)
 def test_default_sweep_csv_is_byte_identical(rendered, size):
-    _assert_golden(rendered, f"sweep_n{size}.csv")
+    _assert_golden(rendered[f"sweep_n{size}.csv"], f"sweep_n{size}.csv")
+
+
+def test_sweep_command_writes_golden_csv_to_stdout():
+    out = run_one_thread([
+        "-m", "mixedmg", "sweep", "--sizes", "15", "--bits", *map(str, BITS),
+        "--trials", str(TRIALS), "--seed", str(SEED)])
+    _assert_golden(out, "sweep_n15.csv")
+
+
+def test_run_command_writes_golden_csv(tmp_path):
+    out = tmp_path / "default_sweep.csv"
+    run_one_thread(["-m", "mixedmg", "run", "--config", str(DEFAULT_INI),
+                    "--out", str(out)])
+    _assert_golden(out.read_text(), "default_sweep.csv")
 
 
 @pytest.mark.parametrize("name", sorted(_PINNED))

@@ -69,6 +69,16 @@ class TestConfig:
         with pytest.raises(ConfigError):
             ExperimentConfig(size=12)
 
+    @pytest.mark.parametrize("fields", [
+        dict(coarse="exact", sigma=0.3),
+        dict(coarse="recursive", sigma=0.3),
+        dict(coarse="exact", mu=3, nu=0),
+        dict(coarse="perturbed", sigma=0.3, nu=2),
+    ], ids=["sigma-exact", "sigma-recursive", "mu-nu-exact", "nu-perturbed"])
+    def test_rejects_coarse_keys_the_solver_ignores(self, fields):
+        with pytest.raises(ConfigError):
+            ExperimentConfig(size=15, **fields)
+
     def test_rejects_empty_precisions(self):
         with pytest.raises(ConfigError):
             ExperimentConfig(bits=(), pi_target=None)
@@ -269,6 +279,12 @@ class TestCli:
         assert len(rows) == 2
         assert rows[0]["significand_bits"] == "10"
 
+    def test_run_bits_and_pi_target_exits_2(self, config_file, capsys):
+        code = cli_main(["run", "--config", str(config_file), "--bits", "8",
+                         "--pi-target", "0.001"])
+        assert code == 2
+        assert capsys.readouterr().out == ""
+
     def test_run_missing_config_exits_2(self, tmp_path):
         code = cli_main(["run", "--config", str(tmp_path / "absent.ini")])
         assert code == 2
@@ -277,6 +293,7 @@ class TestCli:
         ("[run]", "[runn]"),
         ("bits = 8 12", "bit = 8 12"),
         ("bits = 8 12", "bits = 8 12\npi_target = 0.00390625"),
+        ("kind = exact", "kind = exact\nsigma = 0.3"),
     ])
     def test_run_config_typo_exits_2(self, tmp_path, capsys, old, new):
         path = tmp_path / "typo.ini"

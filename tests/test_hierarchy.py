@@ -1,6 +1,5 @@
 """Model problems, interpolation, Galerkin coarsening, and normalization."""
 
-import json
 import math
 
 import numpy as np
@@ -17,7 +16,6 @@ from mixedmg import (
     normalize_hierarchy,
     poisson_1d,
     poisson_2d,
-    save_hierarchy,
     spectral_norm,
 )
 
@@ -142,8 +140,8 @@ class TestNormalizeHierarchy:
         assert lvl.kappa == pytest.approx(kappa_raw, rel=1e-12)
 
     def test_structural_constants(self, level31):
-        assert level31.a_constants.m == 3
-        assert level31.p_constants.m == 2
+        assert level31.A.row_layout.m == 3
+        assert level31.P_layout.m == 2
         assert level31.kappa > level31.kappa_c > 1.0
 
     def test_xi_at_most_one(self):
@@ -179,19 +177,3 @@ class TestBuildMultilevel:
             build_multilevel(12, 2)
         with pytest.raises(ValueError):
             build_multilevel(7, 4)
-
-
-class TestSerialization:
-    def test_manifest_and_files(self, tmp_path):
-        levels = build_multilevel(15, 2)
-        manifest_path = save_hierarchy(levels, tmp_path / "h")
-        manifest = json.loads(manifest_path.read_text())
-        assert len(manifest) == 2
-        top = manifest[0]
-        assert top["n"] == 15 and top["n_c"] == 7
-        assert top["m_A"] == 3 and top["m_P"] == 2
-        assert (tmp_path / "h" / top["a_file"]).exists()
-        assert (tmp_path / "h" / top["p_file"]).exists()
-        assert manifest[1]["p_file"] is None
-        for key in ("kappa", "kappa_c", "eta_A", "eta_P", "a_scale", "p_scale"):
-            assert key in top

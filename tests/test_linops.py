@@ -15,13 +15,12 @@ from mixedmg import (
     build_multilevel,
     condition_number,
     energy_norm,
-    mdot_plus,
-    read_matrix_market,
+    mdot_plus_eps,
     solve_spd,
     spectral_norm,
 )
 from mixedmg.hierarchy import poisson_1d
-from mixedmg.linops import energy_operator_norm, write_matrix_market
+from mixedmg.linops import energy_operator_norm
 
 EPS = float(np.finfo(np.float64).eps)
 
@@ -43,7 +42,7 @@ class TestSparseSpd:
             SparseSpd(np.diag([1.0, -1.0]))
 
     def test_m_row_counts_stored_nonzeros(self):
-        assert poisson_1d(8).m_row == 3
+        assert poisson_1d(8).row_layout.m == 3
 
 
 class TestEnergyNorm:
@@ -129,22 +128,23 @@ class TestSpectralQuantities:
 
 class TestMdotPlus:
     def test_limit_at_carrier_precision(self):
-        assert mdot_plus(3, PrecisionFormat(53)) == pytest.approx(4.0, rel=1e-12)
+        got = mdot_plus_eps(3, PrecisionFormat(53).unit_roundoff)
+        assert got == pytest.approx(4.0, rel=1e-12)
 
     def test_formula_value(self):
         # 4 / (1 - 4 * 2**-10) = 4096 / 1020
-        got = mdot_plus(3, PrecisionFormat(10))
+        got = mdot_plus_eps(3, PrecisionFormat(10).unit_roundoff)
         assert got == pytest.approx(4096.0 / 1020.0, rel=1e-15)
         assert got == pytest.approx(4.015686274509804)
 
     def test_denominator_zero_raises(self):
         # (1023 + 1) * 2**-10 = 1 exactly
         with pytest.raises(PrecisionTooLowError):
-            mdot_plus(1023, PrecisionFormat(10))
+            mdot_plus_eps(1023, PrecisionFormat(10).unit_roundoff)
 
     def test_exceeds_one_raises(self):
         with pytest.raises(PrecisionTooLowError):
-            mdot_plus(2000, PrecisionFormat(10))
+            mdot_plus_eps(2000, PrecisionFormat(10).unit_roundoff)
 
 
 class TestSolveSpd:
@@ -234,14 +234,3 @@ class TestEnergyOperatorNorm:
             sup = max(sup, energy_norm(K @ w, A) / energy_norm(w, A))
         assert sup <= norm * (1 + 1e-10)
         assert sup >= 0.2 * norm  # random probing gets within a small factor
-
-
-class TestMatrixMarket:
-    def test_round_trip(self, tmp_path):
-        A = poisson_1d(9)
-        path = tmp_path / "a.mtx"
-        write_matrix_market(path, A)
-        header = path.read_text().splitlines()[0]
-        assert header.startswith("%%MatrixMarket matrix coordinate real symmetric")
-        B = read_matrix_market(path)
-        assert np.array_equal(A.dense, B.dense)

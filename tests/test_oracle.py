@@ -65,8 +65,8 @@ def test_level_constants(name):
     for lvl in hierarchy(name)[:-1]:
         assert_close(lvl.kappa, oracle.condition_number(lvl.A), "kappa")
         assert_close(lvl.kappa_c, oracle.condition_number(lvl.A_c), "kappa_c")
-        assert_close(lvl.a_constants.eta_abs, oracle.abs_matrix_norm(lvl.A.dense), "eta_A")
-        assert_close(lvl.p_constants.eta_abs, oracle.abs_matrix_norm(lvl.P), "eta_P")
+        assert_close(lvl.eta_A, oracle.abs_matrix_norm(lvl.A.dense), "eta_A")
+        assert_close(lvl.eta_P, oracle.abs_matrix_norm(lvl.P), "eta_P")
 
 
 @pytest.mark.parametrize("kind", ["jacobi", "richardson"])
