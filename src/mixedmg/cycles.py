@@ -46,10 +46,11 @@ from .bounds import PROOF_LINES
 from .hierarchy import GridLevel
 from .linops import (
     SparseSpd,
+    diagonal_congruence,
+    eigenvalue_bound,
     energy_norm,
     energy_operator_norm,
     solve_spd,
-    spectral_norm,
 )
 from .precision import (
     CARRIER,
@@ -107,17 +108,21 @@ class RelaxationOp:
 def _finalize_relaxation(kind: str, A: SparseSpd, diag: np.ndarray,
                          fmt: PrecisionFormat) -> RelaxationOp:
     eta_euclid = float(np.abs(diag).max())
-    # with A = L L', L' (I - M A) L'^{-1} = I - L' M L: symmetric for
-    # diagonal M and banded like A; only its lower band is read
-    U = A.cholesky_upper
-    contraction = spectral_norm(
-        sparse.eye_array(A.n) - U @ sparse.diags_array(diag) @ U.T)
+    K, k_err = diagonal_congruence(A, diag)
+    # the eigenvalues of I - M A are 1 - lambda(D A D, D); its energy norm is
+    # the larger of the two ends' distances from one
+    D = diag[None, :]
+    top = eigenvalue_bound(K, D, k_err=k_err)
+    bottom = eigenvalue_bound(K, D, end="min", k_err=k_err)
+    contraction = float(np.nextafter(max(top - 1.0, 1.0 - bottom), np.inf))
     if contraction >= 1.0:
         raise ContractionError(
             f"{kind} relaxation does not contract: energy norm of the error "
             f"propagator is {contraction:.6f}"
         )
-    eta_energy = energy_operator_norm(np.diag(diag), A)
+    # norm(A^(1/2) D A^(-1/2))**2 is the top eigenvalue of the pencil (D A D, A)
+    eta_energy = float(np.nextafter(math.sqrt(eigenvalue_bound(
+        K, A.band, b_floor=A.lambda_min_bound, k_err=k_err)), np.inf))
     alpha = eta_euclid * (1.0 + fmt.unit_roundoff)
     return RelaxationOp(
         kind=kind,

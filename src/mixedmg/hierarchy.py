@@ -5,7 +5,10 @@ to unit spectral norm, the prolongation rescaled by a scalar so the
 Galerkin coarse matrix also has unit spectral norm, and the structural
 constants the error model needs.  Scalar rescaling of ``P`` preserves the
 Galerkin structure ``A_c = P' A P`` exactly, which the projection
-arguments behind the convergence theory require.
+arguments behind the convergence theory require.  Each scale is the
+certified upper end of the top eigenvalue of the matrix before scaling
+(:func:`mixedmg.linops.spectral_norm`), so a scaled norm exceeds one by at
+most the rounding of the scaling itself: a few units of roundoff.
 """
 
 from __future__ import annotations
@@ -24,8 +27,6 @@ from .linops import (
     spectral_norm,
 )
 from .precision import RowLayout
-
-_EPS = float(np.finfo(np.float64).eps)
 
 
 def poisson_1d(n: int) -> SparseSpd:
@@ -89,10 +90,13 @@ def galerkin_coarse(A: SparseSpd, P) -> SparseSpd:
 class GridLevel:
     """One normalized fine/coarse pair of a multigrid hierarchy.
 
-    ``A`` and ``A_c`` have unit spectral norm; ``A_c`` equals ``P' A P``
-    with the stored (rescaled) ``P``.  ``eta_A`` and ``eta_P`` are the
-    spectral norms of the entrywise absolute values ``|A|`` and ``|P|``;
-    the row counts the error model inflates are ``A.row_layout.m`` and
+    ``A`` and ``A_c`` have unit spectral norm: each scale is a certified
+    upper end of the norm before scaling, so the norms lie within about
+    ``1e-14`` below one and exceed it by at most the rounding of the
+    scaling (a few units of roundoff).  ``A_c`` equals ``P' A P`` with the
+    stored (rescaled) ``P``.  ``eta_A`` and ``eta_P`` are the spectral
+    norms of the entrywise absolute values ``|A|`` and ``|P|``; the row
+    counts the error model inflates are ``A.row_layout.m`` and
     ``P_layout.m``.  The coarsest level of a hierarchy has ``P``, ``A_c``
     and the coarse constants set to ``None``.
     """
@@ -105,8 +109,6 @@ class GridLevel:
     eta_P: float | None
     kappa: float
     kappa_c: float | None
-    a_scale: float
-    p_scale: float | None
 
     @property
     def n(self) -> int:
@@ -134,67 +136,63 @@ class GridLevel:
         return RowLayout.of(self.P_t)
 
 
-def _unit_scale(A: SparseSpd) -> tuple[SparseSpd, float]:
+def _scaled(A) -> SparseSpd:
+    """``A`` over the upper end of its norm: a norm one up to the scaling's rounding."""
+    if not isinstance(A, SparseSpd):
+        A = SparseSpd(A)
     s = spectral_norm(A)
     if s <= 0:
         raise SpdError("zero matrix cannot be normalized")
-    # keep already-normalized input bit-identical so that repeated
-    # normalization is idempotent along a hierarchy chain
-    if abs(s - 1.0) <= 8 * _EPS:
-        return A, 1.0
-    return SparseSpd(A.matrix * (1.0 / s)), s
+    return SparseSpd(A.matrix * (1.0 / s))
 
 
-def _fine_side(A) -> dict:
-    """The fine-side fields of a :class:`GridLevel`: ``A`` scaled to unit norm."""
-    if not isinstance(A, SparseSpd):
-        A = SparseSpd(A)
-    A1, a_scale = _unit_scale(A)
-    return dict(
-        A=A1,
-        eta_A=abs_matrix_norm(A1),
-        kappa=condition_number(A1),
-        a_scale=a_scale,
-    )
+def _fine_side(A: SparseSpd) -> dict:
+    """The fine-side fields of a :class:`GridLevel` for an already scaled ``A``."""
+    return dict(A=A, eta_A=abs_matrix_norm(A), kappa=condition_number(A))
 
 
-def normalize_hierarchy(A, P) -> GridLevel:
-    """Scale ``A`` to unit norm and ``P`` so the Galerkin coarse matrix follows.
-
-    ``P`` is multiplied by the scalar ``norm(P' A P)**-0.5`` (after the
-    A-scaling), the minimal change that keeps ``A_c = P' A P`` exact while
-    enforcing ``norm(A_c) = 1``.
-    """
-    fine = _fine_side(A)
-    A1 = fine["A"]
+def _level(A: SparseSpd, P) -> GridLevel:
+    """The level of an already scaled ``A``; see :func:`normalize_hierarchy`."""
     P = sparse.csr_array(P).astype(np.float64)
-    if P.shape[0] != A1.n or P.shape[1] > P.shape[0]:
-        raise ValueError(f"prolongation shape {P.shape} incompatible with n={A1.n}")
-    raw = galerkin_coarse(A1, P)
-    s_c = spectral_norm(raw)
+    if P.shape[0] != A.n or P.shape[1] > P.shape[0]:
+        raise ValueError(f"prolongation shape {P.shape} incompatible with n={A.n}")
+    s_c = spectral_norm(P.T @ A.matrix @ P)
     if s_c <= 0:
         raise SpdError("coarse operator has zero norm; P is rank deficient")
-    p_scale = float(1.0 / np.sqrt(s_c))
-    P1 = sparse.csr_array(P * p_scale)
+    P1 = sparse.csr_array(P * float(1.0 / np.sqrt(s_c)))
     P1.sort_indices()
-    A_c = galerkin_coarse(A1, P1)
+    A_c = galerkin_coarse(A, P1)
     P1_t = sparse.csr_array(P1.T)
     P1_t.sort_indices()
     return GridLevel(
-        **fine,
+        **_fine_side(A),
         P=P1,
         P_t=P1_t,
         A_c=A_c,
         eta_P=abs_matrix_norm(P1),
         kappa_c=condition_number(A_c),
-        p_scale=p_scale,
     )
 
 
-def coarsest_level(A) -> GridLevel:
-    """Wrap a matrix as the terminal (direct-solve) level of a hierarchy."""
+def _terminal(A: SparseSpd) -> GridLevel:
     return GridLevel(**_fine_side(A), P=None, P_t=None, A_c=None,
-                     eta_P=None, kappa_c=None, p_scale=None)
+                     eta_P=None, kappa_c=None)
+
+
+def normalize_hierarchy(A, P) -> GridLevel:
+    """Scale ``A`` to unit norm and ``P`` so the Galerkin coarse matrix follows.
+
+    ``P`` is multiplied by the scalar ``s_c**-0.5``, with ``s_c`` the upper
+    end of ``norm(P' A P)`` (after the A-scaling): the minimal change that
+    keeps ``A_c = P' A P`` exact while bringing ``norm(A_c)`` to one, up to
+    the rounding of the scaling and of the recomputed Galerkin product.
+    """
+    return _level(_scaled(A), P)
+
+
+def coarsest_level(A) -> GridLevel:
+    """Wrap a matrix, scaled to unit norm, as the terminal (direct-solve) level."""
+    return _terminal(_scaled(A))
 
 
 def check_refinable(size: int, levels: int):
@@ -211,7 +209,8 @@ def build_multilevel(n_finest: int, levels: int, problem: str = "poisson1d") -> 
 
     For ``poisson1d`` the finest grid has ``n_finest = 2**k - 1`` points;
     for ``poisson2d`` it is an ``n_finest``-by-``n_finest`` interior grid.
-    Each level's ``A_c`` is, bit for bit, the next level's ``A``.
+    Only the finest matrix is scaled: each level's ``A_c``, whose norm the
+    scaled ``P`` bounds by one, is bit for bit the next level's ``A``.
     """
     if levels < 1:
         raise ValueError("levels must be >= 1")
@@ -227,11 +226,11 @@ def build_multilevel(n_finest: int, levels: int, problem: str = "poisson1d") -> 
 
     out: list[GridLevel] = []
     size = n_finest
-    current: SparseSpd | sparse.csr_array = A
+    current = _scaled(A)
     for _ in range(levels - 1):
-        lvl = normalize_hierarchy(current, interp(size))
+        lvl = _level(current, interp(size))
         out.append(lvl)
         current = lvl.A_c
         size = (size - 1) // 2
-    out.append(coarsest_level(current))
+    out.append(_terminal(current))
     return out

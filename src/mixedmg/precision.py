@@ -25,7 +25,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse as sparse
 
 #: Significand bits of the float64 carrier (including the implicit bit).
@@ -274,44 +273,10 @@ class RowLayout:
         return self.matrix.shape
 
 
-def _lower_band(K) -> np.ndarray:
-    """LAPACK lower band storage of a symmetric matrix: ``ab[i, j] = K[j + i, j]``.
-
-    Built from the stored entries on and below the diagonal in one pass;
-    the entries above it are not read.
-    """
-    M = _csr(K).tocoo()
-    lower = M.row >= M.col
-    depth = M.row[lower] - M.col[lower]
-    ab = np.zeros((int(depth.max(initial=0)) + 1, M.shape[0]))
-    ab[depth, M.col[lower]] = M.data[lower]
-    return ab
-
-
-def _band_eigenvalues(ab: np.ndarray) -> np.ndarray:
-    """Ascending eigenvalues of a symmetric matrix in lower band storage.
-
-    LAPACK's banded reduction to tridiagonal form followed by a tridiagonal
-    eigenvalue solve, without eigenvectors: backward stable, and of order
-    ``n**2 * b`` for bandwidth ``b`` instead of the dense ``n**3``.
-    """
-    return scipy.linalg.eig_banded(ab, lower=True, eigvals_only=True)
-
-
-def abs_matrix_norm(K) -> float:
-    """Spectral norm of the entrywise absolute value (rectangular allowed).
-
-    ``K`` is a dense or sparse matrix, or anything with a ``.matrix``
-    (:class:`mixedmg.linops.SparseSpd`).  For symmetric ``|K|`` this is the
-    largest eigenvalue of the nonnegative matrix ``|K|``, otherwise the
-    square root of the largest eigenvalue of ``|K|' |K|``; both are sparse
-    and banded for the model operators.
-    """
-    B = abs(_csr(K))
-    if B.shape[0] == B.shape[1] and (B != B.T).nnz == 0:
-        return float(_band_eigenvalues(_lower_band(B))[-1])
-    top = _band_eigenvalues(_lower_band(B.T @ B))[-1]
-    return float(np.sqrt(max(top, 0.0)))
+def _abs_norm(K) -> float:
+    # linops builds on this module, so its norm is looked up at call time
+    from .linops import abs_matrix_norm
+    return abs_matrix_norm(K)
 
 
 def _rounded_row_accumulate(rows: RowLayout, W: np.ndarray, C, bits: int):
@@ -332,8 +297,9 @@ def rounded_residual(K, w, c, fmt: PrecisionFormat, *, eta_abs: float | None = N
     where ``inflation = (m + 1) / (1 - (m + 1) u)`` with ``m`` the maximum
     number of stored nonzeros in any row of ``K`` and ``eta_abs`` the
     spectral norm of the entrywise absolute value of ``K`` (computed by
-    :func:`abs_matrix_norm` when not supplied).  ``K`` is a matrix, anything with a ``.matrix``, or
-    a :class:`RowLayout`; ``w`` and ``c`` are both vectors or both blocks.
+    :func:`mixedmg.linops.abs_matrix_norm` when not supplied).  ``K`` is a
+    matrix, anything with a ``.matrix``, or a :class:`RowLayout`; ``w`` and
+    ``c`` are both vectors or both blocks.
     """
     rows = RowLayout.of(K)
     W = _as_block(w, "w")
@@ -344,7 +310,7 @@ def rounded_residual(K, w, c, fmt: PrecisionFormat, *, eta_abs: float | None = N
     value = _rounded_row_accumulate(rows, W, C, fmt.significand_bits)
     inflation = mdot_plus_eps(rows.m, fmt.unit_roundoff)
     if eta_abs is None:
-        eta_abs = abs_matrix_norm(rows.matrix)
+        eta_abs = _abs_norm(rows.matrix)
     bound = fmt.unit_roundoff * inflation * (
         column_norms(C) + eta_abs * column_norms(W)
     )
@@ -360,6 +326,6 @@ def rounded_matvec(K, w, fmt: PrecisionFormat, *, eta_abs: float | None = None) 
     value = _rounded_row_accumulate(rows, W, None, fmt.significand_bits)
     inflation = mdot_plus_eps(rows.m, fmt.unit_roundoff)
     if eta_abs is None:
-        eta_abs = abs_matrix_norm(rows.matrix)
+        eta_abs = _abs_norm(rows.matrix)
     bound = fmt.unit_roundoff * inflation * eta_abs * column_norms(W)
     return _result(value, bound, w)

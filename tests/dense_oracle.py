@@ -1,22 +1,38 @@
 """Dense ``O(n^3)`` formulas for the set-up constants: the test oracle.
 
-The library computes its spectral constants from one banded Cholesky factor
-per matrix.  These are the textbook dense forms (full eigendecompositions,
-matrix square roots and SVDs), used only to check it at small orders.
+The library certifies its spectral constants by shifted banded Cholesky
+factorizations.  These are the textbook forms (dense copies, full
+eigendecompositions, banded eigenvalue reductions, matrix square roots and
+SVDs), used only to check it at small orders.
 """
 
 import numpy as np
+import scipy.linalg
+
+
+def dense(A) -> np.ndarray:
+    """A dense copy of a :class:`SparseSpd`."""
+    return A.matrix.toarray()
+
+
+def eigenvalues(A) -> np.ndarray:
+    """Ascending eigenvalues of a :class:`SparseSpd`, from its band.
+
+    LAPACK's banded reduction to tridiagonal form followed by a tridiagonal
+    eigenvalue solve, without eigenvectors.
+    """
+    return scipy.linalg.eig_banded(A.band, lower=True, eigvals_only=True)
 
 
 def sqrt_pair(A) -> tuple[np.ndarray, np.ndarray]:
     """``A^(1/2)`` and ``A^(-1/2)`` of a :class:`SparseSpd` by dense ``eigh``."""
-    w, v = np.linalg.eigh(A.dense)
+    w, v = np.linalg.eigh(dense(A))
     assert w[0] > 0
     return (v * np.sqrt(w)) @ v.T, (v / np.sqrt(w)) @ v.T
 
 
 def condition_number(A) -> float:
-    w = np.linalg.eigvalsh(A.dense)
+    w = np.linalg.eigvalsh(dense(A))
     return float(w[-1] / w[0])
 
 
@@ -44,13 +60,13 @@ def coarse_matrix(level, coarse) -> np.ndarray:
     """``B_c A_c^{-1}``: dense solves for the exact and perturbed variants."""
     if coarse.variant == "recursive":
         return coarse.solve_matrix(level)
-    inverse = np.linalg.solve(level.A_c.dense, np.eye(level.n_c))
+    inverse = np.linalg.solve(dense(level.A_c), np.eye(level.n_c))
     return inverse if coarse.variant == "exact" else coarse.bc_matrix @ inverse
 
 
 def rho_star(level, M, N, coarse) -> float:
     """Energy norm of the dense two-grid error propagator."""
-    A, P = level.A.dense, level.P.toarray()
+    A, P = dense(level.A), level.P.toarray()
     eye = np.eye(level.n)
     correction = eye - P @ (coarse_matrix(level, coarse) @ (P.T @ A))
     pre = eye - M.diag[:, None] * A
@@ -60,5 +76,5 @@ def rho_star(level, M, N, coarse) -> float:
 
 def bc_deviation(level, coarse) -> float:
     """Coarse energy norm of ``B_c - I``."""
-    B_c = coarse_matrix(level, coarse) @ level.A_c.dense
+    B_c = coarse_matrix(level, coarse) @ dense(level.A_c)
     return energy_operator_norm(B_c - np.eye(level.n_c), level.A_c)

@@ -62,7 +62,7 @@ class TestMakeJacobi:
         M = make_jacobi(lvl.A, 2.0 / 3.0, FMT12)
         assert M.contraction < 1.0
         # independent check: eigenvalue magnitudes of the error propagator
-        prop = np.eye(7) - M.diag[:, None] * lvl.A.dense
+        prop = np.eye(7) - M.diag[:, None] * lvl.A.matrix.toarray()
         lams = scipy.linalg.eigvals(prop)
         assert np.abs(lams).max() <= M.contraction + 1e-12
 

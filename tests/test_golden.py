@@ -1,11 +1,11 @@
 """Golden CSVs: the committed sweeps under results/ regenerate byte for byte.
 
 The CSVs are rendered in a child process with BLAS pinned to one thread,
-the benchmark's setting.  A threaded BLAS splits the dense Gram products and
-eigenvalue reductions of the set-up differently with the thread count, which
-moves the last bits of ``eta_N`` and ``rho_star`` and of everything computed
-from them; pinned, the verdict does not depend on the thread count the test
-run itself has.  A mismatch reports the first differing line, not a diff of
+the benchmark's setting.  A threaded BLAS splits the dense Gram product and
+eigenvalue reduction of ``rho_star`` differently with the thread count, which
+moves the last bits of ``rho_star`` and of everything computed from it;
+pinned, the verdict does not depend on the thread count the test run itself
+has.  A mismatch reports the first differing line, not a diff of
 two whole files.  The CLI commands that regenerate the golden CSVs (see the
 README) are run in the same one-thread environment.
 """
@@ -59,18 +59,18 @@ _PINNED = {
     "recursive1d": (
         ExperimentConfig(size=63, levels=4, coarse="recursive", mu=2, nu=2,
                          trials=30),
-        "70d0775ae3f703c63d395b6a67fb2419ad541a41992ddc84723adc7927c1b4de"),
+        "85e95471ce2b685166be55e8c951704b6cd8d55c88b30bb76eca2212e5cd86b9"),
     "recursive2d": (
         ExperimentConfig(problem="poisson2d", size=15, levels=3,
                          coarse="recursive", trials=30),
-        "1e13f6d6fd6bbdbc7efa3b2d0aa22c20924a18e0d215fbaa16b8a5f0c1ce21ce"),
+        "8378576663b02118a6853eb19e77254ecb0f01f34bc0ebc476c02f1a6cc02423"),
     "perturbed2d": (
         ExperimentConfig(problem="poisson2d", size=15, coarse="perturbed",
                          sigma=0.3, trials=30),
-        "9d18d12b081f8f8caf026fe1ff0283d8a312e27a9ae12d23ec6357207610d3c6"),
+        "7904c97d9cf0814feb8cc0cf77b639b625a0d09fe1dd42db9f10d85c6952a350"),
     "richardson1d": (
         ExperimentConfig(size=63, smoother="richardson", trials=30),
-        "d3b830b2497ef2487a4c6b9a0c8280624acdd1328c3654e1e3b228fe846e2bf8"),
+        "f65d4b3d8424ab4e423c48184a4807938ab5ed17f1155f645fb142551b86dcd0"),
 }
 
 

@@ -1,6 +1,7 @@
 """Norms, spectra, condition numbers, and the norm inequalities they satisfy."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -19,8 +20,15 @@ from mixedmg import (
     solve_spd,
     spectral_norm,
 )
-from mixedmg.hierarchy import poisson_1d
-from mixedmg.linops import energy_operator_norm
+from mixedmg import linops
+from mixedmg.hierarchy import poisson_1d, poisson_2d
+from mixedmg.linops import (
+    EigenvalueBoundError,
+    _lower_band,
+    diagonal_congruence,
+    eigenvalue_bound,
+    energy_operator_norm,
+)
 
 EPS = float(np.finfo(np.float64).eps)
 
@@ -234,3 +242,87 @@ class TestEnergyOperatorNorm:
             sup = max(sup, energy_norm(K @ w, A) / energy_norm(w, A))
         assert sup <= norm * (1 + 1e-10)
         assert sup >= 0.2 * norm  # random probing gets within a small factor
+
+
+def _ends(K, B=None, **kwargs):
+    return (eigenvalue_bound(K, B, end="min", **kwargs),
+            eigenvalue_bound(K, B, **kwargs))
+
+
+class TestEigenvalueBound:
+    """Certified ends of extreme eigenvalues by shifted banded Cholesky."""
+
+    @pytest.mark.parametrize("width", [1, 3])
+    @pytest.mark.parametrize("c", [1.0, 2.0 / 3.0, -0.375])
+    def test_multiple_of_identity(self, c, width):
+        # every eigenvalue coincides, the case LAPACK's 'evr' and 'evx'
+        # drivers fail on; Gershgorin's end is exact and is kept
+        K = np.zeros((width, 40))
+        K[0] = c
+        assert _ends(K) == (c, c)
+
+    def test_indefinite_band(self):
+        rng = np.random.default_rng(11)
+        X = np.triu(np.tril(rng.standard_normal((30, 30)), 2), -2)
+        S = X + X.T
+        w = np.linalg.eigvalsh(S)
+        lo, hi = _ends(_lower_band(S))
+        assert lo < 0 < hi
+        assert w[0] - 1e-12 * np.abs(w).max() <= lo <= w[0]
+        assert w[-1] <= hi <= w[-1] + 1e-12 * np.abs(w).max()
+        assert spectral_norm(S) == max(hi, -lo)
+
+    def test_one_by_one(self):
+        assert _ends(np.array([[2.5]])) == (2.5, 2.5)
+
+    def test_two_by_two(self):
+        # [[2, 1], [1, 2]] has eigenvalues 1 and 3
+        lo, hi = _ends(np.array([[2.0, 2.0], [1.0, 0.0]]))
+        assert 1.0 - 4 * EPS <= lo <= 1.0
+        assert 3.0 <= hi <= 3.0 * (1 + 4 * EPS)
+
+    @pytest.mark.parametrize("c", [0.5, 2.0 / 3.0, 1.28271484375])
+    def test_pencil_of_a_scalar_diagonal(self, c):
+        # (D A D, A) with D = c I has every eigenvalue equal to c**2; the band
+        # of D A D is rounded, and k_err covers it, so the ends bracket the
+        # exact square of the stored c
+        A = build_multilevel(63, 2)[0].A
+        K, k_err = diagonal_congruence(A, np.full(A.n, c))
+        lo, hi = _ends(K, A.band, b_floor=A.lambda_min_bound, k_err=k_err)
+        square = Fraction(c) ** 2
+        assert Fraction(lo) <= square <= Fraction(hi)
+        assert hi - lo <= 1e-10 * c * c
+
+    def test_pencil_with_diagonal_b_is_the_scaled_matrix(self):
+        # (D A D, D) has the eigenvalues of D A
+        A = poisson_1d(15)
+        d = np.linspace(0.5, 1.5, 15)
+        w = np.sort(np.linalg.eigvals(d[:, None] * A.matrix.toarray()).real)
+        K, k_err = diagonal_congruence(A, d)
+        dense = (d[:, None] * A.matrix.toarray()) * d[None, :]
+        np.testing.assert_allclose(K, _lower_band(dense), rtol=4 * EPS, atol=0)
+        lo, hi = _ends(K, d[None, :], k_err=k_err)
+        assert w[0] * (1 - 1e-12) <= lo <= w[0]
+        assert w[-1] <= hi <= w[-1] * (1 + 1e-12)
+
+    def test_same_bits_on_every_call(self):
+        A = poisson_2d(15)
+        first = [eigenvalue_bound(A.band, end=end).hex() for end in ("min", "max")]
+        again = [eigenvalue_bound(A.band, end=end).hex() for end in ("min", "max")]
+        assert first == again
+        assert A.lambda_min_bound.hex() == first[0]
+        assert A.lambda_max_bound.hex() == first[1]
+
+    def test_factorization_budget_raises_naming_the_order(self, monkeypatch):
+        monkeypatch.setattr(linops, "MAX_FACTORIZATIONS", 2)
+        with pytest.raises(EigenvalueBoundError, match="order-255"):
+            eigenvalue_bound(poisson_1d(255).band)
+
+    def test_bad_arguments_rejected(self):
+        A = poisson_1d(7)
+        with pytest.raises(ValueError):
+            eigenvalue_bound(A.band, end="middle")
+        with pytest.raises(ValueError):
+            eigenvalue_bound(A.band, A.band)  # a banded B needs b_floor
+        with pytest.raises(ValueError):
+            eigenvalue_bound(A.band, np.ones((1, 7)), b_floor=0.0)

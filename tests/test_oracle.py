@@ -1,4 +1,4 @@
-"""The banded set-up constants against the dense oracle, and the guard that
+"""The certified set-up constants against the dense oracle, and the guard that
 keeps the dense forms off the experiment path."""
 
 import functools
@@ -22,7 +22,7 @@ from mixedmg import (
     measure_bc_deviation,
     rho_star,
 )
-from mixedmg.harness import ExperimentConfig, run_experiment
+from mixedmg.harness import ExperimentConfig, render_csv, run_experiment
 
 REL = 1e-10
 FMT = PrecisionFormat(12)
@@ -65,8 +65,41 @@ def test_level_constants(name):
     for lvl in hierarchy(name)[:-1]:
         assert_close(lvl.kappa, oracle.condition_number(lvl.A), "kappa")
         assert_close(lvl.kappa_c, oracle.condition_number(lvl.A_c), "kappa_c")
-        assert_close(lvl.eta_A, oracle.abs_matrix_norm(lvl.A.dense), "eta_A")
+        assert_close(lvl.eta_A, oracle.abs_matrix_norm(lvl.A.matrix), "eta_A")
         assert_close(lvl.eta_P, oracle.abs_matrix_norm(lvl.P), "eta_P")
+
+
+def assert_safe(got, expected, what):
+    """``got`` errs on the safe (upper) side of ``expected``, by at most REL."""
+    assert expected <= got <= expected + REL * abs(expected), (what, got, expected)
+
+
+@pytest.mark.parametrize("name", HIERARCHIES)
+def test_constants_on_the_safe_side(name):
+    # each certified constant is an upper end: never below the dense value
+    levels = hierarchy(name)
+    for lvl in levels[:-1]:
+        assert_safe(lvl.kappa, oracle.condition_number(lvl.A), "kappa")
+        assert_safe(lvl.kappa_c, oracle.condition_number(lvl.A_c), "kappa_c")
+        assert_safe(lvl.eta_A, oracle.abs_matrix_norm(lvl.A.matrix), "eta_A")
+        assert_safe(lvl.eta_P, oracle.abs_matrix_norm(lvl.P), "eta_P")
+    A = levels[0].A
+    for kind in ("jacobi", "richardson"):
+        for fmt in (FMT, CARRIER):
+            K = smoother(kind, A, fmt)
+            assert_safe(K.contraction, oracle.contraction(A, K.diag), "contraction")
+            assert_safe(K.eta_energy, oracle.energy_operator_norm(np.diag(K.diag), A),
+                        "eta_energy")
+
+
+@pytest.mark.parametrize("name", HIERARCHIES)
+def test_unit_scales_from_above(name):
+    # each scale is an upper end of the norm before scaling, so the stored
+    # norms sit at most a few roundoffs above one and within 1e-13 below it
+    for lvl in hierarchy(name)[:-1]:
+        for M in (lvl.A, lvl.A_c):
+            top = oracle.eigenvalues(M)[-1]
+            assert 1.0 - 1e-13 <= top <= 1.0 + 4 * np.finfo(np.float64).eps, top
 
 
 @pytest.mark.parametrize("kind", ["jacobi", "richardson"])
@@ -123,15 +156,27 @@ def test_run_experiment_takes_no_dense_spectral_path(monkeypatch, config):
     for owner, name in ((np.linalg, "svd"), (linalg, "svd"), (np.linalg, "eigh"),
                         (linalg, "eigh"), (scipy.linalg, "svd"),
                         (scipy.linalg, "svdvals"), (scipy.linalg, "eigh"),
-                        (scipy.linalg, "cho_factor")):
+                        (scipy.linalg, "cho_factor"), (scipy.linalg, "eig_banded")):
         monkeypatch.setattr(owner, name, _forbidden)
-    for name in ("eigh", "sqrt_dense", "inv_sqrt_dense", "dense"):
+    for name in ("eigh", "sqrt_dense", "inv_sqrt_dense", "dense", "eigenvalues"):
         monkeypatch.setattr(SparseSpd, name, property(_forbidden), raising=False)
-    # the patches reach the dense forms, a matrix 2-norm included
+    # the patches reach the dense forms, a matrix 2-norm and the band
+    # reduction included
     with pytest.raises(AssertionError, match="dense spectral path"):
         np.linalg.norm(np.eye(2), 2)
+    with pytest.raises(AssertionError, match="dense spectral path"):
+        oracle.eigenvalues(SparseSpd(np.eye(2)))
     with pytest.raises(AssertionError, match="dense spectral path"):
         SparseSpd(np.eye(2)).dense  # noqa: B018
     records = run_experiment(config)
     assert len(records) == 5 * len(config.bits)
     assert all(r.passed for r in records)
+
+
+@pytest.mark.parametrize("config", [
+    ExperimentConfig(size=63, levels=3, coarse="recursive", trials=3),
+    ExperimentConfig(problem="poisson2d", size=15, smoother="richardson", trials=3),
+], ids=["1d-recursive", "2d-richardson"])
+def test_run_experiment_renders_the_same_bytes_twice(config):
+    # the certified ends start from a fixed vector: no draw moves their bits
+    assert render_csv(run_experiment(config)) == render_csv(run_experiment(config))
