@@ -30,7 +30,6 @@ from .cycles import (
     make_perturbed_coarse,
     make_recursive_coarse,
     make_richardson,
-    measure_bc_deviation,
     projector_energy_norm,
     rho_star,
     tg_cycle,

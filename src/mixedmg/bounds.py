@@ -20,6 +20,7 @@ from .precision import (
     CARRIER_BITS,
     PrecisionFormat,
     PrecisionUnachievableError,
+    mdot_plus_eps,
 )
 
 #: Labels of the sixteen instrumented proof inequalities, in execution
@@ -53,10 +54,11 @@ PROOF_LINES = (
 class BoundInputs:
     """Structural parameters the constants are evaluated from.
 
-    ``mdot_A`` and ``mdot_P`` are the inflation factors
-    ``(m + 1) / (1 - (m + 1) * eps)`` already evaluated at ``eps``;
-    ``alpha_M`` and ``alpha_N`` certify the relaxation kernels' Euclidean
-    rounding error ``norm(fl(Mz) - Mz) <= alpha_M * eps * norm(z)``.
+    ``m_A`` and ``m_P`` are the row counts (most nonzeros in a row) of
+    ``A`` and ``P``; ``mdot_A`` and ``mdot_P`` are their inflation factors
+    ``(m + 1) / (1 - (m + 1) * eps)``.  ``alpha_M`` and ``alpha_N`` certify
+    the relaxation kernels' Euclidean rounding error
+    ``norm(fl(Mz) - Mz) <= alpha_M * eps * norm(z)``.
     """
 
     eps: float
@@ -66,8 +68,8 @@ class BoundInputs:
     eta_P: float
     eta_M: float
     eta_N: float
-    mdot_A: float
-    mdot_P: float
+    m_A: int
+    m_P: int
     alpha_M: float
     alpha_N: float
 
@@ -76,10 +78,20 @@ class BoundInputs:
             raise ValueError(f"eps must be in [0, 1), got {self.eps}")
         if self.kappa < 1.0 or self.kappa_c < 1.0:
             raise ValueError("condition numbers must be >= 1")
-        for name in ("eta_A", "eta_P", "eta_M", "eta_N", "mdot_A", "mdot_P",
+        for name in ("eta_A", "eta_P", "eta_M", "eta_N", "m_A", "m_P",
                      "alpha_M", "alpha_N"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
+        # PrecisionTooLowError unless both inflation factors are defined
+        mdot_plus_eps(max(self.m_A, self.m_P), self.eps)
+
+    @property
+    def mdot_A(self) -> float:
+        return mdot_plus_eps(self.m_A, self.eps)
+
+    @property
+    def mdot_P(self) -> float:
+        return mdot_plus_eps(self.m_P, self.eps)
 
 
 #: Column order of the serialized report, fixed for downstream stability.
@@ -115,37 +127,16 @@ class BoundReport:
     gamma: tuple[float, float, float, float, float] = field(repr=False)
 
     def as_dict(self) -> dict:
-        d = {
-            "n": self.n,
-            "n_c": self.n_c,
-            "significand_bits": self.significand_bits,
-            "eps": self.inputs.eps,
-            "kappa": self.inputs.kappa,
-            "kappa_c": self.inputs.kappa_c,
-            "eta_A": self.inputs.eta_A,
-            "eta_P": self.inputs.eta_P,
-            "eta_M": self.inputs.eta_M,
-            "eta_N": self.inputs.eta_N,
-            "alpha_M": self.inputs.alpha_M,
-            "alpha_N": self.inputs.alpha_N,
-            "c0": self.c0, "c1": self.c1, "c2": self.c2,
-            "c3": self.c3, "c4": self.c4, "c5": self.c5,
-            "delta_rho": self.delta_rho,
-            "rho_star": self.rho_star,
-            "rho_tg": self.rho_tg,
-            "pi_dot": self.pi_dot,
-            "xi": self.xi,
-        }
-        for i, g in enumerate(self.gamma, start=1):
-            d[f"gamma{i}"] = g
-        return d
+        """The report's values under :data:`REPORT_COLUMNS`, in that order."""
+        values = {**vars(self.inputs), **vars(self),
+                  **{f"gamma{i}": g for i, g in enumerate(self.gamma, start=1)}}
+        return {name: values[name] for name in REPORT_COLUMNS}
 
     def to_json(self) -> str:
         return json.dumps(self.as_dict(), indent=2)
 
     def csv_fields(self) -> list:
-        d = self.as_dict()
-        return [d[k] for k in REPORT_COLUMNS]
+        return list(self.as_dict().values())
 
 
 def _c_constants(p: BoundInputs) -> tuple[float, float, float, float, float, float]:
@@ -194,41 +185,22 @@ def compute_constants(
         rho_tg=rho_star + delta_rho,
         pi_dot=pi_dot,
         xi=xi,
-        gamma=gamma_constants(_limit_inputs(inputs)),
-    )
-
-
-def _limit_inputs(inputs: BoundInputs) -> BoundInputs:
-    # invert mdot = (m+1)/(1-(m+1)e) to recover the zero-roundoff limit m+1
-    e = inputs.eps
-    return BoundInputs(
-        eps=0.0,
-        kappa=inputs.kappa,
-        kappa_c=inputs.kappa_c,
-        eta_A=inputs.eta_A,
-        eta_P=inputs.eta_P,
-        eta_M=inputs.eta_M,
-        eta_N=inputs.eta_N,
-        mdot_A=inputs.mdot_A / (1 + inputs.mdot_A * e),
-        mdot_P=inputs.mdot_P / (1 + inputs.mdot_P * e),
-        alpha_M=inputs.alpha_M,
-        alpha_N=inputs.alpha_N,
+        gamma=gamma_constants(inputs),
     )
 
 
 def gamma_constants(inputs: BoundInputs) -> tuple[float, float, float, float, float]:
     """Simplified asymptotic coefficients of the leading ``pi_dot`` term.
 
-    Callers should supply zero-roundoff limit inputs: ``mdot_A`` and
-    ``mdot_P`` collapse to ``m + 1`` and ``alpha_M`` to its roundoff-free
-    value.  These are coarse structural estimates, not exact derivatives:
-    they drop conditioning-ratio factors in some terms (see the
-    linearization study in the acceptance suite).
+    The inflation factors enter at their zero-roundoff limit ``m + 1``;
+    ``eps`` is not read.  These are coarse structural estimates, not exact
+    derivatives: they drop conditioning-ratio factors in some terms (see
+    the linearization study in the acceptance suite).
     """
     xi = math.sqrt(inputs.kappa_c / inputs.kappa)
     hA, hP, hM = inputs.eta_A, inputs.eta_P, inputs.eta_M
     aM = inputs.alpha_M
-    mA, mP = inputs.mdot_A, inputs.mdot_P
+    mA, mP = inputs.m_A + 1, inputs.m_P + 1
     g1 = xi * (hP * (1 + mA * (1 + hA * hM) + hA * (hM + aM))
                + mP * hP * (1 + hA * hM))
     g2 = 2 * mP * hP + 2 * g1

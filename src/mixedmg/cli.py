@@ -30,7 +30,6 @@ from .harness import (
     validate_csv,
     write_csv,
 )
-from .precision import mdot_plus_eps
 
 
 def _add_run(sub):
@@ -137,8 +136,8 @@ def _cmd_bounds(args) -> int:
         eta_P=args.eta_p,
         eta_M=args.eta_m,
         eta_N=args.eta_n,
-        mdot_A=mdot_plus_eps(args.m_a, eps),
-        mdot_P=mdot_plus_eps(args.m_p, eps),
+        m_A=args.m_a,
+        m_P=args.m_p,
         alpha_M=args.alpha_m,
         alpha_N=args.alpha_n,
     )

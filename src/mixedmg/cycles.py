@@ -228,19 +228,25 @@ def make_perturbed_coarse(level: GridLevel, sigma: float, seed: int = 0) -> Coar
 
 
 def default_smoothers(levels, fmt: PrecisionFormat, omega: float = 2.0 / 3.0):
-    """Damped Jacobi pre/post pair for every non-coarsest level."""
-    return [(make_jacobi(l.A, omega, fmt),) * 2 for l in levels[:-1]]
+    """Damped Jacobi pre/post pair for every level."""
+    return [(make_jacobi(l.A, omega, fmt),) * 2 for l in levels]
 
 
 def make_recursive_coarse(levels, mu: int, nu: int, smoothers=None) -> CoarseSolver:
-    """Coarse solver that runs one carrier-precision cycle on the sub-hierarchy.
+    """Coarse solver of ``levels[0]`` that runs one carrier V-cycle on ``levels[1:]``.
 
-    With only two levels the recursion bottoms out immediately and the
-    solver degenerates to the exact direct solve.
+    ``smoothers`` is one ``(M, N)`` pair per level of ``levels[1:]``.  With a
+    single level there is no cycle below, and the solver is the exact
+    direct solve.
     """
-    solver = _sub_hierarchy_solver(levels, mu, nu, smoothers)
-    if solver.variant == "exact":
-        return solver
+    sub = tuple(levels[1:])
+    if not sub:
+        return make_exact_coarse()
+    if smoothers is None:
+        smoothers = default_smoothers(sub, CARRIER)
+    solver = CoarseSolver(variant="recursive", bc_deviation=math.nan,
+                          sub_levels=sub, sub_smoothers=tuple(smoothers),
+                          mu=mu, nu=nu)
     dev = _bc_deviation(levels[0], solver)
     if dev >= 1.0:
         raise ContractionError(
@@ -352,8 +358,6 @@ def tg_cycle(level: GridLevel, r, M: RelaxationOp, N: RelaxationOp,
     measured against the exact reference computed with the same ``M``,
     ``N`` and coarse solver.
     """
-    if level.P is None:
-        raise ValueError("tg_cycle needs a level with a coarse grid")
     solve = lambda r_c: coarse.apply(level, r_c)  # noqa: E731
     s = _cycle(level, r, M, N, 1, 1, solve, fmt)
     ref = _cycle(level, r, M, N, 1, 1, solve, CARRIER)
@@ -413,27 +417,28 @@ def v_cycle(levels, mu: int, nu: int, r, fmt: PrecisionFormat, *,
             smoothers=None) -> np.ndarray:
     """Recursive V(mu, nu)-cycle over a hierarchy, all levels in ``fmt``.
 
-    ``r`` is one right-hand side ``(n,)`` or a block ``(n, T)`` of them.
-    Each level runs the step sequence of :func:`tg_cycle` with ``mu`` pre-
-    and ``nu`` post-relaxation sweeps, and its coarse correction is the
-    V-cycle one level down; the coarsest system is solved directly in the
-    carrier.  In the carrier the cycle is the exact-arithmetic proxy.  With
-    two levels and ``mu = nu = 1`` the result is bit for bit that of
-    :func:`tg_cycle` with an exact coarse solver.
+    ``levels`` is a list of two-grid levels, as :func:`build_multilevel`
+    gives it; ``r`` is one right-hand side ``(n,)`` or a block ``(n, T)`` of
+    them.  Each level runs the step sequence of :func:`tg_cycle` with ``mu``
+    pre- and ``nu`` post-relaxation sweeps, and its coarse correction is the
+    V-cycle one level down; the coarsest system, ``levels[-1].A_c``, is
+    solved directly in the carrier.  In the carrier the cycle is the
+    exact-arithmetic proxy.  With one level and ``mu = nu = 1`` the result
+    is bit for bit that of :func:`tg_cycle` with an exact coarse solver.
 
-    ``smoothers`` is one ``(M, N)`` pair per non-coarsest level; damped
-    Jacobi (omega = 2/3) pairs are built when omitted.
+    ``smoothers`` is one ``(M, N)`` pair per level; damped Jacobi
+    (omega = 2/3) pairs are built when omitted.
     """
-    if len(levels) < 2:
-        raise ValueError("v_cycle needs at least two levels")
+    if not levels:
+        raise ValueError("v_cycle needs at least one level")
     if mu < 0 or nu < 0 or mu + nu < 1:
         raise ValueError("need mu, nu >= 0 with mu + nu >= 1")
     if smoothers is None:
         smoothers = default_smoothers(levels, fmt)
-    if len(smoothers) != len(levels) - 1:
-        raise ValueError("need one smoother pair per non-coarsest level")
+    if len(smoothers) != len(levels):
+        raise ValueError("need one smoother pair per level")
     level = levels[0]
-    if len(levels) == 2:
+    if len(levels) == 1:
         coarse = lambda r_c: solve_spd(level.A_c, r_c)  # noqa: E731
     else:
         coarse = lambda r_c: v_cycle(levels[1:], mu, nu, r_c, fmt,  # noqa: E731
@@ -442,40 +447,11 @@ def v_cycle(levels, mu: int, nu: int, r, fmt: PrecisionFormat, *,
     return _cycle(level, r, M, N, mu, nu, coarse, fmt).y
 
 
-def _sub_hierarchy_solver(levels, mu: int, nu: int, smoothers) -> CoarseSolver:
-    """The coarse solve one carrier cycle on ``levels[1:]`` gives, deviation unset.
-
-    The exact direct solve when that hierarchy has a single level.
-    """
-    if len(levels) < 2:
-        raise ValueError("need at least two levels")
-    if len(levels) == 2:
-        return make_exact_coarse()
-    sub = tuple(levels[1:])
-    if smoothers is None:
-        smoothers = default_smoothers(sub, CARRIER)
-    return CoarseSolver(variant="recursive", bc_deviation=math.nan,
-                        sub_levels=sub, sub_smoothers=tuple(smoothers),
-                        mu=mu, nu=nu)
-
-
 def _bc_deviation(level: GridLevel, solver: CoarseSolver) -> float:
     """Coarse energy norm of ``B_c - I``, with ``B_c = (B_c A_c^{-1}) A_c``."""
     A_c = level.A_c
     B_c = (A_c.matrix @ solver.solve_matrix(level).T).T  # A_c is symmetric
     return energy_operator_norm(B_c - np.eye(A_c.n), A_c)
-
-
-def measure_bc_deviation(levels, mu: int, nu: int, *, smoothers=None) -> float:
-    """Energy deviation from identity of the effective recursive coarse solve.
-
-    Assembles ``B_c A_c^{-1}`` densely with :meth:`CoarseSolver.solve_matrix`
-    of the carrier-precision recursive cycle on ``levels[1:]`` (the direct
-    solve when that hierarchy has a single level), multiplies by ``A_c`` and
-    returns the coarse energy norm of ``B_c - I``.  ``smoothers`` is one
-    ``(M, N)`` pair per non-coarsest level of ``levels[1:]``.
-    """
-    return _bc_deviation(levels[0], _sub_hierarchy_solver(levels, mu, nu, smoothers))
 
 
 def _projector_similarity(level: GridLevel) -> np.ndarray:

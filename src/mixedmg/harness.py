@@ -22,6 +22,7 @@ from __future__ import annotations
 import configparser
 import csv
 import io
+import math
 import warnings
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -50,7 +51,7 @@ from .cycles import (
 )
 from .hierarchy import GridLevel, build_multilevel, check_refinable
 from .linops import energy_norm, solve_spd
-from .precision import PrecisionFormat, column_norms, mdot_plus_eps
+from .precision import PrecisionFormat, column_norms
 
 
 #: Trials per blocked cycle call.  Wider blocks cut per-call overhead
@@ -90,6 +91,10 @@ class ExperimentConfig:
             raise ConfigError(f"unknown coarse solver {self.coarse!r}")
         if self.trials < 1:
             raise ConfigError("trials must be >= 1")
+        if not (math.isfinite(self.omega) and self.omega > 0.0):
+            raise ConfigError(f"omega must be finite and > 0, got {self.omega}")
+        if self.rng_seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.rng_seed}")
         if self.levels < 2:
             raise ConfigError("need at least 2 levels")
         if self.pi_target is None and not self.bits:
@@ -226,8 +231,8 @@ def bound_inputs_for(level: GridLevel, M: RelaxationOp, N: RelaxationOp,
         eta_P=level.eta_P,
         eta_M=M.eta_euclid,
         eta_N=N.eta_energy,
-        mdot_A=mdot_plus_eps(level.A.row_layout.m, fmt.unit_roundoff),
-        mdot_P=mdot_plus_eps(level.P_layout.m, fmt.unit_roundoff),
+        m_A=level.A.row_layout.m,
+        m_P=level.P_layout.m,
         alpha_M=M.alpha,
         alpha_N=N.alpha,
     )

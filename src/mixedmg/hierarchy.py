@@ -97,33 +97,25 @@ class GridLevel:
     stored (rescaled) ``P``.  ``eta_A`` and ``eta_P`` are the spectral
     norms of the entrywise absolute values ``|A|`` and ``|P|``; the row
     counts the error model inflates are ``A.row_layout.m`` and
-    ``P_layout.m``.  The coarsest level of a hierarchy has ``P``, ``A_c``
-    and the coarse constants set to ``None``.
+    ``P_layout.m``.
     """
 
     A: SparseSpd
-    P: sparse.csr_array | None
-    P_t: sparse.csr_array | None
-    A_c: SparseSpd | None
+    P: sparse.csr_array
+    P_t: sparse.csr_array
+    A_c: SparseSpd
     eta_A: float
-    eta_P: float | None
+    eta_P: float
     kappa: float
-    kappa_c: float | None
+    kappa_c: float
 
     @property
     def n(self) -> int:
         return self.A.n
 
     @property
-    def n_c(self) -> int | None:
-        return None if self.A_c is None else self.A_c.n
-
-    @property
-    def xi(self) -> float | None:
-        """The conditioning ratio sqrt(kappa_c / kappa)."""
-        if self.kappa_c is None:
-            return None
-        return float(np.sqrt(self.kappa_c / self.kappa))
+    def n_c(self) -> int:
+        return self.A_c.n
 
     @cached_property
     def P_layout(self) -> RowLayout:
@@ -146,11 +138,6 @@ def _scaled(A) -> SparseSpd:
     return SparseSpd(A.matrix * (1.0 / s))
 
 
-def _fine_side(A: SparseSpd) -> dict:
-    """The fine-side fields of a :class:`GridLevel` for an already scaled ``A``."""
-    return dict(A=A, eta_A=abs_matrix_norm(A), kappa=condition_number(A))
-
-
 def _level(A: SparseSpd, P) -> GridLevel:
     """The level of an already scaled ``A``; see :func:`normalize_hierarchy`."""
     P = sparse.csr_array(P).astype(np.float64)
@@ -165,18 +152,15 @@ def _level(A: SparseSpd, P) -> GridLevel:
     P1_t = sparse.csr_array(P1.T)
     P1_t.sort_indices()
     return GridLevel(
-        **_fine_side(A),
+        A=A,
         P=P1,
         P_t=P1_t,
         A_c=A_c,
+        eta_A=abs_matrix_norm(A),
         eta_P=abs_matrix_norm(P1),
+        kappa=condition_number(A),
         kappa_c=condition_number(A_c),
     )
-
-
-def _terminal(A: SparseSpd) -> GridLevel:
-    return GridLevel(**_fine_side(A), P=None, P_t=None, A_c=None,
-                     eta_P=None, kappa_c=None)
 
 
 def normalize_hierarchy(A, P) -> GridLevel:
@@ -190,11 +174,6 @@ def normalize_hierarchy(A, P) -> GridLevel:
     return _level(_scaled(A), P)
 
 
-def coarsest_level(A) -> GridLevel:
-    """Wrap a matrix, scaled to unit norm, as the terminal (direct-solve) level."""
-    return _terminal(_scaled(A))
-
-
 def check_refinable(size: int, levels: int):
     """Raise ``ValueError`` unless a ``size``-point grid halves ``levels - 1`` times."""
     k = int(round(np.log2(size + 1)))
@@ -205,15 +184,16 @@ def check_refinable(size: int, levels: int):
 
 
 def build_multilevel(n_finest: int, levels: int, problem: str = "poisson1d") -> list[GridLevel]:
-    """Chain of normalized grid levels for a model problem.
+    """The ``levels - 1`` normalized two-grid levels of a ``levels``-grid hierarchy.
 
     For ``poisson1d`` the finest grid has ``n_finest = 2**k - 1`` points;
     for ``poisson2d`` it is an ``n_finest``-by-``n_finest`` interior grid.
     Only the finest matrix is scaled: each level's ``A_c``, whose norm the
-    scaled ``P`` bounds by one, is bit for bit the next level's ``A``.
+    scaled ``P`` bounds by one, is bit for bit the next level's ``A``, and
+    the coarsest grid is ``levels[-1].A_c``.
     """
-    if levels < 1:
-        raise ValueError("levels must be >= 1")
+    if levels < 2:
+        raise ValueError("levels must be >= 2")
     check_refinable(n_finest, levels)
     if problem == "poisson1d":
         A = poisson_1d(n_finest)
@@ -232,5 +212,4 @@ def build_multilevel(n_finest: int, levels: int, problem: str = "poisson1d") -> 
         out.append(lvl)
         current = lvl.A_c
         size = (size - 1) // 2
-    out.append(_terminal(current))
     return out

@@ -43,7 +43,7 @@ from mixedmg import (
 )
 from mixedmg.cycles import _cycle
 from mixedmg.harness import ExperimentConfig, progressive_study, run_experiment
-from mixedmg.hierarchy import coarsest_level, linear_interpolation, poisson_1d
+from mixedmg.hierarchy import linear_interpolation, poisson_1d
 
 from test_bounds import constants_oracle, random_inputs
 
@@ -200,17 +200,12 @@ def test_a5_gamma_linearization():
     )
     m_a, m_p = lvl.A.row_layout.m, lvl.P_layout.m
     gammas = gamma_constants(BoundInputs(
-        eps=0.0, mdot_A=float(m_a + 1), mdot_P=float(m_p + 1), **structure))
+        eps=0.0, m_A=m_a, m_P=m_p, **structure))
 
     grid = [2.0**-b for b in (16, 20, 24, 28, 32, 36, 40)]
     ratios = {k: [] for k in range(1, 6)}
     for eps in grid:
-        inputs = BoundInputs(
-            eps=eps,
-            mdot_A=(m_a + 1) / (1 - (m_a + 1) * eps),
-            mdot_P=(m_p + 1) / (1 - (m_p + 1) * eps),
-            **structure,
-        )
+        inputs = BoundInputs(eps=eps, m_A=m_a, m_P=m_p, **structure)
         rep = compute_constants(inputs)
         pi = rep.pi_dot
         cs = (rep.c1, rep.c2, rep.c3, rep.c4, rep.c5)

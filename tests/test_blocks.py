@@ -22,7 +22,7 @@ from mixedmg import (
     tg_cycle,
     v_cycle,
 )
-from mixedmg.hierarchy import coarsest_level, poisson_2d
+from mixedmg.hierarchy import poisson_2d
 from mixedmg.precision import RowLayout, column_norms
 
 FMT = PrecisionFormat(10)
@@ -201,10 +201,9 @@ class TestCycles:
             assert np.array_equal(W[:, i], coarse.apply(lvl, e))
 
     def test_two_level_v_cycle_block_matches_tg_cycle(self, level31, jacobi31):
-        levels = [level31, coarsest_level(level31.A_c)]
         R = np.random.default_rng(11).standard_normal((31, T))
         y_tg, _ = tg_cycle(level31, R, jacobi31, jacobi31, make_exact_coarse(), FMT)
-        y_v = v_cycle(levels, 1, 1, R, FMT, smoothers=[(jacobi31, jacobi31)])
+        y_v = v_cycle([level31], 1, 1, R, FMT, smoothers=[(jacobi31, jacobi31)])
         assert np.array_equal(y_tg, y_v)
 
 
@@ -240,7 +239,7 @@ class TestFailuresInOneColumn:
         with pytest.raises(ValueError):
             exact_tg_reference(level31, X, jacobi31, jacobi31, make_exact_coarse())
         with pytest.raises(ValueError):
-            v_cycle([level31, coarsest_level(level31.A_c)], 1, 1, X, CARRIER)
+            v_cycle([level31], 1, 1, X, CARRIER)
 
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_overflow_raises(self, level31):

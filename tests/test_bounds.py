@@ -11,6 +11,7 @@ from mixedmg import (
     BoundInputs,
     PROOF_LINES,
     PrecisionFormat,
+    PrecisionTooLowError,
     PrecisionUnachievableError,
     compute_constants,
     gamma_constants,
@@ -46,19 +47,17 @@ def constants_oracle(p: BoundInputs):
 
 
 def identity_like_inputs(eps):
-    m = 1
-    mdot = (m + 1) / (1 - (m + 1) * eps) if eps else float(m + 1)
     return BoundInputs(
         eps=eps, kappa=1.0, kappa_c=1.0,
         eta_A=1.0, eta_P=1.0, eta_M=1.0, eta_N=1.0,
-        mdot_A=mdot, mdot_P=mdot, alpha_M=1.0, alpha_N=1.0,
+        m_A=1, m_P=1, alpha_M=1.0, alpha_N=1.0,
     )
 
 
 def random_inputs(rng):
     eps = 2.0 ** -float(rng.uniform(6, 40))
-    m_a = int(rng.integers(1, 9))
-    m_p = int(rng.integers(1, 9))
+    m_A = int(rng.integers(1, 9))
+    m_P = int(rng.integers(1, 9))
     kappa = float(rng.uniform(1.0, 1e4))
     return BoundInputs(
         eps=eps,
@@ -68,8 +67,8 @@ def random_inputs(rng):
         eta_P=float(rng.uniform(0.5, 4.0)),
         eta_M=float(rng.uniform(0.1, 3.0)),
         eta_N=float(rng.uniform(0.1, 3.0)),
-        mdot_A=(m_a + 1) / (1 - (m_a + 1) * eps),
-        mdot_P=(m_p + 1) / (1 - (m_p + 1) * eps),
+        m_A=m_A,
+        m_P=m_P,
         alpha_M=float(rng.uniform(0.1, 3.0)),
         alpha_N=float(rng.uniform(0.1, 3.0)),
     )
@@ -89,6 +88,23 @@ class TestBoundInputs:
         good = identity_like_inputs(2.0**-20)
         with pytest.raises(ValueError):
             BoundInputs(**{**good.__dict__, "eta_P": 0.0})
+
+    def test_rejects_empty_rows(self):
+        good = identity_like_inputs(2.0**-20)
+        with pytest.raises(ValueError):
+            BoundInputs(**{**good.__dict__, "m_A": 0})
+
+    def test_rejects_undefined_inflation(self):
+        good = identity_like_inputs(2.0**-10)
+        with pytest.raises(PrecisionTooLowError):
+            BoundInputs(**{**good.__dict__, "m_P": 1023})
+
+    def test_inflation_factors(self):
+        eps = 2.0**-12
+        inputs = BoundInputs(**{**identity_like_inputs(eps).__dict__,
+                                "m_A": 5, "m_P": 3})
+        assert inputs.mdot_A == 6 / (1 - 6 * eps)
+        assert inputs.mdot_P == 4 / (1 - 4 * eps)
 
 
 class TestComputeConstants:
@@ -122,9 +138,9 @@ class TestComputeConstants:
         base = identity_like_inputs(2.0**-16)
         r0 = compute_constants(base)
         for field in ("kappa", "kappa_c", "eta_A", "eta_P", "eta_M", "eta_N",
-                      "mdot_A", "mdot_P", "alpha_M", "alpha_N"):
+                      "m_A", "m_P", "alpha_M", "alpha_N"):
             bumped = dict(base.__dict__)
-            bumped[field] = bumped[field] * 2.0
+            bumped[field] = bumped[field] * 2
             r1 = compute_constants(BoundInputs(**bumped))
             assert r1.c5 >= r0.c5
             assert r1.delta_rho >= r0.delta_rho
@@ -169,6 +185,20 @@ class TestGammaConstants:
             gammas = gamma_constants(random_inputs(rng))
             assert gammas[4] == 2.0
 
+    def test_report_gammas_take_m_plus_one(self):
+        # the 2D level has m_A + 1 = 6, which the inflation factor at 12 bits
+        # does not give back exactly: the report's gammas must use m + 1
+        from mixedmg import build_multilevel, make_jacobi
+        from mixedmg.harness import bound_inputs_for
+
+        fmt = PrecisionFormat(12)
+        level = build_multilevel(15, 2, problem="poisson2d")[0]
+        M = make_jacobi(level.A, 2.0 / 3.0, fmt)
+        inputs = bound_inputs_for(level, M, M, fmt)
+        assert (inputs.m_A, inputs.m_P) == (5, 4)
+        limit = BoundInputs(**{**inputs.__dict__, "eps": 0.0})
+        assert compute_constants(inputs).gamma == gamma_constants(limit)
+
     def test_eta_m_small_limit(self):
         # as eta_M -> 0 the third coefficient approaches xi*g2 + 2
         base = identity_like_inputs(0.0)
@@ -180,7 +210,7 @@ class TestGammaConstants:
         inputs = BoundInputs(
             eps=0.0, kappa=400.0, kappa_c=100.0,
             eta_A=1.0, eta_P=2.0, eta_M=1.5, eta_N=1.5,
-            mdot_A=4.0, mdot_P=3.0, alpha_M=1.5, alpha_N=1.5,
+            m_A=3, m_P=2, alpha_M=1.5, alpha_N=1.5,
         )
         g1, g2, g3, g4, g5 = gamma_constants(inputs)
         xi = 0.5
@@ -203,17 +233,14 @@ class TestGammaConstants:
             eps=0.0, kappa=level31.kappa, kappa_c=level31.kappa_c,
             eta_A=level31.eta_A, eta_P=level31.eta_P,
             eta_M=M.eta_euclid, eta_N=M.eta_energy,
-            mdot_A=4.0, mdot_P=3.0,
+            m_A=3, m_P=2,
             alpha_M=M.eta_euclid, alpha_N=M.eta_euclid,
         )
         gammas = gamma_constants(limit)
         ratios_first, ratios_last = [], []
         for bits in (16, 24, 32, 40):
             eps = 2.0**-bits
-            inputs = BoundInputs(**{
-                **limit.__dict__, "eps": eps,
-                "mdot_A": 4.0 / (1 - 4.0 * eps), "mdot_P": 3.0 / (1 - 3.0 * eps),
-            })
+            inputs = BoundInputs(**{**limit.__dict__, "eps": eps})
             rep = compute_constants(inputs)
             pi = rep.pi_dot
             ratios_first.append(abs(rep.c1 - gammas[0] * pi) / pi**2)

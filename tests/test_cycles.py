@@ -22,7 +22,6 @@ from mixedmg import (
     make_perturbed_coarse,
     make_recursive_coarse,
     make_richardson,
-    measure_bc_deviation,
     normalize_hierarchy,
     projector_energy_norm,
     rho_star,
@@ -254,15 +253,11 @@ class TestVCycle:
 
     def test_two_level_bitwise_identity_with_tg(self, level31, jacobi31):
         M, N = jacobi31
-        levels = [level31, None]  # coarsest level is only a placeholder
-        from mixedmg.hierarchy import coarsest_level
-
-        levels[1] = coarsest_level(level31.A_c)
         rng = np.random.default_rng(8)
         for _ in range(10):
             r = rng.standard_normal(31)
             y_tg, _ = tg_cycle(level31, r, M, N, make_exact_coarse(), FMT12)
-            y_v = v_cycle(levels, 1, 1, r, FMT12, smoothers=[(M, N)])
+            y_v = v_cycle([level31], 1, 1, r, FMT12, smoothers=[(M, N)])
             assert np.array_equal(y_tg, y_v)
 
     def test_three_level_reduces_energy_error(self, levels31_3):
@@ -288,9 +283,9 @@ class TestVCycle:
             better += e3
         assert better < worse
 
-    def test_rejects_bad_arguments(self, levels31_3, level31):
+    def test_rejects_bad_arguments(self, levels31_3):
         with pytest.raises(ValueError):
-            v_cycle([level31], 1, 1, np.zeros(31), FMT12)
+            v_cycle([], 1, 1, np.zeros(31), FMT12)
         with pytest.raises(ValueError):
             v_cycle(levels31_3, 0, 0, np.zeros(31), FMT12)
         with pytest.raises(ValueError):
@@ -299,24 +294,21 @@ class TestVCycle:
 
 class TestRecursiveCoarse:
     def test_direct_solve_has_zero_deviation(self, level31):
-        from mixedmg.hierarchy import coarsest_level
-
-        levels = [level31, coarsest_level(level31.A_c)]
-        dev = measure_bc_deviation(levels, 1, 1)
+        dev = make_recursive_coarse([level31], 1, 1).bc_deviation
         assert dev <= 1e-10
 
     def test_three_level_deviation_below_one(self, levels31_3):
-        dev = measure_bc_deviation(levels31_3, 1, 1)
+        dev = make_recursive_coarse(levels31_3, 1, 1).bc_deviation
         assert 0.0 < dev < 1.0
 
     def test_smoothers_for_the_whole_hierarchy_rejected(self, levels31_3):
-        # one pair per non-coarsest level of levels[1:], not of levels
+        # one pair per level of levels[1:], not of levels
         smoothers = default_smoothers(levels31_3, CARRIER)
         with pytest.raises(ValueError):
-            measure_bc_deviation(levels31_3, 1, 1, smoothers=smoothers)
+            make_recursive_coarse(levels31_3, 1, 1, smoothers=smoothers)
 
     def test_deviation_equals_coarse_cycle_rho(self, levels31_3):
-        dev = measure_bc_deviation(levels31_3, 1, 1)
+        dev = make_recursive_coarse(levels31_3, 1, 1).bc_deviation
         sub = levels31_3[1:]
         M, N = default_smoothers(sub, CARRIER)[0]
         rho_coarse = rho_star(sub[0], M, N, make_exact_coarse())
@@ -352,10 +344,7 @@ class TestRecursiveCoarse:
         assert energy_norm(y - x, lvl.A) < energy_norm(x, lvl.A)
 
     def test_two_level_recursion_degenerates_to_exact(self, level31):
-        from mixedmg.hierarchy import coarsest_level
-
-        levels = [level31, coarsest_level(level31.A_c)]
-        solver = make_recursive_coarse(levels, 1, 1)
+        solver = make_recursive_coarse([level31], 1, 1)
         assert solver.variant == "exact"
 
 

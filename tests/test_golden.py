@@ -63,11 +63,11 @@ _PINNED = {
     "recursive2d": (
         ExperimentConfig(problem="poisson2d", size=15, levels=3,
                          coarse="recursive", trials=30),
-        "8378576663b02118a6853eb19e77254ecb0f01f34bc0ebc476c02f1a6cc02423"),
+        "4dcf2fdf34d9c298be114e1ea1134381ed935977fb760cf2bda73942eb50b591"),
     "perturbed2d": (
         ExperimentConfig(problem="poisson2d", size=15, coarse="perturbed",
                          sigma=0.3, trials=30),
-        "7904c97d9cf0814feb8cc0cf77b639b625a0d09fe1dd42db9f10d85c6952a350"),
+        "f621bebc1d9db30dfa7e402370d784099135ee063e6c07d6974d9bff39ac3163"),
     "richardson1d": (
         ExperimentConfig(size=63, smoother="richardson", trials=30),
         "f65d4b3d8424ab4e423c48184a4807938ab5ed17f1155f645fb142551b86dcd0"),

@@ -79,6 +79,18 @@ class TestConfig:
         with pytest.raises(ConfigError):
             ExperimentConfig(size=15, **fields)
 
+    @pytest.mark.parametrize("fields, key", [
+        (dict(omega=float("nan")), "omega"),
+        (dict(omega=float("inf")), "omega"),
+        (dict(omega=-1.0), "omega"),
+        (dict(omega=0.0), "omega"),
+        (dict(rng_seed=-3), "seed"),
+    ], ids=["omega-nan", "omega-inf", "omega-negative", "omega-zero",
+            "seed-negative"])
+    def test_rejects_bad_omega_and_seed(self, fields, key):
+        with pytest.raises(ConfigError, match=key):
+            ExperimentConfig(size=15, **fields)
+
     def test_rejects_empty_precisions(self):
         with pytest.raises(ConfigError):
             ExperimentConfig(bits=(), pi_target=None)
@@ -285,6 +297,19 @@ class TestCli:
         assert code == 2
         assert capsys.readouterr().out == ""
 
+    @pytest.mark.parametrize("old, new", [
+        ("omega = 0.6666666666666666", "omega = nan"),
+        ("omega = 0.6666666666666666", "omega = -1"),
+        ("seed = 99", "seed = -3"),
+    ])
+    def test_run_bad_omega_or_seed_exits_2(self, tmp_path, capsys, old, new):
+        path = tmp_path / "bad.ini"
+        path.write_text(CONFIG_TEXT.replace(old, new, 1))
+        assert cli_main(["run", "--config", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert new.split(" = ")[0] in captured.err
+
     def test_run_missing_config_exits_2(self, tmp_path):
         code = cli_main(["run", "--config", str(tmp_path / "absent.ini")])
         assert code == 2
@@ -310,6 +335,16 @@ class TestCli:
         assert code == 0
         data = json.loads(capsys.readouterr().out)
         assert all(data[f"c{k}"] == 0.0 for k in range(6))
+
+    def test_bounds_json_keys_are_report_columns(self, capsys):
+        from mixedmg.bounds import REPORT_COLUMNS
+
+        assert cli_main([
+            "bounds", "--bits", "12", "--kappa", "4", "--kappa-c", "2",
+            "--eta-a", "1", "--eta-p", "2", "--eta-m", "1", "--eta-n", "1",
+            "--alpha-m", "1", "--alpha-n", "1", "--m-a", "3", "--m-p", "2",
+        ]) == 0
+        assert tuple(json.loads(capsys.readouterr().out)) == REPORT_COLUMNS
 
     def test_bounds_precision_too_low_exits_2(self):
         code = cli_main([

@@ -148,32 +148,51 @@ class TestNormalizeHierarchy:
         assert level31.kappa > level31.kappa_c > 1.0
 
     def test_xi_at_most_one(self):
+        # the conditioning ratio xi = sqrt(kappa_c / kappa) of the bounds
         for n in (15, 31, 63):
             lvl = build_multilevel(n, 2)[0]
-            assert lvl.xi <= 1.0 + 1e-12
+            assert math.sqrt(lvl.kappa_c / lvl.kappa) <= 1.0 + 1e-12
         lvl2d = build_multilevel(7, 2, problem="poisson2d")[0]
-        assert lvl2d.xi <= 1.0 + 1e-12
+        assert math.sqrt(lvl2d.kappa_c / lvl2d.kappa) <= 1.0 + 1e-12
 
 
 class TestBuildMultilevel:
-    def test_single_level_has_no_prolongation(self):
-        levels = build_multilevel(7, 1)
-        assert len(levels) == 1
-        assert levels[0].P is None and levels[0].A_c is None
+    def test_single_grid_rejected(self):
+        with pytest.raises(ValueError):
+            build_multilevel(7, 1)
 
     def test_two_levels_sizes(self):
         levels = build_multilevel(7, 2)
-        assert [l.n for l in levels] == [7, 3]
+        assert [(l.n, l.n_c) for l in levels] == [(7, 3)]
+
+    @pytest.mark.parametrize("grids", [2, 3, 4])
+    def test_one_level_per_fine_coarse_pair(self, grids):
+        levels = build_multilevel(31, grids)
+        assert len(levels) == grids - 1
+        assert [l.n for l in levels] == [31, 15, 7][:grids - 1]
 
     def test_chain_shares_matrices(self):
-        levels = build_multilevel(31, 3)
-        assert levels[0].A_c is levels[1].A
-        assert levels[1].A_c is levels[2].A
+        levels = build_multilevel(31, 4)
+        for fine, coarse in zip(levels, levels[1:]):
+            assert fine.A_c is coarse.A
 
     def test_kappa_decreases_with_level(self):
         levels = build_multilevel(31, 3)
-        kappas = [l.kappa for l in levels]
+        kappas = [l.kappa for l in levels] + [levels[-1].kappa_c]
         assert kappas[0] > kappas[1] > kappas[2]
+        for fine, coarse in zip(levels, levels[1:]):
+            assert fine.kappa_c == coarse.kappa
+
+    def test_one_abs_norm_per_matrix(self, monkeypatch):
+        # eta_A and eta_P of each of the two levels; the coarsest grid has none
+        from mixedmg import hierarchy
+
+        calls = []
+        norm = hierarchy.abs_matrix_norm
+        monkeypatch.setattr(hierarchy, "abs_matrix_norm",
+                            lambda K: (calls.append(K), norm(K))[1])
+        build_multilevel(31, 3)
+        assert len(calls) == 4
 
     def test_uncoarsenable_size_rejected(self):
         with pytest.raises(ValueError):
