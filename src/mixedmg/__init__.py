@@ -24,7 +24,6 @@ from .cycles import (
     CycleTrace,
     RelaxationOp,
     coarse_complement_projector,
-    exact_tg_reference,
     make_exact_coarse,
     make_jacobi,
     make_perturbed_coarse,

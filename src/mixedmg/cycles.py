@@ -37,7 +37,9 @@ block of trials reproduces the per-trial results exactly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from collections.abc import Callable
+from dataclasses import InitVar, dataclass, field
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sparse
@@ -85,7 +87,6 @@ class RelaxationOp:
     post-relaxes); ``contraction`` is the energy norm of ``I - M A``.
     """
 
-    kind: str
     diag: np.ndarray
     fmt: PrecisionFormat
     eta_euclid: float
@@ -125,7 +126,6 @@ def _finalize_relaxation(kind: str, A: SparseSpd, diag: np.ndarray,
         K, A.band, b_floor=A.lambda_min_bound, k_err=k_err)), np.inf))
     alpha = eta_euclid * (1.0 + fmt.unit_roundoff)
     return RelaxationOp(
-        kind=kind,
         diag=diag,
         fmt=fmt,
         eta_euclid=eta_euclid,
@@ -153,83 +153,77 @@ def make_richardson(A: SparseSpd, omega: float, fmt: PrecisionFormat) -> Relaxat
 
 @dataclass(frozen=True, eq=False)
 class CoarseSolver:
-    """The coarse correction ``B_c A_c^{-1}`` with its measured deviation.
+    """The coarse correction ``r_c -> B_c A_c^{-1} r_c`` of one level.
 
-    ``bc_deviation`` is the energy norm of ``B_c - I`` on the coarse level:
-    zero for the exact variant, the prescribed perturbation size for the
-    perturbed variant, and the measured contraction of one recursive cycle
-    (run in the carrier, so the map stays linear) for the recursive variant.
+    ``correction`` is that map on a coarse vector or block, run in the
+    carrier so that it stays linear.  ``bc_deviation`` is the energy norm of
+    ``B_c - I`` on the level's coarse grid; when the constructor is not
+    given it, it is measured from :attr:`solve_matrix`.
     """
 
-    variant: str
-    bc_deviation: float
-    bc_matrix: np.ndarray | None = None
-    sub_levels: tuple[GridLevel, ...] | None = None
-    sub_smoothers: tuple | None = None
-    mu: int = 1
-    nu: int = 1
-    # solve_matrix per level, assembled once; dataclasses.replace hands the
-    # same dict to the copy
-    _matrices: dict = field(default_factory=dict, repr=False)
+    level: GridLevel
+    correction: Callable[[np.ndarray], np.ndarray] = field(repr=False)
+    deviation: InitVar[float | None] = None
+    bc_deviation: float = field(init=False)
 
-    def apply(self, level: GridLevel, r_c: np.ndarray) -> np.ndarray:
+    def __post_init__(self, deviation):
+        if deviation is None:
+            A_c = self.level.A_c
+            B_c = (A_c.matrix @ self.solve_matrix.T).T  # A_c is symmetric
+            deviation = energy_operator_norm(B_c - np.eye(A_c.n), A_c)
+        object.__setattr__(self, "bc_deviation", deviation)
+
+    def apply(self, r_c: np.ndarray) -> np.ndarray:
         """``B_c A_c^{-1} r_c`` for a coarse vector or block."""
-        if self.variant == "exact":
-            return solve_spd(level.A_c, r_c)
-        if self.variant == "perturbed":
-            x = solve_spd(level.A_c, r_c)
-            # one matrix-vector product per contiguous column: a dense
-            # matrix times a block goes through gemm, which rounds
-            # differently from the gemv a lone vector gets
-            cols = _columns(x, level.A_c.n)
-            return _from_columns(np.stack([self.bc_matrix @ c for c in cols]), x)
-        if self.variant == "recursive":
-            return v_cycle(list(self.sub_levels), self.mu, self.nu, r_c,
-                           CARRIER, smoothers=list(self.sub_smoothers))
-        raise ValueError(f"unknown coarse solver variant {self.variant!r}")
+        return self.correction(r_c)
 
-    def solve_matrix(self, level: GridLevel) -> np.ndarray:
+    @cached_property
+    def solve_matrix(self) -> np.ndarray:
         """Dense ``B_c A_c^{-1}``: the solver applied to the identity block.
 
-        Assembled on the first call for ``level`` and kept, read-only.
+        Assembled on first use and kept, read-only.
         """
-        W = self._matrices.get(level)
-        if W is None:
-            W = np.ascontiguousarray(self.apply(level, np.eye(level.A_c.n)))
-            W.flags.writeable = False
-            self._matrices[level] = W
+        W = np.ascontiguousarray(self.apply(np.eye(self.level.A_c.n)))
+        W.flags.writeable = False
         return W
 
 
-def make_exact_coarse() -> CoarseSolver:
-    return CoarseSolver(variant="exact", bc_deviation=0.0)
+def make_exact_coarse(level: GridLevel) -> CoarseSolver:
+    """The direct carrier solve ``A_c^{-1} r_c`` of ``level``: ``B_c = I``."""
+    return CoarseSolver(level, lambda r_c: solve_spd(level.A_c, r_c), 0.0)
 
 
 def make_perturbed_coarse(level: GridLevel, sigma: float, seed: int = 0) -> CoarseSolver:
     """Synthetic perturbation ``B_c = I + sigma * G`` with ``norm_{A_c}(G) = 1``.
 
     ``G`` is a fixed seeded random symmetric matrix, so ``bc_deviation``
-    equals ``sigma`` exactly and is reproducible across runs.
+    equals ``sigma`` up to the rounding of the normalisation and is
+    reproducible across runs.
     """
     if not 0.0 <= sigma < 1.0:
         raise ValueError(f"sigma must be in [0, 1), got {sigma}")
     if sigma == 0.0:
-        return make_exact_coarse()
-    n_c = level.A_c.n
+        return make_exact_coarse(level)
+    A_c = level.A_c
     rng = np.random.default_rng(seed)
-    G = rng.standard_normal((n_c, n_c))
+    G = rng.standard_normal((A_c.n, A_c.n))
     G = 0.5 * (G + G.T)
-    G /= energy_operator_norm(G, level.A_c)
-    return CoarseSolver(
-        variant="perturbed",
-        bc_deviation=sigma,
-        bc_matrix=np.eye(n_c) + sigma * G,
-    )
+    G /= energy_operator_norm(G, A_c)
+    B_c = np.eye(A_c.n) + sigma * G
+
+    def correction(r_c):
+        x = solve_spd(A_c, r_c)
+        # one matrix-vector product per contiguous column: a dense matrix
+        # times a block goes through gemm, which rounds differently from
+        # the gemv a lone vector gets
+        return _from_columns(np.stack([B_c @ c for c in _columns(x, A_c.n)]), x)
+
+    return CoarseSolver(level, correction, sigma)
 
 
-def default_smoothers(levels, fmt: PrecisionFormat, omega: float = 2.0 / 3.0):
-    """Damped Jacobi pre/post pair for every level."""
-    return [(make_jacobi(l.A, omega, fmt),) * 2 for l in levels]
+def default_smoothers(levels, fmt: PrecisionFormat):
+    """Damped Jacobi (omega = 2/3) pre/post pair for every level."""
+    return [(make_jacobi(l.A, 2.0 / 3.0, fmt),) * 2 for l in levels]
 
 
 def make_recursive_coarse(levels, mu: int, nu: int, smoothers=None) -> CoarseSolver:
@@ -237,23 +231,20 @@ def make_recursive_coarse(levels, mu: int, nu: int, smoothers=None) -> CoarseSol
 
     ``smoothers`` is one ``(M, N)`` pair per level of ``levels[1:]``.  With a
     single level there is no cycle below, and the solver is the exact
-    direct solve.
+    direct solve.  ``bc_deviation`` is the measured contraction of one
+    cycle.
     """
-    sub = tuple(levels[1:])
+    sub = levels[1:]
     if not sub:
-        return make_exact_coarse()
+        return make_exact_coarse(levels[0])
     if smoothers is None:
         smoothers = default_smoothers(sub, CARRIER)
-    solver = CoarseSolver(variant="recursive", bc_deviation=math.nan,
-                          sub_levels=sub, sub_smoothers=tuple(smoothers),
-                          mu=mu, nu=nu)
-    dev = _bc_deviation(levels[0], solver)
-    if dev >= 1.0:
-        raise ContractionError(
-            f"recursive coarse solve does not contract (deviation {dev:.4f})"
-        )
-    # the copy keeps the B_c A_c^{-1} just assembled for the deviation
-    return replace(solver, bc_deviation=dev)
+    solver = CoarseSolver(levels[0], lambda r_c: v_cycle(
+        sub, mu, nu, r_c, CARRIER, smoothers=smoothers))
+    if solver.bc_deviation >= 1.0:
+        raise ContractionError(f"recursive coarse solve does not contract "
+                               f"(deviation {solver.bc_deviation:.4f})")
+    return solver
 
 
 @dataclass(frozen=True, eq=False)
@@ -317,6 +308,11 @@ def _operations(level: GridLevel, fmt: PrecisionFormat):
             lambda v, w: rounded_add_sub(v, w, "-", fmt).value)
 
 
+def _check_coarse(level: GridLevel, coarse: CoarseSolver):
+    if coarse.level is not level:
+        raise ValueError("coarse solver was built for a different level")
+
+
 def _cycle(level: GridLevel, r, M: RelaxationOp, N: RelaxationOp, mu: int,
            nu: int, coarse, fmt: PrecisionFormat) -> _Stages:
     """The cycle's step sequence in ``fmt``; ``coarse`` maps ``r_c`` to ``d_c``."""
@@ -342,13 +338,6 @@ def _cycle(level: GridLevel, r, M: RelaxationOp, N: RelaxationOp, mu: int,
     return _Stages(rq, y_mu, r_mu, r_c, d_c, d, y_nu, r_nu, r_N, y)
 
 
-def exact_tg_reference(level: GridLevel, r, M: RelaxationOp, N: RelaxationOp,
-                       coarse: CoarseSolver) -> np.ndarray:
-    """The two-grid cycle in the carrier: the exact-arithmetic proxy."""
-    return _cycle(level, r, M, N, 1, 1, lambda r_c: coarse.apply(level, r_c),
-                  CARRIER).y
-
-
 def tg_cycle(level: GridLevel, r, M: RelaxationOp, N: RelaxationOp,
              coarse: CoarseSolver, fmt: PrecisionFormat):
     """One reduced-precision two-grid cycle with a full deviation trace.
@@ -358,9 +347,9 @@ def tg_cycle(level: GridLevel, r, M: RelaxationOp, N: RelaxationOp,
     measured against the exact reference computed with the same ``M``,
     ``N`` and coarse solver.
     """
-    solve = lambda r_c: coarse.apply(level, r_c)  # noqa: E731
-    s = _cycle(level, r, M, N, 1, 1, solve, fmt)
-    ref = _cycle(level, r, M, N, 1, 1, solve, CARRIER)
+    _check_coarse(level, coarse)
+    s = _cycle(level, r, M, N, 1, 1, coarse.apply, fmt)
+    ref = _cycle(level, r, M, N, 1, 1, coarse.apply, CARRIER)
     # step oracles: the carrier operation applied to the computed inputs
     relax, residual, restrict, prolong, subtract = _operations(level, CARRIER)
 
@@ -403,11 +392,12 @@ def rho_star(level: GridLevel, M: RelaxationOp, N: RelaxationOp,
     operator norm.  A value >= 1 is reported, not raised: the convergence
     bound is then vacuous for this configuration.
     """
+    _check_coarse(level, coarse)
     A = level.A.matrix
     eye = sparse.eye_array(level.n)
     pre = eye - sparse.diags_array(M.diag) @ A
     post = eye - sparse.diags_array(N.diag) @ A
-    X = coarse.solve_matrix(level)
+    X = coarse.solve_matrix
     restricted = (level.P_t @ (A @ pre)).toarray()
     E = post @ (pre.toarray() - level.P @ (X @ restricted))
     return energy_operator_norm(E, level.A)
@@ -445,13 +435,6 @@ def v_cycle(levels, mu: int, nu: int, r, fmt: PrecisionFormat, *,
                                      smoothers=smoothers[1:])
     M, N = smoothers[0]
     return _cycle(level, r, M, N, mu, nu, coarse, fmt).y
-
-
-def _bc_deviation(level: GridLevel, solver: CoarseSolver) -> float:
-    """Coarse energy norm of ``B_c - I``, with ``B_c = (B_c A_c^{-1}) A_c``."""
-    A_c = level.A_c
-    B_c = (A_c.matrix @ solver.solve_matrix(level).T).T  # A_c is symmetric
-    return energy_operator_norm(B_c - np.eye(A_c.n), A_c)
 
 
 def _projector_similarity(level: GridLevel) -> np.ndarray:

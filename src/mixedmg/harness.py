@@ -51,7 +51,7 @@ from .cycles import (
 )
 from .hierarchy import GridLevel, build_multilevel, check_refinable
 from .linops import energy_norm, solve_spd
-from .precision import PrecisionFormat, column_norms
+from .precision import CARRIER_BITS, PrecisionFormat, column_norms
 
 
 #: Trials per blocked cycle call.  Wider blocks cut per-call overhead
@@ -99,8 +99,16 @@ class ExperimentConfig:
             raise ConfigError("need at least 2 levels")
         if self.pi_target is None and not self.bits:
             raise ConfigError("need a nonempty bits list or a pi_target")
+        if self.pi_target is not None and not 0.0 < self.pi_target < 1.0:
+            raise ConfigError(f"pi_target must be in (0, 1), got {self.pi_target}")
+        for bits in self.bits:
+            if not 2 <= bits <= CARRIER_BITS:
+                raise ConfigError(f"bits must be in [2, {CARRIER_BITS}], got {bits}")
         if not 0.0 <= self.sigma < 1.0:
             raise ConfigError("sigma must be in [0, 1)")
+        if self.mu < 0 or self.nu < 0 or self.mu + self.nu < 1:
+            raise ConfigError(f"mu and nu must be >= 0 with mu + nu >= 1, "
+                              f"got mu = {self.mu}, nu = {self.nu}")
         # a key the chosen coarse solver never reads would be echoed into
         # every CSV row as if it had run
         if self.sigma != 0.0 and self.coarse != "perturbed":
@@ -109,6 +117,9 @@ class ExperimentConfig:
         if (self.mu, self.nu) != (1, 1) and self.coarse != "recursive":
             raise ConfigError(f"mu and nu apply only to coarse = recursive, "
                               f"not {self.coarse}")
+        if self.coarse == "recursive" and self.levels < 3:
+            raise ConfigError(f"coarse = recursive needs levels >= 3 for a cycle "
+                              f"below the coarse grid, got levels = {self.levels}")
         try:
             check_refinable(self.size, self.levels)
         except ValueError as exc:
@@ -194,7 +205,13 @@ class TrialRecord:
     fp_error: float
     measured_ratio: float
     line_ratios: dict[str, float] = field(repr=False)
-    passed: bool = True
+    passed: bool
+
+
+def trial_passed(measured_ratio: float, rho_tg: float, line_ratios) -> bool:
+    """The pass rule: the final ratio is within ``rho_tg`` and every
+    per-line ratio is at most one."""
+    return bool(measured_ratio <= rho_tg) and all(v <= 1.0 for v in line_ratios)
 
 
 # the ExperimentConfig fields each trial row repeats
@@ -240,7 +257,7 @@ def bound_inputs_for(level: GridLevel, M: RelaxationOp, N: RelaxationOp,
 
 def _make_coarse(config: ExperimentConfig, levels) -> CoarseSolver:
     if config.coarse == "exact":
-        return make_exact_coarse()
+        return make_exact_coarse(levels[0])
     if config.coarse == "perturbed":
         return make_perturbed_coarse(levels[0], config.sigma,
                                      seed=config.rng_seed)
@@ -293,9 +310,6 @@ def run_experiment(config: ExperimentConfig) -> list[TrialRecord]:
             }
             for t in range(width):
                 ratios = {name: line_ratios[name][t] for name in PROOF_LINES}
-                passed = measured_ratio[t] <= report.rho_tg and all(
-                    v <= 1.0 for v in ratios.values()
-                )
                 records.append(TrialRecord(
                     report=report,
                     config=config,
@@ -304,7 +318,8 @@ def run_experiment(config: ExperimentConfig) -> list[TrialRecord]:
                     fp_error=float(fp_error[t]),
                     measured_ratio=float(measured_ratio[t]),
                     line_ratios=ratios,
-                    passed=bool(passed),
+                    passed=trial_passed(measured_ratio[t], report.rho_tg,
+                                        ratios.values()),
                 ))
     return records
 
@@ -377,7 +392,7 @@ def validate_csv(path) -> tuple[bool, list[str]]:
         except (KeyError, ValueError) as exc:
             problems.append(f"row {i}: malformed ({exc})")
             continue
-        derived = measured <= rho_tg and all(v <= 1.0 for v in ratios)
+        derived = trial_passed(measured, rho_tg, ratios)
         if derived != stored:
             problems.append(f"row {i}: stored pass={stored} but derived {derived}")
         elif not derived:

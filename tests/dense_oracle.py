@@ -9,6 +9,8 @@ SVDs), used only to check it at small orders.
 import numpy as np
 import scipy.linalg
 
+import mixedmg
+
 
 def dense(A) -> np.ndarray:
     """A dense copy of a :class:`SparseSpd`."""
@@ -56,25 +58,38 @@ def contraction(A, diag: np.ndarray) -> float:
     return float(np.abs(np.linalg.eigvalsh(np.eye(A.n) - S)).max())
 
 
-def coarse_matrix(level, coarse) -> np.ndarray:
-    """``B_c A_c^{-1}``: dense solves for the exact and perturbed variants."""
-    if coarse.variant == "recursive":
-        return coarse.solve_matrix(level)
+def bc_matrix(level, sigma, seed) -> np.ndarray:
+    """``B_c = I + sigma G`` of :func:`mixedmg.make_perturbed_coarse`.
+
+    ``G`` is drawn again from ``seed`` and scaled by the library's energy
+    operator norm, so this is, bit for bit, the matrix the perturbed solve
+    multiplies by; the dense forms below then check its normalisation.
+    """
+    n_c = level.n_c
+    G = np.random.default_rng(seed).standard_normal((n_c, n_c))
+    G = 0.5 * (G + G.T)
+    G /= mixedmg.energy_operator_norm(G, level.A_c)
+    return np.eye(n_c) + sigma * G
+
+
+def coarse_matrix(level, sigma=0.0, seed=0) -> np.ndarray:
+    """``B_c A_c^{-1}`` by dense solves: the exact solve at ``sigma = 0``,
+    else the perturbed one drawn from ``seed``."""
     inverse = np.linalg.solve(dense(level.A_c), np.eye(level.n_c))
-    return inverse if coarse.variant == "exact" else coarse.bc_matrix @ inverse
+    return inverse if sigma == 0.0 else bc_matrix(level, sigma, seed) @ inverse
 
 
-def rho_star(level, M, N, coarse) -> float:
-    """Energy norm of the dense two-grid error propagator."""
+def rho_star(level, M, N, X) -> float:
+    """Energy norm of the dense two-grid error propagator with ``X = B_c A_c^{-1}``."""
     A, P = dense(level.A), level.P.toarray()
     eye = np.eye(level.n)
-    correction = eye - P @ (coarse_matrix(level, coarse) @ (P.T @ A))
+    correction = eye - P @ (X @ (P.T @ A))
     pre = eye - M.diag[:, None] * A
     post = eye - N.diag[:, None] * A
     return energy_operator_norm(post @ correction @ pre, level.A)
 
 
-def bc_deviation(level, coarse) -> float:
-    """Coarse energy norm of ``B_c - I``."""
-    B_c = coarse_matrix(level, coarse) @ dense(level.A_c)
+def bc_deviation(level, X) -> float:
+    """Coarse energy norm of ``B_c - I`` with ``B_c = X A_c``."""
+    B_c = X @ dense(level.A_c)
     return energy_operator_norm(B_c - np.eye(level.n_c), level.A_c)

@@ -160,8 +160,7 @@ def test_a4_exact_arithmetic_structure():
             r = rng.standard_normal(31)
             x = solve_spd(lvl.A, r)
             xn = energy_norm(x, lvl.A)
-            st = _cycle(lvl, r, M, N, 1, 1,
-                        lambda r_c: coarse.apply(lvl, r_c), CARRIER)
+            st = _cycle(lvl, r, M, N, 1, 1, coarse.apply, CARRIER)
             ynu = energy_norm(st.y_nu - x, lvl.A) / xn
             dc = float(np.linalg.norm(st.d_c)) / xn
             ytot = energy_norm(st.y, lvl.A) / xn
@@ -258,7 +257,7 @@ def test_a7_structural_identities():
         rng = np.random.default_rng(n)
         for _ in range(10):
             r = rng.standard_normal(n)
-            y_tg, _ = tg_cycle(lvl, r, M, N, make_exact_coarse(), fmt)
+            y_tg, _ = tg_cycle(lvl, r, M, N, make_exact_coarse(lvl), fmt)
             y_v = v_cycle(levels, 1, 1, r, fmt, smoothers=[(M, N)])
             assert np.array_equal(y_tg, y_v), "bitwise identity broken"
 
@@ -267,7 +266,7 @@ def test_a7_structural_identities():
         tol = 1e3 * EPS * math.sqrt(lvl.kappa)
         for _ in range(10):
             r = rng.standard_normal(n)
-            y, trace = tg_cycle(lvl, r, Mc, Nc, make_exact_coarse(), CARRIER)
+            y, trace = tg_cycle(lvl, r, Mc, Nc, make_exact_coarse(lvl), CARRIER)
             x = solve_spd(lvl.A, r)
             rel = energy_norm(y - trace.y_reference, lvl.A) / energy_norm(x, lvl.A)
             worst_rel = max(worst_rel, rel)

@@ -8,7 +8,6 @@ from mixedmg import (
     PrecisionFormat,
     build_multilevel,
     energy_norm,
-    exact_tg_reference,
     make_exact_coarse,
     make_jacobi,
     make_perturbed_coarse,
@@ -160,7 +159,7 @@ class TestCarrierOperations:
 def _coarse_variants(levels31_3):
     lvl = levels31_3[0]
     return {
-        "exact": make_exact_coarse(),
+        "exact": make_exact_coarse(lvl),
         "perturbed": make_perturbed_coarse(lvl, 0.4, seed=3),
         "recursive": make_recursive_coarse(levels31_3, 1, 1),
     }
@@ -193,16 +192,16 @@ class TestCycles:
     def test_solve_matrix_columns_are_unit_vector_solves(self, levels31_3, variant):
         lvl = levels31_3[0]
         coarse = _coarse_variants(levels31_3)[variant]
-        W = coarse.solve_matrix(lvl)
+        W = coarse.solve_matrix
         assert W.flags.c_contiguous
         for i in (0, 7, lvl.n_c - 1):
             e = np.zeros(lvl.n_c)
             e[i] = 1.0
-            assert np.array_equal(W[:, i], coarse.apply(lvl, e))
+            assert np.array_equal(W[:, i], coarse.apply(e))
 
     def test_two_level_v_cycle_block_matches_tg_cycle(self, level31, jacobi31):
         R = np.random.default_rng(11).standard_normal((31, T))
-        y_tg, _ = tg_cycle(level31, R, jacobi31, jacobi31, make_exact_coarse(), FMT)
+        y_tg, _ = tg_cycle(level31, R, jacobi31, jacobi31, make_exact_coarse(level31), FMT)
         y_v = v_cycle([level31], 1, 1, R, FMT, smoothers=[(jacobi31, jacobi31)])
         assert np.array_equal(y_tg, y_v)
 
@@ -235,9 +234,9 @@ class TestFailuresInOneColumn:
         with pytest.raises(ValueError):
             solve_spd(level31.A, X)
         with pytest.raises(ValueError):
-            tg_cycle(level31, X, jacobi31, jacobi31, make_exact_coarse(), FMT)
+            tg_cycle(level31, X, jacobi31, jacobi31, make_exact_coarse(level31), FMT)
         with pytest.raises(ValueError):
-            exact_tg_reference(level31, X, jacobi31, jacobi31, make_exact_coarse())
+            tg_cycle(level31, X, jacobi31, jacobi31, make_exact_coarse(level31), CARRIER)
         with pytest.raises(ValueError):
             v_cycle([level31], 1, 1, X, CARRIER)
 

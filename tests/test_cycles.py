@@ -1,5 +1,6 @@
 """Relaxation operators, coarse solvers, instrumented cycles, V-cycles."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 import scipy.linalg
 import scipy.sparse as sparse
 
+import dense_oracle as oracle
 from mixedmg import (
     CARRIER,
     ContractionError,
@@ -16,7 +18,6 @@ from mixedmg import (
     coarse_complement_projector,
     energy_norm,
     energy_operator_norm,
-    exact_tg_reference,
     make_exact_coarse,
     make_jacobi,
     make_perturbed_coarse,
@@ -30,6 +31,7 @@ from mixedmg import (
     v_cycle,
 )
 from mixedmg.cycles import CoarseSolver, _cycle, default_smoothers
+from mixedmg.harness import ExperimentConfig, run_experiment
 from mixedmg.hierarchy import linear_interpolation, poisson_1d
 
 EPS = float(np.finfo(np.float64).eps)
@@ -38,8 +40,15 @@ FMT12 = PrecisionFormat(12)
 
 def _exact_stages(level, r, M, N, coarse):
     """The intermediates of the exact two-grid cycle."""
-    return _cycle(level, r, M, N, 1, 1, lambda r_c: coarse.apply(level, r_c),
-                  CARRIER)
+    return _cycle(level, r, M, N, 1, 1, coarse.apply, CARRIER)
+
+
+def assert_direct_solve(solver, level):
+    """The solver is the exact coarse solve: no deviation, and its
+    correction is ``solve_spd`` bit for bit."""
+    r_c = np.random.default_rng(13).standard_normal((level.n_c, 3))
+    assert solver.bc_deviation == 0.0
+    assert np.array_equal(solver.apply(r_c), solve_spd(level.A_c, r_c))
 
 
 @pytest.fixture(scope="module")
@@ -97,20 +106,23 @@ class TestMakeRichardson:
 
 class TestPerturbedCoarse:
     def test_sigma_zero_is_exact(self, level31):
-        solver = make_perturbed_coarse(level31, 0.0)
-        assert solver.variant == "exact"
-        assert solver.bc_deviation == 0.0
+        assert_direct_solve(make_perturbed_coarse(level31, 0.0), level31)
 
     def test_deviation_matches_sigma(self, level31):
         solver = make_perturbed_coarse(level31, 0.5, seed=7)
-        measured = energy_operator_norm(
-            solver.bc_matrix - np.eye(level31.n_c), level31.A_c)
+        B_c = oracle.bc_matrix(level31, 0.5, seed=7)
+        measured = energy_operator_norm(B_c - np.eye(level31.n_c), level31.A_c)
         assert measured == pytest.approx(0.5, abs=10 * EPS)
+        assert solver.bc_deviation == 0.5
+        # the solver multiplies the direct solve by that very B_c
+        expected = np.column_stack([B_c @ solve_spd(level31.A_c, e)
+                                    for e in np.eye(level31.n_c)])
+        assert np.array_equal(solver.solve_matrix, expected)
 
     def test_bc_norm_below_two(self, level31):
         for sigma in (0.1, 0.5, 0.9, 0.99):
-            solver = make_perturbed_coarse(level31, sigma, seed=11)
-            assert energy_operator_norm(solver.bc_matrix, level31.A_c) <= 2.0
+            B_c = oracle.bc_matrix(level31, sigma, seed=11)
+            assert energy_operator_norm(B_c, level31.A_c) <= 2.0
 
     def test_sigma_out_of_range(self, level31):
         with pytest.raises(ValueError):
@@ -120,18 +132,18 @@ class TestPerturbedCoarse:
 class TestExactReference:
     def test_zero_rhs(self, level31, jacobi31):
         M, N = jacobi31
-        y = exact_tg_reference(level31, np.zeros(31), M, N, make_exact_coarse())
+        y = _exact_stages(level31, np.zeros(31), M, N, make_exact_coarse(level31)).y
         assert np.array_equal(y, np.zeros(31))
 
     def test_error_within_rho_star(self, level31, jacobi31):
         M, N = jacobi31
-        coarse = make_exact_coarse()
+        coarse = make_exact_coarse(level31)
         rho = rho_star(level31, M, N, coarse)
         rng = np.random.default_rng(1)
         for _ in range(100):
             r = rng.standard_normal(31)
             x = solve_spd(level31.A, r)
-            y = exact_tg_reference(level31, r, M, N, coarse)
+            y = _exact_stages(level31, r, M, N, coarse).y
             assert (energy_norm(y - x, level31.A)
                     <= rho * energy_norm(x, level31.A) * (1 + 1e-11))
 
@@ -171,7 +183,7 @@ class TestExactReference:
         for _ in range(100):
             r = rng.standard_normal(31)
             x = solve_spd(level31.A, r)
-            y = exact_tg_reference(level31, r, M, N, coarse)
+            y = _exact_stages(level31, r, M, N, coarse).y
             assert (energy_norm(y, level31.A)
                     <= 2.0 * energy_norm(x, level31.A) * (1 + 1e-12))
 
@@ -179,14 +191,14 @@ class TestExactReference:
 class TestTgCycle:
     def test_zero_rhs_gives_zero(self, level31, jacobi31):
         M, N = jacobi31
-        y, trace = tg_cycle(level31, np.zeros(31), M, N, make_exact_coarse(), FMT12)
+        y, trace = tg_cycle(level31, np.zeros(31), M, N, make_exact_coarse(level31), FMT12)
         assert np.array_equal(y, np.zeros(31))
         assert trace.delta_y_energy == 0.0
 
     def test_trace_norms_finite_nonnegative(self, level31, jacobi31):
         M, N = jacobi31
         r = np.random.default_rng(5).standard_normal(31)
-        _, trace = tg_cycle(level31, r, M, N, make_exact_coarse(), FMT12)
+        _, trace = tg_cycle(level31, r, M, N, make_exact_coarse(level31), FMT12)
         assert set(trace.line_norms) == set(PROOF_LINES)
         for v in trace.line_norms.values():
             assert np.isfinite(v) and v >= 0.0
@@ -200,7 +212,7 @@ class TestTgCycle:
         tol = 1e3 * EPS * math.sqrt(lvl.kappa)
         for _ in range(20):
             r = rng.standard_normal(3)
-            y, trace = tg_cycle(lvl, r, M, N, make_exact_coarse(), CARRIER)
+            y, trace = tg_cycle(lvl, r, M, N, make_exact_coarse(lvl), CARRIER)
             x = solve_spd(lvl.A, r)
             rel = energy_norm(y - trace.y_reference, lvl.A) / energy_norm(x, lvl.A)
             assert rel <= tol
@@ -210,7 +222,7 @@ class TestTgCycle:
         from mixedmg.bounds import compute_constants
 
         M, N = jacobi31
-        coarse = make_exact_coarse()
+        coarse = make_exact_coarse(level31)
         rho = rho_star(level31, M, N, coarse)
         report = compute_constants(
             bound_inputs_for(level31, M, N, FMT12), rho_star=rho)
@@ -229,17 +241,17 @@ class TestRhoStar:
         lvl = normalize_hierarchy(
             SparseSpd(np.eye(3)), sparse.csr_array(np.array([[0.5], [1.0], [0.5]])))
         M = make_richardson(lvl.A, 1.0, CARRIER)
-        assert rho_star(lvl, M, M, make_exact_coarse()) == pytest.approx(0.0, abs=1e-13)
+        assert rho_star(lvl, M, M, make_exact_coarse(lvl)) == pytest.approx(0.0, abs=1e-13)
 
     def test_smallest_poisson_in_unit_interval(self):
         lvl = normalize_hierarchy(poisson_1d(3), linear_interpolation(3))
         M = make_jacobi(lvl.A, 2.0 / 3.0, CARRIER)
-        value = rho_star(lvl, M, M, make_exact_coarse())
+        value = rho_star(lvl, M, M, make_exact_coarse(lvl))
         assert 0.0 < value < 1.0
 
     def test_perturbation_does_not_improve(self, level31, jacobi31):
         M, N = jacobi31
-        base = rho_star(level31, M, N, make_exact_coarse())
+        base = rho_star(level31, M, N, make_exact_coarse(level31))
         for sigma in (0.3, 0.9):
             perturbed = rho_star(
                 level31, M, N, make_perturbed_coarse(level31, sigma, seed=5))
@@ -256,7 +268,7 @@ class TestVCycle:
         rng = np.random.default_rng(8)
         for _ in range(10):
             r = rng.standard_normal(31)
-            y_tg, _ = tg_cycle(level31, r, M, N, make_exact_coarse(), FMT12)
+            y_tg, _ = tg_cycle(level31, r, M, N, make_exact_coarse(level31), FMT12)
             y_v = v_cycle([level31], 1, 1, r, FMT12, smoothers=[(M, N)])
             assert np.array_equal(y_tg, y_v)
 
@@ -311,7 +323,7 @@ class TestRecursiveCoarse:
         dev = make_recursive_coarse(levels31_3, 1, 1).bc_deviation
         sub = levels31_3[1:]
         M, N = default_smoothers(sub, CARRIER)[0]
-        rho_coarse = rho_star(sub[0], M, N, make_exact_coarse())
+        rho_coarse = rho_star(sub[0], M, N, make_exact_coarse(sub[0]))
         assert dev == pytest.approx(rho_coarse, rel=1e-10)
 
     @pytest.mark.parametrize("variant", ["exact", "recursive"])
@@ -319,21 +331,56 @@ class TestRecursiveCoarse:
         # the deviation and every format's rho_star share one B_c A_c^{-1}
         applied = []
         apply = CoarseSolver.apply
-        monkeypatch.setattr(CoarseSolver, "apply", lambda self, level, r_c: (
-            applied.append(r_c.shape), apply(self, level, r_c))[1])
+        monkeypatch.setattr(CoarseSolver, "apply", lambda self, r_c: (
+            applied.append(r_c.shape), apply(self, r_c))[1])
         lvl = levels31_3[0]
         solver = (make_recursive_coarse(levels31_3, 1, 1) if variant == "recursive"
-                  else make_exact_coarse())
+                  else make_exact_coarse(lvl))
         for bits in (8, 12):
             M = make_jacobi(lvl.A, 2.0 / 3.0, PrecisionFormat(bits))
             rho_star(lvl, M, M, solver)
         assert applied == [(lvl.n_c, lvl.n_c)]
-        assert not solver.solve_matrix(lvl).flags.writeable
+        assert not solver.solve_matrix.flags.writeable
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            solver.solve_matrix = np.eye(lvl.n_c)
+
+    @pytest.mark.parametrize("fields", [
+        dict(coarse="exact"),
+        dict(coarse="perturbed", sigma=0.3),
+        dict(coarse="recursive", levels=3),
+    ], ids=["exact", "perturbed", "recursive"])
+    def test_solve_matrix_assembled_once_per_sweep(self, monkeypatch, fields):
+        # set-up and the rho_star of every format apply the solver to one
+        # identity block; the trials apply it to (n_c, T) blocks
+        identity_blocks = []
+        apply = CoarseSolver.apply
+        monkeypatch.setattr(CoarseSolver, "apply", lambda self, r_c: (
+            identity_blocks.append(r_c.shape == (self.level.n_c,) * 2),
+            apply(self, r_c))[1])
+        run_experiment(ExperimentConfig(size=31, bits=(8, 12, 16), trials=2,
+                                        **fields))
+        assert sum(identity_blocks) == 1
+
+    def test_no_field_is_optional(self):
+        for f in dataclasses.fields(CoarseSolver):
+            assert f.default is dataclasses.MISSING, f.name
+            assert f.default_factory is dataclasses.MISSING, f.name
+            assert "None" not in str(f.type), f.name
+
+    def test_solver_of_another_level_rejected(self, levels31_3):
+        lvl, sub = levels31_3
+        M = make_jacobi(lvl.A, 2.0 / 3.0, FMT12)
+        with pytest.raises(ValueError, match="different level"):
+            rho_star(lvl, M, M, make_exact_coarse(sub))
+        with pytest.raises(ValueError, match="different level"):
+            tg_cycle(lvl, np.ones(lvl.n), M, M, make_exact_coarse(sub), FMT12)
 
     def test_recursive_solver_in_tg_cycle(self, levels31_3):
         solver = make_recursive_coarse(levels31_3, 1, 1)
-        assert solver.variant == "recursive"
         assert solver.bc_deviation < 1.0
+        r_c = np.random.default_rng(14).standard_normal(levels31_3[0].n_c)
+        assert np.array_equal(solver.apply(r_c),
+                              v_cycle(levels31_3[1:], 1, 1, r_c, CARRIER))
         lvl = levels31_3[0]
         M = make_jacobi(lvl.A, 2.0 / 3.0, FMT12)
         rho = rho_star(lvl, M, M, solver)
@@ -344,8 +391,7 @@ class TestRecursiveCoarse:
         assert energy_norm(y - x, lvl.A) < energy_norm(x, lvl.A)
 
     def test_two_level_recursion_degenerates_to_exact(self, level31):
-        solver = make_recursive_coarse([level31], 1, 1)
-        assert solver.variant == "exact"
+        assert_direct_solve(make_recursive_coarse([level31], 1, 1), level31)
 
 
 class TestProjectionChain:

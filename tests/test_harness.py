@@ -1,5 +1,6 @@
 """Experiment harness: configs, determinism, CSV self-consistency, CLI."""
 
+import dataclasses
 import hashlib
 import json
 
@@ -13,11 +14,13 @@ from mixedmg.harness import (
     ConfigError,
     ExperimentConfig,
     TRIAL_COLUMNS,
+    TrialRecord,
     load_config,
     progressive_study,
     read_csv_rows,
     render_csv,
     run_experiment,
+    trial_passed,
     validate_csv,
     write_csv,
 )
@@ -90,6 +93,26 @@ class TestConfig:
     def test_rejects_bad_omega_and_seed(self, fields, key):
         with pytest.raises(ConfigError, match=key):
             ExperimentConfig(size=15, **fields)
+
+    @pytest.mark.parametrize("fields, key", [
+        (dict(bits=(1,)), "bits"),
+        (dict(bits=(12, 54)), "bits"),
+        (dict(bits=(), pi_target=0.0), "pi_target"),
+        (dict(bits=(), pi_target=1.0), "pi_target"),
+        (dict(bits=(), pi_target=float("nan")), "pi_target"),
+        (dict(coarse="recursive", levels=3, mu=-1, nu=2), "mu"),
+        (dict(coarse="recursive", levels=3, mu=1, nu=-1), "nu"),
+        (dict(coarse="recursive", levels=3, mu=0, nu=0), "mu"),
+        (dict(coarse="recursive", mu=2, nu=0), "levels"),
+        (dict(coarse="recursive"), "levels"),
+    ], ids=["bits-1", "bits-54", "pi-target-zero", "pi-target-one",
+            "pi-target-nan", "mu-negative", "nu-negative", "no-sweep",
+            "recursive-two-grids-mu-nu", "recursive-two-grids"])
+    def test_rejects_values_that_fail_late_or_never_run(self, fields, key):
+        # each failed only after set-up, or (recursive on two grids) ran the
+        # exact solve under a recursive label
+        with pytest.raises(ConfigError, match=key):
+            ExperimentConfig(size=31, **fields)
 
     def test_rejects_empty_precisions(self):
         with pytest.raises(ConfigError):
@@ -168,7 +191,7 @@ class TestRunExperiment:
         before = digest()
         fmt = PrecisionFormat(12)
         M = make_jacobi(lvl.A, 2.0 / 3.0, fmt)
-        coarse = make_exact_coarse()
+        coarse = make_exact_coarse(lvl)
         rho_star(lvl, M, M, coarse)
         rng = np.random.default_rng(5)
         for _ in range(10):
@@ -191,6 +214,28 @@ class TestRunExperiment:
         assert len(bits) == 1
         pi = records[0].report.pi_dot
         assert 2.0**-9 < pi <= 2.0**-8
+
+
+class TestPassRule:
+    @pytest.mark.parametrize("measured, ratios, passed", [
+        (0.5, [1.0, 0.2], True),
+        (0.5, [0.3, 1.0 + 1e-12], False),
+        (0.5 + 1e-12, [0.3], False),
+        (float("nan"), [0.3], False),
+        (0.5, [float("nan")], False),
+    ], ids=["at-the-edges", "line-over", "total-over", "total-nan", "line-nan"])
+    def test_trial_passed(self, measured, ratios, passed):
+        assert trial_passed(measured, 0.5, ratios) is passed
+
+    def test_record_has_no_default_verdict(self):
+        passed = {f.name: f for f in dataclasses.fields(TrialRecord)}["passed"]
+        assert passed.default is dataclasses.MISSING
+
+    def test_rows_follow_the_rule(self):
+        cfg = ExperimentConfig(size=15, bits=(8,), trials=3, rng_seed=3)
+        for rec in run_experiment(cfg):
+            assert rec.passed is trial_passed(
+                rec.measured_ratio, rec.report.rho_tg, rec.line_ratios.values())
 
 
 class TestCsv:
