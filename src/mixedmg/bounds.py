@@ -133,7 +133,9 @@ class BoundReport:
         return {name: values[name] for name in REPORT_COLUMNS}
 
     def to_json(self) -> str:
-        return json.dumps(self.as_dict(), indent=2)
+        """Strict JSON: a NaN (``rho_star`` not measured) is ``null``."""
+        return json.dumps({name: None if math.isnan(value) else value
+                           for name, value in self.as_dict().items()}, indent=2)
 
     def csv_fields(self) -> list:
         return list(self.as_dict().values())

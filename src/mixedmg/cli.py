@@ -68,7 +68,7 @@ def _add_sweep(sub):
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--problem", default="poisson1d")
-    p.add_argument("--omega", type=float, default=2.0 / 3.0)
+    p.add_argument("--omega", type=float, default=ExperimentConfig.omega)
     p.add_argument("--out", default=None)
 
 

@@ -221,24 +221,17 @@ def make_perturbed_coarse(level: GridLevel, sigma: float, seed: int = 0) -> Coar
     return CoarseSolver(level, correction, sigma)
 
 
-def default_smoothers(levels, fmt: PrecisionFormat):
-    """Damped Jacobi (omega = 2/3) pre/post pair for every level."""
-    return [(make_jacobi(l.A, 2.0 / 3.0, fmt),) * 2 for l in levels]
-
-
-def make_recursive_coarse(levels, mu: int, nu: int, smoothers=None) -> CoarseSolver:
+def make_recursive_coarse(levels, mu: int, nu: int, smoothers) -> CoarseSolver:
     """Coarse solver of ``levels[0]`` that runs one carrier V-cycle on ``levels[1:]``.
 
-    ``smoothers`` is one ``(M, N)`` pair per level of ``levels[1:]``.  With a
-    single level there is no cycle below, and the solver is the exact
-    direct solve.  ``bc_deviation`` is the measured contraction of one
-    cycle.
+    ``smoothers`` is required: one carrier ``(M, N)`` pair per level of
+    ``levels[1:]``.  With a single level there is no cycle below, and the
+    solver is the exact direct solve.  ``bc_deviation`` is the measured
+    contraction of one cycle.
     """
     sub = levels[1:]
     if not sub:
         return make_exact_coarse(levels[0])
-    if smoothers is None:
-        smoothers = default_smoothers(sub, CARRIER)
     solver = CoarseSolver(levels[0], lambda r_c: v_cycle(
         sub, mu, nu, r_c, CARRIER, smoothers=smoothers))
     if solver.bc_deviation >= 1.0:
@@ -404,7 +397,7 @@ def rho_star(level: GridLevel, M: RelaxationOp, N: RelaxationOp,
 
 
 def v_cycle(levels, mu: int, nu: int, r, fmt: PrecisionFormat, *,
-            smoothers=None) -> np.ndarray:
+            smoothers) -> np.ndarray:
     """Recursive V(mu, nu)-cycle over a hierarchy, all levels in ``fmt``.
 
     ``levels`` is a list of two-grid levels, as :func:`build_multilevel`
@@ -416,15 +409,12 @@ def v_cycle(levels, mu: int, nu: int, r, fmt: PrecisionFormat, *,
     exact-arithmetic proxy.  With one level and ``mu = nu = 1`` the result
     is bit for bit that of :func:`tg_cycle` with an exact coarse solver.
 
-    ``smoothers`` is one ``(M, N)`` pair per level; damped Jacobi
-    (omega = 2/3) pairs are built when omitted.
+    ``smoothers`` is required: one ``(M, N)`` pair per level.
     """
     if not levels:
         raise ValueError("v_cycle needs at least one level")
     if mu < 0 or nu < 0 or mu + nu < 1:
         raise ValueError("need mu, nu >= 0 with mu + nu >= 1")
-    if smoothers is None:
-        smoothers = default_smoothers(levels, fmt)
     if len(smoothers) != len(levels):
         raise ValueError("need one smoother pair per level")
     level = levels[0]

@@ -156,20 +156,21 @@ class TestCarrierOperations:
             assert norms[t] == energy_norm(np.array(W[:, t]), level31.A)
 
 
-def _coarse_variants(levels31_3):
+def _coarse_variants(levels31_3, jacobi_pairs):
     lvl = levels31_3[0]
     return {
         "exact": make_exact_coarse(lvl),
         "perturbed": make_perturbed_coarse(lvl, 0.4, seed=3),
-        "recursive": make_recursive_coarse(levels31_3, 1, 1),
+        "recursive": make_recursive_coarse(levels31_3, 1, 1,
+                                           jacobi_pairs(levels31_3[1:])),
     }
 
 
 class TestCycles:
     @pytest.mark.parametrize("variant", ["exact", "perturbed", "recursive"])
-    def test_tg_cycle(self, levels31_3, variant):
+    def test_tg_cycle(self, levels31_3, jacobi_pairs, variant):
         lvl = levels31_3[0]
-        coarse = _coarse_variants(levels31_3)[variant]
+        coarse = _coarse_variants(levels31_3, jacobi_pairs)[variant]
         M = make_jacobi(lvl.A, 2.0 / 3.0, FMT)
         R = np.random.default_rng(9).standard_normal((31, T))
         Y, trace = tg_cycle(lvl, R, M, M, coarse, FMT)
@@ -182,16 +183,19 @@ class TestCycles:
                 assert norms[t] == single.line_norms[name], name
 
     @pytest.mark.parametrize("fmt", [FMT, CARRIER])
-    def test_v_cycle(self, levels31_3, fmt):
+    def test_v_cycle(self, levels31_3, jacobi_pairs, fmt):
+        smoothers = jacobi_pairs(levels31_3, fmt)
         R = np.random.default_rng(10).standard_normal((31, T))
-        Y = v_cycle(levels31_3, 2, 1, R, fmt)
+        Y = v_cycle(levels31_3, 2, 1, R, fmt, smoothers=smoothers)
         for t in range(T):
-            assert np.array_equal(Y[:, t], v_cycle(levels31_3, 2, 1, np.array(R[:, t]), fmt))
+            assert np.array_equal(Y[:, t], v_cycle(levels31_3, 2, 1, np.array(R[:, t]),
+                                                   fmt, smoothers=smoothers))
 
     @pytest.mark.parametrize("variant", ["exact", "perturbed", "recursive"])
-    def test_solve_matrix_columns_are_unit_vector_solves(self, levels31_3, variant):
+    def test_solve_matrix_columns_are_unit_vector_solves(self, levels31_3, jacobi_pairs,
+                                                         variant):
         lvl = levels31_3[0]
-        coarse = _coarse_variants(levels31_3)[variant]
+        coarse = _coarse_variants(levels31_3, jacobi_pairs)[variant]
         W = coarse.solve_matrix
         assert W.flags.c_contiguous
         for i in (0, 7, lvl.n_c - 1):
@@ -214,7 +218,7 @@ def _poison(block, value, column=3):
 
 class TestFailuresInOneColumn:
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-    def test_nonfinite_entry_raises(self, level31, jacobi31, bad):
+    def test_nonfinite_entry_raises(self, level31, jacobi31, jacobi_pairs, bad):
         W = _block(np.random.default_rng(12), 31)
         X = _poison(W, bad)
         with pytest.raises(ValueError):
@@ -238,7 +242,7 @@ class TestFailuresInOneColumn:
         with pytest.raises(ValueError):
             tg_cycle(level31, X, jacobi31, jacobi31, make_exact_coarse(level31), CARRIER)
         with pytest.raises(ValueError):
-            v_cycle([level31], 1, 1, X, CARRIER)
+            v_cycle([level31], 1, 1, X, CARRIER, smoothers=jacobi_pairs([level31]))
 
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_overflow_raises(self, level31):

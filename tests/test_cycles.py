@@ -1,6 +1,7 @@
 """Relaxation operators, coarse solvers, instrumented cycles, V-cycles."""
 
 import dataclasses
+import inspect
 import math
 
 import numpy as np
@@ -30,7 +31,7 @@ from mixedmg import (
     tg_cycle,
     v_cycle,
 )
-from mixedmg.cycles import CoarseSolver, _cycle, default_smoothers
+from mixedmg.cycles import CoarseSolver, _cycle
 from mixedmg.harness import ExperimentConfig, run_experiment
 from mixedmg.hierarchy import linear_interpolation, poisson_1d
 
@@ -259,8 +260,9 @@ class TestRhoStar:
 
 
 class TestVCycle:
-    def test_zero_rhs(self, levels31_3):
-        y = v_cycle(levels31_3, 1, 1, np.zeros(31), FMT12)
+    def test_zero_rhs(self, levels31_3, jacobi_pairs):
+        y = v_cycle(levels31_3, 1, 1, np.zeros(31), FMT12,
+                    smoothers=jacobi_pairs(levels31_3, FMT12))
         assert np.array_equal(y, np.zeros(31))
 
     def test_two_level_bitwise_identity_with_tg(self, level31, jacobi31):
@@ -272,70 +274,83 @@ class TestVCycle:
             y_v = v_cycle([level31], 1, 1, r, FMT12, smoothers=[(M, N)])
             assert np.array_equal(y_tg, y_v)
 
-    def test_three_level_reduces_energy_error(self, levels31_3):
+    def test_three_level_reduces_energy_error(self, levels31_3, jacobi_pairs):
         fmt = PrecisionFormat(16)
+        smoothers = jacobi_pairs(levels31_3, fmt)
         rng = np.random.default_rng(9)
         lvl = levels31_3[0]
         for _ in range(10):
             r = rng.standard_normal(31)
             x = solve_spd(lvl.A, r)
-            y = v_cycle(levels31_3, 1, 1, r, fmt)
+            y = v_cycle(levels31_3, 1, 1, r, fmt, smoothers=smoothers)
             assert energy_norm(y - x, lvl.A) < energy_norm(x, lvl.A)
 
-    def test_multiple_sweeps_beat_single(self, levels31_3):
+    def test_multiple_sweeps_beat_single(self, levels31_3, jacobi_pairs):
+        smoothers = jacobi_pairs(levels31_3)
         rng = np.random.default_rng(10)
         lvl = levels31_3[0]
         worse = better = 0.0
         for _ in range(10):
             r = rng.standard_normal(31)
             x = solve_spd(lvl.A, r)
-            e1 = energy_norm(v_cycle(levels31_3, 1, 1, r, CARRIER) - x, lvl.A)
-            e3 = energy_norm(v_cycle(levels31_3, 3, 3, r, CARRIER) - x, lvl.A)
+            e1 = energy_norm(v_cycle(levels31_3, 1, 1, r, CARRIER,
+                                     smoothers=smoothers) - x, lvl.A)
+            e3 = energy_norm(v_cycle(levels31_3, 3, 3, r, CARRIER,
+                                     smoothers=smoothers) - x, lvl.A)
             worse += e1
             better += e3
         assert better < worse
 
-    def test_rejects_bad_arguments(self, levels31_3):
+    def test_rejects_bad_arguments(self, levels31_3, jacobi_pairs):
+        smoothers = jacobi_pairs(levels31_3, FMT12)
         with pytest.raises(ValueError):
-            v_cycle([], 1, 1, np.zeros(31), FMT12)
+            v_cycle([], 1, 1, np.zeros(31), FMT12, smoothers=[])
         with pytest.raises(ValueError):
-            v_cycle(levels31_3, 0, 0, np.zeros(31), FMT12)
+            v_cycle(levels31_3, 0, 0, np.zeros(31), FMT12, smoothers=smoothers)
         with pytest.raises(ValueError):
             v_cycle(levels31_3, 1, 1, np.zeros(31), FMT12, smoothers=[])
+
+    @pytest.mark.parametrize("function", [v_cycle, make_recursive_coarse])
+    def test_smoothers_have_no_default(self, function):
+        # the caller names every grid's smoother; none is built behind its back
+        smoothers = inspect.signature(function).parameters["smoothers"]
+        assert smoothers.default is inspect.Parameter.empty
 
 
 class TestRecursiveCoarse:
     def test_direct_solve_has_zero_deviation(self, level31):
-        dev = make_recursive_coarse([level31], 1, 1).bc_deviation
+        dev = make_recursive_coarse([level31], 1, 1, []).bc_deviation
         assert dev <= 1e-10
 
-    def test_three_level_deviation_below_one(self, levels31_3):
-        dev = make_recursive_coarse(levels31_3, 1, 1).bc_deviation
+    def test_three_level_deviation_below_one(self, levels31_3, jacobi_pairs):
+        dev = make_recursive_coarse(levels31_3, 1, 1,
+                                    jacobi_pairs(levels31_3[1:])).bc_deviation
         assert 0.0 < dev < 1.0
 
-    def test_smoothers_for_the_whole_hierarchy_rejected(self, levels31_3):
+    def test_smoothers_for_the_whole_hierarchy_rejected(self, levels31_3, jacobi_pairs):
         # one pair per level of levels[1:], not of levels
-        smoothers = default_smoothers(levels31_3, CARRIER)
-        with pytest.raises(ValueError):
-            make_recursive_coarse(levels31_3, 1, 1, smoothers=smoothers)
+        with pytest.raises(ValueError, match="one smoother pair per level"):
+            make_recursive_coarse(levels31_3, 1, 1, jacobi_pairs(levels31_3))
 
-    def test_deviation_equals_coarse_cycle_rho(self, levels31_3):
-        dev = make_recursive_coarse(levels31_3, 1, 1).bc_deviation
+    def test_deviation_equals_coarse_cycle_rho(self, levels31_3, jacobi_pairs):
         sub = levels31_3[1:]
-        M, N = default_smoothers(sub, CARRIER)[0]
+        smoothers = jacobi_pairs(sub)
+        dev = make_recursive_coarse(levels31_3, 1, 1, smoothers).bc_deviation
+        M, N = smoothers[0]
         rho_coarse = rho_star(sub[0], M, N, make_exact_coarse(sub[0]))
         assert dev == pytest.approx(rho_coarse, rel=1e-10)
 
     @pytest.mark.parametrize("variant", ["exact", "recursive"])
-    def test_solve_matrix_assembled_once(self, levels31_3, monkeypatch, variant):
+    def test_solve_matrix_assembled_once(self, levels31_3, jacobi_pairs, monkeypatch,
+                                         variant):
         # the deviation and every format's rho_star share one B_c A_c^{-1}
         applied = []
         apply = CoarseSolver.apply
         monkeypatch.setattr(CoarseSolver, "apply", lambda self, r_c: (
             applied.append(r_c.shape), apply(self, r_c))[1])
         lvl = levels31_3[0]
-        solver = (make_recursive_coarse(levels31_3, 1, 1) if variant == "recursive"
-                  else make_exact_coarse(lvl))
+        solver = (make_recursive_coarse(levels31_3, 1, 1, jacobi_pairs(levels31_3[1:]))
+                  if variant == "recursive" else make_exact_coarse(lvl))
         for bits in (8, 12):
             M = make_jacobi(lvl.A, 2.0 / 3.0, PrecisionFormat(bits))
             rho_star(lvl, M, M, solver)
@@ -375,12 +390,13 @@ class TestRecursiveCoarse:
         with pytest.raises(ValueError, match="different level"):
             tg_cycle(lvl, np.ones(lvl.n), M, M, make_exact_coarse(sub), FMT12)
 
-    def test_recursive_solver_in_tg_cycle(self, levels31_3):
-        solver = make_recursive_coarse(levels31_3, 1, 1)
+    def test_recursive_solver_in_tg_cycle(self, levels31_3, jacobi_pairs):
+        smoothers = jacobi_pairs(levels31_3[1:])
+        solver = make_recursive_coarse(levels31_3, 1, 1, smoothers)
         assert solver.bc_deviation < 1.0
         r_c = np.random.default_rng(14).standard_normal(levels31_3[0].n_c)
-        assert np.array_equal(solver.apply(r_c),
-                              v_cycle(levels31_3[1:], 1, 1, r_c, CARRIER))
+        assert np.array_equal(solver.apply(r_c), v_cycle(
+            levels31_3[1:], 1, 1, r_c, CARRIER, smoothers=smoothers))
         lvl = levels31_3[0]
         M = make_jacobi(lvl.A, 2.0 / 3.0, FMT12)
         rho = rho_star(lvl, M, M, solver)
@@ -391,7 +407,7 @@ class TestRecursiveCoarse:
         assert energy_norm(y - x, lvl.A) < energy_norm(x, lvl.A)
 
     def test_two_level_recursion_degenerates_to_exact(self, level31):
-        assert_direct_solve(make_recursive_coarse([level31], 1, 1), level31)
+        assert_direct_solve(make_recursive_coarse([level31], 1, 1, []), level31)
 
 
 class TestProjectionChain:

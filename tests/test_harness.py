@@ -7,7 +7,14 @@ import json
 import numpy as np
 import pytest
 
-from mixedmg import CARRIER_BITS, build_multilevel
+from mixedmg import (
+    CARRIER,
+    CARRIER_BITS,
+    ContractionError,
+    build_multilevel,
+    make_recursive_coarse,
+)
+from mixedmg import harness
 from mixedmg.cli import main as cli_main
 from mixedmg.harness import (
     CSV_COLUMNS,
@@ -15,7 +22,9 @@ from mixedmg.harness import (
     ExperimentConfig,
     TRIAL_COLUMNS,
     TrialRecord,
+    _make_coarse,
     load_config,
+    make_smoother,
     progressive_study,
     read_csv_rows,
     render_csv,
@@ -105,12 +114,15 @@ class TestConfig:
         (dict(coarse="recursive", levels=3, mu=0, nu=0), "mu"),
         (dict(coarse="recursive", mu=2, nu=0), "levels"),
         (dict(coarse="recursive"), "levels"),
+        (dict(levels=5), "levels"),
+        (dict(coarse="perturbed", sigma=0.3, levels=3), "levels"),
     ], ids=["bits-1", "bits-54", "pi-target-zero", "pi-target-one",
             "pi-target-nan", "mu-negative", "nu-negative", "no-sweep",
-            "recursive-two-grids-mu-nu", "recursive-two-grids"])
+            "recursive-two-grids-mu-nu", "recursive-two-grids",
+            "exact-five-grids", "perturbed-three-grids"])
     def test_rejects_values_that_fail_late_or_never_run(self, fields, key):
-        # each failed only after set-up, or (recursive on two grids) ran the
-        # exact solve under a recursive label
+        # each failed only after set-up, ran the exact solve under a recursive
+        # label (recursive on two grids), or built grids no solver read
         with pytest.raises(ConfigError, match=key):
             ExperimentConfig(size=31, **fields)
 
@@ -206,6 +218,28 @@ class TestRunExperiment:
             records = run_experiment(cfg)
             assert all(r.passed for r in records)
 
+    def test_recursive_lower_grids_relax_with_the_config_smoother(self):
+        # the carrier V-cycle below the coarse grid runs smoother and omega,
+        # which every row echoes
+        levels = build_multilevel(63, 4)
+        deviation = {
+            (smoother, omega): _make_coarse(ExperimentConfig(
+                size=63, levels=4, coarse="recursive", smoother=smoother,
+                omega=omega), levels).bc_deviation
+            for smoother, omega in (("jacobi", 2.0 / 3.0), ("richardson", 0.5),
+                                    ("jacobi", 0.3))}
+        assert len(set(deviation.values())) == 3
+        pairs = [(make_smoother("richardson", l.A, 0.5, CARRIER),) * 2
+                 for l in levels[1:]]
+        assert deviation["richardson", 0.5] == make_recursive_coarse(
+            levels, 1, 1, pairs).bc_deviation
+
+    def test_recursive_smoother_that_does_not_contract_below_raises(self):
+        config = ExperimentConfig(size=63, levels=4, coarse="recursive",
+                                  omega=1.5)
+        with pytest.raises(ContractionError):
+            _make_coarse(config, build_multilevel(63, 4))
+
     def test_progressive_selection(self):
         cfg = ExperimentConfig(size=31, bits=(), pi_target=2.0**-8, trials=3,
                                rng_seed=4)
@@ -291,6 +325,17 @@ class TestProgressiveStudy:
         summary = progressive_study([15, 31], 2.0**-8, trials=5, seed=0)
         assert summary["all_ok"]
         assert summary["delta_rho_spread"] < 4.0
+
+    def test_a_failing_proof_line_fails_the_study(self, monkeypatch, capsys):
+        # within_bound follows the trials' pass flags, not the total alone
+        per_line = harness.per_line_bounds
+        monkeypatch.setattr(harness, "per_line_bounds", lambda inputs: {
+            name: 1e-6 * c for name, c in per_line(inputs).items()})
+        summary = progressive_study([15, 31], 2.0**-8, trials=3)
+        assert not any(v["within_bound"] for v in summary["per_size"].values())
+        assert not summary["all_ok"]
+        assert cli_main(["progressive", "--sizes", "15", "31", "--pi-target",
+                         str(2.0**-8), "--trials", "3"]) == 1
 
 
 class TestCli:
@@ -380,6 +425,20 @@ class TestCli:
         assert code == 0
         data = json.loads(capsys.readouterr().out)
         assert all(data[f"c{k}"] == 0.0 for k in range(6))
+
+    def test_bounds_without_rho_star_prints_strict_json(self, capsys):
+        def reject(constant):
+            raise ValueError(f"{constant} is not JSON")
+
+        assert cli_main([
+            "bounds", "--bits", "12", "--kappa", "414.3", "--kappa-c", "103.1",
+            "--eta-a", "1.0", "--eta-p", "2.0", "--eta-m", "1.33", "--eta-n",
+            "1.33", "--alpha-m", "1.33", "--alpha-n", "1.33", "--m-a", "3",
+            "--m-p", "2",
+        ]) == 0
+        data = json.loads(capsys.readouterr().out, parse_constant=reject)
+        assert data["rho_star"] is None and data["rho_tg"] is None
+        assert data["delta_rho"] > 0.0
 
     def test_bounds_json_keys_are_report_columns(self, capsys):
         from mixedmg.bounds import REPORT_COLUMNS

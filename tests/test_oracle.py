@@ -47,12 +47,12 @@ def smoother(kind, A, fmt=FMT):
     return make(A, 2.0 / 3.0, fmt)
 
 
-def coarse_solver(variant, levels):
+def coarse_solver(variant, levels, jacobi_pairs):
     if variant == "exact":
         return make_exact_coarse(levels[0])
     if variant == "perturbed":
         return make_perturbed_coarse(levels[0], 0.3, seed=5)
-    return make_recursive_coarse(levels, 1, 1)
+    return make_recursive_coarse(levels, 1, 1, jacobi_pairs(levels[1:]))
 
 
 def oracle_coarse_matrix(variant, levels, coarse):
@@ -124,20 +124,20 @@ def test_smoother_constants(name, kind):
 @pytest.mark.parametrize("variant", ["exact", "perturbed", "recursive"])
 @pytest.mark.parametrize("kind", ["jacobi", "richardson"])
 @pytest.mark.parametrize("name", HIERARCHIES)
-def test_rho_star(name, kind, variant):
+def test_rho_star(name, kind, variant, jacobi_pairs):
     levels = hierarchy(name)
     level = levels[0]
     M = smoother(kind, level.A)
-    coarse = coarse_solver(variant, levels)
+    coarse = coarse_solver(variant, levels, jacobi_pairs)
     X = oracle_coarse_matrix(variant, levels, coarse)
     assert_close(rho_star(level, M, M, coarse),
                  oracle.rho_star(level, M, M, X), "rho_star")
 
 
 @pytest.mark.parametrize("name", HIERARCHIES)
-def test_recursive_bc_deviation(name):
+def test_recursive_bc_deviation(name, jacobi_pairs):
     levels = hierarchy(name)
-    coarse = make_recursive_coarse(levels, 1, 1)
+    coarse = make_recursive_coarse(levels, 1, 1, jacobi_pairs(levels[1:]))
     expected = oracle.bc_deviation(levels[0], coarse.solve_matrix)
     assert_close(coarse.bc_deviation, expected, "bc_deviation")
 
