@@ -45,6 +45,7 @@ from .harness import (
 )
 from .hierarchy import (
     GridLevel,
+    StructureError,
     build_multilevel,
     bilinear_interpolation,
     galerkin_coarse,

@@ -38,12 +38,13 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sparse
 
+from . import fourier
 from .bounds import PROOF_LINES
 from .hierarchy import GridLevel
 from .linops import (
@@ -152,26 +153,54 @@ def make_richardson(A: SparseSpd, omega: float, fmt: PrecisionFormat) -> Relaxat
 
 
 @dataclass(frozen=True, eq=False)
+class CarrierCycle:
+    """The carrier V(mu, nu)-cycle that solves ``level.A_c``, as a map.
+
+    ``levels`` are the two-grid levels below ``level``, with one ``(M, N)``
+    pair each in ``smoothers``; with no levels the cycle is the direct solve
+    of ``A_c``.  :attr:`fourier` is its Fourier form.
+    """
+
+    level: GridLevel
+    levels: tuple = ()
+    smoothers: tuple = ()
+    mu: int = 1
+    nu: int = 1
+
+    def __post_init__(self):
+        if self.levels:
+            _check_cycle(self.levels, self.mu, self.nu, self.smoothers)
+
+    def __call__(self, r_c: np.ndarray) -> np.ndarray:
+        if not self.levels:
+            return solve_spd(self.level.A_c, r_c)
+        return v_cycle(self.levels, self.mu, self.nu, r_c, CARRIER,
+                       smoothers=self.smoothers)
+
+    @cached_property
+    def fourier(self) -> fourier.CoarseBlocks:
+        """The cycle's Fourier blocks on the coarse grid, built once."""
+        below = tuple((l, M, N) for l, (M, N) in zip(self.levels, self.smoothers))
+        return fourier.coarse_blocks(self.level, below, self.mu, self.nu)
+
+
+@dataclass(frozen=True, eq=False)
 class CoarseSolver:
     """The coarse correction ``r_c -> B_c A_c^{-1} r_c`` of one level.
 
     ``correction`` is that map on a coarse vector or block, run in the
     carrier so that it stays linear.  ``bc_deviation`` is the energy norm of
-    ``B_c - I`` on the level's coarse grid; when the constructor is not
-    given it, it is measured from :attr:`solve_matrix`.
+    ``B_c - I`` on the level's coarse grid, which every constructor passes:
+    zero for the exact solve, ``sigma`` for the perturbed one, and the
+    certified Fourier-block norm of :func:`mixedmg.fourier.cycle_deviation`
+    for a recursive one.  A :class:`CarrierCycle` correction has a Fourier
+    form, which :func:`rho_star` uses; the perturbed solve's does not, and
+    its ``rho_star`` is dense.
     """
 
     level: GridLevel
     correction: Callable[[np.ndarray], np.ndarray] = field(repr=False)
-    deviation: InitVar[float | None] = None
-    bc_deviation: float = field(init=False)
-
-    def __post_init__(self, deviation):
-        if deviation is None:
-            A_c = self.level.A_c
-            B_c = (A_c.matrix @ self.solve_matrix.T).T  # A_c is symmetric
-            deviation = energy_operator_norm(B_c - np.eye(A_c.n), A_c)
-        object.__setattr__(self, "bc_deviation", deviation)
+    bc_deviation: float
 
     def apply(self, r_c: np.ndarray) -> np.ndarray:
         """``B_c A_c^{-1} r_c`` for a coarse vector or block."""
@@ -181,7 +210,8 @@ class CoarseSolver:
     def solve_matrix(self) -> np.ndarray:
         """Dense ``B_c A_c^{-1}``: the solver applied to the identity block.
 
-        Assembled on first use and kept, read-only.
+        Assembled on first use and kept, read-only.  Only the perturbed
+        solve's ``rho_star`` reads it on the run path.
         """
         W = np.ascontiguousarray(self.apply(np.eye(self.level.A_c.n)))
         W.flags.writeable = False
@@ -190,7 +220,7 @@ class CoarseSolver:
 
 def make_exact_coarse(level: GridLevel) -> CoarseSolver:
     """The direct carrier solve ``A_c^{-1} r_c`` of ``level``: ``B_c = I``."""
-    return CoarseSolver(level, lambda r_c: solve_spd(level.A_c, r_c), 0.0)
+    return CoarseSolver(level, CarrierCycle(level), 0.0)
 
 
 def make_perturbed_coarse(level: GridLevel, sigma: float, seed: int = 0) -> CoarseSolver:
@@ -226,18 +256,18 @@ def make_recursive_coarse(levels, mu: int, nu: int, smoothers) -> CoarseSolver:
 
     ``smoothers`` is required: one carrier ``(M, N)`` pair per level of
     ``levels[1:]``.  With a single level there is no cycle below, and the
-    solver is the exact direct solve.  ``bc_deviation`` is the measured
-    contraction of one cycle.
+    solver is the exact direct solve.  ``bc_deviation`` is the certified
+    contraction of one cycle, from its Fourier blocks.
     """
     sub = levels[1:]
     if not sub:
         return make_exact_coarse(levels[0])
-    solver = CoarseSolver(levels[0], lambda r_c: v_cycle(
-        sub, mu, nu, r_c, CARRIER, smoothers=smoothers))
-    if solver.bc_deviation >= 1.0:
+    cycle = CarrierCycle(levels[0], tuple(sub), tuple(smoothers), mu, nu)
+    deviation = fourier.cycle_deviation(levels[0], cycle.fourier)
+    if deviation >= 1.0:
         raise ContractionError(f"recursive coarse solve does not contract "
-                               f"(deviation {solver.bc_deviation:.4f})")
-    return solver
+                               f"(deviation {deviation:.4f})")
+    return CoarseSolver(levels[0], cycle, deviation)
 
 
 @dataclass(frozen=True, eq=False)
@@ -380,12 +410,22 @@ def rho_star(level: GridLevel, M: RelaxationOp, N: RelaxationOp,
              coarse: CoarseSolver) -> float:
     """Energy norm of the exact-arithmetic two-grid error propagator.
 
-    Forms ``E = (I - N A)(I - P X P' A)(I - M A)`` with ``X = B_c A_c^{-1}``
-    from the sparse factors and the dense ``X``, and returns its energy
-    operator norm.  A value >= 1 is reported, not raised: the convergence
-    bound is then vacuous for this configuration.
+    ``E = (I - N A)(I - P X P' A)(I - M A)`` with ``X = B_c A_c^{-1}``.  For
+    the exact and recursive coarse solves (a :class:`CarrierCycle`) this is
+    the certified upper end of :func:`mixedmg.fourier.two_grid_norm`, from
+    small blocks over the sine harmonics; it raises
+    :class:`mixedmg.fourier.StructureError` when an operator is not the
+    matrix of its stencil.  The perturbed solve is the one fork: its seeded
+    dense ``G`` has no Fourier form, so ``E`` is formed densely from the
+    sparse factors and :attr:`CoarseSolver.solve_matrix`, and its energy
+    operator norm is the top eigenvalue of a dense Gram matrix.  A value
+    >= 1 is reported, not raised: the convergence bound is then vacuous for
+    this configuration.
     """
     _check_coarse(level, coarse)
+    cycle = coarse.correction
+    if isinstance(cycle, CarrierCycle):
+        return fourier.two_grid_norm(level, M, N, cycle.fourier)
     A = level.A.matrix
     eye = sparse.eye_array(level.n)
     pre = eye - sparse.diags_array(M.diag) @ A
@@ -394,6 +434,15 @@ def rho_star(level: GridLevel, M: RelaxationOp, N: RelaxationOp,
     restricted = (level.P_t @ (A @ pre)).toarray()
     E = post @ (pre.toarray() - level.P @ (X @ restricted))
     return energy_operator_norm(E, level.A)
+
+
+def _check_cycle(levels, mu: int, nu: int, smoothers):
+    if not levels:
+        raise ValueError("v_cycle needs at least one level")
+    if mu < 0 or nu < 0 or mu + nu < 1:
+        raise ValueError("need mu, nu >= 0 with mu + nu >= 1")
+    if len(smoothers) != len(levels):
+        raise ValueError("need one smoother pair per level")
 
 
 def v_cycle(levels, mu: int, nu: int, r, fmt: PrecisionFormat, *,
@@ -411,12 +460,7 @@ def v_cycle(levels, mu: int, nu: int, r, fmt: PrecisionFormat, *,
 
     ``smoothers`` is required: one ``(M, N)`` pair per level.
     """
-    if not levels:
-        raise ValueError("v_cycle needs at least one level")
-    if mu < 0 or nu < 0 or mu + nu < 1:
-        raise ValueError("need mu, nu >= 0 with mu + nu >= 1")
-    if len(smoothers) != len(levels):
-        raise ValueError("need one smoother pair per level")
+    _check_cycle(levels, mu, nu, smoothers)
     level = levels[0]
     if len(levels) == 1:
         coarse = lambda r_c: solve_spd(level.A_c, r_c)  # noqa: E731

@@ -1,0 +1,349 @@
+"""Certified Fourier-block norms of the exact two-grid and V-cycle propagators.
+
+On the model problems every operator a cycle uses is diagonalised, or mapped
+mode to mode, by the orthonormal sine basis: ``A`` and ``A_c`` are symmetric
+stencils with one value per offset, ``P`` is a scalar times the (bi)linear
+interpolation stencil, and the smoothers are constant diagonals (local
+Fourier analysis: Trottenberg, Oosterlee and Schüller, *Multigrid*, 2001,
+ch. 3-4; Wienands and Oosterlee, SISC 23, 2001, for more than two grids).
+With ``theta_j = j pi / (k + 1)`` on a grid of ``k`` points per axis:
+
+- ``A`` has the symbol ``c_0 + c_1 2 cos theta`` (1D) or
+  ``sum c_ab (2 cos theta_0)^a (2 cos theta_1)^b`` (2D) on its sine modes;
+- ``P'`` maps the fine modes ``j`` and ``k + 1 - j`` to the coarse mode ``j``
+  with the weights ``+-p (1 + cos theta) / sqrt(2)`` per axis, ``p`` the
+  stored centre weight, and the middle mode ``(k + 1) / 2`` to zero.
+
+So the propagator ``E = S_N^nu (I - P X P' A) S_M^mu`` splits into blocks
+over the harmonic groups a coarse group pulls back to: 2 modes (1D) or 4
+modes (2D) per coarse mode for an exact coarse solve, ``2^(L-1)`` or
+``4^(L-1)`` for a V-cycle over ``L`` grids, and a lone mode with ``S_N^nu
+S_M^mu`` only where a middle mode has no coarse image.  A coarse V-cycle
+enters as ``X = (I - E_sub) A_c^{-1}``, block by block; no order-``n``
+matrix is formed.
+
+Every block entry is computed in midpoint-radius arithmetic (:class:`_Ball`):
+the radius bounds the float64 rounding of each operation and the error of
+the cosines, so the exact block of the stored operators lies within it
+entrywise.  Weyl's inequality adds the radius's Frobenius norm to the top
+singular value of the computed block, which is the square root of the top
+eigenvalue of its Gram matrix plus the Gram product's ``gamma_G`` rounding
+and the symmetric eigensolver's backward error, taken as ``4 G u`` times the
+Gram norm for a block of order ``G``.  The largest such bound is reported,
+rounded up.
+
+The symbols come from :attr:`mixedmg.hierarchy.GridLevel.stencils`, which
+rebuilds each operator from its stencil values and compares it with the
+stored matrix bit for bit, and each smoother diagonal must be constant; a
+mismatch raises :class:`StructureError` naming the level and the operator.
+There is no dense fallback.
+"""
+
+from __future__ import annotations
+
+import itertools
+import math
+from dataclasses import dataclass
+
+import numpy as np
+
+from .hierarchy import StructureError
+
+_U = float(np.finfo(np.float64).eps) / 2  # unit roundoff of the carrier
+
+
+def _gamma(m: int) -> float:
+    return m * _U / (1.0 - m * _U)
+
+
+class _Ball:
+    """Midpoint-radius arrays: each exact value lies within ``rad`` of ``mid``.
+
+    Every operation adds the rounding of its result, ``u |mid|``, and widens
+    the radius by ``(1 + 8u)`` for the rounding of the radius formula itself.
+    """
+
+    __slots__ = ("mid", "rad")
+
+    def __init__(self, mid, rad=0.0):
+        self.mid = np.asarray(mid, dtype=np.float64)
+        self.rad = np.asarray(rad, dtype=np.float64)  # 0-d, or the shape of mid
+
+    @staticmethod
+    def _of(x) -> _Ball:
+        return x if isinstance(x, _Ball) else _Ball(x)
+
+    @staticmethod
+    def _rounded(mid, rad) -> _Ball:
+        return _Ball(mid, (rad + _U * np.abs(mid)) * (1.0 + 8 * _U))
+
+    def __add__(self, other):
+        other = _Ball._of(other)
+        return _Ball._rounded(self.mid + other.mid, self.rad + other.rad)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return _Ball(-self.mid, self.rad)
+
+    def __sub__(self, other):
+        return self + (-_Ball._of(other))
+
+    def __rsub__(self, other):
+        return _Ball._of(other) + (-self)
+
+    def __mul__(self, other):
+        other = _Ball._of(other)
+        rad = (np.abs(self.mid) * other.rad + self.rad * np.abs(other.mid)
+               + self.rad * other.rad)
+        return _Ball._rounded(self.mid * other.mid, rad)
+
+    __rmul__ = __mul__
+
+    def reciprocal(self) -> _Ball:
+        size = np.abs(self.mid)
+        if np.any(size <= self.rad):
+            raise ArithmeticError("reciprocal of a ball that contains zero")
+        return _Ball._rounded(1.0 / self.mid, self.rad / (size * (size - self.rad)))
+
+    def sqrt(self) -> _Ball:
+        if np.any(self.mid <= self.rad):
+            raise ArithmeticError("square root of a ball that reaches zero")
+        root = np.sqrt(self.mid)
+        return _Ball._rounded(root, self.rad / root)
+
+    def __pow__(self, power: int):
+        out = _Ball(np.ones_like(self.mid))
+        for _ in range(power):
+            out = out * self
+        return out
+
+    def map(self, fn) -> _Ball:
+        """The ball whose mid and radius are ``fn`` of these (an exact rearrangement)."""
+        return _Ball(fn(self.mid), fn(self.rad) if self.rad.ndim else self.rad)
+
+
+_HALF_SQRT2 = _Ball(math.sqrt(0.5), _U * math.sqrt(0.5))
+
+
+def _harmonics(F: np.ndarray, k: int) -> tuple[_Ball, _Ball]:
+    """``4 sin^2(theta / 2)`` and ``1 + cos theta`` at ``theta = F pi / (k + 1)``.
+
+    Both come from the half angle ``phi`` of the nearer end of ``[0, pi]``,
+    as ``4 sin^2 phi`` and ``2 cos^2 phi`` or the other way round, so each is
+    accurate to a few units of roundoff relative even where ``1 - cos`` or
+    ``1 + cos`` would cancel.  ``phi`` is within ``4u`` of itself relative,
+    and the sine and cosine functions within 4 units in the last place.
+    """
+    high = 2 * F > k + 1
+    phi = np.where(high, k + 1 - F, F) * np.pi / (2 * (k + 1))
+    sin, cos = np.sin(phi), np.cos(phi)
+    sin = _Ball(sin, 4 * _U * phi + 8 * _U * sin)
+    cos = _Ball(cos, 4 * _U * phi + 8 * _U * cos)
+    sin2, cos2 = sin * sin, cos * cos
+
+    def pick(low, other):
+        return _Ball(np.where(high, other.mid, low.mid), np.where(high, other.rad, low.rad))
+
+    return 4.0 * pick(sin2, cos2), 2.0 * pick(cos2, sin2)
+
+
+def _constant_diagonal(diag: np.ndarray, n: int, name: str) -> float:
+    diag = np.asarray(diag)
+    if diag.shape != (n,) or not np.all(diag == diag[0]):
+        raise StructureError(f"{name} does not have a constant diagonal of order {n}")
+    return float(diag[0])
+
+
+def _stencils(level, depth: int):
+    """``level.stencils``, with the level's depth in its hierarchy named on a mismatch."""
+    try:
+        return level.stencils
+    except StructureError as exc:
+        raise StructureError(f"level {depth}: {exc}") from None
+
+
+def _expand(per_axis: list[_Ball]) -> list[_Ball]:
+    """Per-axis ``(B_a, g_a)`` balls, broadcastable to ``(B_1..B_d, g_1..g_d)``."""
+    d = len(per_axis)
+    out = []
+    for a, x in enumerate(per_axis):
+        shape = [1] * (2 * d)
+        shape[a], shape[d + a] = x.mid.shape
+        out.append(x.map(lambda v, s=tuple(shape): v.reshape(s)))
+    return out
+
+
+def _flatten(x: _Ball, d: int) -> _Ball:
+    """A ``(B_1..B_d, g_1..g_d)`` ball as ``(B, G)`` blocks, in Kronecker order."""
+    B = int(np.prod(x.mid.shape[:d]))
+    return x.map(lambda v: v.reshape(B, -1))
+
+
+def _symbol(c: np.ndarray, s: list[_Ball]) -> _Ball:
+    """The stencil ``c`` on the modes of one class: ``(B, G)`` eigenvalues.
+
+    With ``2 cos theta = 2 - s`` per axis, the symbol is a polynomial in the
+    ``s`` of :func:`_harmonics` whose coefficients are exactly rounded sums of
+    the stencil values, so it does not cancel at low frequencies.
+    """
+    d = len(s)
+    t = _expand(s)
+    shape = tuple(int(max(x.mid.shape[i] for x in t)) for i in range(2 * d))
+    total = _Ball(np.zeros(shape))
+    for S in itertools.product((0, 1), repeat=d):
+        # c[a] prod (2 - s_i) over the axes of a; the coefficient of prod s_i
+        # over the axes of S sums c[a] 2^(|a| - |S|) over every a that covers S
+        coeff = (-1) ** sum(S) * math.fsum(
+            c[a] * 2.0 ** (sum(a) - sum(S)) for a in itertools.product((0, 1), repeat=d)
+            if all(x >= y for x, y in zip(a, S)))
+        if coeff == 0.0:
+            continue
+        term = _Ball(np.full(shape, coeff), _U * abs(coeff))
+        for x, on in zip(t, S):
+            if on:
+                term = term * x
+        total = total + term
+    return _flatten(total, d)
+
+
+def _identity(B: int, G: int) -> _Ball:
+    """``B`` identity blocks of order ``G``."""
+    return _Ball(np.broadcast_to(np.eye(G), (B, G, G)))
+
+
+def _step(level, M, N, mu: int, nu: int, coarse_classes, X, depth: int):
+    """One level's propagator blocks ``S_N^nu (I - P X P' A) S_M^mu``.
+
+    ``coarse_classes`` lists the frequency classes of the coarse grid, each a
+    ``(B, g)`` array of ``B`` groups of ``g`` frequencies, and ``X`` maps a
+    class key (one class index per axis) to the coarse solve's ``(B, G, G)``
+    blocks.  ``depth`` numbers the level in its hierarchy for the errors.
+    Returns the fine grid's classes, and per key the blocks of ``E`` and the
+    ``(B, G)`` symbol of ``A``.
+    """
+    c = _stencils(level, depth)
+    d, k = c.d, c.k
+    w_M = _constant_diagonal(M.diag, level.n, f"level {depth}: pre-smoother M")
+    w_N = _constant_diagonal(N.diag, level.n, f"level {depth}: post-smoother N")
+    # each coarse group pulls back to its fine modes j and k + 1 - j on every
+    # axis; the middle mode has no coarse image and is a class of its own
+    classes = [np.hstack([F, k + 1 - F]) for F in coarse_classes]
+    classes.append(np.array([[(k + 1) // 2]]))
+    E, symbols = {}, {}
+    for key in itertools.product(range(len(classes)), repeat=d):
+        Fs = [classes[i] for i in key]
+        harmonics = [_harmonics(F, k) for F in Fs]
+        lam = _symbol(c.A, [h[0] for h in harmonics])
+        s_M = (1.0 - w_M * lam) ** mu
+        s_N = (1.0 - w_N * lam) ** nu
+        core = _identity(*lam.mid.shape)
+        if key in X:
+            # P' weight of each fine mode: +-(1 + cos) / sqrt(2) per axis
+            weights = []
+            for F, (_, one_plus_cos) in zip(Fs, harmonics):
+                sign = np.where(np.arange(F.shape[1]) < F.shape[1] // 2, 1.0, -1.0)
+                weights.append(one_plus_cos * _HALF_SQRT2 * sign)
+            r = _flatten(_prod(_expand(weights)), d) * c.p
+            sizes = [F.shape[1] // 2 for F in Fs]
+            cidx = np.ravel_multi_index(
+                np.meshgrid(*[np.arange(2 * g) % g for g in sizes], indexing="ij"),
+                sizes).ravel()
+            Xg = X[key].map(lambda v: v[:, cidx[:, None], cidx[None, :]])
+            core = core - r.map(lambda v: v[:, :, None]) * Xg * (r * lam).map(
+                lambda v: v[:, None, :])
+        E[key] = s_N.map(lambda v: v[:, :, None]) * core * s_M.map(lambda v: v[:, None, :])
+        symbols[key] = lam
+    return classes, E, symbols
+
+
+def _prod(balls: list[_Ball]) -> _Ball:
+    out = balls[0]
+    for b in balls[1:]:
+        out = out * b
+    return out
+
+
+@dataclass(frozen=True, eq=False)
+class CoarseBlocks:
+    """The Fourier form of a coarse solve ``X ~ A_c^{-1}`` on a level's coarse grid.
+
+    ``classes`` lists the frequency classes of the coarse grid per axis,
+    and ``X`` maps a class key (one class index per axis) to the solve's
+    ``(B, G, G)`` blocks on it.
+    """
+
+    classes: list
+    X: dict
+
+
+def coarse_blocks(level, below, mu: int, nu: int) -> CoarseBlocks:
+    """The Fourier blocks of the coarse solve of ``level``.
+
+    With ``below`` empty, ``X`` is the direct solve of ``level.A_c``;
+    otherwise it is the carrier V(mu, nu)-cycle over the ``(level, M, N)``
+    of ``below``, ``X = (I - E) A^{-1}`` with ``A`` the top one's matrix.
+    """
+    chain = [level] + [l for l, _, _ in below]
+    stencils = [_stencils(l, depth) for depth, l in enumerate(chain)]
+    d = stencils[0].d
+    for depth in range(1, len(chain)):
+        if (stencils[depth].d, stencils[depth].k) != (d, (stencils[depth - 1].k - 1) // 2):
+            raise StructureError(f"level {depth} is not the coarse grid of level {depth - 1}")
+    k = (stencils[-1].k - 1) // 2
+    classes = [np.arange(1, k + 1)[:, None]]
+    lam = _symbol(stencils[-1].A_c, [_harmonics(classes[0], k)[0]] * d)
+    X = {(0,) * d: lam.reciprocal().map(lambda v: v[:, :, None])}
+    for depth in reversed(range(1, len(chain))):
+        _, M, N = below[depth - 1]
+        classes, E, symbols = _step(chain[depth], M, N, mu, nu, classes, X, depth)
+        X = {key: (_identity(*e.mid.shape[:2]) - e) * symbols[key].reciprocal().map(
+            lambda v: v[:, None, :]) for key, e in E.items()}
+    return CoarseBlocks(classes, X)
+
+
+def _norm_bound(blocks) -> float:
+    """Upper end of the largest spectral norm over ``(B, G, G)`` balls, rounded up."""
+    best = 0.0
+    for x in blocks:
+        mid, G = x.mid, x.mid.shape[-1]
+        gram = np.swapaxes(mid, -1, -2) @ mid
+        top = np.linalg.eigvalsh(gram)[..., -1]
+        fro2 = np.einsum("bij,bij->b", mid, mid) * (1.0 + _gamma(G * G))
+        slack = (_gamma(G) + 4 * G * _U) * fro2 * (1.0 + 4 * _U)
+        sigma = np.sqrt(np.maximum(top, 0.0) + slack) * (1.0 + 2 * _U)
+        rad = np.broadcast_to(x.rad, mid.shape)
+        radius = np.sqrt(np.einsum("bij,bij->b", rad, rad)) * (1.0 + _gamma(G * G + 2))
+        best = max(best, float(((sigma + radius) * (1.0 + 2 * _U)).max()))
+    return float(np.nextafter(best, np.inf))
+
+
+def _energy(x: _Ball, lam: _Ball) -> _Ball:
+    """``Lambda^(1/2) x Lambda^(-1/2)`` for blocks ``x`` and their symbols."""
+    q = lam.sqrt()
+    return q.map(lambda v: v[:, :, None]) * x * q.reciprocal().map(lambda v: v[:, None, :])
+
+
+def two_grid_norm(level, M, N, coarse: CoarseBlocks) -> float:
+    """Certified upper end of the energy norm of ``(I - N A)(I - P X P' A)(I - M A)``.
+
+    ``X`` is the coarse solve whose blocks :func:`coarse_blocks` gave.
+    """
+    _, E, symbols = _step(level, M, N, 1, 1, coarse.classes, coarse.X, 0)
+    return _norm_bound(_energy(E[key], symbols[key]) for key in E)
+
+
+def cycle_deviation(level, coarse: CoarseBlocks) -> float:
+    """Certified upper end of the ``A_c``-norm of ``X A_c - I``.
+
+    ``X`` is the coarse solve of ``level`` whose blocks :func:`coarse_blocks`
+    gave; the coarse blocks are ``X A_c - I`` with ``A_c``'s symbol.
+    """
+    c = _stencils(level, 0)
+    k_c = (c.k - 1) // 2
+    blocks = []
+    for key, x in coarse.X.items():
+        lam = _symbol(c.A_c, [_harmonics(coarse.classes[i], k_c)[0] for i in key])
+        deviation = x * lam.map(lambda v: v[:, None, :]) - _identity(*x.mid.shape[:2])
+        blocks.append(_energy(deviation, lam))
+    return _norm_bound(blocks)

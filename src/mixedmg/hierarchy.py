@@ -9,10 +9,16 @@ arguments behind the convergence theory require.  Each scale is the
 certified upper end of the top eigenvalue of the matrix before scaling
 (:func:`mixedmg.linops.spectral_norm`), so a scaled norm exceeds one by at
 most the rounding of the scaling itself: a few units of roundoff.
+
+:attr:`GridLevel.stencils` reads a model-problem level back as stencil
+values, the input of the Fourier analysis in :mod:`mixedmg.fourier`, and
+checks that each operator is exactly the matrix those values rebuild.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -77,6 +83,96 @@ def bilinear_interpolation(k_fine: int) -> sparse.csr_array:
     return P
 
 
+class StructureError(ValueError):
+    """An operator is not the matrix its stencil values rebuild."""
+
+
+@dataclass(frozen=True, eq=False)
+class LevelStencils:
+    """A level's operators as stencil values on a grid of ``k`` points per axis.
+
+    ``d`` is 1 or 2.  ``A`` and ``A_c`` are ``c[a_1, .., a_d]`` (each ``a_i``
+    0 or 1): the coupling of points that differ by one along the axes where
+    ``a_i = 1``.  ``p`` is the centre weight of ``P = p * interpolation``.
+    """
+
+    d: int
+    k: int
+    A: np.ndarray
+    A_c: np.ndarray
+    p: float
+
+
+def _flat_index(point, k: int) -> int:
+    out = 0
+    for i in point:
+        out = out * k + i
+    return out
+
+
+def _differs(stored, rebuilt) -> bool:
+    return bool((sparse.csr_array(stored) != sparse.csr_array(rebuilt)).nnz)
+
+
+def _stencil(matrix, d: int, k: int, name: str) -> np.ndarray:
+    """The stencil of a symmetric operator on a ``k``-point grid, read at its centre.
+
+    The matrix rebuilt from it must equal the stored one bit for bit.
+    """
+    if matrix.shape != (k**d, k**d):
+        raise StructureError(f"{name} has shape {matrix.shape}, not that of a "
+                             f"{'x'.join([str(k)] * d)} grid")
+    M = sparse.csr_array(matrix)
+    centre = (k // 2,) * d
+    c = np.zeros((2,) * d)
+    for a in itertools.product((0, 1), repeat=d):
+        if all(i + s < k for i, s in zip(centre, a)):
+            shifted = tuple(i + s for i, s in zip(centre, a))
+            c[a] = M[_flat_index(centre, k), _flat_index(shifted, k)]
+    eye = sparse.eye_array(k, format="csr")
+    near = sparse.diags_array([np.ones(k - 1)] * 2, offsets=[-1, 1], shape=(k, k),
+                              format="csr") if k > 1 else eye * 0.0
+    rebuilt = 0
+    for a in itertools.product((0, 1), repeat=d):
+        factors = [near if s else eye for s in a]
+        term = factors[0]
+        for f in factors[1:]:
+            term = sparse.kron(term, f)
+        rebuilt = rebuilt + c[a] * term
+    if _differs(M, rebuilt):
+        raise StructureError(f"{name} is not the matrix of its stencil "
+                             f"{c.ravel().tolist()}")
+    return c
+
+
+def level_stencils(level: GridLevel) -> LevelStencils:
+    """The stencils of a model-problem level, each checked against its operator.
+
+    The grid is 1D with ``k = n`` points or 2D with ``k`` by ``k``, read from
+    the orders of ``A`` and ``A_c``, which a (bi)linear coarsening of an odd
+    ``k`` relates as ``n_c = ((k - 1) / 2)^d``.  ``A``, ``A_c``, ``P`` and
+    ``P'`` must each equal the matrix rebuilt from the stencil values read
+    off them, bit for bit; otherwise :class:`StructureError` names the
+    operator.
+    """
+    n, n_c = level.n, level.n_c
+    k = math.isqrt(n)
+    if n % 2 and n_c == (n - 1) // 2:
+        d, k = 1, n
+    elif k * k == n and k % 2 and n_c == ((k - 1) // 2) ** 2:
+        d = 2
+    else:
+        raise StructureError(f"P maps {n} points to {n_c}: not a (bi)linear "
+                             f"coarsening of a 1D or square 2D grid")
+    A = _stencil(level.A.matrix, d, k, "A")
+    A_c = _stencil(level.A_c.matrix, d, (k - 1) // 2, "A_c")
+    interp = (linear_interpolation if d == 1 else bilinear_interpolation)(k)
+    p = float(level.P[_flat_index((1,) * d, k), 0])
+    if _differs(level.P, interp * p) or _differs(level.P_t, (interp * p).T):
+        raise StructureError(f"P is not {p!r} times the interpolation stencil")
+    return LevelStencils(d, k, A, A_c, p)
+
+
 def galerkin_coarse(A: SparseSpd, P) -> SparseSpd:
     """The Galerkin coarse matrix ``P' A P`` in the carrier, symmetrized."""
     P = sparse.csr_array(P)
@@ -126,6 +222,11 @@ class GridLevel:
     def P_t_layout(self) -> RowLayout:
         """The padded row layout of ``P'`` for the rounded kernels, built once."""
         return RowLayout.of(self.P_t)
+
+    @cached_property
+    def stencils(self) -> LevelStencils:
+        """The checked stencils of :func:`level_stencils`, built once."""
+        return level_stencils(self)
 
 
 def _scaled(A) -> SparseSpd:

@@ -439,10 +439,11 @@ def energy_operator_norm(K, A: SparseSpd) -> float:
     symmetric.  ``Y`` costs one banded triangular solve and one banded
     product; its norm is the square root of the largest eigenvalue of the
     dense Gram matrix ``Y' Y``, an order-``n`` eigenvalue problem.  It
-    serves the operators that carry a dense coarse correction: ``rho_star``,
-    the recursive coarse deviation and the perturbed coarse solve's
-    normalisation.  A banded operator's energy norm is a banded pencil
-    instead (the smoothers' ``eta_energy`` in :mod:`mixedmg.cycles`).
+    serves only the perturbed coarse solve, whose seeded dense ``G`` has no
+    Fourier form: its normalisation and its ``rho_star``.  The exact and
+    recursive solves' ``rho_star`` and deviation come from the Fourier
+    blocks of :mod:`mixedmg.fourier`, and a banded operator's energy norm is
+    a banded pencil (the smoothers' ``eta_energy`` in :mod:`mixedmg.cycles`).
     """
     K = K.toarray() if sparse.issparse(K) else np.asarray(K, dtype=np.float64)
     if K.shape != (A.n, A.n):

@@ -341,9 +341,10 @@ class TestRecursiveCoarse:
         assert dev == pytest.approx(rho_coarse, rel=1e-10)
 
     @pytest.mark.parametrize("variant", ["exact", "recursive"])
-    def test_solve_matrix_assembled_once(self, levels31_3, jacobi_pairs, monkeypatch,
-                                         variant):
-        # the deviation and every format's rho_star share one B_c A_c^{-1}
+    def test_rho_star_applies_no_solver(self, levels31_3, jacobi_pairs, monkeypatch,
+                                        variant):
+        # the deviation and every format's rho_star come from Fourier blocks:
+        # the solver is never applied and no B_c A_c^{-1} is assembled
         applied = []
         apply = CoarseSolver.apply
         monkeypatch.setattr(CoarseSolver, "apply", lambda self, r_c: (
@@ -354,18 +355,45 @@ class TestRecursiveCoarse:
         for bits in (8, 12):
             M = make_jacobi(lvl.A, 2.0 / 3.0, PrecisionFormat(bits))
             rho_star(lvl, M, M, solver)
-        assert applied == [(lvl.n_c, lvl.n_c)]
+        assert applied == []
+        assert "solve_matrix" not in vars(solver)
+
+    def test_solve_matrix_assembled_once(self, level31, monkeypatch):
+        # every format's dense perturbed rho_star shares one B_c A_c^{-1}
+        applied = []
+        apply = CoarseSolver.apply
+        monkeypatch.setattr(CoarseSolver, "apply", lambda self, r_c: (
+            applied.append(r_c.shape), apply(self, r_c))[1])
+        solver = make_perturbed_coarse(level31, 0.3, seed=5)
+        for bits in (8, 12):
+            M = make_jacobi(level31.A, 2.0 / 3.0, PrecisionFormat(bits))
+            rho_star(level31, M, M, solver)
+        assert applied == [(level31.n_c, level31.n_c)]
         assert not solver.solve_matrix.flags.writeable
         with pytest.raises(dataclasses.FrozenInstanceError):
-            solver.solve_matrix = np.eye(lvl.n_c)
+            solver.solve_matrix = np.eye(level31.n_c)
 
     @pytest.mark.parametrize("fields", [
         dict(coarse="exact"),
-        dict(coarse="perturbed", sigma=0.3),
         dict(coarse="recursive", levels=3),
-    ], ids=["exact", "perturbed", "recursive"])
+    ], ids=["exact", "recursive"])
+    def test_sweep_applies_no_identity_block(self, monkeypatch, fields):
+        # set-up and the rho_star of every format read Fourier blocks; only
+        # the trials apply the solver, to (n_c, T) blocks
+        identity_blocks = []
+        apply = CoarseSolver.apply
+        monkeypatch.setattr(CoarseSolver, "apply", lambda self, r_c: (
+            identity_blocks.append(r_c.shape == (self.level.n_c,) * 2),
+            apply(self, r_c))[1])
+        run_experiment(ExperimentConfig(size=31, bits=(8, 12, 16), trials=2,
+                                        **fields))
+        assert identity_blocks and sum(identity_blocks) == 0
+
+    @pytest.mark.parametrize("fields", [
+        dict(coarse="perturbed", sigma=0.3),
+    ], ids=["perturbed"])
     def test_solve_matrix_assembled_once_per_sweep(self, monkeypatch, fields):
-        # set-up and the rho_star of every format apply the solver to one
+        # the dense rho_star of every format applies the solver to one
         # identity block; the trials apply it to (n_c, T) blocks
         identity_blocks = []
         apply = CoarseSolver.apply

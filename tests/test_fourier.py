@@ -1,0 +1,216 @@
+"""The Fourier-block ``rho_star`` and recursive ``bc_deviation``: against the
+dense oracle, against a 50-digit ``mpmath`` reference, and the structure check
+that guards them."""
+
+import dataclasses
+import functools
+
+import mpmath
+import numpy as np
+import pytest
+
+import dense_oracle as oracle
+from mixedmg import (
+    CARRIER,
+    PrecisionFormat,
+    SparseSpd,
+    StructureError,
+    build_multilevel,
+    make_exact_coarse,
+    make_jacobi,
+    make_recursive_coarse,
+    make_richardson,
+    rho_star,
+)
+from mixedmg.harness import _make_coarse, make_smoother
+from test_golden import _GOLDEN, _PINNED
+
+REL = 1e-10
+FMT = PrecisionFormat(12)
+
+
+@functools.cache
+def hierarchy(problem, size, levels):
+    return build_multilevel(size, levels, problem=problem)
+
+
+def smoother_pairs(kind, levels, fmt=CARRIER):
+    make = make_jacobi if kind == "jacobi" else make_richardson
+    return [(make(l.A, 2.0 / 3.0, fmt),) * 2 for l in levels]
+
+
+def assert_agrees(got, expected, what):
+    assert abs(got - expected) <= REL * abs(expected), (what, got, expected)
+
+
+def check_against_oracle(level, coarse, smoothers):
+    # B_c A_c^{-1} by dense solves for the exact coarse solve; the recursive
+    # cycle has no dense form, so for it the solver's own matrix
+    X = (oracle.coarse_matrix(level) if coarse.bc_deviation == 0.0
+         else np.array(coarse.solve_matrix))
+    for M in smoothers:
+        assert_agrees(rho_star(level, M, M, coarse), oracle.rho_star(level, M, M, X),
+                      "rho_star")
+    if coarse.bc_deviation:
+        assert_agrees(coarse.bc_deviation, oracle.bc_deviation(level, X),
+                      "bc_deviation")
+
+
+_CONFIGS = {name: config for name, config in _GOLDEN.items()}
+_CONFIGS.update({name: config for name, (config, _) in _PINNED.items()
+                 if config.coarse != "perturbed"})
+
+
+@pytest.mark.parametrize("name", sorted(_CONFIGS))
+def test_golden_and_pinned_configs_match_the_dense_oracle(name):
+    config = _CONFIGS[name]
+    levels = build_multilevel(config.size, config.levels, problem=config.problem)
+    coarse = _make_coarse(config, levels)
+    smoothers = [make_smoother(config.smoother, levels[0].A, config.omega,
+                               PrecisionFormat(bits)) for bits in config.bits]
+    check_against_oracle(levels[0], coarse, smoothers)
+
+
+# (problem, size, levels): every grid is checked with both smoothers, the
+# exact solve and the recursive one at each (mu, nu) below; the largest
+# grids, whose dense oracle takes about a second a call, with a spread of
+# those instead
+_GRIDS = [("poisson1d", 15, 3), ("poisson1d", 63, 4), ("poisson1d", 255, 3),
+          ("poisson2d", 7, 3), ("poisson2d", 15, 3)]
+_SWEEPS = [(1, 1), (2, 2), (0, 1)]
+_CASES = [(grid, kind, sweeps) for grid in _GRIDS for kind in ("jacobi", "richardson")
+          for sweeps in [None, *_SWEEPS]]
+_CASES += [(("poisson1d", 1023, 3), "jacobi", None),
+           (("poisson1d", 1023, 3), "richardson", (2, 2)),
+           (("poisson1d", 1023, 4), "jacobi", (0, 1)),
+           (("poisson2d", 31, 2), "richardson", None),
+           (("poisson2d", 31, 3), "jacobi", (1, 1))]
+
+
+@pytest.mark.parametrize("grid, kind, sweeps", _CASES, ids=[
+    f"{p[-2:]}-{size}-L{levels}-{kind}-{'exact' if s is None else 'V%d%d' % s}"
+    for (p, size, levels), kind, s in _CASES])
+def test_fourier_matches_the_dense_oracle(grid, kind, sweeps):
+    levels = hierarchy(*grid)
+    if sweeps is None:
+        coarse = make_exact_coarse(levels[0])
+    else:
+        coarse = make_recursive_coarse(levels, *sweeps, smoother_pairs(kind, levels[1:]))
+    check_against_oracle(levels[0], coarse, [smoother_pairs(kind, levels[:1], FMT)[0][0]])
+
+
+# --- the certification, against 50 digits -------------------------------------
+
+def _mp(matrix) -> mpmath.matrix:
+    dense = matrix.toarray() if hasattr(matrix, "toarray") else np.asarray(matrix)
+    return mpmath.matrix(dense.tolist())
+
+
+def _mp_propagator(level, M, N, X, mu, nu):
+    """``(I - N A)^nu (I - P X P' A) (I - M A)^mu`` from the stored values."""
+    A, P = _mp(level.A.matrix), _mp(level.P)
+    eye = mpmath.eye(level.n)
+    pre = (eye - _mp(np.diag(M.diag)) * A) ** mu
+    post = (eye - _mp(np.diag(N.diag)) * A) ** nu
+    return post * (eye - P * X * P.T * A) * pre
+
+
+def _mp_cycle(levels, smoothers, mu, nu):
+    """The carrier V(mu, nu)-cycle over ``levels`` as ``X = (I - E) A^{-1}``."""
+    if not levels:
+        raise ValueError("no levels")
+    level = levels[0]
+    if len(levels) == 1:
+        X = mpmath.inverse(_mp(level.A_c.matrix))
+    else:
+        X = _mp_cycle(levels[1:], smoothers[1:], mu, nu)
+    E = _mp_propagator(level, *smoothers[0], X, mu, nu)
+    return (mpmath.eye(level.n) - E) * mpmath.inverse(_mp(level.A.matrix))
+
+
+def _mp_energy_norm(K, A) -> mpmath.mpf:
+    """``norm(L' K L'^{-1})`` with ``A = L L'``, by the Gram matrix's eigenvalues."""
+    L = mpmath.cholesky(_mp(A.matrix))
+    Y = L.T * K * mpmath.inverse(L.T)
+    return mpmath.sqrt(max(mpmath.eigsy(Y.T * Y, eigvals_only=True)))
+
+
+@pytest.mark.parametrize("problem, size", [("poisson1d", 7), ("poisson1d", 15),
+                                           ("poisson2d", 7)])
+@pytest.mark.parametrize("variant", ["exact", "recursive"])
+def test_certified_against_fifty_digits(problem, size, variant):
+    levels = hierarchy(problem, size, 2 if variant == "exact" else 3)
+    level = levels[0]
+    M = make_jacobi(level.A, 2.0 / 3.0, FMT)
+    with mpmath.workdps(50):
+        if variant == "exact":
+            coarse = make_exact_coarse(level)
+            X = mpmath.inverse(_mp(level.A_c.matrix))
+        else:
+            pairs = smoother_pairs("jacobi", levels[1:])
+            coarse = make_recursive_coarse(levels, 1, 1, pairs)
+            X = _mp_cycle(levels[1:], pairs, 1, 1)
+            deviation = _mp_energy_norm(X * _mp(level.A_c.matrix) - mpmath.eye(level.n_c),
+                                        level.A_c)
+            assert deviation <= coarse.bc_deviation <= deviation * (1 + 1e-12), (
+                coarse.bc_deviation, deviation)
+        reference = _mp_energy_norm(_mp_propagator(level, M, M, X, 1, 1), level.A)
+    got = rho_star(level, M, M, coarse)
+    assert reference <= got <= reference * (1 + 1e-12), (got, reference)
+
+
+# --- the structure check -------------------------------------------------------
+
+def _nudged(matrix, row, col):
+    """A copy of a sparse matrix with one stored entry moved up by one ulp."""
+    out = matrix.copy()
+    out[row, col] = np.nextafter(out[row, col], np.inf)
+    return out
+
+
+@pytest.mark.parametrize("problem, size", [("poisson1d", 15), ("poisson2d", 7)])
+def test_perturbed_A_entry_is_named(problem, size):
+    level = hierarchy(problem, size, 2)[0]
+    bad = dataclasses.replace(level, A=SparseSpd(_nudged(level.A.matrix, 3, 4)))
+    M = make_jacobi(level.A, 2.0 / 3.0, FMT)
+    with pytest.raises(StructureError, match="^level 0: A is not"):
+        rho_star(bad, M, M, make_exact_coarse(bad))
+
+
+@pytest.mark.parametrize("which", ["M", "N"])
+def test_non_constant_smoother_diagonal_is_named(which):
+    level = hierarchy("poisson1d", 15, 2)[0]
+    S = make_jacobi(level.A, 2.0 / 3.0, FMT)
+    diag = S.diag.copy()
+    diag[5] *= 0.5
+    bad = dataclasses.replace(S, diag=diag)
+    pair = (bad, S) if which == "M" else (S, bad)
+    with pytest.raises(StructureError, match=f"^level 0: .*smoother {which}"):
+        rho_star(level, *pair, make_exact_coarse(level))
+
+
+def test_other_operators_are_named():
+    levels = hierarchy("poisson1d", 15, 3)
+    level = levels[0]
+    M = make_jacobi(level.A, 2.0 / 3.0, FMT)
+    bad_P = dataclasses.replace(level, P=_nudged(level.P, 1, 0))
+    with pytest.raises(StructureError, match="^level 0: P is not"):
+        rho_star(bad_P, M, M, make_exact_coarse(bad_P))
+    bad_Ac = dataclasses.replace(level, A_c=SparseSpd(_nudged(level.A_c.matrix, 2, 2)))
+    with pytest.raises(StructureError, match="^level 0: A_c is not"):
+        rho_star(bad_Ac, M, M, make_exact_coarse(bad_Ac))
+    # a recursive solve checks the grids of its cycle too
+    sub = dataclasses.replace(levels[1], A=SparseSpd(_nudged(levels[1].A.matrix, 1, 1)))
+    with pytest.raises(StructureError, match="^level 1: A is not"):
+        make_recursive_coarse([level, sub], 1, 1, smoother_pairs("jacobi", [sub]))
+
+
+def test_non_model_level_is_rejected_not_densified():
+    # a level whose P does not halve the grid has no Fourier form; rho_star
+    # raises instead of falling back to the dense path
+    level = dataclasses.replace(hierarchy("poisson1d", 15, 2)[0],
+                                A=SparseSpd(np.eye(14)))
+    M = make_jacobi(level.A, 2.0 / 3.0, FMT)
+    with pytest.raises(StructureError, match="P maps 14 points"):
+        rho_star(level, M, M, make_exact_coarse(level))
+

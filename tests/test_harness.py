@@ -3,6 +3,7 @@
 import dataclasses
 import hashlib
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -156,6 +157,17 @@ class TestConfig:
             "bits = 8 12", "bits = 8 12\npi_target = 0.00390625"))
         with pytest.raises(ConfigError, match="not both"):
             load_config(path)
+
+    def test_readme_config_block_loads(self, tmp_path):
+        # the INI block under "### Config file" in the README, as printed
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+        section = readme[readme.index("### Config file"):]
+        block = section[section.index("```ini\n") + 7:]
+        path = tmp_path / "readme.ini"
+        path.write_text(block[:block.index("```")])
+        cfg = load_config(path)
+        assert (cfg.problem, cfg.size, cfg.coarse, cfg.bits) == (
+            "poisson1d", 31, "exact", (8, 12, 16, 23))
 
     def test_rejects_unparsable_file(self, tmp_path):
         path = tmp_path / "headless.ini"

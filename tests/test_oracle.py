@@ -157,15 +157,22 @@ def _forbidden(*_args, **_kwargs):
 @pytest.mark.parametrize("config", [
     ExperimentConfig(size=63, trials=5),
     ExperimentConfig(size=63, levels=4, coarse="recursive", trials=5),
+    ExperimentConfig(problem="poisson2d", size=15, trials=5),
     ExperimentConfig(problem="poisson2d", size=15, coarse="perturbed", sigma=0.3,
                      trials=5),
-], ids=["1d-exact", "1d-recursive", "2d-perturbed"])
+], ids=["1d-exact", "1d-recursive", "2d-exact", "2d-perturbed"])
 def test_run_experiment_takes_no_dense_spectral_path(monkeypatch, config):
     linalg = importlib.import_module("numpy.linalg._linalg")
-    for owner, name in ((np.linalg, "svd"), (linalg, "svd"), (np.linalg, "eigh"),
-                        (linalg, "eigh"), (scipy.linalg, "svd"),
-                        (scipy.linalg, "svdvals"), (scipy.linalg, "eigh"),
-                        (scipy.linalg, "cho_factor"), (scipy.linalg, "eig_banded")):
+    forbidden = [(np.linalg, "svd"), (linalg, "svd"), (np.linalg, "eigh"),
+                 (linalg, "eigh"), (scipy.linalg, "svd"), (scipy.linalg, "svdvals"),
+                 (scipy.linalg, "eigh"), (scipy.linalg, "cho_factor"),
+                 (scipy.linalg, "eig_banded")]
+    # the perturbed coarse solve still normalises its dense G and takes a
+    # dense rho_star by the dense Gram eigenvalues (ROADMAP item 2); the
+    # exact and recursive solves take no order-n eigensolve at all
+    if config.coarse != "perturbed":
+        forbidden.append((scipy.linalg, "eigvalsh"))
+    for owner, name in forbidden:
         monkeypatch.setattr(owner, name, _forbidden)
     for name in ("eigh", "sqrt_dense", "inv_sqrt_dense", "dense", "eigenvalues"):
         monkeypatch.setattr(SparseSpd, name, property(_forbidden), raising=False)
