@@ -46,23 +46,24 @@ from .harness import (
 from .hierarchy import (
     GridLevel,
     StructureError,
+    abs_matrix_norm,
     build_multilevel,
     bilinear_interpolation,
+    condition_number,
     galerkin_coarse,
     linear_interpolation,
     normalize_hierarchy,
     poisson_1d,
     poisson_2d,
+    spectral_norm,
+    spectrum_ends,
 )
 from .linops import (
     SparseSpd,
     SpdError,
-    abs_matrix_norm,
-    condition_number,
     energy_norm,
     energy_operator_norm,
     solve_spd,
-    spectral_norm,
 )
 from .precision import (
     CARRIER,

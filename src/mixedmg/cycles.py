@@ -36,7 +36,6 @@ block of trials reproduces the per-trial results exactly.
 
 from __future__ import annotations
 
-import math
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -46,15 +45,8 @@ import scipy.sparse as sparse
 
 from . import fourier
 from .bounds import PROOF_LINES
-from .hierarchy import GridLevel
-from .linops import (
-    SparseSpd,
-    diagonal_congruence,
-    eigenvalue_bound,
-    energy_norm,
-    energy_operator_norm,
-    solve_spd,
-)
+from .hierarchy import GridLevel, spectrum_ends
+from .linops import SparseSpd, energy_norm, energy_operator_norm, solve_spd
 from .precision import (
     CARRIER,
     PrecisionFormat,
@@ -85,7 +77,11 @@ class RelaxationOp:
 
     ``eta_euclid`` is the Euclidean operator norm (used when the operator
     pre-relaxes), ``eta_energy`` the energy operator norm (used when it
-    post-relaxes); ``contraction`` is the energy norm of ``I - M A``.
+    post-relaxes); ``contraction`` is the energy norm of ``I - M A``.  The
+    diagonal is a constant ``w``, so ``M = w I`` commutes with ``A``: both
+    norms of ``M`` are ``|w|``, and ``I - M A`` has the eigenvalues
+    ``1 - w lambda`` over the spectrum of ``A``, whose certified ends the
+    stencil symbol of ``A`` gives (:func:`mixedmg.hierarchy.spectrum_ends`).
     """
 
     diag: np.ndarray
@@ -109,29 +105,23 @@ class RelaxationOp:
 
 def _finalize_relaxation(kind: str, A: SparseSpd, diag: np.ndarray,
                          fmt: PrecisionFormat) -> RelaxationOp:
-    eta_euclid = float(np.abs(diag).max())
-    K, k_err = diagonal_congruence(A, diag)
-    # the eigenvalues of I - M A are 1 - lambda(D A D, D); its energy norm is
-    # the larger of the two ends' distances from one
-    D = diag[None, :]
-    top = eigenvalue_bound(K, D, k_err=k_err)
-    bottom = eigenvalue_bound(K, D, end="min", k_err=k_err)
-    contraction = float(np.nextafter(max(top - 1.0, 1.0 - bottom), np.inf))
+    w = fourier._constant_diagonal(diag, A.n, f"{kind} smoother")
+    lo, hi = spectrum_ends(A)
+    # the eigenvalues of w A lie in [bottom, top]; the energy norm of I - w A
+    # is the larger of the two ends' distances from one
+    bottom, top = sorted((w * lo, w * hi))
+    contraction = fourier._up(max(fourier._up(top) - 1.0, 1.0 - fourier._down(bottom)))
     if contraction >= 1.0:
         raise ContractionError(
             f"{kind} relaxation does not contract: energy norm of the error "
             f"propagator is {contraction:.6f}"
         )
-    # norm(A^(1/2) D A^(-1/2))**2 is the top eigenvalue of the pencil (D A D, A)
-    eta_energy = float(np.nextafter(math.sqrt(eigenvalue_bound(
-        K, A.band, b_floor=A.lambda_min_bound, k_err=k_err)), np.inf))
-    alpha = eta_euclid * (1.0 + fmt.unit_roundoff)
     return RelaxationOp(
         diag=diag,
         fmt=fmt,
-        eta_euclid=eta_euclid,
-        eta_energy=eta_energy,
-        alpha=alpha,
+        eta_euclid=abs(w),
+        eta_energy=abs(w),
+        alpha=abs(w) * (1.0 + fmt.unit_roundoff),
         contraction=contraction,
     )
 

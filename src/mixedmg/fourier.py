@@ -37,6 +37,10 @@ rebuilds each operator from its stencil values and compares it with the
 stored matrix bit for bit, and each smoother diagonal must be constant; a
 mismatch raises :class:`StructureError` naming the level and the operator.
 There is no dense fallback.
+
+The same symbols give the set-up constants of :mod:`mixedmg.hierarchy`:
+:func:`symbol_ends` encloses the spectrum of a stencil matrix and
+:func:`interpolation_norm` the norm of a scaled interpolation.
 """
 
 from __future__ import annotations
@@ -47,9 +51,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hierarchy import StructureError
-
 _U = float(np.finfo(np.float64).eps) / 2  # unit roundoff of the carrier
+
+
+class StructureError(ValueError):
+    """An operator is not the matrix its stencil values rebuild."""
 
 
 def _gamma(m: int) -> float:
@@ -148,6 +154,18 @@ def _harmonics(F: np.ndarray, k: int) -> tuple[_Ball, _Ball]:
     return 4.0 * pick(sin2, cos2), 2.0 * pick(cos2, sin2)
 
 
+def _down(x) -> float:
+    """The float below the smallest entry of ``x``: a lower end of every exact
+    value that rounds to an entry."""
+    return float(np.nextafter(np.min(x), -np.inf))
+
+
+def _up(x) -> float:
+    """The float above the largest entry of ``x``: an upper end of every exact
+    value that rounds to an entry."""
+    return float(np.nextafter(np.max(x), np.inf))
+
+
 def _constant_diagonal(diag: np.ndarray, n: int, name: str) -> float:
     diag = np.asarray(diag)
     if diag.shape != (n,) or not np.all(diag == diag[0]):
@@ -205,6 +223,32 @@ def _symbol(c: np.ndarray, s: list[_Ball]) -> _Ball:
                 term = term * x
         total = total + term
     return _flatten(total, d)
+
+
+def symbol_ends(c: np.ndarray, k: int) -> tuple[float, float]:
+    """Certified ends of the spectrum of the stencil ``c`` on ``k`` points per axis.
+
+    The lower end of the smallest eigenvalue and the upper end of the
+    largest.  The symbol is multilinear in the ``cos theta_i``, so both
+    extremes lie at corners of the mode box, where each ``theta_i`` is
+    ``pi / (k + 1)`` or ``k pi / (k + 1)``; the half-angle form of
+    :func:`_symbol` keeps each within a few units of roundoff relative.
+    """
+    s = _harmonics(np.array([[1, k]]), k)[0]
+    lam = _symbol(c, [s] * c.ndim)
+    return _down(lam.mid - lam.rad), _up(lam.mid + lam.rad)
+
+
+def interpolation_norm(p: float, d: int, k: int) -> float:
+    """Certified upper end of ``norm(P)`` for ``P = p`` times the (bi)linear
+    interpolation from ``k`` fine points per axis in ``d`` dimensions.
+
+    Per axis ``P' P`` has the symbol ``p^2 (1 + cos^2 theta)`` on the coarse
+    modes, ``theta = j pi / (k + 1)``, largest at ``j = 1``.
+    """
+    cos = _harmonics(np.array([[1]]), k)[1] - 1.0
+    top = abs(p) * (1.0 + cos * cos).sqrt() ** d
+    return _up(top.mid + top.rad)
 
 
 def _identity(B: int, G: int) -> _Ball:

@@ -338,11 +338,12 @@ def _format_cell(value) -> str:
     return str(value)
 
 
-def _trial_cells(rec: TrialRecord) -> list[str]:
-    cells = [rec.trial, rec.ref_error, rec.fp_error, rec.measured_ratio]
-    cells += [rec.line_ratios[name] for name in PROOF_LINES]
-    cells += [rec.passed]
-    return [_format_cell(c) for c in cells]
+def _trial_cells(rec: TrialRecord) -> str:
+    ratios = rec.line_ratios
+    floats = [rec.ref_error, rec.fp_error, rec.measured_ratio,
+              *[ratios[name] for name in PROOF_LINES]]
+    return ",".join([str(rec.trial), *[repr(float(v)) for v in floats],
+                     "true" if rec.passed else "false"])
 
 
 def render_csv(records: list[TrialRecord]) -> str:
@@ -351,15 +352,18 @@ def render_csv(records: list[TrialRecord]) -> str:
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(CSV_COLUMNS)
     # the bound report is shared by all trials of a format and the config by
-    # all trials of a sweep: format each once
-    shared_cells: dict[tuple[int, int], list[str]] = {}
+    # all trials of a sweep: render that prefix once, through the csv writer
+    # for its quoting; the trial cells are numbers and flags, which need none
+    prefixes: dict[tuple[int, int], str] = {}
     for rec in records:
         key = (id(rec.report), id(rec.config))
-        if key not in shared_cells:
-            shared_cells[key] = (
+        if key not in prefixes:
+            line = io.StringIO()
+            csv.writer(line, lineterminator="\n").writerow(
                 [_format_cell(c) for c in rec.report.csv_fields()]
                 + [_format_cell(getattr(rec.config, name)) for name in _CONFIG_COLUMNS])
-        writer.writerow(shared_cells[key] + _trial_cells(rec))
+            prefixes[key] = line.getvalue()[:-1] + ","
+        buf.write(prefixes[key] + _trial_cells(rec) + "\n")
     return buf.getvalue()
 
 

@@ -5,14 +5,20 @@ to unit spectral norm, the prolongation rescaled by a scalar so the
 Galerkin coarse matrix also has unit spectral norm, and the structural
 constants the error model needs.  Scalar rescaling of ``P`` preserves the
 Galerkin structure ``A_c = P' A P`` exactly, which the projection
-arguments behind the convergence theory require.  Each scale is the
-certified upper end of the top eigenvalue of the matrix before scaling
-(:func:`mixedmg.linops.spectral_norm`), so a scaled norm exceeds one by at
-most the rounding of the scaling itself: a few units of roundoff.
+arguments behind the convergence theory require.
+
+Every set-up constant comes from the symbol of a stencil (local Fourier
+analysis, :mod:`mixedmg.fourier`): an operator is read back as stencil
+values, rebuilt from them and compared with the stored matrix bit for bit,
+and the symbol's certified ends give :func:`spectral_norm`,
+:func:`condition_number` and :func:`abs_matrix_norm`.  Each scale is the
+upper end of the norm before scaling, so a scaled norm exceeds one by at
+most the rounding of the scaling itself: a few units of roundoff.  An
+operator that is not a stencil matrix raises :class:`StructureError`; there
+is no dense or iterative fallback.
 
 :attr:`GridLevel.stencils` reads a model-problem level back as stencil
-values, the input of the Fourier analysis in :mod:`mixedmg.fourier`, and
-checks that each operator is exactly the matrix those values rebuild.
+values, the input of the Fourier analysis of the cycles.
 """
 
 from __future__ import annotations
@@ -25,14 +31,9 @@ from functools import cached_property
 import numpy as np
 import scipy.sparse as sparse
 
-from .linops import (
-    SparseSpd,
-    SpdError,
-    abs_matrix_norm,
-    condition_number,
-    spectral_norm,
-)
-from .precision import RowLayout
+from .fourier import StructureError, interpolation_norm, symbol_ends
+from .linops import SparseSpd, SpdError
+from .precision import RowLayout, _csr
 
 
 def poisson_1d(n: int) -> SparseSpd:
@@ -83,10 +84,6 @@ def bilinear_interpolation(k_fine: int) -> sparse.csr_array:
     return P
 
 
-class StructureError(ValueError):
-    """An operator is not the matrix its stencil values rebuild."""
-
-
 @dataclass(frozen=True, eq=False)
 class LevelStencils:
     """A level's operators as stencil values on a grid of ``k`` points per axis.
@@ -114,35 +111,84 @@ def _differs(stored, rebuilt) -> bool:
     return bool((sparse.csr_array(stored) != sparse.csr_array(rebuilt)).nnz)
 
 
+def _entries(matrix) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Row, column and value of every stored nonzero of a sparse matrix."""
+    M = sparse.csr_array(matrix)
+    M.sum_duplicates()
+    rows = np.repeat(np.arange(M.shape[0]), np.diff(M.indptr))
+    nonzero = M.data != 0
+    return rows[nonzero], M.indices[nonzero], M.data[nonzero]
+
+
 def _stencil(matrix, d: int, k: int, name: str) -> np.ndarray:
     """The stencil of a symmetric operator on a ``k``-point grid, read at its centre.
 
-    The matrix rebuilt from it must equal the stored one bit for bit.
+    The matrix rebuilt from it must equal the stored one bit for bit: every
+    stored nonzero couples points at most one apart along each axis and
+    equals the stencil value of its offsets, and there are as many of them
+    as the rebuilt matrix has nonzeros.
     """
     if matrix.shape != (k**d, k**d):
         raise StructureError(f"{name} has shape {matrix.shape}, not that of a "
                              f"{'x'.join([str(k)] * d)} grid")
-    M = sparse.csr_array(matrix)
-    centre = (k // 2,) * d
+    rows, cols, data = _entries(matrix)
+    gap = np.abs(np.subtract(np.unravel_index(rows, (k,) * d),
+                             np.unravel_index(cols, (k,) * d)))
+    near = (gap <= 1).all(axis=0)
     c = np.zeros((2,) * d)
-    for a in itertools.product((0, 1), repeat=d):
-        if all(i + s < k for i, s in zip(centre, a)):
-            shifted = tuple(i + s for i, s in zip(centre, a))
-            c[a] = M[_flat_index(centre, k), _flat_index(shifted, k)]
-    eye = sparse.eye_array(k, format="csr")
-    near = sparse.diags_array([np.ones(k - 1)] * 2, offsets=[-1, 1], shape=(k, k),
-                              format="csr") if k > 1 else eye * 0.0
-    rebuilt = 0
-    for a in itertools.product((0, 1), repeat=d):
-        factors = [near if s else eye for s in a]
-        term = factors[0]
-        for f in factors[1:]:
-            term = sparse.kron(term, f)
-        rebuilt = rebuilt + c[a] * term
-    if _differs(M, rebuilt):
+    centre = near & (rows == _flat_index((k // 2,) * d, k))
+    c[tuple(gap[:, centre])] = data[centre]
+    pairs = sum(math.prod(2 * (k - 1) if s else k for s in a)
+                for a in itertools.product((0, 1), repeat=d) if c[a] != 0)
+    if not near.all() or len(data) != pairs or np.any(data != c[tuple(gap)]):
         raise StructureError(f"{name} is not the matrix of its stencil "
                              f"{c.ravel().tolist()}")
     return c
+
+
+def _symmetric_stencil(K) -> tuple[np.ndarray, int]:
+    """The stencil ``c`` of a square operator on a square 2D grid, or else on
+    a 1D grid, and the grid's ``k`` points per axis; ``c.ndim`` is the
+    dimension."""
+    M = _csr(K)
+    n = M.shape[0]
+    name = f"the {n}x{M.shape[1]} matrix"
+    k = math.isqrt(n)
+    if k * k == n and M.shape[1] == n:
+        try:
+            return _stencil(M, 2, k, name), k
+        except StructureError:
+            pass
+    return _stencil(M, 1, n, name), n
+
+
+def _grid(n: int, n_c: int) -> tuple[int, int]:
+    """``(d, k)`` of a (bi)linear coarsening of ``n`` points to ``n_c``."""
+    k = math.isqrt(n)
+    if n % 2 and n_c == (n - 1) // 2:
+        return 1, n
+    if k * k == n and k % 2 and n_c == ((k - 1) // 2) ** 2:
+        return 2, k
+    raise StructureError(f"P maps {n} points to {n_c}: not a (bi)linear "
+                         f"coarsening of a 1D or square 2D grid")
+
+
+def _interpolation_weight(P, d: int, k: int) -> float:
+    """The ``p`` of ``P = p * interpolation`` from ``k`` points per axis, checked
+    bit for bit: fine point ``f`` takes ``p / 2^t`` from coarse point ``j``,
+    with ``t`` the number of axes along which ``f`` is a neighbour of
+    ``2 j + 1`` (and is ``2 j + 1`` along the others)."""
+    k_c = (k - 1) // 2
+    if P.shape != (k**d, k_c**d):
+        raise StructureError(f"P has shape {P.shape}, not {(k**d, k_c**d)}")
+    rows, cols, data = _entries(P)
+    gap = np.abs(np.subtract(np.unravel_index(rows, (k,) * d),
+                             2 * np.array(np.unravel_index(cols, (k_c,) * d)) + 1))
+    p = float(data[0]) * 2.0 ** int(gap[:, 0].sum()) if len(data) else 0.0
+    if (len(data) != (3 * k_c) ** d or np.any(gap > 1)
+            or np.any(data != p * 0.5 ** gap.sum(axis=0))):
+        raise StructureError(f"P is not {p!r} times the interpolation stencil")
+    return p
 
 
 def level_stencils(level: GridLevel) -> LevelStencils:
@@ -155,31 +201,69 @@ def level_stencils(level: GridLevel) -> LevelStencils:
     off them, bit for bit; otherwise :class:`StructureError` names the
     operator.
     """
-    n, n_c = level.n, level.n_c
-    k = math.isqrt(n)
-    if n % 2 and n_c == (n - 1) // 2:
-        d, k = 1, n
-    elif k * k == n and k % 2 and n_c == ((k - 1) // 2) ** 2:
-        d = 2
-    else:
-        raise StructureError(f"P maps {n} points to {n_c}: not a (bi)linear "
-                             f"coarsening of a 1D or square 2D grid")
+    d, k = _grid(level.n, level.n_c)
     A = _stencil(level.A.matrix, d, k, "A")
     A_c = _stencil(level.A_c.matrix, d, (k - 1) // 2, "A_c")
-    interp = (linear_interpolation if d == 1 else bilinear_interpolation)(k)
-    p = float(level.P[_flat_index((1,) * d, k), 0])
-    if _differs(level.P, interp * p) or _differs(level.P_t, (interp * p).T):
-        raise StructureError(f"P is not {p!r} times the interpolation stencil")
+    p = _interpolation_weight(level.P, d, k)
+    if _differs(level.P_t, level.P.T):
+        raise StructureError("P' is not the transpose of P")
     return LevelStencils(d, k, A, A_c, p)
+
+
+def spectrum_ends(K) -> tuple[float, float]:
+    """Certified ends of the spectrum of a symmetric stencil matrix.
+
+    The lower end of ``lambda_min`` and the upper end of ``lambda_max``,
+    from the symbol of the stencil read off ``K``
+    (:func:`mixedmg.fourier.symbol_ends`).
+    """
+    return symbol_ends(*_symmetric_stencil(K))
+
+
+def spectral_norm(K) -> float:
+    """Certified upper end of the largest eigenvalue magnitude of a symmetric
+    stencil matrix."""
+    lo, hi = spectrum_ends(K)
+    return max(hi, -lo)
+
+
+def condition_number(A) -> float:
+    """Certified upper end of the two-norm condition number of an SPD stencil matrix.
+
+    The upper end of ``lambda_max`` over the lower end of ``lambda_min``.
+    """
+    lo, hi = spectrum_ends(A)
+    if lo <= 0:
+        raise SpdError(f"smallest eigenvalue is not certified positive (lower end {lo})")
+    return float(np.nextafter(hi / lo, np.inf))
+
+
+def abs_matrix_norm(K) -> float:
+    """Certified upper end of the spectral norm of ``|K|``.
+
+    ``K`` is a symmetric stencil matrix, whose ``|K|`` has the stencil
+    ``|c|``, or a scaled (bi)linear interpolation or its transpose, whose
+    ``|K|`` is the interpolation scaled by ``|p|``.
+    """
+    M = _csr(K)
+    if M.shape[0] == M.shape[1]:
+        c, k = _symmetric_stencil(M)
+        return symbol_ends(np.abs(c), k)[1]
+    P = M if M.shape[0] > M.shape[1] else M.T
+    d, k = _grid(*P.shape)
+    return interpolation_norm(_interpolation_weight(P, d, k), d, k)
+
+
+def _galerkin(A: SparseSpd, P) -> sparse.csr_array:
+    P = sparse.csr_array(P)
+    B = sparse.csr_array(P.T @ A.matrix @ P)
+    # the float64 triple product is symmetric only to roundoff; enforce it
+    return sparse.csr_array((B + B.T) * 0.5)
 
 
 def galerkin_coarse(A: SparseSpd, P) -> SparseSpd:
     """The Galerkin coarse matrix ``P' A P`` in the carrier, symmetrized."""
-    P = sparse.csr_array(P)
-    B = sparse.csr_array(P.T @ A.matrix @ P)
-    # the float64 triple product is symmetric only to roundoff; enforce it
-    B = sparse.csr_array((B + B.T) * 0.5)
-    return SparseSpd(B)
+    return SparseSpd(_galerkin(A, P))
 
 
 @dataclass(frozen=True, eq=False)
@@ -190,10 +274,11 @@ class GridLevel:
     upper end of the norm before scaling, so the norms lie within about
     ``1e-14`` below one and exceed it by at most the rounding of the
     scaling (a few units of roundoff).  ``A_c`` equals ``P' A P`` with the
-    stored (rescaled) ``P``.  ``eta_A`` and ``eta_P`` are the spectral
-    norms of the entrywise absolute values ``|A|`` and ``|P|``; the row
-    counts the error model inflates are ``A.row_layout.m`` and
-    ``P_layout.m``.
+    stored (rescaled) ``P``.  ``eta_A`` and ``eta_P`` are upper ends of the
+    spectral norms of the entrywise absolute values ``|A|`` and ``|P|``,
+    and ``kappa`` and ``kappa_c`` of the condition numbers, all from
+    stencil symbols; the row counts the error model inflates are
+    ``A.row_layout.m`` and ``P_layout.m``.
     """
 
     A: SparseSpd
@@ -229,14 +314,9 @@ class GridLevel:
         return level_stencils(self)
 
 
-def _scaled(A) -> SparseSpd:
+def _scaled(A: SparseSpd) -> SparseSpd:
     """``A`` over the upper end of its norm: a norm one up to the scaling's rounding."""
-    if not isinstance(A, SparseSpd):
-        A = SparseSpd(A)
-    s = spectral_norm(A)
-    if s <= 0:
-        raise SpdError("zero matrix cannot be normalized")
-    return SparseSpd(A.matrix * (1.0 / s))
+    return SparseSpd(A.matrix * (1.0 / spectral_norm(A)))
 
 
 def _level(A: SparseSpd, P) -> GridLevel:
@@ -244,9 +324,7 @@ def _level(A: SparseSpd, P) -> GridLevel:
     P = sparse.csr_array(P).astype(np.float64)
     if P.shape[0] != A.n or P.shape[1] > P.shape[0]:
         raise ValueError(f"prolongation shape {P.shape} incompatible with n={A.n}")
-    s_c = spectral_norm(P.T @ A.matrix @ P)
-    if s_c <= 0:
-        raise SpdError("coarse operator has zero norm; P is rank deficient")
+    s_c = spectral_norm(_galerkin(A, P))
     P1 = sparse.csr_array(P * float(1.0 / np.sqrt(s_c)))
     P1.sort_indices()
     A_c = galerkin_coarse(A, P1)
@@ -271,7 +349,16 @@ def normalize_hierarchy(A, P) -> GridLevel:
     end of ``norm(P' A P)`` (after the A-scaling): the minimal change that
     keeps ``A_c = P' A P`` exact while bringing ``norm(A_c)`` to one, up to
     the rounding of the scaling and of the recomputed Galerkin product.
+
+    ``A`` must be a symmetric stencil matrix on a 1D or square 2D grid and
+    ``P`` a scalar times its (bi)linear interpolation; otherwise
+    :class:`StructureError` names the operator.
     """
+    A = A if isinstance(A, SparseSpd) else SparseSpd(A)
+    P = sparse.csr_array(P).astype(np.float64)
+    d, k = _grid(A.n, P.shape[1])
+    _stencil(A.matrix, d, k, "A")
+    _interpolation_weight(P, d, k)
     return _level(_scaled(A), P)
 
 

@@ -274,8 +274,8 @@ class RowLayout:
 
 
 def _abs_norm(K) -> float:
-    # linops builds on this module, so its norm is looked up at call time
-    from .linops import abs_matrix_norm
+    # hierarchy builds on this module, so its norm is looked up at call time
+    from .hierarchy import abs_matrix_norm
     return abs_matrix_norm(K)
 
 
@@ -296,8 +296,11 @@ def rounded_residual(K, w, c, fmt: PrecisionFormat, *, eta_abs: float | None = N
     The a-priori bound is ``u * inflation * (norm(c) + eta_abs * norm(w))``
     where ``inflation = (m + 1) / (1 - (m + 1) u)`` with ``m`` the maximum
     number of stored nonzeros in any row of ``K`` and ``eta_abs`` the
-    spectral norm of the entrywise absolute value of ``K`` (computed by
-    :func:`mixedmg.linops.abs_matrix_norm` when not supplied).  ``K`` is a
+    spectral norm of the entrywise absolute value of ``K`` (when not
+    supplied, the certified upper end from the stencil symbol of ``K``,
+    :func:`mixedmg.hierarchy.abs_matrix_norm`, which raises
+    :class:`mixedmg.fourier.StructureError` for an operator that is not a
+    stencil matrix or a scaled interpolation).  ``K`` is a
     matrix, anything with a ``.matrix``, or a :class:`RowLayout`; ``w`` and
     ``c`` are both vectors or both blocks.
     """

@@ -1,9 +1,9 @@
 """Dense ``O(n^3)`` formulas for the set-up constants: the test oracle.
 
-The library certifies its spectral constants by shifted banded Cholesky
-factorizations.  These are the textbook forms (dense copies, full
-eigendecompositions, banded eigenvalue reductions, matrix square roots and
-SVDs), used only to check it at small orders.
+The library takes its spectral constants from stencil symbols.  These are
+the textbook forms (dense copies, full eigendecompositions, banded
+eigenvalue reductions, dense Cholesky factors and SVDs), used only to check
+it at small orders.
 """
 
 import numpy as np
@@ -26,11 +26,9 @@ def eigenvalues(A) -> np.ndarray:
     return scipy.linalg.eig_banded(A.band, lower=True, eigvals_only=True)
 
 
-def sqrt_pair(A) -> tuple[np.ndarray, np.ndarray]:
-    """``A^(1/2)`` and ``A^(-1/2)`` of a :class:`SparseSpd` by dense ``eigh``."""
-    w, v = np.linalg.eigh(dense(A))
-    assert w[0] > 0
-    return (v * np.sqrt(w)) @ v.T, (v / np.sqrt(w)) @ v.T
+def cholesky(A) -> np.ndarray:
+    """The dense lower Cholesky factor ``L`` of ``A = L L'``."""
+    return np.linalg.cholesky(dense(A))
 
 
 def condition_number(A) -> float:
@@ -45,15 +43,22 @@ def abs_matrix_norm(K) -> float:
 
 
 def energy_operator_norm(K, A) -> float:
-    """``norm(A^(1/2) K A^(-1/2))`` by a dense SVD."""
-    W, Wi = sqrt_pair(A)
-    return float(np.linalg.norm(W @ np.asarray(K) @ Wi, 2))
+    """``norm(A^(1/2) K A^(-1/2)) = norm(L' K L'^{-1})`` by a dense SVD.
+
+    ``L' K L'^{-1}`` is orthogonally similar to ``A^(1/2) K A^(-1/2)``, and
+    its triangular solve keeps the rounding near ``u`` relative where
+    forming the square roots by ``eigh`` loses ``u kappa``.
+    """
+    L = cholesky(A)
+    # K L'^{-1} = (L^{-1} K')'
+    right = scipy.linalg.solve_triangular(L, np.asarray(K).T, lower=True).T
+    return float(np.linalg.norm(L.T @ right, 2))
 
 
 def contraction(A, diag: np.ndarray) -> float:
-    """Energy norm of ``I - diag(diag) A``: ``max |eig(I - A^(1/2) D A^(1/2))|``."""
-    W, _ = sqrt_pair(A)
-    S = W @ (diag[:, None] * W)
+    """Energy norm of ``I - diag(diag) A``: ``max |eig(I - L' D L)|``."""
+    L = cholesky(A)
+    S = L.T @ (diag[:, None] * L)
     S = 0.5 * (S + S.T)
     return float(np.abs(np.linalg.eigvalsh(np.eye(A.n) - S)).max())
 

@@ -199,10 +199,11 @@ def test_other_operators_are_named():
     bad_Ac = dataclasses.replace(level, A_c=SparseSpd(_nudged(level.A_c.matrix, 2, 2)))
     with pytest.raises(StructureError, match="^level 0: A_c is not"):
         rho_star(bad_Ac, M, M, make_exact_coarse(bad_Ac))
-    # a recursive solve checks the grids of its cycle too
+    # a recursive solve checks the grids of its cycle too (the smoothers come
+    # from the unchanged grid: one built on the nudged A is refused already)
     sub = dataclasses.replace(levels[1], A=SparseSpd(_nudged(levels[1].A.matrix, 1, 1)))
     with pytest.raises(StructureError, match="^level 1: A is not"):
-        make_recursive_coarse([level, sub], 1, 1, smoother_pairs("jacobi", [sub]))
+        make_recursive_coarse([level, sub], 1, 1, smoother_pairs("jacobi", levels[1:]))
 
 
 def test_non_model_level_is_rejected_not_densified():

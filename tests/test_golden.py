@@ -62,18 +62,18 @@ _PINNED = {
     "recursive1d": (
         ExperimentConfig(size=63, levels=4, coarse="recursive", mu=2, nu=2,
                          trials=30),
-        "c004f68745126c42d36ef6402df360b6821a69e2b2b66c0bc9dbcecf90c882de"),
+        "3378272429e8e3b7b95f2d784f7558a23b11700265d4e6f456ef2e0ca9c6cf3d"),
     "recursive2d": (
         ExperimentConfig(problem="poisson2d", size=15, levels=3,
                          coarse="recursive", trials=30),
-        "4587e1e23a1524dfd68d97208506b6600f8a51c404a527e81cd8e2f380e0dae8"),
+        "9a438af87f65ccb223c8ed621721d9d5667f929b65bd32544f9a5ed2d7da2a74"),
     "perturbed2d": (
         ExperimentConfig(problem="poisson2d", size=15, coarse="perturbed",
                          sigma=0.3, trials=30),
-        "f621bebc1d9db30dfa7e402370d784099135ee063e6c07d6974d9bff39ac3163"),
+        "6922f11893eb9902224ead0d1a5e6b1297cf90a9cbd5c236a7c66f7b4669e976"),
     "richardson1d": (
         ExperimentConfig(size=63, smoother="richardson", trials=30),
-        "f9fcfb42a1c7789f9c4ed9cb2fc665caba3c1e3d45fbd9a883a059e194b3c4f7"),
+        "2694a3c4a6bf556f84c3374d0da42a0828d70a70365f671af80cb50c2c0ad960"),
 }
 
 

@@ -1,7 +1,9 @@
 """Experiment harness: configs, determinism, CSV self-consistency, CLI."""
 
+import csv
 import dataclasses
 import hashlib
+import io
 import json
 from pathlib import Path
 
@@ -176,7 +178,31 @@ class TestConfig:
             load_config(path)
 
 
+def render_with_csv_writer(records) -> str:
+    """Every row through ``csv.writer``, each cell by ``harness._format_cell``."""
+    buf = io.StringIO()
+    buf.write(harness.CSV_HEADER_COMMENT + "\n")
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(CSV_COLUMNS)
+    for rec in records:
+        cells = (rec.report.csv_fields()
+                 + [getattr(rec.config, name) for name in harness._CONFIG_COLUMNS]
+                 + [rec.trial, rec.ref_error, rec.fp_error, rec.measured_ratio]
+                 + [rec.line_ratios[name] for name in harness.PROOF_LINES]
+                 + [rec.passed])
+        writer.writerow([harness._format_cell(c) for c in cells])
+    return buf.getvalue()
+
+
 class TestRunExperiment:
+    @pytest.mark.parametrize("name", ["default_sweep.csv", "sweep_n15.csv",
+                                      "sweep_n31.csv", "sweep_n63.csv"])
+    def test_render_csv_matches_csv_writer(self, name):
+        from test_golden import _GOLDEN
+
+        records = run_experiment(_GOLDEN[name])
+        assert render_csv(records) == render_with_csv_writer(records)
+
     def test_deterministic_csv_bytes(self):
         cfg = ExperimentConfig(size=15, bits=(8, 12), trials=5, rng_seed=7)
         first = render_csv(run_experiment(cfg))

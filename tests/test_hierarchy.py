@@ -9,6 +9,7 @@ import scipy.sparse as sparse
 import dense_oracle as oracle
 from mixedmg import (
     SparseSpd,
+    StructureError,
     build_multilevel,
     bilinear_interpolation,
     condition_number,
@@ -123,9 +124,21 @@ class TestGalerkinCoarse:
 
 class TestNormalizeHierarchy:
     def test_identity_like_input(self):
-        lvl = normalize_hierarchy(SparseSpd(2.0 * np.eye(4)), sparse.eye_array(4))
-        assert np.array_equal(lvl.A.matrix.toarray(), np.eye(4))
-        assert np.allclose(lvl.A_c.matrix.toarray(), np.eye(4), rtol=0, atol=4 * EPS)
+        # 2I is a stencil matrix, but the identity is no (bi)linear coarsening
+        with pytest.raises(StructureError, match="^P maps 4 points to 4"):
+            normalize_hierarchy(SparseSpd(2.0 * np.eye(4)), sparse.eye_array(4))
+
+    def test_random_spd_matrix_is_named(self):
+        X = np.random.default_rng(0).standard_normal((7, 7))
+        with pytest.raises(StructureError, match="^A is not the matrix of its stencil"):
+            normalize_hierarchy(SparseSpd(X @ X.T + 7 * np.eye(7)),
+                                linear_interpolation(7))
+
+    def test_scaled_interpolation_with_one_entry_off_is_named(self):
+        P = linear_interpolation(7).tolil()
+        P[2, 1] = 0.25
+        with pytest.raises(StructureError, match="^P is not 1.0 times"):
+            normalize_hierarchy(poisson_1d(7), P)
 
     def test_unit_norms(self, level31):
         assert abs(spectral_norm(level31.A) - 1.0) <= 10 * EPS

@@ -1,34 +1,33 @@
 """Norms, spectra, condition numbers, and the norm inequalities they satisfy."""
 
 import math
-from fractions import Fraction
 
 import numpy as np
 import pytest
+import scipy.sparse as sparse
 
 import dense_oracle as oracle
 from mixedmg import (
+    CARRIER,
     PrecisionFormat,
     PrecisionTooLowError,
     SparseSpd,
     SpdError,
+    StructureError,
     abs_matrix_norm,
     build_multilevel,
     condition_number,
     energy_norm,
+    linear_interpolation,
+    make_jacobi,
+    make_richardson,
     mdot_plus_eps,
     solve_spd,
     spectral_norm,
+    spectrum_ends,
 )
-from mixedmg import linops
 from mixedmg.hierarchy import poisson_1d, poisson_2d
-from mixedmg.linops import (
-    EigenvalueBoundError,
-    _lower_band,
-    diagonal_congruence,
-    eigenvalue_bound,
-    energy_operator_norm,
-)
+from mixedmg.linops import energy_operator_norm
 
 EPS = float(np.finfo(np.float64).eps)
 
@@ -91,7 +90,16 @@ class TestSpectralQuantities:
         assert spectral_norm(np.eye(4)) == pytest.approx(1.0, abs=1e-15)
 
     def test_spectral_norm_diagonal(self):
-        assert spectral_norm(np.diag([3.0, 1.0, 0.5])) == pytest.approx(3.0)
+        # a diagonal that is not constant is no stencil matrix: no symbol, and
+        # no dense or iterative fallback
+        for K in (np.diag([3.0, 1.0, 0.5]), random_spd(12, 9).matrix):
+            with pytest.raises(StructureError, match="is not the matrix of its stencil"):
+                spectral_norm(K)
+
+    def test_spectral_norm_2d_closed_form(self):
+        # eigenvalues 4 - 2 cos(i pi / 6) - 2 cos(j pi / 6), largest 4 + 2 sqrt(3)
+        assert spectral_norm(poisson_2d(5)) == pytest.approx(
+            4.0 + 2.0 * math.sqrt(3.0), rel=1e-14)
 
     def test_spectral_norm_tridiagonal_closed_form(self):
         # eigenvalues 2 - 2 cos(k pi / 4), largest 2 + sqrt(2)
@@ -102,7 +110,8 @@ class TestSpectralQuantities:
         assert condition_number(SparseSpd(np.eye(5))) == pytest.approx(1.0)
 
     def test_condition_number_diagonal(self):
-        assert condition_number(SparseSpd(np.diag([4.0, 1.0]))) == pytest.approx(4.0)
+        with pytest.raises(StructureError, match="2x2 matrix is not the matrix"):
+            condition_number(SparseSpd(np.diag([4.0, 1.0])))
 
     def test_condition_number_tridiagonal(self):
         expected = (2.0 + math.sqrt(2.0)) / (2.0 - math.sqrt(2.0))
@@ -119,14 +128,28 @@ class TestSpectralQuantities:
         assert abs_matrix_norm(-np.eye(3)) == pytest.approx(1.0)
 
     def test_abs_matrix_norm_rectangular_and_unsymmetric(self):
+        # a scaled interpolation and its transpose have the norm of their
+        # symbol; any other rectangular or unsymmetric matrix has none
+        for k in (3, 15, 31):
+            P = -0.75 * linear_interpolation(k)
+            for K in (P, P.T):
+                assert abs_matrix_norm(K) == pytest.approx(
+                    oracle.abs_matrix_norm(K), rel=1e-12)
         rng = np.random.default_rng(8)
-        for K in (rng.standard_normal((9, 4)), rng.standard_normal((4, 9)),
-                  rng.standard_normal((6, 6))):
-            assert abs_matrix_norm(K) == pytest.approx(
-                oracle.abs_matrix_norm(K), rel=1e-12)
+        with pytest.raises(StructureError, match="P is not"):
+            abs_matrix_norm(rng.standard_normal((9, 4)))
+        with pytest.raises(StructureError, match="P maps 8 points to 3"):
+            abs_matrix_norm(rng.standard_normal((3, 8)))
+        with pytest.raises(StructureError, match="6x6 matrix is not the matrix"):
+            abs_matrix_norm(rng.standard_normal((6, 6)))
 
     def test_spectral_norm_indefinite(self):
-        assert spectral_norm(np.diag([1.0, -3.0, 2.0])) == pytest.approx(3.0)
+        # the stencil (-0.5, 1) has the eigenvalues -0.5 + 2 cos(j pi / 8);
+        # the one of largest magnitude is the smallest
+        K = sparse.diags_array([np.ones(6), np.full(7, -0.5), np.ones(6)],
+                               offsets=[-1, 0, 1])
+        assert spectral_norm(K) == pytest.approx(0.5 + 2 * math.cos(math.pi / 8),
+                                                 rel=1e-14)
 
     def test_abs_matrix_norm_tridiagonal(self):
         # |A| = tridiag(1, 2, 1) has largest eigenvalue 2 + sqrt(2)
@@ -169,7 +192,7 @@ class TestSolveSpd:
 
     def test_residual_contract(self):
         A = random_spd(40, 2)
-        kappa = condition_number(A)
+        kappa = oracle.condition_number(A)
         rng = np.random.default_rng(3)
         for _ in range(20):
             b = rng.standard_normal(40)
@@ -244,85 +267,76 @@ class TestEnergyOperatorNorm:
         assert sup >= 0.2 * norm  # random probing gets within a small factor
 
 
-def _ends(K, B=None, **kwargs):
-    return (eigenvalue_bound(K, B, end="min", **kwargs),
-            eigenvalue_bound(K, B, **kwargs))
+def _ends(K):
+    lo, hi = spectrum_ends(K)
+    assert lo <= hi
+    return lo, hi
 
 
 class TestEigenvalueBound:
-    """Certified ends of extreme eigenvalues by shifted banded Cholesky."""
+    """Certified ends of extreme eigenvalues from the stencil symbol."""
 
     @pytest.mark.parametrize("width", [1, 3])
     @pytest.mark.parametrize("c", [1.0, 2.0 / 3.0, -0.375])
     def test_multiple_of_identity(self, c, width):
-        # every eigenvalue coincides, the case LAPACK's 'evr' and 'evx'
-        # drivers fail on; Gershgorin's end is exact and is kept
-        K = np.zeros((width, 40))
-        K[0] = c
-        assert _ends(K) == (c, c)
+        # every eigenvalue coincides; zeros stored off the diagonal (a band
+        # of width 3) leave the stencil as it is
+        i, j = np.nonzero(np.abs(np.subtract.outer(np.arange(40), np.arange(40))) < width)
+        K = sparse.csr_array((np.where(i == j, c, 0.0), (i, j)), shape=(40, 40))
+        assert K.nnz == len(i)
+        lo, hi = _ends(K)
+        assert lo <= c <= hi
+        assert hi - lo <= 4 * EPS * abs(c)
 
     def test_indefinite_band(self):
-        rng = np.random.default_rng(11)
-        X = np.triu(np.tril(rng.standard_normal((30, 30)), 2), -2)
-        S = X + X.T
-        w = np.linalg.eigvalsh(S)
-        lo, hi = _ends(_lower_band(S))
+        # a 2D nine-point stencil with both signs: the ends bracket the dense
+        # eigenvalues within a few units of roundoff
+        one_d = poisson_1d(6).matrix
+        S = sparse.kron(one_d, one_d) - 3.0 * sparse.eye_array(36)
+        w = np.linalg.eigvalsh(S.toarray())
+        lo, hi = _ends(S)
         assert lo < 0 < hi
-        assert w[0] - 1e-12 * np.abs(w).max() <= lo <= w[0]
-        assert w[-1] <= hi <= w[-1] + 1e-12 * np.abs(w).max()
+        assert w[0] - 1e-14 * np.abs(w).max() <= lo <= w[0]
+        assert w[-1] <= hi <= w[-1] + 1e-14 * np.abs(w).max()
         assert spectral_norm(S) == max(hi, -lo)
 
     def test_one_by_one(self):
-        assert _ends(np.array([[2.5]])) == (2.5, 2.5)
+        lo, hi = _ends(np.array([[2.5]]))
+        assert lo <= 2.5 <= hi and hi - lo <= 4 * EPS * 2.5
 
     def test_two_by_two(self):
-        # [[2, 1], [1, 2]] has eigenvalues 1 and 3
-        lo, hi = _ends(np.array([[2.0, 2.0], [1.0, 0.0]]))
-        assert 1.0 - 4 * EPS <= lo <= 1.0
-        assert 3.0 <= hi <= 3.0 * (1 + 4 * EPS)
+        # [[2, 1], [1, 2]] has eigenvalues 1 and 3; the radii of the sines
+        # and cosines dominate the width of the ends
+        lo, hi = _ends(np.array([[2.0, 1.0], [1.0, 2.0]]))
+        assert 1.0 - 1e-14 <= lo <= 1.0
+        assert 3.0 <= hi <= 3.0 * (1 + 1e-14)
 
     @pytest.mark.parametrize("c", [0.5, 2.0 / 3.0, 1.28271484375])
     def test_pencil_of_a_scalar_diagonal(self, c):
-        # (D A D, A) with D = c I has every eigenvalue equal to c**2; the band
-        # of D A D is rounded, and k_err covers it, so the ends bracket the
-        # exact square of the stored c
+        # M = c I commutes with A, so its energy norm, once the top of the
+        # pencil (M A M, A), is c exactly
         A = build_multilevel(63, 2)[0].A
-        K, k_err = diagonal_congruence(A, np.full(A.n, c))
-        lo, hi = _ends(K, A.band, b_floor=A.lambda_min_bound, k_err=k_err)
-        square = Fraction(c) ** 2
-        assert Fraction(lo) <= square <= Fraction(hi)
-        assert hi - lo <= 1e-10 * c * c
+        M = make_richardson(A, c, CARRIER)
+        assert M.eta_energy == M.eta_euclid == c
 
     def test_pencil_with_diagonal_b_is_the_scaled_matrix(self):
-        # (D A D, D) has the eigenvalues of D A
-        A = poisson_1d(15)
-        d = np.linspace(0.5, 1.5, 15)
-        w = np.sort(np.linalg.eigvals(d[:, None] * A.matrix.toarray()).real)
-        K, k_err = diagonal_congruence(A, d)
-        dense = (d[:, None] * A.matrix.toarray()) * d[None, :]
-        np.testing.assert_allclose(K, _lower_band(dense), rtol=4 * EPS, atol=0)
-        lo, hi = _ends(K, d[None, :], k_err=k_err)
-        assert w[0] * (1 - 1e-12) <= lo <= w[0]
-        assert w[-1] <= hi <= w[-1] * (1 + 1e-12)
+        # a relaxation whose diagonal is not constant has no symbol: it is
+        # refused at construction, naming the smoother
+        d = np.linspace(2.5, 3.5, 15)
+        A = SparseSpd(sparse.diags_array([-np.ones(14), d, -np.ones(14)],
+                                         offsets=[-1, 0, 1]))
+        with pytest.raises(StructureError,
+                           match="^jacobi smoother does not have a constant diagonal"):
+            make_jacobi(A, 2.0 / 3.0, PrecisionFormat(12))
 
     def test_same_bits_on_every_call(self):
         A = poisson_2d(15)
-        first = [eigenvalue_bound(A.band, end=end).hex() for end in ("min", "max")]
-        again = [eigenvalue_bound(A.band, end=end).hex() for end in ("min", "max")]
+        first = [x.hex() for x in spectrum_ends(A)]
+        again = [x.hex() for x in spectrum_ends(A.matrix)]
         assert first == again
-        assert A.lambda_min_bound.hex() == first[0]
-        assert A.lambda_max_bound.hex() == first[1]
-
-    def test_factorization_budget_raises_naming_the_order(self, monkeypatch):
-        monkeypatch.setattr(linops, "MAX_FACTORIZATIONS", 2)
-        with pytest.raises(EigenvalueBoundError, match="order-255"):
-            eigenvalue_bound(poisson_1d(255).band)
 
     def test_bad_arguments_rejected(self):
-        A = poisson_1d(7)
-        with pytest.raises(ValueError):
-            eigenvalue_bound(A.band, end="middle")
-        with pytest.raises(ValueError):
-            eigenvalue_bound(A.band, A.band)  # a banded B needs b_floor
-        with pytest.raises(ValueError):
-            eigenvalue_bound(A.band, np.ones((1, 7)), b_floor=0.0)
+        with pytest.raises(StructureError, match="has shape"):
+            spectrum_ends(np.ones((3, 4)))
+        with pytest.raises(SpdError, match="not certified positive"):
+            condition_number(-poisson_1d(7).matrix)

@@ -3,10 +3,13 @@ keeps the dense forms off the experiment path."""
 
 import functools
 import importlib
+import itertools
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.linalg.lapack
 
 import dense_oracle as oracle
 from mixedmg import (
@@ -20,6 +23,7 @@ from mixedmg import (
     make_recursive_coarse,
     make_richardson,
     rho_star,
+    spectrum_ends,
 )
 from mixedmg.harness import ExperimentConfig, render_csv, run_experiment
 
@@ -77,37 +81,69 @@ def test_level_constants(name):
         assert_close(lvl.eta_P, oracle.abs_matrix_norm(lvl.P), "eta_P")
 
 
-def assert_safe(got, expected, what):
-    """``got`` errs on the safe (upper) side of ``expected``, by at most REL."""
-    assert expected <= got <= expected + REL * abs(expected), (what, got, expected)
+def assert_safe(got, reference, what):
+    """``got`` is at or above its 50-digit ``reference``, within 1e-12 relative."""
+    assert reference <= got <= reference * (1 + mpmath.mpf("1e-12")), (
+        what, got, reference)
+
+
+def eigenvalues_50(c, k):
+    """Every eigenvalue of the stencil ``c`` on ``k`` points per axis, at 50 digits:
+    ``sum_a c[a] prod_(i: a_i = 1) 2 cos(j_i pi / (k + 1))`` over the modes ``j``."""
+    cos2 = [2 * mpmath.cos(j * mpmath.pi / (k + 1)) for j in range(1, k + 1)]
+    return [mpmath.fsum(mpmath.mpf(c[a]) * mpmath.fprod(
+                cos2[j] for j, s in zip(js, a) if s)
+                for a in itertools.product((0, 1), repeat=c.ndim))
+            for js in itertools.product(range(k), repeat=c.ndim)]
 
 
 @pytest.mark.parametrize("name", HIERARCHIES)
 def test_constants_on_the_safe_side(name):
-    # each certified constant is an upper end: never below the dense value
+    # each certified constant is an upper end of the closed form of the
+    # stored stencil values, and within 1e-12 of it
     levels = hierarchy(name)
-    for lvl in levels:
-        assert_safe(lvl.kappa, oracle.condition_number(lvl.A), "kappa")
-        assert_safe(lvl.kappa_c, oracle.condition_number(lvl.A_c), "kappa_c")
-        assert_safe(lvl.eta_A, oracle.abs_matrix_norm(lvl.A.matrix), "eta_A")
-        assert_safe(lvl.eta_P, oracle.abs_matrix_norm(lvl.P), "eta_P")
-    A = levels[0].A
-    for kind in ("jacobi", "richardson"):
-        for fmt in (FMT, CARRIER):
-            K = smoother(kind, A, fmt)
-            assert_safe(K.contraction, oracle.contraction(A, K.diag), "contraction")
-            assert_safe(K.eta_energy, oracle.energy_operator_norm(np.diag(K.diag), A),
-                        "eta_energy")
+    with mpmath.workdps(50):
+        for lvl in levels:
+            st = lvl.stencils
+            lam = eigenvalues_50(st.A, st.k)
+            lam_c = eigenvalues_50(st.A_c, (st.k - 1) // 2)
+            assert_safe(lvl.kappa, max(lam) / min(lam), "kappa")
+            assert_safe(lvl.kappa_c, max(lam_c) / min(lam_c), "kappa_c")
+            assert_safe(lvl.eta_A, max(eigenvalues_50(np.abs(st.A), st.k)), "eta_A")
+            top_P = abs(mpmath.mpf(st.p)) * mpmath.sqrt(
+                1 + mpmath.cos(mpmath.pi / (st.k + 1)) ** 2) ** st.d
+            assert_safe(lvl.eta_P, top_P, "eta_P")
+        st = levels[0].stencils
+        lam = eigenvalues_50(st.A, st.k)
+        for kind in ("jacobi", "richardson"):
+            for fmt in (FMT, CARRIER):
+                K = smoother(kind, levels[0].A, fmt)
+                w = mpmath.mpf(K.diag[0])
+                assert_safe(K.contraction, max(abs(1 - w * x) for x in lam), "contraction")
+                # w I commutes with A, so its energy norm is |w| exactly
+                assert K.eta_energy == abs(K.diag[0])
 
 
 @pytest.mark.parametrize("name", HIERARCHIES)
 def test_unit_scales_from_above(name):
     # each scale is an upper end of the norm before scaling, so the stored
-    # norms sit at most a few roundoffs above one and within 1e-13 below it
+    # norms sit at most a few roundoffs above one and within 1e-13 below it,
+    # and their certified symbol ends at most 8 units of roundoff above
+    eps = np.finfo(np.float64).eps
     for lvl in hierarchy(name):
         for M in (lvl.A, lvl.A_c):
             top = oracle.eigenvalues(M)[-1]
-            assert 1.0 - 1e-13 <= top <= 1.0 + 4 * np.finfo(np.float64).eps, top
+            assert 1.0 - 1e-13 <= top <= 1.0 + 4 * eps, top
+            assert top <= spectrum_ends(M)[1] <= 1.0 + 4 * eps, spectrum_ends(M)
+
+
+def test_kappa_at_the_largest_1d_grid():
+    # the scaled stencil is r (2, -1) exactly, so its condition number is
+    # cot^2(pi / (2 (n + 1))); the certified end is within 1e-13 above it
+    kappa = build_multilevel(16383, 2)[0].kappa
+    with mpmath.workdps(50):
+        exact = mpmath.cot(mpmath.pi / 32768) ** 2
+        assert exact <= kappa <= exact * (1 + mpmath.mpf("1e-13")), (kappa, exact)
 
 
 @pytest.mark.parametrize("kind", ["jacobi", "richardson"])
@@ -157,16 +193,24 @@ def _forbidden(*_args, **_kwargs):
 @pytest.mark.parametrize("config", [
     ExperimentConfig(size=63, trials=5),
     ExperimentConfig(size=63, levels=4, coarse="recursive", trials=5),
+    ExperimentConfig(size=63, coarse="perturbed", sigma=0.3, trials=5),
     ExperimentConfig(problem="poisson2d", size=15, trials=5),
+    ExperimentConfig(problem="poisson2d", size=15, levels=3, coarse="recursive",
+                     trials=5),
     ExperimentConfig(problem="poisson2d", size=15, coarse="perturbed", sigma=0.3,
                      trials=5),
-], ids=["1d-exact", "1d-recursive", "2d-exact", "2d-perturbed"])
+], ids=["1d-exact", "1d-recursive", "1d-perturbed", "2d-exact", "2d-recursive",
+        "2d-perturbed"])
 def test_run_experiment_takes_no_dense_spectral_path(monkeypatch, config):
     linalg = importlib.import_module("numpy.linalg._linalg")
+    # the shifted banded Cholesky factorizations (pbtrf) and solves (pbtrs)
+    # of certified eigenvalue ends are gone too: the set-up constants come
+    # from stencil symbols
     forbidden = [(np.linalg, "svd"), (linalg, "svd"), (np.linalg, "eigh"),
                  (linalg, "eigh"), (scipy.linalg, "svd"), (scipy.linalg, "svdvals"),
                  (scipy.linalg, "eigh"), (scipy.linalg, "cho_factor"),
-                 (scipy.linalg, "eig_banded")]
+                 (scipy.linalg, "eig_banded"), (scipy.linalg.lapack, "dpbtrf"),
+                 (scipy.linalg.lapack, "dpbtrs")]
     # the perturbed coarse solve still normalises its dense G and takes a
     # dense rho_star by the dense Gram eigenvalues (ROADMAP item 2); the
     # exact and recursive solves take no order-n eigensolve at all
@@ -184,6 +228,8 @@ def test_run_experiment_takes_no_dense_spectral_path(monkeypatch, config):
         oracle.eigenvalues(SparseSpd(np.eye(2)))
     with pytest.raises(AssertionError, match="dense spectral path"):
         SparseSpd(np.eye(2)).dense  # noqa: B018
+    with pytest.raises(AssertionError, match="dense spectral path"):
+        scipy.linalg.lapack.dpbtrf(np.ones((1, 2)), lower=1)
     records = run_experiment(config)
     assert len(records) == 5 * len(config.bits)
     assert all(r.passed for r in records)
