@@ -50,6 +50,7 @@ from .linops import SparseSpd, energy_norm, energy_operator_norm, solve_spd
 from .precision import (
     CARRIER,
     PrecisionFormat,
+    RoundedResult,
     column_norms,
     quantize_vector,
     rounded_add_sub,
@@ -95,12 +96,11 @@ class RelaxationOp:
         z = np.asarray(z, dtype=np.float64)
         return (self.diag[:, None] * z.reshape(len(self.diag), -1)).reshape(z.shape)
 
-    def apply_rounded(self, z: np.ndarray, fmt: PrecisionFormat):
-        """``(fl(M z), bound)`` for a vector, or per column for a block."""
+    def apply_rounded(self, z: np.ndarray, fmt: PrecisionFormat) -> RoundedResult:
+        """``fl(M z)`` and its bound, per column for a block."""
         if fmt != self.fmt:
             raise ValueError("relaxation operator was built for a different format")
-        out = rounded_scale(self.diag, z, fmt, self.alpha)
-        return out.value, out.a_priori_bound
+        return rounded_scale(self.diag, z, fmt, self.alpha)
 
 
 def _finalize_relaxation(kind: str, A: SparseSpd, diag: np.ndarray,
@@ -253,7 +253,7 @@ def make_recursive_coarse(levels, mu: int, nu: int, smoothers) -> CoarseSolver:
     if not sub:
         return make_exact_coarse(levels[0])
     cycle = CarrierCycle(levels[0], tuple(sub), tuple(smoothers), mu, nu)
-    deviation = fourier.cycle_deviation(levels[0], cycle.fourier)
+    deviation = fourier.cycle_deviation(cycle.fourier)
     if deviation >= 1.0:
         raise ContractionError(f"recursive coarse solve does not contract "
                                f"(deviation {deviation:.4f})")
@@ -268,14 +268,20 @@ class CycleTrace:
     to the norm of the corresponding deviation (step lines: fresh kernel
     error given perturbed inputs; total lines: accumulated deviation from
     the exact reference run with identical operators).
-    ``delta_y_energy`` is the energy norm of the final accumulated
-    deviation and ``y_reference`` the exact-arithmetic result.  For a block
-    of right-hand sides every norm is an array with one entry per column.
+    ``y_reference`` is the exact-arithmetic result and ``y`` the computed
+    one.  For a block of right-hand sides every norm is an array with one
+    entry per column.
     """
 
     line_norms: dict[str, float | np.ndarray]
-    delta_y_energy: float | np.ndarray
     y_reference: np.ndarray
+    y: np.ndarray = field(repr=False)
+    A: SparseSpd = field(repr=False)
+
+    @cached_property
+    def delta_y_energy(self) -> float | np.ndarray:
+        """The energy norm of the final accumulated deviation, computed on first read."""
+        return energy_norm(self.y - self.y_reference, self.A)
 
 
 @dataclass(frozen=True, eq=False)
@@ -314,7 +320,7 @@ def _operations(level: GridLevel, fmt: PrecisionFormat):
                 lambda z: level.P @ z,
                 lambda v, w: v - w)
     eta_A, eta_P = level.eta_A, level.eta_P
-    return (lambda K, z: K.apply_rounded(z, fmt)[0],
+    return (lambda K, z: K.apply_rounded(z, fmt).value,
             lambda y, r: rounded_residual(level.A, y, r, fmt, eta_abs=eta_A).value,
             lambda z: rounded_matvec(level.P_t_layout, z, fmt, eta_abs=eta_P).value,
             lambda z: rounded_matvec(level.P_layout, z, fmt, eta_abs=eta_P).value,
@@ -388,12 +394,7 @@ def tg_cycle(level: GridLevel, r, M: RelaxationOp, N: RelaxationOp,
         "final_sub_step": e_A(s.y - subtract(s.y_nu, s.r_N)),
     }
     assert set(norms) == set(PROOF_LINES)
-    trace = CycleTrace(
-        line_norms=norms,
-        delta_y_energy=e_A(s.y - ref.y),
-        y_reference=ref.y,
-    )
-    return s.y, trace
+    return s.y, CycleTrace(line_norms=norms, y_reference=ref.y, y=s.y, A=level.A)
 
 
 def rho_star(level: GridLevel, M: RelaxationOp, N: RelaxationOp,
@@ -415,7 +416,7 @@ def rho_star(level: GridLevel, M: RelaxationOp, N: RelaxationOp,
     _check_coarse(level, coarse)
     cycle = coarse.correction
     if isinstance(cycle, CarrierCycle):
-        return fourier.two_grid_norm(level, M, N, cycle.fourier)
+        return fourier.two_grid_norm(cycle.fourier, M, N)
     A = level.A.matrix
     eye = sparse.eye_array(level.n)
     pre = eye - sparse.diags_array(M.diag) @ A

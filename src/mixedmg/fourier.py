@@ -20,7 +20,10 @@ modes (2D) per coarse mode for an exact coarse solve, ``2^(L-1)`` or
 ``4^(L-1)`` for a V-cycle over ``L`` grids, and a lone mode with ``S_N^nu
 S_M^mu`` only where a middle mode has no coarse image.  A coarse V-cycle
 enters as ``X = (I - E_sub) A_c^{-1}``, block by block; no order-``n``
-matrix is formed.
+matrix is formed.  The smoother-free part of a level's blocks, the symbol
+of ``A`` and ``I - P X P' A`` per class, is built once per coarse solve
+(:attr:`CoarseBlocks.core`); a format's smoothers add only
+``(1 - w lambda)^mu`` and ``(1 - w lambda)^nu``.
 
 Every block entry is computed in midpoint-radius arithmetic (:class:`_Ball`):
 the radius bounds the float64 rounding of each operation and the error of
@@ -48,6 +51,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -256,31 +260,27 @@ def _identity(B: int, G: int) -> _Ball:
     return _Ball(np.broadcast_to(np.eye(G), (B, G, G)))
 
 
-def _step(level, M, N, mu: int, nu: int, coarse_classes, X, depth: int):
-    """One level's propagator blocks ``S_N^nu (I - P X P' A) S_M^mu``.
+def _core(level, coarse_classes, X, depth: int):
+    """The smoother-free part of one level's propagator blocks: ``I - P X P' A``.
 
     ``coarse_classes`` lists the frequency classes of the coarse grid, each a
     ``(B, g)`` array of ``B`` groups of ``g`` frequencies, and ``X`` maps a
     class key (one class index per axis) to the coarse solve's ``(B, G, G)``
     blocks.  ``depth`` numbers the level in its hierarchy for the errors.
-    Returns the fine grid's classes, and per key the blocks of ``E`` and the
-    ``(B, G)`` symbol of ``A``.
+    Returns the fine grid's classes, and per key the ``(B, G)`` symbol of
+    ``A`` and the core blocks (the identity on a class with no coarse image).
     """
     c = _stencils(level, depth)
     d, k = c.d, c.k
-    w_M = _constant_diagonal(M.diag, level.n, f"level {depth}: pre-smoother M")
-    w_N = _constant_diagonal(N.diag, level.n, f"level {depth}: post-smoother N")
     # each coarse group pulls back to its fine modes j and k + 1 - j on every
     # axis; the middle mode has no coarse image and is a class of its own
     classes = [np.hstack([F, k + 1 - F]) for F in coarse_classes]
     classes.append(np.array([[(k + 1) // 2]]))
-    E, symbols = {}, {}
+    symbols, cores = {}, {}
     for key in itertools.product(range(len(classes)), repeat=d):
         Fs = [classes[i] for i in key]
         harmonics = [_harmonics(F, k) for F in Fs]
         lam = _symbol(c.A, [h[0] for h in harmonics])
-        s_M = (1.0 - w_M * lam) ** mu
-        s_N = (1.0 - w_N * lam) ** nu
         core = _identity(*lam.mid.shape)
         if key in X:
             # P' weight of each fine mode: +-(1 + cos) / sqrt(2) per axis
@@ -296,9 +296,21 @@ def _step(level, M, N, mu: int, nu: int, coarse_classes, X, depth: int):
             Xg = X[key].map(lambda v: v[:, cidx[:, None], cidx[None, :]])
             core = core - r.map(lambda v: v[:, :, None]) * Xg * (r * lam).map(
                 lambda v: v[:, None, :])
-        E[key] = s_N.map(lambda v: v[:, :, None]) * core * s_M.map(lambda v: v[:, None, :])
-        symbols[key] = lam
-    return classes, E, symbols
+        symbols[key], cores[key] = lam, core
+    return classes, symbols, cores
+
+
+def _smoothed(level, M, N, mu: int, nu: int, symbols, cores, depth: int) -> dict:
+    """Per class key the propagator blocks ``S_N^nu core S_M^mu`` of one level."""
+    w_M = _constant_diagonal(M.diag, level.n, f"level {depth}: pre-smoother M")
+    w_N = _constant_diagonal(N.diag, level.n, f"level {depth}: post-smoother N")
+    E = {}
+    for key, lam in symbols.items():
+        s_M = (1.0 - w_M * lam) ** mu
+        s_N = (1.0 - w_N * lam) ** nu
+        E[key] = s_N.map(lambda v: v[:, :, None]) * cores[key] * s_M.map(
+            lambda v: v[:, None, :])
+    return E
 
 
 def _prod(balls: list[_Ball]) -> _Ball:
@@ -314,11 +326,18 @@ class CoarseBlocks:
 
     ``classes`` lists the frequency classes of the coarse grid per axis,
     and ``X`` maps a class key (one class index per axis) to the solve's
-    ``(B, G, G)`` blocks on it.
+    ``(B, G, G)`` blocks on it.  :attr:`core` is the smoother-free part of
+    ``level``'s two-grid blocks, which every format's smoothers share.
     """
 
+    level: object
     classes: list
     X: dict
+
+    @cached_property
+    def core(self):
+        """``(classes, symbols, cores)`` of ``level`` with this solve, built once."""
+        return _core(self.level, self.classes, self.X, 0)
 
 
 def coarse_blocks(level, below, mu: int, nu: int) -> CoarseBlocks:
@@ -340,10 +359,11 @@ def coarse_blocks(level, below, mu: int, nu: int) -> CoarseBlocks:
     X = {(0,) * d: lam.reciprocal().map(lambda v: v[:, :, None])}
     for depth in reversed(range(1, len(chain))):
         _, M, N = below[depth - 1]
-        classes, E, symbols = _step(chain[depth], M, N, mu, nu, classes, X, depth)
+        classes, symbols, cores = _core(chain[depth], classes, X, depth)
+        E = _smoothed(chain[depth], M, N, mu, nu, symbols, cores, depth)
         X = {key: (_identity(*e.mid.shape[:2]) - e) * symbols[key].reciprocal().map(
             lambda v: v[:, None, :]) for key, e in E.items()}
-    return CoarseBlocks(classes, X)
+    return CoarseBlocks(level, classes, X)
 
 
 def _norm_bound(blocks) -> float:
@@ -368,22 +388,25 @@ def _energy(x: _Ball, lam: _Ball) -> _Ball:
     return q.map(lambda v: v[:, :, None]) * x * q.reciprocal().map(lambda v: v[:, None, :])
 
 
-def two_grid_norm(level, M, N, coarse: CoarseBlocks) -> float:
+def two_grid_norm(coarse: CoarseBlocks, M, N) -> float:
     """Certified upper end of the energy norm of ``(I - N A)(I - P X P' A)(I - M A)``.
 
-    ``X`` is the coarse solve whose blocks :func:`coarse_blocks` gave.
+    ``X`` is the coarse solve of ``coarse.level`` whose blocks
+    :func:`coarse_blocks` gave; only the smoothers are applied per call.
     """
-    _, E, symbols = _step(level, M, N, 1, 1, coarse.classes, coarse.X, 0)
+    _, symbols, cores = coarse.core
+    E = _smoothed(coarse.level, M, N, 1, 1, symbols, cores, 0)
     return _norm_bound(_energy(E[key], symbols[key]) for key in E)
 
 
-def cycle_deviation(level, coarse: CoarseBlocks) -> float:
+def cycle_deviation(coarse: CoarseBlocks) -> float:
     """Certified upper end of the ``A_c``-norm of ``X A_c - I``.
 
-    ``X`` is the coarse solve of ``level`` whose blocks :func:`coarse_blocks`
-    gave; the coarse blocks are ``X A_c - I`` with ``A_c``'s symbol.
+    ``X`` is the coarse solve of ``coarse.level`` whose blocks
+    :func:`coarse_blocks` gave; the coarse blocks are ``X A_c - I`` with
+    ``A_c``'s symbol.
     """
-    c = _stencils(level, 0)
+    c = _stencils(coarse.level, 0)
     k_c = (c.k - 1) // 2
     blocks = []
     for key, x in coarse.X.items():

@@ -36,22 +36,30 @@ from .linops import SparseSpd, SpdError
 from .precision import RowLayout, _csr
 
 
-def poisson_1d(n: int) -> SparseSpd:
-    """Tridiagonal (-1, 2, -1) stiffness matrix on ``n`` interior points."""
+def _poisson_1d(n: int) -> sparse.csr_array:
     if n < 3:
         raise ValueError(f"n must be >= 3, got {n}")
     main = 2.0 * np.ones(n)
     off = -np.ones(n - 1)
-    return SparseSpd(sparse.diags_array([off, main, off], offsets=[-1, 0, 1]))
+    return sparse.csr_array(sparse.diags_array([off, main, off], offsets=[-1, 0, 1]))
+
+
+def _poisson_2d(k: int) -> sparse.csr_array:
+    if k < 3:
+        raise ValueError(f"k must be >= 3, got {k}")
+    one_d = _poisson_1d(k)
+    eye = sparse.eye_array(k)
+    return sparse.csr_array(sparse.kron(one_d, eye) + sparse.kron(eye, one_d))
+
+
+def poisson_1d(n: int) -> SparseSpd:
+    """Tridiagonal (-1, 2, -1) stiffness matrix on ``n`` interior points."""
+    return SparseSpd(_poisson_1d(n))
 
 
 def poisson_2d(k: int) -> SparseSpd:
     """Standard 5-point Laplacian on a k-by-k interior grid (Dirichlet)."""
-    if k < 3:
-        raise ValueError(f"k must be >= 3, got {k}")
-    one_d = poisson_1d(k).matrix
-    eye = sparse.eye_array(k)
-    return SparseSpd(sparse.kron(one_d, eye) + sparse.kron(eye, one_d))
+    return SparseSpd(_poisson_2d(k))
 
 
 def linear_interpolation(n_fine: int) -> sparse.csr_array:
@@ -191,6 +199,22 @@ def _interpolation_weight(P, d: int, k: int) -> float:
     return p
 
 
+def _operator_stencil(A: SparseSpd, d: int, k: int, name: str) -> np.ndarray:
+    """The stencil of ``A`` on a ``d``-dimensional grid of ``k`` points per axis.
+
+    It is :attr:`SparseSpd.stencil`, read once per operator, when that read
+    found this grid; otherwise the operator is read on this grid again, so
+    that a mismatch raises :class:`StructureError` naming it ``name``.
+    """
+    try:
+        c, k_read = A.stencil
+        if c.ndim == d and k_read == k:
+            return c
+    except StructureError:
+        pass
+    return _stencil(A.matrix, d, k, name)
+
+
 def level_stencils(level: GridLevel) -> LevelStencils:
     """The stencils of a model-problem level, each checked against its operator.
 
@@ -199,11 +223,12 @@ def level_stencils(level: GridLevel) -> LevelStencils:
     ``k`` relates as ``n_c = ((k - 1) / 2)^d``.  ``A``, ``A_c``, ``P`` and
     ``P'`` must each equal the matrix rebuilt from the stencil values read
     off them, bit for bit; otherwise :class:`StructureError` names the
-    operator.
+    operator.  ``A`` and ``A_c`` reuse the stencils their
+    :class:`SparseSpd` read once.
     """
     d, k = _grid(level.n, level.n_c)
-    A = _stencil(level.A.matrix, d, k, "A")
-    A_c = _stencil(level.A_c.matrix, d, (k - 1) // 2, "A_c")
+    A = _operator_stencil(level.A, d, k, "A")
+    A_c = _operator_stencil(level.A_c, d, (k - 1) // 2, "A_c")
     p = _interpolation_weight(level.P, d, k)
     if _differs(level.P_t, level.P.T):
         raise StructureError("P' is not the transpose of P")
@@ -215,8 +240,11 @@ def spectrum_ends(K) -> tuple[float, float]:
 
     The lower end of ``lambda_min`` and the upper end of ``lambda_max``,
     from the symbol of the stencil read off ``K``
-    (:func:`mixedmg.fourier.symbol_ends`).
+    (:func:`mixedmg.fourier.symbol_ends`); a :class:`SparseSpd` keeps its
+    ends (:attr:`SparseSpd.spectrum_ends`).
     """
+    if isinstance(K, SparseSpd):
+        return K.spectrum_ends
     return symbol_ends(*_symmetric_stencil(K))
 
 
@@ -243,11 +271,12 @@ def abs_matrix_norm(K) -> float:
 
     ``K`` is a symmetric stencil matrix, whose ``|K|`` has the stencil
     ``|c|``, or a scaled (bi)linear interpolation or its transpose, whose
-    ``|K|`` is the interpolation scaled by ``|p|``.
+    ``|K|`` is the interpolation scaled by ``|p|``.  A :class:`SparseSpd`
+    is read through its kept stencil (:attr:`SparseSpd.stencil`).
     """
     M = _csr(K)
     if M.shape[0] == M.shape[1]:
-        c, k = _symmetric_stencil(M)
+        c, k = K.stencil if isinstance(K, SparseSpd) else _symmetric_stencil(M)
         return symbol_ends(np.abs(c), k)[1]
     P = M if M.shape[0] > M.shape[1] else M.T
     d, k = _grid(*P.shape)
@@ -357,7 +386,7 @@ def normalize_hierarchy(A, P) -> GridLevel:
     A = A if isinstance(A, SparseSpd) else SparseSpd(A)
     P = sparse.csr_array(P).astype(np.float64)
     d, k = _grid(A.n, P.shape[1])
-    _stencil(A.matrix, d, k, "A")
+    _operator_stencil(A, d, k, "A")
     _interpolation_weight(P, d, k)
     return _level(_scaled(A), P)
 
@@ -378,23 +407,25 @@ def build_multilevel(n_finest: int, levels: int, problem: str = "poisson1d") -> 
     for ``poisson2d`` it is an ``n_finest``-by-``n_finest`` interior grid.
     Only the finest matrix is scaled: each level's ``A_c``, whose norm the
     scaled ``P`` bounds by one, is bit for bit the next level's ``A``, and
-    the coarsest grid is ``levels[-1].A_c``.
+    the coarsest grid is ``levels[-1].A_c``.  Only the matrices kept on the
+    levels are validated and factored; the unscaled finest one is read for
+    its norm alone.
     """
     if levels < 2:
         raise ValueError("levels must be >= 2")
     check_refinable(n_finest, levels)
     if problem == "poisson1d":
-        A = poisson_1d(n_finest)
+        A = _poisson_1d(n_finest)
         interp = linear_interpolation
     elif problem == "poisson2d":
-        A = poisson_2d(n_finest)
+        A = _poisson_2d(n_finest)
         interp = bilinear_interpolation
     else:
         raise ValueError(f"unknown problem {problem!r}")
 
     out: list[GridLevel] = []
     size = n_finest
-    current = _scaled(A)
+    current = _scaled(SparseSpd(A, validate=False))
     for _ in range(levels - 1):
         lvl = _level(current, interp(size))
         out.append(lvl)

@@ -5,7 +5,9 @@ one banded Cholesky factor ``A = L L'`` (bandwidth 1 for the 1D model
 problem, ``k`` for the 2D one), built once from the sparse entries.  It
 serves the direct solves, and the energy operator norm
 ``norm(A^(1/2) K A^(-1/2)) = norm(L' K L'^{-1})``.  The spectral set-up
-constants come from stencil symbols instead (:mod:`mixedmg.hierarchy`).
+constants come from stencil symbols instead (:mod:`mixedmg.hierarchy`): a
+:class:`SparseSpd` reads its stencil back once, on first use, and keeps it
+with the certified ends of its symbol.
 
 :func:`energy_norm` and :func:`solve_spd` take a vector ``(n,)`` or a block
 ``(n, T)``, and each column of a block gives bit for bit what the same
@@ -22,6 +24,7 @@ import scipy.linalg
 import scipy.linalg.lapack
 import scipy.sparse as sparse
 
+from .fourier import symbol_ends
 from .precision import RowLayout, _columns, _csr, _per_column
 
 _EPS = float(np.finfo(np.float64).eps)
@@ -35,7 +38,8 @@ class SparseSpd:
     """A sparse symmetric positive definite matrix with a cached banded factor.
 
     Symmetry is checked entrywise at construction and positive definiteness
-    is verified by the banded Cholesky factorization ``A = L L'``.
+    is verified by the banded Cholesky factorization ``A = L L'``; with
+    ``validate=False`` neither runs, and the factor is built on first use.
     Instances are immutable after construction and safe to share across
     threads.
     """
@@ -71,6 +75,24 @@ class SparseSpd:
     def row_layout(self) -> RowLayout:
         """The padded row layout the rounded kernels traverse, built once."""
         return RowLayout.of(self._matrix)
+
+    @cached_property
+    def stencil(self) -> tuple[np.ndarray, int]:
+        """``(c, k)``: the stencil read off the matrix and checked bit for bit,
+        on a square 2D grid or else a 1D one of ``k`` points per axis
+        (``c.ndim`` axes), read once.
+
+        A matrix that is not a stencil matrix raises
+        :class:`mixedmg.fourier.StructureError` on every read.
+        """
+        # hierarchy builds on this module, so its reader is looked up at call time
+        from .hierarchy import _symmetric_stencil
+        return _symmetric_stencil(self._matrix)
+
+    @cached_property
+    def spectrum_ends(self) -> tuple[float, float]:
+        """Certified ends of the spectrum, from the symbol of :attr:`stencil`."""
+        return symbol_ends(*self.stencil)
 
     @cached_property
     def band(self) -> np.ndarray:
@@ -119,7 +141,9 @@ def energy_norm(w, A: SparseSpd):
     A float for a vector, an array with one norm per column for a block.
     """
     rows = _columns(w, A.n)
-    q = np.vecdot(rows, _columns(A.apply(rows.T), A.n))
+    # A runs on w itself as an (n, T) block, not on a copy: the sparse
+    # product gives each column the same bits for any layout of the block
+    q = np.vecdot(rows, _columns(A.apply(np.reshape(w, (A.n, -1))), A.n))
     if np.any(q < 0):
         tol = 64 * _EPS * A._row_sum_bound * np.vecdot(rows, rows)
         if np.any(q < -tol):

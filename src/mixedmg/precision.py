@@ -17,12 +17,15 @@ side by side.  A vector runs as a one-column block, and each column of a
 block gives bit for bit what the same vector gives on its own: the rounding
 is entrywise, and every per-column norm is summed over a contiguous copy of
 that column (see :func:`column_norms`).  For a block, ``a_priori_bound`` is
-an array with one bound per column.
+an array with one bound per column.  A bound is evaluated when it is first
+read, so a caller that needs only the value never computes it.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sparse
@@ -78,29 +81,45 @@ def mdot_plus_eps(m: int, eps: float) -> float:
     return (m + 1) / (1.0 - (m + 1) * eps)
 
 
-@dataclass(frozen=True, eq=False)
 class RoundedResult:
     """A kernel result together with its a-priori Euclidean error bound.
 
     Whenever the exact result is recomputed by a high-precision oracle,
     ``norm(value - exact) <= a_priori_bound`` holds, column by column for a
     block, whose ``a_priori_bound`` is an array with one entry per column.
+
+    ``bound`` is the function of no arguments that gives ``a_priori_bound``;
+    it runs on the first read, and its value is kept.  The kernels' bounds
+    are evaluated from the kernel's inputs, which no mixedmg code modifies
+    in place, so a bound read late has the bits it would have had when the
+    kernel returned.
     """
 
-    value: np.ndarray
-    a_priori_bound: float | np.ndarray
+    def __init__(self, value: np.ndarray, bound: Callable[[], float | np.ndarray]):
+        self.value = value
+        self._bound = bound
+
+    @cached_property
+    def a_priori_bound(self) -> float | np.ndarray:
+        return self._bound()
 
 
 def _round_array(x: np.ndarray, bits: int) -> np.ndarray:
     """Round every entry of ``x`` to ``bits`` significand bits, ties to even."""
     if bits >= CARRIER_BITS:
         return np.array(x, dtype=np.float64, copy=True)
-    m, e = np.frexp(np.asarray(x, dtype=np.float64))
+    x = np.asarray(x, dtype=np.float64)
+    m, e = np.frexp(np.atleast_1d(x))
     # m * 2**bits lies in [2**(bits-1), 2**bits): np.rint is exact there and
     # breaks ties to even; scaling by powers of two is exact.  Overflow to
     # inf is tolerated here and signaled by the range check at the call site.
+    # Every step runs in place on frexp's own arrays.
     with np.errstate(over="ignore"):
-        return np.ldexp(np.rint(np.ldexp(m, bits)), e - bits)
+        np.ldexp(m, bits, out=m)
+        np.rint(m, out=m)
+        np.subtract(e, bits, out=e)
+        np.ldexp(m, e, out=m)
+    return m.reshape(x.shape)
 
 
 def _as_block(w, name: str) -> np.ndarray:
@@ -137,9 +156,10 @@ def _per_column(values: np.ndarray, like):
     return float(values[0]) if np.ndim(like) == 1 else values
 
 
-def _result(value: np.ndarray, bound: np.ndarray, like) -> RoundedResult:
+def _result(value: np.ndarray, bound: Callable[[], np.ndarray], like) -> RoundedResult:
+    """The result of a kernel on ``like``; ``bound`` gives the per-column bounds."""
     if np.ndim(like) == 1:
-        return RoundedResult(value[:, 0], float(bound[0]))
+        return RoundedResult(value[:, 0], lambda: float(bound()[0]))
     return RoundedResult(value, bound)
 
 
@@ -180,7 +200,7 @@ def quantize_vector(w, fmt: PrecisionFormat) -> RoundedResult:
     W = _as_block(w, "w")
     value = _round_array(W, fmt.significand_bits)
     _check_carrier_range(value)
-    return _result(value, fmt.unit_roundoff * column_norms(W), w)
+    return _result(value, lambda: fmt.unit_roundoff * column_norms(W), w)
 
 
 def rounded_add_sub(v, w, sign: str, fmt: PrecisionFormat) -> RoundedResult:
@@ -201,7 +221,7 @@ def rounded_add_sub(v, w, sign: str, fmt: PrecisionFormat) -> RoundedResult:
         raise ValueError(f"sign must be '+' or '-', got {sign!r}")
     value = _round_array(exact, fmt.significand_bits)
     _check_carrier_range(value)
-    return _result(value, fmt.unit_roundoff * column_norms(exact), v)
+    return _result(value, lambda: fmt.unit_roundoff * column_norms(exact), v)
 
 
 def rounded_scale(d: np.ndarray, w, fmt: PrecisionFormat, alpha: float) -> RoundedResult:
@@ -215,7 +235,7 @@ def rounded_scale(d: np.ndarray, w, fmt: PrecisionFormat, alpha: float) -> Round
         raise ValueError(f"dimension mismatch: {len(d)} vs {W.shape[0]}")
     value = _round_array(d[:, None] * W, fmt.significand_bits)
     _check_carrier_range(value)
-    return _result(value, alpha * fmt.unit_roundoff * column_norms(W), w)
+    return _result(value, lambda: alpha * fmt.unit_roundoff * column_norms(W), w)
 
 
 def _csr(K) -> sparse.csr_array:
@@ -314,10 +334,8 @@ def rounded_residual(K, w, c, fmt: PrecisionFormat, *, eta_abs: float | None = N
     inflation = mdot_plus_eps(rows.m, fmt.unit_roundoff)
     if eta_abs is None:
         eta_abs = _abs_norm(rows.matrix)
-    bound = fmt.unit_roundoff * inflation * (
-        column_norms(C) + eta_abs * column_norms(W)
-    )
-    return _result(value, bound, w)
+    return _result(value, lambda: fmt.unit_roundoff * inflation * (
+        column_norms(C) + eta_abs * column_norms(W)), w)
 
 
 def rounded_matvec(K, w, fmt: PrecisionFormat, *, eta_abs: float | None = None) -> RoundedResult:
@@ -330,5 +348,5 @@ def rounded_matvec(K, w, fmt: PrecisionFormat, *, eta_abs: float | None = None) 
     inflation = mdot_plus_eps(rows.m, fmt.unit_roundoff)
     if eta_abs is None:
         eta_abs = _abs_norm(rows.matrix)
-    bound = fmt.unit_roundoff * inflation * eta_abs * column_norms(W)
-    return _result(value, bound, w)
+    return _result(value, lambda: fmt.unit_roundoff * inflation * eta_abs
+                   * column_norms(W), w)

@@ -3,7 +3,9 @@
 ``bench/spans.py`` wraps every ``(owner, attribute)`` of its ``TARGETS`` and
 skips a name that no longer exists, so a renamed function or method would
 read zero calls in its layer's metrics instead of failing.  The tuple is
-read from the source with ``ast``, without importing the benchmark.
+read from the source with ``ast``, without importing the benchmark.  The
+tracer also reads ``result.value.size`` of every precision kernel it wraps,
+so each kernel target must return a result with a ``value`` array.
 """
 
 import ast
@@ -11,8 +13,10 @@ import importlib
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from mixedmg import PrecisionFormat, build_multilevel
 from mixedmg.harness import ExperimentConfig
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
@@ -28,6 +32,8 @@ def _targets():
 
 
 TARGETS = [(owner, attr) for owner, attr, _ in _targets()]
+KERNELS = [(owner, attr) for owner, attr, group in _targets()
+           if group == "precision.kernel"]
 WORKLOADS = json.loads((BENCH / "spec.json").read_text())["workloads"]
 
 
@@ -50,3 +56,23 @@ def test_span_target_resolves(owner_path, attr):
 def test_workload_is_a_valid_config(name):
     fields = WORKLOADS[name]
     ExperimentConfig(**dict(fields, bits=tuple(fields["bits"])))
+
+
+def _kernel_args(attr):
+    level = build_multilevel(7, 2)[0]
+    fmt = PrecisionFormat(12)
+    w, c = np.linspace(-1.0, 1.0, 7), np.ones(7)
+    return {
+        "quantize_vector": (w, fmt),
+        "rounded_add_sub": (w, c, "-", fmt),
+        "rounded_residual": (level.A, w, c, fmt),
+        "rounded_matvec": (level.P_t, w, fmt),
+    }[attr]
+
+
+@pytest.mark.parametrize("owner_path, attr", KERNELS,
+                         ids=[f"{o}.{a}" for o, a in KERNELS])
+def test_kernel_target_returns_a_value(owner_path, attr):
+    kernel = getattr(importlib.import_module(owner_path), attr)
+    result = kernel(*_kernel_args(attr))
+    assert isinstance(result.value, np.ndarray) and result.value.size

@@ -85,7 +85,8 @@ class TestMakeJacobi:
         rng = np.random.default_rng(0)
         for _ in range(1000):
             z = rng.standard_normal(31)
-            value, bound = M.apply_rounded(z, FMT12)
+            out = M.apply_rounded(z, FMT12)
+            value, bound = out.value, out.a_priori_bound
             err = np.linalg.norm(value - M.apply_exact(z))
             assert err <= bound
             assert bound <= M.alpha * FMT12.unit_roundoff * np.linalg.norm(z) * (1 + 1e-15)

@@ -5,6 +5,7 @@ import dataclasses
 import hashlib
 import io
 import json
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -277,6 +278,65 @@ class TestRunExperiment:
                                   omega=1.5)
         with pytest.raises(ContractionError):
             _make_coarse(config, build_multilevel(63, 4))
+
+    def test_setup_is_computed_once_and_not_kept(self, monkeypatch):
+        # the recursive bench workload's set-up (one trial per format): each
+        # square operator is read as a stencil once, each symbol end is
+        # evaluated once, only the kept matrices are factored, the format-
+        # independent Fourier blocks are built once, and nothing outlives
+        # the sweep
+        import gc
+        import weakref
+
+        import scipy.linalg
+
+        from mixedmg import fourier, hierarchy
+
+        def count(owners, fn, record=lambda *args: None):
+            calls = []
+
+            def counted(*args, **kwargs):
+                calls.append(record(*args))
+                return fn(*args, **kwargs)
+
+            for owner in owners:
+                for name, value in list(vars(owner).items()):
+                    if value is fn:
+                        monkeypatch.setattr(owner, name, counted)
+            return calls
+
+        modules = [m for name, m in sys.modules.items() if name.startswith("mixedmg")]
+        reads = count([hierarchy], hierarchy._stencil,
+                      lambda M, *_: (M.shape, M.data.tobytes(), M.indices.tobytes()))
+        ends = count(modules, fourier.symbol_ends)
+        factors = count([scipy.linalg], scipy.linalg.cholesky_banded)
+        harmonics = count([fourier], fourier._harmonics)
+        kept, alive = set(), []
+        build = harness.build_multilevel
+
+        def tracked(*args, **kwargs):
+            levels = build(*args, **kwargs)
+            kept.update(id(op) for l in levels for op in (l.A, l.A_c))
+            alive.extend(weakref.ref(l) for l in levels)
+            return levels
+
+        monkeypatch.setattr(harness, "build_multilevel", tracked)
+        config = ExperimentConfig(size=255, levels=4, coarse="recursive",
+                                  bits=(8, 12, 16, 23), trials=1)
+        assert len(run_experiment(config)) == 4
+        # the square operators: the finest matrix before and after scaling,
+        # and per level the Galerkin product before and after P is scaled
+        assert len(reads) == len(set(reads)) <= 2 + 2 * (config.levels - 1)
+        # the finest matrix before scaling, the three Galerkin products, the
+        # four distinct A, and |c| of the three levels' A
+        assert len(ends) <= 11
+        assert len(factors) == len(kept) == config.levels
+        all_formats = len(harmonics)
+        harmonics.clear()
+        run_experiment(dataclasses.replace(config, bits=(8,)))
+        assert len(harmonics) == all_formats
+        gc.collect()
+        assert alive and all(ref() is None for ref in alive)
 
     def test_progressive_selection(self):
         cfg = ExperimentConfig(size=31, bits=(), pi_target=2.0**-8, trials=3,

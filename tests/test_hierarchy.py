@@ -10,6 +10,7 @@ import dense_oracle as oracle
 from mixedmg import (
     SparseSpd,
     StructureError,
+    abs_matrix_norm,
     build_multilevel,
     bilinear_interpolation,
     condition_number,
@@ -19,6 +20,7 @@ from mixedmg import (
     poisson_1d,
     poisson_2d,
     spectral_norm,
+    spectrum_ends,
 )
 
 EPS = float(np.finfo(np.float64).eps)
@@ -206,6 +208,16 @@ class TestBuildMultilevel:
                             lambda K: (calls.append(K), norm(K))[1])
         build_multilevel(31, 3)
         assert len(calls) == 4
+
+    @pytest.mark.parametrize("problem, size", [("poisson1d", 63), ("poisson2d", 15)])
+    def test_kept_ends_equal_fresh_ends(self, problem, size):
+        # every SparseSpd keeps the ends of its stencil symbol; read afresh
+        # from the raw csr_array they have the same bits
+        for level in build_multilevel(size, 3, problem=problem):
+            for A in (level.A, level.A_c):
+                kept = spectrum_ends(A) + (abs_matrix_norm(A),)
+                fresh = spectrum_ends(A.matrix) + (abs_matrix_norm(A.matrix),)
+                assert [x.hex() for x in kept] == [x.hex() for x in fresh]
 
     def test_uncoarsenable_size_rejected(self):
         with pytest.raises(ValueError):
