@@ -23,13 +23,11 @@ from .cycles import (
     CoarseSolver,
     CycleTrace,
     RelaxationOp,
-    coarse_complement_projector,
     make_exact_coarse,
     make_jacobi,
     make_perturbed_coarse,
     make_recursive_coarse,
     make_richardson,
-    projector_energy_norm,
     rho_star,
     tg_cycle,
     v_cycle,
@@ -62,7 +60,6 @@ from .linops import (
     SparseSpd,
     SpdError,
     energy_norm,
-    energy_operator_norm,
     solve_spd,
 )
 from .precision import (

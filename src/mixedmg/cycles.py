@@ -19,8 +19,10 @@ reduced format the steps other than 5 run through the certified kernels of
 :mod:`mixedmg.precision`; in the carrier they are the plain float64
 operations, which give the bits of those kernels at 53 bits.  The
 exact-arithmetic reference is this sequence in the carrier.  Step 5 is a
-carrier-precision solve, optionally perturbed or realized by a recursive
-cycle; in :func:`v_cycle` it is the V-cycle one level down.
+carrier-precision solve, optionally perturbed in the coarse sine basis or
+realized by a recursive cycle; in :func:`v_cycle` it is the V-cycle one
+level down.  Every coarse solve carries its Fourier form, from which
+:func:`rho_star` is certified.
 
 :func:`tg_cycle` runs the sequence with ``mu = nu = 1`` in the working
 format and in the carrier, and measures, for every step, the deviation of
@@ -36,17 +38,15 @@ block of trials reproduces the per-trial results exactly.
 
 from __future__ import annotations
 
-from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-import scipy.sparse as sparse
 
 from . import fourier
 from .bounds import PROOF_LINES
 from .hierarchy import GridLevel, spectrum_ends
-from .linops import SparseSpd, energy_norm, energy_operator_norm, solve_spd
+from .linops import SparseSpd, energy_norm, solve_spd
 from .precision import (
     CARRIER,
     PrecisionFormat,
@@ -57,8 +57,6 @@ from .precision import (
     rounded_matvec,
     rounded_residual,
     rounded_scale,
-    _columns,
-    _from_columns,
     _round_array,
 )
 
@@ -175,37 +173,61 @@ class CarrierCycle:
 
 
 @dataclass(frozen=True, eq=False)
+class SinePerturbation:
+    """The perturbed coarse solve ``B_c A_c^{-1}`` with ``B_c = Phi diag(f) Phi'``.
+
+    ``Phi`` is the orthonormal DST-I of the coarse grid, in Kronecker order
+    in 2D, and ``factors`` holds the stored ``f_j = fl(1 + sigma s_j)`` per
+    sine mode, shaped as the grid.  An apply is the direct solve, a forward
+    transform, a scale by ``f`` and the inverse transform; the transforms
+    give each column of a block the bits it gets alone.  :attr:`fourier` is
+    the direct solve's blocks with coarse mode ``j`` scaled by ``f_j``.
+    """
+
+    level: GridLevel
+    factors: np.ndarray = field(repr=False)
+
+    def __call__(self, r_c: np.ndarray) -> np.ndarray:
+        # imported on the first apply: a run without a perturbed solve never loads it
+        import scipy.fft
+        x = solve_spd(self.level.A_c, r_c)
+        grid = self.factors.shape
+        axes = tuple(range(len(grid)))
+        modes = scipy.fft.dstn(x.reshape(grid + x.shape[1:]), type=1, axes=axes,
+                               norm="ortho")
+        modes *= self.factors.reshape(grid + (1,) * (x.ndim - 1))
+        return scipy.fft.idstn(modes, type=1, axes=axes, norm="ortho").reshape(x.shape)
+
+    @cached_property
+    def fourier(self) -> fourier.CoarseBlocks:
+        """The solve's Fourier blocks on the coarse grid, built once."""
+        direct = fourier.coarse_blocks(self.level, (), 1, 1)
+        # the direct solve has one class: every coarse mode, a 1x1 block each
+        (key, X), = direct.X.items()
+        return fourier.CoarseBlocks(self.level, direct.classes,
+                                    {key: X * self.factors.reshape(-1, 1, 1)})
+
+
+@dataclass(frozen=True, eq=False)
 class CoarseSolver:
     """The coarse correction ``r_c -> B_c A_c^{-1} r_c`` of one level.
 
     ``correction`` is that map on a coarse vector or block, run in the
-    carrier so that it stays linear.  ``bc_deviation`` is the energy norm of
-    ``B_c - I`` on the level's coarse grid, which every constructor passes:
-    zero for the exact solve, ``sigma`` for the perturbed one, and the
-    certified Fourier-block norm of :func:`mixedmg.fourier.cycle_deviation`
-    for a recursive one.  A :class:`CarrierCycle` correction has a Fourier
-    form, which :func:`rho_star` uses; the perturbed solve's does not, and
-    its ``rho_star`` is dense.
+    carrier so that it stays linear, and its ``fourier`` attribute is the
+    map's Fourier form, which :func:`rho_star` reads.  ``bc_deviation`` is
+    the energy norm of ``B_c - I`` on the level's coarse grid, which every
+    constructor passes: zero for the exact solve, ``max |f_j - 1|`` for the
+    perturbed one, and the certified Fourier-block norm of
+    :func:`mixedmg.fourier.cycle_deviation` for a recursive one.
     """
 
     level: GridLevel
-    correction: Callable[[np.ndarray], np.ndarray] = field(repr=False)
+    correction: CarrierCycle | SinePerturbation = field(repr=False)
     bc_deviation: float
 
     def apply(self, r_c: np.ndarray) -> np.ndarray:
         """``B_c A_c^{-1} r_c`` for a coarse vector or block."""
         return self.correction(r_c)
-
-    @cached_property
-    def solve_matrix(self) -> np.ndarray:
-        """Dense ``B_c A_c^{-1}``: the solver applied to the identity block.
-
-        Assembled on first use and kept, read-only.  Only the perturbed
-        solve's ``rho_star`` reads it on the run path.
-        """
-        W = np.ascontiguousarray(self.apply(np.eye(self.level.A_c.n)))
-        W.flags.writeable = False
-        return W
 
 
 def make_exact_coarse(level: GridLevel) -> CoarseSolver:
@@ -214,31 +236,29 @@ def make_exact_coarse(level: GridLevel) -> CoarseSolver:
 
 
 def make_perturbed_coarse(level: GridLevel, sigma: float, seed: int = 0) -> CoarseSolver:
-    """Synthetic perturbation ``B_c = I + sigma * G`` with ``norm_{A_c}(G) = 1``.
+    """Synthetic perturbation ``B_c = I + sigma Phi diag(s) Phi'``.
 
-    ``G`` is a fixed seeded random symmetric matrix, so ``bc_deviation``
-    equals ``sigma`` up to the rounding of the normalisation and is
-    reproducible across runs.
+    ``Phi`` is the orthonormal DST-I of the coarse grid (Kronecker order in
+    2D) and ``s`` a vector of signs +-1 drawn from ``seed``.  The sine modes
+    diagonalise ``A_c``, so ``B_c A_c^{-1}`` is symmetric and every mode is
+    perturbed by the full ``sigma``.  ``B_c`` scales mode ``j`` by the
+    stored ``f_j = fl(1 + sigma s_j)``, and ``bc_deviation`` is
+    ``max |f_j - 1|``.  Each ``f_j - 1`` is exact (Sterbenz, or ``f_j = 1 -
+    sigma`` exactly when ``sigma >= 1/2``), so the deviation is ``sigma`` up
+    to the rounding of ``1 + sigma s_j``, and ``sigma`` itself at
+    ``sigma = 1/2``.
     """
     if not 0.0 <= sigma < 1.0:
         raise ValueError(f"sigma must be in [0, 1), got {sigma}")
     if sigma == 0.0:
         return make_exact_coarse(level)
-    A_c = level.A_c
-    rng = np.random.default_rng(seed)
-    G = rng.standard_normal((A_c.n, A_c.n))
-    G = 0.5 * (G + G.T)
-    G /= energy_operator_norm(G, A_c)
-    B_c = np.eye(A_c.n) + sigma * G
-
-    def correction(r_c):
-        x = solve_spd(A_c, r_c)
-        # one matrix-vector product per contiguous column: a dense matrix
-        # times a block goes through gemm, which rounds differently from
-        # the gemv a lone vector gets
-        return _from_columns(np.stack([B_c @ c for c in _columns(x, A_c.n)]), x)
-
-    return CoarseSolver(level, correction, sigma)
+    c = level.stencils
+    grid = ((c.k - 1) // 2,) * c.d
+    signs = np.random.default_rng(seed).choice((-1.0, 1.0), size=level.n_c)
+    factors = (1.0 + sigma * signs).reshape(grid)
+    factors.flags.writeable = False
+    return CoarseSolver(level, SinePerturbation(level, factors),
+                        float(np.abs(factors - 1.0).max()))
 
 
 def make_recursive_coarse(levels, mu: int, nu: int, smoothers) -> CoarseSolver:
@@ -401,30 +421,16 @@ def rho_star(level: GridLevel, M: RelaxationOp, N: RelaxationOp,
              coarse: CoarseSolver) -> float:
     """Energy norm of the exact-arithmetic two-grid error propagator.
 
-    ``E = (I - N A)(I - P X P' A)(I - M A)`` with ``X = B_c A_c^{-1}``.  For
-    the exact and recursive coarse solves (a :class:`CarrierCycle`) this is
-    the certified upper end of :func:`mixedmg.fourier.two_grid_norm`, from
-    small blocks over the sine harmonics; it raises
+    ``E = (I - N A)(I - P X P' A)(I - M A)`` with ``X = B_c A_c^{-1}``.  This
+    is the certified upper end of :func:`mixedmg.fourier.two_grid_norm`, from
+    small blocks over the sine harmonics, for every coarse solve: each
+    correction carries its Fourier form.  It raises
     :class:`mixedmg.fourier.StructureError` when an operator is not the
-    matrix of its stencil.  The perturbed solve is the one fork: its seeded
-    dense ``G`` has no Fourier form, so ``E`` is formed densely from the
-    sparse factors and :attr:`CoarseSolver.solve_matrix`, and its energy
-    operator norm is the top eigenvalue of a dense Gram matrix.  A value
-    >= 1 is reported, not raised: the convergence bound is then vacuous for
-    this configuration.
+    matrix of its stencil.  A value >= 1 is reported, not raised: the
+    convergence bound is then vacuous for this configuration.
     """
     _check_coarse(level, coarse)
-    cycle = coarse.correction
-    if isinstance(cycle, CarrierCycle):
-        return fourier.two_grid_norm(cycle.fourier, M, N)
-    A = level.A.matrix
-    eye = sparse.eye_array(level.n)
-    pre = eye - sparse.diags_array(M.diag) @ A
-    post = eye - sparse.diags_array(N.diag) @ A
-    X = coarse.solve_matrix
-    restricted = (level.P_t @ (A @ pre)).toarray()
-    E = post @ (pre.toarray() - level.P @ (X @ restricted))
-    return energy_operator_norm(E, level.A)
+    return fourier.two_grid_norm(coarse.correction.fourier, M, N)
 
 
 def _check_cycle(levels, mu: int, nu: int, smoothers):
@@ -460,36 +466,3 @@ def v_cycle(levels, mu: int, nu: int, r, fmt: PrecisionFormat, *,
                                      smoothers=smoothers[1:])
     M, N = smoothers[0]
     return _cycle(level, r, M, N, mu, nu, coarse, fmt).y
-
-
-def _projector_similarity(level: GridLevel) -> np.ndarray:
-    # orthogonal complement projector of range(L' P), A = L L'; the energy
-    # projector below is its similarity transform by L'^{-1}
-    Q = level.A.cholesky_upper @ level.P.toarray()
-    U, _ = np.linalg.qr(Q)
-    S = np.eye(level.n) - U @ U.T
-    return 0.5 * (S + S.T)
-
-
-def coarse_complement_projector(level: GridLevel) -> np.ndarray:
-    """The energy-orthogonal projector ``I - P (P' A P)^{-1} P' A``.
-
-    Formed as ``L'^{-1} (I - U U') L'`` with ``A = L L'`` and ``U`` an
-    orthonormal basis of ``L' P``, so that the computed matrix is
-    idempotent up to roundoff.
-    """
-    A = level.A
-    # S L' = (L S')' with S symmetric
-    S_Lt = (A.cholesky_upper.T @ _projector_similarity(level)).T
-    return A.solve_factor(S_Lt, transposed=True)
-
-
-def projector_energy_norm(level: GridLevel) -> float:
-    """Energy operator norm of the coarse complement projector.
-
-    The energy norm of the projector equals the Euclidean norm of its
-    similarity form ``I - U U'``; measuring that form directly avoids the
-    condition-number amplification a redundant conjugation round trip
-    through ``L' .. L'^{-1}`` would add.
-    """
-    return float(np.linalg.norm(_projector_similarity(level), 2))

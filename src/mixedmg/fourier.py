@@ -19,10 +19,11 @@ over the harmonic groups a coarse group pulls back to: 2 modes (1D) or 4
 modes (2D) per coarse mode for an exact coarse solve, ``2^(L-1)`` or
 ``4^(L-1)`` for a V-cycle over ``L`` grids, and a lone mode with ``S_N^nu
 S_M^mu`` only where a middle mode has no coarse image.  A coarse V-cycle
-enters as ``X = (I - E_sub) A_c^{-1}``, block by block; no order-``n``
-matrix is formed.  The smoother-free part of a level's blocks, the symbol
-of ``A`` and ``I - P X P' A`` per class, is built once per coarse solve
-(:attr:`CoarseBlocks.core`); a format's smoothers add only
+enters as ``X = (I - E_sub) A_c^{-1}``, block by block, and a sine-mode
+perturbation of the direct solve as its blocks scaled mode by mode; no
+order-``n`` matrix is formed.  The smoother-free part of a level's blocks,
+the symbol of ``A`` and ``I - P X P' A`` per class, is built once per coarse
+solve (:attr:`CoarseBlocks.core`); a format's smoothers add only
 ``(1 - w lambda)^mu`` and ``(1 - w lambda)^nu``.
 
 Every block entry is computed in midpoint-radius arithmetic (:class:`_Ball`):

@@ -71,12 +71,10 @@ def linear_interpolation(n_fine: int) -> sparse.csr_array:
     if n_fine < 3 or n_fine % 2 == 0:
         raise ValueError(f"n_fine must be odd and >= 3, got {n_fine}")
     n_c = (n_fine - 1) // 2
-    rows, cols, vals = [], [], []
-    for j in range(n_c):
-        center = 2 * j + 1
-        rows.extend([center - 1, center, center + 1])
-        cols.extend([j, j, j])
-        vals.extend([0.5, 1.0, 0.5])
+    cols = np.repeat(np.arange(n_c), 3)
+    # coarse point j sits at fine point 2 j + 1 and reaches its two neighbours
+    rows = 2 * cols + np.tile([0, 1, 2], n_c)
+    vals = np.tile([0.5, 1.0, 0.5], n_c)
     P = sparse.csr_array(
         sparse.coo_array((vals, (rows, cols)), shape=(n_fine, n_c))
     )

@@ -2,12 +2,12 @@
 
 Everything here runs in the float64 carrier.  Each :class:`SparseSpd` keeps
 one banded Cholesky factor ``A = L L'`` (bandwidth 1 for the 1D model
-problem, ``k`` for the 2D one), built once from the sparse entries.  It
-serves the direct solves, and the energy operator norm
-``norm(A^(1/2) K A^(-1/2)) = norm(L' K L'^{-1})``.  The spectral set-up
-constants come from stencil symbols instead (:mod:`mixedmg.hierarchy`): a
-:class:`SparseSpd` reads its stencil back once, on first use, and keeps it
-with the certified ends of its symbol.
+problem, ``k`` for the 2D one), built once from the sparse entries, which
+serves the direct solves.  No operator norm is formed here: the spectral
+set-up constants come from stencil symbols (:mod:`mixedmg.hierarchy`), and
+``rho_star`` and the coarse deviations from Fourier blocks
+(:mod:`mixedmg.fourier`).  A :class:`SparseSpd` reads its stencil back once,
+on first use, and keeps it with the certified ends of its symbol.
 
 :func:`energy_norm` and :func:`solve_spd` take a vector ``(n,)`` or a block
 ``(n, T)``, and each column of a block gives bit for bit what the same
@@ -21,7 +21,6 @@ from functools import cached_property
 
 import numpy as np
 import scipy.linalg
-import scipy.linalg.lapack
 import scipy.sparse as sparse
 
 from .fourier import symbol_ends
@@ -108,22 +107,6 @@ class SparseSpd:
             raise SpdError(f"Cholesky factorization failed: {exc}") from exc
 
     @cached_property
-    def cholesky_upper(self) -> sparse.csr_array:
-        """The transposed factor ``L'`` as a sparse upper triangular matrix."""
-        L, n = self.cholesky, self.n
-        return sparse.csr_array(sparse.diags_array(
-            [L[i, :n - i] for i in range(L.shape[0])],
-            offsets=list(range(L.shape[0])), shape=(n, n)))
-
-    def solve_factor(self, B: np.ndarray, *, transposed: bool = False) -> np.ndarray:
-        """``L^{-1} B``, or ``L'^{-1} B`` when ``transposed``, for an ``(n, k)`` ``B``."""
-        X, info = scipy.linalg.lapack.dtbtrs(
-            self.cholesky, B, uplo="L", trans="T" if transposed else "N")
-        if info != 0:
-            raise SpdError(f"banded triangular solve failed (info {info})")
-        return X
-
-    @cached_property
     def _row_sum_bound(self) -> float:
         # max absolute row sum, a cheap upper bound on the spectral norm
         return float(abs(self._matrix).sum(axis=1).max(initial=0.0))
@@ -180,29 +163,3 @@ def solve_spd(A: SparseSpd, b) -> np.ndarray:
         raise ValueError(f"dimension mismatch: {b.shape} vs {A.n}")
     x = scipy.linalg.cho_solve_banded((A.cholesky, True), b)
     return np.ascontiguousarray(x)
-
-
-def energy_operator_norm(K, A: SparseSpd) -> float:
-    """Operator norm of a square ``K`` in the A-energy inner product.
-
-    With ``A = L L'`` this is the 2-norm of ``Y = L' K L'^{-1}``, which is
-    orthogonally similar to ``A^(1/2) K A^(-1/2)``.  ``K`` need not be
-    symmetric.  ``Y`` costs one banded triangular solve and one banded
-    product; its norm is the square root of the largest eigenvalue of the
-    dense Gram matrix ``Y' Y``, an order-``n`` eigenvalue problem.  It
-    serves only the perturbed coarse solve, whose seeded dense ``G`` has no
-    Fourier form: its normalisation and its ``rho_star``.  The exact and
-    recursive solves' ``rho_star`` and deviation come from the Fourier
-    blocks of :mod:`mixedmg.fourier`, and a smoother's ``eta_energy`` is its
-    constant diagonal (:mod:`mixedmg.cycles`).
-    """
-    K = K.toarray() if sparse.issparse(K) else np.asarray(K, dtype=np.float64)
-    if K.shape != (A.n, A.n):
-        raise ValueError(f"dimension mismatch: {K.shape} vs {A.n}")
-    # K L'^{-1} = (L^{-1} K')'
-    Y = A.cholesky_upper @ A.solve_factor(K.T).T
-    # all eigenvalues by implicit QL/QR ('ev'): selecting the top one with
-    # the 'evr' or 'evx' driver fails outright when all eigenvalues
-    # coincide, as for a multiple of the identity
-    top = scipy.linalg.eigvalsh(Y.T @ Y, driver="ev")[-1]
-    return float(np.sqrt(max(top, 0.0)))

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import dense_oracle as oracle
 from mixedmg import (
     CARRIER,
     PrecisionFormat,
@@ -166,6 +167,13 @@ def _coarse_variants(levels31_3, jacobi_pairs):
     }
 
 
+def _assert_apply_columns_match(coarse, R):
+    Y = coarse.apply(R)
+    assert Y.shape == R.shape and Y.flags.c_contiguous
+    for t in range(R.shape[1]):
+        assert np.array_equal(Y[:, t], coarse.apply(np.array(R[:, t]))), t
+
+
 class TestCycles:
     @pytest.mark.parametrize("variant", ["exact", "perturbed", "recursive"])
     def test_tg_cycle(self, levels31_3, jacobi_pairs, variant):
@@ -194,14 +202,32 @@ class TestCycles:
     @pytest.mark.parametrize("variant", ["exact", "perturbed", "recursive"])
     def test_solve_matrix_columns_are_unit_vector_solves(self, levels31_3, jacobi_pairs,
                                                          variant):
+        # the identity block, as the dense oracle applies it
         lvl = levels31_3[0]
         coarse = _coarse_variants(levels31_3, jacobi_pairs)[variant]
-        W = coarse.solve_matrix
+        W = oracle.solve_matrix(coarse)
         assert W.flags.c_contiguous
         for i in (0, 7, lvl.n_c - 1):
             e = np.zeros(lvl.n_c)
             e[i] = 1.0
             assert np.array_equal(W[:, i], coarse.apply(e))
+
+    @pytest.mark.parametrize("variant", ["exact", "perturbed", "recursive"])
+    def test_coarse_apply_gives_each_column_its_bits(self, levels31_3, jacobi_pairs,
+                                                     variant):
+        coarse = _coarse_variants(levels31_3, jacobi_pairs)[variant]
+        R = np.random.default_rng(15).standard_normal((levels31_3[0].n_c, 64))
+        _assert_apply_columns_match(coarse, R)
+
+    @pytest.mark.parametrize("problem, size", [("poisson1d", 255), ("poisson1d", 16383),
+                                               ("poisson2d", 31), ("poisson2d", 127)])
+    def test_sine_transform_gives_each_column_its_bits(self, problem, size):
+        # the perturbed solve's sine transforms on 64 columns, on 1D coarse
+        # grids of 127 and 8191 points and 2D ones of 15 and 63 per axis
+        level = build_multilevel(size, 2, problem=problem)[0]
+        coarse = make_perturbed_coarse(level, 0.4, seed=3)
+        R = np.random.default_rng(16).standard_normal((level.n_c, 64))
+        _assert_apply_columns_match(coarse, R)
 
     def test_two_level_v_cycle_block_matches_tg_cycle(self, level31, jacobi31):
         R = np.random.default_rng(11).standard_normal((31, T))

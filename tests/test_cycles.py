@@ -16,16 +16,13 @@ from mixedmg import (
     PROOF_LINES,
     PrecisionFormat,
     SparseSpd,
-    coarse_complement_projector,
     energy_norm,
-    energy_operator_norm,
     make_exact_coarse,
     make_jacobi,
     make_perturbed_coarse,
     make_recursive_coarse,
     make_richardson,
     normalize_hierarchy,
-    projector_energy_norm,
     rho_star,
     solve_spd,
     tg_cycle,
@@ -113,18 +110,19 @@ class TestPerturbedCoarse:
     def test_deviation_matches_sigma(self, level31):
         solver = make_perturbed_coarse(level31, 0.5, seed=7)
         B_c = oracle.bc_matrix(level31, 0.5, seed=7)
-        measured = energy_operator_norm(B_c - np.eye(level31.n_c), level31.A_c)
+        measured = oracle.energy_operator_norm(B_c - np.eye(level31.n_c), level31.A_c)
         assert measured == pytest.approx(0.5, abs=10 * EPS)
         assert solver.bc_deviation == 0.5
-        # the solver multiplies the direct solve by that very B_c
-        expected = np.column_stack([B_c @ solve_spd(level31.A_c, e)
-                                    for e in np.eye(level31.n_c)])
-        assert np.array_equal(solver.solve_matrix, expected)
+        # the solver multiplies the direct solve by that B_c, through the
+        # sine transform instead of the explicit matrix
+        expected = B_c @ solve_spd(level31.A_c, np.eye(level31.n_c))
+        got = oracle.solve_matrix(solver)
+        assert np.abs(got - expected).max() <= 1e-14 * np.abs(expected).max()
 
     def test_bc_norm_below_two(self, level31):
         for sigma in (0.1, 0.5, 0.9, 0.99):
             B_c = oracle.bc_matrix(level31, sigma, seed=11)
-            assert energy_operator_norm(B_c, level31.A_c) <= 2.0
+            assert oracle.energy_operator_norm(B_c, level31.A_c) <= 2.0
 
     def test_sigma_out_of_range(self, level31):
         with pytest.raises(ValueError):
@@ -341,7 +339,7 @@ class TestRecursiveCoarse:
         rho_coarse = rho_star(sub[0], M, N, make_exact_coarse(sub[0]))
         assert dev == pytest.approx(rho_coarse, rel=1e-10)
 
-    @pytest.mark.parametrize("variant", ["exact", "recursive"])
+    @pytest.mark.parametrize("variant", ["exact", "perturbed", "recursive"])
     def test_rho_star_applies_no_solver(self, levels31_3, jacobi_pairs, monkeypatch,
                                         variant):
         # the deviation and every format's rho_star come from Fourier blocks:
@@ -351,33 +349,22 @@ class TestRecursiveCoarse:
         monkeypatch.setattr(CoarseSolver, "apply", lambda self, r_c: (
             applied.append(r_c.shape), apply(self, r_c))[1])
         lvl = levels31_3[0]
-        solver = (make_recursive_coarse(levels31_3, 1, 1, jacobi_pairs(levels31_3[1:]))
-                  if variant == "recursive" else make_exact_coarse(lvl))
+        solver = {
+            "exact": lambda: make_exact_coarse(lvl),
+            "perturbed": lambda: make_perturbed_coarse(lvl, 0.3, seed=5),
+            "recursive": lambda: make_recursive_coarse(
+                levels31_3, 1, 1, jacobi_pairs(levels31_3[1:])),
+        }[variant]()
         for bits in (8, 12):
             M = make_jacobi(lvl.A, 2.0 / 3.0, PrecisionFormat(bits))
             rho_star(lvl, M, M, solver)
         assert applied == []
-        assert "solve_matrix" not in vars(solver)
-
-    def test_solve_matrix_assembled_once(self, level31, monkeypatch):
-        # every format's dense perturbed rho_star shares one B_c A_c^{-1}
-        applied = []
-        apply = CoarseSolver.apply
-        monkeypatch.setattr(CoarseSolver, "apply", lambda self, r_c: (
-            applied.append(r_c.shape), apply(self, r_c))[1])
-        solver = make_perturbed_coarse(level31, 0.3, seed=5)
-        for bits in (8, 12):
-            M = make_jacobi(level31.A, 2.0 / 3.0, PrecisionFormat(bits))
-            rho_star(level31, M, M, solver)
-        assert applied == [(level31.n_c, level31.n_c)]
-        assert not solver.solve_matrix.flags.writeable
-        with pytest.raises(dataclasses.FrozenInstanceError):
-            solver.solve_matrix = np.eye(level31.n_c)
 
     @pytest.mark.parametrize("fields", [
         dict(coarse="exact"),
+        dict(coarse="perturbed", sigma=0.3),
         dict(coarse="recursive", levels=3),
-    ], ids=["exact", "recursive"])
+    ], ids=["exact", "perturbed", "recursive"])
     def test_sweep_applies_no_identity_block(self, monkeypatch, fields):
         # set-up and the rho_star of every format read Fourier blocks; only
         # the trials apply the solver, to (n_c, T) blocks
@@ -389,21 +376,6 @@ class TestRecursiveCoarse:
         run_experiment(ExperimentConfig(size=31, bits=(8, 12, 16), trials=2,
                                         **fields))
         assert identity_blocks and sum(identity_blocks) == 0
-
-    @pytest.mark.parametrize("fields", [
-        dict(coarse="perturbed", sigma=0.3),
-    ], ids=["perturbed"])
-    def test_solve_matrix_assembled_once_per_sweep(self, monkeypatch, fields):
-        # the dense rho_star of every format applies the solver to one
-        # identity block; the trials apply it to (n_c, T) blocks
-        identity_blocks = []
-        apply = CoarseSolver.apply
-        monkeypatch.setattr(CoarseSolver, "apply", lambda self, r_c: (
-            identity_blocks.append(r_c.shape == (self.level.n_c,) * 2),
-            apply(self, r_c))[1])
-        run_experiment(ExperimentConfig(size=31, bits=(8, 12, 16), trials=2,
-                                        **fields))
-        assert sum(identity_blocks) == 1
 
     def test_no_field_is_optional(self):
         for f in dataclasses.fields(CoarseSolver):
@@ -440,15 +412,17 @@ class TestRecursiveCoarse:
 
 
 class TestProjectionChain:
+    """The dense energy projector of the test oracle, which A4 reads."""
+
     def test_projector_energy_norm_at_most_one(self, level31):
-        assert projector_energy_norm(level31) <= 1.0 + 10 * EPS
+        assert oracle.projector_energy_norm(level31) <= 1.0 + 10 * EPS
 
     def test_projector_idempotent(self, level31):
-        T = coarse_complement_projector(level31)
+        T = oracle.coarse_complement_projector(level31)
         assert np.linalg.norm(T @ T - T, 2) <= 1e3 * EPS
 
     def test_projector_annihilates_coarse_range(self, level31):
-        T = coarse_complement_projector(level31)
+        T = oracle.coarse_complement_projector(level31)
         rng = np.random.default_rng(12)
         for _ in range(10):
             wc = rng.standard_normal(level31.n_c)

@@ -1,6 +1,6 @@
-"""The Fourier-block ``rho_star`` and recursive ``bc_deviation``: against the
-dense oracle, against a 50-digit ``mpmath`` reference, and the structure check
-that guards them."""
+"""The Fourier-block ``rho_star`` of every coarse solve and the recursive
+``bc_deviation``: against the dense oracle, against a 50-digit ``mpmath``
+reference, and the structure check that guards them."""
 
 import dataclasses
 import functools
@@ -18,6 +18,7 @@ from mixedmg import (
     build_multilevel,
     make_exact_coarse,
     make_jacobi,
+    make_perturbed_coarse,
     make_recursive_coarse,
     make_richardson,
     rho_star,
@@ -43,11 +44,9 @@ def assert_agrees(got, expected, what):
     assert abs(got - expected) <= REL * abs(expected), (what, got, expected)
 
 
-def check_against_oracle(level, coarse, smoothers):
-    # B_c A_c^{-1} by dense solves for the exact coarse solve; the recursive
-    # cycle has no dense form, so for it the solver's own matrix
-    X = (oracle.coarse_matrix(level) if coarse.bc_deviation == 0.0
-         else np.array(coarse.solve_matrix))
+def check_against_oracle(level, coarse, smoothers, X):
+    """``rho_star`` of each smoother, and ``bc_deviation``, against the dense
+    forms with the coarse solve ``X = B_c A_c^{-1}``."""
     for M in smoothers:
         assert_agrees(rho_star(level, M, M, coarse), oracle.rho_star(level, M, M, X),
                       "rho_star")
@@ -57,8 +56,7 @@ def check_against_oracle(level, coarse, smoothers):
 
 
 _CONFIGS = {name: config for name, config in _GOLDEN.items()}
-_CONFIGS.update({name: config for name, (config, _) in _PINNED.items()
-                 if config.coarse != "perturbed"})
+_CONFIGS.update({name: config for name, (config, _) in _PINNED.items()})
 
 
 @pytest.mark.parametrize("name", sorted(_CONFIGS))
@@ -68,7 +66,11 @@ def test_golden_and_pinned_configs_match_the_dense_oracle(name):
     coarse = _make_coarse(config, levels)
     smoothers = [make_smoother(config.smoother, levels[0].A, config.omega,
                                PrecisionFormat(bits)) for bits in config.bits]
-    check_against_oracle(levels[0], coarse, smoothers)
+    # dense solves, with the explicit sine matrix for the perturbed solve;
+    # the recursive cycle has no dense form, so for it the solver's own matrix
+    X = (oracle.solve_matrix(coarse) if config.coarse == "recursive"
+         else oracle.coarse_matrix(levels[0], config.sigma, config.rng_seed))
+    check_against_oracle(levels[0], coarse, smoothers, X)
 
 
 # (problem, size, levels): every grid is checked with both smoothers, the
@@ -94,9 +96,12 @@ def test_fourier_matches_the_dense_oracle(grid, kind, sweeps):
     levels = hierarchy(*grid)
     if sweeps is None:
         coarse = make_exact_coarse(levels[0])
+        X = oracle.coarse_matrix(levels[0])
     else:
         coarse = make_recursive_coarse(levels, *sweeps, smoother_pairs(kind, levels[1:]))
-    check_against_oracle(levels[0], coarse, [smoother_pairs(kind, levels[:1], FMT)[0][0]])
+        X = oracle.solve_matrix(coarse)
+    check_against_oracle(levels[0], coarse, [smoother_pairs(kind, levels[:1], FMT)[0][0]],
+                         X)
 
 
 # --- the certification, against 50 digits -------------------------------------
@@ -135,17 +140,35 @@ def _mp_energy_norm(K, A) -> mpmath.mpf:
     return mpmath.sqrt(max(mpmath.eigsy(Y.T * Y, eigvals_only=True)))
 
 
+def _mp_sine_scaling(factors) -> mpmath.matrix:
+    """``Phi diag(f) Phi'`` with the sine matrix ``Phi`` of a grid shaped as
+    ``factors``, in Kronecker order on a 2D grid."""
+    k = factors.shape[0]
+    sine = [[mpmath.sqrt(mpmath.mpf(2) / (k + 1)) * mpmath.sin(mpmath.pi * i * j / (k + 1))
+             for j in range(1, k + 1)] for i in range(1, k + 1)]
+    modes = list(np.ndindex(factors.shape))
+    Phi = mpmath.matrix([[mpmath.fprod(sine[a][b] for a, b in zip(point, mode))
+                          for mode in modes] for point in modes])
+    f = mpmath.diag([mpmath.mpf(factors[mode]) for mode in modes])
+    return Phi * f * Phi.T
+
+
 @pytest.mark.parametrize("problem, size", [("poisson1d", 7), ("poisson1d", 15),
                                            ("poisson2d", 7)])
-@pytest.mark.parametrize("variant", ["exact", "recursive"])
+@pytest.mark.parametrize("variant", ["exact", "perturbed", "recursive"])
 def test_certified_against_fifty_digits(problem, size, variant):
-    levels = hierarchy(problem, size, 2 if variant == "exact" else 3)
+    levels = hierarchy(problem, size, 3 if variant == "recursive" else 2)
     level = levels[0]
     M = make_jacobi(level.A, 2.0 / 3.0, FMT)
     with mpmath.workdps(50):
         if variant == "exact":
             coarse = make_exact_coarse(level)
             X = mpmath.inverse(_mp(level.A_c.matrix))
+        elif variant == "perturbed":
+            # B_c scales the exact sine modes by the stored factors
+            coarse = make_perturbed_coarse(level, 0.3, seed=5)
+            X = (_mp_sine_scaling(coarse.correction.factors)
+                 * mpmath.inverse(_mp(level.A_c.matrix)))
         else:
             pairs = smoother_pairs("jacobi", levels[1:])
             coarse = make_recursive_coarse(levels, 1, 1, pairs)

@@ -1,16 +1,14 @@
 """Golden CSVs: the committed sweeps under results/ regenerate byte for byte.
 
 The CSVs are rendered in a child process with BLAS pinned to one thread,
-the benchmark's setting.  ``rho_star`` of the exact and recursive coarse
-solves comes from small Fourier blocks and does not depend on the thread
-count; only the perturbed coarse solve's dense ``rho_star`` does, since a
-threaded BLAS splits its dense Gram product and eigenvalue reduction
-differently with the thread count, which moves the last bits of
-``rho_star`` and of everything computed from it.  Pinned, the verdict does
-not depend on the thread count the test run itself has.  A mismatch
-reports the first differing line, not a diff of two whole files.  The CLI
-commands that regenerate the golden CSVs (see the README) are run in the
-same one-thread environment.
+the benchmark's setting.  No dense product or eigensolve of order ``n``
+feeds them: ``rho_star`` of every coarse solve comes from small Fourier
+blocks, and the perturbed coarse solve applies sine transforms.  Pinning
+keeps the verdict independent of the thread count the test run itself
+has all the same.  A
+mismatch reports the first differing line, not a diff of two whole files.
+The CLI commands that regenerate the golden CSVs (see the README) are run
+in the same one-thread environment.
 """
 
 import hashlib
@@ -70,7 +68,7 @@ _PINNED = {
     "perturbed2d": (
         ExperimentConfig(problem="poisson2d", size=15, coarse="perturbed",
                          sigma=0.3, trials=30),
-        "6922f11893eb9902224ead0d1a5e6b1297cf90a9cbd5c236a7c66f7b4669e976"),
+        "3074ef391a0656b96de136ca5971b45b9b959914e9f4ef3fb35947e1d9f22fd6"),
     "richardson1d": (
         ExperimentConfig(size=63, smoother="richardson", trials=30),
         "2694a3c4a6bf556f84c3374d0da42a0828d70a70365f671af80cb50c2c0ad960"),

@@ -81,6 +81,22 @@ class TestLinearInterpolation:
         assert row_nnz.max() == 2
         assert col_nnz.max() == 3
 
+    @pytest.mark.parametrize("n", [3, 7, 255])
+    def test_same_matrix_as_the_loop_over_coarse_points(self, n):
+        # the vectorised triplets against one (1/2, 1, 1/2) column per coarse point
+        rows, cols, vals = [], [], []
+        for j in range((n - 1) // 2):
+            rows.extend([2 * j, 2 * j + 1, 2 * j + 2])
+            cols.extend([j, j, j])
+            vals.extend([0.5, 1.0, 0.5])
+        expected = sparse.csr_array(sparse.coo_array((vals, (rows, cols)),
+                                                     shape=(n, (n - 1) // 2)))
+        expected.sort_indices()
+        P = linear_interpolation(n)
+        for got, want in ((P.indptr, expected.indptr), (P.indices, expected.indices),
+                          (P.data, expected.data)):
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+
     def test_even_size_rejected(self):
         with pytest.raises(ValueError):
             linear_interpolation(8)

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse as sparse
 
 import dense_oracle as oracle
@@ -27,7 +28,6 @@ from mixedmg import (
     spectrum_ends,
 )
 from mixedmg.hierarchy import poisson_1d, poisson_2d
-from mixedmg.linops import energy_operator_norm
 
 EPS = float(np.finfo(np.float64).eps)
 
@@ -232,33 +232,36 @@ class TestNormInequalities:
 
 
 class TestEnergyOperatorNorm:
+    """The dense oracle's ``norm(L' K L'^{-1})``, the reference of every
+    ``rho_star`` and coarse-deviation cross-check."""
+
     def test_identity_has_unit_norm(self, level31):
-        assert energy_operator_norm(np.eye(31), level31.A) == pytest.approx(
+        assert oracle.energy_operator_norm(np.eye(31), level31.A) == pytest.approx(
             1.0, abs=1e-12)
 
     @pytest.mark.parametrize("scale", [1.28271484375, 2.0 / 3.0])
     def test_scalar_multiple_of_identity(self, scale):
-        # every eigenvalue of the Gram matrix coincides; LAPACK's 'evr' and
-        # 'evx' drivers fail on such a matrix when asked for the top one
+        # every singular value coincides
         A = build_multilevel(7, 2, problem="poisson2d")[0].A
-        norm = energy_operator_norm(scale * np.eye(A.n), A)
+        norm = oracle.energy_operator_norm(scale * np.eye(A.n), A)
         assert norm == pytest.approx(scale, rel=1e-12)
 
     def test_not_symmetric(self, level15):
-        # the energy adjoint of K is A^{-1} K' A, not K'; an upper shift
-        # and its transpose have different energy norms
+        # the energy adjoint of K is A^{-1} K' A, not K'; an upper shift and
+        # its transpose have different energy norms, each the square root of
+        # the top eigenvalue of the pencil (K' A K, A)
         A = level15.A
-        K = np.eye(15, k=1)
-        assert energy_operator_norm(K, A) == pytest.approx(
-            oracle.energy_operator_norm(K, A), rel=1e-10)
-        assert energy_operator_norm(K.T, A) == pytest.approx(
-            oracle.energy_operator_norm(K.T, A), rel=1e-10)
+        dense = oracle.dense(A)
+        for K in (np.eye(15, k=1), np.eye(15, k=-1)):
+            top = scipy.linalg.eigh(K.T @ dense @ K, dense, eigvals_only=True)[-1]
+            assert oracle.energy_operator_norm(K, A) == pytest.approx(
+                math.sqrt(top), rel=1e-10)
 
     def test_matches_vector_definition(self, level15):
         A = level15.A
         rng = np.random.default_rng(7)
         K = rng.standard_normal((15, 15))
-        norm = energy_operator_norm(K, A)
+        norm = oracle.energy_operator_norm(K, A)
         sup = 0.0
         for _ in range(200):
             w = rng.standard_normal(15)

@@ -60,10 +60,10 @@ def coarse_solver(variant, levels, jacobi_pairs):
 
 
 def oracle_coarse_matrix(variant, levels, coarse):
-    """``B_c A_c^{-1}`` by dense solves; the recursive cycle has no dense
-    form, so for it the solver's own matrix."""
+    """``B_c A_c^{-1}`` by dense solves and the explicit sine matrix; the
+    recursive cycle has no dense form, so for it the solver's own matrix."""
     if variant == "recursive":
-        return coarse.solve_matrix
+        return oracle.solve_matrix(coarse)
     return oracle.coarse_matrix(levels[0], 0.3 if variant == "perturbed" else 0.0,
                                 seed=5)
 
@@ -174,7 +174,7 @@ def test_rho_star(name, kind, variant, jacobi_pairs):
 def test_recursive_bc_deviation(name, jacobi_pairs):
     levels = hierarchy(name)
     coarse = make_recursive_coarse(levels, 1, 1, jacobi_pairs(levels[1:]))
-    expected = oracle.bc_deviation(levels[0], coarse.solve_matrix)
+    expected = oracle.bc_deviation(levels[0], oracle.solve_matrix(coarse))
     assert_close(coarse.bc_deviation, expected, "bc_deviation")
 
 
@@ -182,8 +182,12 @@ def test_recursive_bc_deviation(name, jacobi_pairs):
 def test_perturbed_normalisation(name):
     level = hierarchy(name)[0]
     coarse = make_perturbed_coarse(level, 0.3, seed=5)
-    for X in (oracle.coarse_matrix(level, 0.3, seed=5), coarse.solve_matrix):
+    assert_close(coarse.bc_deviation, 0.3, "bc_deviation")
+    expected, got = oracle.coarse_matrix(level, 0.3, seed=5), oracle.solve_matrix(coarse)
+    for X in (expected, got):
         assert_close(oracle.bc_deviation(level, X), 0.3, "sigma")
+    # the sine transforms apply the oracle's B_c, Kronecker order included
+    assert np.abs(got - expected).max() <= 1e-12 * np.abs(expected).max()
 
 
 def _forbidden(*_args, **_kwargs):
@@ -211,13 +215,15 @@ def test_run_experiment_takes_no_dense_spectral_path(monkeypatch, config):
                  (scipy.linalg, "eigh"), (scipy.linalg, "cho_factor"),
                  (scipy.linalg, "eig_banded"), (scipy.linalg.lapack, "dpbtrf"),
                  (scipy.linalg.lapack, "dpbtrs")]
-    # the perturbed coarse solve still normalises its dense G and takes a
-    # dense rho_star by the dense Gram eigenvalues (ROADMAP item 2); the
-    # exact and recursive solves take no order-n eigensolve at all
-    if config.coarse != "perturbed":
-        forbidden.append((scipy.linalg, "eigvalsh"))
+    # every coarse solve's rho_star comes from Fourier blocks: no order-n
+    # eigensolve, and no dense order-n identity (the largest Fourier block
+    # of these configs has order 16, every coarse grid more points)
+    forbidden.append((scipy.linalg, "eigvalsh"))
     for owner, name in forbidden:
         monkeypatch.setattr(owner, name, _forbidden)
+    eye = np.eye
+    monkeypatch.setattr(np, "eye", lambda N, *args, **kwargs: (
+        _forbidden() if N > 16 else eye(N, *args, **kwargs)))
     for name in ("eigh", "sqrt_dense", "inv_sqrt_dense", "dense", "eigenvalues"):
         monkeypatch.setattr(SparseSpd, name, property(_forbidden), raising=False)
     # the patches reach the dense forms, a matrix 2-norm and the band
@@ -230,6 +236,8 @@ def test_run_experiment_takes_no_dense_spectral_path(monkeypatch, config):
         SparseSpd(np.eye(2)).dense  # noqa: B018
     with pytest.raises(AssertionError, match="dense spectral path"):
         scipy.linalg.lapack.dpbtrf(np.ones((1, 2)), lower=1)
+    with pytest.raises(AssertionError, match="dense spectral path"):
+        np.eye(17)
     records = run_experiment(config)
     assert len(records) == 5 * len(config.bits)
     assert all(r.passed for r in records)
