@@ -30,6 +30,7 @@ from .harness import (
     validate_csv,
     write_csv,
 )
+from .precision import PrecisionFormat
 
 
 def _add_run(sub):
@@ -127,7 +128,7 @@ def _cmd_bounds(args) -> int:
     if (args.eps is None) == (args.bits is None):
         print("bounds: give exactly one of --eps / --bits", file=sys.stderr)
         return 2
-    eps = args.eps if args.eps is not None else 2.0**-args.bits
+    eps = args.eps if args.eps is not None else PrecisionFormat(args.bits).unit_roundoff
     inputs = BoundInputs(
         eps=eps,
         kappa=args.kappa,

@@ -67,23 +67,25 @@ class ContractionError(ValueError):
 
 @dataclass(frozen=True, eq=False)
 class RelaxationOp:
-    """A diagonal (damped Jacobi) or scalar (Richardson) relaxation operator.
+    """A damped Jacobi or Richardson relaxation ``M = w I`` of order ``n``.
 
-    The diagonal entries are quantized into the working format at
-    construction, so applying the operator costs exactly one rounded
-    multiply per entry and the certified constant ``alpha`` satisfies
+    On a stencil matrix the Jacobi diagonal is the constant centre ``c_0``,
+    so both relaxations are the scalar ``w``, quantized into the working
+    format at construction: applying the operator costs exactly one rounded
+    multiply per entry, and the certified constant ``alpha`` satisfies
     ``norm(fl(M z) - M z) <= alpha * u * norm(z)``.
 
     ``eta_euclid`` is the Euclidean operator norm (used when the operator
     pre-relaxes), ``eta_energy`` the energy operator norm (used when it
-    post-relaxes); ``contraction`` is the energy norm of ``I - M A``.  The
-    diagonal is a constant ``w``, so ``M = w I`` commutes with ``A``: both
-    norms of ``M`` are ``|w|``, and ``I - M A`` has the eigenvalues
-    ``1 - w lambda`` over the spectrum of ``A``, whose certified ends the
-    stencil symbol of ``A`` gives (:func:`mixedmg.hierarchy.spectrum_ends`).
+    post-relaxes); ``contraction`` is the energy norm of ``I - M A``.
+    ``M = w I`` commutes with ``A``: both norms of ``M`` are ``|w|``, and
+    ``I - M A`` has the eigenvalues ``1 - w lambda`` over the spectrum of
+    ``A``, whose certified ends the stencil symbol of ``A`` gives
+    (:func:`mixedmg.hierarchy.spectrum_ends`).
     """
 
-    diag: np.ndarray
+    w: float
+    n: int
     fmt: PrecisionFormat
     eta_euclid: float
     eta_energy: float
@@ -91,19 +93,17 @@ class RelaxationOp:
     contraction: float
 
     def apply_exact(self, z: np.ndarray) -> np.ndarray:
-        z = np.asarray(z, dtype=np.float64)
-        return (self.diag[:, None] * z.reshape(len(self.diag), -1)).reshape(z.shape)
+        return self.w * np.asarray(z, dtype=np.float64)
 
     def apply_rounded(self, z: np.ndarray, fmt: PrecisionFormat) -> RoundedResult:
         """``fl(M z)`` and its bound, per column for a block."""
         if fmt != self.fmt:
             raise ValueError("relaxation operator was built for a different format")
-        return rounded_scale(self.diag, z, fmt, self.alpha)
+        return rounded_scale(self.w, z, fmt, self.alpha)
 
 
-def _finalize_relaxation(kind: str, A: SparseSpd, diag: np.ndarray,
+def _finalize_relaxation(kind: str, A: SparseSpd, w: float,
                          fmt: PrecisionFormat) -> RelaxationOp:
-    w = fourier._constant_diagonal(diag, A.n, f"{kind} smoother")
     lo, hi = spectrum_ends(A)
     # the eigenvalues of w A lie in [bottom, top]; the energy norm of I - w A
     # is the larger of the two ends' distances from one
@@ -115,7 +115,8 @@ def _finalize_relaxation(kind: str, A: SparseSpd, diag: np.ndarray,
             f"propagator is {contraction:.6f}"
         )
     return RelaxationOp(
-        diag=diag,
+        w=w,
+        n=A.n,
         fmt=fmt,
         eta_euclid=abs(w),
         eta_energy=abs(w),
@@ -125,19 +126,22 @@ def _finalize_relaxation(kind: str, A: SparseSpd, diag: np.ndarray,
 
 
 def make_jacobi(A: SparseSpd, omega: float, fmt: PrecisionFormat) -> RelaxationOp:
-    """Damped Jacobi ``M = omega * diag(A)^{-1}`` quantized into ``fmt``."""
-    d = A.diagonal()
-    if np.any(d <= 0):
+    """Damped Jacobi ``M = omega * diag(A)^{-1}`` quantized into ``fmt``.
+
+    ``A`` is a stencil matrix (:attr:`SparseSpd.stencil`), whose diagonal is
+    its centre ``c_0``, so ``M`` is ``w = fl(omega / c_0)`` times ``I``.
+    """
+    c_0 = float(A.stencil[0].flat[0])
+    if c_0 <= 0:
         raise ContractionError("matrix diagonal must be positive")
-    diag = _round_array(omega / d, fmt.significand_bits)
-    return _finalize_relaxation("jacobi", A, diag, fmt)
+    w = float(_round_array(np.float64(omega / c_0), fmt.significand_bits))
+    return _finalize_relaxation("jacobi", A, w, fmt)
 
 
 def make_richardson(A: SparseSpd, omega: float, fmt: PrecisionFormat) -> RelaxationOp:
     """Richardson ``M = omega * I`` with ``omega`` quantized into ``fmt``."""
     w = float(_round_array(np.float64(omega), fmt.significand_bits))
-    diag = np.full(A.n, w)
-    return _finalize_relaxation("richardson", A, diag, fmt)
+    return _finalize_relaxation("richardson", A, w, fmt)
 
 
 @dataclass(frozen=True, eq=False)

@@ -3,7 +3,7 @@
 On the model problems every operator a cycle uses is diagonalised, or mapped
 mode to mode, by the orthonormal sine basis: ``A`` and ``A_c`` are symmetric
 stencils with one value per offset, ``P`` is a scalar times the (bi)linear
-interpolation stencil, and the smoothers are constant diagonals (local
+interpolation stencil, and the smoothers are scalars ``w`` (local
 Fourier analysis: Trottenberg, Oosterlee and Schüller, *Multigrid*, 2001,
 ch. 3-4; Wienands and Oosterlee, SISC 23, 2001, for more than two grids).
 With ``theta_j = j pi / (k + 1)`` on a grid of ``k`` points per axis:
@@ -36,11 +36,14 @@ and the symmetric eigensolver's backward error, taken as ``4 G u`` times the
 Gram norm for a block of order ``G``.  The largest such bound is reported,
 rounded up.
 
-The symbols come from :attr:`mixedmg.hierarchy.GridLevel.stencils`, which
-rebuilds each operator from its stencil values and compares it with the
-stored matrix bit for bit, and each smoother diagonal must be constant; a
-mismatch raises :class:`StructureError` naming the level and the operator.
-There is no dense fallback.
+This module is the one reader of operators as stencils.  An operator is
+read back as stencil values (:func:`_stencil`, :func:`_symmetric_stencil`,
+:func:`_interpolation_weight`), rebuilt from them and compared with the
+stored matrix bit for bit; a mismatch raises :class:`StructureError`
+naming the operator, and the cycles name the level too
+(:attr:`mixedmg.hierarchy.GridLevel.stencils`).  A smoother is its scalar
+``w`` (:class:`mixedmg.cycles.RelaxationOp`), of the level's order.  There
+is no dense fallback.
 
 The same symbols give the set-up constants of :mod:`mixedmg.hierarchy`:
 :func:`symbol_ends` encloses the spectrum of a stencil matrix and
@@ -55,6 +58,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+import scipy.sparse as sparse
 
 _U = float(np.finfo(np.float64).eps) / 2  # unit roundoff of the carrier
 
@@ -171,11 +175,90 @@ def _up(x) -> float:
     return float(np.nextafter(np.max(x), np.inf))
 
 
-def _constant_diagonal(diag: np.ndarray, n: int, name: str) -> float:
-    diag = np.asarray(diag)
-    if diag.shape != (n,) or not np.all(diag == diag[0]):
-        raise StructureError(f"{name} does not have a constant diagonal of order {n}")
-    return float(diag[0])
+def _flat_index(point, k: int) -> int:
+    out = 0
+    for i in point:
+        out = out * k + i
+    return out
+
+
+def _entries(matrix) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Row, column and value of every stored nonzero of a sparse matrix."""
+    M = sparse.csr_array(matrix)
+    M.sum_duplicates()
+    rows = np.repeat(np.arange(M.shape[0]), np.diff(M.indptr))
+    nonzero = M.data != 0
+    return rows[nonzero], M.indices[nonzero], M.data[nonzero]
+
+
+def _stencil(matrix, d: int, k: int, name: str) -> np.ndarray:
+    """The stencil of a symmetric operator on a ``k``-point grid, read at its centre.
+
+    The matrix rebuilt from it must equal the stored one bit for bit: every
+    stored nonzero couples points at most one apart along each axis and
+    equals the stencil value of its offsets, and there are as many of them
+    as the rebuilt matrix has nonzeros.
+    """
+    if matrix.shape != (k**d, k**d):
+        raise StructureError(f"{name} has shape {matrix.shape}, not that of a "
+                             f"{'x'.join([str(k)] * d)} grid")
+    rows, cols, data = _entries(matrix)
+    gap = np.abs(np.subtract(np.unravel_index(rows, (k,) * d),
+                             np.unravel_index(cols, (k,) * d)))
+    near = (gap <= 1).all(axis=0)
+    c = np.zeros((2,) * d)
+    centre = near & (rows == _flat_index((k // 2,) * d, k))
+    c[tuple(gap[:, centre])] = data[centre]
+    pairs = sum(math.prod(2 * (k - 1) if s else k for s in a)
+                for a in itertools.product((0, 1), repeat=d) if c[a] != 0)
+    if not near.all() or len(data) != pairs or np.any(data != c[tuple(gap)]):
+        raise StructureError(f"{name} is not the matrix of its stencil "
+                             f"{c.ravel().tolist()}")
+    return c
+
+
+def _symmetric_stencil(M) -> tuple[np.ndarray, int]:
+    """The stencil ``c`` of a square sparse matrix on a square 2D grid, or
+    else on a 1D grid, and the grid's ``k`` points per axis; ``c.ndim`` is
+    the dimension."""
+    n = M.shape[0]
+    name = f"the {n}x{M.shape[1]} matrix"
+    k = math.isqrt(n)
+    if k * k == n and M.shape[1] == n:
+        try:
+            return _stencil(M, 2, k, name), k
+        except StructureError:
+            pass
+    return _stencil(M, 1, n, name), n
+
+
+def _grid(n: int, n_c: int) -> tuple[int, int]:
+    """``(d, k)`` of a (bi)linear coarsening of ``n`` points to ``n_c``."""
+    k = math.isqrt(n)
+    if n % 2 and n_c == (n - 1) // 2:
+        return 1, n
+    if k * k == n and k % 2 and n_c == ((k - 1) // 2) ** 2:
+        return 2, k
+    raise StructureError(f"P maps {n} points to {n_c}: not a (bi)linear "
+                         f"coarsening of a 1D or square 2D grid")
+
+
+def _interpolation_weight(P, d: int, k: int) -> float:
+    """The ``p`` of ``P = p * interpolation`` from ``k`` points per axis, checked
+    bit for bit: fine point ``f`` takes ``p / 2^t`` from coarse point ``j``,
+    with ``t`` the number of axes along which ``f`` is a neighbour of
+    ``2 j + 1`` (and is ``2 j + 1`` along the others)."""
+    k_c = (k - 1) // 2
+    if P.shape != (k**d, k_c**d):
+        raise StructureError(f"P has shape {P.shape}, not {(k**d, k_c**d)}")
+    rows, cols, data = _entries(P)
+    gap = np.abs(np.subtract(np.unravel_index(rows, (k,) * d),
+                             2 * np.array(np.unravel_index(cols, (k_c,) * d)) + 1))
+    p = float(data[0]) * 2.0 ** int(gap[:, 0].sum()) if len(data) else 0.0
+    if (len(data) != (3 * k_c) ** d or np.any(gap > 1)
+            or np.any(data != p * 0.5 ** gap.sum(axis=0))):
+        raise StructureError(f"P is not {p!r} times the interpolation stencil")
+    return p
 
 
 def _stencils(level, depth: int):
@@ -303,12 +386,13 @@ def _core(level, coarse_classes, X, depth: int):
 
 def _smoothed(level, M, N, mu: int, nu: int, symbols, cores, depth: int) -> dict:
     """Per class key the propagator blocks ``S_N^nu core S_M^mu`` of one level."""
-    w_M = _constant_diagonal(M.diag, level.n, f"level {depth}: pre-smoother M")
-    w_N = _constant_diagonal(N.diag, level.n, f"level {depth}: post-smoother N")
+    for name, S in (("pre-smoother M", M), ("post-smoother N", N)):
+        if S.n != level.n:
+            raise StructureError(f"level {depth}: {name} has order {S.n}, not {level.n}")
     E = {}
     for key, lam in symbols.items():
-        s_M = (1.0 - w_M * lam) ** mu
-        s_N = (1.0 - w_N * lam) ** nu
+        s_M = (1.0 - M.w * lam) ** mu
+        s_N = (1.0 - N.w * lam) ** nu
         E[key] = s_N.map(lambda v: v[:, :, None]) * cores[key] * s_M.map(
             lambda v: v[:, None, :])
     return E

@@ -8,30 +8,36 @@ Galerkin structure ``A_c = P' A P`` exactly, which the projection
 arguments behind the convergence theory require.
 
 Every set-up constant comes from the symbol of a stencil (local Fourier
-analysis, :mod:`mixedmg.fourier`): an operator is read back as stencil
-values, rebuilt from them and compared with the stored matrix bit for bit,
-and the symbol's certified ends give :func:`spectral_norm`,
-:func:`condition_number` and :func:`abs_matrix_norm`.  Each scale is the
-upper end of the norm before scaling, so a scaled norm exceeds one by at
-most the rounding of the scaling itself: a few units of roundoff.  An
-operator that is not a stencil matrix raises :class:`StructureError`; there
-is no dense or iterative fallback.
+analysis): :mod:`mixedmg.fourier` reads an operator back as stencil values
+and checks them bit for bit against the stored matrix, and the symbol's
+certified ends give :func:`spectral_norm`, :func:`condition_number` and
+:func:`abs_matrix_norm`.  Each scale is the upper end of the norm before
+scaling, so a scaled norm exceeds one by at most the rounding of the
+scaling itself: a few units of roundoff.  An operator that is not a stencil
+matrix raises :class:`StructureError`; there is no dense or iterative
+fallback.
 
-:attr:`GridLevel.stencils` reads a model-problem level back as stencil
-values, the input of the Fourier analysis of the cycles.
+:attr:`GridLevel.stencils` gathers a model-problem level's stencils, the
+input of the Fourier analysis of the cycles.
 """
 
 from __future__ import annotations
 
-import itertools
-import math
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sparse
 
-from .fourier import StructureError, interpolation_norm, symbol_ends
+from .fourier import (
+    StructureError,
+    _grid,
+    _interpolation_weight,
+    _stencil,
+    _symmetric_stencil,
+    interpolation_norm,
+    symbol_ends,
+)
 from .linops import SparseSpd, SpdError
 from .precision import RowLayout, _csr
 
@@ -106,95 +112,8 @@ class LevelStencils:
     p: float
 
 
-def _flat_index(point, k: int) -> int:
-    out = 0
-    for i in point:
-        out = out * k + i
-    return out
-
-
 def _differs(stored, rebuilt) -> bool:
     return bool((sparse.csr_array(stored) != sparse.csr_array(rebuilt)).nnz)
-
-
-def _entries(matrix) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Row, column and value of every stored nonzero of a sparse matrix."""
-    M = sparse.csr_array(matrix)
-    M.sum_duplicates()
-    rows = np.repeat(np.arange(M.shape[0]), np.diff(M.indptr))
-    nonzero = M.data != 0
-    return rows[nonzero], M.indices[nonzero], M.data[nonzero]
-
-
-def _stencil(matrix, d: int, k: int, name: str) -> np.ndarray:
-    """The stencil of a symmetric operator on a ``k``-point grid, read at its centre.
-
-    The matrix rebuilt from it must equal the stored one bit for bit: every
-    stored nonzero couples points at most one apart along each axis and
-    equals the stencil value of its offsets, and there are as many of them
-    as the rebuilt matrix has nonzeros.
-    """
-    if matrix.shape != (k**d, k**d):
-        raise StructureError(f"{name} has shape {matrix.shape}, not that of a "
-                             f"{'x'.join([str(k)] * d)} grid")
-    rows, cols, data = _entries(matrix)
-    gap = np.abs(np.subtract(np.unravel_index(rows, (k,) * d),
-                             np.unravel_index(cols, (k,) * d)))
-    near = (gap <= 1).all(axis=0)
-    c = np.zeros((2,) * d)
-    centre = near & (rows == _flat_index((k // 2,) * d, k))
-    c[tuple(gap[:, centre])] = data[centre]
-    pairs = sum(math.prod(2 * (k - 1) if s else k for s in a)
-                for a in itertools.product((0, 1), repeat=d) if c[a] != 0)
-    if not near.all() or len(data) != pairs or np.any(data != c[tuple(gap)]):
-        raise StructureError(f"{name} is not the matrix of its stencil "
-                             f"{c.ravel().tolist()}")
-    return c
-
-
-def _symmetric_stencil(K) -> tuple[np.ndarray, int]:
-    """The stencil ``c`` of a square operator on a square 2D grid, or else on
-    a 1D grid, and the grid's ``k`` points per axis; ``c.ndim`` is the
-    dimension."""
-    M = _csr(K)
-    n = M.shape[0]
-    name = f"the {n}x{M.shape[1]} matrix"
-    k = math.isqrt(n)
-    if k * k == n and M.shape[1] == n:
-        try:
-            return _stencil(M, 2, k, name), k
-        except StructureError:
-            pass
-    return _stencil(M, 1, n, name), n
-
-
-def _grid(n: int, n_c: int) -> tuple[int, int]:
-    """``(d, k)`` of a (bi)linear coarsening of ``n`` points to ``n_c``."""
-    k = math.isqrt(n)
-    if n % 2 and n_c == (n - 1) // 2:
-        return 1, n
-    if k * k == n and k % 2 and n_c == ((k - 1) // 2) ** 2:
-        return 2, k
-    raise StructureError(f"P maps {n} points to {n_c}: not a (bi)linear "
-                         f"coarsening of a 1D or square 2D grid")
-
-
-def _interpolation_weight(P, d: int, k: int) -> float:
-    """The ``p`` of ``P = p * interpolation`` from ``k`` points per axis, checked
-    bit for bit: fine point ``f`` takes ``p / 2^t`` from coarse point ``j``,
-    with ``t`` the number of axes along which ``f`` is a neighbour of
-    ``2 j + 1`` (and is ``2 j + 1`` along the others)."""
-    k_c = (k - 1) // 2
-    if P.shape != (k**d, k_c**d):
-        raise StructureError(f"P has shape {P.shape}, not {(k**d, k_c**d)}")
-    rows, cols, data = _entries(P)
-    gap = np.abs(np.subtract(np.unravel_index(rows, (k,) * d),
-                             2 * np.array(np.unravel_index(cols, (k_c,) * d)) + 1))
-    p = float(data[0]) * 2.0 ** int(gap[:, 0].sum()) if len(data) else 0.0
-    if (len(data) != (3 * k_c) ** d or np.any(gap > 1)
-            or np.any(data != p * 0.5 ** gap.sum(axis=0))):
-        raise StructureError(f"P is not {p!r} times the interpolation stencil")
-    return p
 
 
 def _operator_stencil(A: SparseSpd, d: int, k: int, name: str) -> np.ndarray:
@@ -243,7 +162,7 @@ def spectrum_ends(K) -> tuple[float, float]:
     """
     if isinstance(K, SparseSpd):
         return K.spectrum_ends
-    return symbol_ends(*_symmetric_stencil(K))
+    return symbol_ends(*_symmetric_stencil(_csr(K)))
 
 
 def spectral_norm(K) -> float:

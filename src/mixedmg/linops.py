@@ -7,7 +7,8 @@ serves the direct solves.  No operator norm is formed here: the spectral
 set-up constants come from stencil symbols (:mod:`mixedmg.hierarchy`), and
 ``rho_star`` and the coarse deviations from Fourier blocks
 (:mod:`mixedmg.fourier`).  A :class:`SparseSpd` reads its stencil back once,
-on first use, and keeps it with the certified ends of its symbol.
+on first use, with the reader of :mod:`mixedmg.fourier`, and keeps it with
+the certified ends of its symbol.
 
 :func:`energy_norm` and :func:`solve_spd` take a vector ``(n,)`` or a block
 ``(n, T)``, and each column of a block gives bit for bit what the same
@@ -23,7 +24,7 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse as sparse
 
-from .fourier import symbol_ends
+from .fourier import _symmetric_stencil, symbol_ends
 from .precision import RowLayout, _columns, _csr, _per_column
 
 _EPS = float(np.finfo(np.float64).eps)
@@ -84,8 +85,6 @@ class SparseSpd:
         A matrix that is not a stencil matrix raises
         :class:`mixedmg.fourier.StructureError` on every read.
         """
-        # hierarchy builds on this module, so its reader is looked up at call time
-        from .hierarchy import _symmetric_stencil
         return _symmetric_stencil(self._matrix)
 
     @cached_property

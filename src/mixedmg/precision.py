@@ -10,7 +10,9 @@ the kernels assume.
 Matrix kernels accumulate each row sequentially left to right over the
 stored nonzeros, with the right-hand side subtracted last, so the error
 accounting matches the ``(m + 1)``-term inflation factor
-``(m + 1) * u / (1 - (m + 1) * u)`` exactly.
+``(m + 1) * u / (1 - (m + 1) * u)`` exactly.  Their bounds also need the
+spectral norm of ``|K|``, which the caller passes as ``eta_abs``, computed
+once per operator; this module imports nothing from the rest of mixedmg.
 
 Every kernel takes a vector ``(n,)`` or a block ``(n, T)`` of ``T`` vectors
 side by side.  A vector runs as a one-column block, and each column of a
@@ -146,11 +148,6 @@ def _columns(w, n: int | None = None) -> np.ndarray:
     return np.ascontiguousarray(w.reshape(w.shape[0], -1).T)
 
 
-def _from_columns(rows: np.ndarray, like) -> np.ndarray:
-    """Inverse of :func:`_columns`: a vector, or a C-contiguous ``(n, T)`` block."""
-    return rows[0] if np.ndim(like) == 1 else np.ascontiguousarray(rows.T)
-
-
 def _per_column(values: np.ndarray, like):
     """Per-column values, as a float when ``like`` is a vector."""
     return float(values[0]) if np.ndim(like) == 1 else values
@@ -224,16 +221,14 @@ def rounded_add_sub(v, w, sign: str, fmt: PrecisionFormat) -> RoundedResult:
     return _result(value, lambda: fmt.unit_roundoff * column_norms(exact), v)
 
 
-def rounded_scale(d: np.ndarray, w, fmt: PrecisionFormat, alpha: float) -> RoundedResult:
-    """Componentwise rounded ``diag(d) @ w``; bound is ``alpha * u * norm(w)``.
+def rounded_scale(s: float, w, fmt: PrecisionFormat, alpha: float) -> RoundedResult:
+    """Componentwise rounded ``s * w``; bound is ``alpha * u * norm(w)``.
 
-    ``alpha`` must certify the scaling, ``alpha >= max |d|`` for entries of
-    ``d`` already representable in ``fmt``.
+    ``alpha`` must certify the scaling, ``alpha >= |s|`` for a scalar ``s``
+    already representable in ``fmt``.
     """
     W = _as_block(w, "w")
-    if W.shape[0] != len(d):
-        raise ValueError(f"dimension mismatch: {len(d)} vs {W.shape[0]}")
-    value = _round_array(d[:, None] * W, fmt.significand_bits)
+    value = _round_array(s * W, fmt.significand_bits)
     _check_carrier_range(value)
     return _result(value, lambda: alpha * fmt.unit_roundoff * column_norms(W), w)
 
@@ -293,12 +288,6 @@ class RowLayout:
         return self.matrix.shape
 
 
-def _abs_norm(K) -> float:
-    # hierarchy builds on this module, so its norm is looked up at call time
-    from .hierarchy import abs_matrix_norm
-    return abs_matrix_norm(K)
-
-
 def _rounded_row_accumulate(rows: RowLayout, W: np.ndarray, C, bits: int):
     acc = _round_array(rows.vals[0] * W[rows.cols[0]], bits)
     for vals, cols in zip(rows.vals[1:], rows.cols[1:]):
@@ -310,19 +299,17 @@ def _rounded_row_accumulate(rows: RowLayout, W: np.ndarray, C, bits: int):
     return acc
 
 
-def rounded_residual(K, w, c, fmt: PrecisionFormat, *, eta_abs: float | None = None) -> RoundedResult:
+def rounded_residual(K, w, c, fmt: PrecisionFormat, *, eta_abs: float) -> RoundedResult:
     """Compute ``K @ w - c`` with every partial product and sum rounded to ``fmt``.
 
     The a-priori bound is ``u * inflation * (norm(c) + eta_abs * norm(w))``
     where ``inflation = (m + 1) / (1 - (m + 1) u)`` with ``m`` the maximum
-    number of stored nonzeros in any row of ``K`` and ``eta_abs`` the
-    spectral norm of the entrywise absolute value of ``K`` (when not
-    supplied, the certified upper end from the stencil symbol of ``K``,
-    :func:`mixedmg.hierarchy.abs_matrix_norm`, which raises
-    :class:`mixedmg.fourier.StructureError` for an operator that is not a
-    stencil matrix or a scaled interpolation).  ``K`` is a
-    matrix, anything with a ``.matrix``, or a :class:`RowLayout`; ``w`` and
-    ``c`` are both vectors or both blocks.
+    number of stored nonzeros in any row of ``K``.  ``eta_abs`` must bound
+    the spectral norm of the entrywise absolute value of ``K`` from above,
+    as :func:`mixedmg.hierarchy.abs_matrix_norm` does; the caller computes
+    it once per operator (``GridLevel.eta_A``, ``GridLevel.eta_P``).  ``K``
+    is a matrix, anything with a ``.matrix``, or a :class:`RowLayout`; ``w``
+    and ``c`` are both vectors or both blocks.
     """
     rows = RowLayout.of(K)
     W = _as_block(w, "w")
@@ -332,21 +319,20 @@ def rounded_residual(K, w, c, fmt: PrecisionFormat, *, eta_abs: float | None = N
         raise ValueError("nonconformal residual dimensions")
     value = _rounded_row_accumulate(rows, W, C, fmt.significand_bits)
     inflation = mdot_plus_eps(rows.m, fmt.unit_roundoff)
-    if eta_abs is None:
-        eta_abs = _abs_norm(rows.matrix)
     return _result(value, lambda: fmt.unit_roundoff * inflation * (
         column_norms(C) + eta_abs * column_norms(W)), w)
 
 
-def rounded_matvec(K, w, fmt: PrecisionFormat, *, eta_abs: float | None = None) -> RoundedResult:
-    """Compute ``K @ w`` row by row in ``fmt``; bound ``u * inflation * eta_abs * norm(w)``."""
+def rounded_matvec(K, w, fmt: PrecisionFormat, *, eta_abs: float) -> RoundedResult:
+    """Compute ``K @ w`` row by row in ``fmt``; bound ``u * inflation * eta_abs * norm(w)``.
+
+    ``inflation`` and ``eta_abs`` are those of :func:`rounded_residual`.
+    """
     rows = RowLayout.of(K)
     W = _as_block(w, "w")
     if rows.shape[1] != W.shape[0]:
         raise ValueError("nonconformal matvec dimensions")
     value = _rounded_row_accumulate(rows, W, None, fmt.significand_bits)
     inflation = mdot_plus_eps(rows.m, fmt.unit_roundoff)
-    if eta_abs is None:
-        eta_abs = _abs_norm(rows.matrix)
     return _result(value, lambda: fmt.unit_roundoff * inflation * eta_abs
                    * column_norms(W), w)

@@ -56,10 +56,10 @@ def energy_operator_norm(K, A) -> float:
     return float(np.linalg.norm(L.T @ right, 2))
 
 
-def contraction(A, diag: np.ndarray) -> float:
-    """Energy norm of ``I - diag(diag) A``: ``max |eig(I - L' D L)|``."""
+def contraction(A, w: float) -> float:
+    """Energy norm of ``I - w A``: ``max |eig(I - L' w L)|``."""
     L = cholesky(A)
-    S = L.T @ (diag[:, None] * L)
+    S = L.T @ (w * L)
     S = 0.5 * (S + S.T)
     return float(np.abs(np.linalg.eigvalsh(np.eye(A.n) - S)).max())
 
@@ -107,8 +107,8 @@ def rho_star(level, M, N, X) -> float:
     A, P = dense(level.A), level.P.toarray()
     eye = np.eye(level.n)
     correction = eye - P @ (X @ (P.T @ A))
-    pre = eye - M.diag[:, None] * A
-    post = eye - N.diag[:, None] * A
+    pre = eye - M.w * A
+    post = eye - N.w * A
     return energy_operator_norm(post @ correction @ pre, level.A)
 
 

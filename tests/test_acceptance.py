@@ -23,6 +23,7 @@ from mixedmg import (
     BoundInputs,
     PROOF_LINES,
     PrecisionFormat,
+    abs_matrix_norm,
     build_multilevel,
     compute_constants,
     energy_norm,
@@ -104,6 +105,8 @@ def test_a3_kernel_certification():
     draws = 1000
     K = poisson_1d(24).matrix
     P = linear_interpolation(31)
+    # each operator's eta_abs once, not on every one of the 8,000 calls
+    eta_K, eta_P = abs_matrix_norm(K), abs_matrix_norm(P)
     checked = 0
     for bits in (5, 8, 12, 16):
         fmt = PrecisionFormat(bits)
@@ -119,11 +122,11 @@ def test_a3_kernel_certification():
             assert np.linalg.norm(out.value - (v - u)) <= out.a_priori_bound
 
             c = round_vector(rng.standard_normal(24), fmt)
-            out = rounded_residual(K, v, c, fmt)
+            out = rounded_residual(K, v, c, fmt, eta_abs=eta_K)
             assert np.linalg.norm(out.value - (K @ v - c)) <= out.a_priori_bound
 
             wc = round_vector(rng.standard_normal(15), fmt)
-            out = rounded_matvec(P, wc, fmt)
+            out = rounded_matvec(P, wc, fmt, eta_abs=eta_P)
             assert np.linalg.norm(out.value - P @ wc) <= out.a_priori_bound
             checked += 4
 
@@ -135,9 +138,10 @@ def test_a3_kernel_certification():
         assert np.array_equal(
             rounded_add_sub(v, v, "-", fmt).value, np.zeros(24))
         assert np.array_equal(
-            rounded_matvec(K, np.zeros(24), fmt).value, np.zeros(24))
+            rounded_matvec(K, np.zeros(24), fmt, eta_abs=eta_K).value, np.zeros(24))
         assert np.array_equal(
-            rounded_residual(np.eye(24), v, v, fmt).value, np.zeros(24))
+            rounded_residual(np.eye(24), v, v, fmt, eta_abs=abs_matrix_norm(np.eye(24))).value,
+            np.zeros(24))
     elapsed = time.perf_counter() - t0
     ok = elapsed < 10.0
     _line("A3", ok, f"{checked} certified kernel calls, {elapsed:.1f}s")

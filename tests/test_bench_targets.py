@@ -76,14 +76,15 @@ def test_workload_is_a_valid_config(name):
 
 
 def _kernel_args(attr):
+    """Positional and keyword arguments of a kernel call, as ``cycles`` makes it."""
     level = build_multilevel(7, 2)[0]
     fmt = PrecisionFormat(12)
     w, c = np.linspace(-1.0, 1.0, 7), np.ones(7)
     return {
-        "quantize_vector": (w, fmt),
-        "rounded_add_sub": (w, c, "-", fmt),
-        "rounded_residual": (level.A, w, c, fmt),
-        "rounded_matvec": (level.P_t, w, fmt),
+        "quantize_vector": ((w, fmt), {}),
+        "rounded_add_sub": ((w, c, "-", fmt), {}),
+        "rounded_residual": ((level.A, w, c, fmt), {"eta_abs": level.eta_A}),
+        "rounded_matvec": ((level.P_t, w, fmt), {"eta_abs": level.eta_P}),
     }[attr]
 
 
@@ -91,5 +92,6 @@ def _kernel_args(attr):
                          ids=[f"{o}.{a}" for o, a in KERNELS])
 def test_kernel_target_returns_a_value(owner_path, attr):
     kernel = getattr(importlib.import_module(owner_path), attr)
-    result = kernel(*_kernel_args(attr))
+    args, kwargs = _kernel_args(attr)
+    result = kernel(*args, **kwargs)
     assert isinstance(result.value, np.ndarray) and result.value.size

@@ -7,6 +7,7 @@ import dense_oracle as oracle
 from mixedmg import (
     CARRIER,
     PrecisionFormat,
+    abs_matrix_norm,
     build_multilevel,
     energy_norm,
     make_exact_coarse,
@@ -84,7 +85,8 @@ class TestKernels:
     def test_residual(self, level31):
         rng = np.random.default_rng(3)
         W, C = _block(rng, 31), _block(rng, 31)
-        call = lambda w, c: _pair(rounded_residual(level31.A, w, c, FMT))  # noqa: E731
+        eta = level31.eta_A
+        call = lambda w, c: _pair(rounded_residual(level31.A, w, c, FMT, eta_abs=eta))  # noqa: E731
         _assert_columns_match(call, W, C)
 
     def test_relaxation(self, jacobi31):
@@ -99,8 +101,8 @@ class TestKernels:
         assert level31.A.row_layout is level31.A.row_layout
         assert level31.P_layout is level31.P_layout
         W = _block(np.random.default_rng(5), 15)
-        cached = rounded_matvec(level31.P_layout, W, FMT)
-        fresh = rounded_matvec(level31.P, W, FMT)
+        cached = rounded_matvec(level31.P_layout, W, FMT, eta_abs=level31.eta_P)
+        fresh = rounded_matvec(level31.P, W, FMT, eta_abs=abs_matrix_norm(level31.P))
         assert np.array_equal(cached.value, fresh.value)
         assert np.array_equal(cached.a_priori_bound, fresh.a_priori_bound)
         assert RowLayout.of(level31.A) is level31.A.row_layout
@@ -139,9 +141,10 @@ class TestCarrierOperations:
         M = make_jacobi(lvl.A, 2.0 / 3.0, CARRIER)
         pairs = [
             (quantize_vector(Y, CARRIER).value, Y),
-            (rounded_residual(lvl.A, Y, C, CARRIER).value, lvl.A.matrix @ Y - C),
-            (rounded_matvec(lvl.P_t_layout, Y, CARRIER).value, lvl.P_t @ Y),
-            (rounded_matvec(lvl.P_layout, Z, CARRIER).value, lvl.P @ Z),
+            (rounded_residual(lvl.A, Y, C, CARRIER, eta_abs=lvl.eta_A).value,
+             lvl.A.matrix @ Y - C),
+            (rounded_matvec(lvl.P_t_layout, Y, CARRIER, eta_abs=lvl.eta_P).value, lvl.P_t @ Y),
+            (rounded_matvec(lvl.P_layout, Z, CARRIER, eta_abs=lvl.eta_P).value, lvl.P @ Z),
             (rounded_add_sub(Y, C, "-", CARRIER).value, Y - C),
             (M.apply_rounded(Y, CARRIER).value, M.apply_exact(Y)),
         ]
@@ -253,12 +256,13 @@ class TestFailuresInOneColumn:
             rounded_add_sub(W, X, "+", FMT)
         with pytest.raises(ValueError):
             rounded_add_sub(X, W, "-", FMT)
+        eta_A, eta_P = level31.eta_A, level31.eta_P
         with pytest.raises(ValueError):
-            rounded_residual(level31.A, X, W, FMT)
+            rounded_residual(level31.A, X, W, FMT, eta_abs=eta_A)
         with pytest.raises(ValueError):
-            rounded_residual(level31.A, W, X, FMT)
+            rounded_residual(level31.A, W, X, FMT, eta_abs=eta_A)
         with pytest.raises(ValueError):
-            rounded_matvec(level31.P_t_layout, X, FMT)
+            rounded_matvec(level31.P_t_layout, X, FMT, eta_abs=eta_P)
         with pytest.raises(ValueError):
             jacobi31.apply_rounded(X, FMT)
         with pytest.raises(ValueError):
@@ -279,10 +283,11 @@ class TestFailuresInOneColumn:
         with pytest.raises(OverflowError):
             rounded_add_sub(_poison(W, BIG), _poison(W, BIG), "+", fmt)
         K = np.diag(np.full(31, 4.0))
+        eta = abs_matrix_norm(K)
         with pytest.raises(OverflowError):
-            rounded_matvec(K, _poison(W, BIG), fmt)
+            rounded_matvec(K, _poison(W, BIG), fmt, eta_abs=eta)
         with pytest.raises(OverflowError):
-            rounded_residual(K, _poison(W, BIG), W, fmt)
+            rounded_residual(K, _poison(W, BIG), W, fmt, eta_abs=eta)
         fmt12 = PrecisionFormat(12)
         M = make_jacobi(level31.A, 2.0 / 3.0, fmt12)
         # the Jacobi diagonal of the unit-norm matrix exceeds one
@@ -294,6 +299,6 @@ class TestFailuresInOneColumn:
         with pytest.raises(ValueError):
             rounded_add_sub(W, W[:, :2], "+", FMT)
         with pytest.raises(ValueError):
-            rounded_residual(level31.A, W, W[:, 0], FMT)
+            rounded_residual(level31.A, W, W[:, 0], FMT, eta_abs=level31.eta_A)
         with pytest.raises(ValueError):
             quantize_vector(W[None], FMT)

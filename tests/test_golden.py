@@ -21,7 +21,7 @@ from pathlib import Path
 
 import pytest
 
-from mixedmg.harness import ExperimentConfig, load_config
+from mixedmg.harness import ExperimentConfig, load_config, run_experiment
 
 ROOT = Path(__file__).resolve().parent.parent
 RESULTS = ROOT / "results"
@@ -69,6 +69,11 @@ _PINNED = {
         ExperimentConfig(problem="poisson2d", size=15, coarse="perturbed",
                          sigma=0.3, trials=30),
         "3074ef391a0656b96de136ca5971b45b9b959914e9f4ef3fb35947e1d9f22fd6"),
+    # sigma = 0.3 leaves rho_star at the exact solve's; 0.5 raises it
+    "perturbed2d_sigma05": (
+        ExperimentConfig(problem="poisson2d", size=15, coarse="perturbed",
+                         sigma=0.5, trials=30),
+        "854d3a99d2f4c2db4928fabf405d676827d28f8f7bb4c919a193577b155b4a9f"),
     "richardson1d": (
         ExperimentConfig(size=63, smoother="richardson", trials=30),
         "2694a3c4a6bf556f84c3374d0da42a0828d70a70365f671af80cb50c2c0ad960"),
@@ -145,6 +150,21 @@ def test_run_command_writes_golden_csv(tmp_path):
 def test_pinned_csv_digest(rendered, name):
     _, digest = _PINNED[name]
     assert hashlib.sha256(rendered[name].encode()).hexdigest() == digest
+
+
+def test_pinned_perturbation_raises_rho_star():
+    # the perturbed bound sees its perturbation: at every format its
+    # rho_star is above that of the exact solve on the same grid
+    config, _ = _PINNED["perturbed2d_sigma05"]
+    one = replace(config, trials=1)
+    exact = replace(one, coarse="exact", sigma=0.0)
+
+    def rho(cfg):
+        return {r.report.significand_bits: r.report.rho_star for r in run_experiment(cfg)}
+
+    perturbed, unperturbed = rho(one), rho(exact)
+    assert set(perturbed) == set(unperturbed) == set(config.bits)
+    assert all(perturbed[b] > unperturbed[b] for b in config.bits), (perturbed, unperturbed)
 
 
 def test_first_difference_names_the_line():

@@ -290,7 +290,7 @@ class TestRunExperiment:
 
         import scipy.linalg
 
-        from mixedmg import fourier, hierarchy
+        from mixedmg import fourier
 
         def count(owners, fn, record=lambda *args: None):
             calls = []
@@ -306,7 +306,7 @@ class TestRunExperiment:
             return calls
 
         modules = [m for name, m in sys.modules.items() if name.startswith("mixedmg")]
-        reads = count([hierarchy], hierarchy._stencil,
+        reads = count(modules, fourier._stencil,
                       lambda M, *_: (M.shape, M.data.tobytes(), M.indices.tobytes()))
         ends = count(modules, fourier.symbol_ends)
         factors = count([scipy.linalg], scipy.linalg.cholesky_banded)
@@ -555,6 +555,17 @@ class TestCli:
             "--alpha-m", "1", "--alpha-n", "1", "--m-a", "1023", "--m-p", "2",
         ])
         assert code == 2
+
+    @pytest.mark.parametrize("bits", ["1", "54", "60"])
+    def test_bounds_bits_outside_the_carrier_exits_2(self, capsys, bits):
+        # --bits names a format, which the 53-bit carrier must emulate
+        assert cli_main([
+            "bounds", "--bits", bits, "--kappa", "4", "--kappa-c", "2",
+            "--eta-a", "1", "--eta-p", "2", "--eta-m", "1", "--eta-n", "1",
+            "--alpha-m", "1", "--alpha-n", "1", "--m-a", "3", "--m-p", "2",
+        ]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "significand_bits" in captured.err
 
     def test_bounds_requires_exactly_one_precision_flag(self, capsys):
         base = ["bounds", "--kappa", "1", "--kappa-c", "1", "--eta-a", "1",

@@ -323,13 +323,13 @@ class TestEigenvalueBound:
         assert M.eta_energy == M.eta_euclid == c
 
     def test_pencil_with_diagonal_b_is_the_scaled_matrix(self):
-        # a relaxation whose diagonal is not constant has no symbol: it is
-        # refused at construction, naming the smoother
+        # a matrix whose diagonal is not constant is no stencil matrix: Jacobi
+        # on it is refused at construction, naming the matrix
         d = np.linspace(2.5, 3.5, 15)
         A = SparseSpd(sparse.diags_array([-np.ones(14), d, -np.ones(14)],
                                          offsets=[-1, 0, 1]))
         with pytest.raises(StructureError,
-                           match="^jacobi smoother does not have a constant diagonal"):
+                           match="^the 15x15 matrix is not the matrix of its stencil"):
             make_jacobi(A, 2.0 / 3.0, PrecisionFormat(12))
 
     def test_same_bits_on_every_call(self):

@@ -13,6 +13,7 @@ from mixedmg import (
     CARRIER_BITS,
     PrecisionFormat,
     PrecisionTooLowError,
+    abs_matrix_norm,
     quantize_vector,
     round_scalar,
     round_vector,
@@ -180,29 +181,34 @@ class TestRoundedResidual:
     def test_identity_rows_cancel(self):
         fmt = PrecisionFormat(8)
         w = round_vector(np.random.default_rng(5).standard_normal(16), fmt)
-        out = rounded_residual(np.eye(16), w, w, fmt)
+        K = np.eye(16)
+        out = rounded_residual(K, w, w, fmt, eta_abs=abs_matrix_norm(K))
         assert np.array_equal(out.value, np.zeros(16))
 
     def test_zero_inputs_zero_bound(self):
         fmt = PrecisionFormat(8)
-        out = rounded_residual(poisson_1d(7).matrix, np.zeros(7), np.zeros(7), fmt)
+        K = poisson_1d(7).matrix
+        out = rounded_residual(K, np.zeros(7), np.zeros(7), fmt,
+                               eta_abs=abs_matrix_norm(K))
         assert np.array_equal(out.value, np.zeros(7))
         assert out.a_priori_bound == 0.0
 
     def test_precision_too_low(self):
         # (m + 1) * u = 4 * 0.25 = 1 for the tridiagonal stencil at 2 bits
+        K = poisson_1d(7).matrix
         with pytest.raises(PrecisionTooLowError):
-            rounded_residual(poisson_1d(7).matrix, np.ones(7), np.ones(7),
-                             PrecisionFormat(2))
+            rounded_residual(K, np.ones(7), np.ones(7), PrecisionFormat(2),
+                             eta_abs=abs_matrix_norm(K))
 
     def test_error_within_bound_1000_draws(self):
         fmt = PrecisionFormat(8)
         K = poisson_1d(24).matrix
+        eta = abs_matrix_norm(K)
         rng = np.random.default_rng(6)
         for _ in range(1000):
             w = round_vector(rng.standard_normal(24), fmt)
             c = round_vector(rng.standard_normal(24), fmt)
-            out = rounded_residual(K, w, c, fmt)
+            out = rounded_residual(K, w, c, fmt, eta_abs=eta)
             exact = K @ w - c
             assert np.linalg.norm(out.value - exact) <= out.a_priori_bound
 
@@ -211,21 +217,24 @@ class TestRoundedMatvec:
     def test_identity_is_exact(self):
         fmt = PrecisionFormat(7)
         w = round_vector(np.random.default_rng(7).standard_normal(9), fmt)
-        out = rounded_matvec(np.eye(9), w, fmt)
+        K = np.eye(9)
+        out = rounded_matvec(K, w, fmt, eta_abs=abs_matrix_norm(K))
         assert np.array_equal(out.value, w)
 
     def test_zero_vector(self):
-        out = rounded_matvec(poisson_1d(5).matrix, np.zeros(5), PrecisionFormat(8))
+        K = poisson_1d(5).matrix
+        out = rounded_matvec(K, np.zeros(5), PrecisionFormat(8), eta_abs=abs_matrix_norm(K))
         assert np.array_equal(out.value, np.zeros(5))
         assert out.a_priori_bound == 0.0
 
     def test_interpolation_error_within_bound_1000_draws(self):
         fmt = PrecisionFormat(8)
         P = linear_interpolation(31)
+        eta = abs_matrix_norm(P)
         rng = np.random.default_rng(8)
         for _ in range(1000):
             wc = round_vector(rng.standard_normal(15), fmt)
-            out = rounded_matvec(P, wc, fmt)
+            out = rounded_matvec(P, wc, fmt, eta_abs=eta)
             exact = P @ wc
             assert np.linalg.norm(out.value - exact) <= out.a_priori_bound
 
@@ -233,10 +242,11 @@ class TestRoundedMatvec:
         # 3 nonzeros per row of the transposed interpolation
         fmt = PrecisionFormat(8)
         Pt = linear_interpolation(31).T
+        eta = abs_matrix_norm(Pt)
         rng = np.random.default_rng(9)
         for _ in range(200):
             w = round_vector(rng.standard_normal(31), fmt)
-            out = rounded_matvec(Pt, w, fmt)
+            out = rounded_matvec(Pt, w, fmt, eta_abs=eta)
             assert np.linalg.norm(out.value - Pt @ w) <= out.a_priori_bound
 
 
@@ -246,8 +256,8 @@ class TestOperatorDuckTyping:
         fmt = PrecisionFormat(10)
         A = poisson_1d(9)
         w = round_vector(np.random.default_rng(12).standard_normal(9), fmt)
-        via_wrapper = rounded_matvec(A, w, fmt)
-        via_csr = rounded_matvec(A.matrix, w, fmt)
+        via_wrapper = rounded_matvec(A, w, fmt, eta_abs=abs_matrix_norm(A))
+        via_csr = rounded_matvec(A.matrix, w, fmt, eta_abs=abs_matrix_norm(A.matrix))
         assert np.array_equal(via_wrapper.value, via_csr.value)
         assert via_wrapper.a_priori_bound == via_csr.a_priori_bound
 
@@ -256,6 +266,7 @@ class TestCarrierWidthExactness:
     def test_all_kernels_exact_at_carrier_width(self):
         rng = np.random.default_rng(10)
         K = poisson_1d(12).matrix
+        eta = abs_matrix_norm(K)
         w = rng.standard_normal(12)
         c = rng.standard_normal(12)
         assert np.array_equal(quantize_vector(w, CARRIER).value, w)
@@ -264,10 +275,10 @@ class TestCarrierWidthExactness:
         # row-sequential accumulation in the carrier matches a plain
         # CSR matvec evaluated in the same order
         assert np.allclose(
-            rounded_residual(K, w, c, CARRIER).value, K @ w - c,
+            rounded_residual(K, w, c, CARRIER, eta_abs=eta).value, K @ w - c,
             rtol=0, atol=1e-15)
         assert np.allclose(
-            rounded_matvec(K, w, CARRIER).value, K @ w, rtol=0, atol=1e-15)
+            rounded_matvec(K, w, CARRIER, eta_abs=eta).value, K @ w, rtol=0, atol=1e-15)
 
     def test_bits_above_25_still_certified(self):
         # double rounding through the carrier cannot occur for products and
@@ -276,8 +287,9 @@ class TestCarrierWidthExactness:
         fmt = PrecisionFormat(40)
         rng = np.random.default_rng(11)
         K = poisson_1d(16).matrix
+        eta = abs_matrix_norm(K)
         for _ in range(100):
             w = round_vector(rng.standard_normal(16), fmt)
             c = round_vector(rng.standard_normal(16), fmt)
-            out = rounded_residual(K, w, c, fmt)
+            out = rounded_residual(K, w, c, fmt, eta_abs=eta)
             assert np.linalg.norm(out.value - (K @ w - c)) <= out.a_priori_bound
