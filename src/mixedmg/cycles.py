@@ -24,11 +24,14 @@ realized by a recursive cycle; in :func:`v_cycle` it is the V-cycle one
 level down.  Every coarse solve carries its Fourier form, from which
 :func:`rho_star` is certified.
 
-:func:`tg_cycle` runs the sequence with ``mu = nu = 1`` in the working
-format and in the carrier, and measures, for every step, the deviation of
-the computed quantity from the exact reference, in the norm the
-accumulation proof uses for that line (see
-:data:`mixedmg.bounds.PROOF_LINES`).
+The sequence is a generator of its named stages.  :func:`tg_cycle` runs it
+with ``mu = nu = 1`` in the working format and in the carrier, in lockstep,
+and measures, for every step, the deviation of the computed quantity from
+the exact reference, in the norm the accumulation proof uses for that line
+(see :data:`mixedmg.bounds.PROOF_LINES`).  Each line is measured as soon as
+the stages it reads exist, and each stage is released once no later line
+reads it, so a cycle holds a few blocks at a time rather than both full
+sequences.  :func:`v_cycle` runs the sequence to its end.
 
 Every cycle, coarse solve and relaxation takes one right-hand side ``(n,)``
 or a block ``(n, T)`` of them, which runs through each kernel in one call.
@@ -308,26 +311,6 @@ class CycleTrace:
         return energy_norm(self.y - self.y_reference, self.A)
 
 
-@dataclass(frozen=True, eq=False)
-class _Stages:
-    """The named intermediates of one cycle.
-
-    ``r`` is the rounded right-hand side; ``r_nu`` and ``r_N`` come from the
-    last post-relaxation sweep and are None when ``nu = 0``.
-    """
-
-    r: np.ndarray
-    y_mu: np.ndarray
-    r_mu: np.ndarray
-    r_c: np.ndarray
-    d_c: np.ndarray
-    d: np.ndarray
-    y_nu: np.ndarray
-    r_nu: np.ndarray | None
-    r_N: np.ndarray | None
-    y: np.ndarray
-
-
 def _operations(level: GridLevel, fmt: PrecisionFormat):
     """The five operations of a cycle step on ``level`` in ``fmt``.
 
@@ -357,28 +340,40 @@ def _check_coarse(level: GridLevel, coarse: CoarseSolver):
 
 
 def _cycle(level: GridLevel, r, M: RelaxationOp, N: RelaxationOp, mu: int,
-           nu: int, coarse, fmt: PrecisionFormat) -> _Stages:
-    """The cycle's step sequence in ``fmt``; ``coarse`` maps ``r_c`` to ``d_c``."""
+           nu: int, coarse, fmt: PrecisionFormat):
+    """The cycle's step sequence in ``fmt``; ``coarse`` maps ``r_c`` to ``d_c``.
+
+    A generator of ``(stage, value)`` pairs in step order: ``r`` (the
+    rounded right-hand side), ``y_mu``, ``r_mu``, ``r_c``, ``d_c``, ``d``,
+    ``y_nu``, then ``r_nu``, ``r_N`` and ``y`` for each post-relaxation
+    sweep.  The last value is the cycle's result.  The generator keeps only
+    ``r``, the iterate and the latest stage, so a consumer that drops a
+    stage releases it.
+    """
     relax, residual, restrict, prolong, subtract = _operations(level, fmt)
     rq = quantize_vector(r, fmt).value  # rejects a non-finite right-hand side
+    yield "r", rq
     y = np.zeros_like(rq)
     for sweep in range(mu):
-        if sweep == 0:
-            y = relax(M, rq)
-        else:
-            y = subtract(y, relax(M, residual(y, rq)))
-    y_mu = y
-    r_mu = residual(y_mu, rq)
-    r_c = restrict(r_mu)
-    d_c = coarse(r_c)
-    d = prolong(d_c)
-    y = y_nu = subtract(y_mu, d)
-    r_nu = r_N = None
+        y = relax(M, rq) if sweep == 0 else subtract(y, relax(M, residual(y, rq)))
+    yield "y_mu", y
+    z = residual(y, rq)
+    yield "r_mu", z
+    z = restrict(z)
+    yield "r_c", z
+    z = coarse(z)
+    yield "d_c", z
+    z = prolong(z)
+    yield "d", z
+    y = subtract(y, z)
+    yield "y_nu", y
     for _ in range(nu):
-        r_nu = residual(y, rq)
-        r_N = relax(N, r_nu)
-        y = subtract(y, r_N)
-    return _Stages(rq, y_mu, r_mu, r_c, d_c, d, y_nu, r_nu, r_N, y)
+        z = residual(y, rq)
+        yield "r_nu", z
+        z = relax(N, z)
+        yield "r_N", z
+        y = subtract(y, z)
+        yield "y", y
 
 
 def tg_cycle(level: GridLevel, r, M: RelaxationOp, N: RelaxationOp,
@@ -389,36 +384,59 @@ def tg_cycle(level: GridLevel, r, M: RelaxationOp, N: RelaxationOp,
     Returns the computed result and a :class:`CycleTrace` whose entries are
     measured against the exact reference computed with the same ``M``,
     ``N`` and coarse solver.
+
+    The cycle and its reference advance in lockstep, one stage at a time:
+    each proof line is measured as soon as its stages exist, and a stage is
+    released once no later line reads it.
     """
     _check_coarse(level, coarse)
-    s = _cycle(level, r, M, N, 1, 1, coarse.apply, fmt)
-    ref = _cycle(level, r, M, N, 1, 1, coarse.apply, CARRIER)
+    cycle = zip(_cycle(level, r, M, N, 1, 1, coarse.apply, fmt),
+                _cycle(level, r, M, N, 1, 1, coarse.apply, CARRIER))
+
+    def stage(name):
+        """The next computed stage and its reference."""
+        (got, value), (_, reference) = next(cycle)
+        assert got == name
+        return value, reference
+
     # step oracles: the carrier operation applied to the computed inputs
     relax, residual, restrict, prolong, subtract = _operations(level, CARRIER)
-
     euclid = column_norms
     e_A = lambda v: energy_norm(v, level.A)  # noqa: E731
     e_Ac = lambda v: energy_norm(v, level.A_c)  # noqa: E731
-    norms = {
-        "rhs_quantize": euclid(s.r - ref.r),
-        "pre_relax_step": euclid(s.y_mu - relax(M, s.r)),
-        "pre_relax_total": euclid(s.y_mu - ref.y_mu),
-        "pre_residual_step": euclid(s.r_mu - residual(s.y_mu, s.r)),
-        "pre_residual_total": euclid(s.r_mu - ref.r_mu),
-        "restrict_step": euclid(s.r_c - restrict(s.r_mu)),
-        "coarse_correction_total": e_Ac(s.d_c - ref.d_c),
-        "prolong_step": e_A(s.d - prolong(s.d_c)),
-        "prolong_total": e_A(s.d - ref.d),
-        "correction_sub_step": euclid(s.y_nu - subtract(s.y_mu, s.d)),
-        "corrected_total": e_A(s.y_nu - ref.y_nu),
-        "post_residual_step": e_A(s.r_nu - residual(s.y_nu, s.r)),
-        "post_residual_total": e_A(s.r_nu - ref.r_nu),
-        "post_relax_step": euclid(s.r_N - relax(N, s.r_nu)),
-        "post_relax_total": e_A(s.r_N - ref.r_N),
-        "final_sub_step": e_A(s.y - subtract(s.y_nu, s.r_N)),
-    }
-    assert set(norms) == set(PROOF_LINES)
-    return s.y, CycleTrace(line_norms=norms, y_reference=ref.y, y=s.y, A=level.A)
+    norms = {}
+    rq, ref = stage("r")
+    norms["rhs_quantize"] = euclid(rq - ref)
+    y_mu, ref = stage("y_mu")
+    norms["pre_relax_step"] = euclid(y_mu - relax(M, rq))
+    norms["pre_relax_total"] = euclid(y_mu - ref)
+    r_mu, ref = stage("r_mu")
+    norms["pre_residual_step"] = euclid(r_mu - residual(y_mu, rq))
+    norms["pre_residual_total"] = euclid(r_mu - ref)
+    r_c, ref = stage("r_c")
+    norms["restrict_step"] = euclid(r_c - restrict(r_mu))
+    del r_mu, r_c
+    d_c, ref = stage("d_c")
+    norms["coarse_correction_total"] = e_Ac(d_c - ref)
+    d, ref = stage("d")
+    norms["prolong_step"] = e_A(d - prolong(d_c))
+    norms["prolong_total"] = e_A(d - ref)
+    del d_c
+    y_nu, ref = stage("y_nu")
+    norms["correction_sub_step"] = euclid(y_nu - subtract(y_mu, d))
+    norms["corrected_total"] = e_A(y_nu - ref)
+    del y_mu, d
+    r_nu, ref = stage("r_nu")
+    norms["post_residual_step"] = e_A(r_nu - residual(y_nu, rq))
+    norms["post_residual_total"] = e_A(r_nu - ref)
+    r_N, ref = stage("r_N")
+    norms["post_relax_step"] = euclid(r_N - relax(N, r_nu))
+    norms["post_relax_total"] = e_A(r_N - ref)
+    del r_nu
+    y, y_ref = stage("y")
+    norms["final_sub_step"] = e_A(y - subtract(y_nu, r_N))
+    assert list(norms) == list(PROOF_LINES)
+    return y, CycleTrace(line_norms=norms, y_reference=y_ref, y=y, A=level.A)
 
 
 def rho_star(level: GridLevel, M: RelaxationOp, N: RelaxationOp,
@@ -469,4 +487,6 @@ def v_cycle(levels, mu: int, nu: int, r, fmt: PrecisionFormat, *,
         coarse = lambda r_c: v_cycle(levels[1:], mu, nu, r_c, fmt,  # noqa: E731
                                      smoothers=smoothers[1:])
     M, N = smoothers[0]
-    return _cycle(level, r, M, N, mu, nu, coarse, fmt).y
+    for _, y in _cycle(level, r, M, N, mu, nu, coarse, fmt):
+        pass  # the last stage is the cycle's result
+    return y

@@ -110,9 +110,6 @@ class SparseSpd:
         # max absolute row sum, a cheap upper bound on the spectral norm
         return float(abs(self._matrix).sum(axis=1).max(initial=0.0))
 
-    def diagonal(self) -> np.ndarray:
-        return self._matrix.diagonal()
-
     def apply(self, w: np.ndarray) -> np.ndarray:
         return self._matrix @ w
 

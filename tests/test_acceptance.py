@@ -163,10 +163,10 @@ def test_a4_exact_arithmetic_structure():
             r = rng.standard_normal(31)
             x = solve_spd(lvl.A, r)
             xn = energy_norm(x, lvl.A)
-            st = _cycle(lvl, r, M, N, 1, 1, coarse.apply, CARRIER)
-            ynu = energy_norm(st.y_nu - x, lvl.A) / xn
-            dc = float(np.linalg.norm(st.d_c)) / xn
-            ytot = energy_norm(st.y, lvl.A) / xn
+            st = dict(_cycle(lvl, r, M, N, 1, 1, coarse.apply, CARRIER))
+            ynu = energy_norm(st["y_nu"] - x, lvl.A) / xn
+            dc = float(np.linalg.norm(st["d_c"])) / xn
+            ytot = energy_norm(st["y"], lvl.A) / xn
             worst_ynu = max(worst_ynu, ynu)
             worst_dc = max(worst_dc, dc)
             worst_y = max(worst_y, ytot)

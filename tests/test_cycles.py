@@ -16,6 +16,7 @@ from mixedmg import (
     PROOF_LINES,
     PrecisionFormat,
     SparseSpd,
+    build_multilevel,
     energy_norm,
     make_exact_coarse,
     make_jacobi,
@@ -38,8 +39,8 @@ FMT12 = PrecisionFormat(12)
 
 
 def _exact_stages(level, r, M, N, coarse):
-    """The intermediates of the exact two-grid cycle."""
-    return _cycle(level, r, M, N, 1, 1, coarse.apply, CARRIER)
+    """The intermediates of the exact two-grid cycle, by stage name."""
+    return dict(_cycle(level, r, M, N, 1, 1, coarse.apply, CARRIER))
 
 
 def assert_direct_solve(solver, level):
@@ -133,7 +134,7 @@ class TestPerturbedCoarse:
 class TestExactReference:
     def test_zero_rhs(self, level31, jacobi31):
         M, N = jacobi31
-        y = _exact_stages(level31, np.zeros(31), M, N, make_exact_coarse(level31)).y
+        y = _exact_stages(level31, np.zeros(31), M, N, make_exact_coarse(level31))["y"]
         assert np.array_equal(y, np.zeros(31))
 
     def test_error_within_rho_star(self, level31, jacobi31):
@@ -144,7 +145,7 @@ class TestExactReference:
         for _ in range(100):
             r = rng.standard_normal(31)
             x = solve_spd(level31.A, r)
-            y = _exact_stages(level31, r, M, N, coarse).y
+            y = _exact_stages(level31, r, M, N, coarse)["y"]
             assert (energy_norm(y - x, level31.A)
                     <= rho * energy_norm(x, level31.A) * (1 + 1e-11))
 
@@ -160,7 +161,7 @@ class TestExactReference:
             x = solve_spd(level31.A, r)
             stages = _exact_stages(level31, r, M, N, coarse)
             xn = energy_norm(x, level31.A)
-            assert energy_norm(stages.y_nu - x, level31.A) <= (1 + 1e-10) * xn
+            assert energy_norm(stages["y_nu"] - x, level31.A) <= (1 + 1e-10) * xn
 
     @pytest.mark.parametrize("sigma", [0.0, 0.3, 0.9])
     def test_coarse_correction_euclid_bound(self, level31, jacobi31, sigma):
@@ -172,7 +173,7 @@ class TestExactReference:
             r = rng.standard_normal(31)
             x = solve_spd(level31.A, r)
             stages = _exact_stages(level31, r, M, N, coarse)
-            assert (np.linalg.norm(stages.d_c)
+            assert (np.linalg.norm(stages["d_c"])
                     <= bound_factor * energy_norm(x, level31.A) * (1 + 1e-12))
 
     @pytest.mark.parametrize("sigma", [0.0, 0.3, 0.9])
@@ -184,7 +185,7 @@ class TestExactReference:
         for _ in range(100):
             r = rng.standard_normal(31)
             x = solve_spd(level31.A, r)
-            y = _exact_stages(level31, r, M, N, coarse).y
+            y = _exact_stages(level31, r, M, N, coarse)["y"]
             assert (energy_norm(y, level31.A)
                     <= 2.0 * energy_norm(x, level31.A) * (1 + 1e-12))
 
@@ -234,6 +235,35 @@ class TestTgCycle:
             y, _ = tg_cycle(level31, r, M, N, coarse, FMT12)
             assert (energy_norm(y - x, level31.A)
                     <= report.rho_tg * energy_norm(x, level31.A))
+
+    @pytest.mark.parametrize("problem, size, levels, variant, T", [
+        ("poisson1d", 255, 2, "exact", 50),
+        ("poisson1d", 255, 4, "recursive", 50),
+        ("poisson2d", 31, 2, "exact", 20),
+        ("poisson2d", 31, 2, "perturbed", 20),
+    ])
+    def test_lockstep_trace_peak_memory(self, jacobi_pairs, problem, size,
+                                        levels, variant, T):
+        # the cycle and its reference advance stage by stage and drop every
+        # stage no later line reads, so a cycle holds a few blocks at a time
+        import tracemalloc
+
+        hierarchy = build_multilevel(size, levels, problem=problem)
+        lvl = hierarchy[0]
+        coarse = {"exact": lambda: make_exact_coarse(lvl),
+                  "perturbed": lambda: make_perturbed_coarse(lvl, 0.3, seed=1),
+                  "recursive": lambda: make_recursive_coarse(
+                      hierarchy, 1, 1, jacobi_pairs(hierarchy[1:]))}[variant]()
+        M = make_jacobi(lvl.A, 2.0 / 3.0, FMT12)
+        r = np.random.default_rng(8).standard_normal((lvl.n, T))
+        tg_cycle(lvl, r, M, M, coarse, FMT12)  # first use fills the set-up caches
+        tracemalloc.start()
+        try:
+            tg_cycle(lvl, r, M, M, coarse, FMT12)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16 * r.nbytes
 
 
 class TestRhoStar:

@@ -210,6 +210,30 @@ class TestRunExperiment:
         second = render_csv(run_experiment(cfg))
         assert first == second
 
+    @pytest.mark.parametrize("trials, widths", [
+        (200, [50] * 4), (100, [50, 50]), (65, [33, 32]), (20, [20]),
+    ])
+    def test_trials_split_into_balanced_blocks(self, monkeypatch, trials, widths):
+        seen = []
+        original = harness.tg_cycle
+
+        def recording(level, r, *args):
+            seen.append(r.shape[1])
+            return original(level, r, *args)
+
+        monkeypatch.setattr(harness, "tg_cycle", recording)
+        records = run_experiment(ExperimentConfig(size=15, bits=(12,), trials=trials))
+        assert seen == widths
+        assert [rec.trial for rec in records] == list(range(trials))
+
+    def test_block_width_never_shows_in_the_csv(self, monkeypatch):
+        cfg = ExperimentConfig(size=15, bits=(8, 12), trials=130, rng_seed=4)
+        rendered = []
+        for cap in (1, 64, 130):
+            monkeypatch.setattr(harness, "_TRIAL_BLOCK", cap)
+            rendered.append(render_csv(run_experiment(cfg)))
+        assert rendered[0] == rendered[1] == rendered[2]
+
     def test_carrier_width_matches_reference(self):
         cfg = ExperimentConfig(size=15, bits=(CARRIER_BITS,), trials=10,
                                rng_seed=3)

@@ -50,7 +50,7 @@ class TestPoisson1d:
 
 class TestPoisson2d:
     def test_diagonal_entries(self):
-        assert np.all(poisson_2d(3).diagonal() == 4.0)
+        assert np.all(poisson_2d(3).matrix.diagonal() == 4.0)
 
     def test_spd_by_construction(self):
         poisson_2d(5)  # Cholesky runs inside the constructor
