@@ -18,11 +18,12 @@ and repeats steps 8-10 for each of ``nu`` post-relaxation sweeps.  In a
 reduced format the steps other than 5 run through the certified kernels of
 :mod:`mixedmg.precision`; in the carrier they are the plain float64
 operations, which give the bits of those kernels at 53 bits.  The
-exact-arithmetic reference is this sequence in the carrier.  Step 5 is a
-carrier-precision solve, optionally perturbed in the coarse sine basis or
-realized by a recursive cycle; in :func:`v_cycle` it is the V-cycle one
-level down.  Every coarse solve carries its Fourier form, from which
-:func:`rho_star` is certified.
+exact-arithmetic reference is this sequence in the carrier.  Step 5 is one
+of two carrier maps: a sine-mode solve (:class:`SineSolve`, the exact solve
+or its perturbation in the coarse sine basis, one transform pair either
+way) or a recursive cycle (:class:`CarrierCycle`); in :func:`v_cycle` it is
+the V-cycle one level down.  Every coarse solve carries its Fourier form,
+from which :func:`rho_star` is certified.
 
 The sequence is a generator of its named stages.  :func:`tg_cycle` runs it
 with ``mu = nu = 1`` in the working format and in the carrier, in lockstep,
@@ -49,7 +50,7 @@ import numpy as np
 from . import fourier
 from .bounds import PROOF_LINES
 from .hierarchy import GridLevel, spectrum_ends
-from .linops import SparseSpd, energy_norm, solve_spd
+from .linops import SparseSpd, energy_norm, sine_transform, solve_spd
 from .precision import (
     CARRIER,
     PrecisionFormat,
@@ -151,24 +152,21 @@ def make_richardson(A: SparseSpd, omega: float, fmt: PrecisionFormat) -> Relaxat
 class CarrierCycle:
     """The carrier V(mu, nu)-cycle that solves ``level.A_c``, as a map.
 
-    ``levels`` are the two-grid levels below ``level``, with one ``(M, N)``
-    pair each in ``smoothers``; with no levels the cycle is the direct solve
-    of ``A_c``.  :attr:`fourier` is its Fourier form.
+    ``levels`` are the two-grid levels below ``level``, at least one, with
+    one ``(M, N)`` pair each in ``smoothers``.  :attr:`fourier` is its
+    Fourier form.
     """
 
     level: GridLevel
-    levels: tuple = ()
-    smoothers: tuple = ()
+    levels: tuple
+    smoothers: tuple
     mu: int = 1
     nu: int = 1
 
     def __post_init__(self):
-        if self.levels:
-            _check_cycle(self.levels, self.mu, self.nu, self.smoothers)
+        _check_cycle(self.levels, self.mu, self.nu, self.smoothers)
 
     def __call__(self, r_c: np.ndarray) -> np.ndarray:
-        if not self.levels:
-            return solve_spd(self.level.A_c, r_c)
         return v_cycle(self.levels, self.mu, self.nu, r_c, CARRIER,
                        smoothers=self.smoothers)
 
@@ -180,30 +178,28 @@ class CarrierCycle:
 
 
 @dataclass(frozen=True, eq=False)
-class SinePerturbation:
-    """The perturbed coarse solve ``B_c A_c^{-1}`` with ``B_c = Phi diag(f) Phi'``.
+class SineSolve:
+    """The coarse solve ``B_c A_c^{-1}`` with ``B_c = Phi diag(f) Phi'``.
 
     ``Phi`` is the orthonormal DST-I of the coarse grid, in Kronecker order
-    in 2D, and ``factors`` holds the stored ``f_j = fl(1 + sigma s_j)`` per
-    sine mode, shaped as the grid.  An apply is the direct solve, a forward
-    transform, a scale by ``f`` and the inverse transform; the transforms
-    give each column of a block the bits it gets alone.  :attr:`fourier` is
-    the direct solve's blocks with coarse mode ``j`` scaled by ``f_j``.
+    in 2D, which diagonalises ``A_c``, and ``factors`` holds the stored
+    ``f_j`` per sine mode, in that order: all ones for the exact solve.
+    An apply is one transform pair, ``Phi (f Phi' r_c / lambda)`` with
+    ``lambda`` the eigenvalues of ``A_c``; with ``f = 1`` it is
+    :func:`mixedmg.linops.solve_spd` bit for bit.  :attr:`fourier` is the
+    direct solve's blocks with coarse mode ``j`` scaled by ``f_j``.
     """
 
     level: GridLevel
     factors: np.ndarray = field(repr=False)
 
     def __call__(self, r_c: np.ndarray) -> np.ndarray:
-        # imported on the first apply: a run without a perturbed solve never loads it
-        import scipy.fft
-        x = solve_spd(self.level.A_c, r_c)
-        grid = self.factors.shape
-        axes = tuple(range(len(grid)))
-        modes = scipy.fft.dstn(x.reshape(grid + x.shape[1:]), type=1, axes=axes,
-                               norm="ortho")
-        modes *= self.factors.reshape(grid + (1,) * (x.ndim - 1))
-        return scipy.fft.idstn(modes, type=1, axes=axes, norm="ortho").reshape(x.shape)
+        lam = self.level.A_c.sine_eigenvalues
+        modes = sine_transform(r_c, lam.shape)
+        per_mode = (-1, *(1,) * (modes.ndim - 1))
+        modes *= self.factors.reshape(per_mode)
+        modes /= lam.reshape(per_mode)
+        return sine_transform(modes, lam.shape)
 
     @cached_property
     def fourier(self) -> fourier.CoarseBlocks:
@@ -212,7 +208,7 @@ class SinePerturbation:
         # the direct solve has one class: every coarse mode, a 1x1 block each
         (key, X), = direct.X.items()
         return fourier.CoarseBlocks(self.level, direct.classes,
-                                    {key: X * self.factors.reshape(-1, 1, 1)})
+                                    {key: X * self.factors[:, None, None]})
 
 
 @dataclass(frozen=True, eq=False)
@@ -229,7 +225,7 @@ class CoarseSolver:
     """
 
     level: GridLevel
-    correction: CarrierCycle | SinePerturbation = field(repr=False)
+    correction: CarrierCycle | SineSolve = field(repr=False)
     bc_deviation: float
 
     def apply(self, r_c: np.ndarray) -> np.ndarray:
@@ -237,9 +233,16 @@ class CoarseSolver:
         return self.correction(r_c)
 
 
+def _sine_coarse(level: GridLevel, factors: np.ndarray) -> CoarseSolver:
+    """The :class:`SineSolve` of ``level`` scaling coarse mode ``j`` by ``factors[j]``."""
+    factors.flags.writeable = False
+    return CoarseSolver(level, SineSolve(level, factors),
+                        float(np.abs(factors - 1.0).max()))
+
+
 def make_exact_coarse(level: GridLevel) -> CoarseSolver:
     """The direct carrier solve ``A_c^{-1} r_c`` of ``level``: ``B_c = I``."""
-    return CoarseSolver(level, CarrierCycle(level), 0.0)
+    return _sine_coarse(level, np.ones(level.n_c))
 
 
 def make_perturbed_coarse(level: GridLevel, sigma: float, seed: int = 0) -> CoarseSolver:
@@ -253,19 +256,12 @@ def make_perturbed_coarse(level: GridLevel, sigma: float, seed: int = 0) -> Coar
     ``max |f_j - 1|``.  Each ``f_j - 1`` is exact (Sterbenz, or ``f_j = 1 -
     sigma`` exactly when ``sigma >= 1/2``), so the deviation is ``sigma`` up
     to the rounding of ``1 + sigma s_j``, and ``sigma`` itself at
-    ``sigma = 1/2``.
+    ``sigma = 1/2``.  At ``sigma = 0`` every ``f_j`` is one: the exact solve.
     """
     if not 0.0 <= sigma < 1.0:
         raise ValueError(f"sigma must be in [0, 1), got {sigma}")
-    if sigma == 0.0:
-        return make_exact_coarse(level)
-    c = level.stencils
-    grid = ((c.k - 1) // 2,) * c.d
     signs = np.random.default_rng(seed).choice((-1.0, 1.0), size=level.n_c)
-    factors = (1.0 + sigma * signs).reshape(grid)
-    factors.flags.writeable = False
-    return CoarseSolver(level, SinePerturbation(level, factors),
-                        float(np.abs(factors - 1.0).max()))
+    return _sine_coarse(level, 1.0 + sigma * signs)
 
 
 def make_recursive_coarse(levels, mu: int, nu: int, smoothers) -> CoarseSolver:
@@ -473,9 +469,10 @@ def v_cycle(levels, mu: int, nu: int, r, fmt: PrecisionFormat, *,
     them.  Each level runs the step sequence of :func:`tg_cycle` with ``mu``
     pre- and ``nu`` post-relaxation sweeps, and its coarse correction is the
     V-cycle one level down; the coarsest system, ``levels[-1].A_c``, is
-    solved directly in the carrier.  In the carrier the cycle is the
-    exact-arithmetic proxy.  With one level and ``mu = nu = 1`` the result
-    is bit for bit that of :func:`tg_cycle` with an exact coarse solver.
+    solved directly in the carrier (:func:`mixedmg.linops.solve_spd`).  In
+    the carrier the cycle is the exact-arithmetic proxy.  With one level and
+    ``mu = nu = 1`` the result is bit for bit that of :func:`tg_cycle` with
+    an exact coarse solver.
 
     ``smoothers`` is required: one ``(M, N)`` pair per level.
     """

@@ -47,7 +47,9 @@ is no dense fallback.
 
 The same symbols give the set-up constants of :mod:`mixedmg.hierarchy`:
 :func:`symbol_ends` encloses the spectrum of a stencil matrix and
-:func:`interpolation_norm` the norm of a scaled interpolation.
+:func:`interpolation_norm` the norm of a scaled interpolation.  They also
+give the direct solves of :mod:`mixedmg.linops`: :func:`sine_eigenvalues`
+is a stencil matrix's eigenvalue on every sine mode.
 """
 
 from __future__ import annotations
@@ -325,6 +327,14 @@ def symbol_ends(c: np.ndarray, k: int) -> tuple[float, float]:
     s = _harmonics(np.array([[1, k]]), k)[0]
     lam = _symbol(c, [s] * c.ndim)
     return _down(lam.mid - lam.rad), _up(lam.mid + lam.rad)
+
+
+def sine_eigenvalues(c: np.ndarray, k: int) -> np.ndarray:
+    """The eigenvalues of the stencil ``c`` on ``k`` points per axis, on its
+    orthonormal sine modes, shaped as the grid (axis ``i`` holds mode ``j``
+    at index ``j - 1``): the mids of :func:`_symbol` over every mode."""
+    s = _harmonics(np.arange(1, k + 1)[:, None], k)[0]
+    return _symbol(c, [s] * c.ndim).mid.reshape((k,) * c.ndim)
 
 
 def interpolation_norm(p: float, d: int, k: int) -> float:

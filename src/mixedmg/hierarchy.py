@@ -324,9 +324,9 @@ def build_multilevel(n_finest: int, levels: int, problem: str = "poisson1d") -> 
     for ``poisson2d`` it is an ``n_finest``-by-``n_finest`` interior grid.
     Only the finest matrix is scaled: each level's ``A_c``, whose norm the
     scaled ``P`` bounds by one, is bit for bit the next level's ``A``, and
-    the coarsest grid is ``levels[-1].A_c``.  Only the matrices kept on the
-    levels are validated and factored; the unscaled finest one is read for
-    its norm alone.
+    the coarsest grid is ``levels[-1].A_c``.  Every matrix is validated
+    (symmetric, and positive definite by its certified lower symbol end)
+    and none is factored.
     """
     if levels < 2:
         raise ValueError("levels must be >= 2")
@@ -342,7 +342,7 @@ def build_multilevel(n_finest: int, levels: int, problem: str = "poisson1d") -> 
 
     out: list[GridLevel] = []
     size = n_finest
-    current = _scaled(SparseSpd(A, validate=False))
+    current = _scaled(SparseSpd(A))
     for _ in range(levels - 1):
         lvl = _level(current, interp(size))
         out.append(lvl)

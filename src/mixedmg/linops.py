@@ -1,19 +1,22 @@
 """High-precision sparse SPD linear algebra: direct solves and energy norms.
 
-Everything here runs in the float64 carrier.  Each :class:`SparseSpd` keeps
-one banded Cholesky factor ``A = L L'`` (bandwidth 1 for the 1D model
-problem, ``k`` for the 2D one), built once from the sparse entries, which
-serves the direct solves.  No operator norm is formed here: the spectral
-set-up constants come from stencil symbols (:mod:`mixedmg.hierarchy`), and
-``rho_star`` and the coarse deviations from Fourier blocks
-(:mod:`mixedmg.fourier`).  A :class:`SparseSpd` reads its stencil back once,
-on first use, with the reader of :mod:`mixedmg.fourier`, and keeps it with
-the certified ends of its symbol.
+Everything here runs in the float64 carrier.  Every :class:`SparseSpd` the
+cycles solve is a stencil matrix, which the orthonormal sine modes of its
+grid diagonalise: :func:`solve_spd` is one orthonormal DST-I pair, ``x =
+Phi (Phi' b / lambda)``, with ``lambda`` the matrix's eigenvalues on those
+modes from the stencil symbol (:func:`mixedmg.fourier.sine_eigenvalues`).
+No matrix is factored.  No operator norm is formed here either: the
+spectral set-up constants come from stencil symbols
+(:mod:`mixedmg.hierarchy`), and ``rho_star`` and the coarse deviations from
+Fourier blocks (:mod:`mixedmg.fourier`).  A :class:`SparseSpd` reads its
+stencil back once, on first use, with the reader of :mod:`mixedmg.fourier`,
+and keeps it with the certified ends of its symbol, whose lower end
+certifies that it is positive definite.
 
 :func:`energy_norm` and :func:`solve_spd` take a vector ``(n,)`` or a block
 ``(n, T)``, and each column of a block gives bit for bit what the same
 vector gives on its own: norms are summed over contiguous column copies,
-and the banded solve runs its triangular solves one column at a time.
+and the sine transforms treat each column alone.
 """
 
 from __future__ import annotations
@@ -21,11 +24,11 @@ from __future__ import annotations
 from functools import cached_property
 
 import numpy as np
-import scipy.linalg
+import scipy.fft
 import scipy.sparse as sparse
 
-from .fourier import _symmetric_stencil, symbol_ends
-from .precision import RowLayout, _columns, _csr, _per_column
+from .fourier import _symmetric_stencil, sine_eigenvalues, symbol_ends
+from .precision import RowLayout, _columns, _per_column
 
 _EPS = float(np.finfo(np.float64).eps)
 
@@ -35,13 +38,15 @@ class SpdError(ValueError):
 
 
 class SparseSpd:
-    """A sparse symmetric positive definite matrix with a cached banded factor.
+    """A sparse symmetric positive definite stencil matrix.
 
-    Symmetry is checked entrywise at construction and positive definiteness
-    is verified by the banded Cholesky factorization ``A = L L'``; with
-    ``validate=False`` neither runs, and the factor is built on first use.
-    Instances are immutable after construction and safe to share across
-    threads.
+    Symmetry is checked entrywise at construction, and positive
+    definiteness by the certified lower end of the stencil symbol
+    (:attr:`spectrum_ends`), so a matrix that is not a stencil matrix raises
+    :class:`mixedmg.fourier.StructureError`.  With ``validate=False``
+    neither check runs at construction; the definiteness check then runs
+    before the first solve.  Instances are immutable after construction and
+    safe to share across threads.
     """
 
     def __init__(self, matrix, *, validate: bool = True):
@@ -55,13 +60,19 @@ class SparseSpd:
         self._matrix = M
         if validate:
             self._check_symmetric()
-            self.cholesky  # noqa: B018  -- fails fast on non-PD input
+            self._check_definite()
 
     def _check_symmetric(self):
         gap = sparse.csr_array(self._matrix - self._matrix.T)
         scale = float(np.abs(self._matrix.data).max(initial=0.0))
         if gap.nnz and float(np.abs(gap.data).max()) > 8 * _EPS * max(scale, 1.0):
             raise SpdError("matrix is not symmetric")
+
+    def _check_definite(self):
+        lo = self.spectrum_ends[0]
+        if not lo > 0:
+            raise SpdError(f"the {self.n}x{self.n} matrix is not positive definite: "
+                           f"the lower end of its spectrum is {lo}")
 
     @property
     def matrix(self) -> sparse.csr_array:
@@ -93,17 +104,14 @@ class SparseSpd:
         return symbol_ends(*self.stencil)
 
     @cached_property
-    def band(self) -> np.ndarray:
-        """Lower band storage ``(b + 1, n)`` of the matrix, bandwidth ``b``."""
-        return _lower_band(self._matrix)
+    def sine_eigenvalues(self) -> np.ndarray:
+        """The eigenvalues on the orthonormal sine modes, shaped as the grid.
 
-    @cached_property
-    def cholesky(self) -> np.ndarray:
-        """The lower Cholesky factor ``L`` of ``A = L L'`` in lower band storage."""
-        try:
-            return scipy.linalg.cholesky_banded(self.band, lower=True)
-        except scipy.linalg.LinAlgError as exc:
-            raise SpdError(f"Cholesky factorization failed: {exc}") from exc
+        Computed once from the stencil symbol, after the check that the
+        matrix is positive definite.
+        """
+        self._check_definite()
+        return sine_eigenvalues(*self.stencil)
 
     @cached_property
     def _row_sum_bound(self) -> float:
@@ -131,31 +139,34 @@ def energy_norm(w, A: SparseSpd):
     return _per_column(np.sqrt(q), w)
 
 
-def _lower_band(K) -> np.ndarray:
-    """LAPACK lower band storage of a symmetric matrix: ``ab[i, j] = K[j + i, j]``.
+def sine_transform(x: np.ndarray, grid: tuple[int, ...]) -> np.ndarray:
+    """The orthonormal DST-I of a vector or block on ``grid``, its own inverse.
 
-    Built from the stored entries on and below the diagonal in one pass;
-    the entries above it are not read, and the unused corner of the
-    storage holds zeros.
+    ``x`` is ``(n,)`` or ``(n, T)`` with ``n`` the points of ``grid`` in C
+    order (Kronecker order in 2D); the result has the shape of ``x`` and
+    holds the coefficient of each sine mode.  Each column of a block gets
+    the bits it gets as a vector.
     """
-    M = _csr(K).tocoo()
-    lower = M.row >= M.col
-    depth = M.row[lower] - M.col[lower]
-    ab = np.zeros((int(depth.max(initial=0)) + 1, M.shape[0]))
-    ab[depth, M.col[lower]] = M.data[lower]
-    return ab
+    axes = tuple(range(len(grid)))
+    modes = scipy.fft.dstn(x.reshape(grid + x.shape[1:]), type=1, axes=axes,
+                           norm="ortho")
+    return modes.reshape(x.shape)
 
 
 def solve_spd(A: SparseSpd, b) -> np.ndarray:
-    """Direct Cholesky solve in the carrier; the 'exact' solve proxy.
+    """Direct sine-mode solve in the carrier; the 'exact' solve proxy.
 
-    ``b`` is a vector or an ``(n, T)`` block, solved in one LAPACK ``pbtrs``
-    call against the cached banded factor.  ``pbtrs`` runs its two
-    triangular band solves one column at a time, so each column of a block
-    gets the bits it gets alone.
+    ``b`` is a vector or an ``(n, T)`` block.  The solve is one transform
+    pair, ``x = Phi (Phi' b / lambda)``, with ``lambda`` the eigenvalues of
+    ``A`` on its sine modes (:attr:`SparseSpd.sine_eigenvalues`).  A
+    non-finite ``b`` or one of the wrong shape raises ``ValueError``.
     """
     b = np.asarray(b, dtype=np.float64)
     if b.ndim not in (1, 2) or b.shape[0] != A.n:
         raise ValueError(f"dimension mismatch: {b.shape} vs {A.n}")
-    x = scipy.linalg.cho_solve_banded((A.cholesky, True), b)
-    return np.ascontiguousarray(x)
+    if not np.isfinite(b).all():
+        raise ValueError("right-hand side has a non-finite entry")
+    lam = A.sine_eigenvalues
+    modes = sine_transform(b, lam.shape)
+    modes /= lam.reshape(-1, *(1,) * (b.ndim - 1))
+    return sine_transform(modes, lam.shape)

@@ -19,12 +19,19 @@ def dense(A) -> np.ndarray:
 
 
 def eigenvalues(A) -> np.ndarray:
-    """Ascending eigenvalues of a :class:`SparseSpd`, from its band.
+    """Ascending eigenvalues of a :class:`SparseSpd`, from its lower band.
 
-    LAPACK's banded reduction to tridiagonal form followed by a tridiagonal
-    eigenvalue solve, without eigenvectors.
+    The LAPACK lower band storage ``ab[i, j] = A[j + i, j]`` is built from
+    the stored entries on and below the diagonal.  LAPACK's banded reduction
+    to tridiagonal form follows, then a tridiagonal eigenvalue solve,
+    without eigenvectors.
     """
-    return scipy.linalg.eig_banded(A.band, lower=True, eigvals_only=True)
+    M = A.matrix.tocoo()
+    lower = M.row >= M.col
+    depth = M.row[lower] - M.col[lower]
+    ab = np.zeros((int(depth.max(initial=0)) + 1, A.n))
+    ab[depth, M.col[lower]] = M.data[lower]
+    return scipy.linalg.eig_banded(ab, lower=True, eigvals_only=True)
 
 
 def cholesky(A) -> np.ndarray:

@@ -23,7 +23,7 @@ from mixedmg import (
     tg_cycle,
     v_cycle,
 )
-from mixedmg.hierarchy import poisson_2d
+from mixedmg.hierarchy import poisson_1d, poisson_2d
 from mixedmg.precision import RowLayout, column_norms
 
 FMT = PrecisionFormat(10)
@@ -115,21 +115,26 @@ class TestKernels:
         assert isinstance(column_norms(W[:, 0]), float)
 
 
+def _assert_solve_columns_match(matrices, seed):
+    rng = np.random.default_rng(seed)
+    for A in matrices:
+        for width in (1, 7, 50, 64):
+            B = rng.standard_normal((A.n, width))
+            X = solve_spd(A, B)
+            for t in range(width):
+                assert np.array_equal(X[:, t], solve_spd(A, np.array(B[:, t])))
+
+
 class TestCarrierOperations:
-    def test_solve_spd(self, level31):
-        B = np.random.default_rng(7).standard_normal((31, T))
-        X = solve_spd(level31.A, B)
-        for t in range(T):
-            assert np.array_equal(X[:, t], solve_spd(level31.A, np.array(B[:, t])))
+    def test_solve_spd(self):
+        # the transforms run several columns side by side; each column of a
+        # block of any width gets the bits it gets alone
+        _assert_solve_columns_match((poisson_1d(255), poisson_2d(31)), seed=7)
 
     def test_solve_spd_large_factor(self):
-        # at this order a multi-column LAPACK solve rounds some columns
-        # differently from the one-column solve
-        A = poisson_2d(31)
-        B = np.random.default_rng(7).standard_normal((A.n, 32))
-        X = solve_spd(A, B)
-        for t in range(32):
-            assert np.array_equal(X[:, t], solve_spd(A, np.array(B[:, t])))
+        # the same at the large orders, where a multi-column solve is most
+        # likely to round some column differently from the one-column solve
+        _assert_solve_columns_match((poisson_1d(8191), poisson_2d(63)), seed=8)
 
     @pytest.mark.parametrize("problem", ["poisson1d", "poisson2d"])
     def test_kernels_at_carrier_are_plain_float64(self, problem):

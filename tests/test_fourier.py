@@ -194,7 +194,8 @@ def _nudged(matrix, row, col):
 @pytest.mark.parametrize("problem, size", [("poisson1d", 15), ("poisson2d", 7)])
 def test_perturbed_A_entry_is_named(problem, size):
     level = hierarchy(problem, size, 2)[0]
-    bad = dataclasses.replace(level, A=SparseSpd(_nudged(level.A.matrix, 3, 4)))
+    bad = dataclasses.replace(level, A=SparseSpd(_nudged(level.A.matrix, 3, 4),
+                                                   validate=False))
     M = make_jacobi(level.A, 2.0 / 3.0, FMT)
     with pytest.raises(StructureError, match="^level 0: A is not"):
         rho_star(bad, M, M, make_exact_coarse(bad))
@@ -218,12 +219,14 @@ def test_other_operators_are_named():
     bad_P = dataclasses.replace(level, P=_nudged(level.P, 1, 0))
     with pytest.raises(StructureError, match="^level 0: P is not"):
         rho_star(bad_P, M, M, make_exact_coarse(bad_P))
-    bad_Ac = dataclasses.replace(level, A_c=SparseSpd(_nudged(level.A_c.matrix, 2, 2)))
+    bad_Ac = dataclasses.replace(level, A_c=SparseSpd(
+        _nudged(level.A_c.matrix, 2, 2), validate=False))
     with pytest.raises(StructureError, match="^level 0: A_c is not"):
         rho_star(bad_Ac, M, M, make_exact_coarse(bad_Ac))
     # a recursive solve checks the grids of its cycle too (the smoothers come
     # from the unchanged grid: one built on the nudged A is refused already)
-    sub = dataclasses.replace(levels[1], A=SparseSpd(_nudged(levels[1].A.matrix, 1, 1)))
+    sub = dataclasses.replace(levels[1], A=SparseSpd(
+        _nudged(levels[1].A.matrix, 1, 1), validate=False))
     with pytest.raises(StructureError, match="^level 1: A is not"):
         make_recursive_coarse([level, sub], 1, 1, smoother_pairs("jacobi", levels[1:]))
 

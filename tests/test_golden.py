@@ -3,7 +3,7 @@
 The CSVs are rendered in a child process with BLAS pinned to one thread,
 the benchmark's setting.  No dense product or eigensolve of order ``n``
 feeds them: ``rho_star`` of every coarse solve comes from small Fourier
-blocks, and the perturbed coarse solve applies sine transforms.  Pinning
+blocks, and every direct solve is a pair of sine transforms.  Pinning
 keeps the verdict independent of the thread count the test run itself
 has all the same.  A
 mismatch reports the first differing line, not a diff of two whole files.
@@ -60,23 +60,23 @@ _PINNED = {
     "recursive1d": (
         ExperimentConfig(size=63, levels=4, coarse="recursive", mu=2, nu=2,
                          trials=30),
-        "3378272429e8e3b7b95f2d784f7558a23b11700265d4e6f456ef2e0ca9c6cf3d"),
+        "2307f93b79bab7a29c8c87bad6efe3841575dacc257ebedc274db923d033a339"),
     "recursive2d": (
         ExperimentConfig(problem="poisson2d", size=15, levels=3,
                          coarse="recursive", trials=30),
-        "9a438af87f65ccb223c8ed621721d9d5667f929b65bd32544f9a5ed2d7da2a74"),
+        "566d6388323aae47a5fec8030d6bec875117a7a87894bd6e7a4dc69479dc8c9d"),
     "perturbed2d": (
         ExperimentConfig(problem="poisson2d", size=15, coarse="perturbed",
                          sigma=0.3, trials=30),
-        "3074ef391a0656b96de136ca5971b45b9b959914e9f4ef3fb35947e1d9f22fd6"),
+        "22a622040e50c789cd10b8dd0d7d3c19549a2c1e01c1a30e6a3149af98dc2ce7"),
     # sigma = 0.3 leaves rho_star at the exact solve's; 0.5 raises it
     "perturbed2d_sigma05": (
         ExperimentConfig(problem="poisson2d", size=15, coarse="perturbed",
                          sigma=0.5, trials=30),
-        "854d3a99d2f4c2db4928fabf405d676827d28f8f7bb4c919a193577b155b4a9f"),
+        "9fe68faba466515e9720d6f314fcf73a98161d732b789768a1ffe560356ee19f"),
     "richardson1d": (
         ExperimentConfig(size=63, smoother="richardson", trials=30),
-        "2694a3c4a6bf556f84c3374d0da42a0828d70a70365f671af80cb50c2c0ad960"),
+        "36b2088d277677f4b9a66b9b7ef1c4ff97fadfce1fdbf6a26a4cd5350bbae98f"),
 }
 
 

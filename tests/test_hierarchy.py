@@ -22,6 +22,7 @@ from mixedmg import (
     spectral_norm,
     spectrum_ends,
 )
+from mixedmg.hierarchy import _galerkin
 
 EPS = float(np.finfo(np.float64).eps)
 
@@ -53,7 +54,7 @@ class TestPoisson2d:
         assert np.all(poisson_2d(3).matrix.diagonal() == 4.0)
 
     def test_spd_by_construction(self):
-        poisson_2d(5)  # Cholesky runs inside the constructor
+        poisson_2d(5)  # the constructor certifies the lower end of the symbol
 
     def test_largest_eigenvalue_closed_form(self):
         # 2D Dirichlet eigenvalues: 4 - 2 cos(i pi/8) - 2 cos(j pi/8)
@@ -121,13 +122,16 @@ class TestGalerkinCoarse:
         assert A_c.matrix.toarray() == pytest.approx(np.array([[1.0]]), rel=1e-15)
 
     def test_symmetric_for_random_inputs(self):
+        # the product of random inputs is no stencil matrix, so it is formed
+        # without the validation of galerkin_coarse
         rng = np.random.default_rng(0)
         X = rng.standard_normal((10, 10))
-        A = SparseSpd(X @ X.T + 10 * np.eye(10))
-        P = rng.standard_normal((10, 4))
-        A_c = galerkin_coarse(A, sparse.csr_array(P))
-        dense = A_c.matrix.toarray()
+        A = SparseSpd(X @ X.T + 10 * np.eye(10), validate=False)
+        P = sparse.csr_array(rng.standard_normal((10, 4)))
+        dense = _galerkin(A, P).toarray()
         assert np.array_equal(dense, dense.T)
+        with pytest.raises(StructureError, match="^the 4x4 matrix is not"):
+            galerkin_coarse(A, P)
 
     def test_galerkin_quadratic_form_identity(self, level31):
         # <A_c w, w> = <A P w, P w> with the stored rescaled prolongation
@@ -149,7 +153,7 @@ class TestNormalizeHierarchy:
     def test_random_spd_matrix_is_named(self):
         X = np.random.default_rng(0).standard_normal((7, 7))
         with pytest.raises(StructureError, match="^A is not the matrix of its stencil"):
-            normalize_hierarchy(SparseSpd(X @ X.T + 7 * np.eye(7)),
+            normalize_hierarchy(SparseSpd(X @ X.T + 7 * np.eye(7), validate=False),
                                 linear_interpolation(7))
 
     def test_scaled_interpolation_with_one_entry_off_is_named(self):

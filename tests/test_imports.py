@@ -3,12 +3,15 @@
 A module that imports another inside a function does so to get round an
 import cycle; the layering is then hidden from the import graph.  The scan
 reads ``src/mixedmg/*.py`` with ``ast``, without importing the package.
-Third-party imports inside functions stay allowed (the perturbed coarse
-solve loads ``scipy.fft`` on its first apply, so that a run without one
-never pays for it).
+Third-party imports inside functions stay allowed, though none is left:
+``scipy.fft``, which every direct solve runs on, is a module-level import
+of ``linops``.  No run loads ``scipy.linalg``: nothing is factored.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -50,3 +53,24 @@ def test_no_module_imports_another_at_call_time():
 def test_lowest_layers_import_nothing_from_mixedmg(name):
     tree = ast.parse((SRC / name).read_text())
     assert not [node.lineno for node in ast.walk(tree) if _is_mixedmg(node)]
+
+
+def test_no_run_loads_scipy_linalg():
+    # a fresh interpreter: the test session itself has imported scipy.linalg
+    code = """
+import sys
+import mixedmg
+from mixedmg.harness import ExperimentConfig, run_experiment
+for kind, extra in (("exact", {}), ("perturbed", {"sigma": 0.3}),
+                    ("recursive", {"levels": 3})):
+    for problem in ("poisson1d", "poisson2d"):
+        config = ExperimentConfig(problem=problem, size=7, coarse=kind, bits=(12,),
+                                  trials=2, **extra)
+        assert all(r.passed for r in run_experiment(config))
+print(sorted(m for m in sys.modules if m.startswith("scipy.linalg")))
+"""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (str(SRC.parent), os.environ.get("PYTHONPATH")) if p))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "[]"

@@ -33,9 +33,16 @@ EPS = float(np.finfo(np.float64).eps)
 
 
 def random_spd(n, seed):
+    # no stencil matrix, so its definiteness cannot be certified: unvalidated
     rng = np.random.default_rng(seed)
     X = rng.standard_normal((n, n))
-    return SparseSpd(X @ X.T + n * np.eye(n))
+    return SparseSpd(X @ X.T + n * np.eye(n), validate=False)
+
+
+def indefinite_stencil():
+    """The stencil (-0.5, 1) on 7 points: eigenvalues -0.5 + 2 cos(j pi / 8)."""
+    return sparse.diags_array([np.ones(6), np.full(7, -0.5), np.ones(6)],
+                              offsets=[-1, 0, 1])
 
 
 class TestSparseSpd:
@@ -45,8 +52,19 @@ class TestSparseSpd:
             SparseSpd(M)
 
     def test_rejects_indefinite(self):
-        with pytest.raises(SpdError):
+        with pytest.raises(SpdError, match="^the 7x7 matrix is not positive definite"):
+            SparseSpd(indefinite_stencil())
+
+    def test_rejects_a_matrix_that_is_no_stencil(self):
+        # definiteness is certified by the stencil symbol, which diag(1, -1)
+        # does not have
+        with pytest.raises(StructureError, match="^the 2x2 matrix is not the matrix"):
             SparseSpd(np.diag([1.0, -1.0]))
+
+    def test_unvalidated_indefinite_is_refused_before_the_first_solve(self):
+        A = SparseSpd(indefinite_stencil(), validate=False)
+        with pytest.raises(SpdError, match="^the 7x7 matrix is not positive definite"):
+            solve_spd(A, np.ones(7))
 
     def test_m_row_counts_stored_nonzeros(self):
         assert poisson_1d(8).row_layout.m == 3
@@ -146,8 +164,7 @@ class TestSpectralQuantities:
     def test_spectral_norm_indefinite(self):
         # the stencil (-0.5, 1) has the eigenvalues -0.5 + 2 cos(j pi / 8);
         # the one of largest magnitude is the smallest
-        K = sparse.diags_array([np.ones(6), np.full(7, -0.5), np.ones(6)],
-                               offsets=[-1, 0, 1])
+        K = indefinite_stencil()
         assert spectral_norm(K) == pytest.approx(0.5 + 2 * math.cos(math.pi / 8),
                                                  rel=1e-14)
 
@@ -180,8 +197,9 @@ class TestMdotPlus:
 
 class TestSolveSpd:
     def test_identity(self):
+        # the transform pair is orthonormal only up to rounding
         b = np.arange(1.0, 6.0)
-        assert np.array_equal(solve_spd(SparseSpd(np.eye(5)), b), b)
+        assert solve_spd(SparseSpd(np.eye(5)), b) == pytest.approx(b, rel=4 * EPS)
 
     def test_zero_rhs(self, level31):
         assert np.array_equal(solve_spd(level31.A, np.zeros(31)), np.zeros(31))
@@ -191,14 +209,28 @@ class TestSolveSpd:
         assert x == pytest.approx([0.75, 0.5, 0.25], rel=1e-14)
 
     def test_residual_contract(self):
-        A = random_spd(40, 2)
-        kappa = oracle.condition_number(A)
+        # a backward-stable residual, and the A-norm gap to a dense LU solve.
+        # Plain LU is the less accurate of the two at 1D n = 4095 (about
+        # 4e-12 against 3e-13 for the transforms), so the reference takes one
+        # refinement step with its residual in extended precision.
         rng = np.random.default_rng(3)
-        for _ in range(20):
-            b = rng.standard_normal(40)
-            x = solve_spd(A, b)
-            res = np.linalg.norm(A.matrix @ x - b)
-            assert res <= 100 * EPS * kappa * np.linalg.norm(b)
+        for A in (poisson_1d(255), poisson_1d(4095), poisson_2d(31), poisson_2d(63)):
+            kappa = condition_number(A)
+            B = rng.standard_normal((A.n, 8))
+            X = solve_spd(A, B)
+            lu = scipy.linalg.lu_factor(A.matrix.toarray())
+            dense = scipy.linalg.lu_solve(lu, B)
+            residual = A.matrix.astype(np.longdouble) @ dense.astype(np.longdouble) - B
+            dense -= scipy.linalg.lu_solve(lu, residual.astype(np.float64))
+            for x, b, ref in zip(X.T, B.T, dense.T):
+                res = np.linalg.norm(A.matrix @ x - b)
+                assert res <= 100 * EPS * kappa * np.linalg.norm(b)
+                assert energy_norm(x - ref, A) <= 1e-12 * energy_norm(ref, A)
+
+    def test_shape_mismatch_raises(self, level31):
+        for b in (np.ones(30), np.ones((30, 2)), np.ones((31, 2, 2)), np.float64(1.0)):
+            with pytest.raises(ValueError, match="dimension mismatch"):
+                solve_spd(level31.A, b)
 
 
 class TestNormInequalities:
@@ -327,7 +359,7 @@ class TestEigenvalueBound:
         # on it is refused at construction, naming the matrix
         d = np.linspace(2.5, 3.5, 15)
         A = SparseSpd(sparse.diags_array([-np.ones(14), d, -np.ones(14)],
-                                         offsets=[-1, 0, 1]))
+                                         offsets=[-1, 0, 1]), validate=False)
         with pytest.raises(StructureError,
                            match="^the 15x15 matrix is not the matrix of its stencil"):
             make_jacobi(A, 2.0 / 3.0, PrecisionFormat(12))
