@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from .precision import (
     CARRIER_BITS,
@@ -74,6 +74,10 @@ class BoundInputs:
     alpha_N: float
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not math.isfinite(value):
+                raise ValueError(f"{f.name} must be finite, got {value}")
         if not 0.0 <= self.eps < 1.0:
             raise ValueError(f"eps must be in [0, 1), got {self.eps}")
         if self.kappa < 1.0 or self.kappa_c < 1.0:
@@ -133,9 +137,11 @@ class BoundReport:
         return {name: values[name] for name in REPORT_COLUMNS}
 
     def to_json(self) -> str:
-        """Strict JSON: a NaN (``rho_star`` not measured) is ``null``."""
+        """Strict JSON: a NaN (``rho_star`` not measured) is ``null``, and an
+        infinite constant raises ``ValueError``."""
         return json.dumps({name: None if math.isnan(value) else value
-                           for name, value in self.as_dict().items()}, indent=2)
+                           for name, value in self.as_dict().items()},
+                          indent=2, allow_nan=False)
 
     def csv_fields(self) -> list:
         return list(self.as_dict().values())
@@ -170,8 +176,11 @@ def compute_constants(
 
     ``rho_star`` (the exact-arithmetic two-grid contraction factor) is
     measured elsewhere; when omitted the report carries NaN there and in
-    ``rho_tg = rho_star + delta_rho``.
+    ``rho_tg = rho_star + delta_rho``.  Otherwise it must be finite and
+    ``>= 0``.
     """
+    if not (math.isnan(rho_star) or 0.0 <= rho_star < math.inf):
+        raise ValueError(f"rho_star must be finite and >= 0, got {rho_star}")
     c0, c1, c2, c3, c4, c5 = _c_constants(inputs)
     delta_rho = c3 + c4 + c5
     pi_dot = math.sqrt(inputs.kappa) * inputs.eps

@@ -52,7 +52,7 @@ from .cycles import (
 )
 from .hierarchy import GridLevel, build_multilevel, check_refinable
 from .linops import energy_norm, solve_spd
-from .precision import CARRIER, CARRIER_BITS, PrecisionFormat, column_norms
+from .precision import CARRIER, PrecisionFormat, column_norms
 
 
 #: The most trials per blocked cycle call.  Wider blocks cut per-call
@@ -102,8 +102,10 @@ class ExperimentConfig:
         if self.pi_target is not None and not 0.0 < self.pi_target < 1.0:
             raise ConfigError(f"pi_target must be in (0, 1), got {self.pi_target}")
         for bits in self.bits:
-            if not 2 <= bits <= CARRIER_BITS:
-                raise ConfigError(f"bits must be in [2, {CARRIER_BITS}], got {bits}")
+            try:
+                PrecisionFormat(bits)
+            except ValueError as exc:
+                raise ConfigError(f"bits: {exc}") from None
         if not 0.0 <= self.sigma < 1.0:
             raise ConfigError("sigma must be in [0, 1)")
         if self.mu < 0 or self.nu < 0 or self.mu + self.nu < 1:
@@ -389,11 +391,16 @@ def read_csv_rows(path) -> list[dict[str, str]]:
 def validate_csv(path) -> tuple[bool, list[str]]:
     """Re-derive every pass flag from the stored norms and ratios.
 
-    A file is valid when each stored flag matches its re-derivation and all
-    flags are true.
+    A file is valid when it opens with :data:`CSV_HEADER_COMMENT` and the
+    header row of :data:`CSV_COLUMNS`, each stored flag matches its
+    re-derivation and all flags are true.
     """
+    lines = Path(path).read_text().splitlines()
+    if lines[:2] != [CSV_HEADER_COMMENT, ",".join(CSV_COLUMNS)]:
+        return False, [f"file: does not open with {CSV_HEADER_COMMENT!r} and the "
+                       f"header row of its {len(CSV_COLUMNS)} columns"]
     problems: list[str] = []
-    rows = read_csv_rows(path)
+    rows = list(csv.DictReader(lines[1:]))
     if not rows:
         return False, ["no data rows"]
     for i, row in enumerate(rows):

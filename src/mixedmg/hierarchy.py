@@ -2,10 +2,11 @@
 
 A :class:`GridLevel` packages one fine/coarse pair: the fine matrix scaled
 to unit spectral norm, the prolongation rescaled by a scalar so the
-Galerkin coarse matrix also has unit spectral norm, and the structural
-constants the error model needs.  Scalar rescaling of ``P`` preserves the
-Galerkin structure ``A_c = P' A P`` exactly, which the projection
-arguments behind the convergence theory require.
+Galerkin coarse matrix also has unit spectral norm; the structural
+constants the error model needs are derived from those operators on first
+read.  Scalar rescaling of ``P`` preserves the Galerkin structure ``A_c =
+P' A P`` exactly, which the projection arguments behind the convergence
+theory require.
 
 Every set-up constant comes from the symbol of a stencil (local Fourier
 analysis): :mod:`mixedmg.fourier` reads an operator back as stencil values
@@ -112,10 +113,6 @@ class LevelStencils:
     p: float
 
 
-def _differs(stored, rebuilt) -> bool:
-    return bool((sparse.csr_array(stored) != sparse.csr_array(rebuilt)).nnz)
-
-
 def _operator_stencil(A: SparseSpd, d: int, k: int, name: str) -> np.ndarray:
     """The stencil of ``A`` on a ``d``-dimensional grid of ``k`` points per axis.
 
@@ -123,12 +120,9 @@ def _operator_stencil(A: SparseSpd, d: int, k: int, name: str) -> np.ndarray:
     found this grid; otherwise the operator is read on this grid again, so
     that a mismatch raises :class:`StructureError` naming it ``name``.
     """
-    try:
-        c, k_read = A.stencil
-        if c.ndim == d and k_read == k:
-            return c
-    except StructureError:
-        pass
+    c, k_read = A.stencil
+    if c.ndim == d and k_read == k:
+        return c
     return _stencil(A.matrix, d, k, name)
 
 
@@ -137,9 +131,9 @@ def level_stencils(level: GridLevel) -> LevelStencils:
 
     The grid is 1D with ``k = n`` points or 2D with ``k`` by ``k``, read from
     the orders of ``A`` and ``A_c``, which a (bi)linear coarsening of an odd
-    ``k`` relates as ``n_c = ((k - 1) / 2)^d``.  ``A``, ``A_c``, ``P`` and
-    ``P'`` must each equal the matrix rebuilt from the stencil values read
-    off them, bit for bit; otherwise :class:`StructureError` names the
+    ``k`` relates as ``n_c = ((k - 1) / 2)^d``.  ``A``, ``A_c`` and ``P``
+    must each equal the matrix rebuilt from the stencil values read off
+    them, bit for bit; otherwise :class:`StructureError` names the
     operator.  ``A`` and ``A_c`` reuse the stencils their
     :class:`SparseSpd` read once.
     """
@@ -147,8 +141,6 @@ def level_stencils(level: GridLevel) -> LevelStencils:
     A = _operator_stencil(level.A, d, k, "A")
     A_c = _operator_stencil(level.A_c, d, (k - 1) // 2, "A_c")
     p = _interpolation_weight(level.P, d, k)
-    if _differs(level.P_t, level.P.T):
-        raise StructureError("P' is not the transpose of P")
     return LevelStencils(d, k, A, A_c, p)
 
 
@@ -200,14 +192,14 @@ def abs_matrix_norm(K) -> float:
     return interpolation_norm(_interpolation_weight(P, d, k), d, k)
 
 
-def _galerkin(A: SparseSpd, P) -> sparse.csr_array:
+def _galerkin(A, P) -> sparse.csr_array:
     P = sparse.csr_array(P)
-    B = sparse.csr_array(P.T @ A.matrix @ P)
+    B = sparse.csr_array(P.T @ _csr(A) @ P)
     # the float64 triple product is symmetric only to roundoff; enforce it
     return sparse.csr_array((B + B.T) * 0.5)
 
 
-def galerkin_coarse(A: SparseSpd, P) -> SparseSpd:
+def galerkin_coarse(A, P) -> SparseSpd:
     """The Galerkin coarse matrix ``P' A P`` in the carrier, symmetrized."""
     return SparseSpd(_galerkin(A, P))
 
@@ -220,21 +212,16 @@ class GridLevel:
     upper end of the norm before scaling, so the norms lie within about
     ``1e-14`` below one and exceed it by at most the rounding of the
     scaling (a few units of roundoff).  ``A_c`` equals ``P' A P`` with the
-    stored (rescaled) ``P``.  ``eta_A`` and ``eta_P`` are upper ends of the
-    spectral norms of the entrywise absolute values ``|A|`` and ``|P|``,
-    and ``kappa`` and ``kappa_c`` of the condition numbers, all from
-    stencil symbols; the row counts the error model inflates are
-    ``A.row_layout.m`` and ``P_layout.m``.
+    stored (rescaled) ``P``.  A level holds only these three operators;
+    ``P'`` and the structural constants are derived from them on first
+    read, so a level cannot carry another operator's constants.  The row
+    counts the error model inflates are ``A.row_layout.m`` and
+    ``P_layout.m``.
     """
 
     A: SparseSpd
     P: sparse.csr_array
-    P_t: sparse.csr_array
     A_c: SparseSpd
-    eta_A: float
-    eta_P: float
-    kappa: float
-    kappa_c: float
 
     @property
     def n(self) -> int:
@@ -243,6 +230,33 @@ class GridLevel:
     @property
     def n_c(self) -> int:
         return self.A_c.n
+
+    @cached_property
+    def P_t(self) -> sparse.csr_array:
+        """``P'`` as a csr array with sorted indices, built once."""
+        P_t = sparse.csr_array(self.P.T)
+        P_t.sort_indices()
+        return P_t
+
+    @cached_property
+    def eta_A(self) -> float:
+        """Certified upper end of ``norm(|A|)``, from the stencil symbol."""
+        return abs_matrix_norm(self.A)
+
+    @cached_property
+    def eta_P(self) -> float:
+        """Certified upper end of ``norm(|P|)``, from the interpolation symbol."""
+        return abs_matrix_norm(self.P)
+
+    @cached_property
+    def kappa(self) -> float:
+        """Certified upper end of the condition number of ``A``."""
+        return condition_number(self.A)
+
+    @cached_property
+    def kappa_c(self) -> float:
+        """Certified upper end of the condition number of ``A_c``."""
+        return condition_number(self.A_c)
 
     @cached_property
     def P_layout(self) -> RowLayout:
@@ -273,19 +287,7 @@ def _level(A: SparseSpd, P) -> GridLevel:
     s_c = spectral_norm(_galerkin(A, P))
     P1 = sparse.csr_array(P * float(1.0 / np.sqrt(s_c)))
     P1.sort_indices()
-    A_c = galerkin_coarse(A, P1)
-    P1_t = sparse.csr_array(P1.T)
-    P1_t.sort_indices()
-    return GridLevel(
-        A=A,
-        P=P1,
-        P_t=P1_t,
-        A_c=A_c,
-        eta_A=abs_matrix_norm(A),
-        eta_P=abs_matrix_norm(P1),
-        kappa=condition_number(A),
-        kappa_c=condition_number(A_c),
-    )
+    return GridLevel(A, P1, galerkin_coarse(A, P1))
 
 
 def normalize_hierarchy(A, P) -> GridLevel:
@@ -324,9 +326,9 @@ def build_multilevel(n_finest: int, levels: int, problem: str = "poisson1d") -> 
     for ``poisson2d`` it is an ``n_finest``-by-``n_finest`` interior grid.
     Only the finest matrix is scaled: each level's ``A_c``, whose norm the
     scaled ``P`` bounds by one, is bit for bit the next level's ``A``, and
-    the coarsest grid is ``levels[-1].A_c``.  Every matrix is validated
-    (symmetric, and positive definite by its certified lower symbol end)
-    and none is factored.
+    the coarsest grid is ``levels[-1].A_c``.  Every matrix is checked once,
+    when its :class:`SparseSpd` is made (a stencil matrix, positive
+    definite by its certified lower symbol end), and none is factored.
     """
     if levels < 2:
         raise ValueError("levels must be >= 2")

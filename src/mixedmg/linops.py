@@ -9,7 +9,7 @@ No matrix is factored.  No operator norm is formed here either: the
 spectral set-up constants come from stencil symbols
 (:mod:`mixedmg.hierarchy`), and ``rho_star`` and the coarse deviations from
 Fourier blocks (:mod:`mixedmg.fourier`).  A :class:`SparseSpd` reads its
-stencil back once, on first use, with the reader of :mod:`mixedmg.fourier`,
+stencil back once, at construction, with the reader of :mod:`mixedmg.fourier`,
 and keeps it with the certified ends of its symbol, whose lower end
 certifies that it is positive definite.
 
@@ -40,16 +40,16 @@ class SpdError(ValueError):
 class SparseSpd:
     """A sparse symmetric positive definite stencil matrix.
 
-    Symmetry is checked entrywise at construction, and positive
-    definiteness by the certified lower end of the stencil symbol
-    (:attr:`spectrum_ends`), so a matrix that is not a stencil matrix raises
-    :class:`mixedmg.fourier.StructureError`.  With ``validate=False``
-    neither check runs at construction; the definiteness check then runs
-    before the first solve.  Instances are immutable after construction and
-    safe to share across threads.
+    Construction is the one check: the stencil is read off the matrix and
+    checked bit for bit (:attr:`stencil`), which also forces symmetry, and
+    the certified lower end of its symbol (:attr:`spectrum_ends`) must be
+    positive.  A matrix that is not a stencil matrix raises
+    :class:`mixedmg.fourier.StructureError`, and one that is not positive
+    definite :class:`SpdError`.  Instances are immutable after
+    construction and safe to share across threads.
     """
 
-    def __init__(self, matrix, *, validate: bool = True):
+    def __init__(self, matrix):
         if sparse.issparse(matrix):
             M = sparse.csr_array(matrix).astype(np.float64)
         else:
@@ -58,17 +58,6 @@ class SparseSpd:
         if M.shape[0] != M.shape[1]:
             raise SpdError(f"matrix must be square, got {M.shape}")
         self._matrix = M
-        if validate:
-            self._check_symmetric()
-            self._check_definite()
-
-    def _check_symmetric(self):
-        gap = sparse.csr_array(self._matrix - self._matrix.T)
-        scale = float(np.abs(self._matrix.data).max(initial=0.0))
-        if gap.nnz and float(np.abs(gap.data).max()) > 8 * _EPS * max(scale, 1.0):
-            raise SpdError("matrix is not symmetric")
-
-    def _check_definite(self):
         lo = self.spectrum_ends[0]
         if not lo > 0:
             raise SpdError(f"the {self.n}x{self.n} matrix is not positive definite: "
@@ -91,11 +80,7 @@ class SparseSpd:
     def stencil(self) -> tuple[np.ndarray, int]:
         """``(c, k)``: the stencil read off the matrix and checked bit for bit,
         on a square 2D grid or else a 1D one of ``k`` points per axis
-        (``c.ndim`` axes), read once.
-
-        A matrix that is not a stencil matrix raises
-        :class:`mixedmg.fourier.StructureError` on every read.
-        """
+        (``c.ndim`` axes), read once, at construction."""
         return _symmetric_stencil(self._matrix)
 
     @cached_property
@@ -105,12 +90,8 @@ class SparseSpd:
 
     @cached_property
     def sine_eigenvalues(self) -> np.ndarray:
-        """The eigenvalues on the orthonormal sine modes, shaped as the grid.
-
-        Computed once from the stencil symbol, after the check that the
-        matrix is positive definite.
-        """
-        self._check_definite()
+        """The eigenvalues on the orthonormal sine modes, shaped as the grid,
+        computed once from the stencil symbol."""
         return sine_eigenvalues(*self.stencil)
 
     @cached_property

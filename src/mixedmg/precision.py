@@ -25,6 +25,7 @@ read, so a caller that needs only the value never computes it.
 
 from __future__ import annotations
 
+import numbers
 from collections.abc import Callable
 from dataclasses import dataclass
 from functools import cached_property
@@ -57,11 +58,12 @@ class PrecisionFormat:
     significand_bits: int
 
     def __post_init__(self):
-        if not 2 <= int(self.significand_bits) <= CARRIER_BITS:
-            raise ValueError(
-                f"significand_bits must be in [2, {CARRIER_BITS}], "
-                f"got {self.significand_bits}"
-            )
+        bits = self.significand_bits
+        if (isinstance(bits, bool) or not isinstance(bits, numbers.Integral)
+                or not 2 <= bits <= CARRIER_BITS):
+            raise ValueError(f"significand_bits must be an integer in "
+                             f"[2, {CARRIER_BITS}], got {bits!r}")
+        object.__setattr__(self, "significand_bits", int(bits))
 
     @property
     def unit_roundoff(self) -> float:

@@ -110,6 +110,8 @@ class TestConfig:
     @pytest.mark.parametrize("fields, key", [
         (dict(bits=(1,)), "bits"),
         (dict(bits=(12, 54)), "bits"),
+        (dict(bits=(8, 12.5)), "bits"),
+        (dict(bits=("12",)), "bits"),
         (dict(bits=(), pi_target=0.0), "pi_target"),
         (dict(bits=(), pi_target=1.0), "pi_target"),
         (dict(bits=(), pi_target=float("nan")), "pi_target"),
@@ -120,8 +122,8 @@ class TestConfig:
         (dict(coarse="recursive"), "levels"),
         (dict(levels=5), "levels"),
         (dict(coarse="perturbed", sigma=0.3, levels=3), "levels"),
-    ], ids=["bits-1", "bits-54", "pi-target-zero", "pi-target-one",
-            "pi-target-nan", "mu-negative", "nu-negative", "no-sweep",
+    ], ids=["bits-1", "bits-54", "bits-12.5", "bits-str", "pi-target-zero",
+            "pi-target-one", "pi-target-nan", "mu-negative", "nu-negative", "no-sweep",
             "recursive-two-grids-mu-nu", "recursive-two-grids",
             "exact-five-grids", "perturbed-three-grids"])
     def test_rejects_values_that_fail_late_or_never_run(self, fields, key):
@@ -590,6 +592,25 @@ class TestCli:
         captured = capsys.readouterr()
         assert captured.out == "" and "significand_bits" in captured.err
 
+    @pytest.mark.parametrize("extra, named", [
+        (["--kappa", "nan"], "kappa must be finite"),
+        (["--kappa", "inf"], "kappa must be finite"),
+        (["--eta-p", "inf"], "eta_P must be finite"),
+        (["--rho-star", "inf"], "rho_star must be finite and >= 0"),
+        (["--rho-star", "-5"], "rho_star must be finite and >= 0"),
+        (["--kappa", "1e308", "--eta-a", "1e308"], "not JSON compliant"),
+    ], ids=["kappa-nan", "kappa-inf", "eta-p-inf", "rho-star-inf",
+            "rho-star-negative", "constant-overflows"])
+    def test_bounds_non_finite_or_impossible_input_exits_2(self, capsys, extra, named):
+        # the last of a repeated flag wins, so each case overrides one valid input
+        assert cli_main([
+            "bounds", "--bits", "12", "--kappa", "4", "--kappa-c", "2",
+            "--eta-a", "1", "--eta-p", "2", "--eta-m", "1", "--eta-n", "1",
+            "--alpha-m", "1", "--alpha-n", "1", "--m-a", "3", "--m-p", "2", *extra,
+        ]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and named in captured.err
+
     def test_bounds_requires_exactly_one_precision_flag(self, capsys):
         base = ["bounds", "--kappa", "1", "--kappa-c", "1", "--eta-a", "1",
                 "--eta-p", "1", "--eta-m", "1", "--eta-n", "1", "--alpha-m",
@@ -605,6 +626,21 @@ class TestCli:
         lines[-1] = lines[-1].replace(",true", ",false")
         path.write_text("\n".join(lines) + "\n")
         assert cli_main(["validate", "--csv", str(path)]) == 1
+
+    @pytest.mark.parametrize("edit", [
+        lambda lines: lines[1:],
+        lambda lines: [lines[0].replace("v1", "v9")] + lines[1:],
+        lambda lines: lines[:1] + [",".join(ln.split(",")[:5] + ln.split(",")[6:])
+                                   for ln in lines[1:]],
+    ], ids=["no-comment", "columns-v9", "dropped-column"])
+    def test_validate_rejects_another_schema(self, tmp_path, capsys, edit):
+        cfg = ExperimentConfig(size=15, bits=(12,), trials=2, rng_seed=0)
+        path = write_csv(run_experiment(cfg), tmp_path / "v.csv")
+        path.write_text("\n".join(edit(path.read_text().splitlines())) + "\n")
+        assert cli_main(["validate", "--csv", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "INVALID\n"
+        assert captured.err.count("\n") == 1 and captured.err.startswith("file: ")
 
     def test_sweep_subcommand(self, tmp_path):
         out = tmp_path / "sweep.csv"

@@ -1,5 +1,6 @@
 """Model problems, interpolation, Galerkin coarsening, and normalization."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -8,6 +9,7 @@ import scipy.sparse as sparse
 
 import dense_oracle as oracle
 from mixedmg import (
+    GridLevel,
     SparseSpd,
     StructureError,
     abs_matrix_norm,
@@ -123,10 +125,10 @@ class TestGalerkinCoarse:
 
     def test_symmetric_for_random_inputs(self):
         # the product of random inputs is no stencil matrix, so it is formed
-        # without the validation of galerkin_coarse
+        # without the check of galerkin_coarse, which refuses it
         rng = np.random.default_rng(0)
         X = rng.standard_normal((10, 10))
-        A = SparseSpd(X @ X.T + 10 * np.eye(10), validate=False)
+        A = X @ X.T + 10 * np.eye(10)
         P = sparse.csr_array(rng.standard_normal((10, 4)))
         dense = _galerkin(A, P).toarray()
         assert np.array_equal(dense, dense.T)
@@ -152,9 +154,9 @@ class TestNormalizeHierarchy:
 
     def test_random_spd_matrix_is_named(self):
         X = np.random.default_rng(0).standard_normal((7, 7))
-        with pytest.raises(StructureError, match="^A is not the matrix of its stencil"):
-            normalize_hierarchy(SparseSpd(X @ X.T + 7 * np.eye(7), validate=False),
-                                linear_interpolation(7))
+        with pytest.raises(StructureError,
+                           match="^the 7x7 matrix is not the matrix of its stencil"):
+            normalize_hierarchy(X @ X.T + 7 * np.eye(7), linear_interpolation(7))
 
     def test_scaled_interpolation_with_one_entry_off_is_named(self):
         P = linear_interpolation(7).tolil()
@@ -219,15 +221,29 @@ class TestBuildMultilevel:
             assert fine.kappa_c == coarse.kappa
 
     def test_one_abs_norm_per_matrix(self, monkeypatch):
-        # eta_A and eta_P of each of the two levels; the coarsest grid has none
+        # eta_A and eta_P are derived on first read: one call per matrix
+        # read, however often, and none for the level never read
         from mixedmg import hierarchy
 
         calls = []
         norm = hierarchy.abs_matrix_norm
         monkeypatch.setattr(hierarchy, "abs_matrix_norm",
                             lambda K: (calls.append(K), norm(K))[1])
-        build_multilevel(31, 3)
-        assert len(calls) == 4
+        levels = build_multilevel(31, 4)
+        assert calls == []
+        for _ in range(2):
+            for level in levels[:2]:
+                assert level.eta_A > 0 and level.eta_P > 0
+        assert [id(K) for K in calls] == [id(K) for level in levels[:2]
+                                          for K in (level.A, level.P)]
+
+    def test_constants_follow_the_operators(self, level31):
+        # a level made from another by replacing A derives its constants
+        # from the new A: twice the matrix, twice eta_A, the same kappa
+        doubled = dataclasses.replace(level31, A=SparseSpd(2 * level31.A.matrix))
+        assert doubled.eta_A == 2 * level31.eta_A
+        assert doubled.kappa == level31.kappa
+        assert [f.name for f in dataclasses.fields(GridLevel)] == ["A", "P", "A_c"]
 
     @pytest.mark.parametrize("problem, size", [("poisson1d", 63), ("poisson2d", 15)])
     def test_kept_ends_equal_fresh_ends(self, problem, size):

@@ -20,7 +20,6 @@ from mixedmg import (
     condition_number,
     energy_norm,
     linear_interpolation,
-    make_jacobi,
     make_richardson,
     mdot_plus_eps,
     solve_spd,
@@ -32,13 +31,6 @@ from mixedmg.hierarchy import poisson_1d, poisson_2d
 EPS = float(np.finfo(np.float64).eps)
 
 
-def random_spd(n, seed):
-    # no stencil matrix, so its definiteness cannot be certified: unvalidated
-    rng = np.random.default_rng(seed)
-    X = rng.standard_normal((n, n))
-    return SparseSpd(X @ X.T + n * np.eye(n), validate=False)
-
-
 def indefinite_stencil():
     """The stencil (-0.5, 1) on 7 points: eigenvalues -0.5 + 2 cos(j pi / 8)."""
     return sparse.diags_array([np.ones(6), np.full(7, -0.5), np.ones(6)],
@@ -47,8 +39,10 @@ def indefinite_stencil():
 
 class TestSparseSpd:
     def test_rejects_asymmetric(self):
+        # the stencil read forces symmetry: the centre row's coupling to the
+        # left is 0, the stored coupling to the right 1
         M = np.array([[2.0, 1.0], [0.0, 2.0]])
-        with pytest.raises(SpdError):
+        with pytest.raises(StructureError, match="^the 2x2 matrix is not the matrix"):
             SparseSpd(M)
 
     def test_rejects_indefinite(self):
@@ -60,11 +54,6 @@ class TestSparseSpd:
         # does not have
         with pytest.raises(StructureError, match="^the 2x2 matrix is not the matrix"):
             SparseSpd(np.diag([1.0, -1.0]))
-
-    def test_unvalidated_indefinite_is_refused_before_the_first_solve(self):
-        A = SparseSpd(indefinite_stencil(), validate=False)
-        with pytest.raises(SpdError, match="^the 7x7 matrix is not positive definite"):
-            solve_spd(A, np.ones(7))
 
     def test_m_row_counts_stored_nonzeros(self):
         assert poisson_1d(8).row_layout.m == 3
@@ -85,22 +74,24 @@ class TestEnergyNorm:
         assert energy_norm(np.ones(3), A) == pytest.approx(math.sqrt(2.0), rel=1e-15)
 
     def test_matches_inner_product(self):
-        A = random_spd(12, 0)
         rng = np.random.default_rng(1)
-        for _ in range(25):
-            w = rng.standard_normal(12)
-            q = float(w @ (A.matrix @ w))
-            assert energy_norm(w, A) ** 2 == pytest.approx(q, rel=1e-12)
+        for A in (poisson_1d(12), poisson_2d(5)):
+            for _ in range(25):
+                w = rng.standard_normal(A.n)
+                q = float(w @ (A.matrix @ w))
+                assert energy_norm(w, A) ** 2 == pytest.approx(q, rel=1e-12)
 
     def test_dimension_mismatch(self, level31):
         with pytest.raises(ValueError):
             energy_norm(np.ones(30), level31.A)
 
     def test_indefinite_matrix_detected(self):
-        # bypass construction-time validation to exercise the runtime guard
-        A = SparseSpd(np.diag([1.0, -1.0]), validate=False)
-        with pytest.raises(SpdError):
-            energy_norm(np.array([0.0, 1.0]), A)
+        # construction certified A; negating its stored entries in place is
+        # the case the runtime guard exists for
+        A = poisson_1d(5)
+        A.matrix.data *= -1.0
+        with pytest.raises(SpdError, match="^negative quadratic form"):
+            energy_norm(np.ones(5), A)
 
 
 class TestSpectralQuantities:
@@ -110,7 +101,8 @@ class TestSpectralQuantities:
     def test_spectral_norm_diagonal(self):
         # a diagonal that is not constant is no stencil matrix: no symbol, and
         # no dense or iterative fallback
-        for K in (np.diag([3.0, 1.0, 0.5]), random_spd(12, 9).matrix):
+        X = np.random.default_rng(9).standard_normal((12, 12))
+        for K in (np.diag([3.0, 1.0, 0.5]), X @ X.T + 12 * np.eye(12)):
             with pytest.raises(StructureError, match="is not the matrix of its stencil"):
                 spectral_norm(K)
 
@@ -355,14 +347,14 @@ class TestEigenvalueBound:
         assert M.eta_energy == M.eta_euclid == c
 
     def test_pencil_with_diagonal_b_is_the_scaled_matrix(self):
-        # a matrix whose diagonal is not constant is no stencil matrix: Jacobi
-        # on it is refused at construction, naming the matrix
+        # a matrix whose diagonal is not constant is no stencil matrix, so no
+        # SparseSpd for Jacobi to run on: it is refused at construction,
+        # naming the matrix
         d = np.linspace(2.5, 3.5, 15)
-        A = SparseSpd(sparse.diags_array([-np.ones(14), d, -np.ones(14)],
-                                         offsets=[-1, 0, 1]), validate=False)
         with pytest.raises(StructureError,
                            match="^the 15x15 matrix is not the matrix of its stencil"):
-            make_jacobi(A, 2.0 / 3.0, PrecisionFormat(12))
+            SparseSpd(sparse.diags_array([-np.ones(14), d, -np.ones(14)],
+                                         offsets=[-1, 0, 1]))
 
     def test_same_bits_on_every_call(self):
         A = poisson_2d(15)

@@ -56,10 +56,14 @@ class TestPrecisionFormat:
         assert PrecisionFormat(8).unit_roundoff == 2.0**-8
         assert PrecisionFormat(53).unit_roundoff == 2.0**-53
 
-    @pytest.mark.parametrize("bits", [0, 1, 54, -3])
+    @pytest.mark.parametrize("bits", [0, 1, 54, -3, 12.5, 12.0, "12", True])
     def test_rejects_bad_widths(self, bits):
         with pytest.raises(ValueError):
             PrecisionFormat(bits)
+
+    def test_numpy_integer_width_is_stored_as_int(self):
+        fmt = PrecisionFormat(np.int64(12))
+        assert type(fmt.significand_bits) is int and fmt == PrecisionFormat(12)
 
 
 class TestRoundScalar:
