@@ -17,7 +17,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 
 from .bounds import BoundInputs, compute_constants
 from .harness import (
@@ -31,6 +31,9 @@ from .harness import (
     write_csv,
 )
 from .precision import PrecisionFormat
+
+# the bounds command takes every field of BoundInputs but eps as a flag
+_BOUND_FIELDS = [f.name for f in fields(BoundInputs)[1:]]
 
 
 def _add_run(sub):
@@ -49,16 +52,9 @@ def _add_bounds(sub):
                    help="unit roundoff (alternative to --bits)")
     p.add_argument("--bits", type=int, default=None,
                    help="significand bits, sets eps = 2**-bits")
-    p.add_argument("--kappa", type=float, required=True)
-    p.add_argument("--kappa-c", type=float, required=True)
-    p.add_argument("--eta-a", type=float, required=True)
-    p.add_argument("--eta-p", type=float, required=True)
-    p.add_argument("--eta-m", type=float, required=True)
-    p.add_argument("--eta-n", type=float, required=True)
-    p.add_argument("--alpha-m", type=float, required=True)
-    p.add_argument("--alpha-n", type=float, required=True)
-    p.add_argument("--m-a", type=int, required=True)
-    p.add_argument("--m-p", type=int, required=True)
+    for name in _BOUND_FIELDS:
+        p.add_argument("--" + name.lower().replace("_", "-"), dest=name, required=True,
+                       type=int if name in ("m_A", "m_P") else float)
     p.add_argument("--rho-star", type=float, default=float("nan"))
 
 
@@ -129,19 +125,7 @@ def _cmd_bounds(args) -> int:
         print("bounds: give exactly one of --eps / --bits", file=sys.stderr)
         return 2
     eps = args.eps if args.eps is not None else PrecisionFormat(args.bits).unit_roundoff
-    inputs = BoundInputs(
-        eps=eps,
-        kappa=args.kappa,
-        kappa_c=args.kappa_c,
-        eta_A=args.eta_a,
-        eta_P=args.eta_p,
-        eta_M=args.eta_m,
-        eta_N=args.eta_n,
-        m_A=args.m_a,
-        m_P=args.m_p,
-        alpha_M=args.alpha_m,
-        alpha_N=args.alpha_n,
-    )
+    inputs = BoundInputs(eps, **{name: getattr(args, name) for name in _BOUND_FIELDS})
     report = compute_constants(
         inputs, rho_star=args.rho_star,
         significand_bits=args.bits if args.bits is not None else 0,

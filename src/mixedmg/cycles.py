@@ -18,12 +18,13 @@ and repeats steps 8-10 for each of ``nu`` post-relaxation sweeps.  In a
 reduced format the steps other than 5 run through the certified kernels of
 :mod:`mixedmg.precision`; in the carrier they are the plain float64
 operations, which give the bits of those kernels at 53 bits.  The
-exact-arithmetic reference is this sequence in the carrier.  Step 5 is one
-of two carrier maps: a sine-mode solve (:class:`SineSolve`, the exact solve
-or its perturbation in the coarse sine basis, one transform pair either
-way) or a recursive cycle (:class:`CarrierCycle`); in :func:`v_cycle` it is
-the V-cycle one level down.  Every coarse solve carries its Fourier form,
-from which :func:`rho_star` is certified.
+exact-arithmetic reference is this sequence in the carrier.  Step 5 is a
+:class:`CoarseSolver`, which holds one of two carrier maps: a sine-mode
+solve (the exact solve or its perturbation in the coarse sine basis, one
+:func:`mixedmg.linops.solve_spd` either way) or a carrier V-cycle below
+the coarse grid; in :func:`v_cycle` it is the V-cycle one level down.
+Every coarse solver carries its Fourier form, from which :func:`rho_star`
+is certified.
 
 The sequence is a generator of its named stages.  :func:`tg_cycle` runs it
 with ``mu = nu = 1`` in the working format and in the carrier, in lockstep,
@@ -42,6 +43,7 @@ block of trials reproduces the per-trial results exactly.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -50,7 +52,7 @@ import numpy as np
 from . import fourier
 from .bounds import PROOF_LINES
 from .hierarchy import GridLevel, spectrum_ends
-from .linops import SparseSpd, energy_norm, sine_transform, solve_spd
+from .linops import SparseSpd, energy_norm, solve_spd
 from .precision import (
     CARRIER,
     PrecisionFormat,
@@ -149,83 +151,23 @@ def make_richardson(A: SparseSpd, omega: float, fmt: PrecisionFormat) -> Relaxat
 
 
 @dataclass(frozen=True, eq=False)
-class CarrierCycle:
-    """The carrier V(mu, nu)-cycle that solves ``level.A_c``, as a map.
-
-    ``levels`` are the two-grid levels below ``level``, at least one, with
-    one ``(M, N)`` pair each in ``smoothers``.  :attr:`fourier` is its
-    Fourier form.
-    """
-
-    level: GridLevel
-    levels: tuple
-    smoothers: tuple
-    mu: int = 1
-    nu: int = 1
-
-    def __post_init__(self):
-        _check_cycle(self.levels, self.mu, self.nu, self.smoothers)
-
-    def __call__(self, r_c: np.ndarray) -> np.ndarray:
-        return v_cycle(self.levels, self.mu, self.nu, r_c, CARRIER,
-                       smoothers=self.smoothers)
-
-    @cached_property
-    def fourier(self) -> fourier.CoarseBlocks:
-        """The cycle's Fourier blocks on the coarse grid, built once."""
-        below = tuple((l, M, N) for l, (M, N) in zip(self.levels, self.smoothers))
-        return fourier.coarse_blocks(self.level, below, self.mu, self.nu)
-
-
-@dataclass(frozen=True, eq=False)
-class SineSolve:
-    """The coarse solve ``B_c A_c^{-1}`` with ``B_c = Phi diag(f) Phi'``.
-
-    ``Phi`` is the orthonormal DST-I of the coarse grid, in Kronecker order
-    in 2D, which diagonalises ``A_c``, and ``factors`` holds the stored
-    ``f_j`` per sine mode, in that order: all ones for the exact solve.
-    An apply is one transform pair, ``Phi (f Phi' r_c / lambda)`` with
-    ``lambda`` the eigenvalues of ``A_c``; with ``f = 1`` it is
-    :func:`mixedmg.linops.solve_spd` bit for bit.  :attr:`fourier` is the
-    direct solve's blocks with coarse mode ``j`` scaled by ``f_j``.
-    """
-
-    level: GridLevel
-    factors: np.ndarray = field(repr=False)
-
-    def __call__(self, r_c: np.ndarray) -> np.ndarray:
-        lam = self.level.A_c.sine_eigenvalues
-        modes = sine_transform(r_c, lam.shape)
-        per_mode = (-1, *(1,) * (modes.ndim - 1))
-        modes *= self.factors.reshape(per_mode)
-        modes /= lam.reshape(per_mode)
-        return sine_transform(modes, lam.shape)
-
-    @cached_property
-    def fourier(self) -> fourier.CoarseBlocks:
-        """The solve's Fourier blocks on the coarse grid, built once."""
-        direct = fourier.coarse_blocks(self.level, (), 1, 1)
-        # the direct solve has one class: every coarse mode, a 1x1 block each
-        (key, X), = direct.X.items()
-        return fourier.CoarseBlocks(self.level, direct.classes,
-                                    {key: X * self.factors[:, None, None]})
-
-
-@dataclass(frozen=True, eq=False)
 class CoarseSolver:
     """The coarse correction ``r_c -> B_c A_c^{-1} r_c`` of one level.
 
     ``correction`` is that map on a coarse vector or block, run in the
-    carrier so that it stays linear, and its ``fourier`` attribute is the
-    map's Fourier form, which :func:`rho_star` reads.  ``bc_deviation`` is
-    the energy norm of ``B_c - I`` on the level's coarse grid, which every
-    constructor passes: zero for the exact solve, ``max |f_j - 1|`` for the
+    carrier so that it stays linear: a sine-mode solve
+    (:func:`mixedmg.linops.solve_spd` with the stored factors of ``B_c``) or
+    a carrier V-cycle below the coarse grid.  ``fourier`` is the map's
+    Fourier form, built with it, which :func:`rho_star` reads.
+    ``bc_deviation`` is the energy norm of ``B_c - I`` on the level's
+    coarse grid: zero for the exact solve, ``max |f_j - 1|`` for the
     perturbed one, and the certified Fourier-block norm of
     :func:`mixedmg.fourier.cycle_deviation` for a recursive one.
     """
 
     level: GridLevel
-    correction: CarrierCycle | SineSolve = field(repr=False)
+    correction: Callable[[np.ndarray], np.ndarray] = field(repr=False)
+    fourier: fourier.CoarseBlocks = field(repr=False)
     bc_deviation: float
 
     def apply(self, r_c: np.ndarray) -> np.ndarray:
@@ -234,9 +176,12 @@ class CoarseSolver:
 
 
 def _sine_coarse(level: GridLevel, factors: np.ndarray) -> CoarseSolver:
-    """The :class:`SineSolve` of ``level`` scaling coarse mode ``j`` by ``factors[j]``."""
+    """The sine-mode solve of ``level`` scaling coarse mode ``j`` by ``factors[j]``:
+    ``B_c = Phi diag(f) Phi'``, with ``Phi`` the orthonormal DST-I of the
+    coarse grid in Kronecker order in 2D."""
     factors.flags.writeable = False
-    return CoarseSolver(level, SineSolve(level, factors),
+    return CoarseSolver(level, lambda r_c: solve_spd(level.A_c, r_c, factors),
+                        fourier.sine_blocks(level, factors),
                         float(np.abs(factors - 1.0).max()))
 
 
@@ -272,15 +217,19 @@ def make_recursive_coarse(levels, mu: int, nu: int, smoothers) -> CoarseSolver:
     solver is the exact direct solve.  ``bc_deviation`` is the certified
     contraction of one cycle, from its Fourier blocks.
     """
-    sub = levels[1:]
+    level, sub, smoothers = levels[0], tuple(levels[1:]), tuple(smoothers)
     if not sub:
-        return make_exact_coarse(levels[0])
-    cycle = CarrierCycle(levels[0], tuple(sub), tuple(smoothers), mu, nu)
-    deviation = fourier.cycle_deviation(cycle.fourier)
+        return make_exact_coarse(level)
+    _check_cycle(sub, mu, nu, smoothers)
+    below = tuple((l, M, N) for l, (M, N) in zip(sub, smoothers))
+    blocks = fourier.coarse_blocks(level, below, mu, nu)
+    deviation = fourier.cycle_deviation(blocks)
     if deviation >= 1.0:
         raise ContractionError(f"recursive coarse solve does not contract "
                                f"(deviation {deviation:.4f})")
-    return CoarseSolver(levels[0], cycle, deviation)
+    return CoarseSolver(level, lambda r_c: v_cycle(sub, mu, nu, r_c, CARRIER,
+                                                   smoothers=smoothers),
+                        blocks, deviation)
 
 
 @dataclass(frozen=True, eq=False)
@@ -442,13 +391,13 @@ def rho_star(level: GridLevel, M: RelaxationOp, N: RelaxationOp,
     ``E = (I - N A)(I - P X P' A)(I - M A)`` with ``X = B_c A_c^{-1}``.  This
     is the certified upper end of :func:`mixedmg.fourier.two_grid_norm`, from
     small blocks over the sine harmonics, for every coarse solve: each
-    correction carries its Fourier form.  It raises
+    coarse solver carries its Fourier form.  It raises
     :class:`mixedmg.fourier.StructureError` when an operator is not the
     matrix of its stencil.  A value >= 1 is reported, not raised: the
     convergence bound is then vacuous for this configuration.
     """
     _check_coarse(level, coarse)
-    return fourier.two_grid_norm(coarse.correction.fourier, M, N)
+    return fourier.two_grid_norm(coarse.fourier, M, N)
 
 
 def _check_cycle(levels, mu: int, nu: int, smoothers):

@@ -19,12 +19,14 @@ over the harmonic groups a coarse group pulls back to: 2 modes (1D) or 4
 modes (2D) per coarse mode for an exact coarse solve, ``2^(L-1)`` or
 ``4^(L-1)`` for a V-cycle over ``L`` grids, and a lone mode with ``S_N^nu
 S_M^mu`` only where a middle mode has no coarse image.  A coarse V-cycle
-enters as ``X = (I - E_sub) A_c^{-1}``, block by block, and a sine-mode
-perturbation of the direct solve as its blocks scaled mode by mode; no
-order-``n`` matrix is formed.  The smoother-free part of a level's blocks,
-the symbol of ``A`` and ``I - P X P' A`` per class, is built once per coarse
-solve (:attr:`CoarseBlocks.core`); a format's smoothers add only
-``(1 - w lambda)^mu`` and ``(1 - w lambda)^nu``.
+enters as ``X = (I - E_sub) A_c^{-1}``, block by block
+(:func:`coarse_blocks`), and a sine-mode perturbation of the direct solve
+as its blocks scaled mode by mode (:func:`sine_blocks`); no order-``n``
+matrix is formed, and only this module reads :attr:`CoarseBlocks.X`.  The
+smoother-free part of a level's blocks, the symbol of ``A`` and ``I - P X
+P' A`` per class, is built once per coarse solve (:attr:`CoarseBlocks.core`);
+a format's smoothers add only ``(1 - w lambda)^mu`` and ``(1 - w
+lambda)^nu``.
 
 Every block entry is computed in midpoint-radius arithmetic (:class:`_Ball`):
 the radius bounds the float64 rounding of each operation and the error of
@@ -459,6 +461,16 @@ def coarse_blocks(level, below, mu: int, nu: int) -> CoarseBlocks:
         X = {key: (_identity(*e.mid.shape[:2]) - e) * symbols[key].reciprocal().map(
             lambda v: v[:, None, :]) for key, e in E.items()}
     return CoarseBlocks(level, classes, X)
+
+
+def sine_blocks(level, factors: np.ndarray) -> CoarseBlocks:
+    """The direct solve's blocks of ``level`` with coarse sine mode ``j``
+    scaled by ``factors[j]``, in Kronecker order in 2D: the Fourier form of
+    ``B_c A_c^{-1}`` with ``B_c = Phi diag(f) Phi'``."""
+    direct = coarse_blocks(level, (), 1, 1)
+    # the direct solve has one class: every coarse mode, a 1x1 block each
+    (key, X), = direct.X.items()
+    return CoarseBlocks(level, direct.classes, {key: X * factors[:, None, None]})
 
 
 def _norm_bound(blocks) -> float:

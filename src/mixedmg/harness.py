@@ -24,6 +24,7 @@ import configparser
 import csv
 import io
 import math
+import numbers
 import warnings
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -91,6 +92,10 @@ class ExperimentConfig:
             raise ConfigError(f"unknown smoother {self.smoother!r}")
         if self.coarse not in ("exact", "perturbed", "recursive"):
             raise ConfigError(f"unknown coarse solver {self.coarse!r}")
+        for name in ("size", "levels", "mu", "nu", "trials", "rng_seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
         if self.trials < 1:
             raise ConfigError("trials must be >= 1")
         if not (math.isfinite(self.omega) and self.omega > 0.0):

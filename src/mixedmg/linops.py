@@ -3,15 +3,18 @@
 Everything here runs in the float64 carrier.  Every :class:`SparseSpd` the
 cycles solve is a stencil matrix, which the orthonormal sine modes of its
 grid diagonalise: :func:`solve_spd` is one orthonormal DST-I pair, ``x =
-Phi (Phi' b / lambda)``, with ``lambda`` the matrix's eigenvalues on those
-modes from the stencil symbol (:func:`mixedmg.fourier.sine_eigenvalues`).
-No matrix is factored.  No operator norm is formed here either: the
+Phi (f Phi' b / lambda)``, with ``lambda`` the matrix's eigenvalues on those
+modes from the stencil symbol (:func:`mixedmg.fourier.sine_eigenvalues`)
+and ``f`` optional factors per mode, the stored ``f_j`` of a sine-mode
+coarse solve.  This is the one place the sine transform runs.  No matrix
+is factored, and no operator norm is formed here either: the
 spectral set-up constants come from stencil symbols
 (:mod:`mixedmg.hierarchy`), and ``rho_star`` and the coarse deviations from
 Fourier blocks (:mod:`mixedmg.fourier`).  A :class:`SparseSpd` reads its
 stencil back once, at construction, with the reader of :mod:`mixedmg.fourier`,
 and keeps it with the certified ends of its symbol, whose lower end
-certifies that it is positive definite.
+certifies that it is positive definite.  Its arrays are read-only, so an
+in-place edit raises ``ValueError`` instead of leaving those caches stale.
 
 :func:`energy_norm` and :func:`solve_spd` take a vector ``(n,)`` or a block
 ``(n, T)``, and each column of a block gives bit for bit what the same
@@ -45,8 +48,9 @@ class SparseSpd:
     the certified lower end of its symbol (:attr:`spectrum_ends`) must be
     positive.  A matrix that is not a stencil matrix raises
     :class:`mixedmg.fourier.StructureError`, and one that is not positive
-    definite :class:`SpdError`.  Instances are immutable after
-    construction and safe to share across threads.
+    definite :class:`SpdError`.  The matrix's arrays are read-only, so
+    instances are immutable after construction and safe to share across
+    threads.
     """
 
     def __init__(self, matrix):
@@ -55,6 +59,8 @@ class SparseSpd:
         else:
             M = sparse.csr_array(np.asarray(matrix, dtype=np.float64))
         M.sort_indices()
+        for array in (M.data, M.indices, M.indptr):
+            array.flags.writeable = False  # an edit would leave the caches stale
         if M.shape[0] != M.shape[1]:
             raise SpdError(f"matrix must be square, got {M.shape}")
         self._matrix = M
@@ -134,13 +140,16 @@ def sine_transform(x: np.ndarray, grid: tuple[int, ...]) -> np.ndarray:
     return modes.reshape(x.shape)
 
 
-def solve_spd(A: SparseSpd, b) -> np.ndarray:
+def solve_spd(A: SparseSpd, b, factors: np.ndarray | None = None) -> np.ndarray:
     """Direct sine-mode solve in the carrier; the 'exact' solve proxy.
 
     ``b`` is a vector or an ``(n, T)`` block.  The solve is one transform
-    pair, ``x = Phi (Phi' b / lambda)``, with ``lambda`` the eigenvalues of
-    ``A`` on its sine modes (:attr:`SparseSpd.sine_eigenvalues`).  A
-    non-finite ``b`` or one of the wrong shape raises ``ValueError``.
+    pair, ``x = Phi (f Phi' b / lambda)``, with ``lambda`` the eigenvalues
+    of ``A`` on its sine modes (:attr:`SparseSpd.sine_eigenvalues`) and
+    ``f`` the ``factors`` that scale each mode, in the same order: the
+    sine-mode coarse solves of :mod:`mixedmg.cycles` pass theirs (all ones
+    for the exact one), and without them the solve is exact.  A non-finite
+    ``b`` or one of the wrong shape raises ``ValueError``.
     """
     b = np.asarray(b, dtype=np.float64)
     if b.ndim not in (1, 2) or b.shape[0] != A.n:
@@ -149,5 +158,8 @@ def solve_spd(A: SparseSpd, b) -> np.ndarray:
         raise ValueError("right-hand side has a non-finite entry")
     lam = A.sine_eigenvalues
     modes = sine_transform(b, lam.shape)
-    modes /= lam.reshape(-1, *(1,) * (b.ndim - 1))
+    per_mode = (-1, *(1,) * (b.ndim - 1))
+    if factors is not None:
+        modes *= factors.reshape(per_mode)
+    modes /= lam.reshape(per_mode)
     return sine_transform(modes, lam.shape)

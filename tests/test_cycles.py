@@ -121,6 +121,15 @@ class TestPerturbedCoarse:
         got = oracle.solve_matrix(solver)
         assert np.abs(got - expected).max() <= 1e-14 * np.abs(expected).max()
 
+    def test_apply_is_the_scaled_direct_solve(self, level31):
+        # the perturbed solve is solve_spd with the factors drawn from the
+        # seed, bit for bit, on a vector and on a block
+        solver = make_perturbed_coarse(level31, 0.3, seed=7)
+        f = 1.0 + 0.3 * np.random.default_rng(7).choice((-1.0, 1.0), size=level31.n_c)
+        rng = np.random.default_rng(3)
+        for r in (rng.standard_normal(level31.n_c), rng.standard_normal((level31.n_c, 4))):
+            assert np.array_equal(solver.apply(r), solve_spd(level31.A_c, r, factors=f))
+
     def test_bc_norm_below_two(self, level31):
         for sigma in (0.1, 0.5, 0.9, 0.99):
             B_c = oracle.bc_matrix(level31, sigma, seed=11)
@@ -409,6 +418,9 @@ class TestRecursiveCoarse:
         assert identity_blocks and sum(identity_blocks) == 0
 
     def test_no_field_is_optional(self):
+        # one coarse-solve type: the map, its Fourier form and its deviation
+        assert [f.name for f in dataclasses.fields(CoarseSolver)] == [
+            "level", "correction", "fourier", "bc_deviation"]
         for f in dataclasses.fields(CoarseSolver):
             assert f.default is dataclasses.MISSING, f.name
             assert f.default_factory is dataclasses.MISSING, f.name

@@ -165,10 +165,12 @@ def test_certified_against_fifty_digits(problem, size, variant):
             coarse = make_exact_coarse(level)
             X = mpmath.inverse(_mp(level.A_c.matrix))
         elif variant == "perturbed":
-            # B_c scales the exact sine modes by the stored factors
+            # B_c scales the exact sine modes by the factors fl(1 + sigma s_j),
+            # with the signs drawn from the seed as the library draws them
             coarse = make_perturbed_coarse(level, 0.3, seed=5)
-            X = (_mp_sine_scaling(coarse.correction.factors)
-                 * mpmath.inverse(_mp(level.A_c.matrix)))
+            signs = np.random.default_rng(5).choice((-1.0, 1.0), size=level.n_c)
+            factors = (1.0 + 0.3 * signs).reshape(level.A_c.sine_eigenvalues.shape)
+            X = _mp_sine_scaling(factors) * mpmath.inverse(_mp(level.A_c.matrix))
         else:
             pairs = smoother_pairs("jacobi", levels[1:])
             coarse = make_recursive_coarse(levels, 1, 1, pairs)

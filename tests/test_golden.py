@@ -80,6 +80,30 @@ _PINNED = {
 }
 
 
+# sha256 of render_csv(run_experiment(config)) for each benchmark workload of
+# bench/spec.json, at its default seed 1234 and its held-out seed 4321
+WORKLOADS = json.loads((ROOT / "bench" / "spec.json").read_text())["workloads"]
+_WORKLOAD_DIGESTS = {
+    ("tg1d-trials", 1234):
+        "737086702b3ea41e18e9385c6367508f97cee4b4bf0f97f59d91ff00ca45dc33",
+    ("tg1d-trials", 4321):
+        "b02193d4406e6a22a33da32e988d5672ba234cf6feaa9858247b73676ba11614",
+    ("tg2d-setup", 1234):
+        "9dd4a9409eb581ccb269ddb35e24dcd343bad440d3f424ca33dec4fc93105ddf",
+    ("tg2d-setup", 4321):
+        "e2061b6e9ae9543df6331de8bb2bf6ad7a7b75d02cf935aa9331499e8166f689",
+    ("vcycle1d-recursive", 1234):
+        "9270f929ce71a203043cf90ca76c584e435979d75bbf1674c5e122206f902a37",
+    ("vcycle1d-recursive", 4321):
+        "2f4f6cadc7cecf99321391048c9e080a18a2ad5a613d21ef292a095f75b6e35e",
+}
+
+
+def _workload(name: str, seed: int) -> ExperimentConfig:
+    fields = WORKLOADS[name]
+    return ExperimentConfig(**dict(fields, bits=tuple(fields["bits"]), rng_seed=seed))
+
+
 def run_one_thread(args: list[str], stdin: str | None = None) -> str:
     """Run ``python args`` with BLAS on one thread; its stdout, or fail the test."""
     env = dict(os.environ, **{var: "1" for var in BLAS_THREAD_VARS})
@@ -102,7 +126,8 @@ def render_one_thread(configs: dict) -> dict[str, str]:
 @pytest.fixture(scope="module")
 def rendered() -> dict[str, str]:
     return render_one_thread(
-        {**_GOLDEN, **{name: config for name, (config, _) in _PINNED.items()}})
+        {**_GOLDEN, **{name: config for name, (config, _) in _PINNED.items()},
+         **{f"{name}@{seed}": _workload(name, seed) for name, seed in _WORKLOAD_DIGESTS}})
 
 
 def first_difference(actual: str, expected: str) -> str | None:
@@ -150,6 +175,12 @@ def test_run_command_writes_golden_csv(tmp_path):
 def test_pinned_csv_digest(rendered, name):
     _, digest = _PINNED[name]
     assert hashlib.sha256(rendered[name].encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("name, seed", sorted(_WORKLOAD_DIGESTS))
+def test_workload_csv_digest(rendered, name, seed):
+    text = rendered[f"{name}@{seed}"]
+    assert hashlib.sha256(text.encode()).hexdigest() == _WORKLOAD_DIGESTS[name, seed]
 
 
 def test_pinned_perturbation_raises_rho_star():

@@ -132,6 +132,16 @@ class TestConfig:
         with pytest.raises(ConfigError, match=key):
             ExperimentConfig(size=31, **fields)
 
+    @pytest.mark.parametrize("key, value", [
+        ("trials", 2.5), ("trials", True), ("size", 15.0), ("rng_seed", 1.5),
+        ("mu", 1.5), ("nu", 1.0), ("levels", 3.0), ("trials", "3"),
+    ])
+    def test_rejects_counts_that_are_not_integers(self, key, value):
+        # each died inside the run with a numpy TypeError, or ran True as 1
+        fields = dict(size=15, coarse="recursive", levels=3)
+        with pytest.raises(ConfigError, match=f"^{key} must be an integer"):
+            ExperimentConfig(**{**fields, key: value})
+
     def test_rejects_empty_precisions(self):
         with pytest.raises(ConfigError):
             ExperimentConfig(bits=(), pi_target=None)

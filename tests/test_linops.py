@@ -58,6 +58,14 @@ class TestSparseSpd:
     def test_m_row_counts_stored_nonzeros(self):
         assert poisson_1d(8).row_layout.m == 3
 
+    @pytest.mark.parametrize("array", ["data", "indices", "indptr"])
+    def test_in_place_edit_raises(self, array):
+        # an edit would leave the kept stencil, spectrum ends and sine
+        # eigenvalues stale
+        A = poisson_1d(5)
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(A.matrix, array)[0] = 2
+
 
 class TestEnergyNorm:
     def test_zero_vector(self, level31):
@@ -86,9 +94,10 @@ class TestEnergyNorm:
             energy_norm(np.ones(30), level31.A)
 
     def test_indefinite_matrix_detected(self):
-        # construction certified A; negating its stored entries in place is
-        # the case the runtime guard exists for
+        # construction certified A; negating its stored entries in place,
+        # past the read-only flag, is the case the runtime guard exists for
         A = poisson_1d(5)
+        A.matrix.data.flags.writeable = True
         A.matrix.data *= -1.0
         with pytest.raises(SpdError, match="^negative quadratic form"):
             energy_norm(np.ones(5), A)
