@@ -4,27 +4,28 @@ Every cycle runs one step sequence, written once:
 
 1.  round the right-hand side into the working format
 2.  pre-relax ``mu`` times; the first sweep on the zero initial guess is
-    ``y <- M r``, each later one ``y <- y - M (A y - r)``
+    ``y <- S r``, each later one ``y <- y - S (A y - r)``
 3.  residual of the pre-relaxed iterate, ``A y - r``
 4.  restrict the residual to the coarse level
 5.  coarse correction ``B_c A_c^{-1} r_c`` (always in the carrier)
 6.  prolong the correction to the fine level
 7.  subtract the correction from the iterate
 8.  residual of the corrected iterate
-9.  precondition that residual, ``N r``
+9.  precondition that residual, ``S r``
 10. subtract to obtain the post-relaxed result
 
-and repeats steps 8-10 for each of ``nu`` post-relaxation sweeps.  In a
-reduced format the steps other than 5 run through the certified kernels of
-:mod:`mixedmg.precision`; in the carrier they are the plain float64
-operations, which give the bits of those kernels at 53 bits.  The
-exact-arithmetic reference is this sequence in the carrier.  Step 5 is a
-:class:`CoarseSolver`, which holds one of two carrier maps: a sine-mode
-solve (the exact solve or its perturbation in the coarse sine basis, one
-:func:`mixedmg.linops.solve_spd` either way) or a carrier V-cycle below
-the coarse grid; in :func:`v_cycle` it is the V-cycle one level down.
-Every coarse solver carries its Fourier form, from which :func:`rho_star`
-is certified.
+and repeats steps 8-10 for each of ``nu`` post-relaxation sweeps.  Each
+level relaxes with one operator ``S`` before and after its coarse
+correction.  In a reduced format the steps other than 5 run through the
+certified kernels of :mod:`mixedmg.precision`; in the carrier they are the
+plain float64 operations, which give the bits of those kernels at 53
+bits.  The exact-arithmetic reference is this sequence in the carrier.
+Step 5 is a :class:`CoarseSolver`, which holds one of two carrier maps: a
+sine-mode solve (the exact solve or its perturbation in the coarse sine
+basis, one :func:`mixedmg.linops.solve_spd` either way) or a carrier
+V-cycle below the coarse grid; in :func:`v_cycle` it is the V-cycle one
+level down.  Every coarse solver carries its Fourier form, which holds
+its level and its deviation and from which :func:`rho_star` is certified.
 
 The sequence is a generator of its named stages.  :func:`tg_cycle` runs it
 with ``mu = nu = 1`` in the working format and in the carrier, in lockstep,
@@ -73,28 +74,25 @@ class ContractionError(ValueError):
 
 @dataclass(frozen=True, eq=False)
 class RelaxationOp:
-    """A damped Jacobi or Richardson relaxation ``M = w I`` of order ``n``.
+    """A damped Jacobi or Richardson relaxation ``S = w I`` of order ``n``.
 
     On a stencil matrix the Jacobi diagonal is the constant centre ``c_0``,
     so both relaxations are the scalar ``w``, quantized into the working
     format at construction: applying the operator costs exactly one rounded
     multiply per entry, and the certified constant ``alpha`` satisfies
-    ``norm(fl(M z) - M z) <= alpha * u * norm(z)``.
+    ``norm(fl(S z) - S z) <= alpha * u * norm(z)``.
 
-    ``eta_euclid`` is the Euclidean operator norm (used when the operator
-    pre-relaxes), ``eta_energy`` the energy operator norm (used when it
-    post-relaxes); ``contraction`` is the energy norm of ``I - M A``.
-    ``M = w I`` commutes with ``A``: both norms of ``M`` are ``|w|``, and
-    ``I - M A`` has the eigenvalues ``1 - w lambda`` over the spectrum of
-    ``A``, whose certified ends the stencil symbol of ``A`` gives
+    ``eta = |w|`` is the operator norm of ``S``, Euclidean and energy alike,
+    since ``S`` commutes with ``A``; ``contraction`` is the energy norm of
+    ``I - S A``, whose eigenvalues are ``1 - w lambda`` over the spectrum of
+    ``A``, with the certified ends the stencil symbol of ``A`` gives
     (:func:`mixedmg.hierarchy.spectrum_ends`).
     """
 
     w: float
     n: int
     fmt: PrecisionFormat
-    eta_euclid: float
-    eta_energy: float
+    eta: float
     alpha: float
     contraction: float
 
@@ -102,7 +100,7 @@ class RelaxationOp:
         return self.w * np.asarray(z, dtype=np.float64)
 
     def apply_rounded(self, z: np.ndarray, fmt: PrecisionFormat) -> RoundedResult:
-        """``fl(M z)`` and its bound, per column for a block."""
+        """``fl(S z)`` and its bound, per column for a block."""
         if fmt != self.fmt:
             raise ValueError("relaxation operator was built for a different format")
         return rounded_scale(self.w, z, fmt, self.alpha)
@@ -124,18 +122,17 @@ def _finalize_relaxation(kind: str, A: SparseSpd, w: float,
         w=w,
         n=A.n,
         fmt=fmt,
-        eta_euclid=abs(w),
-        eta_energy=abs(w),
+        eta=abs(w),
         alpha=abs(w) * (1.0 + fmt.unit_roundoff),
         contraction=contraction,
     )
 
 
 def make_jacobi(A: SparseSpd, omega: float, fmt: PrecisionFormat) -> RelaxationOp:
-    """Damped Jacobi ``M = omega * diag(A)^{-1}`` quantized into ``fmt``.
+    """Damped Jacobi ``S = omega * diag(A)^{-1}`` quantized into ``fmt``.
 
     ``A`` is a stencil matrix (:attr:`SparseSpd.stencil`), whose diagonal is
-    its centre ``c_0``, so ``M`` is ``w = fl(omega / c_0)`` times ``I``.
+    its centre ``c_0``, so ``S`` is ``w = fl(omega / c_0)`` times ``I``.
     """
     c_0 = float(A.stencil[0].flat[0])
     if c_0 <= 0:
@@ -145,7 +142,7 @@ def make_jacobi(A: SparseSpd, omega: float, fmt: PrecisionFormat) -> RelaxationO
 
 
 def make_richardson(A: SparseSpd, omega: float, fmt: PrecisionFormat) -> RelaxationOp:
-    """Richardson ``M = omega * I`` with ``omega`` quantized into ``fmt``."""
+    """Richardson ``S = omega * I`` with ``omega`` quantized into ``fmt``."""
     w = float(_round_array(np.float64(omega), fmt.significand_bits))
     return _finalize_relaxation("richardson", A, w, fmt)
 
@@ -158,17 +155,22 @@ class CoarseSolver:
     carrier so that it stays linear: a sine-mode solve
     (:func:`mixedmg.linops.solve_spd` with the stored factors of ``B_c``) or
     a carrier V-cycle below the coarse grid.  ``fourier`` is the map's
-    Fourier form, built with it, which :func:`rho_star` reads.
-    ``bc_deviation`` is the energy norm of ``B_c - I`` on the level's
-    coarse grid: zero for the exact solve, ``max |f_j - 1|`` for the
-    perturbed one, and the certified Fourier-block norm of
-    :func:`mixedmg.fourier.cycle_deviation` for a recursive one.
+    Fourier form, built with it, which :func:`rho_star` reads; it is the
+    one home of the solver's :attr:`level` and :attr:`bc_deviation`.
     """
 
-    level: GridLevel
     correction: Callable[[np.ndarray], np.ndarray] = field(repr=False)
     fourier: fourier.CoarseBlocks = field(repr=False)
-    bc_deviation: float
+
+    @property
+    def level(self) -> GridLevel:
+        return self.fourier.level
+
+    @property
+    def bc_deviation(self) -> float:
+        """The energy norm of ``B_c - I`` on the level's coarse grid
+        (:attr:`mixedmg.fourier.CoarseBlocks.deviation`)."""
+        return self.fourier.deviation
 
     def apply(self, r_c: np.ndarray) -> np.ndarray:
         """``B_c A_c^{-1} r_c`` for a coarse vector or block."""
@@ -180,9 +182,8 @@ def _sine_coarse(level: GridLevel, factors: np.ndarray) -> CoarseSolver:
     ``B_c = Phi diag(f) Phi'``, with ``Phi`` the orthonormal DST-I of the
     coarse grid in Kronecker order in 2D."""
     factors.flags.writeable = False
-    return CoarseSolver(level, lambda r_c: solve_spd(level.A_c, r_c, factors),
-                        fourier.sine_blocks(level, factors),
-                        float(np.abs(factors - 1.0).max()))
+    return CoarseSolver(lambda r_c: solve_spd(level.A_c, r_c, factors),
+                        fourier.sine_blocks(level, factors))
 
 
 def make_exact_coarse(level: GridLevel) -> CoarseSolver:
@@ -212,24 +213,21 @@ def make_perturbed_coarse(level: GridLevel, sigma: float, seed: int = 0) -> Coar
 def make_recursive_coarse(levels, mu: int, nu: int, smoothers) -> CoarseSolver:
     """Coarse solver of ``levels[0]`` that runs one carrier V-cycle on ``levels[1:]``.
 
-    ``smoothers`` is required: one carrier ``(M, N)`` pair per level of
-    ``levels[1:]``.  With a single level there is no cycle below, and the
-    solver is the exact direct solve.  ``bc_deviation`` is the certified
-    contraction of one cycle, from its Fourier blocks.
+    ``smoothers`` is required: one carrier smoother per level of
+    ``levels[1:]``, and there must be at least one such level.
+    ``bc_deviation`` is the certified contraction of one cycle, from its
+    Fourier blocks.
     """
     level, sub, smoothers = levels[0], tuple(levels[1:]), tuple(smoothers)
     if not sub:
-        return make_exact_coarse(level)
+        raise ValueError("a recursive coarse solve needs a grid below the coarse grid")
     _check_cycle(sub, mu, nu, smoothers)
-    below = tuple((l, M, N) for l, (M, N) in zip(sub, smoothers))
-    blocks = fourier.coarse_blocks(level, below, mu, nu)
-    deviation = fourier.cycle_deviation(blocks)
-    if deviation >= 1.0:
+    blocks = fourier.coarse_blocks(level, tuple(zip(sub, smoothers)), mu, nu)
+    if blocks.deviation >= 1.0:
         raise ContractionError(f"recursive coarse solve does not contract "
-                               f"(deviation {deviation:.4f})")
-    return CoarseSolver(level, lambda r_c: v_cycle(sub, mu, nu, r_c, CARRIER,
-                                                   smoothers=smoothers),
-                        blocks, deviation)
+                               f"(deviation {blocks.deviation:.4f})")
+    return CoarseSolver(lambda r_c: v_cycle(sub, mu, nu, r_c, CARRIER, smoothers=smoothers),
+                        blocks)
 
 
 @dataclass(frozen=True, eq=False)
@@ -279,13 +277,8 @@ def _operations(level: GridLevel, fmt: PrecisionFormat):
             lambda v, w: rounded_add_sub(v, w, "-", fmt).value)
 
 
-def _check_coarse(level: GridLevel, coarse: CoarseSolver):
-    if coarse.level is not level:
-        raise ValueError("coarse solver was built for a different level")
-
-
-def _cycle(level: GridLevel, r, M: RelaxationOp, N: RelaxationOp, mu: int,
-           nu: int, coarse, fmt: PrecisionFormat):
+def _cycle(level: GridLevel, r, S: RelaxationOp, mu: int, nu: int, coarse,
+           fmt: PrecisionFormat):
     """The cycle's step sequence in ``fmt``; ``coarse`` maps ``r_c`` to ``d_c``.
 
     A generator of ``(stage, value)`` pairs in step order: ``r`` (the
@@ -300,7 +293,7 @@ def _cycle(level: GridLevel, r, M: RelaxationOp, N: RelaxationOp, mu: int,
     yield "r", rq
     y = np.zeros_like(rq)
     for sweep in range(mu):
-        y = relax(M, rq) if sweep == 0 else subtract(y, relax(M, residual(y, rq)))
+        y = relax(S, rq) if sweep == 0 else subtract(y, relax(S, residual(y, rq)))
     yield "y_mu", y
     z = residual(y, rq)
     yield "r_mu", z
@@ -315,28 +308,27 @@ def _cycle(level: GridLevel, r, M: RelaxationOp, N: RelaxationOp, mu: int,
     for _ in range(nu):
         z = residual(y, rq)
         yield "r_nu", z
-        z = relax(N, z)
+        z = relax(S, z)
         yield "r_N", z
         y = subtract(y, z)
         yield "y", y
 
 
-def tg_cycle(level: GridLevel, r, M: RelaxationOp, N: RelaxationOp,
-             coarse: CoarseSolver, fmt: PrecisionFormat):
-    """One reduced-precision two-grid cycle with a full deviation trace.
+def tg_cycle(r, S: RelaxationOp, coarse: CoarseSolver, fmt: PrecisionFormat):
+    """One reduced-precision two-grid cycle on ``coarse.level``, with a full deviation trace.
 
     ``r`` is one right-hand side ``(n,)`` or a block ``(n, T)`` of them.
     Returns the computed result and a :class:`CycleTrace` whose entries are
-    measured against the exact reference computed with the same ``M``,
-    ``N`` and coarse solver.
+    measured against the exact reference computed with the same ``S`` and
+    coarse solver.
 
     The cycle and its reference advance in lockstep, one stage at a time:
     each proof line is measured as soon as its stages exist, and a stage is
     released once no later line reads it.
     """
-    _check_coarse(level, coarse)
-    cycle = zip(_cycle(level, r, M, N, 1, 1, coarse.apply, fmt),
-                _cycle(level, r, M, N, 1, 1, coarse.apply, CARRIER))
+    level = coarse.level
+    cycle = zip(_cycle(level, r, S, 1, 1, coarse.apply, fmt),
+                _cycle(level, r, S, 1, 1, coarse.apply, CARRIER))
 
     def stage(name):
         """The next computed stage and its reference."""
@@ -353,7 +345,7 @@ def tg_cycle(level: GridLevel, r, M: RelaxationOp, N: RelaxationOp,
     rq, ref = stage("r")
     norms["rhs_quantize"] = euclid(rq - ref)
     y_mu, ref = stage("y_mu")
-    norms["pre_relax_step"] = euclid(y_mu - relax(M, rq))
+    norms["pre_relax_step"] = euclid(y_mu - relax(S, rq))
     norms["pre_relax_total"] = euclid(y_mu - ref)
     r_mu, ref = stage("r_mu")
     norms["pre_residual_step"] = euclid(r_mu - residual(y_mu, rq))
@@ -375,7 +367,7 @@ def tg_cycle(level: GridLevel, r, M: RelaxationOp, N: RelaxationOp,
     norms["post_residual_step"] = e_A(r_nu - residual(y_nu, rq))
     norms["post_residual_total"] = e_A(r_nu - ref)
     r_N, ref = stage("r_N")
-    norms["post_relax_step"] = euclid(r_N - relax(N, r_nu))
+    norms["post_relax_step"] = euclid(r_N - relax(S, r_nu))
     norms["post_relax_total"] = e_A(r_N - ref)
     del r_nu
     y, y_ref = stage("y")
@@ -384,11 +376,10 @@ def tg_cycle(level: GridLevel, r, M: RelaxationOp, N: RelaxationOp,
     return y, CycleTrace(line_norms=norms, y_reference=y_ref, y=y, A=level.A)
 
 
-def rho_star(level: GridLevel, M: RelaxationOp, N: RelaxationOp,
-             coarse: CoarseSolver) -> float:
-    """Energy norm of the exact-arithmetic two-grid error propagator.
+def rho_star(S: RelaxationOp, coarse: CoarseSolver) -> float:
+    """Energy norm of the exact-arithmetic two-grid error propagator of ``coarse.level``.
 
-    ``E = (I - N A)(I - P X P' A)(I - M A)`` with ``X = B_c A_c^{-1}``.  This
+    ``E = (I - S A)(I - P X P' A)(I - S A)`` with ``X = B_c A_c^{-1}``.  This
     is the certified upper end of :func:`mixedmg.fourier.two_grid_norm`, from
     small blocks over the sine harmonics, for every coarse solve: each
     coarse solver carries its Fourier form.  It raises
@@ -396,8 +387,7 @@ def rho_star(level: GridLevel, M: RelaxationOp, N: RelaxationOp,
     matrix of its stencil.  A value >= 1 is reported, not raised: the
     convergence bound is then vacuous for this configuration.
     """
-    _check_coarse(level, coarse)
-    return fourier.two_grid_norm(coarse.fourier, M, N)
+    return fourier.two_grid_norm(coarse.fourier, S)
 
 
 def _check_cycle(levels, mu: int, nu: int, smoothers):
@@ -406,7 +396,7 @@ def _check_cycle(levels, mu: int, nu: int, smoothers):
     if mu < 0 or nu < 0 or mu + nu < 1:
         raise ValueError("need mu, nu >= 0 with mu + nu >= 1")
     if len(smoothers) != len(levels):
-        raise ValueError("need one smoother pair per level")
+        raise ValueError("need one smoother per level")
 
 
 def v_cycle(levels, mu: int, nu: int, r, fmt: PrecisionFormat, *,
@@ -423,7 +413,7 @@ def v_cycle(levels, mu: int, nu: int, r, fmt: PrecisionFormat, *,
     ``mu = nu = 1`` the result is bit for bit that of :func:`tg_cycle` with
     an exact coarse solver.
 
-    ``smoothers`` is required: one ``(M, N)`` pair per level.
+    ``smoothers`` is required: one smoother per level.
     """
     _check_cycle(levels, mu, nu, smoothers)
     level = levels[0]
@@ -432,7 +422,6 @@ def v_cycle(levels, mu: int, nu: int, r, fmt: PrecisionFormat, *,
     else:
         coarse = lambda r_c: v_cycle(levels[1:], mu, nu, r_c, fmt,  # noqa: E731
                                      smoothers=smoothers[1:])
-    M, N = smoothers[0]
-    for _, y in _cycle(level, r, M, N, mu, nu, coarse, fmt):
+    for _, y in _cycle(level, r, smoothers[0], mu, nu, coarse, fmt):
         pass  # the last stage is the cycle's result
     return y

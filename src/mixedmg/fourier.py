@@ -14,19 +14,21 @@ With ``theta_j = j pi / (k + 1)`` on a grid of ``k`` points per axis:
   with the weights ``+-p (1 + cos theta) / sqrt(2)`` per axis, ``p`` the
   stored centre weight, and the middle mode ``(k + 1) / 2`` to zero.
 
-So the propagator ``E = S_N^nu (I - P X P' A) S_M^mu`` splits into blocks
-over the harmonic groups a coarse group pulls back to: 2 modes (1D) or 4
-modes (2D) per coarse mode for an exact coarse solve, ``2^(L-1)`` or
-``4^(L-1)`` for a V-cycle over ``L`` grids, and a lone mode with ``S_N^nu
-S_M^mu`` only where a middle mode has no coarse image.  A coarse V-cycle
-enters as ``X = (I - E_sub) A_c^{-1}``, block by block
-(:func:`coarse_blocks`), and a sine-mode perturbation of the direct solve
-as its blocks scaled mode by mode (:func:`sine_blocks`); no order-``n``
-matrix is formed, and only this module reads :attr:`CoarseBlocks.X`.  The
-smoother-free part of a level's blocks, the symbol of ``A`` and ``I - P X
-P' A`` per class, is built once per coarse solve (:attr:`CoarseBlocks.core`);
-a format's smoothers add only ``(1 - w lambda)^mu`` and ``(1 - w
-lambda)^nu``.
+So the propagator ``E = (I - S A)^nu (I - P X P' A) (I - S A)^mu``, with
+``S = w I`` the level's one relaxation, splits into blocks over the
+harmonic groups a coarse group pulls back to: 2 modes (1D) or 4 modes (2D)
+per coarse mode for an exact coarse solve, ``2^(L-1)`` or ``4^(L-1)`` for
+a V-cycle over ``L`` grids, and a lone mode with ``(I - S A)^(mu + nu)``
+only where a middle mode has no coarse image.  A coarse V-cycle enters as
+``X = (I - E_sub) A_c^{-1}``, block by block (:func:`coarse_blocks`), and a
+sine-mode perturbation of the direct solve as its blocks scaled mode by
+mode (:func:`sine_blocks`); no order-``n`` matrix is formed, and only this
+module reads :attr:`CoarseBlocks.X`.  The smoother-free part of a level's
+blocks, the symbol of ``A`` and ``I - P X P' A`` per class, is built once
+per coarse solve (:attr:`CoarseBlocks.core`); a format's smoother adds
+only ``(1 - w lambda)^mu`` and ``(1 - w lambda)^nu``.  The coarse solve's
+deviation, the ``A_c``-norm of ``X A_c - I``, is read off the same blocks:
+for a V-cycle ``X A_c - I`` is minus the sub-cycle's propagator.
 
 Every block entry is computed in midpoint-radius arithmetic (:class:`_Ball`):
 the radius bounds the float64 rounding of each operation and the error of
@@ -396,16 +398,15 @@ def _core(level, coarse_classes, X, depth: int):
     return classes, symbols, cores
 
 
-def _smoothed(level, M, N, mu: int, nu: int, symbols, cores, depth: int) -> dict:
-    """Per class key the propagator blocks ``S_N^nu core S_M^mu`` of one level."""
-    for name, S in (("pre-smoother M", M), ("post-smoother N", N)):
-        if S.n != level.n:
-            raise StructureError(f"level {depth}: {name} has order {S.n}, not {level.n}")
+def _smoothed(level, S, mu: int, nu: int, symbols, cores, depth: int) -> dict:
+    """Per class key the propagator blocks ``(I - S A)^nu core (I - S A)^mu``
+    of one level, for its smoother ``S = w I``."""
+    if S.n != level.n:
+        raise StructureError(f"level {depth}: smoother has order {S.n}, not {level.n}")
     E = {}
     for key, lam in symbols.items():
-        s_M = (1.0 - M.w * lam) ** mu
-        s_N = (1.0 - N.w * lam) ** nu
-        E[key] = s_N.map(lambda v: v[:, :, None]) * cores[key] * s_M.map(
+        s = 1.0 - S.w * lam
+        E[key] = (s ** nu).map(lambda v: v[:, :, None]) * cores[key] * (s ** mu).map(
             lambda v: v[:, None, :])
     return E
 
@@ -423,13 +424,16 @@ class CoarseBlocks:
 
     ``classes`` lists the frequency classes of the coarse grid per axis,
     and ``X`` maps a class key (one class index per axis) to the solve's
-    ``(B, G, G)`` blocks on it.  :attr:`core` is the smoother-free part of
-    ``level``'s two-grid blocks, which every format's smoothers share.
+    ``(B, G, G)`` blocks on it.  ``deviation`` is a certified upper end of
+    the ``A_c``-norm of ``X A_c - I``, the energy norm of ``B_c - I``.
+    :attr:`core` is the smoother-free part of ``level``'s two-grid blocks,
+    which every format's smoother shares.
     """
 
     level: object
     classes: list
     X: dict
+    deviation: float
 
     @cached_property
     def core(self):
@@ -440,37 +444,43 @@ class CoarseBlocks:
 def coarse_blocks(level, below, mu: int, nu: int) -> CoarseBlocks:
     """The Fourier blocks of the coarse solve of ``level``.
 
-    With ``below`` empty, ``X`` is the direct solve of ``level.A_c``;
-    otherwise it is the carrier V(mu, nu)-cycle over the ``(level, M, N)``
-    of ``below``, ``X = (I - E) A^{-1}`` with ``A`` the top one's matrix.
+    With ``below`` empty, ``X`` is the direct solve of ``level.A_c`` and the
+    deviation is zero; otherwise it is the carrier V(mu, nu)-cycle over the
+    ``(level, S)`` of ``below``, ``X = (I - E) A^{-1}`` with ``A`` the top
+    one's matrix, which must be ``level.A_c``, and ``E`` that level's
+    propagator, so ``X A_c - I = -E`` and the deviation is the energy norm of
+    ``E``.
     """
-    chain = [level] + [l for l, _, _ in below]
+    chain = [level] + [l for l, _ in below]
     stencils = [_stencils(l, depth) for depth, l in enumerate(chain)]
     d = stencils[0].d
     for depth in range(1, len(chain)):
-        if (stencils[depth].d, stencils[depth].k) != (d, (stencils[depth - 1].k - 1) // 2):
+        above, here = stencils[depth - 1], stencils[depth]
+        if ((here.d, here.k) != (d, (above.k - 1) // 2)
+                or not np.array_equal(here.A, above.A_c)):
             raise StructureError(f"level {depth} is not the coarse grid of level {depth - 1}")
     k = (stencils[-1].k - 1) // 2
     classes = [np.arange(1, k + 1)[:, None]]
     lam = _symbol(stencils[-1].A_c, [_harmonics(classes[0], k)[0]] * d)
     X = {(0,) * d: lam.reciprocal().map(lambda v: v[:, :, None])}
-    for depth in reversed(range(1, len(chain))):
-        _, M, N = below[depth - 1]
-        classes, symbols, cores = _core(chain[depth], classes, X, depth)
-        E = _smoothed(chain[depth], M, N, mu, nu, symbols, cores, depth)
+    for depth, (sub, S) in reversed(list(enumerate(below, start=1))):
+        classes, symbols, cores = _core(sub, classes, X, depth)
+        E = _smoothed(sub, S, mu, nu, symbols, cores, depth)
         X = {key: (_identity(*e.mid.shape[:2]) - e) * symbols[key].reciprocal().map(
             lambda v: v[:, None, :]) for key, e in E.items()}
-    return CoarseBlocks(level, classes, X)
+    return CoarseBlocks(level, classes, X, _energy_norm(E, symbols) if below else 0.0)
 
 
 def sine_blocks(level, factors: np.ndarray) -> CoarseBlocks:
     """The direct solve's blocks of ``level`` with coarse sine mode ``j``
     scaled by ``factors[j]``, in Kronecker order in 2D: the Fourier form of
-    ``B_c A_c^{-1}`` with ``B_c = Phi diag(f) Phi'``."""
+    ``B_c A_c^{-1}`` with ``B_c = Phi diag(f) Phi'``, whose deviation is
+    ``max |f_j - 1|``."""
     direct = coarse_blocks(level, (), 1, 1)
     # the direct solve has one class: every coarse mode, a 1x1 block each
     (key, X), = direct.X.items()
-    return CoarseBlocks(level, direct.classes, {key: X * factors[:, None, None]})
+    return CoarseBlocks(level, direct.classes, {key: X * factors[:, None, None]},
+                        float(np.abs(factors - 1.0).max()))
 
 
 def _norm_bound(blocks) -> float:
@@ -489,35 +499,22 @@ def _norm_bound(blocks) -> float:
     return float(np.nextafter(best, np.inf))
 
 
-def _energy(x: _Ball, lam: _Ball) -> _Ball:
-    """``Lambda^(1/2) x Lambda^(-1/2)`` for blocks ``x`` and their symbols."""
-    q = lam.sqrt()
-    return q.map(lambda v: v[:, :, None]) * x * q.reciprocal().map(lambda v: v[:, None, :])
+def _energy_norm(E: dict, symbols: dict) -> float:
+    """Certified upper end of the energy norm of the propagator whose blocks
+    are ``E``: the spectral norm of ``Lambda^(1/2) E Lambda^(-1/2)``, with
+    ``Lambda`` each class's symbol."""
+    def scaled(key):
+        q = symbols[key].sqrt()
+        return q.map(lambda v: v[:, :, None]) * E[key] * q.reciprocal().map(
+            lambda v: v[:, None, :])
+    return _norm_bound(scaled(key) for key in E)
 
 
-def two_grid_norm(coarse: CoarseBlocks, M, N) -> float:
-    """Certified upper end of the energy norm of ``(I - N A)(I - P X P' A)(I - M A)``.
+def two_grid_norm(coarse: CoarseBlocks, S) -> float:
+    """Certified upper end of the energy norm of ``(I - S A)(I - P X P' A)(I - S A)``.
 
     ``X`` is the coarse solve of ``coarse.level`` whose blocks
-    :func:`coarse_blocks` gave; only the smoothers are applied per call.
+    :func:`coarse_blocks` gave; only the smoother is applied per call.
     """
     _, symbols, cores = coarse.core
-    E = _smoothed(coarse.level, M, N, 1, 1, symbols, cores, 0)
-    return _norm_bound(_energy(E[key], symbols[key]) for key in E)
-
-
-def cycle_deviation(coarse: CoarseBlocks) -> float:
-    """Certified upper end of the ``A_c``-norm of ``X A_c - I``.
-
-    ``X`` is the coarse solve of ``coarse.level`` whose blocks
-    :func:`coarse_blocks` gave; the coarse blocks are ``X A_c - I`` with
-    ``A_c``'s symbol.
-    """
-    c = _stencils(coarse.level, 0)
-    k_c = (c.k - 1) // 2
-    blocks = []
-    for key, x in coarse.X.items():
-        lam = _symbol(c.A_c, [_harmonics(coarse.classes[i], k_c)[0] for i in key])
-        deviation = x * lam.map(lambda v: v[:, None, :]) - _identity(*x.mid.shape[:2])
-        blocks.append(_energy(deviation, lam))
-    return _norm_bound(blocks)
+    return _energy_norm(_smoothed(coarse.level, S, 1, 1, symbols, cores, 0), symbols)

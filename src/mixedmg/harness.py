@@ -247,21 +247,22 @@ def make_smoother(kind: str, A, omega: float, fmt: PrecisionFormat) -> Relaxatio
     raise ConfigError(f"unknown smoother {kind!r}")
 
 
-def bound_inputs_for(level: GridLevel, M: RelaxationOp, N: RelaxationOp,
-                     fmt: PrecisionFormat) -> BoundInputs:
-    """Assemble the bounds-engine inputs from a level and its smoothers."""
+def bound_inputs_for(level: GridLevel, S: RelaxationOp, fmt: PrecisionFormat) -> BoundInputs:
+    """Assemble the bounds-engine inputs from a level and its smoother, which
+    is both the pre-relaxation ``M`` and the post-relaxation ``N`` of the
+    bound."""
     return BoundInputs(
         eps=fmt.unit_roundoff,
         kappa=level.kappa,
         kappa_c=level.kappa_c,
         eta_A=level.eta_A,
         eta_P=level.eta_P,
-        eta_M=M.eta_euclid,
-        eta_N=N.eta_energy,
+        eta_M=S.eta,
+        eta_N=S.eta,
         m_A=level.A.row_layout.m,
         m_P=level.P_layout.m,
-        alpha_M=M.alpha,
-        alpha_N=N.alpha,
+        alpha_M=S.alpha,
+        alpha_N=S.alpha,
     )
 
 
@@ -272,7 +273,7 @@ def _make_coarse(config: ExperimentConfig, levels) -> CoarseSolver:
         return make_perturbed_coarse(levels[0], config.sigma,
                                      seed=config.rng_seed)
     # the cycle below the coarse grid relaxes with the configured smoother
-    smoothers = [(make_smoother(config.smoother, l.A, config.omega, CARRIER),) * 2
+    smoothers = [make_smoother(config.smoother, l.A, config.omega, CARRIER)
                  for l in levels[1:]]
     return make_recursive_coarse(levels, config.mu, config.nu, smoothers)
 
@@ -291,15 +292,14 @@ def run_experiment(config: ExperimentConfig) -> list[TrialRecord]:
     records: list[TrialRecord] = []
     for bits in _resolve_bits(config, level):
         fmt = PrecisionFormat(bits)
-        # one operator serves as both pre- and post-relaxation
-        M = N = make_smoother(config.smoother, level.A, config.omega, fmt)
-        rho = rho_star(level, M, N, coarse)
+        S = make_smoother(config.smoother, level.A, config.omega, fmt)
+        rho = rho_star(S, coarse)
         if rho >= 1.0:
             warnings.warn(
                 f"exact-arithmetic contraction factor {rho:.4f} >= 1 at "
                 f"bits={bits}; the error bound is vacuous for this "
                 f"configuration", stacklevel=2)
-        inputs = bound_inputs_for(level, M, N, fmt)
+        inputs = bound_inputs_for(level, S, fmt)
         report = compute_constants(
             inputs, rho_star=rho,
             n=level.n, n_c=level.n_c, significand_bits=bits,
@@ -316,7 +316,7 @@ def run_experiment(config: ExperimentConfig) -> list[TrialRecord]:
             r = (draws / column_norms(draws.T)[:, None]).T
             x = solve_spd(level.A, r)
             x_norm = energy_norm(x, level.A)
-            y, trace = tg_cycle(level, r, M, N, coarse, fmt)
+            y, trace = tg_cycle(r, S, coarse, fmt)
             ref_error = energy_norm(trace.y_reference - x, level.A)
             fp_error = energy_norm(y - x, level.A)
             measured_ratio = fp_error / x_norm

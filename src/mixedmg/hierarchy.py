@@ -280,10 +280,8 @@ def _scaled(A: SparseSpd) -> SparseSpd:
 
 
 def _level(A: SparseSpd, P) -> GridLevel:
-    """The level of an already scaled ``A``; see :func:`normalize_hierarchy`."""
-    P = sparse.csr_array(P).astype(np.float64)
-    if P.shape[0] != A.n or P.shape[1] > P.shape[0]:
-        raise ValueError(f"prolongation shape {P.shape} incompatible with n={A.n}")
+    """The level of an already scaled ``A`` and a checked float64 ``P``; see
+    :func:`normalize_hierarchy`."""
     s_c = spectral_norm(_galerkin(A, P))
     P1 = sparse.csr_array(P * float(1.0 / np.sqrt(s_c)))
     P1.sort_indices()

@@ -27,9 +27,9 @@ def levels31_3():
 
 
 @pytest.fixture(scope="session")
-def jacobi_pairs():
-    """``jacobi_pairs(levels, fmt=CARRIER)``: one damped Jacobi (omega = 2/3)
-    ``(S, S)`` pair per level, the smoother of the default config."""
-    def pairs(levels, fmt=CARRIER):
-        return [(make_jacobi(l.A, 2.0 / 3.0, fmt),) * 2 for l in levels]
-    return pairs
+def jacobi_smoothers():
+    """``jacobi_smoothers(levels, fmt=CARRIER)``: one damped Jacobi
+    (omega = 2/3) per level, the smoother of the default config."""
+    def smoothers(levels, fmt=CARRIER):
+        return [make_jacobi(l.A, 2.0 / 3.0, fmt) for l in levels]
+    return smoothers

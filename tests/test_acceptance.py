@@ -150,20 +150,19 @@ def test_a3_kernel_certification():
 
 def test_a4_exact_arithmetic_structure():
     lvl = build_multilevel(31, 2)[0]
-    M = make_jacobi(lvl.A, 2.0 / 3.0, CARRIER)
-    N = make_jacobi(lvl.A, 2.0 / 3.0, CARRIER)
+    S = make_jacobi(lvl.A, 2.0 / 3.0, CARRIER)
     bound_dc = 2.0 * math.sqrt(lvl.kappa_c)
     worst_ynu = worst_dc = worst_y = 0.0
     for sigma in (0.0, 0.3, 0.9):
         coarse = make_perturbed_coarse(lvl, sigma, seed=13)
-        rho = rho_star(lvl, M, N, coarse)
+        rho = rho_star(S, coarse)
         assert rho < 1.0
         rng = np.random.default_rng(int(sigma * 10))
         for _ in range(100):
             r = rng.standard_normal(31)
             x = solve_spd(lvl.A, r)
             xn = energy_norm(x, lvl.A)
-            st = dict(_cycle(lvl, r, M, N, 1, 1, coarse.apply, CARRIER))
+            st = dict(_cycle(lvl, r, S, 1, 1, coarse.apply, CARRIER))
             ynu = energy_norm(st["y_nu"] - x, lvl.A) / xn
             dc = float(np.linalg.norm(st["d_c"])) / xn
             ytot = energy_norm(st["y"], lvl.A) / xn
@@ -195,10 +194,10 @@ def test_a5_gamma_linearization():
         kappa_c=lvl.kappa_c,
         eta_A=lvl.eta_A,
         eta_P=lvl.eta_P,
-        eta_M=M.eta_euclid,
-        eta_N=M.eta_energy,
-        alpha_M=M.eta_euclid,
-        alpha_N=M.eta_euclid,
+        eta_M=M.eta,
+        eta_N=M.eta,
+        alpha_M=M.eta,
+        alpha_N=M.eta,
     )
     m_a, m_p = lvl.A.row_layout.m, lvl.P_layout.m
     gammas = gamma_constants(BoundInputs(
@@ -255,21 +254,19 @@ def test_a7_structural_identities():
         levels = build_multilevel(n, 2)
         lvl = levels[0]
         fmt = PrecisionFormat(bits)
-        M = make_jacobi(lvl.A, 2.0 / 3.0, fmt)
-        N = make_jacobi(lvl.A, 2.0 / 3.0, fmt)
+        S = make_jacobi(lvl.A, 2.0 / 3.0, fmt)
         rng = np.random.default_rng(n)
         for _ in range(10):
             r = rng.standard_normal(n)
-            y_tg, _ = tg_cycle(lvl, r, M, N, make_exact_coarse(lvl), fmt)
-            y_v = v_cycle(levels, 1, 1, r, fmt, smoothers=[(M, N)])
+            y_tg, _ = tg_cycle(r, S, make_exact_coarse(lvl), fmt)
+            y_v = v_cycle(levels, 1, 1, r, fmt, smoothers=[S])
             assert np.array_equal(y_tg, y_v), "bitwise identity broken"
 
-        Mc = make_jacobi(lvl.A, 2.0 / 3.0, CARRIER)
-        Nc = make_jacobi(lvl.A, 2.0 / 3.0, CARRIER)
+        Sc = make_jacobi(lvl.A, 2.0 / 3.0, CARRIER)
         tol = 1e3 * EPS * math.sqrt(lvl.kappa)
         for _ in range(10):
             r = rng.standard_normal(n)
-            y, trace = tg_cycle(lvl, r, Mc, Nc, make_exact_coarse(lvl), CARRIER)
+            y, trace = tg_cycle(r, Sc, make_exact_coarse(lvl), CARRIER)
             x = solve_spd(lvl.A, r)
             rel = energy_norm(y - trace.y_reference, lvl.A) / energy_norm(x, lvl.A)
             worst_rel = max(worst_rel, rel)

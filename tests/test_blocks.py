@@ -165,13 +165,13 @@ class TestCarrierOperations:
             assert norms[t] == energy_norm(np.array(W[:, t]), level31.A)
 
 
-def _coarse_variants(levels31_3, jacobi_pairs):
+def _coarse_variants(levels31_3, jacobi_smoothers):
     lvl = levels31_3[0]
     return {
         "exact": make_exact_coarse(lvl),
         "perturbed": make_perturbed_coarse(lvl, 0.4, seed=3),
         "recursive": make_recursive_coarse(levels31_3, 1, 1,
-                                           jacobi_pairs(levels31_3[1:])),
+                                           jacobi_smoothers(levels31_3[1:])),
     }
 
 
@@ -184,14 +184,14 @@ def _assert_apply_columns_match(coarse, R):
 
 class TestCycles:
     @pytest.mark.parametrize("variant", ["exact", "perturbed", "recursive"])
-    def test_tg_cycle(self, levels31_3, jacobi_pairs, variant):
+    def test_tg_cycle(self, levels31_3, jacobi_smoothers, variant):
         lvl = levels31_3[0]
-        coarse = _coarse_variants(levels31_3, jacobi_pairs)[variant]
-        M = make_jacobi(lvl.A, 2.0 / 3.0, FMT)
+        coarse = _coarse_variants(levels31_3, jacobi_smoothers)[variant]
+        S = make_jacobi(lvl.A, 2.0 / 3.0, FMT)
         R = np.random.default_rng(9).standard_normal((31, T))
-        Y, trace = tg_cycle(lvl, R, M, M, coarse, FMT)
+        Y, trace = tg_cycle(R, S, coarse, FMT)
         for t in range(T):
-            y, single = tg_cycle(lvl, np.array(R[:, t]), M, M, coarse, FMT)
+            y, single = tg_cycle(np.array(R[:, t]), S, coarse, FMT)
             assert np.array_equal(Y[:, t], y)
             assert np.array_equal(trace.y_reference[:, t], single.y_reference)
             assert trace.delta_y_energy[t] == single.delta_y_energy
@@ -199,8 +199,8 @@ class TestCycles:
                 assert norms[t] == single.line_norms[name], name
 
     @pytest.mark.parametrize("fmt", [FMT, CARRIER])
-    def test_v_cycle(self, levels31_3, jacobi_pairs, fmt):
-        smoothers = jacobi_pairs(levels31_3, fmt)
+    def test_v_cycle(self, levels31_3, jacobi_smoothers, fmt):
+        smoothers = jacobi_smoothers(levels31_3, fmt)
         R = np.random.default_rng(10).standard_normal((31, T))
         Y = v_cycle(levels31_3, 2, 1, R, fmt, smoothers=smoothers)
         for t in range(T):
@@ -208,11 +208,11 @@ class TestCycles:
                                                    fmt, smoothers=smoothers))
 
     @pytest.mark.parametrize("variant", ["exact", "perturbed", "recursive"])
-    def test_solve_matrix_columns_are_unit_vector_solves(self, levels31_3, jacobi_pairs,
+    def test_solve_matrix_columns_are_unit_vector_solves(self, levels31_3, jacobi_smoothers,
                                                          variant):
         # the identity block, as the dense oracle applies it
         lvl = levels31_3[0]
-        coarse = _coarse_variants(levels31_3, jacobi_pairs)[variant]
+        coarse = _coarse_variants(levels31_3, jacobi_smoothers)[variant]
         W = oracle.solve_matrix(coarse)
         assert W.flags.c_contiguous
         for i in (0, 7, lvl.n_c - 1):
@@ -221,9 +221,9 @@ class TestCycles:
             assert np.array_equal(W[:, i], coarse.apply(e))
 
     @pytest.mark.parametrize("variant", ["exact", "perturbed", "recursive"])
-    def test_coarse_apply_gives_each_column_its_bits(self, levels31_3, jacobi_pairs,
+    def test_coarse_apply_gives_each_column_its_bits(self, levels31_3, jacobi_smoothers,
                                                      variant):
-        coarse = _coarse_variants(levels31_3, jacobi_pairs)[variant]
+        coarse = _coarse_variants(levels31_3, jacobi_smoothers)[variant]
         R = np.random.default_rng(15).standard_normal((levels31_3[0].n_c, 64))
         _assert_apply_columns_match(coarse, R)
 
@@ -239,8 +239,8 @@ class TestCycles:
 
     def test_two_level_v_cycle_block_matches_tg_cycle(self, level31, jacobi31):
         R = np.random.default_rng(11).standard_normal((31, T))
-        y_tg, _ = tg_cycle(level31, R, jacobi31, jacobi31, make_exact_coarse(level31), FMT)
-        y_v = v_cycle([level31], 1, 1, R, FMT, smoothers=[(jacobi31, jacobi31)])
+        y_tg, _ = tg_cycle(R, jacobi31, make_exact_coarse(level31), FMT)
+        y_v = v_cycle([level31], 1, 1, R, FMT, smoothers=[jacobi31])
         assert np.array_equal(y_tg, y_v)
 
 
@@ -252,7 +252,7 @@ def _poison(block, value, column=3):
 
 class TestFailuresInOneColumn:
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-    def test_nonfinite_entry_raises(self, level31, jacobi31, jacobi_pairs, bad):
+    def test_nonfinite_entry_raises(self, level31, jacobi31, jacobi_smoothers, bad):
         W = _block(np.random.default_rng(12), 31)
         X = _poison(W, bad)
         with pytest.raises(ValueError):
@@ -273,11 +273,11 @@ class TestFailuresInOneColumn:
         with pytest.raises(ValueError):
             solve_spd(level31.A, X)
         with pytest.raises(ValueError):
-            tg_cycle(level31, X, jacobi31, jacobi31, make_exact_coarse(level31), FMT)
+            tg_cycle(X, jacobi31, make_exact_coarse(level31), FMT)
         with pytest.raises(ValueError):
-            tg_cycle(level31, X, jacobi31, jacobi31, make_exact_coarse(level31), CARRIER)
+            tg_cycle(X, jacobi31, make_exact_coarse(level31), CARRIER)
         with pytest.raises(ValueError):
-            v_cycle([level31], 1, 1, X, CARRIER, smoothers=jacobi_pairs([level31]))
+            v_cycle([level31], 1, 1, X, CARRIER, smoothers=jacobi_smoothers([level31]))
 
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_overflow_raises(self, level31):

@@ -193,8 +193,7 @@ class TestGammaConstants:
 
         fmt = PrecisionFormat(12)
         level = build_multilevel(15, 2, problem="poisson2d")[0]
-        M = make_jacobi(level.A, 2.0 / 3.0, fmt)
-        inputs = bound_inputs_for(level, M, M, fmt)
+        inputs = bound_inputs_for(level, make_jacobi(level.A, 2.0 / 3.0, fmt), fmt)
         assert (inputs.m_A, inputs.m_P) == (5, 4)
         limit = BoundInputs(**{**inputs.__dict__, "eps": 0.0})
         assert compute_constants(inputs).gamma == gamma_constants(limit)
@@ -228,13 +227,13 @@ class TestGammaConstants:
         from mixedmg.cycles import make_jacobi
         from mixedmg.precision import CARRIER
 
-        M = make_jacobi(level31.A, 2.0 / 3.0, CARRIER)
+        S = make_jacobi(level31.A, 2.0 / 3.0, CARRIER)
         limit = BoundInputs(
             eps=0.0, kappa=level31.kappa, kappa_c=level31.kappa_c,
             eta_A=level31.eta_A, eta_P=level31.eta_P,
-            eta_M=M.eta_euclid, eta_N=M.eta_energy,
+            eta_M=S.eta, eta_N=S.eta,
             m_A=3, m_P=2,
-            alpha_M=M.eta_euclid, alpha_N=M.eta_euclid,
+            alpha_M=S.eta, alpha_N=S.eta,
         )
         gammas = gamma_constants(limit)
         ratios_first, ratios_last = [], []

@@ -31,6 +31,7 @@ from mixedmg import (
     v_cycle,
 )
 from mixedmg.cycles import CoarseSolver, _cycle
+from mixedmg.fourier import StructureError
 from mixedmg.harness import ExperimentConfig, run_experiment
 from mixedmg.hierarchy import linear_interpolation, poisson_1d
 
@@ -38,9 +39,9 @@ EPS = float(np.finfo(np.float64).eps)
 FMT12 = PrecisionFormat(12)
 
 
-def _exact_stages(level, r, M, N, coarse):
+def _exact_stages(r, S, coarse):
     """The intermediates of the exact two-grid cycle, by stage name."""
-    return dict(_cycle(level, r, M, N, 1, 1, coarse.apply, CARRIER))
+    return dict(_cycle(coarse.level, r, S, 1, 1, coarse.apply, CARRIER))
 
 
 def assert_direct_solve(solver, level):
@@ -53,9 +54,7 @@ def assert_direct_solve(solver, level):
 
 @pytest.fixture(scope="module")
 def jacobi31(level31):
-    M = make_jacobi(level31.A, 2.0 / 3.0, FMT12)
-    N = make_jacobi(level31.A, 2.0 / 3.0, FMT12)
-    return M, N
+    return make_jacobi(level31.A, 2.0 / 3.0, FMT12)
 
 
 class TestMakeJacobi:
@@ -63,7 +62,7 @@ class TestMakeJacobi:
         M = make_jacobi(SparseSpd(np.eye(5)), 1.0, FMT12)
         assert (M.w, M.n) == (1.0, 5)
         assert M.contraction == pytest.approx(0.0, abs=1e-14)
-        assert M.eta_euclid == 1.0
+        assert M.eta == 1.0
 
     def test_contracts_on_scaled_poisson(self):
         lvl = normalize_hierarchy(poisson_1d(7), linear_interpolation(7))
@@ -91,9 +90,8 @@ class TestMakeJacobi:
             assert bound <= M.alpha * FMT12.unit_roundoff * np.linalg.norm(z) * (1 + 1e-15)
 
     def test_format_mismatch_rejected(self, jacobi31):
-        M, _ = jacobi31
         with pytest.raises(ValueError):
-            M.apply_rounded(np.ones(31), PrecisionFormat(8))
+            jacobi31.apply_rounded(np.ones(31), PrecisionFormat(8))
 
 
 class TestMakeRichardson:
@@ -102,7 +100,7 @@ class TestMakeRichardson:
         R = make_richardson(lvl.A, 0.9, FMT12)
         assert (R.w, R.n) == (round_scalar(0.9, FMT12), 7)
         assert R.contraction < 1.0
-        assert R.eta_energy == pytest.approx(R.eta_euclid, rel=1e-12)
+        assert R.eta == abs(R.w)
 
 
 class TestPerturbedCoarse:
@@ -142,19 +140,19 @@ class TestPerturbedCoarse:
 
 class TestExactReference:
     def test_zero_rhs(self, level31, jacobi31):
-        M, N = jacobi31
-        y = _exact_stages(level31, np.zeros(31), M, N, make_exact_coarse(level31))["y"]
+        S = jacobi31
+        y = _exact_stages(np.zeros(31), S, make_exact_coarse(level31))["y"]
         assert np.array_equal(y, np.zeros(31))
 
     def test_error_within_rho_star(self, level31, jacobi31):
-        M, N = jacobi31
+        S = jacobi31
         coarse = make_exact_coarse(level31)
-        rho = rho_star(level31, M, N, coarse)
+        rho = rho_star(S, coarse)
         rng = np.random.default_rng(1)
         for _ in range(100):
             r = rng.standard_normal(31)
             x = solve_spd(level31.A, r)
-            y = _exact_stages(level31, r, M, N, coarse)["y"]
+            y = _exact_stages(r, S, coarse)["y"]
             assert (energy_norm(y - x, level31.A)
                     <= rho * energy_norm(x, level31.A) * (1 + 1e-11))
 
@@ -162,54 +160,54 @@ class TestExactReference:
     def test_intermediate_iterate_does_not_grow(self, level31, jacobi31, sigma):
         # the corrected iterate before post-relaxation cannot increase the
         # initial energy error, for any coarse perturbation below one
-        M, N = jacobi31
+        S = jacobi31
         coarse = make_perturbed_coarse(level31, sigma, seed=5)
         rng = np.random.default_rng(2)
         for _ in range(100):
             r = rng.standard_normal(31)
             x = solve_spd(level31.A, r)
-            stages = _exact_stages(level31, r, M, N, coarse)
+            stages = _exact_stages(r, S, coarse)
             xn = energy_norm(x, level31.A)
             assert energy_norm(stages["y_nu"] - x, level31.A) <= (1 + 1e-10) * xn
 
     @pytest.mark.parametrize("sigma", [0.0, 0.3, 0.9])
     def test_coarse_correction_euclid_bound(self, level31, jacobi31, sigma):
-        M, N = jacobi31
+        S = jacobi31
         coarse = make_perturbed_coarse(level31, sigma, seed=5)
         bound_factor = 2.0 * math.sqrt(level31.kappa_c)
         rng = np.random.default_rng(3)
         for _ in range(100):
             r = rng.standard_normal(31)
             x = solve_spd(level31.A, r)
-            stages = _exact_stages(level31, r, M, N, coarse)
+            stages = _exact_stages(r, S, coarse)
             assert (np.linalg.norm(stages["d_c"])
                     <= bound_factor * energy_norm(x, level31.A) * (1 + 1e-12))
 
     @pytest.mark.parametrize("sigma", [0.0, 0.3, 0.9])
     def test_result_energy_bound(self, level31, jacobi31, sigma):
-        M, N = jacobi31
+        S = jacobi31
         coarse = make_perturbed_coarse(level31, sigma, seed=5)
-        assert rho_star(level31, M, N, coarse) < 1.0
+        assert rho_star(S, coarse) < 1.0
         rng = np.random.default_rng(4)
         for _ in range(100):
             r = rng.standard_normal(31)
             x = solve_spd(level31.A, r)
-            y = _exact_stages(level31, r, M, N, coarse)["y"]
+            y = _exact_stages(r, S, coarse)["y"]
             assert (energy_norm(y, level31.A)
                     <= 2.0 * energy_norm(x, level31.A) * (1 + 1e-12))
 
 
 class TestTgCycle:
     def test_zero_rhs_gives_zero(self, level31, jacobi31):
-        M, N = jacobi31
-        y, trace = tg_cycle(level31, np.zeros(31), M, N, make_exact_coarse(level31), FMT12)
+        S = jacobi31
+        y, trace = tg_cycle(np.zeros(31), S, make_exact_coarse(level31), FMT12)
         assert np.array_equal(y, np.zeros(31))
         assert trace.delta_y_energy == 0.0
 
     def test_trace_norms_finite_nonnegative(self, level31, jacobi31):
-        M, N = jacobi31
+        S = jacobi31
         r = np.random.default_rng(5).standard_normal(31)
-        _, trace = tg_cycle(level31, r, M, N, make_exact_coarse(level31), FMT12)
+        _, trace = tg_cycle(r, S, make_exact_coarse(level31), FMT12)
         assert set(trace.line_norms) == set(PROOF_LINES)
         for v in trace.line_norms.values():
             assert np.isfinite(v) and v >= 0.0
@@ -217,13 +215,12 @@ class TestTgCycle:
     def test_carrier_format_matches_reference(self):
         levels = [normalize_hierarchy(poisson_1d(3), linear_interpolation(3))]
         lvl = levels[0]
-        M = make_jacobi(lvl.A, 2.0 / 3.0, CARRIER)
-        N = make_jacobi(lvl.A, 2.0 / 3.0, CARRIER)
+        S = make_jacobi(lvl.A, 2.0 / 3.0, CARRIER)
         rng = np.random.default_rng(6)
         tol = 1e3 * EPS * math.sqrt(lvl.kappa)
         for _ in range(20):
             r = rng.standard_normal(3)
-            y, trace = tg_cycle(lvl, r, M, N, make_exact_coarse(lvl), CARRIER)
+            y, trace = tg_cycle(r, S, make_exact_coarse(lvl), CARRIER)
             x = solve_spd(lvl.A, r)
             rel = energy_norm(y - trace.y_reference, lvl.A) / energy_norm(x, lvl.A)
             assert rel <= tol
@@ -232,16 +229,16 @@ class TestTgCycle:
         from mixedmg.harness import bound_inputs_for
         from mixedmg.bounds import compute_constants
 
-        M, N = jacobi31
+        S = jacobi31
         coarse = make_exact_coarse(level31)
-        rho = rho_star(level31, M, N, coarse)
+        rho = rho_star(S, coarse)
         report = compute_constants(
-            bound_inputs_for(level31, M, N, FMT12), rho_star=rho)
+            bound_inputs_for(level31, S, FMT12), rho_star=rho)
         rng = np.random.default_rng(7)
         for _ in range(100):
             r = rng.standard_normal(31)
             x = solve_spd(level31.A, r)
-            y, _ = tg_cycle(level31, r, M, N, coarse, FMT12)
+            y, _ = tg_cycle(r, S, coarse, FMT12)
             assert (energy_norm(y - x, level31.A)
                     <= report.rho_tg * energy_norm(x, level31.A))
 
@@ -251,7 +248,7 @@ class TestTgCycle:
         ("poisson2d", 31, 2, "exact", 20),
         ("poisson2d", 31, 2, "perturbed", 20),
     ])
-    def test_lockstep_trace_peak_memory(self, jacobi_pairs, problem, size,
+    def test_lockstep_trace_peak_memory(self, jacobi_smoothers, problem, size,
                                         levels, variant, T):
         # the cycle and its reference advance stage by stage and drop every
         # stage no later line reads, so a cycle holds a few blocks at a time
@@ -262,13 +259,13 @@ class TestTgCycle:
         coarse = {"exact": lambda: make_exact_coarse(lvl),
                   "perturbed": lambda: make_perturbed_coarse(lvl, 0.3, seed=1),
                   "recursive": lambda: make_recursive_coarse(
-                      hierarchy, 1, 1, jacobi_pairs(hierarchy[1:]))}[variant]()
-        M = make_jacobi(lvl.A, 2.0 / 3.0, FMT12)
+                      hierarchy, 1, 1, jacobi_smoothers(hierarchy[1:]))}[variant]()
+        S = make_jacobi(lvl.A, 2.0 / 3.0, FMT12)
         r = np.random.default_rng(8).standard_normal((lvl.n, T))
-        tg_cycle(lvl, r, M, M, coarse, FMT12)  # first use fills the set-up caches
+        tg_cycle(r, S, coarse, FMT12)  # first use fills the set-up caches
         tracemalloc.start()
         try:
-            tg_cycle(lvl, r, M, M, coarse, FMT12)
+            tg_cycle(r, S, coarse, FMT12)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -280,42 +277,41 @@ class TestRhoStar:
         # identity system: Richardson with omega = 1 is the exact inverse
         lvl = normalize_hierarchy(
             SparseSpd(np.eye(3)), sparse.csr_array(np.array([[0.5], [1.0], [0.5]])))
-        M = make_richardson(lvl.A, 1.0, CARRIER)
-        assert rho_star(lvl, M, M, make_exact_coarse(lvl)) == pytest.approx(0.0, abs=1e-13)
+        S = make_richardson(lvl.A, 1.0, CARRIER)
+        assert rho_star(S, make_exact_coarse(lvl)) == pytest.approx(0.0, abs=1e-13)
 
     def test_smallest_poisson_in_unit_interval(self):
         lvl = normalize_hierarchy(poisson_1d(3), linear_interpolation(3))
-        M = make_jacobi(lvl.A, 2.0 / 3.0, CARRIER)
-        value = rho_star(lvl, M, M, make_exact_coarse(lvl))
+        S = make_jacobi(lvl.A, 2.0 / 3.0, CARRIER)
+        value = rho_star(S, make_exact_coarse(lvl))
         assert 0.0 < value < 1.0
 
     def test_perturbation_does_not_improve(self, level31, jacobi31):
-        M, N = jacobi31
-        base = rho_star(level31, M, N, make_exact_coarse(level31))
+        S = jacobi31
+        base = rho_star(S, make_exact_coarse(level31))
         for sigma in (0.3, 0.9):
-            perturbed = rho_star(
-                level31, M, N, make_perturbed_coarse(level31, sigma, seed=5))
+            perturbed = rho_star(S, make_perturbed_coarse(level31, sigma, seed=5))
             assert base <= perturbed + 1e-12
 
 
 class TestVCycle:
-    def test_zero_rhs(self, levels31_3, jacobi_pairs):
+    def test_zero_rhs(self, levels31_3, jacobi_smoothers):
         y = v_cycle(levels31_3, 1, 1, np.zeros(31), FMT12,
-                    smoothers=jacobi_pairs(levels31_3, FMT12))
+                    smoothers=jacobi_smoothers(levels31_3, FMT12))
         assert np.array_equal(y, np.zeros(31))
 
     def test_two_level_bitwise_identity_with_tg(self, level31, jacobi31):
-        M, N = jacobi31
+        S = jacobi31
         rng = np.random.default_rng(8)
         for _ in range(10):
             r = rng.standard_normal(31)
-            y_tg, _ = tg_cycle(level31, r, M, N, make_exact_coarse(level31), FMT12)
-            y_v = v_cycle([level31], 1, 1, r, FMT12, smoothers=[(M, N)])
+            y_tg, _ = tg_cycle(r, S, make_exact_coarse(level31), FMT12)
+            y_v = v_cycle([level31], 1, 1, r, FMT12, smoothers=[S])
             assert np.array_equal(y_tg, y_v)
 
-    def test_three_level_reduces_energy_error(self, levels31_3, jacobi_pairs):
+    def test_three_level_reduces_energy_error(self, levels31_3, jacobi_smoothers):
         fmt = PrecisionFormat(16)
-        smoothers = jacobi_pairs(levels31_3, fmt)
+        smoothers = jacobi_smoothers(levels31_3, fmt)
         rng = np.random.default_rng(9)
         lvl = levels31_3[0]
         for _ in range(10):
@@ -324,8 +320,8 @@ class TestVCycle:
             y = v_cycle(levels31_3, 1, 1, r, fmt, smoothers=smoothers)
             assert energy_norm(y - x, lvl.A) < energy_norm(x, lvl.A)
 
-    def test_multiple_sweeps_beat_single(self, levels31_3, jacobi_pairs):
-        smoothers = jacobi_pairs(levels31_3)
+    def test_multiple_sweeps_beat_single(self, levels31_3, jacobi_smoothers):
+        smoothers = jacobi_smoothers(levels31_3)
         rng = np.random.default_rng(10)
         lvl = levels31_3[0]
         worse = better = 0.0
@@ -340,8 +336,8 @@ class TestVCycle:
             better += e3
         assert better < worse
 
-    def test_rejects_bad_arguments(self, levels31_3, jacobi_pairs):
-        smoothers = jacobi_pairs(levels31_3, FMT12)
+    def test_rejects_bad_arguments(self, levels31_3, jacobi_smoothers):
+        smoothers = jacobi_smoothers(levels31_3, FMT12)
         with pytest.raises(ValueError):
             v_cycle([], 1, 1, np.zeros(31), FMT12, smoothers=[])
         with pytest.raises(ValueError):
@@ -358,29 +354,27 @@ class TestVCycle:
 
 class TestRecursiveCoarse:
     def test_direct_solve_has_zero_deviation(self, level31):
-        dev = make_recursive_coarse([level31], 1, 1, []).bc_deviation
-        assert dev <= 1e-10
+        assert_direct_solve(make_exact_coarse(level31), level31)
 
-    def test_three_level_deviation_below_one(self, levels31_3, jacobi_pairs):
+    def test_three_level_deviation_below_one(self, levels31_3, jacobi_smoothers):
         dev = make_recursive_coarse(levels31_3, 1, 1,
-                                    jacobi_pairs(levels31_3[1:])).bc_deviation
+                                    jacobi_smoothers(levels31_3[1:])).bc_deviation
         assert 0.0 < dev < 1.0
 
-    def test_smoothers_for_the_whole_hierarchy_rejected(self, levels31_3, jacobi_pairs):
-        # one pair per level of levels[1:], not of levels
-        with pytest.raises(ValueError, match="one smoother pair per level"):
-            make_recursive_coarse(levels31_3, 1, 1, jacobi_pairs(levels31_3))
+    def test_smoothers_for_the_whole_hierarchy_rejected(self, levels31_3, jacobi_smoothers):
+        # one smoother per level of levels[1:], not of levels
+        with pytest.raises(ValueError, match="one smoother per level"):
+            make_recursive_coarse(levels31_3, 1, 1, jacobi_smoothers(levels31_3))
 
-    def test_deviation_equals_coarse_cycle_rho(self, levels31_3, jacobi_pairs):
+    def test_deviation_equals_coarse_cycle_rho(self, levels31_3, jacobi_smoothers):
         sub = levels31_3[1:]
-        smoothers = jacobi_pairs(sub)
+        smoothers = jacobi_smoothers(sub)
         dev = make_recursive_coarse(levels31_3, 1, 1, smoothers).bc_deviation
-        M, N = smoothers[0]
-        rho_coarse = rho_star(sub[0], M, N, make_exact_coarse(sub[0]))
+        rho_coarse = rho_star(smoothers[0], make_exact_coarse(sub[0]))
         assert dev == pytest.approx(rho_coarse, rel=1e-10)
 
     @pytest.mark.parametrize("variant", ["exact", "perturbed", "recursive"])
-    def test_rho_star_applies_no_solver(self, levels31_3, jacobi_pairs, monkeypatch,
+    def test_rho_star_applies_no_solver(self, levels31_3, jacobi_smoothers, monkeypatch,
                                         variant):
         # the deviation and every format's rho_star come from Fourier blocks:
         # the solver is never applied and no B_c A_c^{-1} is assembled
@@ -393,11 +387,10 @@ class TestRecursiveCoarse:
             "exact": lambda: make_exact_coarse(lvl),
             "perturbed": lambda: make_perturbed_coarse(lvl, 0.3, seed=5),
             "recursive": lambda: make_recursive_coarse(
-                levels31_3, 1, 1, jacobi_pairs(levels31_3[1:])),
+                levels31_3, 1, 1, jacobi_smoothers(levels31_3[1:])),
         }[variant]()
         for bits in (8, 12):
-            M = make_jacobi(lvl.A, 2.0 / 3.0, PrecisionFormat(bits))
-            rho_star(lvl, M, M, solver)
+            rho_star(make_jacobi(lvl.A, 2.0 / 3.0, PrecisionFormat(bits)), solver)
         assert applied == []
 
     @pytest.mark.parametrize("fields", [
@@ -418,40 +411,41 @@ class TestRecursiveCoarse:
         assert identity_blocks and sum(identity_blocks) == 0
 
     def test_no_field_is_optional(self):
-        # one coarse-solve type: the map, its Fourier form and its deviation
-        assert [f.name for f in dataclasses.fields(CoarseSolver)] == [
-            "level", "correction", "fourier", "bc_deviation"]
+        # one coarse-solve type: the map and its Fourier form, which holds
+        # the level and the deviation
+        assert [f.name for f in dataclasses.fields(CoarseSolver)] == ["correction", "fourier"]
         for f in dataclasses.fields(CoarseSolver):
             assert f.default is dataclasses.MISSING, f.name
             assert f.default_factory is dataclasses.MISSING, f.name
             assert "None" not in str(f.type), f.name
 
-    def test_solver_of_another_level_rejected(self, levels31_3):
-        lvl, sub = levels31_3
-        M = make_jacobi(lvl.A, 2.0 / 3.0, FMT12)
-        with pytest.raises(ValueError, match="different level"):
-            rho_star(lvl, M, M, make_exact_coarse(sub))
-        with pytest.raises(ValueError, match="different level"):
-            tg_cycle(lvl, np.ones(lvl.n), M, M, make_exact_coarse(sub), FMT12)
-
-    def test_recursive_solver_in_tg_cycle(self, levels31_3, jacobi_pairs):
-        smoothers = jacobi_pairs(levels31_3[1:])
+    def test_recursive_solver_in_tg_cycle(self, levels31_3, jacobi_smoothers):
+        smoothers = jacobi_smoothers(levels31_3[1:])
         solver = make_recursive_coarse(levels31_3, 1, 1, smoothers)
         assert solver.bc_deviation < 1.0
         r_c = np.random.default_rng(14).standard_normal(levels31_3[0].n_c)
         assert np.array_equal(solver.apply(r_c), v_cycle(
             levels31_3[1:], 1, 1, r_c, CARRIER, smoothers=smoothers))
         lvl = levels31_3[0]
-        M = make_jacobi(lvl.A, 2.0 / 3.0, FMT12)
-        rho = rho_star(lvl, M, M, solver)
-        assert rho < 1.0
+        S = make_jacobi(lvl.A, 2.0 / 3.0, FMT12)
+        assert rho_star(S, solver) < 1.0
         r = np.random.default_rng(11).standard_normal(31)
         x = solve_spd(lvl.A, r)
-        y, _ = tg_cycle(lvl, r, M, M, solver, FMT12)
+        y, _ = tg_cycle(r, S, solver, FMT12)
         assert energy_norm(y - x, lvl.A) < energy_norm(x, lvl.A)
 
-    def test_two_level_recursion_degenerates_to_exact(self, level31):
-        assert_direct_solve(make_recursive_coarse([level31], 1, 1, []), level31)
+    def test_no_grid_below_rejected(self, level31):
+        # a recursive solve needs a cycle below the coarse grid
+        with pytest.raises(ValueError, match="needs a grid below the coarse grid"):
+            make_recursive_coarse([level31], 1, 1, [])
+
+    def test_lower_grid_must_be_the_coarse_grid(self, levels31_3, jacobi_smoothers):
+        # the deviation is the sub-cycle's norm only when levels[1].A is
+        # levels[0].A_c; a lower grid with another matrix is refused
+        lvl, sub = levels31_3
+        other = dataclasses.replace(sub, A=SparseSpd(2 * sub.A.matrix))
+        with pytest.raises(StructureError, match="level 1 is not the coarse grid of level 0"):
+            make_recursive_coarse([lvl, other], 1, 1, jacobi_smoothers([other]))
 
 
 class TestProjectionChain:

@@ -229,9 +229,9 @@ class TestRunExperiment:
         seen = []
         original = harness.tg_cycle
 
-        def recording(level, r, *args):
+        def recording(r, *args):
             seen.append(r.shape[1])
-            return original(level, r, *args)
+            return original(r, *args)
 
         monkeypatch.setattr(harness, "tg_cycle", recording)
         records = run_experiment(ExperimentConfig(size=15, bits=(12,), trials=trials))
@@ -277,12 +277,12 @@ class TestRunExperiment:
 
         before = digest()
         fmt = PrecisionFormat(12)
-        M = make_jacobi(lvl.A, 2.0 / 3.0, fmt)
+        S = make_jacobi(lvl.A, 2.0 / 3.0, fmt)
         coarse = make_exact_coarse(lvl)
-        rho_star(lvl, M, M, coarse)
+        rho_star(S, coarse)
         rng = np.random.default_rng(5)
         for _ in range(10):
-            tg_cycle(lvl, rng.standard_normal(15), M, M, coarse, fmt)
+            tg_cycle(rng.standard_normal(15), S, coarse, fmt)
         assert digest() == before
 
     def test_perturbed_and_recursive_variants_run(self):
@@ -304,10 +304,9 @@ class TestRunExperiment:
             for smoother, omega in (("jacobi", 2.0 / 3.0), ("richardson", 0.5),
                                     ("jacobi", 0.3))}
         assert len(set(deviation.values())) == 3
-        pairs = [(make_smoother("richardson", l.A, 0.5, CARRIER),) * 2
-                 for l in levels[1:]]
+        smoothers = [make_smoother("richardson", l.A, 0.5, CARRIER) for l in levels[1:]]
         assert deviation["richardson", 0.5] == make_recursive_coarse(
-            levels, 1, 1, pairs).bc_deviation
+            levels, 1, 1, smoothers).bc_deviation
 
     def test_recursive_smoother_that_does_not_contract_below_raises(self):
         config = ExperimentConfig(size=63, levels=4, coarse="recursive",

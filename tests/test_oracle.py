@@ -51,12 +51,12 @@ def smoother(kind, A, fmt=FMT):
     return make(A, 2.0 / 3.0, fmt)
 
 
-def coarse_solver(variant, levels, jacobi_pairs):
+def coarse_solver(variant, levels, jacobi_smoothers):
     if variant == "exact":
         return make_exact_coarse(levels[0])
     if variant == "perturbed":
         return make_perturbed_coarse(levels[0], 0.3, seed=5)
-    return make_recursive_coarse(levels, 1, 1, jacobi_pairs(levels[1:]))
+    return make_recursive_coarse(levels, 1, 1, jacobi_smoothers(levels[1:]))
 
 
 def oracle_coarse_matrix(variant, levels, coarse):
@@ -121,7 +121,7 @@ def test_constants_on_the_safe_side(name):
                 w = mpmath.mpf(K.w)
                 assert_safe(K.contraction, max(abs(1 - w * x) for x in lam), "contraction")
                 # w I commutes with A, so its energy norm is |w| exactly
-                assert K.eta_energy == abs(K.w)
+                assert K.eta == abs(K.w)
 
 
 @pytest.mark.parametrize("name", HIERARCHIES)
@@ -153,27 +153,25 @@ def test_smoother_constants(name, kind):
     for fmt in (FMT, CARRIER):
         K = smoother(kind, A, fmt)
         assert_close(K.contraction, oracle.contraction(A, K.w), "contraction")
-        assert_close(K.eta_energy, oracle.energy_operator_norm(K.w * np.eye(A.n), A),
-                     "eta_energy")
+        assert_close(K.eta, oracle.energy_operator_norm(K.w * np.eye(A.n), A), "eta")
 
 
 @pytest.mark.parametrize("variant", ["exact", "perturbed", "recursive"])
 @pytest.mark.parametrize("kind", ["jacobi", "richardson"])
 @pytest.mark.parametrize("name", HIERARCHIES)
-def test_rho_star(name, kind, variant, jacobi_pairs):
+def test_rho_star(name, kind, variant, jacobi_smoothers):
     levels = hierarchy(name)
     level = levels[0]
-    M = smoother(kind, level.A)
-    coarse = coarse_solver(variant, levels, jacobi_pairs)
+    S = smoother(kind, level.A)
+    coarse = coarse_solver(variant, levels, jacobi_smoothers)
     X = oracle_coarse_matrix(variant, levels, coarse)
-    assert_close(rho_star(level, M, M, coarse),
-                 oracle.rho_star(level, M, M, X), "rho_star")
+    assert_close(rho_star(S, coarse), oracle.rho_star(level, S, S, X), "rho_star")
 
 
 @pytest.mark.parametrize("name", HIERARCHIES)
-def test_recursive_bc_deviation(name, jacobi_pairs):
+def test_recursive_bc_deviation(name, jacobi_smoothers):
     levels = hierarchy(name)
-    coarse = make_recursive_coarse(levels, 1, 1, jacobi_pairs(levels[1:]))
+    coarse = make_recursive_coarse(levels, 1, 1, jacobi_smoothers(levels[1:]))
     expected = oracle.bc_deviation(levels[0], oracle.solve_matrix(coarse))
     assert_close(coarse.bc_deviation, expected, "bc_deviation")
 
