@@ -203,13 +203,18 @@ def test_perturbed_A_entry_is_named(problem, size):
         SparseSpd(_nudged(level.A.matrix, 3, 4))
 
 
-def test_smoother_of_another_order_is_named():
+@pytest.mark.parametrize("which", ["M", "N"])
+def test_smoother_of_another_order_is_named(which):
+    # one smoother relaxes at both steps; a recursive solve whose sub-cycle
+    # uses it only before (M, mu = 1) or only after (N, nu = 1) the coarse
+    # correction still checks its order
     levels = hierarchy("poisson1d", 15, 3)
     bad = make_jacobi(hierarchy("poisson1d", 31, 2)[0].A, 2.0 / 3.0, FMT)
+    mu, nu = (1, 0) if which == "M" else (0, 1)
     with pytest.raises(StructureError, match="^level 0: smoother has order 31, not 15"):
         rho_star(bad, make_exact_coarse(levels[0]))
     with pytest.raises(StructureError, match="^level 1: smoother has order 31, not 7"):
-        make_recursive_coarse(levels, 1, 1, [bad])
+        make_recursive_coarse(levels, mu, nu, [bad])
 
 
 def test_other_operators_are_named():
