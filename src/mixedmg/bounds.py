@@ -27,9 +27,8 @@ from .precision import (
 #: order.  ``*_step`` lines bound the fresh rounding committed by one
 #: kernel application on already-perturbed inputs; ``*_total`` lines bound
 #: the accumulated deviation of a stage from the exact-arithmetic cycle.
-#: Norms: Euclidean through ``restrict_step`` and for ``correction_sub_step``
-#: and ``post_relax_step``; coarse energy for ``coarse_correction_total``;
-#: fine energy for the rest.
+#: Each line's stage and norm are in :data:`mixedmg.cycles.STAGE_LINES`,
+#: which is checked against this order when ``cycles`` is imported.
 PROOF_LINES = (
     "rhs_quantize",
     "pre_relax_step",

@@ -27,14 +27,17 @@ V-cycle below the coarse grid; in :func:`v_cycle` it is the V-cycle one
 level down.  Every coarse solver carries its Fourier form, which holds
 its level and its deviation and from which :func:`rho_star` is certified.
 
-The sequence is a generator of its named stages.  :func:`tg_cycle` runs it
-with ``mu = nu = 1`` in the working format and in the carrier, in lockstep,
-and measures, for every step, the deviation of the computed quantity from
-the exact reference, in the norm the accumulation proof uses for that line
-(see :data:`mixedmg.bounds.PROOF_LINES`).  Each line is measured as soon as
-the stages it reads exist, and each stage is released once no later line
-reads it, so a cycle holds a few blocks at a time rather than both full
-sequences.  :func:`v_cycle` runs the sequence to its end.
+The sequence is :func:`_cycle`, which names each stage, its operation and
+its input stages once, and runs every step through a ``stage`` function
+its caller gives: :func:`v_cycle` runs the operations of one format.
+:func:`tg_cycle` runs the sequence once, with ``mu = nu = 1``, on pairs of
+a computed value in the working format and its exact reference in the
+carrier.  For every stage it measures the lines :data:`STAGE_LINES` gives
+it, in the norm the accumulation proof uses for each (see
+:data:`mixedmg.bounds.PROOF_LINES`): a step line against the stage's own
+operation run in the carrier on the computed inputs, a total line against
+the reference.  A value is held only while a later step reads it, so a
+cycle holds a few blocks at a time rather than both full sequences.
 
 Every cycle, coarse solve and relaxation takes one right-hand side ``(n,)``
 or a block ``(n, T)`` of them, which runs through each kernel in one call.
@@ -254,64 +257,90 @@ class CycleTrace:
         return energy_norm(self.y - self.y_reference, self.A)
 
 
-def _operations(level: GridLevel, fmt: PrecisionFormat):
-    """The five operations of a cycle step on ``level`` in ``fmt``.
+def _operations(level: GridLevel, S: RelaxationOp, coarse, fmt: PrecisionFormat) -> dict:
+    """The operations of a cycle step on ``level`` in ``fmt``, by name.
 
-    ``(relax, residual, restrict, prolong, subtract)``: ``K z``,
-    ``A y - r``, ``P' z``, ``P z`` and ``v - w``.
-
-    A reduced format runs the certified kernels; the carrier runs the plain
-    float64 operations, which give the bits of those kernels at 53 bits.
+    ``quantize`` rounds the right-hand side into ``fmt``, ``zero`` is the
+    zero iterate of its shape, ``relax`` is ``S z``, ``residual`` ``A y -
+    r``, ``restrict`` ``P' z``, ``coarse`` the map ``r_c -> d_c`` (run as
+    given), ``prolong`` ``P z`` and ``subtract`` ``v - w``.  A reduced
+    format runs the certified kernels; the carrier runs the plain float64
+    operations, which give the bits of those kernels at 53 bits.
     """
+    if S.n != level.n:
+        raise ValueError(f"smoother has order {S.n}, not the level's order {level.n}")
+    # quantizing rejects a non-finite right-hand side
+    ops = {"quantize": lambda r: quantize_vector(r, fmt).value,
+           "zero": np.zeros_like, "coarse": coarse}
     if fmt == CARRIER:
-        return (lambda K, z: K.apply_exact(z),
-                lambda y, r: level.A.matrix @ y - r,
-                lambda z: level.P_t @ z,
-                lambda z: level.P @ z,
-                lambda v, w: v - w)
+        return ops | {"relax": S.apply_exact,
+                      "residual": lambda y, r: level.A.matrix @ y - r,
+                      "restrict": lambda z: level.P_t @ z,
+                      "prolong": lambda z: level.P @ z,
+                      "subtract": lambda v, w: v - w}
     eta_A, eta_P = level.eta_A, level.eta_P
-    return (lambda K, z: K.apply_rounded(z, fmt).value,
-            lambda y, r: rounded_residual(level.A, y, r, fmt, eta_abs=eta_A).value,
-            lambda z: rounded_matvec(level.P_t_layout, z, fmt, eta_abs=eta_P).value,
-            lambda z: rounded_matvec(level.P_layout, z, fmt, eta_abs=eta_P).value,
-            lambda v, w: rounded_add_sub(v, w, "-", fmt).value)
+    return ops | {
+        "relax": lambda z: S.apply_rounded(z, fmt).value,
+        "residual": lambda y, r: rounded_residual(level.A, y, r, fmt, eta_abs=eta_A).value,
+        "restrict": lambda z: rounded_matvec(level.P_t_layout, z, fmt, eta_abs=eta_P).value,
+        "prolong": lambda z: rounded_matvec(level.P_layout, z, fmt, eta_abs=eta_P).value,
+        "subtract": lambda v, w: rounded_add_sub(v, w, "-", fmt).value}
 
 
-def _cycle(level: GridLevel, r, S: RelaxationOp, mu: int, nu: int, coarse,
-           fmt: PrecisionFormat):
-    """The cycle's step sequence in ``fmt``; ``coarse`` maps ``r_c`` to ``d_c``.
+def _cycle(r, mu: int, nu: int, stage):
+    """The cycle's step sequence, each step written once; returns its result.
 
-    A generator of ``(stage, value)`` pairs in step order: ``r`` (the
-    rounded right-hand side), ``y_mu``, ``r_mu``, ``r_c``, ``d_c``, ``d``,
-    ``y_nu``, then ``r_nu``, ``r_N`` and ``y`` for each post-relaxation
-    sweep.  The last value is the cycle's result.  The generator keeps only
-    ``r``, the iterate and the latest stage, so a consumer that drops a
-    stage releases it.
+    ``stage(name, op, *inputs)`` runs the operation ``op`` (a key of
+    :func:`_operations`) on ``inputs``, the right-hand side or earlier
+    stages' values, and returns the value of stage ``name``.  The stages,
+    in step order: ``r`` (the rounded right-hand side), ``y_mu`` after each
+    pre-relaxation sweep (the zero iterate when ``mu = 0``), ``r_mu``,
+    ``r_c``, ``d_c``, ``d``, ``y_nu``, then ``r_nu``, ``r_N`` and ``y`` for
+    each post-relaxation sweep.  A pre-relaxation sweep after the first
+    runs the steps of a post-relaxation sweep; its residual and relaxed
+    residual are unnamed (``None``).  The result is the last ``y``.
+
+    Each value other than ``r`` and the iterate is an argument of the one
+    step that reads it, so it is dropped when that step returns.
     """
-    relax, residual, restrict, prolong, subtract = _operations(level, fmt)
-    rq = quantize_vector(r, fmt).value  # rejects a non-finite right-hand side
-    yield "r", rq
-    y = np.zeros_like(rq)
-    for sweep in range(mu):
-        y = relax(S, rq) if sweep == 0 else subtract(y, relax(S, residual(y, rq)))
-    yield "y_mu", y
-    z = residual(y, rq)
-    yield "r_mu", z
-    z = restrict(z)
-    yield "r_c", z
-    z = coarse(z)
-    yield "d_c", z
-    z = prolong(z)
-    yield "d", z
-    y = subtract(y, z)
-    yield "y_nu", y
+    def sweep(y, residual, relaxed, result):
+        """One relaxation sweep ``y - S (A y - r)``, its three stages so named."""
+        return stage(result, "subtract", y,
+                     stage(relaxed, "relax", stage(residual, "residual", y, rq)))
+
+    rq = stage("r", "quantize", r)
+    y = stage("y_mu", "relax" if mu else "zero", rq)
+    for _ in range(1, mu):
+        y = sweep(y, None, None, "y_mu")
+    y = stage("y_nu", "subtract", y,
+              stage("d", "prolong",
+                    stage("d_c", "coarse",
+                          stage("r_c", "restrict",
+                                stage("r_mu", "residual", y, rq)))))
     for _ in range(nu):
-        z = residual(y, rq)
-        yield "r_nu", z
-        z = relax(S, z)
-        yield "r_N", z
-        y = subtract(y, z)
-        yield "y", y
+        y = sweep(y, "r_nu", "r_N", "y")
+    return y
+
+
+#: Each stage's step line and total line of :data:`mixedmg.bounds.PROOF_LINES`,
+#: ``None`` where it has none, each with the norm it is measured in:
+#: ``"2"`` Euclidean, ``"A"`` fine energy, ``"A_c"`` coarse energy.  A step
+#: line measures the stage against its operation run in the carrier on the
+#: computed inputs, a total line against the exact reference.
+STAGE_LINES = {
+    "r": (None, ("rhs_quantize", "2")),
+    "y_mu": (("pre_relax_step", "2"), ("pre_relax_total", "2")),
+    "r_mu": (("pre_residual_step", "2"), ("pre_residual_total", "2")),
+    "r_c": (("restrict_step", "2"), None),
+    "d_c": (None, ("coarse_correction_total", "A_c")),
+    "d": (("prolong_step", "A"), ("prolong_total", "A")),
+    "y_nu": (("correction_sub_step", "2"), ("corrected_total", "A")),
+    "r_nu": (("post_residual_step", "A"), ("post_residual_total", "A")),
+    "r_N": (("post_relax_step", "2"), ("post_relax_total", "A")),
+    "y": (("final_sub_step", "A"), None),
+}
+if tuple(line[0] for lines in STAGE_LINES.values() for line in lines if line) != PROOF_LINES:
+    raise ImportError("STAGE_LINES does not give the proof lines in their order")
 
 
 def tg_cycle(r, S: RelaxationOp, coarse: CoarseSolver, fmt: PrecisionFormat):
@@ -322,57 +351,41 @@ def tg_cycle(r, S: RelaxationOp, coarse: CoarseSolver, fmt: PrecisionFormat):
     measured against the exact reference computed with the same ``S`` and
     coarse solver.
 
-    The cycle and its reference advance in lockstep, one stage at a time:
-    each proof line is measured as soon as its stages exist, and a stage is
-    released once no later line reads it.
+    The cycle runs once on pairs, each stage's computed value and its
+    reference, and measures the lines of :data:`STAGE_LINES` as it goes: a
+    stage's step line as soon as the stage is made, its total line when the
+    next stage begins (or the cycle ends), once the cycle has dropped the
+    inputs only that stage read.
     """
     level = coarse.level
-    cycle = zip(_cycle(level, r, S, 1, 1, coarse.apply, fmt),
-                _cycle(level, r, S, 1, 1, coarse.apply, CARRIER))
+    run, exact = (_operations(level, S, coarse.apply, f) for f in (fmt, CARRIER))
+    norms, due = {}, []
 
-    def stage(name):
-        """The next computed stage and its reference."""
-        (got, value), (_, reference) = next(cycle)
-        assert got == name
-        return value, reference
+    def measure(line, v):
+        label, norm = line
+        norms[label] = column_norms(v) if norm == "2" else energy_norm(v, getattr(level, norm))
 
-    # step oracles: the carrier operation applied to the computed inputs
-    relax, residual, restrict, prolong, subtract = _operations(level, CARRIER)
-    euclid = column_norms
-    e_A = lambda v: energy_norm(v, level.A)  # noqa: E731
-    e_Ac = lambda v: energy_norm(v, level.A_c)  # noqa: E731
-    norms = {}
-    rq, ref = stage("r")
-    norms["rhs_quantize"] = euclid(rq - ref)
-    y_mu, ref = stage("y_mu")
-    norms["pre_relax_step"] = euclid(y_mu - relax(S, rq))
-    norms["pre_relax_total"] = euclid(y_mu - ref)
-    r_mu, ref = stage("r_mu")
-    norms["pre_residual_step"] = euclid(r_mu - residual(y_mu, rq))
-    norms["pre_residual_total"] = euclid(r_mu - ref)
-    r_c, ref = stage("r_c")
-    norms["restrict_step"] = euclid(r_c - restrict(r_mu))
-    del r_mu, r_c
-    d_c, ref = stage("d_c")
-    norms["coarse_correction_total"] = e_Ac(d_c - ref)
-    d, ref = stage("d")
-    norms["prolong_step"] = e_A(d - prolong(d_c))
-    norms["prolong_total"] = e_A(d - ref)
-    del d_c
-    y_nu, ref = stage("y_nu")
-    norms["correction_sub_step"] = euclid(y_nu - subtract(y_mu, d))
-    norms["corrected_total"] = e_A(y_nu - ref)
-    del y_mu, d
-    r_nu, ref = stage("r_nu")
-    norms["post_residual_step"] = e_A(r_nu - residual(y_nu, rq))
-    norms["post_residual_total"] = e_A(r_nu - ref)
-    r_N, ref = stage("r_N")
-    norms["post_relax_step"] = euclid(r_N - relax(S, r_nu))
-    norms["post_relax_total"] = e_A(r_N - ref)
-    del r_nu
-    y, y_ref = stage("y")
-    norms["final_sub_step"] = e_A(y - subtract(y_nu, r_N))
-    assert list(norms) == list(PROOF_LINES)
+    def settle():
+        """Measure the total line the last stage left due.  Its deviation is
+        formed here, next to its norm, so that the norm reads it from cache."""
+        while due:
+            line, got, ref = due.pop()
+            measure(line, got - ref)
+
+    def stage(name, op, *inputs):
+        settle()
+        args, ref_args = zip(*inputs)
+        got = run[op](*args)
+        step, total = STAGE_LINES[name]
+        if step:
+            measure(step, got - exact[op](*args))
+        ref = exact[op](*ref_args)
+        if total:
+            due.append((total, got, ref))
+        return got, ref
+
+    y, y_ref = _cycle((r, r), 1, 1, stage)
+    settle()
     return y, CycleTrace(line_norms=norms, y_reference=y_ref, y=y, A=level.A)
 
 
@@ -422,6 +435,5 @@ def v_cycle(levels, mu: int, nu: int, r, fmt: PrecisionFormat, *,
     else:
         coarse = lambda r_c: v_cycle(levels[1:], mu, nu, r_c, fmt,  # noqa: E731
                                      smoothers=smoothers[1:])
-    for _, y in _cycle(level, r, smoothers[0], mu, nu, coarse, fmt):
-        pass  # the last stage is the cycle's result
-    return y
+    ops = _operations(level, smoothers[0], coarse, fmt)
+    return _cycle(r, mu, nu, lambda _, op, *inputs: ops[op](*inputs))

@@ -41,11 +41,11 @@ from mixedmg import (
     tg_cycle,
     v_cycle,
 )
-from mixedmg.cycles import _cycle
 from mixedmg.harness import ExperimentConfig, progressive_study, run_experiment
 from mixedmg.hierarchy import linear_interpolation, poisson_1d
 
 from test_bounds import constants_oracle, random_inputs
+from test_cycles import exact_stages
 
 EPS = float(np.finfo(np.float64).eps)
 
@@ -162,7 +162,7 @@ def test_a4_exact_arithmetic_structure():
             r = rng.standard_normal(31)
             x = solve_spd(lvl.A, r)
             xn = energy_norm(x, lvl.A)
-            st = dict(_cycle(lvl, r, S, 1, 1, coarse.apply, CARRIER))
+            st = exact_stages(r, S, coarse)
             ynu = energy_norm(st["y_nu"] - x, lvl.A) / xn
             dc = float(np.linalg.norm(st["d_c"])) / xn
             ytot = energy_norm(st["y"], lvl.A) / xn

@@ -7,6 +7,9 @@ read from the source with ``ast``, without importing the benchmark.  The
 tracer also reads ``result.value.size`` of every precision kernel it wraps,
 so each kernel target must return a result with a ``value`` array.
 
+``bench/sample.py`` calls ``harness.<name>`` for its sweep and its output
+gate, so every such name it reads must be defined in ``mixedmg.harness``.
+
 A target whose function the package deleted on purpose is listed in
 ``RETIRED``: the benchmark's files stay fixed between its runs, so its
 entry stays in ``TARGETS`` and reads zero calls, and the test asserts that
@@ -42,11 +45,14 @@ TARGETS = [(owner, attr) for owner, attr, _ in _targets()
            if (owner, attr) not in RETIRED]
 KERNELS = [(owner, attr) for owner, attr, group in _targets()
            if group == "precision.kernel"]
+HARNESS_READS = sorted({
+    node.attr for node in ast.walk(ast.parse((BENCH / "sample.py").read_text()))
+    if isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "harness"})
 WORKLOADS = json.loads((BENCH / "spec.json").read_text())["workloads"]
 
 
 def test_targets_nonempty():
-    assert TARGETS
+    assert TARGETS and HARNESS_READS
 
 
 @pytest.mark.parametrize("owner_path, attr", TARGETS,
@@ -54,6 +60,11 @@ def test_targets_nonempty():
 def test_span_target_resolves(owner_path, attr):
     # the tracer looks the name up in the owner's own namespace
     assert attr in vars(_owner(owner_path)), f"{owner_path} has no {attr}"
+
+
+@pytest.mark.parametrize("attr", HARNESS_READS)
+def test_sample_harness_name_resolves(attr):
+    assert attr in vars(importlib.import_module("mixedmg.harness")), f"mixedmg.harness has no {attr}"
 
 
 @pytest.mark.parametrize("owner_path, attr", sorted(RETIRED),

@@ -10,6 +10,7 @@ import scipy.linalg
 import scipy.sparse as sparse
 
 import dense_oracle as oracle
+import mixedmg.cycles
 from mixedmg import (
     CARRIER,
     ContractionError,
@@ -30,7 +31,7 @@ from mixedmg import (
     tg_cycle,
     v_cycle,
 )
-from mixedmg.cycles import CoarseSolver, _cycle
+from mixedmg.cycles import CoarseSolver, _cycle, _operations
 from mixedmg.fourier import StructureError
 from mixedmg.harness import ExperimentConfig, run_experiment
 from mixedmg.hierarchy import linear_interpolation, poisson_1d
@@ -39,9 +40,24 @@ EPS = float(np.finfo(np.float64).eps)
 FMT12 = PrecisionFormat(12)
 
 
-def _exact_stages(r, S, coarse):
+def exact_stages(r, S, coarse):
     """The intermediates of the exact two-grid cycle, by stage name."""
-    return dict(_cycle(coarse.level, r, S, 1, 1, coarse.apply, CARRIER))
+    ops, stages = _operations(coarse.level, S, coarse.apply, CARRIER), {}
+
+    def stage(name, op, *inputs):
+        stages[name] = ops[op](*inputs)
+        return stages[name]
+
+    _cycle(r, 1, 1, stage)
+    return stages
+
+
+def _six_bits_short(kernel):
+    """``kernel`` run with six fewer significand bits than the format it is given."""
+    def short(*args, **kwargs):
+        *args, fmt = args
+        return kernel(*args, PrecisionFormat(fmt.significand_bits - 6), **kwargs)
+    return short
 
 
 def assert_direct_solve(solver, level):
@@ -141,7 +157,7 @@ class TestPerturbedCoarse:
 class TestExactReference:
     def test_zero_rhs(self, level31, jacobi31):
         S = jacobi31
-        y = _exact_stages(np.zeros(31), S, make_exact_coarse(level31))["y"]
+        y = exact_stages(np.zeros(31), S, make_exact_coarse(level31))["y"]
         assert np.array_equal(y, np.zeros(31))
 
     def test_error_within_rho_star(self, level31, jacobi31):
@@ -152,7 +168,7 @@ class TestExactReference:
         for _ in range(100):
             r = rng.standard_normal(31)
             x = solve_spd(level31.A, r)
-            y = _exact_stages(r, S, coarse)["y"]
+            y = exact_stages(r, S, coarse)["y"]
             assert (energy_norm(y - x, level31.A)
                     <= rho * energy_norm(x, level31.A) * (1 + 1e-11))
 
@@ -166,7 +182,7 @@ class TestExactReference:
         for _ in range(100):
             r = rng.standard_normal(31)
             x = solve_spd(level31.A, r)
-            stages = _exact_stages(r, S, coarse)
+            stages = exact_stages(r, S, coarse)
             xn = energy_norm(x, level31.A)
             assert energy_norm(stages["y_nu"] - x, level31.A) <= (1 + 1e-10) * xn
 
@@ -179,7 +195,7 @@ class TestExactReference:
         for _ in range(100):
             r = rng.standard_normal(31)
             x = solve_spd(level31.A, r)
-            stages = _exact_stages(r, S, coarse)
+            stages = exact_stages(r, S, coarse)
             assert (np.linalg.norm(stages["d_c"])
                     <= bound_factor * energy_norm(x, level31.A) * (1 + 1e-12))
 
@@ -192,7 +208,7 @@ class TestExactReference:
         for _ in range(100):
             r = rng.standard_normal(31)
             x = solve_spd(level31.A, r)
-            y = _exact_stages(r, S, coarse)["y"]
+            y = exact_stages(r, S, coarse)["y"]
             assert (energy_norm(y, level31.A)
                     <= 2.0 * energy_norm(x, level31.A) * (1 + 1e-12))
 
@@ -208,7 +224,7 @@ class TestTgCycle:
         S = jacobi31
         r = np.random.default_rng(5).standard_normal(31)
         _, trace = tg_cycle(r, S, make_exact_coarse(level31), FMT12)
-        assert set(trace.line_norms) == set(PROOF_LINES)
+        assert list(trace.line_norms) == list(PROOF_LINES)
         for v in trace.line_norms.values():
             assert np.isfinite(v) and v >= 0.0
 
@@ -242,6 +258,45 @@ class TestTgCycle:
             assert (energy_norm(y - x, level31.A)
                     <= report.rho_tg * energy_norm(x, level31.A))
 
+    def test_cycle_structure(self):
+        # the two-grid cycle of the proof, read off the one step sequence: a
+        # stage function that returns its stage's name records each input
+        steps = []
+        _cycle("rhs", 1, 1, lambda name, op, *inputs: steps.append((name, op, inputs)) or name)
+        assert steps == [
+            ("r", "quantize", ("rhs",)),
+            ("y_mu", "relax", ("r",)),
+            ("r_mu", "residual", ("y_mu", "r")),
+            ("r_c", "restrict", ("r_mu",)),
+            ("d_c", "coarse", ("r_c",)),
+            ("d", "prolong", ("d_c",)),
+            ("y_nu", "subtract", ("y_mu", "d")),
+            ("r_nu", "residual", ("y_nu", "r")),
+            ("r_N", "relax", ("r_nu",)),
+            ("y", "subtract", ("y_nu", "r_N")),
+        ]
+
+    def test_smoother_of_another_level_rejected(self, levels31_3, jacobi_smoothers):
+        S1 = jacobi_smoothers(levels31_3[1:2], FMT12)[0]
+        r = np.random.default_rng(9).standard_normal(31)
+        with pytest.raises(ValueError, match="order 15, not the level's order 31"):
+            tg_cycle(r, S1, make_exact_coarse(levels31_3[0]), FMT12)
+
+    @pytest.mark.parametrize("problem, size", [("poisson1d", 63), ("poisson2d", 31)])
+    def test_kernel_fault_lands_on_its_step_lines(self, monkeypatch, problem, size):
+        # a kernel run six bits short of its format breaks a step line whose
+        # oracle is that kernel's operation: each oracle is wired to its own
+        config = ExperimentConfig(problem=problem, size=size, bits=(23,),
+                                  trials=50, rng_seed=1)
+        assert all(rec.passed for rec in run_experiment(config))
+        for kernel, lines in (("rounded_residual", ("pre_residual_step", "post_residual_step")),
+                              ("rounded_matvec", ("restrict_step", "prolong_step"))):
+            with monkeypatch.context() as patch:
+                patch.setattr(f"mixedmg.cycles.{kernel}",
+                              _six_bits_short(getattr(mixedmg.cycles, kernel)))
+                records = run_experiment(config)
+            assert any(rec.line_ratios[line] > 1.0 for rec in records for line in lines)
+
     @pytest.mark.parametrize("problem, size, levels, variant, T", [
         ("poisson1d", 255, 2, "exact", 50),
         ("poisson1d", 255, 4, "recursive", 50),
@@ -250,8 +305,8 @@ class TestTgCycle:
     ])
     def test_lockstep_trace_peak_memory(self, jacobi_smoothers, problem, size,
                                         levels, variant, T):
-        # the cycle and its reference advance stage by stage and drop every
-        # stage no later line reads, so a cycle holds a few blocks at a time
+        # the cycle runs on pairs of computed and reference values and holds
+        # a stage only while a later step reads it, so it holds a few blocks
         import tracemalloc
 
         hierarchy = build_multilevel(size, levels, problem=problem)
@@ -269,7 +324,7 @@ class TestTgCycle:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 16 * r.nbytes
+        assert peak <= 12 * r.nbytes
 
 
 class TestRhoStar:
@@ -344,6 +399,13 @@ class TestVCycle:
             v_cycle(levels31_3, 0, 0, np.zeros(31), FMT12, smoothers=smoothers)
         with pytest.raises(ValueError):
             v_cycle(levels31_3, 1, 1, np.zeros(31), FMT12, smoothers=[])
+
+    def test_smoother_of_another_level_rejected(self, levels31_3, jacobi_smoothers):
+        # the grids' smoothers swapped: each would relax with the other's weight
+        S0, S1 = jacobi_smoothers(levels31_3[:2], FMT12)
+        r = np.random.default_rng(9).standard_normal(31)
+        with pytest.raises(ValueError, match="order 15, not the level's order 31"):
+            v_cycle(levels31_3[:2], 1, 1, r, FMT12, smoothers=[S1, S0])
 
     @pytest.mark.parametrize("function", [v_cycle, make_recursive_coarse])
     def test_smoothers_have_no_default(self, function):
