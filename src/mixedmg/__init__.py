@@ -71,8 +71,6 @@ from .precision import (
     RoundedResult,
     mdot_plus_eps,
     quantize_vector,
-    round_scalar,
-    round_vector,
     rounded_add_sub,
     rounded_matvec,
     rounded_residual,

@@ -2,10 +2,10 @@
 
 The cycle's accumulated deviation from its exact-arithmetic counterpart is
 bounded by ``delta_rho = c3 + c4 + c5`` relative to the energy norm of the
-true solution, where the constants ``c0 .. c5`` below are evaluated
-verbatim from the structural inputs.  :func:`per_line_bounds` exposes the
-sixteen intermediate inequalities of the accumulation proof so a cycle can
-be instrumented line by line, and :func:`gamma_constants` gives the
+true solution.  :func:`per_line_bounds` evaluates the sixteen intermediate
+inequalities of the accumulation proof verbatim from the structural inputs,
+so a cycle can be instrumented line by line; the constants ``c0 .. c5``
+are the coefficients of its total lines.  :func:`gamma_constants` gives the
 simplified asymptotic coefficients of the leading precision-conditioning
 term ``pi_dot = sqrt(kappa) * u``.
 """
@@ -146,23 +146,6 @@ class BoundReport:
         return list(self.as_dict().values())
 
 
-def _c_constants(p: BoundInputs) -> tuple[float, float, float, float, float, float]:
-    e = p.eps
-    s = math.sqrt(p.kappa)
-    sc = math.sqrt(p.kappa_c)
-    hA, hP, hM, hN = p.eta_A, p.eta_P, p.eta_M, p.eta_N
-    aM = p.alpha_M
-    mA, mP = p.mdot_A, p.mdot_P
-    c0 = (1 + mA * (1 + hA * hM) + mA * e
-          + (1 + mA * e) * hA * (hM + aM * (1 + e))) * e
-    c1 = sc * (hP * c0 + e * mP * hP * (1 + hA * hM + c0))
-    c2 = 2 * sc * e * mP * hP * (1 + c1) + 2 * c1
-    c3 = c2 + ((2 + c2) * s + (hM + aM * (1 + e)) * (1 + e)) * e
-    c4 = hA * c3 + mA * ((hA * (2 + c3) + 1) * s + e) * e
-    c5 = (2 + c3 + hN * c4 + e * (1 + s * c4)) * s * e
-    return c0, c1, c2, c3, c4, c5
-
-
 def compute_constants(
     inputs: BoundInputs,
     rho_star: float = math.nan,
@@ -180,7 +163,12 @@ def compute_constants(
     """
     if not (math.isnan(rho_star) or 0.0 <= rho_star < math.inf):
         raise ValueError(f"rho_star must be finite and >= 0, got {rho_star}")
-    c0, c1, c2, c3, c4, c5 = _c_constants(inputs)
+    # c0..c5 are the bounds of the total lines; the coarse line holds 2 * c1
+    lines = per_line_bounds(inputs)
+    c0, c2, c3, c4, c5 = (lines[name] for name in (
+        "pre_residual_total", "prolong_total", "corrected_total",
+        "post_residual_total", "final_sub_step"))
+    c1 = lines["coarse_correction_total"] / 2
     delta_rho = c3 + c4 + c5
     pi_dot = math.sqrt(inputs.kappa) * inputs.eps
     xi = math.sqrt(inputs.kappa_c / inputs.kappa)
@@ -235,25 +223,33 @@ def per_line_bounds(inputs: BoundInputs) -> dict[str, float]:
     hA, hP, hM, hN = inputs.eta_A, inputs.eta_P, inputs.eta_M, inputs.eta_N
     aM, aN = inputs.alpha_M, inputs.alpha_N
     mA, mP = inputs.mdot_A, inputs.mdot_P
-    c0, c1, c2, c3, c4, c5 = _c_constants(inputs)
+    # the pre-relaxed iterate's deviation per unit of e
+    relax = hM + aM * (1 + e)
+    c0 = (1 + mA * (1 + hA * hM) + mA * e + (1 + mA * e) * hA * relax) * e
+    restrict = e * mP * hP * (1 + hA * hM + c0)
+    c1 = sc * (hP * c0 + restrict)
+    prolong = 2 * sc * e * mP * hP * (1 + c1)
+    c2 = prolong + 2 * c1
+    c3 = c2 + ((2 + c2) * s + relax * (1 + e)) * e
+    post_residual = mA * ((hA * (2 + c3) + 1) * s + e) * e
+    c4 = hA * c3 + post_residual
     return {
         "rhs_quantize": e,
         "pre_relax_step": aM * (1 + e) * e,
-        "pre_relax_total": (hM + aM * (1 + e)) * e,
-        "pre_residual_step": mA * (1 + hA * hM + e
-                                   + hA * (hM + aM * (1 + e)) * e) * e,
+        "pre_relax_total": relax * e,
+        "pre_residual_step": mA * (1 + hA * hM + e + hA * relax * e) * e,
         "pre_residual_total": c0,
-        "restrict_step": e * mP * hP * (1 + hA * hM + c0),
+        "restrict_step": restrict,
         "coarse_correction_total": 2 * c1,
-        "prolong_step": 2 * sc * e * mP * hP * (1 + c1),
+        "prolong_step": prolong,
         "prolong_total": c2,
-        "correction_sub_step": ((2 + c2) * s + (hM + aM * (1 + e)) * e) * e,
+        "correction_sub_step": ((2 + c2) * s + relax * e) * e,
         "corrected_total": c3,
-        "post_residual_step": mA * ((hA * (2 + c3) + 1) * s + e) * e,
+        "post_residual_step": post_residual,
         "post_residual_total": c4,
         "post_relax_step": aN * e * (1 + s * c4),
         "post_relax_total": hN * c4 + e * (1 + s * c4),
-        "final_sub_step": c5,
+        "final_sub_step": (2 + c3 + hN * c4 + e * (1 + s * c4)) * s * e,
     }
 
 

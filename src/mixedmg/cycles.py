@@ -49,7 +49,6 @@ from __future__ import annotations
 
 from collections.abc import Callable
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -241,20 +240,13 @@ class CycleTrace:
     to the norm of the corresponding deviation (step lines: fresh kernel
     error given perturbed inputs; total lines: accumulated deviation from
     the exact reference run with identical operators).
-    ``y_reference`` is the exact-arithmetic result and ``y`` the computed
-    one.  For a block of right-hand sides every norm is an array with one
-    entry per column.
+    ``y_reference`` is the exact-arithmetic result; the computed one is
+    :func:`tg_cycle`'s own return value.  For a block of right-hand sides
+    every norm is an array with one entry per column.
     """
 
     line_norms: dict[str, float | np.ndarray]
     y_reference: np.ndarray
-    y: np.ndarray = field(repr=False)
-    A: SparseSpd = field(repr=False)
-
-    @cached_property
-    def delta_y_energy(self) -> float | np.ndarray:
-        """The energy norm of the final accumulated deviation, computed on first read."""
-        return energy_norm(self.y - self.y_reference, self.A)
 
 
 def _operations(level: GridLevel, S: RelaxationOp, coarse, fmt: PrecisionFormat) -> dict:
@@ -386,7 +378,7 @@ def tg_cycle(r, S: RelaxationOp, coarse: CoarseSolver, fmt: PrecisionFormat):
 
     y, y_ref = _cycle((r, r), 1, 1, stage)
     settle()
-    return y, CycleTrace(line_norms=norms, y_reference=y_ref, y=y, A=level.A)
+    return y, CycleTrace(line_norms=norms, y_reference=y_ref)
 
 
 def rho_star(S: RelaxationOp, coarse: CoarseSolver) -> float:

@@ -96,6 +96,14 @@ class ExperimentConfig:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, numbers.Integral):
                 raise ConfigError(f"{name} must be an integer, got {value!r}")
+        for name in ("omega", "sigma", "pi_target"):
+            value = getattr(self, name)
+            if value is None and name == "pi_target":
+                continue
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ConfigError(f"{name} must be a real number, got {value!r}")
+            # stored as float, so that 1 and 1.0 give the same CSV cell
+            object.__setattr__(self, name, float(value))
         if self.trials < 1:
             raise ConfigError("trials must be >= 1")
         if not (math.isfinite(self.omega) and self.omega > 0.0):
@@ -136,30 +144,22 @@ class ExperimentConfig:
             raise ConfigError(str(exc)) from exc
 
 
-_SCHEMA = {
-    "problem": (("kind", str, "problem"), ("size", int, "size"),
-                ("levels", int, "levels")),
-    "smoother": (("kind", str, "smoother"), ("omega", float, "omega")),
-    "coarse": (("kind", str, "coarse"), ("sigma", float, "sigma"),
-               ("mu", int, "mu"), ("nu", int, "nu")),
-    "precision": (("bits", "bits_list", "bits"),
-                  ("pi_target", float, "pi_target")),
-    "run": (("trials", int, "trials"), ("seed", int, "rng_seed"),
-            ("out", str, "output_path")),
+def _bits_list(raw: str) -> tuple[int, ...]:
+    return tuple(int(tok) for tok in raw.replace(",", " ").split())
+
+
+#: Every key of an INI experiment file: (section, key) -> (field, conversion).
+_ENTRIES = {
+    ("problem", "kind"): ("problem", str), ("problem", "size"): ("size", int),
+    ("problem", "levels"): ("levels", int),
+    ("smoother", "kind"): ("smoother", str), ("smoother", "omega"): ("omega", float),
+    ("coarse", "kind"): ("coarse", str), ("coarse", "sigma"): ("sigma", float),
+    ("coarse", "mu"): ("mu", int), ("coarse", "nu"): ("nu", int),
+    ("precision", "bits"): ("bits", _bits_list),
+    ("precision", "pi_target"): ("pi_target", float),
+    ("run", "trials"): ("trials", int), ("run", "seed"): ("rng_seed", int),
+    ("run", "out"): ("output_path", str),
 }
-
-
-def _check_names(parser: configparser.ConfigParser, path):
-    """Reject every section and key that the schema does not know."""
-    if parser.defaults():
-        raise ConfigError(f"unknown section [{parser.default_section}] in {path}")
-    for section in parser.sections():
-        if section not in _SCHEMA:
-            raise ConfigError(f"unknown section [{section}] in {path}")
-        known = {key for key, _, _ in _SCHEMA[section]}
-        for key in parser.options(section):
-            if key not in known:
-                raise ConfigError(f"unknown key {key!r} in [{section}] of {path}")
 
 
 def load_config(path) -> ExperimentConfig:
@@ -176,28 +176,20 @@ def load_config(path) -> ExperimentConfig:
         raise ConfigError(f"cannot parse config file {path}: {exc}") from exc
     if not read:
         raise ConfigError(f"cannot read config file {path}")
-    _check_names(parser, path)
+    if parser.defaults():
+        raise ConfigError(f"unknown section [{parser.default_section}] in {path}")
     kwargs = {}
-    try:
-        for section, entries in _SCHEMA.items():
-            if not parser.has_section(section):
-                continue
-            for key, conv, attr in entries:
-                if not parser.has_option(section, key):
-                    continue
-                raw = parser.get(section, key).strip()
-                if conv == "bits_list":
-                    kwargs[attr] = tuple(
-                        int(tok) for tok in raw.replace(",", " ").split()
-                    )
-                elif conv is int:
-                    kwargs[attr] = int(raw)
-                elif conv is float:
-                    kwargs[attr] = float(raw)
-                else:
-                    kwargs[attr] = raw
-    except ValueError as exc:
-        raise ConfigError(f"bad value in {path}: {exc}") from exc
+    for section in parser.sections():
+        if section not in {known for known, _ in _ENTRIES}:
+            raise ConfigError(f"unknown section [{section}] in {path}")
+        for key in parser.options(section):
+            if (section, key) not in _ENTRIES:
+                raise ConfigError(f"unknown key {key!r} in [{section}] of {path}")
+            attr, conv = _ENTRIES[section, key]
+            try:
+                kwargs[attr] = conv(parser.get(section, key).strip())
+            except ValueError as exc:
+                raise ConfigError(f"bad value in {path}: {exc}") from exc
     if "bits" in kwargs and "pi_target" in kwargs:
         raise ConfigError(
             f"set either bits or pi_target under [precision] of {path}, not both")
@@ -397,26 +389,31 @@ def validate_csv(path) -> tuple[bool, list[str]]:
     """Re-derive every pass flag from the stored norms and ratios.
 
     A file is valid when it opens with :data:`CSV_HEADER_COMMENT` and the
-    header row of :data:`CSV_COLUMNS`, each stored flag matches its
-    re-derivation and all flags are true.
+    header row of :data:`CSV_COLUMNS`, every row has one cell per column,
+    each stored flag matches its re-derivation and all flags are true.
     """
     lines = Path(path).read_text().splitlines()
     if lines[:2] != [CSV_HEADER_COMMENT, ",".join(CSV_COLUMNS)]:
         return False, [f"file: does not open with {CSV_HEADER_COMMENT!r} and the "
                        f"header row of its {len(CSV_COLUMNS)} columns"]
-    problems: list[str] = []
-    rows = list(csv.DictReader(lines[1:]))
-    if not rows:
+    if not any(lines[2:]):
         return False, ["no data rows"]
-    for i, row in enumerate(rows):
+    problems: list[str] = []
+    # one row at a time: blank lines are not rows
+    for i, cells in enumerate(cells for cells in csv.reader(lines[2:]) if cells):
+        if len(cells) != len(CSV_COLUMNS):
+            problems.append(f"row {i}: malformed ({len(cells)} cells, "
+                            f"not {len(CSV_COLUMNS)})")
+            continue
+        row = dict(zip(CSV_COLUMNS, cells))
         try:
             measured = float(row["measured_ratio"])
             rho_tg = float(row["rho_tg"])
             ratios = [float(row[f"ratio_{name}"]) for name in PROOF_LINES]
-            stored = row["passed"].strip().lower() == "true"
-        except (KeyError, ValueError) as exc:
+        except ValueError as exc:
             problems.append(f"row {i}: malformed ({exc})")
             continue
+        stored = row["passed"].strip().lower() == "true"
         derived = trial_passed(measured, rho_tg, ratios)
         if derived != stored:
             problems.append(f"row {i}: stored pass={stored} but derived {derived}")

@@ -175,31 +175,19 @@ def column_norms(w):
     return _per_column(np.sqrt(np.vecdot(rows, rows)), w)
 
 
-def round_scalar(x: float, fmt: PrecisionFormat) -> float:
-    """Round a finite scalar to ``fmt`` (round-to-nearest, ties to even)."""
-    if not np.isfinite(x):
-        raise ValueError("x must be finite")
-    out = float(_round_array(np.float64(x), fmt.significand_bits))
-    _check_carrier_range(np.float64(out))
-    return out
-
-
-def round_vector(w, fmt: PrecisionFormat) -> np.ndarray:
-    """Componentwise :func:`round_scalar` without the error bound."""
-    w = np.asarray(w, dtype=np.float64)
-    if not np.all(np.isfinite(w)):
-        raise ValueError("w must be finite")
-    out = _round_array(w, fmt.significand_bits)
-    _check_carrier_range(out)
-    return out
+def _rounded(exact: np.ndarray, fmt: PrecisionFormat, bound: Callable[[], np.ndarray],
+             like) -> RoundedResult:
+    """``exact``, a block computed in the carrier, rounded once into ``fmt``:
+    the entrywise kernels' one rounding and range check."""
+    value = _round_array(exact, fmt.significand_bits)
+    _check_carrier_range(value)
+    return _result(value, bound, like)
 
 
 def quantize_vector(w, fmt: PrecisionFormat) -> RoundedResult:
     """Round a vector (or block) into ``fmt``; bound is ``u * norm(w)`` per column."""
     W = _as_block(w, "w")
-    value = _round_array(W, fmt.significand_bits)
-    _check_carrier_range(value)
-    return _result(value, lambda: fmt.unit_roundoff * column_norms(W), w)
+    return _rounded(W, fmt, lambda: fmt.unit_roundoff * column_norms(W), w)
 
 
 def rounded_add_sub(v, w, sign: str, fmt: PrecisionFormat) -> RoundedResult:
@@ -218,9 +206,7 @@ def rounded_add_sub(v, w, sign: str, fmt: PrecisionFormat) -> RoundedResult:
         exact = V - W
     else:
         raise ValueError(f"sign must be '+' or '-', got {sign!r}")
-    value = _round_array(exact, fmt.significand_bits)
-    _check_carrier_range(value)
-    return _result(value, lambda: fmt.unit_roundoff * column_norms(exact), v)
+    return _rounded(exact, fmt, lambda: fmt.unit_roundoff * column_norms(exact), v)
 
 
 def rounded_scale(s: float, w, fmt: PrecisionFormat, alpha: float) -> RoundedResult:
@@ -230,9 +216,7 @@ def rounded_scale(s: float, w, fmt: PrecisionFormat, alpha: float) -> RoundedRes
     already representable in ``fmt``.
     """
     W = _as_block(w, "w")
-    value = _round_array(s * W, fmt.significand_bits)
-    _check_carrier_range(value)
-    return _result(value, lambda: alpha * fmt.unit_roundoff * column_norms(W), w)
+    return _rounded(s * W, fmt, lambda: alpha * fmt.unit_roundoff * column_norms(W), w)
 
 
 def _csr(K) -> sparse.csr_array:
@@ -290,7 +274,21 @@ class RowLayout:
         return self.matrix.shape
 
 
-def _rounded_row_accumulate(rows: RowLayout, W: np.ndarray, C, bits: int):
+def _rounded_rows(K, w, c, fmt: PrecisionFormat, eta_abs: float) -> RoundedResult:
+    """``K @ w - c``, or ``K @ w`` when ``c`` is None, in ``fmt``: the row
+    kernels' one body.
+
+    Each row accumulates its stored nonzeros left to right, every product
+    and partial sum rounded, and subtracts ``c`` last with one more rounding.
+    """
+    rows = RowLayout.of(K)
+    W = _as_block(w, "w")
+    C = None if c is None else _as_block(c, "c")
+    if rows.shape[1] != W.shape[0] or (C is not None and (
+            np.ndim(w) != np.ndim(c) or rows.shape[0] != C.shape[0]
+            or W.shape[1] != C.shape[1])):
+        raise ValueError(f"nonconformal {'matvec' if C is None else 'residual'} dimensions")
+    bits = fmt.significand_bits
     acc = _round_array(rows.vals[0] * W[rows.cols[0]], bits)
     for vals, cols in zip(rows.vals[1:], rows.cols[1:]):
         term = _round_array(vals * W[cols], bits)
@@ -298,7 +296,12 @@ def _rounded_row_accumulate(rows: RowLayout, W: np.ndarray, C, bits: int):
     if C is not None:
         acc = _round_array(acc - C, bits)
     _check_carrier_range(acc)
-    return acc
+    scale = fmt.unit_roundoff * mdot_plus_eps(rows.m, fmt.unit_roundoff)
+
+    def bound():
+        w_term = eta_abs * column_norms(W)
+        return scale * (w_term if C is None else column_norms(C) + w_term)
+    return _result(acc, bound, w)
 
 
 def rounded_residual(K, w, c, fmt: PrecisionFormat, *, eta_abs: float) -> RoundedResult:
@@ -313,28 +316,13 @@ def rounded_residual(K, w, c, fmt: PrecisionFormat, *, eta_abs: float) -> Rounde
     is a matrix, anything with a ``.matrix``, or a :class:`RowLayout`; ``w``
     and ``c`` are both vectors or both blocks.
     """
-    rows = RowLayout.of(K)
-    W = _as_block(w, "w")
-    C = _as_block(c, "c")
-    if (np.ndim(w) != np.ndim(c) or rows.shape[1] != W.shape[0]
-            or rows.shape[0] != C.shape[0] or W.shape[1] != C.shape[1]):
-        raise ValueError("nonconformal residual dimensions")
-    value = _rounded_row_accumulate(rows, W, C, fmt.significand_bits)
-    inflation = mdot_plus_eps(rows.m, fmt.unit_roundoff)
-    return _result(value, lambda: fmt.unit_roundoff * inflation * (
-        column_norms(C) + eta_abs * column_norms(W)), w)
+    return _rounded_rows(K, w, c, fmt, eta_abs)
 
 
 def rounded_matvec(K, w, fmt: PrecisionFormat, *, eta_abs: float) -> RoundedResult:
     """Compute ``K @ w`` row by row in ``fmt``; bound ``u * inflation * eta_abs * norm(w)``.
 
-    ``inflation`` and ``eta_abs`` are those of :func:`rounded_residual`.
+    It is :func:`rounded_residual` without ``c``, with the same
+    ``inflation`` and ``eta_abs``.
     """
-    rows = RowLayout.of(K)
-    W = _as_block(w, "w")
-    if rows.shape[1] != W.shape[0]:
-        raise ValueError("nonconformal matvec dimensions")
-    value = _rounded_row_accumulate(rows, W, None, fmt.significand_bits)
-    inflation = mdot_plus_eps(rows.m, fmt.unit_roundoff)
-    return _result(value, lambda: fmt.unit_roundoff * inflation * eta_abs
-                   * column_norms(W), w)
+    return _rounded_rows(K, w, None, fmt, eta_abs)

@@ -33,7 +33,6 @@ from mixedmg import (
     make_perturbed_coarse,
     quantize_vector,
     rho_star,
-    round_vector,
     rounded_add_sub,
     rounded_matvec,
     rounded_residual,
@@ -116,22 +115,22 @@ def test_a3_kernel_certification():
             out = quantize_vector(w, fmt)
             assert np.linalg.norm(out.value - w) <= out.a_priori_bound
 
-            v = round_vector(rng.standard_normal(24), fmt)
-            u = round_vector(rng.standard_normal(24), fmt)
+            v = quantize_vector(rng.standard_normal(24), fmt).value
+            u = quantize_vector(rng.standard_normal(24), fmt).value
             out = rounded_add_sub(v, u, "-", fmt)
             assert np.linalg.norm(out.value - (v - u)) <= out.a_priori_bound
 
-            c = round_vector(rng.standard_normal(24), fmt)
+            c = quantize_vector(rng.standard_normal(24), fmt).value
             out = rounded_residual(K, v, c, fmt, eta_abs=eta_K)
             assert np.linalg.norm(out.value - (K @ v - c)) <= out.a_priori_bound
 
-            wc = round_vector(rng.standard_normal(15), fmt)
+            wc = quantize_vector(rng.standard_normal(15), fmt).value
             out = rounded_matvec(P, wc, fmt, eta_abs=eta_P)
             assert np.linalg.norm(out.value - P @ wc) <= out.a_priori_bound
             checked += 4
 
         # exact cases commit zero error
-        v = round_vector(rng.standard_normal(24), fmt)
+        v = quantize_vector(rng.standard_normal(24), fmt).value
         assert np.array_equal(quantize_vector(v, fmt).value, v)
         assert np.array_equal(
             rounded_add_sub(v, np.zeros(24), "+", fmt).value, v)

@@ -7,6 +7,9 @@ read from the source with ``ast``, without importing the benchmark.  The
 tracer also reads ``result.value.size`` of every precision kernel it wraps,
 so each kernel target must return a result with a ``value`` array.
 
+The benchmark's per-layer counts are calls of those names as the cycle makes
+them, so the calls of one two-grid cycle are pinned here.
+
 ``bench/sample.py`` calls ``harness.<name>`` for its sweep and its output
 gate, so every such name it reads must be defined in ``mixedmg.harness``.
 
@@ -19,12 +22,20 @@ the name is really gone.
 import ast
 import importlib
 import json
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from mixedmg import PrecisionFormat, build_multilevel
+from mixedmg import (
+    CARRIER,
+    PrecisionFormat,
+    build_multilevel,
+    make_exact_coarse,
+    make_jacobi,
+    tg_cycle,
+)
 from mixedmg.harness import ExperimentConfig
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
@@ -106,3 +117,30 @@ def test_kernel_target_returns_a_value(owner_path, attr):
     args, kwargs = _kernel_args(attr)
     result = kernel(*args, **kwargs)
     assert isinstance(result.value, np.ndarray) and result.value.size
+
+
+def test_tg_cycle_calls(monkeypatch):
+    # one reduced-format cycle with an exact coarse solve, counted as the
+    # tracer counts it: by the names ``mixedmg.cycles`` looks up at call time
+    cycles = importlib.import_module("mixedmg.cycles")
+    level = build_multilevel(15, 2)[0]
+    fmt = PrecisionFormat(12)
+    S, coarse = make_jacobi(level.A, 2.0 / 3.0, fmt), make_exact_coarse(level)
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name, any(arg is CARRIER for arg in args)] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in ("quantize_vector", "rounded_scale", "rounded_residual",
+                 "rounded_matvec", "rounded_add_sub", "solve_spd", "energy_norm"):
+        monkeypatch.setattr(cycles, name, counted(name, getattr(cycles, name)))
+    tg_cycle(np.linspace(-1.0, 1.0, level.n), S, coarse, fmt)
+    assert calls == {
+        ("quantize_vector", False): 1, ("quantize_vector", True): 1,
+        ("rounded_scale", False): 2, ("rounded_residual", False): 2,
+        ("rounded_matvec", False): 2, ("rounded_add_sub", False): 2,
+        ("solve_spd", False): 2, ("energy_norm", False): 8,
+    }

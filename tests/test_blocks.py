@@ -15,7 +15,6 @@ from mixedmg import (
     make_perturbed_coarse,
     make_recursive_coarse,
     quantize_vector,
-    round_vector,
     rounded_add_sub,
     rounded_matvec,
     rounded_residual,
@@ -33,7 +32,7 @@ BIG = float(np.finfo(np.float64).max)
 
 def _block(rng, n, fmt=FMT):
     # columns of very different scales, representable in fmt
-    return round_vector(rng.standard_normal((n, T)) * np.logspace(-3, 3, T), fmt)
+    return quantize_vector(rng.standard_normal((n, T)) * np.logspace(-3, 3, T), fmt).value
 
 
 def _assert_columns_match(call, *blocks):
@@ -194,7 +193,6 @@ class TestCycles:
             y, single = tg_cycle(np.array(R[:, t]), S, coarse, FMT)
             assert np.array_equal(Y[:, t], y)
             assert np.array_equal(trace.y_reference[:, t], single.y_reference)
-            assert trace.delta_y_energy[t] == single.delta_y_energy
             for name, norms in trace.line_norms.items():
                 assert norms[t] == single.line_norms[name], name
 
@@ -297,7 +295,7 @@ class TestFailuresInOneColumn:
         M = make_jacobi(level31.A, 2.0 / 3.0, fmt12)
         # the Jacobi diagonal of the unit-norm matrix exceeds one
         with pytest.raises(OverflowError):
-            M.apply_rounded(_poison(round_vector(W, fmt12), BIG), fmt12)
+            M.apply_rounded(_poison(quantize_vector(W, fmt12).value, BIG), fmt12)
 
     def test_mismatched_blocks_rejected(self, level31):
         W = _block(np.random.default_rng(14), 31)

@@ -142,6 +142,27 @@ class TestConfig:
         with pytest.raises(ConfigError, match=f"^{key} must be an integer"):
             ExperimentConfig(**{**fields, key: value})
 
+    @pytest.mark.parametrize("key, value", [
+        ("omega", True), ("sigma", False), ("pi_target", True), ("omega", "1.0"),
+    ])
+    def test_rejects_reals_that_are_not_numbers(self, key, value):
+        fields = dict(size=15, coarse="perturbed", bits=())
+        with pytest.raises(ConfigError, match=f"^{key} must be a real number"):
+            ExperimentConfig(**{**fields, "pi_target": 0.5, key: value})
+
+    def test_reals_are_stored_as_floats(self):
+        # the same Richardson run wrote omega as 1.0, 1 or true
+        csvs = []
+        for omega in (1.0, 1, np.float64(1.0)):
+            cfg = ExperimentConfig(size=15, smoother="richardson", omega=omega,
+                                   bits=(12,), trials=1)
+            assert type(cfg.omega) is float
+            csvs.append(render_csv(run_experiment(cfg)))
+        assert csvs[0] == csvs[1] == csvs[2]
+        cfg = ExperimentConfig(size=15, coarse="perturbed", sigma=0, bits=(),
+                               pi_target=np.float32(0.5))
+        assert (type(cfg.sigma), type(cfg.pi_target)) == (float, float)
+
     def test_rejects_empty_precisions(self):
         with pytest.raises(ConfigError):
             ExperimentConfig(bits=(), pi_target=None)
@@ -650,6 +671,22 @@ class TestCli:
         captured = capsys.readouterr()
         assert captured.out == "INVALID\n"
         assert captured.err.count("\n") == 1 and captured.err.startswith("file: ")
+
+    @pytest.mark.parametrize("edit, cells", [
+        (lambda row: row.rsplit(",", 3)[0], len(CSV_COLUMNS) - 3),
+        (lambda row: row + ",true", len(CSV_COLUMNS) + 1),
+    ], ids=["missing-cells", "extra-cell"])
+    def test_validate_reports_malformed_row(self, tmp_path, capsys, edit, cells):
+        # a short row raised TypeError, and a row with an extra cell passed
+        cfg = ExperimentConfig(size=15, bits=(12,), trials=2, rng_seed=0)
+        path = write_csv(run_experiment(cfg), tmp_path / "v.csv")
+        lines = path.read_text().splitlines()
+        path.write_text("\n".join(lines[:-1] + [edit(lines[-1])]) + "\n")
+        assert cli_main(["validate", "--csv", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "INVALID\n"
+        assert captured.err == (f"row 1: malformed ({cells} cells, "
+                                f"not {len(CSV_COLUMNS)})\n")
 
     def test_sweep_subcommand(self, tmp_path):
         out = tmp_path / "sweep.csv"

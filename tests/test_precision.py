@@ -15,8 +15,6 @@ from mixedmg import (
     PrecisionTooLowError,
     abs_matrix_norm,
     quantize_vector,
-    round_scalar,
-    round_vector,
     rounded_add_sub,
     rounded_matvec,
     rounded_residual,
@@ -68,58 +66,58 @@ class TestPrecisionFormat:
 
 class TestRoundScalar:
     def test_zero_is_exact(self):
-        assert round_scalar(0.0, PrecisionFormat(5)) == 0.0
+        assert quantize_vector([0.0], PrecisionFormat(5)).value[0] == 0.0
 
     def test_below_half_ulp_rounds_down(self):
         # 2**-9 is below half the spacing 2**-8 at 1.0 for an 8-bit format
-        assert round_scalar(1.0 + 2.0**-9, PrecisionFormat(8)) == 1.0
+        assert quantize_vector([1.0 + 2.0**-9], PrecisionFormat(8)).value[0] == 1.0
 
     def test_above_half_ulp_rounds_up(self):
         expected = round_oracle(1.0 + 3 * 2.0**-9, 8)
         assert expected == 1.0 + 2.0**-7
-        assert round_scalar(1.0 + 3 * 2.0**-9, PrecisionFormat(8)) == expected
+        assert quantize_vector([1.0 + 3 * 2.0**-9], PrecisionFormat(8)).value[0] == expected
 
     def test_halfway_ties_to_even(self):
         fmt = PrecisionFormat(8)
         # 1 + 2**-8 is exactly between 1 and 1 + 2**-7; even mantissa wins
-        assert round_scalar(1.0 + 2.0**-8, fmt) == 1.0
-        assert round_scalar(1.0 + 3 * 2.0**-8, fmt) == 1.0 + 2.0**-6
+        assert quantize_vector([1.0 + 2.0**-8], fmt).value[0] == 1.0
+        assert quantize_vector([1.0 + 3 * 2.0**-8], fmt).value[0] == 1.0 + 2.0**-6
 
     @given(x=finite_floats, bits=small_bits)
     @settings(max_examples=300)
     def test_matches_rational_oracle(self, x, bits):
-        assert round_scalar(x, PrecisionFormat(bits)) == round_oracle(x, bits)
+        assert quantize_vector([x], PrecisionFormat(bits)).value[0] == round_oracle(x, bits)
 
     @given(x=finite_floats, bits=small_bits)
     def test_idempotent(self, x, bits):
         fmt = PrecisionFormat(bits)
-        once = round_scalar(x, fmt)
-        assert round_scalar(once, fmt) == once
+        once = quantize_vector([x], fmt).value[0]
+        assert quantize_vector([once], fmt).value[0] == once
 
     @given(x=finite_floats, y=finite_floats, bits=small_bits)
     def test_monotone(self, x, y, bits):
         fmt = PrecisionFormat(bits)
         lo, hi = min(x, y), max(x, y)
-        assert round_scalar(lo, fmt) <= round_scalar(hi, fmt)
+        assert quantize_vector([lo], fmt).value[0] <= quantize_vector([hi], fmt).value[0]
 
     @given(x=finite_floats, bits=small_bits)
     def test_relative_error_at_most_unit_roundoff(self, x, bits):
         fmt = PrecisionFormat(bits)
-        assert abs(round_scalar(x, fmt) - x) <= fmt.unit_roundoff * abs(x)
+        assert abs(quantize_vector([x], fmt).value[0] - x) <= fmt.unit_roundoff * abs(x)
 
     def test_carrier_width_is_identity(self):
         rng = np.random.default_rng(0)
         x = rng.standard_normal(100) * 10.0 ** rng.integers(-30, 30, size=100)
-        assert np.array_equal(round_vector(x, CARRIER), x)
+        assert np.array_equal(quantize_vector(x, CARRIER).value, x)
 
     def test_rejects_nonfinite(self):
         with pytest.raises(ValueError):
-            round_scalar(math.inf, PrecisionFormat(8))
+            quantize_vector([math.inf], PrecisionFormat(8))
 
     def test_carrier_overflow_signals_range_error(self):
         # rounding the largest double up at 2 bits crosses 2**1024
         with pytest.raises(OverflowError):
-            round_scalar(float(np.finfo(np.float64).max), PrecisionFormat(2))
+            quantize_vector([float(np.finfo(np.float64).max)], PrecisionFormat(2))
 
 
 class TestQuantizeVector:
@@ -131,7 +129,7 @@ class TestQuantizeVector:
     def test_representable_vectors_are_fixed_points(self):
         fmt = PrecisionFormat(9)
         rng = np.random.default_rng(1)
-        w = round_vector(rng.standard_normal(64), fmt)
+        w = quantize_vector(rng.standard_normal(64), fmt).value
         out = quantize_vector(w, fmt)
         assert np.array_equal(out.value, w)
         assert out.a_priori_bound == fmt.unit_roundoff * np.linalg.norm(w)
@@ -149,13 +147,13 @@ class TestQuantizeVector:
 class TestRoundedAddSub:
     def test_adding_zero_is_exact(self):
         fmt = PrecisionFormat(6)
-        v = round_vector(np.linspace(-3, 5, 17), fmt)
+        v = quantize_vector(np.linspace(-3, 5, 17), fmt).value
         out = rounded_add_sub(v, np.zeros(17), "+", fmt)
         assert np.array_equal(out.value, v)
 
     def test_self_subtraction_is_exact_zero(self):
         fmt = PrecisionFormat(6)
-        v = round_vector(np.random.default_rng(3).standard_normal(33), fmt)
+        v = quantize_vector(np.random.default_rng(3).standard_normal(33), fmt).value
         out = rounded_add_sub(v, v, "-", fmt)
         assert np.array_equal(out.value, np.zeros(33))
         assert out.a_priori_bound == 0.0
@@ -172,8 +170,8 @@ class TestRoundedAddSub:
         fmt = PrecisionFormat(10)
         rng = np.random.default_rng(4)
         for _ in range(1000):
-            v = round_vector(rng.standard_normal(32), fmt)
-            w = round_vector(rng.standard_normal(32), fmt)
+            v = quantize_vector(rng.standard_normal(32), fmt).value
+            w = quantize_vector(rng.standard_normal(32), fmt).value
             out = rounded_add_sub(v, w, "-", fmt)
             exact = v - w
             assert np.linalg.norm(out.value - exact) <= out.a_priori_bound
@@ -184,7 +182,7 @@ class TestRoundedAddSub:
 class TestRoundedResidual:
     def test_identity_rows_cancel(self):
         fmt = PrecisionFormat(8)
-        w = round_vector(np.random.default_rng(5).standard_normal(16), fmt)
+        w = quantize_vector(np.random.default_rng(5).standard_normal(16), fmt).value
         K = np.eye(16)
         out = rounded_residual(K, w, w, fmt, eta_abs=abs_matrix_norm(K))
         assert np.array_equal(out.value, np.zeros(16))
@@ -210,8 +208,8 @@ class TestRoundedResidual:
         eta = abs_matrix_norm(K)
         rng = np.random.default_rng(6)
         for _ in range(1000):
-            w = round_vector(rng.standard_normal(24), fmt)
-            c = round_vector(rng.standard_normal(24), fmt)
+            w = quantize_vector(rng.standard_normal(24), fmt).value
+            c = quantize_vector(rng.standard_normal(24), fmt).value
             out = rounded_residual(K, w, c, fmt, eta_abs=eta)
             exact = K @ w - c
             assert np.linalg.norm(out.value - exact) <= out.a_priori_bound
@@ -220,7 +218,7 @@ class TestRoundedResidual:
 class TestRoundedMatvec:
     def test_identity_is_exact(self):
         fmt = PrecisionFormat(7)
-        w = round_vector(np.random.default_rng(7).standard_normal(9), fmt)
+        w = quantize_vector(np.random.default_rng(7).standard_normal(9), fmt).value
         K = np.eye(9)
         out = rounded_matvec(K, w, fmt, eta_abs=abs_matrix_norm(K))
         assert np.array_equal(out.value, w)
@@ -237,7 +235,7 @@ class TestRoundedMatvec:
         eta = abs_matrix_norm(P)
         rng = np.random.default_rng(8)
         for _ in range(1000):
-            wc = round_vector(rng.standard_normal(15), fmt)
+            wc = quantize_vector(rng.standard_normal(15), fmt).value
             out = rounded_matvec(P, wc, fmt, eta_abs=eta)
             exact = P @ wc
             assert np.linalg.norm(out.value - exact) <= out.a_priori_bound
@@ -249,7 +247,7 @@ class TestRoundedMatvec:
         eta = abs_matrix_norm(Pt)
         rng = np.random.default_rng(9)
         for _ in range(200):
-            w = round_vector(rng.standard_normal(31), fmt)
+            w = quantize_vector(rng.standard_normal(31), fmt).value
             out = rounded_matvec(Pt, w, fmt, eta_abs=eta)
             assert np.linalg.norm(out.value - Pt @ w) <= out.a_priori_bound
 
@@ -259,7 +257,7 @@ class TestOperatorDuckTyping:
         # SparseSpd (and anything exposing .matrix) works directly
         fmt = PrecisionFormat(10)
         A = poisson_1d(9)
-        w = round_vector(np.random.default_rng(12).standard_normal(9), fmt)
+        w = quantize_vector(np.random.default_rng(12).standard_normal(9), fmt).value
         via_wrapper = rounded_matvec(A, w, fmt, eta_abs=abs_matrix_norm(A))
         via_csr = rounded_matvec(A.matrix, w, fmt, eta_abs=abs_matrix_norm(A.matrix))
         assert np.array_equal(via_wrapper.value, via_csr.value)
@@ -293,7 +291,7 @@ class TestCarrierWidthExactness:
         K = poisson_1d(16).matrix
         eta = abs_matrix_norm(K)
         for _ in range(100):
-            w = round_vector(rng.standard_normal(16), fmt)
-            c = round_vector(rng.standard_normal(16), fmt)
+            w = quantize_vector(rng.standard_normal(16), fmt).value
+            c = quantize_vector(rng.standard_normal(16), fmt).value
             out = rounded_residual(K, w, c, fmt, eta_abs=eta)
             assert np.linalg.norm(out.value - (K @ w - c)) <= out.a_priori_bound
