@@ -54,9 +54,14 @@ def _poisson_1d(n: int) -> sparse.csr_array:
 def _poisson_2d(k: int) -> sparse.csr_array:
     if k < 3:
         raise ValueError(f"k must be >= 3, got {k}")
-    one_d = _poisson_1d(k)
-    eye = sparse.eye_array(k)
-    return sparse.csr_array(sparse.kron(one_d, eye) + sparse.kron(eye, one_d))
+    n = k * k
+    along = -np.ones(n - 1)
+    along[k - 1::k] = 0.0  # no coupling across the end of a grid row
+    across = -np.ones(n - k)
+    A = sparse.csr_array(sparse.diags_array(
+        [across, along, 4.0 * np.ones(n), along, across], offsets=[-k, -1, 0, 1, k]))
+    A.eliminate_zeros()  # a stored zero would count in the rows' nonzeros
+    return A
 
 
 def poisson_1d(n: int) -> SparseSpd:

@@ -114,10 +114,15 @@ def energy_norm(w, A: SparseSpd):
 
     A float for a vector, an array with one norm per column for a block.
     """
-    rows = _columns(w, A.n)
+    w = np.asarray(w, dtype=np.float64)
+    if w.ndim not in (1, 2) or w.shape[0] != A.n:
+        raise ValueError(f"dimension mismatch: {w.shape} vs {A.n}")
     # A runs on w itself as an (n, T) block, not on a copy: the sparse
-    # product gives each column the same bits for any layout of the block
-    q = np.vecdot(rows, _columns(A.apply(np.reshape(w, (A.n, -1))), A.n))
+    # product gives each column the same bits for any layout of the block.
+    # A w is dropped once its rows are copied, before w's rows are.
+    products = _columns(A.apply(w.reshape(A.n, -1)))
+    rows = _columns(w)
+    q = np.vecdot(rows, products)
     if np.any(q < 0):
         tol = 64 * _EPS * A._row_sum_bound * np.vecdot(rows, rows)
         if np.any(q < -tol):

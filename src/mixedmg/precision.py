@@ -7,6 +7,21 @@ and then rounds the result once to the target significand width
 ``u = 2**-significand_bits``, which is what the a-priori bounds returned by
 the kernels assume.
 
+A value ``x`` is rounded to ``bits`` by Veltkamp splitting, ``t = c x`` and
+``x_h = t - (t - x)`` with ``c = 2**(53 - bits) + 1``, three passes in place
+over buffers that each kernel call allocates once.  In round-to-nearest-even
+carrier arithmetic ``x_h`` is ``x`` rounded to nearest even on ``bits``
+significand bits (Dekker, *Numer. Math.* 18, 1971), also when ``x`` or
+``x_h`` is subnormal (Boldo, IJCAR 2006), so the kernels give the bits of
+rounding through ``frexp``, ``rint`` and ``ldexp``.  The splitting fails only
+by overflow: ``c x`` overflows from about ``|x| = 2**(971 + bits)``, and a true
+result beyond the carrier overflows too.  Either leaves a non-finite entry,
+since ``inf - inf`` is NaN and NaN survives every later step; a kernel whose
+result is not finite then runs once more with rounding through ``frexp``
+(:func:`_round_array`, also the tests' reference), and that result goes
+through the range check, which raises ``OverflowError`` when it is still not
+finite.
+
 Matrix kernels accumulate each row sequentially left to right over the
 stored nonzeros, with the right-hand side subtracted last, so the error
 accounting matches the ``(m + 1)``-term inflation factor
@@ -20,7 +35,8 @@ block gives bit for bit what the same vector gives on its own: the rounding
 is entrywise, and every per-column norm is summed over a contiguous copy of
 that column (see :func:`column_norms`).  For a block, ``a_priori_bound`` is
 an array with one bound per column.  A bound is evaluated when it is first
-read, so a caller that needs only the value never computes it.
+read, so a caller that needs only the value never computes it.  No kernel
+writes its inputs.
 """
 
 from __future__ import annotations
@@ -109,14 +125,15 @@ class RoundedResult:
 
 
 def _round_array(x: np.ndarray, bits: int) -> np.ndarray:
-    """Round every entry of ``x`` to ``bits`` significand bits, ties to even."""
+    """Round every entry of ``x`` to ``bits`` significand bits, ties to even,
+    through ``frexp``: the kernels' fallback and the tests' reference."""
     if bits >= CARRIER_BITS:
         return np.array(x, dtype=np.float64, copy=True)
     x = np.asarray(x, dtype=np.float64)
     m, e = np.frexp(np.atleast_1d(x))
     # m * 2**bits lies in [2**(bits-1), 2**bits): np.rint is exact there and
     # breaks ties to even; scaling by powers of two is exact.  Overflow to
-    # inf is tolerated here and signaled by the range check at the call site.
+    # inf is tolerated here and signaled by the range check of _in_range.
     # Every step runs in place on frexp's own arrays.
     with np.errstate(over="ignore"):
         np.ldexp(m, bits, out=m)
@@ -124,6 +141,36 @@ def _round_array(x: np.ndarray, bits: int) -> np.ndarray:
         np.subtract(e, bits, out=e)
         np.ldexp(m, e, out=m)
     return m.reshape(x.shape)
+
+
+def _split_round(x: np.ndarray, bits: int, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+    """``x`` rounded to ``bits`` into ``out``, which may be ``x`` itself, by
+    Veltkamp splitting with ``tmp`` as scratch; not finite where ``c x``
+    overflows.  At the carrier's width ``c = 2`` and ``x_h = x``."""
+    np.multiply(x, 2.0 ** (CARRIER_BITS - bits) + 1.0, out=tmp)
+    np.subtract(tmp, x, out=out)
+    return np.subtract(tmp, out, out=out)
+
+
+def _frexp_round(x: np.ndarray, bits: int, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+    """``x`` rounded to ``bits`` into ``out`` through :func:`_round_array`,
+    which has no overflow but that of the rounded value; ``tmp`` is unused."""
+    out[...] = _round_array(x, bits)
+    return out
+
+
+def _in_range(run: Callable[[Callable], np.ndarray]) -> np.ndarray:
+    """``run(round_)``, a kernel's value with every rounding made by
+    ``round_``: by :func:`_split_round`, or, when that leaves an entry that
+    is not finite, once more by :func:`_frexp_round`, raising
+    ``OverflowError`` if the value is still not finite."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        value = run(_split_round)
+    if not np.isfinite(value).all():
+        value = run(_frexp_round)
+        if not np.isfinite(value).all():
+            raise OverflowError("result overflows the float64 carrier")
+    return value
 
 
 def _as_block(w, name: str) -> np.ndarray:
@@ -137,16 +184,11 @@ def _as_block(w, name: str) -> np.ndarray:
     return w.reshape(w.shape[0], -1)
 
 
-def _check_carrier_range(value: np.ndarray):
-    if not np.all(np.isfinite(value)):
-        raise OverflowError("result overflows the float64 carrier")
-
-
-def _columns(w, n: int | None = None) -> np.ndarray:
+def _columns(w) -> np.ndarray:
     """A vector or an ``(n, T)`` block as ``(T, n)`` contiguous rows, one per column."""
     w = np.asarray(w, dtype=np.float64)
-    if w.ndim not in (1, 2) or (n is not None and w.shape[0] != n):
-        raise ValueError(f"dimension mismatch: {w.shape} vs {n}")
+    if w.ndim not in (1, 2):
+        raise ValueError(f"expected a vector or a block, got shape {w.shape}")
     return np.ascontiguousarray(w.reshape(w.shape[0], -1).T)
 
 
@@ -175,19 +217,22 @@ def column_norms(w):
     return _per_column(np.sqrt(np.vecdot(rows, rows)), w)
 
 
-def _rounded(exact: np.ndarray, fmt: PrecisionFormat, bound: Callable[[], np.ndarray],
-             like) -> RoundedResult:
-    """``exact``, a block computed in the carrier, rounded once into ``fmt``:
-    the entrywise kernels' one rounding and range check."""
-    value = _round_array(exact, fmt.significand_bits)
-    _check_carrier_range(value)
+def _rounded(exact: Callable[[np.ndarray], np.ndarray], block: np.ndarray,
+             fmt: PrecisionFormat, bound: Callable[[], np.ndarray], like) -> RoundedResult:
+    """A block of ``block``'s shape computed in the carrier by ``exact(out)``,
+    which returns it in ``out`` or in an input it does not write, rounded
+    once into ``fmt``: the entrywise kernels' one rounding and range check."""
+    out = np.empty_like(block)
+    tmp = np.empty_like(block)
+    bits = fmt.significand_bits
+    value = _in_range(lambda round_: round_(exact(out), bits, out, tmp))
     return _result(value, bound, like)
 
 
 def quantize_vector(w, fmt: PrecisionFormat) -> RoundedResult:
     """Round a vector (or block) into ``fmt``; bound is ``u * norm(w)`` per column."""
     W = _as_block(w, "w")
-    return _rounded(W, fmt, lambda: fmt.unit_roundoff * column_norms(W), w)
+    return _rounded(lambda out: W, W, fmt, lambda: fmt.unit_roundoff * column_norms(W), w)
 
 
 def rounded_add_sub(v, w, sign: str, fmt: PrecisionFormat) -> RoundedResult:
@@ -200,13 +245,11 @@ def rounded_add_sub(v, w, sign: str, fmt: PrecisionFormat) -> RoundedResult:
     W = _as_block(w, "w")
     if np.shape(v) != np.shape(w):
         raise ValueError(f"shape mismatch: {np.shape(v)} vs {np.shape(w)}")
-    if sign == "+":
-        exact = V + W
-    elif sign == "-":
-        exact = V - W
-    else:
+    op = {"+": np.add, "-": np.subtract}.get(sign)
+    if op is None:
         raise ValueError(f"sign must be '+' or '-', got {sign!r}")
-    return _rounded(exact, fmt, lambda: fmt.unit_roundoff * column_norms(exact), v)
+    return _rounded(lambda out: op(V, W, out=out), V, fmt,
+                    lambda: fmt.unit_roundoff * column_norms(op(V, W)), v)
 
 
 def rounded_scale(s: float, w, fmt: PrecisionFormat, alpha: float) -> RoundedResult:
@@ -216,7 +259,8 @@ def rounded_scale(s: float, w, fmt: PrecisionFormat, alpha: float) -> RoundedRes
     already representable in ``fmt``.
     """
     W = _as_block(w, "w")
-    return _rounded(s * W, fmt, lambda: alpha * fmt.unit_roundoff * column_norms(W), w)
+    return _rounded(lambda out: np.multiply(s, W, out=out), W, fmt,
+                    lambda: alpha * fmt.unit_roundoff * column_norms(W), w)
 
 
 def _csr(K) -> sparse.csr_array:
@@ -237,8 +281,9 @@ class RowLayout:
     Slot ``j`` of row ``i`` holds the ``j``-th stored nonzero of that row
     (``vals[j, i, 0]``, column ``cols[j, i]``), or an explicit zero past the
     row's end.  Padding with zero terms is exact under rounding (adding an
-    exact zero to a representable partial sum is a fixed point), so it does
-    not disturb the per-row error accounting.  ``m`` is the largest number
+    exact zero to a representable partial sum is a fixed point, up to the
+    sign of a zero sum), so it does not disturb the per-row error
+    accounting.  ``m`` is the largest number
     of stored nonzeros in any row.  Operators that are applied repeatedly
     build their layout once (:attr:`mixedmg.linops.SparseSpd.row_layout`,
     :attr:`mixedmg.hierarchy.GridLevel.P_layout`).
@@ -267,6 +312,8 @@ class RowLayout:
         slots = np.arange(M.nnz) - np.repeat(M.indptr[:-1], counts)
         vals[slots, rows, 0] = M.data
         cols[slots, rows] = M.indices
+        for array in (vals, cols):
+            array.flags.writeable = False  # shared by every later call
         return cls(M, vals, cols, int(counts.max(initial=0)))
 
     @property
@@ -280,6 +327,8 @@ def _rounded_rows(K, w, c, fmt: PrecisionFormat, eta_abs: float) -> RoundedResul
 
     Each row accumulates its stored nonzeros left to right, every product
     and partial sum rounded, and subtracts ``c`` last with one more rounding.
+    Each slot is gathered, scaled, rounded and added in place, in three
+    buffers of the result's shape.
     """
     rows = RowLayout.of(K)
     W = _as_block(w, "w")
@@ -289,13 +338,22 @@ def _rounded_rows(K, w, c, fmt: PrecisionFormat, eta_abs: float) -> RoundedResul
             or W.shape[1] != C.shape[1])):
         raise ValueError(f"nonconformal {'matvec' if C is None else 'residual'} dimensions")
     bits = fmt.significand_bits
-    acc = _round_array(rows.vals[0] * W[rows.cols[0]], bits)
-    for vals, cols in zip(rows.vals[1:], rows.cols[1:]):
-        term = _round_array(vals * W[cols], bits)
-        acc = _round_array(acc + term, bits)
-    if C is not None:
-        acc = _round_array(acc - C, bits)
-    _check_carrier_range(acc)
+    acc = np.empty((rows.shape[0], W.shape[1]))
+    term = np.empty_like(acc)
+    tmp = np.empty_like(acc)
+
+    def run(round_):
+        # mode="clip" writes straight into ``out``; the columns are in range
+        np.take(W, rows.cols[0], axis=0, out=acc, mode="clip")
+        round_(np.multiply(acc, rows.vals[0], out=acc), bits, acc, tmp)
+        for vals, cols in zip(rows.vals[1:], rows.cols[1:]):
+            np.take(W, cols, axis=0, out=term, mode="clip")
+            round_(np.multiply(term, vals, out=term), bits, term, tmp)
+            round_(np.add(acc, term, out=acc), bits, acc, tmp)
+        if C is not None:
+            round_(np.subtract(acc, C, out=acc), bits, acc, tmp)
+        return acc
+    acc = _in_range(run)
     scale = fmt.unit_roundoff * mdot_plus_eps(rows.m, fmt.unit_roundoff)
 
     def bound():

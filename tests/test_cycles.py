@@ -324,7 +324,7 @@ class TestTgCycle:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 12 * r.nbytes
+        assert peak <= 11 * r.nbytes
 
 
 class TestRhoStar:

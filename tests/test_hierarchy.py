@@ -24,7 +24,7 @@ from mixedmg import (
     spectral_norm,
     spectrum_ends,
 )
-from mixedmg.hierarchy import _galerkin
+from mixedmg.hierarchy import _galerkin, _poisson_1d, _poisson_2d
 
 EPS = float(np.finfo(np.float64).eps)
 
@@ -63,6 +63,18 @@ class TestPoisson2d:
         A = poisson_2d(7)
         expected = 4.0 + 4.0 * math.cos(math.pi / 8.0)
         assert spectral_norm(A) == pytest.approx(expected, rel=1e-13)
+
+    @pytest.mark.parametrize("k", [3, 4, 7, 31, 63, 127])
+    def test_matches_kronecker_sum(self, k):
+        # the direct build stores exactly the Kronecker sum's entries: a
+        # stored zero would count in a row's nonzeros, and so in the bound
+        one_d, eye = _poisson_1d(k), sparse.eye_array(k)
+        kron = sparse.csr_array(sparse.kron(one_d, eye) + sparse.kron(eye, one_d))
+        A = _poisson_2d(k)
+        for got, expected in ((A.data, kron.data), (A.indices, kron.indices),
+                              (A.indptr, kron.indptr)):
+            assert got.dtype == expected.dtype and np.array_equal(got, expected)
+        assert poisson_2d(k).row_layout.m == 5
 
 
 class TestLinearInterpolation:
