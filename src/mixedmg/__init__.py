@@ -50,7 +50,6 @@ from .hierarchy import (
     condition_number,
     galerkin_coarse,
     linear_interpolation,
-    normalize_hierarchy,
     poisson_1d,
     poisson_2d,
     spectral_norm,

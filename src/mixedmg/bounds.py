@@ -12,6 +12,7 @@ term ``pi_dot = sqrt(kappa) * u``.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass, field, fields
@@ -257,14 +258,11 @@ def progressive_epsilon(kappa: float, pi_target: float) -> PrecisionFormat:
     """Coarsest format whose roundoff keeps ``sqrt(kappa) * u <= pi_target``."""
     if not 0.0 < pi_target < 1.0:
         raise ValueError(f"pi_target must be in (0, 1), got {pi_target}")
-    if kappa < 1.0:
-        raise ValueError(f"kappa must be >= 1, got {kappa}")
+    if not 1.0 <= kappa < math.inf:
+        raise ValueError(f"kappa must be finite and >= 1, got {kappa}")
     need = pi_target / math.sqrt(kappa)
-    bits = max(2, math.ceil(-math.log2(need)))
-    while 2.0**-bits > need:
-        bits += 1
-    while bits > 2 and 2.0 ** -(bits - 1) <= need:
-        bits -= 1
+    # the smallest width with 2**-bits <= need; 2.0**-1075 is 0.0, so it ends
+    bits = next(b for b in itertools.count(2) if 2.0**-b <= need)
     if bits > CARRIER_BITS:
         raise PrecisionUnachievableError(
             f"pi_target {pi_target} at kappa {kappa} needs {bits} significand "

@@ -191,7 +191,9 @@ def _flat_index(point, k: int) -> int:
 def _entries(matrix) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Row, column and value of every stored nonzero of a sparse matrix."""
     M = sparse.csr_array(matrix)
-    M.sum_duplicates()
+    if not M.has_canonical_format:
+        M = M.copy()  # summing sorts in place; the caller's arrays stay unwritten
+        M.sum_duplicates()
     rows = np.repeat(np.arange(M.shape[0]), np.diff(M.indptr))
     nonzero = M.data != 0
     return rows[nonzero], M.indices[nonzero], M.data[nonzero]

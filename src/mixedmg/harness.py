@@ -169,7 +169,7 @@ def load_config(path) -> ExperimentConfig:
     An unknown section or key, or both ``bits`` and ``pi_target`` under
     ``[precision]``, raises :class:`ConfigError`.
     """
-    parser = configparser.ConfigParser()
+    parser = configparser.ConfigParser(interpolation=None)  # values read literally
     try:
         read = parser.read(str(path))
     except configparser.Error as exc:

@@ -43,15 +43,16 @@ from .linops import SparseSpd, SpdError
 from .precision import RowLayout, _csr
 
 
-def _poisson_1d(n: int) -> sparse.csr_array:
+def poisson_1d(n: int) -> SparseSpd:
+    """Tridiagonal (-1, 2, -1) stiffness matrix on ``n`` interior points."""
     if n < 3:
         raise ValueError(f"n must be >= 3, got {n}")
-    main = 2.0 * np.ones(n)
     off = -np.ones(n - 1)
-    return sparse.csr_array(sparse.diags_array([off, main, off], offsets=[-1, 0, 1]))
+    return SparseSpd(sparse.diags_array([off, 2.0 * np.ones(n), off], offsets=[-1, 0, 1]))
 
 
-def _poisson_2d(k: int) -> sparse.csr_array:
+def poisson_2d(k: int) -> SparseSpd:
+    """Standard 5-point Laplacian on a k-by-k interior grid (Dirichlet)."""
     if k < 3:
         raise ValueError(f"k must be >= 3, got {k}")
     n = k * k
@@ -61,17 +62,7 @@ def _poisson_2d(k: int) -> sparse.csr_array:
     A = sparse.csr_array(sparse.diags_array(
         [across, along, 4.0 * np.ones(n), along, across], offsets=[-k, -1, 0, 1, k]))
     A.eliminate_zeros()  # a stored zero would count in the rows' nonzeros
-    return A
-
-
-def poisson_1d(n: int) -> SparseSpd:
-    """Tridiagonal (-1, 2, -1) stiffness matrix on ``n`` interior points."""
-    return SparseSpd(_poisson_1d(n))
-
-
-def poisson_2d(k: int) -> SparseSpd:
-    """Standard 5-point Laplacian on a k-by-k interior grid (Dirichlet)."""
-    return SparseSpd(_poisson_2d(k))
+    return SparseSpd(A)
 
 
 def linear_interpolation(n_fine: int) -> sparse.csr_array:
@@ -87,19 +78,13 @@ def linear_interpolation(n_fine: int) -> sparse.csr_array:
     # coarse point j sits at fine point 2 j + 1 and reaches its two neighbours
     rows = 2 * cols + np.tile([0, 1, 2], n_c)
     vals = np.tile([0.5, 1.0, 0.5], n_c)
-    P = sparse.csr_array(
-        sparse.coo_array((vals, (rows, cols)), shape=(n_fine, n_c))
-    )
-    P.sort_indices()
-    return P
+    return _csr(sparse.coo_array((vals, (rows, cols)), shape=(n_fine, n_c)))
 
 
 def bilinear_interpolation(k_fine: int) -> sparse.csr_array:
     """2D tensor-product interpolation; rows carry at most 4 nonzeros."""
     one_d = linear_interpolation(k_fine)
-    P = sparse.csr_array(sparse.kron(one_d, one_d))
-    P.sort_indices()
-    return P
+    return _csr(sparse.kron(one_d, one_d))
 
 
 @dataclass(frozen=True, eq=False)
@@ -239,9 +224,7 @@ class GridLevel:
     @cached_property
     def P_t(self) -> sparse.csr_array:
         """``P'`` as a csr array with sorted indices, built once."""
-        P_t = sparse.csr_array(self.P.T)
-        P_t.sort_indices()
-        return P_t
+        return _csr(self.P.T)
 
     @cached_property
     def eta_A(self) -> float:
@@ -285,32 +268,16 @@ def _scaled(A: SparseSpd) -> SparseSpd:
 
 
 def _level(A: SparseSpd, P) -> GridLevel:
-    """The level of an already scaled ``A`` and a checked float64 ``P``; see
-    :func:`normalize_hierarchy`."""
-    s_c = spectral_norm(_galerkin(A, P))
-    P1 = sparse.csr_array(P * float(1.0 / np.sqrt(s_c)))
-    P1.sort_indices()
-    return GridLevel(A, P1, galerkin_coarse(A, P1))
-
-
-def normalize_hierarchy(A, P) -> GridLevel:
-    """Scale ``A`` to unit norm and ``P`` so the Galerkin coarse matrix follows.
+    """The level of an already scaled ``A`` and an interpolation ``P``.
 
     ``P`` is multiplied by the scalar ``s_c**-0.5``, with ``s_c`` the upper
-    end of ``norm(P' A P)`` (after the A-scaling): the minimal change that
-    keeps ``A_c = P' A P`` exact while bringing ``norm(A_c)`` to one, up to
-    the rounding of the scaling and of the recomputed Galerkin product.
-
-    ``A`` must be a symmetric stencil matrix on a 1D or square 2D grid and
-    ``P`` a scalar times its (bi)linear interpolation; otherwise
-    :class:`StructureError` names the operator.
+    end of ``norm(P' A P)``: the minimal change that keeps ``A_c = P' A P``
+    exact while bringing ``norm(A_c)`` to one, up to the rounding of the
+    scaling and of the recomputed Galerkin product.
     """
-    A = A if isinstance(A, SparseSpd) else SparseSpd(A)
-    P = sparse.csr_array(P).astype(np.float64)
-    d, k = _grid(A.n, P.shape[1])
-    _operator_stencil(A, d, k, "A")
-    _interpolation_weight(P, d, k)
-    return _level(_scaled(A), P)
+    s_c = spectral_norm(_galerkin(A, P))
+    P1 = _csr(P * float(1.0 / np.sqrt(s_c)))
+    return GridLevel(A, P1, galerkin_coarse(A, P1))
 
 
 def check_refinable(size: int, levels: int):
@@ -331,23 +298,25 @@ def build_multilevel(n_finest: int, levels: int, problem: str = "poisson1d") -> 
     scaled ``P`` bounds by one, is bit for bit the next level's ``A``, and
     the coarsest grid is ``levels[-1].A_c``.  Every matrix is checked once,
     when its :class:`SparseSpd` is made (a stencil matrix, positive
-    definite by its certified lower symbol end), and none is factored.
+    definite by its certified lower symbol end), and none is factored;
+    each ``P`` is checked to be a scaled (bi)linear interpolation when
+    :attr:`GridLevel.stencils` is first read, as every coarse solve does.
     """
     if levels < 2:
         raise ValueError("levels must be >= 2")
     check_refinable(n_finest, levels)
     if problem == "poisson1d":
-        A = _poisson_1d(n_finest)
+        A = poisson_1d(n_finest)
         interp = linear_interpolation
     elif problem == "poisson2d":
-        A = _poisson_2d(n_finest)
+        A = poisson_2d(n_finest)
         interp = bilinear_interpolation
     else:
         raise ValueError(f"unknown problem {problem!r}")
 
     out: list[GridLevel] = []
     size = n_finest
-    current = _scaled(SparseSpd(A))
+    current = _scaled(A)
     for _ in range(levels - 1):
         lvl = _level(current, interp(size))
         out.append(lvl)

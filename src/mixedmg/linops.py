@@ -31,7 +31,7 @@ import scipy.fft
 import scipy.sparse as sparse
 
 from .fourier import _symmetric_stencil, sine_eigenvalues, symbol_ends
-from .precision import RowLayout, _columns, _per_column
+from .precision import RowLayout, _columns, _csr, _per_column
 
 _EPS = float(np.finfo(np.float64).eps)
 
@@ -54,11 +54,7 @@ class SparseSpd:
     """
 
     def __init__(self, matrix):
-        if sparse.issparse(matrix):
-            M = sparse.csr_array(matrix).astype(np.float64)
-        else:
-            M = sparse.csr_array(np.asarray(matrix, dtype=np.float64))
-        M.sort_indices()
+        M = _csr(matrix).copy()  # freezing shared arrays would freeze the caller's
         for array in (M.data, M.indices, M.indptr):
             array.flags.writeable = False  # an edit would leave the caches stale
         if M.shape[0] != M.shape[1]:

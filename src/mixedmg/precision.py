@@ -264,14 +264,13 @@ def rounded_scale(s: float, w, fmt: PrecisionFormat, alpha: float) -> RoundedRes
 
 
 def _csr(K) -> sparse.csr_array:
+    """``K`` as a float64 csr array with sorted indices, the one csr normal
+    form; it may share ``K``'s arrays but never writes them: unsorted
+    indices are sorted in a copy."""
     if hasattr(K, "matrix"):  # SparseSpd and friends
         K = K.matrix
-    if sparse.issparse(K):
-        M = sparse.csr_array(K)
-    else:
-        M = sparse.csr_array(np.asarray(K, dtype=np.float64))
-    M.sort_indices()
-    return M
+    M = sparse.csr_array(K if sparse.issparse(K) else np.asarray(K), dtype=np.float64)
+    return M if M.has_sorted_indices else M.sorted_indices()
 
 
 @dataclass(frozen=True, eq=False)

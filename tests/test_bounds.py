@@ -8,6 +8,7 @@ from mpmath import mp, mpf
 from mpmath import sqrt as msqrt
 
 from mixedmg import (
+    CARRIER_BITS,
     BoundInputs,
     PROOF_LINES,
     PrecisionFormat,
@@ -318,6 +319,29 @@ class TestProgressiveEpsilon:
             progressive_epsilon(2.0, 1.5)
         with pytest.raises(ValueError):
             progressive_epsilon(0.5, 0.25)
+
+    @pytest.mark.parametrize("kappa", [1.0, 2.0, 3.0, 4.0, 414.345, 2.0**20, 1e12, 2.0**100])
+    def test_smallest_width_meeting_the_target(self, kappa):
+        # the definition: the smallest width in 2..53 with 2**-bits <= need,
+        # on powers of two, values between them and both sides of 2**-53
+        targets = [2.0**-e for e in range(1, 110)] + [
+            0.999, 0.3, 0.1, 1e-3, 1e-8, 1e-16, 1.5 * 2.0**-53,
+            math.nextafter(2.0**-53, 0.0), math.nextafter(2.0**-53, 1.0)]
+        for pi_target in targets:
+            need = pi_target / math.sqrt(kappa)
+            widths = [b for b in range(2, CARRIER_BITS + 1) if 2.0**-b <= need]
+            if widths:
+                assert progressive_epsilon(kappa, pi_target).significand_bits == widths[0]
+            else:
+                needed = next(b for b in range(CARRIER_BITS + 1, 2000) if 2.0**-b <= need)
+                with pytest.raises(PrecisionUnachievableError,
+                                   match=f"needs {needed} significand bits"):
+                    progressive_epsilon(kappa, pi_target)
+
+    @pytest.mark.parametrize("kappa", [math.inf, math.nan])
+    def test_non_finite_kappa_rejected(self, kappa):
+        with pytest.raises(ValueError, match="kappa must be finite"):
+            progressive_epsilon(kappa, 0.25)
 
 
 class TestReportSerialization:

@@ -14,17 +14,18 @@ import mixedmg.cycles
 from mixedmg import (
     CARRIER,
     ContractionError,
+    GridLevel,
     PROOF_LINES,
     PrecisionFormat,
     SparseSpd,
     build_multilevel,
     energy_norm,
+    galerkin_coarse,
     make_exact_coarse,
     make_jacobi,
     make_perturbed_coarse,
     make_recursive_coarse,
     make_richardson,
-    normalize_hierarchy,
     quantize_vector,
     rho_star,
     solve_spd,
@@ -34,7 +35,6 @@ from mixedmg import (
 from mixedmg.cycles import CoarseSolver, _cycle, _operations
 from mixedmg.fourier import StructureError
 from mixedmg.harness import ExperimentConfig, run_experiment
-from mixedmg.hierarchy import linear_interpolation, poisson_1d
 
 EPS = float(np.finfo(np.float64).eps)
 FMT12 = PrecisionFormat(12)
@@ -81,7 +81,7 @@ class TestMakeJacobi:
         assert M.eta == 1.0
 
     def test_contracts_on_scaled_poisson(self):
-        lvl = normalize_hierarchy(poisson_1d(7), linear_interpolation(7))
+        lvl = build_multilevel(7, 2)[0]
         M = make_jacobi(lvl.A, 2.0 / 3.0, FMT12)
         assert M.contraction < 1.0
         # independent check: eigenvalue magnitudes of the error propagator
@@ -90,7 +90,7 @@ class TestMakeJacobi:
         assert np.abs(lams).max() <= M.contraction + 1e-12
 
     def test_overrelaxation_rejected(self):
-        lvl = normalize_hierarchy(poisson_1d(7), linear_interpolation(7))
+        lvl = build_multilevel(7, 2)[0]
         with pytest.raises(ContractionError):
             make_jacobi(lvl.A, 4.0, FMT12)
 
@@ -112,7 +112,7 @@ class TestMakeJacobi:
 
 class TestMakeRichardson:
     def test_scalar_operator(self):
-        lvl = normalize_hierarchy(poisson_1d(7), linear_interpolation(7))
+        lvl = build_multilevel(7, 2)[0]
         R = make_richardson(lvl.A, 0.9, FMT12)
         assert (R.w, R.n) == (quantize_vector([0.9], FMT12).value[0], 7)
         assert R.contraction < 1.0
@@ -229,8 +229,7 @@ class TestTgCycle:
             assert np.isfinite(v) and v >= 0.0
 
     def test_carrier_format_matches_reference(self):
-        levels = [normalize_hierarchy(poisson_1d(3), linear_interpolation(3))]
-        lvl = levels[0]
+        lvl = build_multilevel(3, 2)[0]
         S = make_jacobi(lvl.A, 2.0 / 3.0, CARRIER)
         rng = np.random.default_rng(6)
         tol = 1e3 * EPS * math.sqrt(lvl.kappa)
@@ -330,13 +329,13 @@ class TestTgCycle:
 class TestRhoStar:
     def test_exact_inverse_smoother_gives_zero(self):
         # identity system: Richardson with omega = 1 is the exact inverse
-        lvl = normalize_hierarchy(
-            SparseSpd(np.eye(3)), sparse.csr_array(np.array([[0.5], [1.0], [0.5]])))
+        A, P = SparseSpd(np.eye(3)), sparse.csr_array(np.array([[0.5], [1.0], [0.5]]))
+        lvl = GridLevel(A, P, galerkin_coarse(A, P))
         S = make_richardson(lvl.A, 1.0, CARRIER)
         assert rho_star(S, make_exact_coarse(lvl)) == pytest.approx(0.0, abs=1e-13)
 
     def test_smallest_poisson_in_unit_interval(self):
-        lvl = normalize_hierarchy(poisson_1d(3), linear_interpolation(3))
+        lvl = build_multilevel(3, 2)[0]
         S = make_jacobi(lvl.A, 2.0 / 3.0, CARRIER)
         value = rho_star(S, make_exact_coarse(lvl))
         assert 0.0 < value < 1.0

@@ -55,7 +55,8 @@ _GOLDEN = {
 }
 
 # sha256 of render_csv(run_experiment(config)) for configs the golden CSVs
-# do not reach: recursive and perturbed coarse solves, 2D, Richardson
+# do not reach: recursive and perturbed coarse solves, 2D, Richardson,
+# progressive precision
 _PINNED = {
     "recursive1d": (
         ExperimentConfig(size=63, levels=4, coarse="recursive", mu=2, nu=2,
@@ -77,6 +78,23 @@ _PINNED = {
     "richardson1d": (
         ExperimentConfig(size=63, smoother="richardson", trials=30),
         "36b2088d277677f4b9a66b9b7ef1c4ff97fadfce1fdbf6a26a4cd5350bbae98f"),
+    # the format from progressive_epsilon on the run path
+    "progressive1d": (
+        ExperimentConfig(size=63, pi_target=0.01, trials=30),
+        "400fa62487781e237efb88fd747dfada90e0cf82f959613f69b584b6cd354fff"),
+    # post-smoothing only
+    "recursive1d_post_only": (
+        ExperimentConfig(size=63, levels=3, coarse="recursive", mu=0, nu=1,
+                         trials=30),
+        "8a09f4bd5fb1b21303b05f11d7f174736bb68898dcf005ad57dd5e921f82075a"),
+    # a one-point coarsest grid, whose stencil _operator_stencil reads again
+    "recursive2d_one_point": (
+        ExperimentConfig(problem="poisson2d", size=7, levels=3,
+                         coarse="recursive", trials=30),
+        "66e129e23fd3e5c639f609418766eaaf0447dbb0b4a23b757056bd1aa5ac9f89"),
+    "recursive1d_seven": (
+        ExperimentConfig(size=7, levels=3, coarse="recursive", trials=30),
+        "6ab46ab0495fbababd1047fa2dfa6b5f95ced2b06ab34d8d9a170fc52e25b880"),
 }
 
 

@@ -211,6 +211,13 @@ class TestConfig:
         with pytest.raises(ConfigError):
             load_config(path)
 
+    @pytest.mark.parametrize("out", ["results/a%b.csv", "%(trials)s.csv"])
+    def test_values_read_literally(self, tmp_path, out):
+        # no interpolation: a bare % raised, and %(trials)s became 5.csv
+        path = tmp_path / "percent.ini"
+        path.write_text(CONFIG_TEXT + f"out = {out}\n")
+        assert load_config(path).output_path == out
+
 
 def render_with_csv_writer(records) -> str:
     """Every row through ``csv.writer``, each cell by ``harness._format_cell``."""
@@ -556,6 +563,20 @@ class TestCli:
     def test_run_missing_config_exits_2(self, tmp_path):
         code = cli_main(["run", "--config", str(tmp_path / "absent.ini")])
         assert code == 2
+
+    def test_validate_directory_exits_2(self, tmp_path, capsys):
+        # a file error is exit 2, not exit 1, the code of a bound violation
+        assert cli_main(["validate", "--csv", str(tmp_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: ")
+
+    def test_sweep_out_below_a_regular_file_exits_2(self, tmp_path, capsys):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        assert cli_main(["sweep", "--sizes", "15", "--bits", "12", "--trials", "1",
+                         "--out", str(blocker / "x.csv")]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: ")
 
     @pytest.mark.parametrize("old, new", [
         ("[run]", "[runn]"),

@@ -18,13 +18,12 @@ from mixedmg import (
     condition_number,
     galerkin_coarse,
     linear_interpolation,
-    normalize_hierarchy,
     poisson_1d,
     poisson_2d,
     spectral_norm,
     spectrum_ends,
 )
-from mixedmg.hierarchy import _galerkin, _poisson_1d, _poisson_2d
+from mixedmg.hierarchy import _galerkin
 
 EPS = float(np.finfo(np.float64).eps)
 
@@ -68,9 +67,9 @@ class TestPoisson2d:
     def test_matches_kronecker_sum(self, k):
         # the direct build stores exactly the Kronecker sum's entries: a
         # stored zero would count in a row's nonzeros, and so in the bound
-        one_d, eye = _poisson_1d(k), sparse.eye_array(k)
+        one_d, eye = poisson_1d(k).matrix, sparse.eye_array(k)
         kron = sparse.csr_array(sparse.kron(one_d, eye) + sparse.kron(eye, one_d))
-        A = _poisson_2d(k)
+        A = poisson_2d(k).matrix
         for got, expected in ((A.data, kron.data), (A.indices, kron.indices),
                               (A.indptr, kron.indptr)):
             assert got.dtype == expected.dtype and np.array_equal(got, expected)
@@ -159,22 +158,29 @@ class TestGalerkinCoarse:
 
 
 class TestNormalizeHierarchy:
+    """The normalized levels of ``build_multilevel`` and the structure checks
+    behind them: ``A`` is checked when its ``SparseSpd`` is made, ``P`` when
+    ``GridLevel.stencils`` is first read."""
+
     def test_identity_like_input(self):
         # 2I is a stencil matrix, but the identity is no (bi)linear coarsening
+        A, P = SparseSpd(2.0 * np.eye(4)), sparse.csr_array(sparse.eye_array(4))
         with pytest.raises(StructureError, match="^P maps 4 points to 4"):
-            normalize_hierarchy(SparseSpd(2.0 * np.eye(4)), sparse.eye_array(4))
+            GridLevel(A, P, galerkin_coarse(A, P)).stencils
 
     def test_random_spd_matrix_is_named(self):
         X = np.random.default_rng(0).standard_normal((7, 7))
         with pytest.raises(StructureError,
                            match="^the 7x7 matrix is not the matrix of its stencil"):
-            normalize_hierarchy(X @ X.T + 7 * np.eye(7), linear_interpolation(7))
+            SparseSpd(X @ X.T + 7 * np.eye(7))
 
     def test_scaled_interpolation_with_one_entry_off_is_named(self):
+        A = poisson_1d(7)
         P = linear_interpolation(7).tolil()
         P[2, 1] = 0.25
+        level = GridLevel(A, sparse.csr_array(P), galerkin_coarse(A, linear_interpolation(7)))
         with pytest.raises(StructureError, match="^P is not 1.0 times"):
-            normalize_hierarchy(poisson_1d(7), P)
+            level.stencils
 
     def test_unit_norms(self, level31):
         assert abs(spectral_norm(level31.A) - 1.0) <= 10 * EPS
@@ -188,7 +194,7 @@ class TestNormalizeHierarchy:
     def test_scaling_preserves_condition_number(self):
         A = poisson_1d(7)
         kappa_raw = condition_number(A)
-        lvl = normalize_hierarchy(A, linear_interpolation(7))
+        lvl = build_multilevel(7, 2)[0]
         assert lvl.kappa == pytest.approx(kappa_raw, rel=1e-12)
 
     def test_structural_constants(self, level31):

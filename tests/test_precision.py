@@ -5,25 +5,30 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import scipy.sparse as sparse
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from mixedmg import (
     CARRIER,
     CARRIER_BITS,
+    GridLevel,
     PrecisionFormat,
     PrecisionTooLowError,
+    SparseSpd,
     abs_matrix_norm,
     build_multilevel,
+    galerkin_coarse,
     make_jacobi,
     mdot_plus_eps,
     quantize_vector,
     rounded_add_sub,
     rounded_matvec,
     rounded_residual,
+    spectrum_ends,
 )
 from mixedmg.hierarchy import linear_interpolation, poisson_1d
-from mixedmg.precision import RowLayout, _round_array, column_norms, rounded_scale
+from mixedmg.precision import RowLayout, _csr, _round_array, column_norms, rounded_scale
 
 
 def round_oracle(x: float, bits: int) -> float:
@@ -503,3 +508,44 @@ class TestKernelsLeaveInputs:
         for result, bound in cases:
             assert np.shape(result.a_priori_bound) == np.shape(bound)
             assert np.array_equal(result.a_priori_bound, bound)
+
+
+def _reversed_rows(M, writable: bool) -> sparse.csr_array:
+    """``M`` with each row's stored nonzeros in reverse order, on fresh arrays."""
+    order = np.concatenate([np.arange(a, b)[::-1] for a, b in zip(M.indptr, M.indptr[1:])])
+    arrays = (M.data[order], M.indices[order], M.indptr.copy())
+    for array in arrays:
+        array.flags.writeable = writable
+    K = sparse.csr_array(arrays, shape=M.shape)
+    assert not K.has_sorted_indices and K.data.flags.writeable == writable
+    return K
+
+
+class TestUnsortedOperators:
+    """An operator with unsorted indices is read in a sorted copy: every
+    entry point gives what the sorted operator gives and leaves the caller's
+    arrays as they were, writable or not."""
+
+    @pytest.mark.parametrize("writable", [True, False], ids=["writable", "read-only"])
+    def test_caller_arrays_left_as_given(self, writable):
+        fmt = PrecisionFormat(12)
+        A, P = poisson_1d(15), linear_interpolation(15)
+        K, Q = _reversed_rows(A.matrix, writable), _reversed_rows(P, writable)
+        pristine = [(M, [x.copy() for x in (M.data, M.indices, M.indptr)]) for M in (K, Q)]
+        w, c = np.random.default_rng(3).standard_normal((2, 15))
+        eta = abs_matrix_norm(A)
+
+        assert np.array_equal(SparseSpd(K).matrix.toarray(), A.matrix.toarray())
+        assert RowLayout.of(K).m == A.row_layout.m
+        assert _csr(K).has_sorted_indices and _csr(Q).has_sorted_indices
+        assert np.array_equal(rounded_matvec(K, w, fmt, eta_abs=eta).value,
+                              rounded_matvec(A, w, fmt, eta_abs=eta).value)
+        assert np.array_equal(rounded_residual(K, w, c, fmt, eta_abs=eta).value,
+                              rounded_residual(A, w, c, fmt, eta_abs=eta).value)
+        assert abs_matrix_norm(K) == eta and abs_matrix_norm(Q) == abs_matrix_norm(P)
+        assert spectrum_ends(K) == A.spectrum_ends
+        level = GridLevel(A, Q, galerkin_coarse(A, Q))
+        assert level.stencils.p == 1.0 and level.P_t_layout.m == 3
+        for M, before in pristine:
+            for got, want in zip((M.data, M.indices, M.indptr), before):
+                assert np.array_equal(got, want) and got.flags.writeable == writable
