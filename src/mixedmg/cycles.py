@@ -66,6 +66,7 @@ from .precision import (
     rounded_matvec,
     rounded_residual,
     rounded_scale,
+    _as_block,
     _round_array,
 )
 
@@ -257,21 +258,24 @@ def _operations(level: GridLevel, S: RelaxationOp, coarse, fmt: PrecisionFormat)
     r``, ``restrict`` ``P' z``, ``coarse`` the map ``r_c -> d_c`` (run as
     given), ``prolong`` ``P z`` and ``subtract`` ``v - w``.  A reduced
     format runs the certified kernels; the carrier runs the plain float64
-    operations, which give the bits of those kernels at 53 bits.
+    operations, which give the bits of those kernels at 53 bits.  So the
+    carrier's ``quantize`` is the identity with the kernel's finiteness
+    check: it returns the right-hand side uncopied, and a non-finite entry
+    raises ``ValueError`` in either format.
     """
     if S.n != level.n:
         raise ValueError(f"smoother has order {S.n}, not the level's order {level.n}")
-    # quantizing rejects a non-finite right-hand side
-    ops = {"quantize": lambda r: quantize_vector(r, fmt).value,
-           "zero": np.zeros_like, "coarse": coarse}
+    ops = {"zero": np.zeros_like, "coarse": coarse}
     if fmt == CARRIER:
-        return ops | {"relax": S.apply_exact,
+        return ops | {"quantize": lambda r: _as_block(r, "r").reshape(np.shape(r)),
+                      "relax": S.apply_exact,
                       "residual": lambda y, r: level.A.matrix @ y - r,
                       "restrict": lambda z: level.P_t @ z,
                       "prolong": lambda z: level.P @ z,
                       "subtract": lambda v, w: v - w}
     eta_A, eta_P = level.eta_A, level.eta_P
     return ops | {
+        "quantize": lambda r: quantize_vector(r, fmt).value,
         "relax": lambda z: S.apply_rounded(z, fmt).value,
         "residual": lambda y, r: rounded_residual(level.A, y, r, fmt, eta_abs=eta_A).value,
         "restrict": lambda z: rounded_matvec(level.P_t_layout, z, fmt, eta_abs=eta_P).value,

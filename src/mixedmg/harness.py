@@ -210,10 +210,17 @@ class TrialRecord:
     passed: bool
 
 
-def trial_passed(measured_ratio: float, rho_tg: float, line_ratios) -> bool:
+def trial_passed(measured_ratio, rho_tg: float, line_ratios):
     """The pass rule: the final ratio is within ``rho_tg`` and every
-    per-line ratio is at most one."""
-    return bool(measured_ratio <= rho_tg) and all(v <= 1.0 for v in line_ratios)
+    per-line ratio is at most one.
+
+    A ``bool`` for one trial.  For a block of trials, ``measured_ratio`` is
+    ``(T,)`` and ``line_ratios`` ``(lines, T)``, and the result is one flag
+    per trial.
+    """
+    passed = np.less_equal(measured_ratio, rho_tg) & np.all(
+        np.less_equal(list(line_ratios), 1.0), axis=0)
+    return bool(passed) if passed.ndim == 0 else passed
 
 
 # the ExperimentConfig fields each trial row repeats
@@ -303,32 +310,26 @@ def run_experiment(config: ExperimentConfig) -> list[TrialRecord]:
         base, extra = divmod(config.trials, blocks)
         for b in range(blocks):
             first, width = b * base + min(b, extra), base + (b < extra)
-            # one normalized right-hand side per trial, in draw order
+            # one normalized right-hand side per trial, in draw order, as the
+            # C-ordered columns of r: each kernel then gathers contiguous rows
             draws = rng.standard_normal((width, level.n))
-            r = (draws / column_norms(draws.T)[:, None]).T
+            r = np.divide(draws.T, column_norms(draws.T), order="C")
             x = solve_spd(level.A, r)
             x_norm = energy_norm(x, level.A)
             y, trace = tg_cycle(r, S, coarse, fmt)
             ref_error = energy_norm(trace.y_reference - x, level.A)
             fp_error = energy_norm(y - x, level.A)
-            measured_ratio = fp_error / x_norm
-            line_ratios = {
-                name: (trace.line_norms[name] / (coeffs[name] * x_norm)).tolist()
-                for name in PROOF_LINES
-            }
-            for t in range(width):
-                ratios = {name: line_ratios[name][t] for name in PROOF_LINES}
+            # one row per trial cell: the two errors, the measured ratio and
+            # the sixteen line ratios, each over the block's trials
+            cells = np.array([ref_error, fp_error, fp_error / x_norm, *(
+                trace.line_norms[name] / (coeffs[name] * x_norm) for name in PROOF_LINES)])
+            passed = trial_passed(cells[2], report.rho_tg, cells[3:])
+            for t, ((ref, fp, measured, *lines), ok) in enumerate(
+                    zip(cells.T.tolist(), passed.tolist()), first):
                 records.append(TrialRecord(
-                    report=report,
-                    config=config,
-                    trial=first + t,
-                    ref_error=float(ref_error[t]),
-                    fp_error=float(fp_error[t]),
-                    measured_ratio=float(measured_ratio[t]),
-                    line_ratios=ratios,
-                    passed=trial_passed(measured_ratio[t], report.rho_tg,
-                                        ratios.values()),
-                ))
+                    report=report, config=config, trial=t, ref_error=ref,
+                    fp_error=fp, measured_ratio=measured,
+                    line_ratios=dict(zip(PROOF_LINES, lines)), passed=ok))
     return records
 
 
@@ -343,10 +344,10 @@ def _format_cell(value) -> str:
 
 
 def _trial_cells(rec: TrialRecord) -> str:
-    ratios = rec.line_ratios
-    floats = [rec.ref_error, rec.fp_error, rec.measured_ratio,
-              *[ratios[name] for name in PROOF_LINES]]
-    return ",".join([str(rec.trial), *[repr(float(v)) for v in floats],
+    # float.__repr__ gives a numpy float64 the cell of its float value
+    floats = (rec.ref_error, rec.fp_error, rec.measured_ratio,
+              *map(rec.line_ratios.__getitem__, PROOF_LINES))
+    return ",".join([str(rec.trial), *map(float.__repr__, floats),
                      "true" if rec.passed else "false"])
 
 

@@ -35,6 +35,7 @@ from mixedmg import (
     make_exact_coarse,
     make_jacobi,
     tg_cycle,
+    v_cycle,
 )
 from mixedmg.harness import ExperimentConfig
 
@@ -139,8 +140,46 @@ def test_tg_cycle_calls(monkeypatch):
         monkeypatch.setattr(cycles, name, counted(name, getattr(cycles, name)))
     tg_cycle(np.linspace(-1.0, 1.0, level.n), S, coarse, fmt)
     assert calls == {
-        ("quantize_vector", False): 1, ("quantize_vector", True): 1,
+        ("quantize_vector", False): 1,
         ("rounded_scale", False): 2, ("rounded_residual", False): 2,
         ("rounded_matvec", False): 2, ("rounded_add_sub", False): 2,
         ("solve_spd", False): 2, ("energy_norm", False): 8,
     }
+
+
+def test_carrier_cycle_calls_no_kernel(monkeypatch):
+    # the carrier runs plain float64 operations, its quantize the identity:
+    # a carrier V-cycle, as every recursive coarse solve runs, calls no
+    # precision kernel, and the tracer counts no carrier kernel call
+    cycles = importlib.import_module("mixedmg.cycles")
+    levels = build_multilevel(31, 3)
+    smoothers = [make_jacobi(level.A, 2.0 / 3.0, CARRIER) for level in levels]
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for attr in [attr for _, attr in KERNELS] + ["rounded_scale"]:
+        monkeypatch.setattr(cycles, attr, counted(attr, getattr(cycles, attr)))
+    r = np.random.default_rng(2).standard_normal((levels[0].n, 3))
+    v_cycle(levels, 1, 1, r, CARRIER, smoothers=smoothers)
+    assert calls == {}
+
+
+@pytest.mark.parametrize("fmt", [PrecisionFormat(12), CARRIER], ids=["12", "carrier"])
+def test_non_finite_right_hand_side_is_refused(fmt):
+    # quantizing checks finiteness in the carrier too: with fmt the carrier,
+    # the cycle and its reference run the carrier operations only
+    levels = build_multilevel(15, 2)
+    level = levels[0]
+    S = make_jacobi(level.A, 2.0 / 3.0, fmt)
+    for bad in (np.nan, np.inf):
+        r = np.linspace(-1.0, 1.0, level.n)
+        r[3] = bad
+        with pytest.raises(ValueError, match="must be finite"):
+            tg_cycle(r, S, make_exact_coarse(level), fmt)
+        with pytest.raises(ValueError, match="must be finite"):
+            v_cycle(levels, 1, 1, r[:, None], fmt, smoothers=[S])

@@ -34,7 +34,7 @@ from mixedmg import (
 )
 from mixedmg.cycles import CoarseSolver, _cycle, _operations
 from mixedmg.fourier import StructureError
-from mixedmg.harness import ExperimentConfig, run_experiment
+from mixedmg.harness import ExperimentConfig, run_experiment, trial_passed
 
 EPS = float(np.finfo(np.float64).eps)
 FMT12 = PrecisionFormat(12)
@@ -228,6 +228,16 @@ class TestTgCycle:
         for v in trace.line_norms.values():
             assert np.isfinite(v) and v >= 0.0
 
+    @pytest.mark.parametrize("problem, size", [("poisson1d", 63), ("poisson2d", 15)])
+    def test_c_ordered_block_stays_c_ordered(self, problem, size):
+        # the kernels gather rows of a C-ordered block; no step hands the
+        # next one a Fortran-ordered copy
+        level = build_multilevel(size, 2, problem=problem)[0]
+        r = np.random.default_rng(4).standard_normal((level.n, 9))
+        y, trace = tg_cycle(r, make_jacobi(level.A, 2.0 / 3.0, FMT12),
+                            make_exact_coarse(level), FMT12)
+        assert y.flags.c_contiguous and trace.y_reference.flags.c_contiguous
+
     def test_carrier_format_matches_reference(self):
         lvl = build_multilevel(3, 2)[0]
         S = make_jacobi(lvl.A, 2.0 / 3.0, CARRIER)
@@ -295,6 +305,11 @@ class TestTgCycle:
                               _six_bits_short(getattr(mixedmg.cycles, kernel)))
                 records = run_experiment(config)
             assert any(rec.line_ratios[line] > 1.0 for rec in records for line in lines)
+            # the flags of the failing block follow the one pass rule
+            assert not all(rec.passed for rec in records)
+            for rec in records:
+                assert rec.passed is trial_passed(
+                    rec.measured_ratio, rec.report.rho_tg, rec.line_ratios.values())
 
     @pytest.mark.parametrize("problem, size, levels, variant, T", [
         ("poisson1d", 255, 2, "exact", 50),

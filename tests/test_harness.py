@@ -244,6 +244,36 @@ class TestRunExperiment:
         records = run_experiment(_GOLDEN[name])
         assert render_csv(records) == render_with_csv_writer(records)
 
+    def test_render_csv_reads_cells_by_value_and_name(self):
+        # numpy float64 cells render as their float values, and the line
+        # ratios by name, whatever the order of the record's dict
+        records = run_experiment(ExperimentConfig(size=15, bits=(8, 12), trials=3))
+        made = [dataclasses.replace(
+            rec, ref_error=np.float64(rec.ref_error), fp_error=np.float64(rec.fp_error),
+            measured_ratio=np.float64(rec.measured_ratio),
+            line_ratios={name: np.float64(rec.line_ratios[name])
+                         for name in reversed(harness.PROOF_LINES)})
+            for rec in records]
+        assert render_csv(made) == render_with_csv_writer(made) == render_csv(records)
+
+    @pytest.mark.parametrize("problem, size", [("poisson1d", 63), ("poisson2d", 15)])
+    def test_trial_blocks_are_c_ordered(self, monkeypatch, problem, size):
+        # every block of the trial path is C-contiguous, so the kernels
+        # gather contiguous rows and no product copies its operand first
+        seen = []
+
+        def checked(fn, block):
+            def wrapper(*args):
+                seen.append(args[block].flags.c_contiguous)
+                return fn(*args)
+            return wrapper
+
+        for name, block in (("tg_cycle", 0), ("energy_norm", 0), ("solve_spd", 1)):
+            monkeypatch.setattr(harness, name, checked(getattr(harness, name), block))
+        run_experiment(ExperimentConfig(problem=problem, size=size, bits=(8, 12),
+                                        trials=70))
+        assert len(seen) == 2 * 2 * 5 and all(seen)
+
     def test_deterministic_csv_bytes(self):
         cfg = ExperimentConfig(size=15, bits=(8, 12), trials=5, rng_seed=7)
         first = render_csv(run_experiment(cfg))
@@ -420,6 +450,17 @@ class TestPassRule:
     ], ids=["at-the-edges", "line-over", "total-over", "total-nan", "line-nan"])
     def test_trial_passed(self, measured, ratios, passed):
         assert trial_passed(measured, 0.5, ratios) is passed
+
+    def test_trial_passed_on_a_block(self):
+        # one flag per trial, each the flag of that trial alone
+        nan = float("nan")
+        measured = np.array([0.5, 0.4, nan, 0.4, 0.5 + 1e-12])
+        ratios = np.array([[1.0, nan, 0.3, 0.3, 0.3],
+                           [0.2, 0.2, 0.2, 1.0 + 1e-12, 0.2]])
+        flags = trial_passed(measured, 0.5, ratios)
+        assert flags.tolist() == [True, False, False, False, False]
+        assert flags.tolist() == [trial_passed(m, 0.5, list(column))
+                                  for m, column in zip(measured, ratios.T)]
 
     def test_record_has_no_default_verdict(self):
         passed = {f.name: f for f in dataclasses.fields(TrialRecord)}["passed"]
