@@ -7,7 +7,8 @@ Every cycle runs one step sequence, written once:
     ``y <- S r``, each later one ``y <- y - S (A y - r)``
 3.  residual of the pre-relaxed iterate, ``A y - r``
 4.  restrict the residual to the coarse level
-5.  coarse correction ``B_c A_c^{-1} r_c`` (always in the carrier)
+5.  coarse correction ``B_c A_c^{-1} r_c`` (always in the carrier, so a
+    computed value and its reference run it as one call)
 6.  prolong the correction to the fine level
 7.  subtract the correction from the iterate
 8.  residual of the corrected iterate
@@ -32,7 +33,8 @@ its input stages once, and runs every step through a ``stage`` function
 its caller gives: :func:`v_cycle` runs the operations of one format.
 :func:`tg_cycle` runs the sequence once, with ``mu = nu = 1``, on pairs of
 a computed value in the working format and its exact reference in the
-carrier.  For every stage it measures the lines :data:`STAGE_LINES` gives
+carrier; step 5, the same carrier map on both, is one call on the two
+side by side.  For every stage it measures the lines :data:`STAGE_LINES` gives
 it, in the norm the accumulation proof uses for each (see
 :data:`mixedmg.bounds.PROOF_LINES`): a step line against the stage's own
 operation run in the carrier on the computed inputs, a total line against
@@ -339,6 +341,17 @@ if tuple(line[0] for lines in STAGE_LINES.values() for line in lines if line) !=
     raise ImportError("STAGE_LINES does not give the proof lines in their order")
 
 
+def _side_by_side(apply, v: np.ndarray, w: np.ndarray):
+    """``apply(v)`` and ``apply(w)`` from one call on the block ``[v | w]``
+    of their columns, each a C-contiguous array of its input's shape.  A map
+    that treats its columns independently gives each half the bits of its
+    own call."""
+    T = v.size // len(v)
+    out = apply(np.hstack((v.reshape(len(v), -1), w.reshape(len(w), -1))))
+    return (np.ascontiguousarray(out[:, :T]).reshape(v.shape),
+            np.ascontiguousarray(out[:, T:]).reshape(w.shape))
+
+
 def tg_cycle(r, S: RelaxationOp, coarse: CoarseSolver, fmt: PrecisionFormat):
     """One reduced-precision two-grid cycle on ``coarse.level``, with a full deviation trace.
 
@@ -351,7 +364,9 @@ def tg_cycle(r, S: RelaxationOp, coarse: CoarseSolver, fmt: PrecisionFormat):
     reference, and measures the lines of :data:`STAGE_LINES` as it goes: a
     stage's step line as soon as the stage is made, its total line when the
     next stage begins (or the cycle ends), once the cycle has dropped the
-    inputs only that stage read.
+    inputs only that stage read.  The coarse correction runs in the carrier
+    on both sides, so it is one :meth:`CoarseSolver.apply` call on the value
+    and its reference side by side, ``(n_c, 2T)``.
     """
     level = coarse.level
     run, exact = (_operations(level, S, coarse.apply, f) for f in (fmt, CARRIER))
@@ -371,11 +386,16 @@ def tg_cycle(r, S: RelaxationOp, coarse: CoarseSolver, fmt: PrecisionFormat):
     def stage(name, op, *inputs):
         settle()
         args, ref_args = zip(*inputs)
-        got = run[op](*args)
         step, total = STAGE_LINES[name]
-        if step:
-            measure(step, got - exact[op](*args))
-        ref = exact[op](*ref_args)
+        if op == "coarse":
+            # the one step both sides run in the carrier, so one call serves
+            # both; it has no step line
+            got, ref = _side_by_side(coarse.apply, *args, *ref_args)
+        else:
+            got = run[op](*args)
+            if step:
+                measure(step, got - exact[op](*args))
+            ref = exact[op](*ref_args)
         if total:
             due.append((total, got, ref))
         return got, ref
@@ -385,18 +405,23 @@ def tg_cycle(r, S: RelaxationOp, coarse: CoarseSolver, fmt: PrecisionFormat):
     return y, CycleTrace(line_norms=norms, y_reference=y_ref)
 
 
-def rho_star(S: RelaxationOp, coarse: CoarseSolver) -> float:
+def rho_star(S, coarse: CoarseSolver) -> float | list[float]:
     """Energy norm of the exact-arithmetic two-grid error propagator of ``coarse.level``.
 
     ``E = (I - S A)(I - P X P' A)(I - S A)`` with ``X = B_c A_c^{-1}``.  This
     is the certified upper end of :func:`mixedmg.fourier.two_grid_norm`, from
     small blocks over the sine harmonics, for every coarse solve: each
-    coarse solver carries its Fourier form.  It raises
+    coarse solver carries its Fourier form.  ``S`` is one smoother, which
+    gives a float, or a sequence of them, say one per format, which gives
+    the list of their values from one pass over the blocks; each value has
+    the bits of its smoother's own call.  It raises
     :class:`mixedmg.fourier.StructureError` when an operator is not the
-    matrix of its stencil.  A value >= 1 is reported, not raised: the
-    convergence bound is then vacuous for this configuration.
+    matrix of its stencil or a smoother not of the level's order.  A value
+    >= 1 is reported, not raised: the convergence bound is then vacuous for
+    this configuration.
     """
-    return fourier.two_grid_norm(coarse.fourier, S)
+    return fourier.two_grid_norm(coarse.fourier,
+                                 S if isinstance(S, RelaxationOp) else tuple(S))
 
 
 def _check_cycle(levels, mu: int, nu: int, smoothers):

@@ -25,8 +25,10 @@ sine-mode perturbation of the direct solve as its blocks scaled mode by
 mode (:func:`sine_blocks`); no order-``n`` matrix is formed, and only this
 module reads :attr:`CoarseBlocks.X`.  The smoother-free part of a level's
 blocks, the symbol of ``A`` and ``I - P X P' A`` per class, is built once
-per coarse solve (:attr:`CoarseBlocks.core`); a format's smoother adds
-only ``(1 - w lambda)^mu`` and ``(1 - w lambda)^nu``.  The coarse solve's
+per coarse solve (:attr:`CoarseBlocks.core`), with the square roots of the
+symbols that scale the blocks to the energy norm; a format's smoother adds
+only ``(1 - w lambda)^mu`` and ``(1 - w lambda)^nu``, and the smoothers of
+every format are applied in one pass, on a leading axis of every block.  The coarse solve's
 deviation, the ``A_c``-norm of ``X A_c - I``, is read off the same blocks:
 for a V-cycle ``X A_c - I`` is minus the sub-cycle's propagator.
 
@@ -376,20 +378,19 @@ def _core(level, coarse_classes, X, depth: int):
     # axis; the middle mode has no coarse image and is a class of its own
     classes = [np.hstack([F, k + 1 - F]) for F in coarse_classes]
     classes.append(np.array([[(k + 1) // 2]]))
+    # the harmonics depend on the class alone, and so does the P' weight of
+    # each fine mode of a class with a coarse image: +-(1 + cos) / sqrt(2)
+    harmonics = [_harmonics(F, k) for F in classes]
+    weights = [one_plus_cos * _HALF_SQRT2
+               * np.where(np.arange(F.shape[1]) < F.shape[1] // 2, 1.0, -1.0)
+               for F, (_, one_plus_cos) in zip(classes[:-1], harmonics)]
     symbols, cores = {}, {}
     for key in itertools.product(range(len(classes)), repeat=d):
-        Fs = [classes[i] for i in key]
-        harmonics = [_harmonics(F, k) for F in Fs]
-        lam = _symbol(c.A, [h[0] for h in harmonics])
+        lam = _symbol(c.A, [harmonics[i][0] for i in key])
         core = _identity(*lam.mid.shape)
         if key in X:
-            # P' weight of each fine mode: +-(1 + cos) / sqrt(2) per axis
-            weights = []
-            for F, (_, one_plus_cos) in zip(Fs, harmonics):
-                sign = np.where(np.arange(F.shape[1]) < F.shape[1] // 2, 1.0, -1.0)
-                weights.append(one_plus_cos * _HALF_SQRT2 * sign)
-            r = _flatten(_prod(_expand(weights)), d) * c.p
-            sizes = [F.shape[1] // 2 for F in Fs]
+            r = _flatten(_prod(_expand([weights[i] for i in key])), d) * c.p
+            sizes = [classes[i].shape[1] // 2 for i in key]
             cidx = np.ravel_multi_index(
                 np.meshgrid(*[np.arange(2 * g) % g for g in sizes], indexing="ij"),
                 sizes).ravel()
@@ -402,14 +403,19 @@ def _core(level, coarse_classes, X, depth: int):
 
 def _smoothed(level, S, mu: int, nu: int, symbols, cores, depth: int) -> dict:
     """Per class key the propagator blocks ``(I - S A)^nu core (I - S A)^mu``
-    of one level, for its smoother ``S = w I``."""
-    if S.n != level.n:
-        raise StructureError(f"level {depth}: smoother has order {S.n}, not {level.n}")
+    of one level, for its smoother ``S = w I``: ``(B, G, G)`` balls, or
+    ``(F, B, G, G)`` for a sequence of ``F`` smoothers, one on each index of
+    the leading axis."""
+    many = isinstance(S, (list, tuple))
+    for one in S if many else (S,):
+        if one.n != level.n:
+            raise StructureError(f"level {depth}: smoother has order {one.n}, not {level.n}")
+    w = np.array([one.w for one in S])[:, None, None] if many else S.w
     E = {}
     for key, lam in symbols.items():
-        s = 1.0 - S.w * lam
-        E[key] = (s ** nu).map(lambda v: v[:, :, None]) * cores[key] * (s ** mu).map(
-            lambda v: v[:, None, :])
+        s = 1.0 - lam * w
+        E[key] = (s ** nu).map(lambda v: v[..., :, None]) * cores[key] * (s ** mu).map(
+            lambda v: v[..., None, :])
     return E
 
 
@@ -429,7 +435,8 @@ class CoarseBlocks:
     ``(B, G, G)`` blocks on it.  ``deviation`` is a certified upper end of
     the ``A_c``-norm of ``X A_c - I``, the energy norm of ``B_c - I``.
     :attr:`core` is the smoother-free part of ``level``'s two-grid blocks,
-    which every format's smoother shares.
+    which every format's smoother shares, with the square roots of the
+    symbols that scale them to the energy norm.
     """
 
     level: object
@@ -439,8 +446,10 @@ class CoarseBlocks:
 
     @cached_property
     def core(self):
-        """``(classes, symbols, cores)`` of ``level`` with this solve, built once."""
-        return _core(self.level, self.classes, self.X, 0)
+        """``(classes, symbols, cores, roots)`` of ``level`` with this solve,
+        built once (:func:`_core`, :func:`_roots`)."""
+        classes, symbols, cores = _core(self.level, self.classes, self.X, 0)
+        return classes, symbols, cores, _roots(symbols)
 
 
 def coarse_blocks(level, below, mu: int, nu: int) -> CoarseBlocks:
@@ -470,7 +479,8 @@ def coarse_blocks(level, below, mu: int, nu: int) -> CoarseBlocks:
         E = _smoothed(sub, S, mu, nu, symbols, cores, depth)
         X = {key: (_identity(*e.mid.shape[:2]) - e) * symbols[key].reciprocal().map(
             lambda v: v[:, None, :]) for key, e in E.items()}
-    return CoarseBlocks(level, classes, X, _energy_norm(E, symbols) if below else 0.0)
+    return CoarseBlocks(level, classes, X,
+                        _energy_norm(E, _roots(symbols)) if below else 0.0)
 
 
 def sine_blocks(level, factors: np.ndarray) -> CoarseBlocks:
@@ -485,38 +495,55 @@ def sine_blocks(level, factors: np.ndarray) -> CoarseBlocks:
                         float(np.abs(factors - 1.0).max()))
 
 
-def _norm_bound(blocks) -> float:
-    """Upper end of the largest spectral norm over ``(B, G, G)`` balls, rounded up."""
+def _norm_bound(blocks) -> float | np.ndarray:
+    """Upper end of the largest spectral norm over ``(..., B, G, G)`` balls,
+    rounded up: a float for ``(B, G, G)`` balls, else an array over the
+    leading axes.  Each block is bounded on its own, as one of a flat batch
+    of ``(G, G)`` blocks."""
     best = 0.0
     for x in blocks:
-        mid, G = x.mid, x.mid.shape[-1]
+        lead, G = x.mid.shape[:-2], x.mid.shape[-1]
+        mid = x.mid.reshape(-1, G, G)
         gram = np.swapaxes(mid, -1, -2) @ mid
         top = np.linalg.eigvalsh(gram)[..., -1]
         fro2 = np.einsum("bij,bij->b", mid, mid) * (1.0 + _gamma(G * G))
         slack = (_gamma(G) + 4 * G * _U) * fro2 * (1.0 + 4 * _U)
         sigma = np.sqrt(np.maximum(top, 0.0) + slack) * (1.0 + 2 * _U)
-        rad = np.broadcast_to(x.rad, mid.shape)
+        rad = np.broadcast_to(x.rad, x.mid.shape).reshape(-1, G, G)
         radius = np.sqrt(np.einsum("bij,bij->b", rad, rad)) * (1.0 + _gamma(G * G + 2))
-        best = max(best, float(((sigma + radius) * (1.0 + 2 * _U)).max()))
-    return float(np.nextafter(best, np.inf))
+        best = np.maximum(best, ((sigma + radius) * (1.0 + 2 * _U)).reshape(lead).max(axis=-1))
+    best = np.nextafter(best, np.inf)
+    return float(best) if best.ndim == 0 else best
 
 
-def _energy_norm(E: dict, symbols: dict) -> float:
+def _roots(symbols: dict) -> dict:
+    """Per class key the square root ``q`` of the symbol as a column and its
+    reciprocal as a row: the scalings of :func:`_energy_norm`, which do not
+    depend on the smoother."""
+    roots = {}
+    for key, lam in symbols.items():
+        q = lam.sqrt()
+        roots[key] = (q.map(lambda v: v[:, :, None]), q.reciprocal().map(lambda v: v[:, None, :]))
+    return roots
+
+
+def _energy_norm(E: dict, roots: dict) -> float | np.ndarray:
     """Certified upper end of the energy norm of the propagator whose blocks
     are ``E``: the spectral norm of ``Lambda^(1/2) E Lambda^(-1/2)``, with
-    ``Lambda`` each class's symbol."""
-    def scaled(key):
-        q = symbols[key].sqrt()
-        return q.map(lambda v: v[:, :, None]) * E[key] * q.reciprocal().map(
-            lambda v: v[:, None, :])
-    return _norm_bound(scaled(key) for key in E)
+    ``Lambda`` each class's symbol and ``roots`` its :func:`_roots`.  One
+    value per index of the blocks' leading axes, as :func:`_norm_bound`."""
+    return _norm_bound(roots[key][0] * E[key] * roots[key][1] for key in E)
 
 
-def two_grid_norm(coarse: CoarseBlocks, S) -> float:
+def two_grid_norm(coarse: CoarseBlocks, S) -> float | list[float]:
     """Certified upper end of the energy norm of ``(I - S A)(I - P X P' A)(I - S A)``.
 
     ``X`` is the coarse solve of ``coarse.level`` whose blocks
-    :func:`coarse_blocks` gave; only the smoother is applied per call.
+    :func:`coarse_blocks` gave; only the smoother is applied per call.  For
+    a sequence of smoothers the blocks of all of them are formed and bounded
+    in one pass, with the smoothers on their leading axis, and the result is
+    the list of their norms, each the bits of its smoother's own call.
     """
-    _, symbols, cores = coarse.core
-    return _energy_norm(_smoothed(coarse.level, S, 1, 1, symbols, cores, 0), symbols)
+    _, symbols, cores, roots = coarse.core
+    norm = _energy_norm(_smoothed(coarse.level, S, 1, 1, symbols, cores, 0), roots)
+    return norm if isinstance(norm, float) else norm.tolist()

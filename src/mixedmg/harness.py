@@ -110,15 +110,23 @@ class ExperimentConfig:
             raise ConfigError(f"omega must be finite and > 0, got {self.omega}")
         if self.rng_seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.rng_seed}")
+        try:
+            # stored as a tuple of ints, so that the frozen config hashes
+            formats = [PrecisionFormat(bits) for bits in self.bits]
+        except TypeError:
+            raise ConfigError(f"bits must be a sequence of integers, "
+                              f"got {self.bits!r}") from None
+        except ValueError as exc:
+            raise ConfigError(f"bits: {exc}") from None
+        object.__setattr__(self, "bits", tuple(f.significand_bits for f in formats))
+        repeated = [bits for i, bits in enumerate(self.bits) if bits in self.bits[:i]]
+        if repeated:
+            # each format's trials come from one stream seeded by its width
+            raise ConfigError(f"bits: format {repeated[0]} is listed more than once")
         if self.pi_target is None and not self.bits:
             raise ConfigError("need a nonempty bits list or a pi_target")
         if self.pi_target is not None and not 0.0 < self.pi_target < 1.0:
             raise ConfigError(f"pi_target must be in (0, 1), got {self.pi_target}")
-        for bits in self.bits:
-            try:
-                PrecisionFormat(bits)
-            except ValueError as exc:
-                raise ConfigError(f"bits: {exc}") from None
         if not 0.0 <= self.sigma < 1.0:
             raise ConfigError("sigma must be in [0, 1)")
         if self.mu < 0 or self.nu < 0 or self.mu + self.nu < 1:
@@ -280,7 +288,7 @@ def _make_coarse(config: ExperimentConfig, levels) -> CoarseSolver:
 def _resolve_bits(config: ExperimentConfig, level: GridLevel) -> tuple[int, ...]:
     if config.pi_target is not None:
         return (progressive_epsilon(level.kappa, config.pi_target).significand_bits,)
-    return tuple(config.bits)
+    return config.bits
 
 
 def run_experiment(config: ExperimentConfig) -> list[TrialRecord]:
@@ -288,11 +296,13 @@ def run_experiment(config: ExperimentConfig) -> list[TrialRecord]:
     levels = build_multilevel(config.size, config.levels, problem=config.problem)
     level = levels[0]
     coarse = _make_coarse(config, levels)
+    formats = [PrecisionFormat(bits) for bits in _resolve_bits(config, level)]
+    smoothers = [make_smoother(config.smoother, level.A, config.omega, fmt)
+                 for fmt in formats]
     records: list[TrialRecord] = []
-    for bits in _resolve_bits(config, level):
-        fmt = PrecisionFormat(bits)
-        S = make_smoother(config.smoother, level.A, config.omega, fmt)
-        rho = rho_star(S, coarse)
+    # every format's rho_star from one pass over the Fourier blocks
+    for fmt, S, rho in zip(formats, smoothers, rho_star(smoothers, coarse)):
+        bits = fmt.significand_bits
         if rho >= 1.0:
             warnings.warn(
                 f"exact-arithmetic contraction factor {rho:.4f} >= 1 at "

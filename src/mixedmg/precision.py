@@ -266,9 +266,12 @@ def rounded_scale(s: float, w, fmt: PrecisionFormat, alpha: float) -> RoundedRes
 def _csr(K) -> sparse.csr_array:
     """``K`` as a float64 csr array with sorted indices, the one csr normal
     form; it may share ``K``'s arrays but never writes them: unsorted
-    indices are sorted in a copy."""
+    indices are sorted in a copy.  A ``K`` already in that form is returned
+    as it is."""
     if hasattr(K, "matrix"):  # SparseSpd and friends
         K = K.matrix
+    if isinstance(K, sparse.csr_array) and K.dtype == np.float64 and K.has_sorted_indices:
+        return K
     M = sparse.csr_array(K if sparse.issparse(K) else np.asarray(K), dtype=np.float64)
     return M if M.has_sorted_indices else M.sorted_indices()
 

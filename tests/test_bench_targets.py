@@ -143,7 +143,7 @@ def test_tg_cycle_calls(monkeypatch):
         ("quantize_vector", False): 1,
         ("rounded_scale", False): 2, ("rounded_residual", False): 2,
         ("rounded_matvec", False): 2, ("rounded_add_sub", False): 2,
-        ("solve_spd", False): 2, ("energy_norm", False): 8,
+        ("solve_spd", False): 1, ("energy_norm", False): 8,
     }
 
 

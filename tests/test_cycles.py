@@ -238,6 +238,44 @@ class TestTgCycle:
                             make_exact_coarse(level), FMT12)
         assert y.flags.c_contiguous and trace.y_reference.flags.c_contiguous
 
+    @pytest.mark.parametrize("T", [None, 1, 50], ids=["vector", "T1", "T50"])
+    @pytest.mark.parametrize("variant", ["exact", "perturbed", "recursive"])
+    def test_coarse_step_runs_once_for_both_sides(self, monkeypatch, levels31_3,
+                                                  jacobi_smoothers, variant, T):
+        # the coarse step runs in the carrier on the computed value and on its
+        # reference: one call on the two side by side gives each half the
+        # bits of its own call
+        lvl = levels31_3[0]
+        coarse = {"exact": lambda: make_exact_coarse(lvl),
+                  "perturbed": lambda: make_perturbed_coarse(lvl, 0.5, seed=3),
+                  "recursive": lambda: make_recursive_coarse(
+                      levels31_3, 1, 1, jacobi_smoothers(levels31_3[1:]))}[variant]()
+        S = make_jacobi(lvl.A, 2.0 / 3.0, FMT12)
+        r = np.random.default_rng(11).standard_normal((lvl.n,) if T is None else (lvl.n, T))
+        with monkeypatch.context() as patch:
+            patch.setattr(mixedmg.cycles, "_side_by_side",
+                          lambda apply, v, w: (apply(v), apply(w)))
+            y_two, trace_two = tg_cycle(r, S, coarse, FMT12)
+
+        applied, halves = [], []
+        apply, side_by_side = CoarseSolver.apply, mixedmg.cycles._side_by_side
+        monkeypatch.setattr(CoarseSolver, "apply", lambda self, r_c: (
+            applied.append(r_c.shape), apply(self, r_c))[1])
+        monkeypatch.setattr(mixedmg.cycles, "_side_by_side", lambda apply, v, w: (
+            halves.append(out := side_by_side(apply, v, w)), out)[1])
+        y, trace = tg_cycle(r, S, coarse, FMT12)
+        assert applied == [(lvl.n_c, 2 * (T or 1))]
+        (got, ref), = halves
+        assert got.shape == ref.shape == (lvl.n_c,) + r.shape[1:]
+        assert got.flags.c_contiguous and ref.flags.c_contiguous
+        assert y.tobytes() == y_two.tobytes()
+        assert trace.y_reference.tobytes() == trace_two.y_reference.tobytes()
+        assert list(trace.line_norms) == list(trace_two.line_norms)
+        for name, value in trace.line_norms.items():
+            two = trace_two.line_norms[name]
+            assert type(value) is type(two)
+            assert np.asarray(value).tobytes() == np.asarray(two).tobytes()
+
     def test_carrier_format_matches_reference(self):
         lvl = build_multilevel(3, 2)[0]
         S = make_jacobi(lvl.A, 2.0 / 3.0, CARRIER)

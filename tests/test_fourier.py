@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import dense_oracle as oracle
+import mixedmg.fourier
 from mixedmg import (
     CARRIER,
     PrecisionFormat,
@@ -240,3 +241,53 @@ def test_non_model_level_is_rejected_not_densified():
     with pytest.raises(StructureError, match="P maps 14 points"):
         make_exact_coarse(level)
 
+
+# --- every format in one pass --------------------------------------------------
+
+_VARIANTS = {
+    "exact": lambda levels: make_exact_coarse(levels[0]),
+    "perturbed": lambda levels: make_perturbed_coarse(levels[0], 0.5, seed=3),
+    "recursive": lambda levels: make_recursive_coarse(
+        levels, 1, 1, smoothers_for("jacobi", levels[1:])),
+}
+
+
+def _hex(values):
+    return [v.hex() for v in values]
+
+
+@pytest.mark.parametrize("variant", sorted(_VARIANTS))
+@pytest.mark.parametrize("problem, size", [("poisson1d", 63), ("poisson2d", 15)])
+def test_every_format_in_one_pass_gives_each_its_own_bits(problem, size, variant):
+    levels = hierarchy(problem, size, 3)
+    coarse = _VARIANTS[variant](levels)
+    smoothers = [make_jacobi(levels[0].A, 2.0 / 3.0, PrecisionFormat(bits))
+                 for bits in (8, 12, 16, 23, 53)]
+    single = [rho_star(S, coarse) for S in smoothers]
+    assert all(type(value) is float for value in single)
+    for sequence in (smoothers, tuple(reversed(smoothers)), smoothers[2:3]):
+        got = rho_star(sequence, coarse)
+        assert type(got) is list and all(type(value) is float for value in got)
+        assert _hex(got) == _hex(single[smoothers.index(S)] for S in sequence)
+    assert rho_star([], coarse) == []
+
+
+def test_a_sequence_with_a_smoother_of_another_order_is_refused():
+    level = hierarchy("poisson1d", 15, 2)[0]
+    good = make_jacobi(level.A, 2.0 / 3.0, FMT)
+    bad = make_jacobi(hierarchy("poisson1d", 31, 2)[0].A, 2.0 / 3.0, FMT)
+    with pytest.raises(StructureError, match="^level 0: smoother has order 31, not 15"):
+        rho_star([good, bad], make_exact_coarse(level))
+
+
+def test_harmonics_once_per_class(monkeypatch):
+    # the harmonics depend on the class alone: the 2D core of an exact solve
+    # has two classes per axis, the coarse modes and the middle mode, and
+    # four keys
+    coarse = make_exact_coarse(hierarchy("poisson2d", 31, 2)[0])
+    calls = []
+    harmonics = mixedmg.fourier._harmonics
+    monkeypatch.setattr(mixedmg.fourier, "_harmonics",
+                        lambda F, k: (calls.append(F.shape), harmonics(F, k))[1])
+    symbols = coarse.fourier.core[1]
+    assert len(symbols) == 4 and calls == [(15, 2), (1, 1)]

@@ -167,6 +167,22 @@ class TestConfig:
         with pytest.raises(ConfigError):
             ExperimentConfig(bits=(), pi_target=None)
 
+    def test_bits_are_stored_as_a_tuple_of_ints(self):
+        # the frozen config hashes, and a list gives the config of its tuple
+        cfg = ExperimentConfig(size=15, bits=[8, np.int64(12)], trials=1)
+        assert cfg.bits == (8, 12) and all(type(bits) is int for bits in cfg.bits)
+        assert cfg == ExperimentConfig(size=15, bits=(8, 12), trials=1)
+        assert hash(cfg) == hash(ExperimentConfig(size=15, bits=(8, 12), trials=1))
+        with pytest.raises(ConfigError, match="^bits must be a sequence of integers"):
+            ExperimentConfig(bits=8)
+
+    @pytest.mark.parametrize("bits, repeated", [((8, 8), 8), ((12, 8, 16, 8, 12), 8)])
+    def test_rejects_a_repeated_format(self, bits, repeated):
+        # each format draws its trials from one stream seeded by its width, so
+        # a repeated width would write the same rows twice
+        with pytest.raises(ConfigError, match=f"^bits: format {repeated} is listed more"):
+            ExperimentConfig(size=15, bits=bits, trials=1)
+
     def test_rejects_unknown_variants(self):
         with pytest.raises(ConfigError):
             ExperimentConfig(problem="heat3d")
@@ -610,6 +626,13 @@ class TestCli:
         assert cli_main(["validate", "--csv", str(tmp_path)]) == 2
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err.startswith("error: ")
+
+    def test_sweep_with_a_repeated_format_exits_2(self, capsys):
+        assert cli_main(["sweep", "--sizes", "15", "--bits", "8", "8",
+                         "--trials", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: bits: format 8 is listed more than once\n"
 
     def test_sweep_out_below_a_regular_file_exits_2(self, tmp_path, capsys):
         blocker = tmp_path / "file"

@@ -549,3 +549,16 @@ class TestUnsortedOperators:
         for M, before in pristine:
             for got, want in zip((M.data, M.indices, M.indptr), before):
                 assert np.array_equal(got, want) and got.flags.writeable == writable
+
+    def test_normal_form_is_returned_as_given(self):
+        # a float64 csr array with sorted indices is already the normal form;
+        # anything else is rebuilt into it
+        A = poisson_1d(15)
+        M = A.matrix
+        assert _csr(M) is M and _csr(A) is M
+        for other in (M.astype(np.float32), sparse.csr_matrix(M), M.tocoo(), M.toarray(),
+                      _reversed_rows(M, False)):
+            got = _csr(other)
+            assert got is not other and isinstance(got, sparse.csr_array)
+            assert got.dtype == np.float64 and got.has_sorted_indices
+            assert np.array_equal(got.toarray(), M.toarray())
