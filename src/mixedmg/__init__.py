@@ -1,12 +1,12 @@
 """Mixed-precision two-grid/multigrid solvers with certified rounding-error bounds.
 
 The package has three layers: :mod:`mixedmg.precision` emulates reduced
-floating-point formats with kernels that return a-priori error bounds
-alongside results; :mod:`mixedmg.linops`, :mod:`mixedmg.hierarchy` and
-:mod:`mixedmg.cycles` provide the instrumented two-grid/V-cycle solvers on
-normalized model-problem hierarchies; :mod:`mixedmg.bounds` and
-:mod:`mixedmg.harness` evaluate the closed-form error constants and
-validate them empirically on randomized trials.
+floating-point formats with kernels that return their rounded values;
+:mod:`mixedmg.linops`, :mod:`mixedmg.hierarchy` and :mod:`mixedmg.cycles`
+provide the instrumented two-grid/V-cycle solvers on normalized
+model-problem hierarchies; :mod:`mixedmg.bounds` states each kernel's error
+model and evaluates the closed-form error constants, and
+:mod:`mixedmg.harness` validates them empirically on randomized trials.
 """
 
 from .bounds import (BoundInputs, BoundReport, PROOF_LINES, compute_constants,

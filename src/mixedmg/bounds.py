@@ -7,7 +7,9 @@ inequalities of the accumulation proof verbatim from the structural inputs,
 so a cycle can be instrumented line by line; the constants ``c0 .. c5``
 are the coefficients of its total lines.  :func:`gamma_constants` gives the
 simplified asymptotic coefficients of the leading precision-conditioning
-term ``pi_dot = sqrt(kappa) * u``.
+term ``pi_dot = sqrt(kappa) * u``.  :data:`KERNEL_BOUNDS` states, once, the
+error model of each emulated kernel the cycle runs, which the proof lines
+compose stage by stage.
 """
 
 from __future__ import annotations
@@ -207,6 +209,37 @@ def gamma_constants(inputs: BoundInputs) -> tuple[float, float, float, float, fl
     g4 = hA * g3 + mA * (2 * hA + 1)
     g5 = 2.0
     return (g1, g2, g3, g4, g5)
+
+
+def _rows_bound(u, z, *, m, eta):
+    """``K z`` row by row: ``u mdot(m) eta ||z||``."""
+    return u * mdot_plus_eps(m, u) * (eta * z)
+
+
+#: The normwise error bound of each reduced-format kernel in the standard
+#: model, keyed by its operation in :func:`mixedmg.cycles._operations`:
+#: ``||fl(op) - op||_2 <= KERNEL_BOUNDS[op](u, *norms, **params)`` for unit
+#: roundoff ``u``.  The norms are Euclidean, of the operation's inputs in
+#: its argument order (``quantize`` ``||r||``, ``relax`` ``||z||``,
+#: ``residual`` ``||y||`` and ``||r||`` of ``A y - r``, ``restrict`` and
+#: ``prolong`` ``||z||``), but of the exact difference ``||v - w||`` for
+#: ``subtract``; given per-column arrays of a block, a bound is one per
+#: column.  ``m`` is the most stored nonzeros in a row of the layout the
+#: row kernel runs on (``A.row_layout``, ``P_t_layout``, ``P_layout`` of a
+#: :class:`mixedmg.hierarchy.GridLevel`), ``eta`` bounds the spectral norm
+#: of that operator's entrywise absolute value from above (``eta_A``,
+#: ``eta_P``, as :func:`mixedmg.hierarchy.abs_matrix_norm` gives it), and
+#: ``alpha`` certifies the scaling ``s z``, ``alpha >= |s|`` for ``s``
+#: representable in the format (:attr:`mixedmg.cycles.RelaxationOp.alpha`).
+#: An undefined ``mdot`` raises :class:`mixedmg.precision.PrecisionTooLowError`.
+KERNEL_BOUNDS = {
+    "quantize": lambda u, r: u * r,
+    "relax": lambda u, z, *, alpha: alpha * u * z,
+    "residual": lambda u, y, r, *, m, eta: u * mdot_plus_eps(m, u) * (r + eta * y),
+    "restrict": _rows_bound,
+    "prolong": _rows_bound,
+    "subtract": lambda u, d: u * d,
+}
 
 
 def per_line_bounds(inputs: BoundInputs) -> dict[str, float]:

@@ -112,6 +112,7 @@ def _cmd_run(args) -> int:
         overrides["bits"] = tuple(args.bits)
         overrides["pi_target"] = None
     if args.pi_target is not None:
+        overrides["bits"] = ()
         overrides["pi_target"] = args.pi_target
     if args.out is not None:
         overrides["output_path"] = args.out

@@ -105,10 +105,11 @@ class RelaxationOp:
         return self.w * np.asarray(z, dtype=np.float64)
 
     def apply_rounded(self, z: np.ndarray, fmt: PrecisionFormat) -> RoundedResult:
-        """``fl(S z)`` and its bound, per column for a block."""
+        """``fl(S z)``, whose error :data:`mixedmg.bounds.KERNEL_BOUNDS`
+        ``["relax"]`` bounds with :attr:`alpha`."""
         if fmt != self.fmt:
             raise ValueError("relaxation operator was built for a different format")
-        return rounded_scale(self.w, z, fmt, self.alpha)
+        return rounded_scale(self.w, z, fmt)
 
 
 def _finalize_relaxation(kind: str, A: SparseSpd, w: float,
@@ -259,7 +260,9 @@ def _operations(level: GridLevel, S: RelaxationOp, coarse, fmt: PrecisionFormat)
     zero iterate of its shape, ``relax`` is ``S z``, ``residual`` ``A y -
     r``, ``restrict`` ``P' z``, ``coarse`` the map ``r_c -> d_c`` (run as
     given), ``prolong`` ``P z`` and ``subtract`` ``v - w``.  A reduced
-    format runs the certified kernels; the carrier runs the plain float64
+    format runs the emulated kernels, whose error models are the entries of
+    :data:`mixedmg.bounds.KERNEL_BOUNDS` under the same names, with ``m``
+    read from the layout each kernel runs on; the carrier runs the plain float64
     operations, which give the bits of those kernels at 53 bits.  So the
     carrier's ``quantize`` is the identity with the kernel's finiteness
     check: it returns the right-hand side uncopied, and a non-finite entry
@@ -275,13 +278,12 @@ def _operations(level: GridLevel, S: RelaxationOp, coarse, fmt: PrecisionFormat)
                       "restrict": lambda z: level.P_t @ z,
                       "prolong": lambda z: level.P @ z,
                       "subtract": lambda v, w: v - w}
-    eta_A, eta_P = level.eta_A, level.eta_P
     return ops | {
         "quantize": lambda r: quantize_vector(r, fmt).value,
         "relax": lambda z: S.apply_rounded(z, fmt).value,
-        "residual": lambda y, r: rounded_residual(level.A, y, r, fmt, eta_abs=eta_A).value,
-        "restrict": lambda z: rounded_matvec(level.P_t_layout, z, fmt, eta_abs=eta_P).value,
-        "prolong": lambda z: rounded_matvec(level.P_layout, z, fmt, eta_abs=eta_P).value,
+        "residual": lambda y, r: rounded_residual(level.A, y, r, fmt).value,
+        "restrict": lambda z: rounded_matvec(level.P_t_layout, z, fmt).value,
+        "prolong": lambda z: rounded_matvec(level.P_layout, z, fmt).value,
         "subtract": lambda v, w: rounded_add_sub(v, w, "-", fmt).value}
 
 

@@ -68,7 +68,13 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Declarative description of one experiment sweep."""
+    """Declarative description of one experiment sweep.
+
+    ``bits`` lists the formats the sweep runs; ``pi_target`` instead picks
+    the one format :func:`mixedmg.bounds.progressive_epsilon` gives at the
+    fine level's ``kappa``, and leaves ``bits`` empty.  Left unset, ``bits``
+    is ``(8, 12, 16, 23)`` without a ``pi_target`` and empty with one.
+    """
 
     problem: str = "poisson1d"
     size: int = 31
@@ -79,7 +85,7 @@ class ExperimentConfig:
     sigma: float = 0.0
     mu: int = 1
     nu: int = 1
-    bits: tuple[int, ...] = (8, 12, 16, 23)
+    bits: tuple[int, ...] | None = None
     pi_target: float | None = None
     trials: int = 100
     rng_seed: int = 0
@@ -110,6 +116,9 @@ class ExperimentConfig:
             raise ConfigError(f"omega must be finite and > 0, got {self.omega}")
         if self.rng_seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.rng_seed}")
+        if self.bits is None:
+            object.__setattr__(self, "bits", () if self.pi_target is not None
+                               else (8, 12, 16, 23))
         try:
             # stored as a tuple of ints, so that the frozen config hashes
             formats = [PrecisionFormat(bits) for bits in self.bits]
@@ -125,6 +134,9 @@ class ExperimentConfig:
             raise ConfigError(f"bits: format {repeated[0]} is listed more than once")
         if self.pi_target is None and not self.bits:
             raise ConfigError("need a nonempty bits list or a pi_target")
+        if self.pi_target is not None and self.bits:
+            # a pi_target runs only its own format, so listed bits would not run
+            raise ConfigError("set either bits or pi_target, not both")
         if self.pi_target is not None and not 0.0 < self.pi_target < 1.0:
             raise ConfigError(f"pi_target must be in (0, 1), got {self.pi_target}")
         if not 0.0 <= self.sigma < 1.0:
@@ -175,7 +187,8 @@ def load_config(path) -> ExperimentConfig:
     precision, run); unset keys keep their defaults.
 
     An unknown section or key, or both ``bits`` and ``pi_target`` under
-    ``[precision]``, raises :class:`ConfigError`.
+    ``[precision]``, raises :class:`ConfigError`, as does every value the
+    config refuses.
     """
     parser = configparser.ConfigParser(interpolation=None)  # values read literally
     try:
@@ -198,9 +211,6 @@ def load_config(path) -> ExperimentConfig:
                 kwargs[attr] = conv(parser.get(section, key).strip())
             except ValueError as exc:
                 raise ConfigError(f"bad value in {path}: {exc}") from exc
-    if "bits" in kwargs and "pi_target" in kwargs:
-        raise ConfigError(
-            f"set either bits or pi_target under [precision] of {path}, not both")
     return ExperimentConfig(**kwargs)
 
 
@@ -445,7 +455,7 @@ def progressive_study(sizes, pi_target: float, trials: int, *,
     """
     per_size: dict[int, dict] = {}
     base = ExperimentConfig(problem=problem, size=int(sizes[0]), levels=2,
-                            coarse="exact", bits=(), pi_target=pi_target,
+                            coarse="exact", pi_target=pi_target,
                             trials=trials, rng_seed=seed)
     for size in sizes:
         cfg = replace(base, size=int(size))

@@ -1,11 +1,11 @@
-"""Software-emulated reduced-precision vector kernels with certified error bounds.
+"""Software-emulated reduced-precision vector kernels.
 
 Every kernel evaluates each scalar operation exactly in the float64 carrier
 and then rounds the result once to the target significand width
 (round-to-nearest, ties to even).  This realises the standard model
 ``fl(a op b) = (a op b)(1 + d)`` with ``|d| <= u`` for unit roundoff
-``u = 2**-significand_bits``, which is what the a-priori bounds returned by
-the kernels assume.
+``u = 2**-significand_bits`` (Higham, *Accuracy and Stability of Numerical
+Algorithms*, 2nd ed., 2002, section 2.2).
 
 A value ``x`` is rounded to ``bits`` by Veltkamp splitting, ``t = c x`` and
 ``x_h = t - (t - x)`` with ``c = 2**(53 - bits) + 1``, three passes in place
@@ -23,20 +23,19 @@ through the range check, which raises ``OverflowError`` when it is still not
 finite.
 
 Matrix kernels accumulate each row sequentially left to right over the
-stored nonzeros, with the right-hand side subtracted last, so the error
-accounting matches the ``(m + 1)``-term inflation factor
-``(m + 1) * u / (1 - (m + 1) * u)`` exactly.  Their bounds also need the
-spectral norm of ``|K|``, which the caller passes as ``eta_abs``, computed
-once per operator; this module imports nothing from the rest of mixedmg.
+stored nonzeros, with the right-hand side subtracted last, so each row
+commits at most ``m + 1`` roundings for ``m`` stored nonzeros; a format where
+the inflation factor ``(m + 1) / (1 - (m + 1) u)`` is undefined raises
+:class:`PrecisionTooLowError`.  The kernels return values only: each
+kernel's normwise error bound in this model is an entry of
+:data:`mixedmg.bounds.KERNEL_BOUNDS`, and this module imports nothing from
+the rest of mixedmg.
 
 Every kernel takes a vector ``(n,)`` or a block ``(n, T)`` of ``T`` vectors
 side by side.  A vector runs as a one-column block, and each column of a
 block gives bit for bit what the same vector gives on its own: the rounding
 is entrywise, and every per-column norm is summed over a contiguous copy of
-that column (see :func:`column_norms`).  For a block, ``a_priori_bound`` is
-an array with one bound per column.  A bound is evaluated when it is first
-read, so a caller that needs only the value never computes it.  No kernel
-writes its inputs.
+that column (see :func:`column_norms`).  No kernel writes its inputs.
 """
 
 from __future__ import annotations
@@ -44,7 +43,7 @@ from __future__ import annotations
 import numbers
 from collections.abc import Callable
 from dataclasses import dataclass
-from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sparse
@@ -101,27 +100,10 @@ def mdot_plus_eps(m: int, eps: float) -> float:
     return (m + 1) / (1.0 - (m + 1) * eps)
 
 
-class RoundedResult:
-    """A kernel result together with its a-priori Euclidean error bound.
+class RoundedResult(NamedTuple):
+    """A kernel's rounded value: ``(n,)`` for a vector, ``(n, T)`` for a block."""
 
-    Whenever the exact result is recomputed by a high-precision oracle,
-    ``norm(value - exact) <= a_priori_bound`` holds, column by column for a
-    block, whose ``a_priori_bound`` is an array with one entry per column.
-
-    ``bound`` is the function of no arguments that gives ``a_priori_bound``;
-    it runs on the first read, and its value is kept.  The kernels' bounds
-    are evaluated from the kernel's inputs, which no mixedmg code modifies
-    in place, so a bound read late has the bits it would have had when the
-    kernel returned.
-    """
-
-    def __init__(self, value: np.ndarray, bound: Callable[[], float | np.ndarray]):
-        self.value = value
-        self._bound = bound
-
-    @cached_property
-    def a_priori_bound(self) -> float | np.ndarray:
-        return self._bound()
+    value: np.ndarray
 
 
 def _round_array(x: np.ndarray, bits: int) -> np.ndarray:
@@ -197,11 +179,9 @@ def _per_column(values: np.ndarray, like):
     return float(values[0]) if np.ndim(like) == 1 else values
 
 
-def _result(value: np.ndarray, bound: Callable[[], np.ndarray], like) -> RoundedResult:
-    """The result of a kernel on ``like``; ``bound`` gives the per-column bounds."""
-    if np.ndim(like) == 1:
-        return RoundedResult(value[:, 0], lambda: float(bound()[0]))
-    return RoundedResult(value, bound)
+def _result(value: np.ndarray, like) -> RoundedResult:
+    """A kernel's ``(n, T)`` value as its result on ``like``, a vector or a block."""
+    return RoundedResult(value[:, 0] if np.ndim(like) == 1 else value)
 
 
 def column_norms(w):
@@ -218,25 +198,24 @@ def column_norms(w):
 
 
 def _rounded(exact: Callable[[np.ndarray], np.ndarray], block: np.ndarray,
-             fmt: PrecisionFormat, bound: Callable[[], np.ndarray], like) -> RoundedResult:
+             fmt: PrecisionFormat, like) -> RoundedResult:
     """A block of ``block``'s shape computed in the carrier by ``exact(out)``,
     which returns it in ``out`` or in an input it does not write, rounded
     once into ``fmt``: the entrywise kernels' one rounding and range check."""
     out = np.empty_like(block)
     tmp = np.empty_like(block)
     bits = fmt.significand_bits
-    value = _in_range(lambda round_: round_(exact(out), bits, out, tmp))
-    return _result(value, bound, like)
+    return _result(_in_range(lambda round_: round_(exact(out), bits, out, tmp)), like)
 
 
 def quantize_vector(w, fmt: PrecisionFormat) -> RoundedResult:
-    """Round a vector (or block) into ``fmt``; bound is ``u * norm(w)`` per column."""
+    """Round a vector (or block) into ``fmt``."""
     W = _as_block(w, "w")
-    return _rounded(lambda out: W, W, fmt, lambda: fmt.unit_roundoff * column_norms(W), w)
+    return _rounded(lambda out: W, W, fmt, w)
 
 
 def rounded_add_sub(v, w, sign: str, fmt: PrecisionFormat) -> RoundedResult:
-    """Componentwise rounded ``v + w`` or ``v - w``; bound is ``u * norm(v +- w)``.
+    """Componentwise rounded ``v + w`` or ``v - w``.
 
     Both operands are expected to be representable in ``fmt`` already; the
     single rounding then gives the componentwise ``(1 + d)`` model.
@@ -248,19 +227,13 @@ def rounded_add_sub(v, w, sign: str, fmt: PrecisionFormat) -> RoundedResult:
     op = {"+": np.add, "-": np.subtract}.get(sign)
     if op is None:
         raise ValueError(f"sign must be '+' or '-', got {sign!r}")
-    return _rounded(lambda out: op(V, W, out=out), V, fmt,
-                    lambda: fmt.unit_roundoff * column_norms(op(V, W)), v)
+    return _rounded(lambda out: op(V, W, out=out), V, fmt, v)
 
 
-def rounded_scale(s: float, w, fmt: PrecisionFormat, alpha: float) -> RoundedResult:
-    """Componentwise rounded ``s * w``; bound is ``alpha * u * norm(w)``.
-
-    ``alpha`` must certify the scaling, ``alpha >= |s|`` for a scalar ``s``
-    already representable in ``fmt``.
-    """
+def rounded_scale(s: float, w, fmt: PrecisionFormat) -> RoundedResult:
+    """Componentwise rounded ``s * w``, for a scalar ``s``."""
     W = _as_block(w, "w")
-    return _rounded(lambda out: np.multiply(s, W, out=out), W, fmt,
-                    lambda: alpha * fmt.unit_roundoff * column_norms(W), w)
+    return _rounded(lambda out: np.multiply(s, W, out=out), W, fmt, w)
 
 
 def _csr(K) -> sparse.csr_array:
@@ -323,14 +296,17 @@ class RowLayout:
         return self.matrix.shape
 
 
-def _rounded_rows(K, w, c, fmt: PrecisionFormat, eta_abs: float) -> RoundedResult:
-    """``K @ w - c``, or ``K @ w`` when ``c`` is None, in ``fmt``: the row
-    kernels' one body.
+def rounded_residual(K, w, c, fmt: PrecisionFormat) -> RoundedResult:
+    """Compute ``K @ w - c``, or ``K @ w`` when ``c`` is None, with every
+    partial product and sum rounded to ``fmt``: the row kernels' one body.
 
     Each row accumulates its stored nonzeros left to right, every product
     and partial sum rounded, and subtracts ``c`` last with one more rounding.
     Each slot is gathered, scaled, rounded and added in place, in three
-    buffers of the result's shape.
+    buffers of the result's shape.  ``K`` is a matrix, anything with a
+    ``.matrix``, or a :class:`RowLayout`, whose ``m``, the most stored
+    nonzeros in a row, is the row count of the error model; ``w`` and ``c``
+    are both vectors or both blocks.
     """
     rows = RowLayout.of(K)
     W = _as_block(w, "w")
@@ -339,6 +315,7 @@ def _rounded_rows(K, w, c, fmt: PrecisionFormat, eta_abs: float) -> RoundedResul
             np.ndim(w) != np.ndim(c) or rows.shape[0] != C.shape[0]
             or W.shape[1] != C.shape[1])):
         raise ValueError(f"nonconformal {'matvec' if C is None else 'residual'} dimensions")
+    mdot_plus_eps(rows.m, fmt.unit_roundoff)  # the model needs (m + 1) u < 1
     bits = fmt.significand_bits
     acc = np.empty((rows.shape[0], W.shape[1]))
     term = np.empty_like(acc)
@@ -355,34 +332,9 @@ def _rounded_rows(K, w, c, fmt: PrecisionFormat, eta_abs: float) -> RoundedResul
         if C is not None:
             round_(np.subtract(acc, C, out=acc), bits, acc, tmp)
         return acc
-    acc = _in_range(run)
-    scale = fmt.unit_roundoff * mdot_plus_eps(rows.m, fmt.unit_roundoff)
-
-    def bound():
-        w_term = eta_abs * column_norms(W)
-        return scale * (w_term if C is None else column_norms(C) + w_term)
-    return _result(acc, bound, w)
+    return _result(_in_range(run), w)
 
 
-def rounded_residual(K, w, c, fmt: PrecisionFormat, *, eta_abs: float) -> RoundedResult:
-    """Compute ``K @ w - c`` with every partial product and sum rounded to ``fmt``.
-
-    The a-priori bound is ``u * inflation * (norm(c) + eta_abs * norm(w))``
-    where ``inflation = (m + 1) / (1 - (m + 1) u)`` with ``m`` the maximum
-    number of stored nonzeros in any row of ``K``.  ``eta_abs`` must bound
-    the spectral norm of the entrywise absolute value of ``K`` from above,
-    as :func:`mixedmg.hierarchy.abs_matrix_norm` does; the caller computes
-    it once per operator (``GridLevel.eta_A``, ``GridLevel.eta_P``).  ``K``
-    is a matrix, anything with a ``.matrix``, or a :class:`RowLayout`; ``w``
-    and ``c`` are both vectors or both blocks.
-    """
-    return _rounded_rows(K, w, c, fmt, eta_abs)
-
-
-def rounded_matvec(K, w, fmt: PrecisionFormat, *, eta_abs: float) -> RoundedResult:
-    """Compute ``K @ w`` row by row in ``fmt``; bound ``u * inflation * eta_abs * norm(w)``.
-
-    It is :func:`rounded_residual` without ``c``, with the same
-    ``inflation`` and ``eta_abs``.
-    """
-    return _rounded_rows(K, w, None, fmt, eta_abs)
+def rounded_matvec(K, w, fmt: PrecisionFormat) -> RoundedResult:
+    """Compute ``K @ w`` row by row in ``fmt``: :func:`rounded_residual` without ``c``."""
+    return rounded_residual(K, w, None, fmt)

@@ -41,7 +41,9 @@ from mixedmg import (
     v_cycle,
 )
 from mixedmg.harness import ExperimentConfig, progressive_study, run_experiment
+from mixedmg.bounds import KERNEL_BOUNDS
 from mixedmg.hierarchy import linear_interpolation, poisson_1d
+from mixedmg.precision import RowLayout, column_norms, rounded_scale
 
 from test_bounds import constants_oracle, random_inputs
 from test_cycles import exact_stages
@@ -100,34 +102,66 @@ def test_a2_per_line_proof_bounds(sweep):
 
 
 def test_a3_kernel_certification():
+    # every entry of the kernel error model, against each kernel on the
+    # draws of its format: a plain <= between the measured error and the
+    # table on the kernel's input norms
     t0 = time.perf_counter()
     draws = 1000
-    K = poisson_1d(24).matrix
+    A = poisson_1d(24)
+    K = A.matrix
     P = linear_interpolation(31)
-    # each operator's eta_abs once, not on every one of the 8,000 calls
+    Pt = RowLayout.of(P.T)
+    level2d = build_multilevel(7, 2, problem="poisson2d")[0]
+    # each operator's eta and row count once, not on every call of a row kernel
     eta_K, eta_P = abs_matrix_norm(K), abs_matrix_norm(P)
+    rows = {"residual": dict(m=RowLayout.of(K).m, eta=eta_K),
+            "prolong": dict(m=RowLayout.of(P).m, eta=eta_P),
+            "restrict": dict(m=Pt.m, eta=abs_matrix_norm(Pt.matrix)),
+            "restrict2d": dict(m=level2d.P_t_layout.m, eta=level2d.eta_P)}
+    assert (rows["restrict"]["m"], rows["restrict2d"]["m"]) == (3, 9)
     checked = 0
     for bits in (5, 8, 12, 16):
         fmt = PrecisionFormat(bits)
+        eps = fmt.unit_roundoff
+        S = make_jacobi(A, 2.0 / 3.0, fmt)
         rng = np.random.default_rng(bits)
         for _ in range(draws):
             w = rng.standard_normal(64)
             out = quantize_vector(w, fmt)
-            assert np.linalg.norm(out.value - w) <= out.a_priori_bound
+            assert np.linalg.norm(out.value - w) <= KERNEL_BOUNDS["quantize"](
+                eps, column_norms(w))
 
             v = quantize_vector(rng.standard_normal(24), fmt).value
             u = quantize_vector(rng.standard_normal(24), fmt).value
             out = rounded_add_sub(v, u, "-", fmt)
-            assert np.linalg.norm(out.value - (v - u)) <= out.a_priori_bound
+            assert np.linalg.norm(out.value - (v - u)) <= KERNEL_BOUNDS["subtract"](
+                eps, column_norms(v - u))
 
             c = quantize_vector(rng.standard_normal(24), fmt).value
-            out = rounded_residual(K, v, c, fmt, eta_abs=eta_K)
-            assert np.linalg.norm(out.value - (K @ v - c)) <= out.a_priori_bound
+            out = rounded_residual(K, v, c, fmt)
+            assert np.linalg.norm(out.value - (K @ v - c)) <= KERNEL_BOUNDS["residual"](
+                eps, column_norms(v), column_norms(c), **rows["residual"])
 
             wc = quantize_vector(rng.standard_normal(15), fmt).value
-            out = rounded_matvec(P, wc, fmt, eta_abs=eta_P)
-            assert np.linalg.norm(out.value - P @ wc) <= out.a_priori_bound
-            checked += 4
+            out = rounded_matvec(P, wc, fmt)
+            assert np.linalg.norm(out.value - P @ wc) <= KERNEL_BOUNDS["prolong"](
+                eps, column_norms(wc), **rows["prolong"])
+
+            # relaxation and restriction reuse the draws above
+            out = rounded_scale(S.w, v, fmt)
+            assert np.linalg.norm(out.value - S.w * v) <= KERNEL_BOUNDS["relax"](
+                eps, column_norms(v), alpha=S.alpha)
+
+            wq = quantize_vector(w, fmt).value
+            out = rounded_matvec(Pt, wq[:31], fmt)
+            assert np.linalg.norm(out.value - Pt.matrix @ wq[:31]) <= KERNEL_BOUNDS["restrict"](
+                eps, column_norms(wq[:31]), **rows["restrict"])
+
+            out = rounded_matvec(level2d.P_t_layout, wq[:49], fmt)
+            assert (np.linalg.norm(out.value - level2d.P_t @ wq[:49])
+                    <= KERNEL_BOUNDS["restrict"](eps, column_norms(wq[:49]),
+                                                 **rows["restrict2d"]))
+            checked += 7
 
         # exact cases commit zero error
         v = quantize_vector(rng.standard_normal(24), fmt).value
@@ -137,10 +171,9 @@ def test_a3_kernel_certification():
         assert np.array_equal(
             rounded_add_sub(v, v, "-", fmt).value, np.zeros(24))
         assert np.array_equal(
-            rounded_matvec(K, np.zeros(24), fmt, eta_abs=eta_K).value, np.zeros(24))
+            rounded_matvec(K, np.zeros(24), fmt).value, np.zeros(24))
         assert np.array_equal(
-            rounded_residual(np.eye(24), v, v, fmt, eta_abs=abs_matrix_norm(np.eye(24))).value,
-            np.zeros(24))
+            rounded_residual(np.eye(24), v, v, fmt).value, np.zeros(24))
     elapsed = time.perf_counter() - t0
     ok = elapsed < 10.0
     _line("A3", ok, f"{checked} certified kernel calls, {elapsed:.1f}s")

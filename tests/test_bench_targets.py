@@ -106,8 +106,8 @@ def _kernel_args(attr):
     return {
         "quantize_vector": ((w, fmt), {}),
         "rounded_add_sub": ((w, c, "-", fmt), {}),
-        "rounded_residual": ((level.A, w, c, fmt), {"eta_abs": level.eta_A}),
-        "rounded_matvec": ((level.P_t, w, fmt), {"eta_abs": level.eta_P}),
+        "rounded_residual": ((level.A, w, c, fmt), {}),
+        "rounded_matvec": ((level.P_t, w, fmt), {}),
     }[attr]
 
 

@@ -22,6 +22,7 @@ from mixedmg import (
     tg_cycle,
     v_cycle,
 )
+from mixedmg.bounds import KERNEL_BOUNDS
 from mixedmg.hierarchy import poisson_1d, poisson_2d
 from mixedmg.precision import RowLayout, column_norms
 
@@ -38,8 +39,9 @@ def _block(rng, n, fmt=FMT):
 def _assert_columns_match(call, *blocks):
     """``call(*blocks)`` against ``call`` on each column alone.
 
-    ``call`` returns ``(value, bound)``; the bound of the block call is an
-    array with one entry per column and that of a single call is a float.
+    ``call`` returns ``(value, bound)``, a kernel's value and its table
+    bound on the same inputs; the bound of the block call is an array with
+    one entry per column and that of a single call is a float.
     """
     value, bound = call(*blocks)
     assert value.shape[1] == T
@@ -51,8 +53,9 @@ def _assert_columns_match(call, *blocks):
         assert bound[t] == b_t
 
 
-def _pair(result):
-    return result.value, result.a_priori_bound
+def _bound(op, *inputs, **params):
+    """``KERNEL_BOUNDS[op]`` in ``FMT`` on the Euclidean norms of ``inputs``."""
+    return KERNEL_BOUNDS[op](FMT.unit_roundoff, *map(column_norms, inputs), **params)
 
 
 @pytest.fixture(scope="module")
@@ -63,34 +66,40 @@ def jacobi31(level31):
 class TestKernels:
     def test_quantize(self):
         W = np.random.default_rng(0).standard_normal((40, T)) * 1e5
-        call = lambda w: _pair(quantize_vector(w, FMT))  # noqa: E731
+        call = lambda w: (quantize_vector(w, FMT).value, _bound("quantize", w))  # noqa: E731
         _assert_columns_match(call, W)
 
     @pytest.mark.parametrize("sign", ["+", "-"])
     def test_add_sub(self, sign):
         rng = np.random.default_rng(1)
         V, W = _block(rng, 40), _block(rng, 40)
-        call = lambda v, w: _pair(rounded_add_sub(v, w, sign, FMT))  # noqa: E731
+        exact = {"+": np.add, "-": np.subtract}[sign]
+        call = lambda v, w: (rounded_add_sub(v, w, sign, FMT).value,  # noqa: E731
+                             _bound("subtract", exact(v, w)))
         _assert_columns_match(call, V, W)
 
     @pytest.mark.parametrize("which", ["P", "P_t"])
     def test_matvec(self, level31, which):
         K = level31.P if which == "P" else level31.P_t
         W = _block(np.random.default_rng(2), K.shape[1])
-        eta = level31.eta_P
-        call = lambda w: _pair(rounded_matvec(K, w, FMT, eta_abs=eta))  # noqa: E731
+        op = "prolong" if which == "P" else "restrict"
+        params = dict(m=RowLayout.of(K).m, eta=level31.eta_P)
+        call = lambda w: (rounded_matvec(K, w, FMT).value,  # noqa: E731
+                          _bound(op, w, **params))
         _assert_columns_match(call, W)
 
     def test_residual(self, level31):
         rng = np.random.default_rng(3)
         W, C = _block(rng, 31), _block(rng, 31)
-        eta = level31.eta_A
-        call = lambda w, c: _pair(rounded_residual(level31.A, w, c, FMT, eta_abs=eta))  # noqa: E731
+        params = dict(m=level31.A.row_layout.m, eta=level31.eta_A)
+        call = lambda w, c: (rounded_residual(level31.A, w, c, FMT).value,  # noqa: E731
+                             _bound("residual", w, c, **params))
         _assert_columns_match(call, W, C)
 
     def test_relaxation(self, jacobi31):
         W = _block(np.random.default_rng(4), 31)
-        call = lambda z: _pair(jacobi31.apply_rounded(z, FMT))  # noqa: E731
+        call = lambda z: (jacobi31.apply_rounded(z, FMT).value,  # noqa: E731
+                          _bound("relax", z, alpha=jacobi31.alpha))
         _assert_columns_match(call, W)
         exact = jacobi31.apply_exact(W)
         for t in range(T):
@@ -100,10 +109,12 @@ class TestKernels:
         assert level31.A.row_layout is level31.A.row_layout
         assert level31.P_layout is level31.P_layout
         W = _block(np.random.default_rng(5), 15)
-        cached = rounded_matvec(level31.P_layout, W, FMT, eta_abs=level31.eta_P)
-        fresh = rounded_matvec(level31.P, W, FMT, eta_abs=abs_matrix_norm(level31.P))
+        cached = rounded_matvec(level31.P_layout, W, FMT)
+        fresh = rounded_matvec(level31.P, W, FMT)
         assert np.array_equal(cached.value, fresh.value)
-        assert np.array_equal(cached.a_priori_bound, fresh.a_priori_bound)
+        assert np.array_equal(
+            _bound("prolong", W, m=level31.P_layout.m, eta=level31.eta_P),
+            _bound("prolong", W, m=RowLayout.of(level31.P).m, eta=abs_matrix_norm(level31.P)))
         assert RowLayout.of(level31.A) is level31.A.row_layout
 
     def test_column_norms(self):
@@ -145,10 +156,10 @@ class TestCarrierOperations:
         M = make_jacobi(lvl.A, 2.0 / 3.0, CARRIER)
         pairs = [
             (quantize_vector(Y, CARRIER).value, Y),
-            (rounded_residual(lvl.A, Y, C, CARRIER, eta_abs=lvl.eta_A).value,
+            (rounded_residual(lvl.A, Y, C, CARRIER).value,
              lvl.A.matrix @ Y - C),
-            (rounded_matvec(lvl.P_t_layout, Y, CARRIER, eta_abs=lvl.eta_P).value, lvl.P_t @ Y),
-            (rounded_matvec(lvl.P_layout, Z, CARRIER, eta_abs=lvl.eta_P).value, lvl.P @ Z),
+            (rounded_matvec(lvl.P_t_layout, Y, CARRIER).value, lvl.P_t @ Y),
+            (rounded_matvec(lvl.P_layout, Z, CARRIER).value, lvl.P @ Z),
             (rounded_add_sub(Y, C, "-", CARRIER).value, Y - C),
             (M.apply_rounded(Y, CARRIER).value, M.apply_exact(Y)),
         ]
@@ -259,13 +270,12 @@ class TestFailuresInOneColumn:
             rounded_add_sub(W, X, "+", FMT)
         with pytest.raises(ValueError):
             rounded_add_sub(X, W, "-", FMT)
-        eta_A, eta_P = level31.eta_A, level31.eta_P
         with pytest.raises(ValueError):
-            rounded_residual(level31.A, X, W, FMT, eta_abs=eta_A)
+            rounded_residual(level31.A, X, W, FMT)
         with pytest.raises(ValueError):
-            rounded_residual(level31.A, W, X, FMT, eta_abs=eta_A)
+            rounded_residual(level31.A, W, X, FMT)
         with pytest.raises(ValueError):
-            rounded_matvec(level31.P_t_layout, X, FMT, eta_abs=eta_P)
+            rounded_matvec(level31.P_t_layout, X, FMT)
         with pytest.raises(ValueError):
             jacobi31.apply_rounded(X, FMT)
         with pytest.raises(ValueError):
@@ -286,11 +296,10 @@ class TestFailuresInOneColumn:
         with pytest.raises(OverflowError):
             rounded_add_sub(_poison(W, BIG), _poison(W, BIG), "+", fmt)
         K = np.diag(np.full(31, 4.0))
-        eta = abs_matrix_norm(K)
         with pytest.raises(OverflowError):
-            rounded_matvec(K, _poison(W, BIG), fmt, eta_abs=eta)
+            rounded_matvec(K, _poison(W, BIG), fmt)
         with pytest.raises(OverflowError):
-            rounded_residual(K, _poison(W, BIG), W, fmt, eta_abs=eta)
+            rounded_residual(K, _poison(W, BIG), W, fmt)
         fmt12 = PrecisionFormat(12)
         M = make_jacobi(level31.A, 2.0 / 3.0, fmt12)
         # the Jacobi diagonal of the unit-norm matrix exceeds one
@@ -302,6 +311,6 @@ class TestFailuresInOneColumn:
         with pytest.raises(ValueError):
             rounded_add_sub(W, W[:, :2], "+", FMT)
         with pytest.raises(ValueError):
-            rounded_residual(level31.A, W, W[:, 0], FMT, eta_abs=level31.eta_A)
+            rounded_residual(level31.A, W, W[:, 0], FMT)
         with pytest.raises(ValueError):
             quantize_vector(W[None], FMT)

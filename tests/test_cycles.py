@@ -32,8 +32,10 @@ from mixedmg import (
     tg_cycle,
     v_cycle,
 )
+from mixedmg.bounds import KERNEL_BOUNDS
 from mixedmg.cycles import CoarseSolver, _cycle, _operations
 from mixedmg.fourier import StructureError
+from mixedmg.precision import column_norms
 from mixedmg.harness import ExperimentConfig, run_experiment, trial_passed
 
 EPS = float(np.finfo(np.float64).eps)
@@ -99,8 +101,8 @@ class TestMakeJacobi:
         rng = np.random.default_rng(0)
         for _ in range(1000):
             z = rng.standard_normal(31)
-            out = M.apply_rounded(z, FMT12)
-            value, bound = out.value, out.a_priori_bound
+            value = M.apply_rounded(z, FMT12).value
+            bound = KERNEL_BOUNDS["relax"](FMT12.unit_roundoff, column_norms(z), alpha=M.alpha)
             err = np.linalg.norm(value - M.apply_exact(z))
             assert err <= bound
             assert bound <= M.alpha * FMT12.unit_roundoff * np.linalg.norm(z) * (1 + 1e-15)
@@ -322,6 +324,36 @@ class TestTgCycle:
             ("r_N", "relax", ("r_nu",)),
             ("y", "subtract", ("y_nu", "r_N")),
         ]
+
+    def test_kernel_bounds_follow_the_operations(self):
+        # the error model has one entry per reduced-format kernel the cycle
+        # runs, under its operation's name; on a 2D level each row kernel's
+        # entry takes the row count of the layout it runs on, and bounds the
+        # operation's error against the carrier per column of a block
+        level = build_multilevel(7, 2, problem="poisson2d")[0]
+        S, coarse = make_jacobi(level.A, 2.0 / 3.0, FMT12), make_exact_coarse(level)
+        run, exact = (_operations(level, S, coarse.apply, f) for f in (FMT12, CARRIER))
+        assert set(KERNEL_BOUNDS) == set(run) - {"zero", "coarse"}
+        layouts = {"residual": (level.A.row_layout, level.eta_A),
+                   "restrict": (level.P_t_layout, level.eta_P),
+                   "prolong": (level.P_layout, level.eta_P)}
+        assert {op: layout.m for op, (layout, _) in layouts.items()} == {
+            "residual": 5, "restrict": 9, "prolong": 4}
+        params = {op: dict(m=layout.m, eta=eta) for op, (layout, eta) in layouts.items()}
+        params["relax"] = dict(alpha=S.alpha)
+        rng = np.random.default_rng(11)
+        Y, R = (quantize_vector(rng.standard_normal((level.n, 8)), FMT12).value
+                for _ in range(2))
+        Z = quantize_vector(rng.standard_normal((level.n_c, 8)), FMT12).value
+        inputs = {"quantize": (rng.standard_normal((level.n, 8)),), "relax": (Y,),
+                  "residual": (Y, R), "restrict": (Y,), "prolong": (Z,),
+                  "subtract": (Y, R)}
+        for op, args in inputs.items():
+            norms = ((exact[op](*args),) if op == "subtract" else args)
+            bound = KERNEL_BOUNDS[op](FMT12.unit_roundoff, *map(column_norms, norms),
+                                      **params.get(op, {}))
+            error = column_norms(run[op](*args) - exact[op](*args))
+            assert error.shape == (8,) and np.all(error <= bound), op
 
     def test_smoother_of_another_level_rejected(self, levels31_3, jacobi_smoothers):
         S1 = jacobi_smoothers(levels31_3[1:2], FMT12)[0]

@@ -167,6 +167,20 @@ class TestConfig:
         with pytest.raises(ConfigError):
             ExperimentConfig(bits=(), pi_target=None)
 
+    def test_pi_target_leaves_bits_empty(self):
+        # a pi_target runs only its own format; the default list stayed
+        # beside it and misled every reader of config.bits
+        assert ExperimentConfig(size=15, pi_target=0.01, trials=2).bits == ()
+        assert ExperimentConfig(size=15, trials=2).bits == (8, 12, 16, 23)
+        rows = run_experiment(ExperimentConfig(size=15, pi_target=0.01, trials=2))
+        assert [rec.report.significand_bits for rec in rows] == [10, 10]
+
+    @pytest.mark.parametrize("bits", [(8, 12), (8, 12, 16, 23), (10,)])
+    def test_rejects_bits_beside_pi_target(self, bits):
+        # they were accepted and then ignored: only the pi_target's format ran
+        with pytest.raises(ConfigError, match="^set either bits or pi_target, not both$"):
+            ExperimentConfig(size=15, bits=bits, pi_target=0.01)
+
     def test_bits_are_stored_as_a_tuple_of_ints(self):
         # the frozen config hashes, and a list gives the config of its tuple
         cfg = ExperimentConfig(size=15, bits=[8, np.int64(12)], trials=1)
@@ -597,6 +611,14 @@ class TestCli:
         rows = read_csv_rows(out)
         assert len(rows) == 2
         assert rows[0]["significand_bits"] == "10"
+
+    def test_run_pi_target_drops_the_files_bits(self, config_file, tmp_path):
+        # the file sets bits = 8 12; --pi-target replaces them, as --bits
+        # replaces a file's pi_target
+        out = tmp_path / "t.csv"
+        assert cli_main(["run", "--config", str(config_file), "--out", str(out),
+                         "--trials", "2", "--pi-target", "0.01"]) == 0
+        assert [row["significand_bits"] for row in read_csv_rows(out)] == ["10", "10"]
 
     def test_run_bits_and_pi_target_exits_2(self, config_file, capsys):
         code = cli_main(["run", "--config", str(config_file), "--bits", "8",

@@ -1,4 +1,4 @@
-"""Kernel-level tests: bit-exact rounding and certified a-priori bounds."""
+"""Kernel-level tests: bit-exact rounding, and each kernel within its model bound."""
 
 import math
 from fractions import Fraction
@@ -27,8 +27,20 @@ from mixedmg import (
     rounded_residual,
     spectrum_ends,
 )
+from mixedmg.bounds import KERNEL_BOUNDS
 from mixedmg.hierarchy import linear_interpolation, poisson_1d
 from mixedmg.precision import RowLayout, _csr, _round_array, column_norms, rounded_scale
+
+
+def model_bound(op, fmt, *inputs, **params):
+    """``KERNEL_BOUNDS[op]`` on the Euclidean norms of ``inputs``, one per
+    column of a block; ``subtract`` takes the exact difference as its input."""
+    return KERNEL_BOUNDS[op](fmt.unit_roundoff, *map(column_norms, inputs), **params)
+
+
+def rows_of(K) -> int:
+    """The row count ``m`` of the layout a row kernel runs ``K`` on."""
+    return RowLayout.of(K).m
 
 
 def round_oracle(x: float, bits: int) -> float:
@@ -149,7 +161,7 @@ class TestQuantizeVector:
     def test_zero_vector(self):
         out = quantize_vector(np.zeros(7), PrecisionFormat(8))
         assert np.array_equal(out.value, np.zeros(7))
-        assert out.a_priori_bound == 0.0
+        assert model_bound("quantize", PrecisionFormat(8), np.zeros(7)) == 0.0
 
     def test_representable_vectors_are_fixed_points(self):
         fmt = PrecisionFormat(9)
@@ -157,7 +169,7 @@ class TestQuantizeVector:
         w = quantize_vector(rng.standard_normal(64), fmt).value
         out = quantize_vector(w, fmt)
         assert np.array_equal(out.value, w)
-        assert out.a_priori_bound == fmt.unit_roundoff * np.linalg.norm(w)
+        assert model_bound("quantize", fmt, w) == fmt.unit_roundoff * np.linalg.norm(w)
 
     def test_error_within_bound_1000_draws(self):
         fmt = PrecisionFormat(8)
@@ -165,7 +177,7 @@ class TestQuantizeVector:
         for _ in range(1000):
             w = rng.standard_normal(64)
             out = quantize_vector(w, fmt)
-            assert np.linalg.norm(out.value - w) <= out.a_priori_bound
+            assert np.linalg.norm(out.value - w) <= model_bound("quantize", fmt, w)
             assert np.linalg.norm(out.value - w) <= 2.0**-8 * np.linalg.norm(w)
 
 
@@ -181,7 +193,7 @@ class TestRoundedAddSub:
         v = quantize_vector(np.random.default_rng(3).standard_normal(33), fmt).value
         out = rounded_add_sub(v, v, "-", fmt)
         assert np.array_equal(out.value, np.zeros(33))
-        assert out.a_priori_bound == 0.0
+        assert model_bound("subtract", fmt, v - v) == 0.0
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
@@ -199,7 +211,7 @@ class TestRoundedAddSub:
             w = quantize_vector(rng.standard_normal(32), fmt).value
             out = rounded_add_sub(v, w, "-", fmt)
             exact = v - w
-            assert np.linalg.norm(out.value - exact) <= out.a_priori_bound
+            assert np.linalg.norm(out.value - exact) <= model_bound("subtract", fmt, exact)
             assert (np.linalg.norm(out.value - exact)
                     <= 2.0**-10 * np.linalg.norm(exact))
 
@@ -209,35 +221,38 @@ class TestRoundedResidual:
         fmt = PrecisionFormat(8)
         w = quantize_vector(np.random.default_rng(5).standard_normal(16), fmt).value
         K = np.eye(16)
-        out = rounded_residual(K, w, w, fmt, eta_abs=abs_matrix_norm(K))
+        out = rounded_residual(K, w, w, fmt)
         assert np.array_equal(out.value, np.zeros(16))
 
     def test_zero_inputs_zero_bound(self):
         fmt = PrecisionFormat(8)
         K = poisson_1d(7).matrix
-        out = rounded_residual(K, np.zeros(7), np.zeros(7), fmt,
-                               eta_abs=abs_matrix_norm(K))
+        out = rounded_residual(K, np.zeros(7), np.zeros(7), fmt)
         assert np.array_equal(out.value, np.zeros(7))
-        assert out.a_priori_bound == 0.0
+        assert model_bound("residual", fmt, np.zeros(7), np.zeros(7), m=rows_of(K),
+                           eta=abs_matrix_norm(K)) == 0.0
 
     def test_precision_too_low(self):
         # (m + 1) * u = 4 * 0.25 = 1 for the tridiagonal stencil at 2 bits
         K = poisson_1d(7).matrix
         with pytest.raises(PrecisionTooLowError):
-            rounded_residual(K, np.ones(7), np.ones(7), PrecisionFormat(2),
-                             eta_abs=abs_matrix_norm(K))
+            rounded_residual(K, np.ones(7), np.ones(7), PrecisionFormat(2))
+        with pytest.raises(PrecisionTooLowError):
+            model_bound("residual", PrecisionFormat(2), np.ones(7), np.ones(7),
+                        m=rows_of(K), eta=abs_matrix_norm(K))
 
     def test_error_within_bound_1000_draws(self):
         fmt = PrecisionFormat(8)
         K = poisson_1d(24).matrix
-        eta = abs_matrix_norm(K)
+        eta, m = abs_matrix_norm(K), rows_of(K)
         rng = np.random.default_rng(6)
         for _ in range(1000):
             w = quantize_vector(rng.standard_normal(24), fmt).value
             c = quantize_vector(rng.standard_normal(24), fmt).value
-            out = rounded_residual(K, w, c, fmt, eta_abs=eta)
+            out = rounded_residual(K, w, c, fmt)
             exact = K @ w - c
-            assert np.linalg.norm(out.value - exact) <= out.a_priori_bound
+            assert np.linalg.norm(out.value - exact) <= model_bound(
+                "residual", fmt, w, c, m=m, eta=eta)
 
 
 class TestRoundedMatvec:
@@ -245,36 +260,39 @@ class TestRoundedMatvec:
         fmt = PrecisionFormat(7)
         w = quantize_vector(np.random.default_rng(7).standard_normal(9), fmt).value
         K = np.eye(9)
-        out = rounded_matvec(K, w, fmt, eta_abs=abs_matrix_norm(K))
+        out = rounded_matvec(K, w, fmt)
         assert np.array_equal(out.value, w)
 
     def test_zero_vector(self):
         K = poisson_1d(5).matrix
-        out = rounded_matvec(K, np.zeros(5), PrecisionFormat(8), eta_abs=abs_matrix_norm(K))
+        out = rounded_matvec(K, np.zeros(5), PrecisionFormat(8))
         assert np.array_equal(out.value, np.zeros(5))
-        assert out.a_priori_bound == 0.0
+        assert model_bound("prolong", PrecisionFormat(8), np.zeros(5), m=rows_of(K),
+                           eta=abs_matrix_norm(K)) == 0.0
 
     def test_interpolation_error_within_bound_1000_draws(self):
         fmt = PrecisionFormat(8)
         P = linear_interpolation(31)
-        eta = abs_matrix_norm(P)
+        eta, m = abs_matrix_norm(P), rows_of(P)
         rng = np.random.default_rng(8)
         for _ in range(1000):
             wc = quantize_vector(rng.standard_normal(15), fmt).value
-            out = rounded_matvec(P, wc, fmt, eta_abs=eta)
+            out = rounded_matvec(P, wc, fmt)
             exact = P @ wc
-            assert np.linalg.norm(out.value - exact) <= out.a_priori_bound
+            assert np.linalg.norm(out.value - exact) <= model_bound(
+                "prolong", fmt, wc, m=m, eta=eta)
 
     def test_restriction_error_within_bound(self):
         # 3 nonzeros per row of the transposed interpolation
         fmt = PrecisionFormat(8)
         Pt = linear_interpolation(31).T
-        eta = abs_matrix_norm(Pt)
+        eta, m = abs_matrix_norm(Pt), rows_of(Pt)
         rng = np.random.default_rng(9)
         for _ in range(200):
             w = quantize_vector(rng.standard_normal(31), fmt).value
-            out = rounded_matvec(Pt, w, fmt, eta_abs=eta)
-            assert np.linalg.norm(out.value - Pt @ w) <= out.a_priori_bound
+            out = rounded_matvec(Pt, w, fmt)
+            assert np.linalg.norm(out.value - Pt @ w) <= model_bound(
+                "restrict", fmt, w, m=m, eta=eta)
 
 
 class TestOperatorDuckTyping:
@@ -283,17 +301,18 @@ class TestOperatorDuckTyping:
         fmt = PrecisionFormat(10)
         A = poisson_1d(9)
         w = quantize_vector(np.random.default_rng(12).standard_normal(9), fmt).value
-        via_wrapper = rounded_matvec(A, w, fmt, eta_abs=abs_matrix_norm(A))
-        via_csr = rounded_matvec(A.matrix, w, fmt, eta_abs=abs_matrix_norm(A.matrix))
+        via_wrapper = rounded_matvec(A, w, fmt)
+        via_csr = rounded_matvec(A.matrix, w, fmt)
         assert np.array_equal(via_wrapper.value, via_csr.value)
-        assert via_wrapper.a_priori_bound == via_csr.a_priori_bound
+        assert (model_bound("prolong", fmt, w, m=rows_of(A), eta=abs_matrix_norm(A))
+                == model_bound("prolong", fmt, w, m=rows_of(A.matrix),
+                               eta=abs_matrix_norm(A.matrix)))
 
 
 class TestCarrierWidthExactness:
     def test_all_kernels_exact_at_carrier_width(self):
         rng = np.random.default_rng(10)
         K = poisson_1d(12).matrix
-        eta = abs_matrix_norm(K)
         w = rng.standard_normal(12)
         c = rng.standard_normal(12)
         assert np.array_equal(quantize_vector(w, CARRIER).value, w)
@@ -302,10 +321,10 @@ class TestCarrierWidthExactness:
         # row-sequential accumulation in the carrier matches a plain
         # CSR matvec evaluated in the same order
         assert np.allclose(
-            rounded_residual(K, w, c, CARRIER, eta_abs=eta).value, K @ w - c,
+            rounded_residual(K, w, c, CARRIER).value, K @ w - c,
             rtol=0, atol=1e-15)
         assert np.allclose(
-            rounded_matvec(K, w, CARRIER, eta_abs=eta).value, K @ w, rtol=0, atol=1e-15)
+            rounded_matvec(K, w, CARRIER).value, K @ w, rtol=0, atol=1e-15)
 
     def test_bits_above_25_still_certified(self):
         # double rounding through the carrier cannot occur for products and
@@ -314,12 +333,13 @@ class TestCarrierWidthExactness:
         fmt = PrecisionFormat(40)
         rng = np.random.default_rng(11)
         K = poisson_1d(16).matrix
-        eta = abs_matrix_norm(K)
+        eta, m = abs_matrix_norm(K), rows_of(K)
         for _ in range(100):
             w = quantize_vector(rng.standard_normal(16), fmt).value
             c = quantize_vector(rng.standard_normal(16), fmt).value
-            out = rounded_residual(K, w, c, fmt, eta_abs=eta)
-            assert np.linalg.norm(out.value - (K @ w - c)) <= out.a_priori_bound
+            out = rounded_residual(K, w, c, fmt)
+            assert np.linalg.norm(out.value - (K @ w - c)) <= model_bound(
+                "residual", fmt, w, c, m=m, eta=eta)
 
 
 def _bits_of(x) -> np.ndarray:
@@ -396,7 +416,7 @@ class TestRoundingGrid:
             (lambda v, w: quantize_vector(v, fmt), lambda v, w: v),
             (lambda v, w: rounded_add_sub(v, w, "+", fmt), np.add),
             (lambda v, w: rounded_add_sub(v, w, "-", fmt), np.subtract),
-            (lambda v, w: rounded_scale(s, v, fmt, 1.0), lambda v, w: s * v),
+            (lambda v, w: rounded_scale(s, v, fmt), lambda v, w: s * v),
         ]
         # c (v +- w) stays below 2**1024 for |v|, |w| < 2**(968 + bits)
         small = np.maximum(abs(x), abs(y)) < 2.0 ** (968 + bits)
@@ -424,8 +444,8 @@ class TestRoundingGrid:
 
         def kernel(w, c):
             if c is None:
-                return rounded_matvec(self.K, w, fmt, eta_abs=4.0)
-            return rounded_residual(self.K, w, c, fmt, eta_abs=4.0)
+                return rounded_matvec(self.K, w, fmt)
+            return rounded_residual(self.K, w, c, fmt)
         for part, fallback in ((small, False), (~small, True)):
             with monkeypatch.context() as patch:
                 if not fallback:
@@ -457,7 +477,7 @@ class TestSplittingFallback:
         fmt = PrecisionFormat(2)
         K = np.array([[1.5, -1.25], [0.75, 1.0]])
         w = np.array([1.3 * 2.0**1000, 1.1 * 2.0**999])
-        value = rounded_matvec(K, w, fmt, eta_abs=4.0).value
+        value = rounded_matvec(K, w, fmt).value
         expected = [round_oracle(round_oracle(a * w[0], 2) + round_oracle(b * w[1], 2), 2)
                     for a, b in K]
         assert np.all(np.isfinite(value)) and list(value) == expected
@@ -469,8 +489,8 @@ class TestSplittingFallback:
 
 
 class TestKernelsLeaveInputs:
-    """Every kernel runs on read-only inputs, and a bound read after the
-    kernel returns is the formula on the untouched inputs."""
+    """Every kernel runs on read-only inputs and leaves them as they were,
+    and each kernel's table entry is its model formula on those inputs."""
 
     @pytest.mark.parametrize("T", [None, 5])
     def test_read_only_inputs(self, T):
@@ -490,24 +510,34 @@ class TestKernelsLeaveInputs:
 
         def inflation(layout):
             return u * mdot_plus_eps(layout.m, u)
+        results = [
+            (quantize_vector(w, fmt), w),
+            (rounded_add_sub(w, c, "-", fmt), w),
+            (rounded_scale(S.w, w, fmt), w),
+            (S.apply_rounded(w, fmt), w),
+            (rounded_residual(level.A, w, c, fmt), w),
+            (rounded_matvec(level.P_t_layout, w, fmt), wc),
+            (rounded_matvec(level.P_layout, wc, fmt), w),
+        ]
         cases = [
-            (quantize_vector(w, fmt), u * column_norms(w)),
-            (rounded_add_sub(w, c, "-", fmt), u * column_norms(w - c)),
-            (rounded_scale(S.w, w, fmt, S.alpha), S.alpha * u * column_norms(w)),
-            (S.apply_rounded(w, fmt), S.alpha * u * column_norms(w)),
-            (rounded_residual(level.A, w, c, fmt, eta_abs=level.eta_A),
+            (model_bound("quantize", fmt, w), u * column_norms(w)),
+            (model_bound("subtract", fmt, w - c), u * column_norms(w - c)),
+            (model_bound("relax", fmt, w, alpha=S.alpha), S.alpha * u * column_norms(w)),
+            (model_bound("residual", fmt, w, c, m=level.A.row_layout.m, eta=level.eta_A),
              inflation(level.A.row_layout)
              * (column_norms(c) + level.eta_A * column_norms(w))),
-            (rounded_matvec(level.P_t_layout, w, fmt, eta_abs=level.eta_P),
+            (model_bound("restrict", fmt, w, m=level.P_t_layout.m, eta=level.eta_P),
              inflation(level.P_t_layout) * (level.eta_P * column_norms(w))),
-            (rounded_matvec(level.P_layout, wc, fmt, eta_abs=level.eta_P),
+            (model_bound("prolong", fmt, wc, m=level.P_layout.m, eta=level.eta_P),
              inflation(level.P_layout) * (level.eta_P * column_norms(wc))),
         ]
         for x, before in zip((w, c, wc), pristine):
             assert np.array_equal(_bits_of(x), _bits_of(before))
-        for result, bound in cases:
-            assert np.shape(result.a_priori_bound) == np.shape(bound)
-            assert np.array_equal(result.a_priori_bound, bound)
+        for result, like in results:
+            assert result.value.shape == like.shape
+        for bound, formula in cases:
+            assert np.shape(bound) == np.shape(formula)
+            assert np.array_equal(bound, formula)
 
 
 def _reversed_rows(M, writable: bool) -> sparse.csr_array:
@@ -538,10 +568,9 @@ class TestUnsortedOperators:
         assert np.array_equal(SparseSpd(K).matrix.toarray(), A.matrix.toarray())
         assert RowLayout.of(K).m == A.row_layout.m
         assert _csr(K).has_sorted_indices and _csr(Q).has_sorted_indices
-        assert np.array_equal(rounded_matvec(K, w, fmt, eta_abs=eta).value,
-                              rounded_matvec(A, w, fmt, eta_abs=eta).value)
-        assert np.array_equal(rounded_residual(K, w, c, fmt, eta_abs=eta).value,
-                              rounded_residual(A, w, c, fmt, eta_abs=eta).value)
+        assert np.array_equal(rounded_matvec(K, w, fmt).value, rounded_matvec(A, w, fmt).value)
+        assert np.array_equal(rounded_residual(K, w, c, fmt).value,
+                              rounded_residual(A, w, c, fmt).value)
         assert abs_matrix_norm(K) == eta and abs_matrix_norm(Q) == abs_matrix_norm(P)
         assert spectrum_ends(K) == A.spectrum_ends
         level = GridLevel(A, Q, galerkin_coarse(A, Q))
