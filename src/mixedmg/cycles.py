@@ -159,10 +159,11 @@ class CoarseSolver:
 
     ``correction`` is that map on a coarse vector or block, run in the
     carrier so that it stays linear: a sine-mode solve
-    (:func:`mixedmg.linops.solve_spd` with the stored factors of ``B_c``) or
-    a carrier V-cycle below the coarse grid.  ``fourier`` is the map's
-    Fourier form, built with it, which :func:`rho_star` reads; it is the
-    one home of the solver's :attr:`level` and :attr:`bc_deviation`.
+    (:func:`mixedmg.linops.solve_spd`, with the stored factors of a
+    perturbed ``B_c``) or a carrier V-cycle below the coarse grid.
+    ``fourier`` is the map's Fourier form, built with it, which
+    :func:`rho_star` reads; it is the one home of the solver's
+    :attr:`level` and :attr:`bc_deviation`.
     """
 
     correction: Callable[[np.ndarray], np.ndarray] = field(repr=False)
@@ -183,18 +184,22 @@ class CoarseSolver:
         return self.correction(r_c)
 
 
-def _sine_coarse(level: GridLevel, factors: np.ndarray) -> CoarseSolver:
+def _sine_coarse(level: GridLevel, factors: np.ndarray | None = None) -> CoarseSolver:
     """The sine-mode solve of ``level`` scaling coarse mode ``j`` by ``factors[j]``:
     ``B_c = Phi diag(f) Phi'``, with ``Phi`` the orthonormal DST-I of the
-    coarse grid in Kronecker order in 2D."""
-    factors.flags.writeable = False
-    return CoarseSolver(lambda r_c: solve_spd(level.A_c, r_c, factors),
-                        fourier.sine_blocks(level, factors))
+    coarse grid in Kronecker order in 2D.  Without ``factors`` the solve is
+    the exact one, which skips the scaling by ones; its Fourier blocks are
+    still those of ``f = 1``, which keeps ``rho_star`` and the zero
+    deviation as they were."""
+    blocks = fourier.sine_blocks(level, np.ones(level.n_c) if factors is None else factors)
+    if factors is not None:
+        factors.flags.writeable = False
+    return CoarseSolver(lambda r_c: solve_spd(level.A_c, r_c, factors), blocks)
 
 
 def make_exact_coarse(level: GridLevel) -> CoarseSolver:
     """The direct carrier solve ``A_c^{-1} r_c`` of ``level``: ``B_c = I``."""
-    return _sine_coarse(level, np.ones(level.n_c))
+    return _sine_coarse(level)
 
 
 def make_perturbed_coarse(level: GridLevel, sigma: float, seed: int = 0) -> CoarseSolver:

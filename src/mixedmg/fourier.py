@@ -201,13 +201,13 @@ def _entries(matrix) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return rows[nonzero], M.indices[nonzero], M.data[nonzero]
 
 
-def _stencil(matrix, d: int, k: int, name: str) -> np.ndarray:
-    """The stencil of a symmetric operator on a ``k``-point grid, read at its centre.
-
-    The matrix rebuilt from it must equal the stored one bit for bit: every
-    stored nonzero couples points at most one apart along each axis and
-    equals the stencil value of its offsets, and there are as many of them
-    as the rebuilt matrix has nonzeros.
+def _read(matrix, d: int, k: int, name: str) -> tuple[np.ndarray, bool]:
+    """The stencil of a symmetric operator on a ``k``-point grid, read at its
+    centre, and whether the matrix rebuilt from it equals the stored one bit
+    for bit: every stored nonzero couples points at most one apart along
+    each axis and equals the stencil value of its offsets, and there are as
+    many of them as the rebuilt matrix has nonzeros.  A matrix not of the
+    grid's order raises :class:`StructureError`.
     """
     if matrix.shape != (k**d, k**d):
         raise StructureError(f"{name} has shape {matrix.shape}, not that of a "
@@ -221,7 +221,14 @@ def _stencil(matrix, d: int, k: int, name: str) -> np.ndarray:
     c[tuple(gap[:, centre])] = data[centre]
     pairs = sum(math.prod(2 * (k - 1) if s else k for s in a)
                 for a in itertools.product((0, 1), repeat=d) if c[a] != 0)
-    if not near.all() or len(data) != pairs or np.any(data != c[tuple(gap)]):
+    return c, bool(near.all() and len(data) == pairs and np.all(data == c[tuple(gap)]))
+
+
+def _stencil(matrix, d: int, k: int, name: str) -> np.ndarray:
+    """The stencil of :func:`_read`; a matrix that is not its stencil's raises
+    :class:`StructureError` naming it ``name``."""
+    c, exact = _read(matrix, d, k, name)
+    if not exact:
         raise StructureError(f"{name} is not the matrix of its stencil "
                              f"{c.ravel().tolist()}")
     return c
@@ -230,15 +237,21 @@ def _stencil(matrix, d: int, k: int, name: str) -> np.ndarray:
 def _symmetric_stencil(M) -> tuple[np.ndarray, int]:
     """The stencil ``c`` of a square sparse matrix on a square 2D grid, or
     else on a 1D grid, and the grid's ``k`` points per axis; ``c.ndim`` is
-    the dimension."""
+    the dimension.  A matrix of square order that neither read rebuilds
+    raises :class:`StructureError` naming both reads."""
     n = M.shape[0]
     name = f"the {n}x{M.shape[1]} matrix"
     k = math.isqrt(n)
     if k * k == n and M.shape[1] == n:
-        try:
-            return _stencil(M, 2, k, name), k
-        except StructureError:
-            pass
+        square, exact = _read(M, 2, k, name)
+        if exact:
+            return square, k
+        line, exact = _read(M, 1, n, name)
+        if exact:
+            return line, n
+        raise StructureError(f"{name} is not the matrix of its stencil "
+                             f"{square.ravel().tolist()} on a {k}x{k} grid, nor of "
+                             f"its stencil {line.ravel().tolist()} on a line of {n} points")
     return _stencil(M, 1, n, name), n
 
 

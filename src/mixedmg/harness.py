@@ -53,7 +53,7 @@ from .cycles import (
 )
 from .hierarchy import GridLevel, build_multilevel, check_refinable
 from .linops import energy_norm, solve_spd
-from .precision import CARRIER, PrecisionFormat, column_norms
+from .precision import CARRIER, PrecisionFormat, column_norms, mdot_plus_eps
 
 
 #: The most trials per blocked cycle call.  Wider blocks cut per-call
@@ -283,6 +283,19 @@ def bound_inputs_for(level: GridLevel, S: RelaxationOp, fmt: PrecisionFormat) ->
     )
 
 
+def _check_formats(level: GridLevel, formats) -> None:
+    """Raise :class:`mixedmg.precision.PrecisionTooLowError` unless every
+    format models every row kernel of the cycle: ``(m + 1) u < 1`` for the
+    most stored nonzeros ``m`` in a row of ``A``, ``P`` and ``P'``.
+
+    :class:`mixedmg.bounds.BoundInputs` reads only ``A`` and ``P``, but the
+    restriction runs on the rows of ``P'``, which hold 9 entries in 2D.
+    """
+    m = max(level.A.row_layout.m, level.P_layout.m, level.P_t_layout.m)
+    for fmt in formats:
+        mdot_plus_eps(m, fmt.unit_roundoff)
+
+
 def _make_coarse(config: ExperimentConfig, levels) -> CoarseSolver:
     if config.coarse == "exact":
         return make_exact_coarse(levels[0])
@@ -305,8 +318,9 @@ def run_experiment(config: ExperimentConfig) -> list[TrialRecord]:
     """Run the configured sweep; deterministic given the config."""
     levels = build_multilevel(config.size, config.levels, problem=config.problem)
     level = levels[0]
-    coarse = _make_coarse(config, levels)
     formats = [PrecisionFormat(bits) for bits in _resolve_bits(config, level)]
+    _check_formats(level, formats)  # before any set-up that a trial would waste
+    coarse = _make_coarse(config, levels)
     smoothers = [make_smoother(config.smoother, level.A, config.omega, fmt)
                  for fmt in formats]
     records: list[TrialRecord] = []

@@ -5,13 +5,22 @@ to unit spectral norm, the prolongation rescaled by a scalar so the
 Galerkin coarse matrix also has unit spectral norm; the structural
 constants the error model needs are derived from those operators on first
 read.  Scalar rescaling of ``P`` preserves the Galerkin structure ``A_c =
-P' A P`` exactly, which the projection arguments behind the convergence
-theory require.
+P' A P``, which the projection arguments behind the convergence theory
+require.
 
-Every set-up constant comes from the symbol of a stencil (local Fourier
-analysis): :mod:`mixedmg.fourier` reads an operator back as stencil values
-and checks them bit for bit against the stored matrix, and the symbol's
-certified ends give :func:`spectral_norm`, :func:`condition_number` and
+Every operator of a hierarchy is a stencil matrix (local Fourier analysis;
+Trottenberg, Oosterlee and Schüller, *Multigrid*, 2001, ch. 3-4), and
+:func:`build_multilevel` builds each level in stencil space: the Galerkin
+stencil of ``P' A P`` is summed on a probe grid of at most seven points per
+axis (:func:`_galerkin_stencil`) in the float64 sparse product's own order,
+so it is the product's interior stencil bit for bit, and one assembler
+(:func:`_assemble`) turns every stencil into its matrix.  No order-``n``
+product is formed.
+
+Every set-up constant comes from the symbol of a stencil:
+:mod:`mixedmg.fourier` reads an operator back as stencil values and checks
+them bit for bit against the stored matrix, and the symbol's certified ends
+give :func:`spectral_norm`, :func:`condition_number` and
 :func:`abs_matrix_norm`.  Each scale is the upper end of the norm before
 scaling, so a scaled norm exceeds one by at most the rounding of the
 scaling itself: a few units of roundoff.  An operator that is not a stencil
@@ -24,8 +33,9 @@ input of the Fourier analysis of the cycles.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 import scipy.sparse as sparse
@@ -42,27 +52,87 @@ from .fourier import (
 from .linops import SparseSpd, SpdError
 from .precision import RowLayout, _csr
 
+#: The stencils of the model problems (see :class:`LevelStencils`).
+_MODEL_STENCILS = {
+    "poisson1d": np.array([2.0, -1.0]),
+    "poisson2d": np.array([[4.0, -1.0], [-1.0, 0.0]]),
+}
+
+
+def _csr_rows(cols: np.ndarray, vals: np.ndarray, keep: np.ndarray, shape) -> sparse.csr_array:
+    """The csr array whose row ``i`` holds ``vals[i, j]`` at ``cols[i, j]`` for
+    each ``j`` with ``keep[i, j]``, in that order."""
+    indptr = np.concatenate([[0], np.cumsum(keep.sum(axis=1))])
+    return sparse.csr_array((vals[keep], cols[keep], indptr), shape=shape)
+
+
+def _outer(a: np.ndarray, b: np.ndarray, op) -> np.ndarray:
+    """``op`` of every row pair and candidate pair of two ``(rows, candidates)``
+    arrays, as one ``(rows, candidates)`` array in C order: the candidates
+    of a grid row from those of one axis."""
+    out = op(a[:, None, :, None], b[None, :, None, :])
+    return out.reshape(a.shape[0] * b.shape[0], -1)
+
+
+def _assemble(c: np.ndarray, k: int) -> sparse.csr_array:
+    """The matrix of the symmetric stencil ``c`` on ``k`` points per axis.
+
+    Point ``i`` couples to each in-grid point ``i + o`` with the value
+    ``c[|o|]``, ``o`` in ``{-1, 0, 1}^d``; the offsets run in increasing
+    column order, so the indices come out sorted, and a zero stencil value
+    is not stored.
+    """
+    d = c.ndim
+    step = np.array([-1, 0, 1])
+    line = np.arange(k)[:, None] + step  # each point's neighbours along one axis
+    inside = (line >= 0) & (line < k)
+    cols, keep = line, inside
+    for _ in range(d - 1):
+        cols = _outer(cols, line, lambda a, b: a * k + b)
+        keep = _outer(keep, inside, np.logical_and)
+    offsets = np.array(list(itertools.product(step, repeat=d)))
+    vals = np.broadcast_to(c[tuple(np.abs(offsets).T)], keep.shape)
+    return _csr_rows(cols, vals, keep & (vals != 0), (k**d, k**d))
+
 
 def poisson_1d(n: int) -> SparseSpd:
     """Tridiagonal (-1, 2, -1) stiffness matrix on ``n`` interior points."""
     if n < 3:
         raise ValueError(f"n must be >= 3, got {n}")
-    off = -np.ones(n - 1)
-    return SparseSpd(sparse.diags_array([off, 2.0 * np.ones(n), off], offsets=[-1, 0, 1]))
+    return SparseSpd(_assemble(_MODEL_STENCILS["poisson1d"], n))
 
 
 def poisson_2d(k: int) -> SparseSpd:
     """Standard 5-point Laplacian on a k-by-k interior grid (Dirichlet)."""
     if k < 3:
         raise ValueError(f"k must be >= 3, got {k}")
-    n = k * k
-    along = -np.ones(n - 1)
-    along[k - 1::k] = 0.0  # no coupling across the end of a grid row
-    across = -np.ones(n - k)
-    A = sparse.csr_array(sparse.diags_array(
-        [across, along, 4.0 * np.ones(n), along, across], offsets=[-k, -1, 0, 1, k]))
-    A.eliminate_zeros()  # a stored zero would count in the rows' nonzeros
-    return SparseSpd(A)
+    return SparseSpd(_assemble(_MODEL_STENCILS["poisson2d"], k))
+
+
+def _interpolation(d: int, k: int, p: float = 1.0) -> sparse.csr_array:
+    """``p`` times the (bi)linear interpolation from ``(k - 1) / 2`` to ``k``
+    points per axis in ``d`` dimensions.
+
+    Coarse point ``j`` sits at fine point ``2 j + 1``; fine point ``f``
+    takes ``p / 2^t`` from it, with ``t`` the number of axes along which
+    ``f`` is a neighbour of ``2 j + 1`` (and is ``2 j + 1`` along the
+    others).
+    """
+    if k < 3 or k % 2 == 0:
+        raise ValueError(f"the fine grid must have an odd number >= 3 of points, got {k}")
+    k_c = (k - 1) // 2
+    fine = np.arange(k)[:, None]
+    # along an axis fine point f reaches at most the coarse points f // 2 - 1
+    # and f // 2; taken in this order, the columns come out sorted
+    line = fine // 2 + np.array([-1, 0])
+    weight = np.maximum(1.0 - 0.5 * np.abs(fine - (2 * line + 1)), 0.0)  # 1, 1/2 or 0
+    inside = (line >= 0) & (line < k_c) & (weight > 0)
+    cols, vals, keep = line, weight, inside
+    for _ in range(d - 1):
+        cols = _outer(cols, line, lambda a, b: a * k_c + b)
+        vals = _outer(vals, weight, np.multiply)  # products of powers of two: exact
+        keep = _outer(keep, inside, np.logical_and)
+    return _csr_rows(cols, vals * p, keep, (k**d, k_c**d))
 
 
 def linear_interpolation(n_fine: int) -> sparse.csr_array:
@@ -71,20 +141,12 @@ def linear_interpolation(n_fine: int) -> sparse.csr_array:
     Maps ``n_c = (n_fine - 1) / 2`` coarse points to ``n_fine`` fine
     points; rows carry at most 2 nonzeros and columns at most 3.
     """
-    if n_fine < 3 or n_fine % 2 == 0:
-        raise ValueError(f"n_fine must be odd and >= 3, got {n_fine}")
-    n_c = (n_fine - 1) // 2
-    cols = np.repeat(np.arange(n_c), 3)
-    # coarse point j sits at fine point 2 j + 1 and reaches its two neighbours
-    rows = 2 * cols + np.tile([0, 1, 2], n_c)
-    vals = np.tile([0.5, 1.0, 0.5], n_c)
-    return _csr(sparse.coo_array((vals, (rows, cols)), shape=(n_fine, n_c)))
+    return _interpolation(1, n_fine)
 
 
 def bilinear_interpolation(k_fine: int) -> sparse.csr_array:
     """2D tensor-product interpolation; rows carry at most 4 nonzeros."""
-    one_d = linear_interpolation(k_fine)
-    return _csr(sparse.kron(one_d, one_d))
+    return _interpolation(2, k_fine)
 
 
 @dataclass(frozen=True, eq=False)
@@ -201,12 +263,15 @@ class GridLevel:
     ``A`` and ``A_c`` have unit spectral norm: each scale is a certified
     upper end of the norm before scaling, so the norms lie within about
     ``1e-14`` below one and exceed it by at most the rounding of the
-    scaling (a few units of roundoff).  ``A_c`` equals ``P' A P`` with the
-    stored (rescaled) ``P``.  A level holds only these three operators;
-    ``P'`` and the structural constants are derived from them on first
-    read, so a level cannot carry another operator's constants.  The row
-    counts the error model inflates are ``A.row_layout.m`` and
-    ``P_layout.m``.
+    scaling (a few units of roundoff).  In a hierarchy of
+    :func:`build_multilevel`, ``A_c`` is the matrix of the interior stencil
+    of ``P' A P`` with the stored (rescaled) ``P``, which is that product
+    bit for bit wherever the product is a stencil matrix.  A level holds
+    only these three operators; ``P'`` and the structural constants are
+    derived from them on first read, so a level cannot carry another
+    operator's constants.  The row counts the error model inflates are
+    ``A.row_layout.m`` and ``P_layout.m``; the cycle's row kernels also
+    run on the rows of ``P'`` (``P_t_layout.m``).
     """
 
     A: SparseSpd
@@ -262,22 +327,69 @@ class GridLevel:
         return level_stencils(self)
 
 
-def _scaled(A: SparseSpd) -> SparseSpd:
-    """``A`` over the upper end of its norm: a norm one up to the scaling's rounding."""
-    return SparseSpd(A.matrix * (1.0 / spectral_norm(A)))
+@cache
+def _probe(d: int, m: int) -> tuple:
+    """The fixed geometry of a probe grid of ``m`` points per axis in ``d``
+    dimensions, built once per shape, its arrays read-only.
 
-
-def _level(A: SparseSpd, P) -> GridLevel:
-    """The level of an already scaled ``A`` and an interpolation ``P``.
-
-    ``P`` is multiplied by the scalar ``s_c**-0.5``, with ``s_c`` the upper
-    end of ``norm(P' A P)``: the minimal change that keeps ``A_c = P' A P``
-    exact while bringing ``norm(A_c)`` to one, up to the rounding of the
-    scaling and of the recomputed Galerkin product.
+    ``gap`` indexes a stencil by the offset of every ``(g, f)`` pair of
+    fine points, ``near`` marks the pairs a stencil couples, ``P`` is the
+    dense unit (bi)linear interpolation, ``centre`` is the flat index of
+    the centre coarse point, and ``reach``, ``plus`` and ``minus`` index
+    the stencil values, and the coarse points ``centre + o`` and ``centre -
+    o``, of the offsets ``o`` that stay in the coarse grid.
     """
-    s_c = spectral_norm(_galerkin(A, P))
-    P1 = _csr(P * float(1.0 / np.sqrt(s_c)))
-    return GridLevel(A, P1, galerkin_coarse(A, P1))
+    point = np.indices((m,) * d).reshape(d, -1)
+    gap = np.abs(point[:, :, None] - point[:, None, :])
+    m_c = (m - 1) // 2
+    line = np.abs(np.arange(m)[:, None] - (2 * np.arange(m_c) + 1))
+    P = np.maximum(1.0 - 0.5 * line, 0.0)  # weights 1 and 1/2: exact
+    for _ in range(d - 1):
+        P = np.kron(P, P)
+    centre = np.full(d, m_c // 2)
+    reach = np.array([a for a in itertools.product((0, 1), repeat=d)
+                      if (centre + a < m_c).all()])
+    step = m_c ** np.arange(d - 1, -1, -1)  # flat index of a coarse point
+    plus, minus = (centre + reach) @ step, (centre - reach) @ step
+    near, gap, reach = (gap <= 1).all(axis=0), tuple(np.minimum(gap, 1)), tuple(reach.T)
+    for array in (*gap, near, P, *reach, plus, minus):
+        array.flags.writeable = False  # shared by every later call
+    return gap, near, P, int(centre @ step), reach, plus, minus
+
+
+def _galerkin_stencil(c: np.ndarray, k: int, p: float) -> np.ndarray:
+    """The stencil of the symmetrized ``P' A P`` (:func:`_galerkin`), for ``A``
+    the matrix of the stencil ``c`` on ``k`` points per axis and ``P = p``
+    times the (bi)linear interpolation.
+
+    It is summed on a probe grid of ``min(k, 7)`` points per axis: seven is
+    the smallest grid whose centre coarse point ``x`` has every coarse
+    neighbour.  The sums run in the float64 sparse product's own order:
+    increasing fine index for ``P' A`` and then for ``(P' A) P``, whose row
+    ``x`` is ``B[x, :]``, and the symmetrization last, ``(B[x, x + o] +
+    B[x, x - o]) / 2`` for each offset ``o``: the product's ``B[x + o, x]``
+    is the same sum as ``B[x, x - o]``, shifted by ``o``.  Each sum of a
+    dense probe row adds exact zeros where the sparse product stores
+    nothing, which leaves it unchanged.  So the result is the stencil the
+    product's matrix holds in its interior, and bit for bit the stencil
+    read off the product wherever the product is a stencil matrix.
+    """
+    gap, near, unit, centre, reach, plus, minus = _probe(c.ndim, min(k, 7))
+    A = np.where(near, c[gap], 0.0)
+    P = unit * p
+    # np.cumsum adds along its axis strictly in order; the last row is the sum
+    C = np.cumsum(A * P[:, centre, None], axis=0)[-1]
+    B = np.cumsum(P * C[:, None], axis=0)[-1]
+    out = np.zeros((2,) * c.ndim)
+    out[reach] = (B[plus] + B[minus]) * 0.5
+    return out
+
+
+def _norm_end(c: np.ndarray, k: int) -> float:
+    """Certified upper end of the spectral norm of the stencil ``c`` on ``k``
+    points per axis."""
+    lo, hi = symbol_ends(c, k)
+    return max(hi, -lo)
 
 
 def check_refinable(size: int, levels: int):
@@ -294,32 +406,38 @@ def build_multilevel(n_finest: int, levels: int, problem: str = "poisson1d") -> 
 
     For ``poisson1d`` the finest grid has ``n_finest = 2**k - 1`` points;
     for ``poisson2d`` it is an ``n_finest``-by-``n_finest`` interior grid.
+    Each level is built in stencil space, with no order-``n`` product.
+    The finest stencil is the model stencil over the upper end of its
+    symbol.  Each ``P`` is the interpolation times ``s_c**-0.5``, with
+    ``s_c`` the upper end of the symbol of the Galerkin stencil of the
+    unscaled interpolation, and ``A_c`` is the matrix of the Galerkin
+    stencil with that ``P`` (:func:`_galerkin_stencil`): bit for bit the
+    symmetrized ``P' A P`` wherever that product is a stencil matrix.
     Only the finest matrix is scaled: each level's ``A_c``, whose norm the
-    scaled ``P`` bounds by one, is bit for bit the next level's ``A``, and
-    the coarsest grid is ``levels[-1].A_c``.  Every matrix is checked once,
-    when its :class:`SparseSpd` is made (a stencil matrix, positive
-    definite by its certified lower symbol end), and none is factored;
-    each ``P`` is checked to be a scaled (bi)linear interpolation when
+    scaled ``P`` bounds by one, is the next level's ``A``, and the
+    coarsest grid is ``levels[-1].A_c``.  Every matrix comes from
+    :func:`_assemble` and is checked once, when its :class:`SparseSpd` is
+    made (read back as a stencil bit for bit, positive definite by its
+    certified lower symbol end), and none is factored; each ``P`` is
+    checked to be a scaled (bi)linear interpolation when
     :attr:`GridLevel.stencils` is first read, as every coarse solve does.
     """
     if levels < 2:
         raise ValueError("levels must be >= 2")
     check_refinable(n_finest, levels)
-    if problem == "poisson1d":
-        A = poisson_1d(n_finest)
-        interp = linear_interpolation
-    elif problem == "poisson2d":
-        A = poisson_2d(n_finest)
-        interp = bilinear_interpolation
-    else:
+    if problem not in _MODEL_STENCILS:
         raise ValueError(f"unknown problem {problem!r}")
+    c = _MODEL_STENCILS[problem]
 
     out: list[GridLevel] = []
-    size = n_finest
-    current = _scaled(A)
+    k = n_finest
+    c = c * (1.0 / _norm_end(c, k))
+    A = SparseSpd(_assemble(c, k))
     for _ in range(levels - 1):
-        lvl = _level(current, interp(size))
-        out.append(lvl)
-        current = lvl.A_c
-        size = (size - 1) // 2
+        k_c = (k - 1) // 2
+        p = float(1.0 / np.sqrt(_norm_end(_galerkin_stencil(c, k, 1.0), k_c)))
+        c = _galerkin_stencil(c, k, p)
+        A_c = SparseSpd(_assemble(c, k_c))
+        out.append(GridLevel(A, _interpolation(c.ndim, k, p), A_c))
+        A, k = A_c, k_c
     return out

@@ -148,8 +148,8 @@ def solve_spd(A: SparseSpd, b, factors: np.ndarray | None = None) -> np.ndarray:
     pair, ``x = Phi (f Phi' b / lambda)``, with ``lambda`` the eigenvalues
     of ``A`` on its sine modes (:attr:`SparseSpd.sine_eigenvalues`) and
     ``f`` the ``factors`` that scale each mode, in the same order: the
-    sine-mode coarse solves of :mod:`mixedmg.cycles` pass theirs (all ones
-    for the exact one), and without them the solve is exact.  A non-finite
+    perturbed sine-mode coarse solves of :mod:`mixedmg.cycles` pass theirs,
+    and without them, as for the exact coarse solve, the solve is exact.  A non-finite
     ``b`` or one of the wrong shape raises ``ValueError``.
     """
     b = np.asarray(b, dtype=np.float64)

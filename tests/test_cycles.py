@@ -502,6 +502,19 @@ class TestRecursiveCoarse:
     def test_direct_solve_has_zero_deviation(self, level31):
         assert_direct_solve(make_exact_coarse(level31), level31)
 
+    def test_exact_solve_scales_no_mode(self, level31, monkeypatch):
+        # the exact solve passes no factors, and gives the bits of the plain
+        # sine-mode solve on a vector and on a block
+        coarse = make_exact_coarse(level31)
+        passed = []
+        solve = mixedmg.cycles.solve_spd
+        monkeypatch.setattr(mixedmg.cycles, "solve_spd", lambda A, b, factors=None: (
+            passed.append(factors), solve(A, b, factors))[1])
+        rng = np.random.default_rng(3)
+        for r in (rng.standard_normal(level31.n_c), rng.standard_normal((level31.n_c, 4))):
+            assert coarse.apply(r).tobytes() == solve_spd(level31.A_c, r).tobytes()
+        assert passed == [None, None] and coarse.bc_deviation == 0.0
+
     def test_three_level_deviation_below_one(self, levels31_3, jacobi_smoothers):
         dev = make_recursive_coarse(levels31_3, 1, 1,
                                     jacobi_smoothers(levels31_3[1:])).bc_deviation

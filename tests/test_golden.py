@@ -95,6 +95,12 @@ _PINNED = {
     "recursive1d_seven": (
         ExperimentConfig(size=7, levels=3, coarse="recursive", trials=30),
         "6ab46ab0495fbababd1047fa2dfa6b5f95ced2b06ab34d8d9a170fc52e25b880"),
+    # four 2D grids, whose Galerkin products are not stencil matrices below
+    # the second: the levels hold the products' interior stencils
+    "recursive2d_four_grids": (
+        ExperimentConfig(problem="poisson2d", size=31, levels=4,
+                         coarse="recursive", trials=30),
+        "4cafd2de187c27d37b527b565e4cf834c030ea4f9065d626b5fb23e4bd23e56b"),
 }
 
 

@@ -286,6 +286,21 @@ class TestRunExperiment:
             for rec in records]
         assert render_csv(made) == render_with_csv_writer(made) == render_csv(records)
 
+    @pytest.mark.parametrize("smoother", ["jacobi", "richardson"])
+    def test_a_format_the_2d_restriction_cannot_model_is_refused_at_set_up(
+            self, monkeypatch, smoother):
+        # the rows of P' hold 9 entries in 2D: (9 + 1) 2^-3 >= 1, although
+        # the 5 of A and the 4 of P pass; no set-up after the check is wasted
+        from mixedmg import PrecisionTooLowError
+
+        calls = []
+        for name in ("tg_cycle", "rho_star", "make_smoother"):
+            monkeypatch.setattr(harness, name, lambda *a, name=name, **k: calls.append(name))
+        with pytest.raises(PrecisionTooLowError, match=r"^\(m \+ 1\) \* u = 1\.25 >= 1"):
+            run_experiment(ExperimentConfig(problem="poisson2d", size=7, bits=(3,),
+                                            smoother=smoother, trials=1))
+        assert calls == []
+
     @pytest.mark.parametrize("problem, size", [("poisson1d", 63), ("poisson2d", 15)])
     def test_trial_blocks_are_c_ordered(self, monkeypatch, problem, size):
         # every block of the trial path is C-contiguous, so the kernels

@@ -23,7 +23,10 @@ from mixedmg import (
     spectral_norm,
     spectrum_ends,
 )
-from mixedmg.hierarchy import _galerkin
+from mixedmg import hierarchy
+from mixedmg.fourier import _read
+from mixedmg.harness import ExperimentConfig, run_experiment
+from mixedmg.hierarchy import _assemble, _galerkin, _galerkin_stencil, _interpolation
 
 EPS = float(np.finfo(np.float64).eps)
 
@@ -121,6 +124,86 @@ class TestBilinearInterpolation:
         P = bilinear_interpolation(7)
         assert P.shape == (49, 9)
         assert np.diff(P.indptr).max() == 4
+
+    @pytest.mark.parametrize("k", [3, 7, 31])
+    @pytest.mark.parametrize("p", [1.0, 0.7])
+    def test_same_arrays_as_the_kronecker_product(self, k, p):
+        # the tensor-product rows against the Kronecker product of the 1D
+        # interpolation, scaled after the product
+        one_d = linear_interpolation(k)
+        expected = sparse.csr_array(sparse.kron(one_d, one_d)) * p
+        P = _interpolation(2, k, p)
+        for got, want in ((P.indptr, expected.indptr), (P.indices, expected.indices),
+                          (P.data, expected.data)):
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+class TestAssemble:
+    @pytest.mark.parametrize("d, k", [(1, 3), (1, 9), (2, 3), (2, 7)])
+    def test_random_stencil_against_the_dense_rule(self, d, k):
+        # entry (i, j) is c[|i - j|] wherever the points are at most one apart
+        c = np.random.default_rng(k).uniform(-1.0, 1.0, (2,) * d)
+        M = _assemble(c, k)
+        pts = np.indices((k,) * d).reshape(d, -1)
+        gap = np.abs(pts[:, :, None] - pts[:, None, :])
+        dense = np.where((gap <= 1).all(axis=0), c[tuple(np.minimum(gap, 1))], 0.0)
+        assert np.array_equal(M.toarray(), dense)
+        assert M.has_sorted_indices and np.all(M.data != 0)
+
+
+def _product_stencil(level, p):
+    """The stencil read off the sparse product ``P' A P`` of ``level.A`` and
+    ``p`` times the interpolation, or None where it is no stencil matrix."""
+    st = level.stencils
+    product = _galerkin(level.A, _interpolation(st.d, st.k, p))
+    c, exact = _read(product, st.d, (st.k - 1) // 2, "P' A P")
+    return c if exact else None
+
+
+class TestGalerkinStencil:
+    @pytest.mark.parametrize("problem, size, grids", [
+        *(("poisson1d", 2**j - 1, min(j, 6)) for j in range(3, 15)),
+        *(("poisson2d", 2**j - 1, j) for j in range(3, 7))])
+    def test_probe_equals_the_sparse_product(self, problem, size, grids):
+        # every level's A_c stencil, and that of the unscaled interpolation,
+        # against the stencil of the float64 product, wherever the product
+        # is a stencil matrix; the finest level's always is
+        compared = []
+        for depth, level in enumerate(build_multilevel(size, grids, problem=problem)):
+            st = level.stencils
+            for p in (1.0, st.p):
+                expected = _product_stencil(level, p)
+                if expected is not None:
+                    assert np.array_equal(_galerkin_stencil(st.A, st.k, p), expected)
+                    compared.append(depth)
+        assert compared[:2] == [0, 0]
+
+    @pytest.mark.parametrize("problem, size", [("poisson1d", 255), ("poisson2d", 31)])
+    def test_coarse_matrix_is_the_product_bit_for_bit(self, problem, size):
+        for level in build_multilevel(size, 3, problem=problem)[:1]:
+            product = _galerkin(level.A, level.P)
+            for got, want in ((level.A_c.matrix.data, product.data),
+                              (level.A_c.matrix.indices, product.indices),
+                              (level.A_c.matrix.indptr, product.indptr)):
+                assert np.array_equal(got, want)
+
+    def test_build_forms_no_sparse_product(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("an order-n Galerkin product was formed")
+
+        monkeypatch.setattr(hierarchy, "_galerkin", refuse)
+        monkeypatch.setattr(hierarchy, "galerkin_coarse", refuse)
+        build_multilevel(255, 4)
+        build_multilevel(31, 4, problem="poisson2d")
+
+    @pytest.mark.parametrize("size, grids", [(31, 4), (63, 5), (127, 3)])
+    def test_deep_2d_recursive_sweeps_pass(self, size, grids):
+        # their Galerkin products below the second grid are no stencil
+        # matrices, which the set-up used to refuse
+        records = run_experiment(ExperimentConfig(
+            problem="poisson2d", size=size, levels=grids, coarse="recursive",
+            trials=3))
+        assert len(records) == 12 and all(r.passed for r in records)
 
 
 class TestGalerkinCoarse:
