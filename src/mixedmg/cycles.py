@@ -43,8 +43,10 @@ cycle holds a few blocks at a time rather than both full sequences.
 
 Every cycle, coarse solve and relaxation takes one right-hand side ``(n,)``
 or a block ``(n, T)`` of them, which runs through each kernel in one call.
-Each column of a block gives bit for bit what it gives on its own, so a
-block of trials reproduces the per-trial results exactly.
+:func:`tg_cycle` also takes one smoother and format per column, so one
+block may hold the trials of several formats.  Each column of a block gives
+bit for bit what it gives on its own in its own format, so a block of
+trials reproduces the per-trial results exactly.
 """
 
 from __future__ import annotations
@@ -70,6 +72,7 @@ from .precision import (
     rounded_scale,
     _as_block,
     _round_array,
+    _row,
 )
 
 
@@ -106,7 +109,10 @@ class RelaxationOp:
 
     def apply_rounded(self, z: np.ndarray, fmt: PrecisionFormat) -> RoundedResult:
         """``fl(S z)``, whose error :data:`mixedmg.bounds.KERNEL_BOUNDS`
-        ``["relax"]`` bounds with :attr:`alpha`."""
+        ``["relax"]`` bounds with :attr:`alpha`.  A block whose columns
+        relax with smoothers of different formats runs as one
+        :func:`mixedmg.precision.rounded_scale` call on the row of their
+        ``w`` (see :func:`tg_cycle`)."""
         if fmt != self.fmt:
             raise ValueError("relaxation operator was built for a different format")
         return rounded_scale(self.w, z, fmt)
@@ -258,34 +264,45 @@ class CycleTrace:
     y_reference: np.ndarray
 
 
-def _operations(level: GridLevel, S: RelaxationOp, coarse, fmt: PrecisionFormat) -> dict:
+def _operations(level: GridLevel, S, coarse, fmt) -> dict:
     """The operations of a cycle step on ``level`` in ``fmt``, by name.
 
-    ``quantize`` rounds the right-hand side into ``fmt``, ``zero`` is the
-    zero iterate of its shape, ``relax`` is ``S z``, ``residual`` ``A y -
-    r``, ``restrict`` ``P' z``, ``coarse`` the map ``r_c -> d_c`` (run as
-    given), ``prolong`` ``P z`` and ``subtract`` ``v - w``.  A reduced
-    format runs the emulated kernels, whose error models are the entries of
-    :data:`mixedmg.bounds.KERNEL_BOUNDS` under the same names, with ``m``
-    read from the layout each kernel runs on; the carrier runs the plain float64
-    operations, which give the bits of those kernels at 53 bits.  So the
-    carrier's ``quantize`` is the identity with the kernel's finiteness
-    check: it returns the right-hand side uncopied, and a non-finite entry
-    raises ``ValueError`` in either format.
+    ``S`` and ``fmt`` are one smoother and one format, or one of each per
+    column of the block the operations run on; a reduced format must be the
+    format each smoother was built for, and formats that are all the
+    carrier run as the carrier.  ``quantize`` rounds the right-hand
+    side into ``fmt``, ``zero`` is the zero iterate of its shape, ``relax``
+    is ``S z`` (the smoothers' ``w`` as a row over the columns),
+    ``residual`` ``A y - r``, ``restrict`` ``P' z``, ``coarse`` the map
+    ``r_c -> d_c`` (run as given), ``prolong`` ``P z`` and ``subtract`` ``v
+    - w``.  A reduced format runs the emulated kernels, whose error models
+    are the entries of :data:`mixedmg.bounds.KERNEL_BOUNDS` under the same
+    names, with ``m`` read from the layout each kernel runs on; the carrier
+    runs the plain float64 operations, which give the bits of those kernels
+    at 53 bits.  So the carrier's ``quantize`` is the identity with the
+    kernel's finiteness check: it returns the right-hand side uncopied, and
+    a non-finite entry raises ``ValueError`` in either format.
     """
-    if S.n != level.n:
-        raise ValueError(f"smoother has order {S.n}, not the level's order {level.n}")
+    smoothers = (S,) if isinstance(S, RelaxationOp) else tuple(S)
+    formats = (fmt,) if isinstance(fmt, PrecisionFormat) else tuple(fmt)
+    n = level.n
+    for op in set(smoothers):
+        if op.n != n:
+            raise ValueError(f"smoother has order {op.n}, not the level's order {n}")
+    w = _row([op.w for op in smoothers])
     ops = {"zero": np.zeros_like, "coarse": coarse}
-    if fmt == CARRIER:
+    if all(f == CARRIER for f in formats):
         return ops | {"quantize": lambda r: _as_block(r, "r").reshape(np.shape(r)),
-                      "relax": S.apply_exact,
+                      "relax": lambda z: w * z,
                       "residual": lambda y, r: level.A.matrix @ y - r,
                       "restrict": lambda z: level.P_t @ z,
                       "prolong": lambda z: level.P @ z,
                       "subtract": lambda v, w: v - w}
+    if formats != tuple(op.fmt for op in smoothers):
+        raise ValueError("relaxation operator was built for a different format")
     return ops | {
         "quantize": lambda r: quantize_vector(r, fmt).value,
-        "relax": lambda z: S.apply_rounded(z, fmt).value,
+        "relax": lambda z: rounded_scale(w, z, fmt).value,
         "residual": lambda y, r: rounded_residual(level.A, y, r, fmt).value,
         "restrict": lambda z: rounded_matvec(level.P_t_layout, z, fmt).value,
         "prolong": lambda z: rounded_matvec(level.P_layout, z, fmt).value,
@@ -359,13 +376,16 @@ def _side_by_side(apply, v: np.ndarray, w: np.ndarray):
             np.ascontiguousarray(out[:, T:]).reshape(w.shape))
 
 
-def tg_cycle(r, S: RelaxationOp, coarse: CoarseSolver, fmt: PrecisionFormat):
+def tg_cycle(r, S, coarse: CoarseSolver, fmt):
     """One reduced-precision two-grid cycle on ``coarse.level``, with a full deviation trace.
 
     ``r`` is one right-hand side ``(n,)`` or a block ``(n, T)`` of them.
-    Returns the computed result and a :class:`CycleTrace` whose entries are
-    measured against the exact reference computed with the same ``S`` and
-    coarse solver.
+    ``S`` and ``fmt`` are one smoother and the format it was built for, or
+    sequences of ``T`` of each, one per column: a block may hold trials of
+    several formats, and each column gives bit for bit what it gives alone
+    in its own format.  Returns the computed result and a
+    :class:`CycleTrace` whose entries are measured against the exact
+    reference computed with the same smoothers and coarse solver.
 
     The cycle runs once on pairs, each stage's computed value and its
     reference, and measures the lines of :data:`STAGE_LINES` as it goes: a

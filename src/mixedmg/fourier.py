@@ -63,7 +63,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 import scipy.sparse as sparse
@@ -169,6 +169,17 @@ def _harmonics(F: np.ndarray, k: int) -> tuple[_Ball, _Ball]:
         return _Ball(np.where(high, other.mid, low.mid), np.where(high, other.rad, low.rad))
 
     return 4.0 * pick(sin2, cos2), 2.0 * pick(cos2, sin2)
+
+
+@cache
+def _corners(k: int) -> _Ball:
+    """``4 sin^2(theta / 2)`` of :func:`_harmonics` at the two corner modes
+    ``1`` and ``k`` on ``k`` points, where every symbol takes its ends:
+    computed once per ``k``, its arrays read-only."""
+    s = _harmonics(np.array([[1, k]]), k)[0]
+    for array in (s.mid, s.rad):
+        array.flags.writeable = False  # shared by every later call
+    return s
 
 
 def _down(x) -> float:
@@ -345,8 +356,7 @@ def symbol_ends(c: np.ndarray, k: int) -> tuple[float, float]:
     ``pi / (k + 1)`` or ``k pi / (k + 1)``; the half-angle form of
     :func:`_symbol` keeps each within a few units of roundoff relative.
     """
-    s = _harmonics(np.array([[1, k]]), k)[0]
-    lam = _symbol(c, [s] * c.ndim)
+    lam = _symbol(c, [_corners(k)] * c.ndim)
     return _down(lam.mid - lam.rad), _up(lam.mid + lam.rad)
 
 

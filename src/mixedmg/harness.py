@@ -11,11 +11,17 @@ implementation, not the statistics, so the flags are asserted strictly.
 Runs are deterministic: the per-format random stream is seeded from
 ``(rng_seed, significand_bits)``, and CSV serialization uses shortest
 round-trip float formatting, so identical configs produce byte-identical
-files.  Each format's trials run as ``ceil(trials / _TRIAL_BLOCK)``
-blocks of right-hand sides whose widths differ by at most one (200 trials
-run as four blocks of 50, not 64 + 64 + 64 + 8), each through one blocked
-cycle; every column of a block gives bit for bit what its trial gives
-alone, so the split never shows in the output.
+files.  A sweep's trials run as one format-major sequence, every trial of
+the first format, then of the second, and so on, cut into blocks of
+right-hand sides of at most ``_BLOCK_ENTRIES`` entries ``n * width`` whose
+widths differ by at most one (the 800 trials of four formats at ``n =
+255`` run as eight blocks of 73 and three of 72), each through one blocked
+cycle whatever formats its columns hold: each column runs with its own
+format's smoother, format, line coefficients and ``rho_tg`` (a block of
+one format with that format alone), and each format's right-hand sides
+come from its own stream in trial order.  Every
+column of a block gives bit for bit what its trial gives alone, so the
+split never shows in the output.
 """
 
 from __future__ import annotations
@@ -23,6 +29,7 @@ from __future__ import annotations
 import configparser
 import csv
 import io
+import itertools
 import math
 import numbers
 import warnings
@@ -56,10 +63,13 @@ from .linops import energy_norm, solve_spd
 from .precision import CARRIER, PrecisionFormat, column_norms, mdot_plus_eps
 
 
-#: The most trials per blocked cycle call.  Wider blocks cut per-call
-#: overhead but hold more ``(n, width)`` temporaries at once, and balanced
-#: widths leave no narrow tail block that pays the overhead for few trials.
-_TRIAL_BLOCK = 64
+#: The most entries ``n * width`` of one trial block, whatever formats its
+#: columns hold: 78 columns at ``n = 255``, 20 at 2D ``k = 31`` and one at
+#: 1D ``n = 16383`` and 2D ``k = 127``.  Wider blocks cut per-call overhead,
+#: but a cycle holds about ten ``(n, width)`` blocks at once, which should
+#: stay in a 2 MB cache; balanced widths leave no narrow tail block that pays
+#: the overhead for few trials.
+_BLOCK_ENTRIES = 20_000
 
 
 class ConfigError(ValueError):
@@ -323,7 +333,7 @@ def run_experiment(config: ExperimentConfig) -> list[TrialRecord]:
     coarse = _make_coarse(config, levels)
     smoothers = [make_smoother(config.smoother, level.A, config.omega, fmt)
                  for fmt in formats]
-    records: list[TrialRecord] = []
+    reports, coeffs = [], []
     # every format's rho_star from one pass over the Fourier blocks
     for fmt, S, rho in zip(formats, smoothers, rho_star(smoothers, coarse)):
         bits = fmt.significand_bits
@@ -333,37 +343,56 @@ def run_experiment(config: ExperimentConfig) -> list[TrialRecord]:
                 f"bits={bits}; the error bound is vacuous for this "
                 f"configuration", stacklevel=2)
         inputs = bound_inputs_for(level, S, fmt)
-        report = compute_constants(
+        reports.append(compute_constants(
             inputs, rho_star=rho,
             n=level.n, n_c=level.n_c, significand_bits=bits,
-        )
-        coeffs = per_line_bounds(inputs)
-        rng = np.random.default_rng([config.rng_seed, bits])
-        # ceil(trials / _TRIAL_BLOCK) blocks; the first `extra` hold one more
-        blocks = -(-config.trials // _TRIAL_BLOCK)
-        base, extra = divmod(config.trials, blocks)
-        for b in range(blocks):
-            first, width = b * base + min(b, extra), base + (b < extra)
-            # one normalized right-hand side per trial, in draw order, as the
-            # C-ordered columns of r: each kernel then gathers contiguous rows
-            draws = rng.standard_normal((width, level.n))
-            r = np.divide(draws.T, column_norms(draws.T), order="C")
-            x = solve_spd(level.A, r)
-            x_norm = energy_norm(x, level.A)
-            y, trace = tg_cycle(r, S, coarse, fmt)
-            ref_error = energy_norm(trace.y_reference - x, level.A)
-            fp_error = energy_norm(y - x, level.A)
-            # one row per trial cell: the two errors, the measured ratio and
-            # the sixteen line ratios, each over the block's trials
-            cells = np.array([ref_error, fp_error, fp_error / x_norm, *(
-                trace.line_norms[name] / (coeffs[name] * x_norm) for name in PROOF_LINES)])
-            passed = trial_passed(cells[2], report.rho_tg, cells[3:])
-            for t, ((ref, fp, measured, *lines), ok) in enumerate(
-                    zip(cells.T.tolist(), passed.tolist()), first):
-                records.append(TrialRecord(
-                    report=report, config=config, trial=t, ref_error=ref,
-                    fp_error=fp, measured_ratio=measured,
-                    line_ratios=dict(zip(PROOF_LINES, lines)), passed=ok))
+        ))
+        coeffs.append(per_line_bounds(inputs))
+    # each format's line coefficients (a column) and rho_tg, picked per trial
+    coeffs = np.array([[c[name] for c in coeffs] for name in PROOF_LINES])
+    rho_tg = np.array([report.rho_tg for report in reports])
+    rngs = [np.random.default_rng([config.rng_seed, fmt.significand_bits])
+            for fmt in formats]
+    # the sweep's trials, format-major, in ceil(total / most) blocks of at
+    # most _BLOCK_ENTRIES entries; the first `extra` blocks hold one more
+    total = len(formats) * config.trials
+    blocks = -(-total // max(_BLOCK_ENTRIES // level.n, 1))
+    base, extra = divmod(total, blocks)
+    records: list[TrialRecord] = []
+    for b in range(blocks):
+        first, width = b * base + min(b, extra), base + (b < extra)
+        which, trials = np.divmod(np.arange(first, first + width), config.trials)
+        columns = which.tolist()  # each column's format, by index
+        runs = [(f, len(list(run))) for f, run in itertools.groupby(columns)]
+        # one normalized right-hand side per trial, each format's drawn from
+        # its own stream in trial order, as the C-ordered columns of r: each
+        # kernel then gathers contiguous rows
+        draws = np.concatenate([rngs[f].standard_normal((count, level.n))
+                                for f, count in runs])
+        r = np.divide(draws.T, column_norms(draws.T), order="C")
+        x = solve_spd(level.A, r)
+        x_norm = energy_norm(x, level.A)
+        # a block of one format runs with that format's smoother and format
+        # alone, one of several with one of each per column
+        if len(runs) == 1:
+            S, fmt = smoothers[columns[0]], formats[columns[0]]
+        else:
+            S, fmt = [smoothers[f] for f in columns], [formats[f] for f in columns]
+        y, trace = tg_cycle(r, S, coarse, fmt)
+        ref_error = energy_norm(trace.y_reference - x, level.A)
+        fp_error = energy_norm(y - x, level.A)
+        # one row per trial cell: the two errors, the measured ratio and
+        # the sixteen line ratios, each over the block's trials
+        lines = np.array([trace.line_norms[name] for name in PROOF_LINES])
+        cells = np.array([ref_error, fp_error, fp_error / x_norm,
+                          *(lines / (coeffs[:, which] * x_norm))])
+        passed = trial_passed(cells[2], rho_tg[which], cells[3:])
+        for f, t, (ref, fp, measured, *ratios), ok in zip(
+                columns, trials.tolist(), cells.T.tolist(), passed.tolist()):
+            records.append(TrialRecord(
+                report=reports[f], config=config, trial=t, ref_error=ref,
+                fp_error=fp, measured_ratio=measured,
+                line_ratios=dict(zip(PROOF_LINES, ratios)), passed=ok))
     return records
 
 

@@ -252,7 +252,17 @@ def _galerkin(A, P) -> sparse.csr_array:
 
 
 def galerkin_coarse(A, P) -> SparseSpd:
-    """The Galerkin coarse matrix ``P' A P`` in the carrier, symmetrized."""
+    """The Galerkin coarse matrix ``P' A P`` in the carrier, symmetrized.
+
+    It raises :class:`mixedmg.fourier.StructureError` when the product is
+    not the matrix of its stencil.  Below the first 2D coarsening, where
+    ``A`` is a 9-point stencil matrix, the float64 product's ``(1, 1)`` and
+    ``(1, -1)`` couplings can differ in the last bit, so the product need
+    not be a stencil matrix: it is refused on the third grid pair (7 to 3
+    points per axis) of ``build_multilevel(31, 4, "poisson2d")``, for one.
+    :func:`build_multilevel` never forms this product; it builds every
+    level's ``A_c`` in stencil space (:func:`_galerkin_stencil`).
+    """
     return SparseSpd(_galerkin(A, P))
 
 

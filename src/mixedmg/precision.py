@@ -32,10 +32,17 @@ kernel's normwise error bound in this model is an entry of
 the rest of mixedmg.
 
 Every kernel takes a vector ``(n,)`` or a block ``(n, T)`` of ``T`` vectors
-side by side.  A vector runs as a one-column block, and each column of a
-block gives bit for bit what the same vector gives on its own: the rounding
-is entrywise, and every per-column norm is summed over a contiguous copy of
-that column (see :func:`column_norms`).  No kernel writes its inputs.
+side by side, and one format or a sequence of ``T`` formats, one per column.
+The widths become a row: the splitting constant ``c``, the fallback's
+``bits`` and a relaxation's scale are ``(T,)`` rows broadcast over the
+block, so every entry undergoes the same IEEE operations as in a call of its
+own column's format, and a row whose entries are all equal is that one value.  A vector runs as
+a one-column block, and each column of a block gives bit for bit what the
+same vector gives on its own in its own format: the rounding is entrywise,
+the fallback's rerun gives a column whose splitting did not overflow the
+same bits again, and every per-column norm is summed over a contiguous copy
+of that column (see :func:`column_norms`).  A row kernel checks ``(m + 1) u
+< 1`` at the block's largest ``u``.  No kernel writes its inputs.
 """
 
 from __future__ import annotations
@@ -106,11 +113,14 @@ class RoundedResult(NamedTuple):
     value: np.ndarray
 
 
-def _round_array(x: np.ndarray, bits: int) -> np.ndarray:
+def _round_array(x: np.ndarray, bits) -> np.ndarray:
     """Round every entry of ``x`` to ``bits`` significand bits, ties to even,
-    through ``frexp``: the kernels' fallback and the tests' reference."""
-    if bits >= CARRIER_BITS:
-        return np.array(x, dtype=np.float64, copy=True)
+    through ``frexp``: the kernels' fallback and the tests' reference.
+
+    ``bits`` is one width, or a row of widths broadcast over the last axis
+    of ``x``, one per column of a block.  At the carrier's width every step
+    is exact, so the value comes back unchanged.
+    """
     x = np.asarray(x, dtype=np.float64)
     m, e = np.frexp(np.atleast_1d(x))
     # m * 2**bits lies in [2**(bits-1), 2**bits): np.rint is exact there and
@@ -125,31 +135,57 @@ def _round_array(x: np.ndarray, bits: int) -> np.ndarray:
     return m.reshape(x.shape)
 
 
-def _split_round(x: np.ndarray, bits: int, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
-    """``x`` rounded to ``bits`` into ``out``, which may be ``x`` itself, by
-    Veltkamp splitting with ``tmp`` as scratch; not finite where ``c x``
-    overflows.  At the carrier's width ``c = 2`` and ``x_h = x``."""
-    np.multiply(x, 2.0 ** (CARRIER_BITS - bits) + 1.0, out=tmp)
+def _bits_row(fmt, T: int):
+    """The significand widths of ``fmt`` as a row over a block's ``T``
+    columns (see :func:`_row`): a sequence of one format per column, or
+    one format for every column."""
+    formats = (fmt,) if isinstance(fmt, PrecisionFormat) else tuple(fmt)
+    if len(formats) != 1 and len(formats) != T or not formats:
+        raise ValueError(f"need one format or one per column of the "
+                         f"{T}-column block, got {len(formats)}")
+    return _row([f.significand_bits for f in formats])
+
+
+def _row(values: list):
+    """``values``, one per column, as a row ``(T,)`` to broadcast over a
+    block, or as the one value when they are all equal: numpy runs a scalar
+    operand over the block as one contiguous run, a row as one short run
+    per block row, about three times slower."""
+    return values[0] if values.count(values[0]) == len(values) else np.array(values)
+
+
+def _split_round(x: np.ndarray, c, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+    """``x`` rounded into ``out``, which may be ``x`` itself, by Veltkamp
+    splitting, ``t = c x`` and ``x_h = t - (t - x)`` with the row ``c = 2**(53
+    - bits) + 1`` broadcast over the columns and ``tmp`` as scratch; not
+    finite where ``c x`` overflows.  At the carrier's width ``c = 2`` and
+    ``x_h = x``."""
+    np.multiply(x, c, out=tmp)
     np.subtract(tmp, x, out=out)
     return np.subtract(tmp, out, out=out)
 
 
-def _frexp_round(x: np.ndarray, bits: int, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
-    """``x`` rounded to ``bits`` into ``out`` through :func:`_round_array`,
-    which has no overflow but that of the rounded value; ``tmp`` is unused."""
+def _frexp_round(x: np.ndarray, bits, out: np.ndarray,
+                 tmp: np.ndarray) -> np.ndarray:
+    """``x`` rounded to the row ``bits`` into ``out`` through
+    :func:`_round_array`, which has no overflow but that of the rounded
+    value; ``tmp`` is unused."""
     out[...] = _round_array(x, bits)
     return out
 
 
-def _in_range(run: Callable[[Callable], np.ndarray]) -> np.ndarray:
+def _in_range(run: Callable[[Callable], np.ndarray], bits) -> np.ndarray:
     """``run(round_)``, a kernel's value with every rounding made by
-    ``round_``: by :func:`_split_round`, or, when that leaves an entry that
-    is not finite, once more by :func:`_frexp_round`, raising
-    ``OverflowError`` if the value is still not finite."""
+    ``round_(x, out, tmp)`` to the row ``bits``, one width per column or one
+    for all: by :func:`_split_round`, or, when that leaves an entry that is
+    not finite, once more by :func:`_frexp_round`, raising ``OverflowError``
+    if the value is still not finite.  The rerun rounds the whole block, and
+    gives every column whose splitting did not overflow its bits again."""
+    c = np.ldexp(1.0, CARRIER_BITS - bits) + 1.0
     with np.errstate(over="ignore", invalid="ignore"):
-        value = run(_split_round)
+        value = run(lambda x, out, tmp: _split_round(x, c, out, tmp))
     if not np.isfinite(value).all():
-        value = run(_frexp_round)
+        value = run(lambda x, out, tmp: _frexp_round(x, bits, out, tmp))
         if not np.isfinite(value).all():
             raise OverflowError("result overflows the float64 carrier")
     return value
@@ -198,27 +234,29 @@ def column_norms(w):
 
 
 def _rounded(exact: Callable[[np.ndarray], np.ndarray], block: np.ndarray,
-             fmt: PrecisionFormat, like) -> RoundedResult:
+             fmt, like) -> RoundedResult:
     """A block of ``block``'s shape computed in the carrier by ``exact(out)``,
     which returns it in ``out`` or in an input it does not write, rounded
-    once into ``fmt``: the entrywise kernels' one rounding and range check."""
+    once into ``fmt``, one format or one per column: the entrywise kernels'
+    one rounding and range check."""
     out = np.empty_like(block)
     tmp = np.empty_like(block)
-    bits = fmt.significand_bits
-    return _result(_in_range(lambda round_: round_(exact(out), bits, out, tmp)), like)
+    bits = _bits_row(fmt, block.shape[1])
+    return _result(_in_range(lambda round_: round_(exact(out), out, tmp), bits), like)
 
 
-def quantize_vector(w, fmt: PrecisionFormat) -> RoundedResult:
-    """Round a vector (or block) into ``fmt``."""
+def quantize_vector(w, fmt) -> RoundedResult:
+    """Round a vector (or block) into ``fmt``, one format or one per column."""
     W = _as_block(w, "w")
     return _rounded(lambda out: W, W, fmt, w)
 
 
-def rounded_add_sub(v, w, sign: str, fmt: PrecisionFormat) -> RoundedResult:
+def rounded_add_sub(v, w, sign: str, fmt) -> RoundedResult:
     """Componentwise rounded ``v + w`` or ``v - w``.
 
-    Both operands are expected to be representable in ``fmt`` already; the
-    single rounding then gives the componentwise ``(1 + d)`` model.
+    Both operands are expected to be representable in ``fmt`` (one format,
+    or one per column) already; the single rounding then gives the
+    componentwise ``(1 + d)`` model.
     """
     V = _as_block(v, "v")
     W = _as_block(w, "w")
@@ -230,9 +268,15 @@ def rounded_add_sub(v, w, sign: str, fmt: PrecisionFormat) -> RoundedResult:
     return _rounded(lambda out: op(V, W, out=out), V, fmt, v)
 
 
-def rounded_scale(s: float, w, fmt: PrecisionFormat) -> RoundedResult:
-    """Componentwise rounded ``s * w``, for a scalar ``s``."""
+def rounded_scale(s, w, fmt) -> RoundedResult:
+    """Componentwise rounded ``s * w``: ``s`` is a scalar, or a row ``(T,)``
+    of one scalar per column of a block, and ``fmt`` one format or one per
+    column."""
     W = _as_block(w, "w")
+    s = np.asarray(s, dtype=np.float64)
+    if s.ndim > 1 or s.size != 1 and s.size != W.shape[1]:
+        raise ValueError(f"need one scale or one per column of the "
+                         f"{W.shape[1]}-column block, got shape {s.shape}")
     return _rounded(lambda out: np.multiply(s, W, out=out), W, fmt, w)
 
 
@@ -296,7 +340,7 @@ class RowLayout:
         return self.matrix.shape
 
 
-def rounded_residual(K, w, c, fmt: PrecisionFormat) -> RoundedResult:
+def rounded_residual(K, w, c, fmt) -> RoundedResult:
     """Compute ``K @ w - c``, or ``K @ w`` when ``c`` is None, with every
     partial product and sum rounded to ``fmt``: the row kernels' one body.
 
@@ -306,7 +350,9 @@ def rounded_residual(K, w, c, fmt: PrecisionFormat) -> RoundedResult:
     buffers of the result's shape.  ``K`` is a matrix, anything with a
     ``.matrix``, or a :class:`RowLayout`, whose ``m``, the most stored
     nonzeros in a row, is the row count of the error model; ``w`` and ``c``
-    are both vectors or both blocks.
+    are both vectors or both blocks.  ``fmt`` is one format or one per
+    column, and the model's ``(m + 1) u < 1`` is checked at the largest
+    ``u`` of the block.
     """
     rows = RowLayout.of(K)
     W = _as_block(w, "w")
@@ -315,8 +361,9 @@ def rounded_residual(K, w, c, fmt: PrecisionFormat) -> RoundedResult:
             np.ndim(w) != np.ndim(c) or rows.shape[0] != C.shape[0]
             or W.shape[1] != C.shape[1])):
         raise ValueError(f"nonconformal {'matvec' if C is None else 'residual'} dimensions")
-    mdot_plus_eps(rows.m, fmt.unit_roundoff)  # the model needs (m + 1) u < 1
-    bits = fmt.significand_bits
+    bits = _bits_row(fmt, W.shape[1])
+    # the model needs (m + 1) u < 1 in every column, so at the largest u
+    mdot_plus_eps(rows.m, 2.0 ** -int(bits.min() if np.ndim(bits) else bits))
     acc = np.empty((rows.shape[0], W.shape[1]))
     term = np.empty_like(acc)
     tmp = np.empty_like(acc)
@@ -324,17 +371,17 @@ def rounded_residual(K, w, c, fmt: PrecisionFormat) -> RoundedResult:
     def run(round_):
         # mode="clip" writes straight into ``out``; the columns are in range
         np.take(W, rows.cols[0], axis=0, out=acc, mode="clip")
-        round_(np.multiply(acc, rows.vals[0], out=acc), bits, acc, tmp)
+        round_(np.multiply(acc, rows.vals[0], out=acc), acc, tmp)
         for vals, cols in zip(rows.vals[1:], rows.cols[1:]):
             np.take(W, cols, axis=0, out=term, mode="clip")
-            round_(np.multiply(term, vals, out=term), bits, term, tmp)
-            round_(np.add(acc, term, out=acc), bits, acc, tmp)
+            round_(np.multiply(term, vals, out=term), term, tmp)
+            round_(np.add(acc, term, out=acc), acc, tmp)
         if C is not None:
-            round_(np.subtract(acc, C, out=acc), bits, acc, tmp)
+            round_(np.subtract(acc, C, out=acc), acc, tmp)
         return acc
-    return _result(_in_range(run), w)
+    return _result(_in_range(run, bits), w)
 
 
-def rounded_matvec(K, w, fmt: PrecisionFormat) -> RoundedResult:
+def rounded_matvec(K, w, fmt) -> RoundedResult:
     """Compute ``K @ w`` row by row in ``fmt``: :func:`rounded_residual` without ``c``."""
     return rounded_residual(K, w, None, fmt)

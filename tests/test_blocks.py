@@ -1,4 +1,5 @@
-"""Blocks of right-hand sides: an (n, T) call equals T one-column calls bit for bit."""
+"""Blocks of right-hand sides: an (n, T) call equals T one-column calls bit for bit,
+also when each column has a format of its own."""
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ import dense_oracle as oracle
 from mixedmg import (
     CARRIER,
     PrecisionFormat,
+    PrecisionTooLowError,
     abs_matrix_norm,
     build_multilevel,
     energy_norm,
@@ -24,7 +26,8 @@ from mixedmg import (
 )
 from mixedmg.bounds import KERNEL_BOUNDS
 from mixedmg.hierarchy import poisson_1d, poisson_2d
-from mixedmg.precision import RowLayout, column_norms
+from mixedmg import precision as mixedmg_precision
+from mixedmg.precision import RowLayout, column_norms, rounded_scale
 
 FMT = PrecisionFormat(10)
 T = 6
@@ -123,6 +126,114 @@ class TestKernels:
         for t in range(T):
             assert norms[t] == np.linalg.norm(np.array(W[:, t]))
         assert isinstance(column_norms(W[:, 0]), float)
+
+
+#: One format per column of a mixed block, some widths repeated.
+MIXED = [PrecisionFormat(bits) for bits in (5, 8, 12, 23, 52, 8, 5)]
+
+
+def _no_fallback(*args):
+    raise AssertionError("the kernel fell back to frexp rounding")
+
+
+def _mixed_kernels(level):
+    """Every kernel as ``call(w, c, fmt)`` on ``level``'s operators: the
+    relaxation takes the ``w`` of a Jacobi smoother built for each format."""
+    w = {f: make_jacobi(level.A, 2.0 / 3.0, f).w for f in set(MIXED)}
+    return {
+        "quantize": lambda v, c, fmt: quantize_vector(v, fmt),
+        "add": lambda v, c, fmt: rounded_add_sub(v, c, "+", fmt),
+        "subtract": lambda v, c, fmt: rounded_add_sub(v, c, "-", fmt),
+        "scale": lambda v, c, fmt: rounded_scale(
+            w[fmt] if isinstance(fmt, PrecisionFormat) else [w[f] for f in fmt], v, fmt),
+        "residual": lambda v, c, fmt: rounded_residual(level.A, v, c, fmt),
+        "matvec": lambda v, c, fmt: rounded_matvec(level.P_t_layout, v, fmt),
+    }
+
+
+def _assert_each_column_in_its_format(call, V, C, formats=MIXED):
+    """``call(V, C, formats)`` against each column's one-format call, bit for bit."""
+    value = call(V, C, formats).value
+    assert value.shape[1] == len(formats)
+    for t, fmt in enumerate(formats):
+        alone = call(np.array(V[:, t]), np.array(C[:, t]), fmt).value
+        assert alone.ndim == 1
+        assert value[:, t].tobytes() == alone.tobytes(), (t, fmt)
+
+
+class TestMixedFormats:
+    """A block whose columns have formats of their own: the Veltkamp
+    constant, the fallback's widths and the relaxation's scale are rows over
+    the columns, and each column gets the bits of its own one-format call."""
+
+    @pytest.mark.parametrize("problem", ["poisson1d", "poisson2d"])
+    @pytest.mark.parametrize("kernel", ["quantize", "add", "subtract", "scale",
+                                        "residual", "matvec"])
+    def test_each_column_rounds_in_its_own_format(self, problem, kernel):
+        level = build_multilevel(15, 2, problem=problem)[0]
+        rng = np.random.default_rng(20)
+        scales = np.logspace(-4, 4, len(MIXED))
+        V, C = rng.standard_normal((2, level.n, len(MIXED))) * scales
+        _assert_each_column_in_its_format(_mixed_kernels(level)[kernel], V, C)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.parametrize("kernel", ["quantize", "add", "subtract", "scale",
+                                        "residual", "matvec"])
+    def test_one_column_overflows_its_splitting(self, level31, monkeypatch, kernel):
+        # c = 2**48 + 1 at 5 bits: c x overflows in column 0 alone, whose own
+        # call reruns through frexp; every other column alone splits without
+        # the fallback, and in the block the rerun gives it the same bits
+        call = _mixed_kernels(level31)[kernel]
+        rng = np.random.default_rng(21)
+        V, C = rng.standard_normal((2, 31, len(MIXED)))
+        V[:, 0] *= 2.0 ** 990
+        C[:, 0] *= 2.0 ** 990
+        assert MIXED[0].significand_bits == 5 and MIXED[-1].significand_bits == 5
+        fallbacks = []
+        frexp_round = mixedmg_precision._frexp_round
+        monkeypatch.setattr(mixedmg_precision, "_frexp_round",
+                            lambda *a: (fallbacks.append(1), frexp_round(*a))[1])
+        _assert_each_column_in_its_format(call, V, C)
+        assert fallbacks
+        monkeypatch.setattr(mixedmg_precision, "_frexp_round", _no_fallback)
+        with pytest.raises(AssertionError, match="fell back"):
+            call(np.array(V[:, 0]), np.array(C[:, 0]), MIXED[0])
+        for t in range(1, len(MIXED)):
+            call(np.array(V[:, t]), np.array(C[:, t]), MIXED[t])
+        call(np.array(V[:, 1:]), np.array(C[:, 1:]), MIXED[1:])
+
+    @pytest.mark.parametrize("coarsest", [0, 2, 4])
+    def test_row_kernel_checks_the_largest_roundoff(self, level31, coarsest):
+        # the rows of P' hold m = 3 entries: (3 + 1) 2^-2 >= 1 at 2 bits, in
+        # whichever column the 2-bit format sits; the other widths pass
+        formats = [PrecisionFormat(b) for b in (52, 23, 12, 8, 3)]
+        W = np.random.default_rng(22).standard_normal((31, len(formats)))
+        assert rounded_matvec(level31.P_t_layout, W, formats).value.shape == (15, 5)
+        formats[coarsest] = PrecisionFormat(2)
+        for kernel in (lambda w: rounded_matvec(level31.P_t_layout, w, formats),
+                       lambda w: rounded_residual(level31.A, w, w, formats)):
+            with pytest.raises(PrecisionTooLowError, match=r"^\(m \+ 1\) \* u = 1\.0 >= 1"):
+                kernel(W)
+
+    def test_formats_must_match_the_columns(self, level31):
+        W = np.random.default_rng(23).standard_normal((31, 3))
+        with pytest.raises(ValueError, match="one per column"):
+            quantize_vector(W, MIXED[:2])
+        with pytest.raises(ValueError, match="one per column"):
+            rounded_matvec(level31.P_t_layout, W, MIXED[:4])
+        with pytest.raises(ValueError, match="one per column"):
+            rounded_scale([0.5, 0.25], W, MIXED[:3])
+        with pytest.raises(ValueError, match="one per column"):
+            quantize_vector(W[:, 0], MIXED[:2])
+        # one format in a sequence is the one format
+        assert np.array_equal(quantize_vector(W, MIXED[:1]).value,
+                              quantize_vector(W, MIXED[0]).value)
+
+    def test_relaxation_block_of_one_format_is_its_row(self, jacobi31):
+        # apply_rounded of one smoother is the scale row of one entry
+        Z = _block(np.random.default_rng(24), 31)
+        assert np.array_equal(jacobi31.apply_rounded(Z, FMT).value,
+                              rounded_scale([jacobi31.w] * T, Z, [FMT] * T).value)
 
 
 def _assert_solve_columns_match(matrices, seed):

@@ -55,10 +55,13 @@ def exact_stages(r, S, coarse):
 
 
 def _six_bits_short(kernel):
-    """``kernel`` run with six fewer significand bits than the format it is given."""
+    """``kernel`` run with six fewer significand bits than the format, or
+    each of the per-column formats, it is given."""
     def short(*args, **kwargs):
         *args, fmt = args
-        return kernel(*args, PrecisionFormat(fmt.significand_bits - 6), **kwargs)
+        formats = [PrecisionFormat(f.significand_bits - 6)
+                   for f in ([fmt] if isinstance(fmt, PrecisionFormat) else fmt)]
+        return kernel(*args, formats, **kwargs)
     return short
 
 
@@ -381,14 +384,19 @@ class TestTgCycle:
                 assert rec.passed is trial_passed(
                     rec.measured_ratio, rec.report.rho_tg, rec.line_ratios.values())
 
-    @pytest.mark.parametrize("problem, size, levels, variant, T", [
-        ("poisson1d", 255, 2, "exact", 50),
-        ("poisson1d", 255, 4, "recursive", 50),
-        ("poisson2d", 31, 2, "exact", 20),
-        ("poisson2d", 31, 2, "perturbed", 20),
-    ])
+    @pytest.mark.parametrize("problem, size, levels, variant, T, bits", [
+        ("poisson1d", 255, 2, "exact", 50, (12,)),
+        ("poisson1d", 255, 4, "recursive", 50, (12,)),
+        ("poisson2d", 31, 2, "exact", 20, (12,)),
+        ("poisson2d", 31, 2, "perturbed", 20, (12,)),
+        # a packed block, one format and smoother per column
+        ("poisson1d", 255, 2, "exact", 78, (8, 12, 16, 23)),
+        ("poisson2d", 31, 2, "exact", 20, (12, 16)),
+    ], ids=["poisson1d-255-2-exact-50", "poisson1d-255-4-recursive-50",
+            "poisson2d-31-2-exact-20", "poisson2d-31-2-perturbed-20",
+            "poisson1d-255-2-exact-78-mixed", "poisson2d-31-2-exact-20-mixed"])
     def test_lockstep_trace_peak_memory(self, jacobi_smoothers, problem, size,
-                                        levels, variant, T):
+                                        levels, variant, T, bits):
         # the cycle runs on pairs of computed and reference values and holds
         # a stage only while a later step reads it, so it holds a few blocks
         import tracemalloc
@@ -399,16 +407,99 @@ class TestTgCycle:
                   "perturbed": lambda: make_perturbed_coarse(lvl, 0.3, seed=1),
                   "recursive": lambda: make_recursive_coarse(
                       hierarchy, 1, 1, jacobi_smoothers(hierarchy[1:]))}[variant]()
-        S = make_jacobi(lvl.A, 2.0 / 3.0, FMT12)
+        if bits == (12,):
+            S, fmt = make_jacobi(lvl.A, 2.0 / 3.0, FMT12), FMT12
+        else:
+            formats = [PrecisionFormat(b) for b in np.repeat(bits, -(-T // len(bits)))[:T]]
+            smoothers = {f: make_jacobi(lvl.A, 2.0 / 3.0, f) for f in set(formats)}
+            S, fmt = [smoothers[f] for f in formats], formats
         r = np.random.default_rng(8).standard_normal((lvl.n, T))
-        tg_cycle(r, S, coarse, FMT12)  # first use fills the set-up caches
+        tg_cycle(r, S, coarse, fmt)  # first use fills the set-up caches
         tracemalloc.start()
         try:
-            tg_cycle(r, S, coarse, FMT12)
+            tg_cycle(r, S, coarse, fmt)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak <= 11 * r.nbytes
+
+
+def _packed_case(problem, variant, jacobi_smoothers):
+    """A level of a three-grid hierarchy, its coarse solver and a block of
+    right-hand sides with one format per column, in runs as a sweep packs
+    them, some widths repeated."""
+    hierarchy = build_multilevel(15, 3, problem=problem)
+    lvl = hierarchy[0]
+    coarse = {"exact": lambda: make_exact_coarse(lvl),
+              "perturbed": lambda: make_perturbed_coarse(lvl, 0.4, seed=2),
+              "recursive": lambda: make_recursive_coarse(
+                  hierarchy, 1, 1, jacobi_smoothers(hierarchy[1:]))}[variant]()
+    bits = (5, 5, 8, 12, 12, 12, 23, 52, 8)
+    formats = [PrecisionFormat(b) for b in bits]
+    smoothers = {f: make_jacobi(lvl.A, 2.0 / 3.0, f) for f in set(formats)}
+    R = np.random.default_rng(12).standard_normal((lvl.n, len(bits))) * np.logspace(
+        -2, 2, len(bits))
+    return lvl, coarse, formats, smoothers, R
+
+
+class TestPackedFormats:
+    @pytest.mark.parametrize("problem", ["poisson1d", "poisson2d"])
+    @pytest.mark.parametrize("variant", ["exact", "perturbed", "recursive"])
+    def test_packed_cycle_equals_the_per_format_calls(self, jacobi_smoothers, problem,
+                                                      variant):
+        # one call on every format's columns against one call per format on
+        # its own columns: y, y_reference and all sixteen line norms
+        lvl, coarse, formats, smoothers, R = _packed_case(problem, variant,
+                                                          jacobi_smoothers)
+        Y, trace = tg_cycle(R, [smoothers[f] for f in formats], coarse, formats)
+        assert Y.shape == trace.y_reference.shape == R.shape
+        assert Y.flags.c_contiguous and trace.y_reference.flags.c_contiguous
+        assert list(trace.line_norms) == list(PROOF_LINES)
+        for fmt, S in smoothers.items():
+            cols = [t for t, f in enumerate(formats) if f == fmt]
+            y, alone = tg_cycle(np.ascontiguousarray(R[:, cols]), S, coarse, fmt)
+            assert Y[:, cols].tobytes() == np.ascontiguousarray(y).tobytes()
+            assert (trace.y_reference[:, cols].tobytes()
+                    == np.ascontiguousarray(alone.y_reference).tobytes())
+            for name in PROOF_LINES:
+                assert (trace.line_norms[name][cols].tobytes()
+                        == alone.line_norms[name].tobytes()), name
+
+    def test_packed_vector_is_the_one_format_call(self, jacobi_smoothers):
+        # one column with its smoother and format in sequences of one
+        lvl, coarse, formats, smoothers, R = _packed_case("poisson1d", "exact",
+                                                          jacobi_smoothers)
+        S, r = smoothers[formats[0]], R[:, 0]
+        y, trace = tg_cycle(r, [S], coarse, [formats[0]])
+        y_one, one = tg_cycle(r, S, coarse, formats[0])
+        assert y.tobytes() == y_one.tobytes()
+        assert trace.line_norms == one.line_norms
+
+    def test_carrier_columns_run_the_carrier_operations(self, monkeypatch, jacobi_smoothers):
+        # per-column formats that are all the carrier call no precision kernel
+        lvl, coarse, formats, smoothers, R = _packed_case("poisson1d", "exact",
+                                                          jacobi_smoothers)
+        S = make_jacobi(lvl.A, 2.0 / 3.0, CARRIER)
+        y_one, one = tg_cycle(R, S, coarse, CARRIER)
+        monkeypatch.setattr(mixedmg.cycles, "quantize_vector", None)
+        y, trace = tg_cycle(R, [S] * R.shape[1], coarse, [CARRIER] * R.shape[1])
+        assert y.tobytes() == y_one.tobytes()
+        for name in PROOF_LINES:
+            assert trace.line_norms[name].tobytes() == one.line_norms[name].tobytes()
+
+    def test_smoother_of_another_format_rejected(self, jacobi_smoothers):
+        lvl, coarse, formats, smoothers, R = _packed_case("poisson1d", "exact",
+                                                          jacobi_smoothers)
+        per_column = [smoothers[f] for f in formats]
+        per_column[3] = smoothers[formats[6]]
+        with pytest.raises(ValueError, match="built for a different format"):
+            tg_cycle(R, per_column, coarse, formats)
+        with pytest.raises(ValueError, match="built for a different format"):
+            tg_cycle(R, per_column[:1], coarse, formats)
+        with pytest.raises(ValueError, match="built for a different format"):
+            tg_cycle(R[:, 0], smoothers[formats[0]], coarse, formats[2])
+        with pytest.raises(ValueError, match="one per column"):
+            tg_cycle(R[:, :2], [smoothers[formats[0]]] * 3, coarse, [formats[0]] * 3)
 
 
 class TestRhoStar:

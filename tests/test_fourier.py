@@ -304,3 +304,14 @@ def test_harmonics_once_per_class(monkeypatch):
                         lambda F, k: (calls.append(F.shape), harmonics(F, k))[1])
     symbols = coarse.fourier.core[1]
     assert len(symbols) == 4 and calls == [(15, 2), (1, 1)]
+
+
+def test_corner_harmonics_are_cached_read_only():
+    # symbol_ends reads the two corner modes of each grid size from a cache
+    mixedmg.fourier._corners.cache_clear()
+    s = mixedmg.fourier._corners(31)
+    assert mixedmg.fourier._corners(31) is s
+    assert not s.mid.flags.writeable and not s.rad.flags.writeable
+    fresh = mixedmg.fourier._harmonics(np.array([[1, 31]]), 31)[0]
+    assert s.mid.tobytes() == fresh.mid.tobytes()
+    assert s.rad.tobytes() == fresh.rad.tobytes()

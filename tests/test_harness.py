@@ -15,6 +15,8 @@ from mixedmg import (
     CARRIER,
     CARRIER_BITS,
     ContractionError,
+    PrecisionFormat,
+    RelaxationOp,
     build_multilevel,
     make_recursive_coarse,
 )
@@ -37,6 +39,9 @@ from mixedmg.harness import (
     validate_csv,
     write_csv,
 )
+
+WORKLOADS = json.loads((Path(__file__).resolve().parent.parent / "bench" / "spec.json")
+                       .read_text())["workloads"]
 
 CONFIG_TEXT = """\
 [problem]
@@ -317,7 +322,9 @@ class TestRunExperiment:
             monkeypatch.setattr(harness, name, checked(getattr(harness, name), block))
         run_experiment(ExperimentConfig(problem=problem, size=size, bits=(8, 12),
                                         trials=70))
-        assert len(seen) == 2 * 2 * 5 and all(seen)
+        # 140 trials: one block of 140 columns on 63 points, two of 70 on 225
+        blocks = {63: 1, 15: 2}[size]
+        assert len(seen) == blocks * 5 and all(seen)
 
     def test_deterministic_csv_bytes(self):
         cfg = ExperimentConfig(size=15, bits=(8, 12), trials=5, rng_seed=7)
@@ -325,29 +332,97 @@ class TestRunExperiment:
         second = render_csv(run_experiment(cfg))
         assert first == second
 
-    @pytest.mark.parametrize("trials, widths", [
-        (200, [50] * 4), (100, [50, 50]), (65, [33, 32]), (20, [20]),
-    ])
-    def test_trials_split_into_balanced_blocks(self, monkeypatch, trials, widths):
+    @staticmethod
+    def _record_blocks(monkeypatch, config):
+        """The width of each tg_cycle call of the sweep, after checking that
+        each column's smoother is built for its format and that the columns
+        run format-major, in the order of the records."""
         seen = []
         original = harness.tg_cycle
 
-        def recording(r, *args):
-            seen.append(r.shape[1])
-            return original(r, *args)
+        def recording(r, S, coarse, fmt):
+            one = isinstance(fmt, PrecisionFormat)
+            formats = [fmt] * r.shape[1] if one else list(fmt)
+            # a block of one format passes that format and its smoother alone
+            assert one == (len(set(formats)) == 1) == isinstance(S, RelaxationOp)
+            assert [s.fmt for s in ([S] * r.shape[1] if one else S)] == formats
+            seen.append((r.shape[1], [f.significand_bits for f in formats]))
+            return original(r, S, coarse, fmt)
 
         monkeypatch.setattr(harness, "tg_cycle", recording)
-        records = run_experiment(ExperimentConfig(size=15, bits=(12,), trials=trials))
-        assert seen == widths
-        assert [rec.trial for rec in records] == list(range(trials))
+        records = run_experiment(config)
+        # format-major: each column's format is its trial's
+        columns = [bits for _, block in seen for bits in block]
+        assert columns == [rec.report.significand_bits for rec in records]
+        assert columns == [b for b in config.bits for _ in range(config.trials)]
+        assert [rec.trial for rec in records] == list(range(config.trials)) * len(config.bits)
+        return [width for width, _ in seen]
+
+    @pytest.mark.parametrize("trials, widths", [
+        # at most 20000 // 255 = 78 columns on 255 points, whatever formats
+        # they hold: the 4 * trials columns of the sweep in balanced blocks
+        (200, [73] * 8 + [72] * 3), (100, [67] * 4 + [66] * 2), (65, [65] * 4),
+        (20, [40, 40]),
+    ])
+    def test_trials_split_into_balanced_blocks(self, monkeypatch, trials, widths):
+        config = ExperimentConfig(size=255, bits=(8, 12, 16, 23), trials=trials)
+        assert self._record_blocks(monkeypatch, config) == widths
+
+    @pytest.mark.parametrize("problem, size, bits, trials, widths", [
+        ("poisson1d", 255, (8, 12, 16, 23), 1, [4]),
+        ("poisson1d", 255, (12,), 100, [50, 50]),
+        ("poisson1d", 255, (12,), 78, [78]),
+        ("poisson1d", 255, (8, 12, 16), 30, [45, 45]),
+        # 20 columns on 31 x 31 points, 1333 on 15 points
+        ("poisson2d", 31, (12, 16), 20, [20, 20]),
+        ("poisson1d", 15, (8, 12), 200, [400]),
+    ])
+    def test_blocks_are_sized_by_entries(self, monkeypatch, problem, size, bits, trials,
+                                         widths):
+        config = ExperimentConfig(problem=problem, size=size, bits=bits, trials=trials)
+        assert self._record_blocks(monkeypatch, config) == widths
+
+    def test_each_column_is_judged_by_its_own_formats_rho_tg(self, monkeypatch):
+        # a rho_tg of zero for bits 12 alone fails that format's trials, in
+        # a block that packs both formats' trials side by side
+        compute = harness.compute_constants
+
+        def zero_at_12(inputs, **kwargs):
+            report = compute(inputs, **kwargs)
+            return dataclasses.replace(report, rho_tg=0.0) if kwargs[
+                "significand_bits"] == 12 else report
+
+        monkeypatch.setattr(harness, "compute_constants", zero_at_12)
+        records = run_experiment(ExperimentConfig(size=31, bits=(8, 12, 16), trials=4))
+        assert [rec.passed for rec in records] == [True] * 4 + [False] * 4 + [True] * 4
+        for rec in records:
+            assert rec.passed is trial_passed(rec.measured_ratio, rec.report.rho_tg,
+                                              rec.line_ratios.values())
 
     def test_block_width_never_shows_in_the_csv(self, monkeypatch):
-        cfg = ExperimentConfig(size=15, bits=(8, 12), trials=130, rng_seed=4)
-        rendered = []
-        for cap in (1, 64, 130):
-            monkeypatch.setattr(harness, "_TRIAL_BLOCK", cap)
-            rendered.append(render_csv(run_experiment(cfg)))
-        assert rendered[0] == rendered[1] == rendered[2]
+        # budgets of 1, 64 and 130 columns on 15 points, over blocks that
+        # hold one format, both formats, and a format's trials split in two
+        for trials in (1, 2, 130):
+            cfg = ExperimentConfig(size=15, bits=(8, 12), trials=trials, rng_seed=4)
+            rendered = []
+            for width in (1, 64, 130):
+                monkeypatch.setattr(harness, "_BLOCK_ENTRIES", 15 * width)
+                rendered.append(render_csv(run_experiment(cfg)))
+            assert rendered[0] == rendered[1] == rendered[2], trials
+
+    @pytest.mark.parametrize("name", sorted(WORKLOADS))
+    def test_a_set_up_sweep_makes_one_cycle_call(self, monkeypatch, name):
+        # the benchmark's set-up sweep, one trial per format, runs every
+        # format's trial in one block
+        calls = []
+        original = harness.tg_cycle
+        monkeypatch.setattr(harness, "tg_cycle",
+                            lambda *args: (calls.append(args[0].shape), original(*args))[1])
+        fields = WORKLOADS[name]
+        records = run_experiment(ExperimentConfig(**dict(fields, bits=tuple(fields["bits"]),
+                                                         trials=1)))
+        assert len(records) == len(fields["bits"])
+        assert len(calls) == 1
 
     def test_carrier_width_matches_reference(self):
         cfg = ExperimentConfig(size=15, bits=(CARRIER_BITS,), trials=10,
@@ -458,6 +533,9 @@ class TestRunExperiment:
         monkeypatch.setattr(harness, "build_multilevel", tracked)
         config = ExperimentConfig(size=255, levels=4, coarse="recursive",
                                   bits=(8, 12, 16, 23), trials=1)
+        # the corner harmonics are cached per grid size: both sweeps start
+        # without them, so that they count the same harmonics
+        fourier._corners.cache_clear()
         assert len(run_experiment(config)) == 4
         # the square operators: the finest matrix before and after scaling,
         # and per level the Galerkin product before and after P is scaled
@@ -470,6 +548,7 @@ class TestRunExperiment:
         assert sorted(eigenvalues) == [31, 255]
         all_formats = len(harmonics)
         harmonics.clear()
+        fourier._corners.cache_clear()
         run_experiment(dataclasses.replace(config, bits=(8,)))
         assert len(harmonics) == all_formats
         gc.collect()

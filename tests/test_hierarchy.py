@@ -229,6 +229,16 @@ class TestGalerkinCoarse:
         with pytest.raises(StructureError, match="^the 4x4 matrix is not"):
             galerkin_coarse(A, P)
 
+    def test_product_below_the_first_2d_coarsening_is_refused(self):
+        # the float64 product of a 9-point operator need not be a stencil
+        # matrix; the hierarchy builds that level's A_c in stencil space
+        levels = build_multilevel(31, 4, problem="poisson2d")
+        for level in levels[:2]:
+            assert galerkin_coarse(level.A, level.P).n == level.n_c
+        with pytest.raises(StructureError, match="^the 9x9 matrix is not the matrix of its"):
+            galerkin_coarse(levels[2].A, levels[2].P)
+        assert levels[2].A_c.n == 9
+
     def test_galerkin_quadratic_form_identity(self, level31):
         # <A_c w, w> = <A P w, P w> with the stored rescaled prolongation
         rng = np.random.default_rng(1)
