@@ -43,10 +43,12 @@ cycle holds a few blocks at a time rather than both full sequences.
 
 Every cycle, coarse solve and relaxation takes one right-hand side ``(n,)``
 or a block ``(n, T)`` of them, which runs through each kernel in one call.
-:func:`tg_cycle` also takes one smoother and format per column, so one
-block may hold the trials of several formats.  Each column of a block gives
-bit for bit what it gives on its own in its own format, so a block of
-trials reproduces the per-trial results exactly.
+A smoother is quantized into its format when it is built, and that format
+is the one a cycle runs in: no cycle takes a format of its own.
+:func:`tg_cycle` also takes one smoother per column, so one block may hold
+the trials of several formats; a :func:`v_cycle` runs in one.  Each column
+of a block gives bit for bit what it gives on its own in its own format, so
+a block of trials reproduces the per-trial results exactly.
 """
 
 from __future__ import annotations
@@ -58,12 +60,11 @@ import numpy as np
 
 from . import fourier
 from .bounds import PROOF_LINES
-from .hierarchy import GridLevel, spectrum_ends
+from .hierarchy import GridLevel
 from .linops import SparseSpd, energy_norm, solve_spd
 from .precision import (
     CARRIER,
     PrecisionFormat,
-    RoundedResult,
     column_norms,
     quantize_vector,
     rounded_add_sub,
@@ -90,11 +91,16 @@ class RelaxationOp:
     multiply per entry, and the certified constant ``alpha`` satisfies
     ``norm(fl(S z) - S z) <= alpha * u * norm(z)``.
 
+    ``fmt`` is that format, the one home of the format a cycle relaxing
+    with ``S`` runs in.  ``fl(S z)`` is the ``relax`` operation of the
+    cycles, :func:`mixedmg.precision.rounded_scale` of ``w``, whose error
+    :data:`mixedmg.bounds.KERNEL_BOUNDS` ``["relax"]`` bounds with ``alpha``.
+
     ``eta = |w|`` is the operator norm of ``S``, Euclidean and energy alike,
     since ``S`` commutes with ``A``; ``contraction`` is the energy norm of
     ``I - S A``, whose eigenvalues are ``1 - w lambda`` over the spectrum of
     ``A``, with the certified ends the stencil symbol of ``A`` gives
-    (:func:`mixedmg.hierarchy.spectrum_ends`).
+    (:attr:`mixedmg.linops.SparseSpd.spectrum_ends`).
     """
 
     w: float
@@ -104,23 +110,10 @@ class RelaxationOp:
     alpha: float
     contraction: float
 
-    def apply_exact(self, z: np.ndarray) -> np.ndarray:
-        return self.w * np.asarray(z, dtype=np.float64)
-
-    def apply_rounded(self, z: np.ndarray, fmt: PrecisionFormat) -> RoundedResult:
-        """``fl(S z)``, whose error :data:`mixedmg.bounds.KERNEL_BOUNDS`
-        ``["relax"]`` bounds with :attr:`alpha`.  A block whose columns
-        relax with smoothers of different formats runs as one
-        :func:`mixedmg.precision.rounded_scale` call on the row of their
-        ``w`` (see :func:`tg_cycle`)."""
-        if fmt != self.fmt:
-            raise ValueError("relaxation operator was built for a different format")
-        return rounded_scale(self.w, z, fmt)
-
 
 def _finalize_relaxation(kind: str, A: SparseSpd, w: float,
                          fmt: PrecisionFormat) -> RelaxationOp:
-    lo, hi = spectrum_ends(A)
+    lo, hi = A.spectrum_ends
     # the eigenvalues of w A lie in [bottom, top]; the energy norm of I - w A
     # is the larger of the two ends' distances from one
     bottom, top = sorted((w * lo, w * hi))
@@ -230,8 +223,8 @@ def make_perturbed_coarse(level: GridLevel, sigma: float, seed: int = 0) -> Coar
 def make_recursive_coarse(levels, mu: int, nu: int, smoothers) -> CoarseSolver:
     """Coarse solver of ``levels[0]`` that runs one carrier V-cycle on ``levels[1:]``.
 
-    ``smoothers`` is required: one carrier smoother per level of
-    ``levels[1:]``, and there must be at least one such level.
+    ``smoothers`` is required: one smoother built for the carrier per level
+    of ``levels[1:]``, and there must be at least one such level.
     ``bc_deviation`` is the certified contraction of one cycle, from its
     Fourier blocks.
     """
@@ -240,11 +233,13 @@ def make_recursive_coarse(levels, mu: int, nu: int, smoothers) -> CoarseSolver:
         raise ValueError("a recursive coarse solve needs a grid below the coarse grid")
     _check_cycle(sub, mu, nu, smoothers)
     blocks = fourier.coarse_blocks(level, tuple(zip(sub, smoothers)), mu, nu)
+    if smoothers[0].fmt != CARRIER:
+        raise ValueError("a recursive coarse solve runs in the carrier; "
+                         "its smoothers must be built for it")
     if blocks.deviation >= 1.0:
         raise ContractionError(f"recursive coarse solve does not contract "
                                f"(deviation {blocks.deviation:.4f})")
-    return CoarseSolver(lambda r_c: v_cycle(sub, mu, nu, r_c, CARRIER, smoothers=smoothers),
-                        blocks)
+    return CoarseSolver(lambda r_c: v_cycle(sub, mu, nu, r_c, smoothers=smoothers), blocks)
 
 
 @dataclass(frozen=True, eq=False)
@@ -264,14 +259,14 @@ class CycleTrace:
     y_reference: np.ndarray
 
 
-def _operations(level: GridLevel, S, coarse, fmt) -> dict:
-    """The operations of a cycle step on ``level`` in ``fmt``, by name.
+def _operations(level: GridLevel, S, coarse, carrier: bool = False) -> dict:
+    """The operations of a cycle step on ``level``, by name.
 
-    ``S`` and ``fmt`` are one smoother and one format, or one of each per
-    column of the block the operations run on; a reduced format must be the
-    format each smoother was built for, and formats that are all the
-    carrier run as the carrier.  ``quantize`` rounds the right-hand
-    side into ``fmt``, ``zero`` is the zero iterate of its shape, ``relax``
+    ``S`` is one smoother, or one per column of the block the operations
+    run on, and the operations run in the format each smoother was built
+    for; with ``carrier`` set, or when every smoother was built for the
+    carrier, they run in the carrier.  ``quantize`` rounds the right-hand
+    side into that format, ``zero`` is the zero iterate of its shape, ``relax``
     is ``S z`` (the smoothers' ``w`` as a row over the columns),
     ``residual`` ``A y - r``, ``restrict`` ``P' z``, ``coarse`` the map
     ``r_c -> d_c`` (run as given), ``prolong`` ``P z`` and ``subtract`` ``v
@@ -284,22 +279,20 @@ def _operations(level: GridLevel, S, coarse, fmt) -> dict:
     a non-finite entry raises ``ValueError`` in either format.
     """
     smoothers = (S,) if isinstance(S, RelaxationOp) else tuple(S)
-    formats = (fmt,) if isinstance(fmt, PrecisionFormat) else tuple(fmt)
     n = level.n
     for op in set(smoothers):
         if op.n != n:
             raise ValueError(f"smoother has order {op.n}, not the level's order {n}")
     w = _row([op.w for op in smoothers])
     ops = {"zero": np.zeros_like, "coarse": coarse}
-    if all(f == CARRIER for f in formats):
+    if carrier or all(op.fmt == CARRIER for op in smoothers):
         return ops | {"quantize": lambda r: _as_block(r, "r").reshape(np.shape(r)),
                       "relax": lambda z: w * z,
                       "residual": lambda y, r: level.A.matrix @ y - r,
                       "restrict": lambda z: level.P_t @ z,
                       "prolong": lambda z: level.P @ z,
                       "subtract": lambda v, w: v - w}
-    if formats != tuple(op.fmt for op in smoothers):
-        raise ValueError("relaxation operator was built for a different format")
+    fmt = S.fmt if isinstance(S, RelaxationOp) else [op.fmt for op in smoothers]
     return ops | {
         "quantize": lambda r: quantize_vector(r, fmt).value,
         "relax": lambda z: rounded_scale(w, z, fmt).value,
@@ -376,12 +369,12 @@ def _side_by_side(apply, v: np.ndarray, w: np.ndarray):
             np.ascontiguousarray(out[:, T:]).reshape(w.shape))
 
 
-def tg_cycle(r, S, coarse: CoarseSolver, fmt):
+def tg_cycle(r, S, coarse: CoarseSolver):
     """One reduced-precision two-grid cycle on ``coarse.level``, with a full deviation trace.
 
     ``r`` is one right-hand side ``(n,)`` or a block ``(n, T)`` of them.
-    ``S`` and ``fmt`` are one smoother and the format it was built for, or
-    sequences of ``T`` of each, one per column: a block may hold trials of
+    ``S`` is one smoother, or a sequence of ``T``, one per column, and each
+    column runs in the format of its smoother: a block may hold trials of
     several formats, and each column gives bit for bit what it gives alone
     in its own format.  Returns the computed result and a
     :class:`CycleTrace` whose entries are measured against the exact
@@ -396,7 +389,7 @@ def tg_cycle(r, S, coarse: CoarseSolver, fmt):
     and its reference side by side, ``(n_c, 2T)``.
     """
     level = coarse.level
-    run, exact = (_operations(level, S, coarse.apply, f) for f in (fmt, CARRIER))
+    run, exact = (_operations(level, S, coarse.apply, carrier) for carrier in (False, True))
     norms, due = {}, []
 
     def measure(line, v):
@@ -458,11 +451,15 @@ def _check_cycle(levels, mu: int, nu: int, smoothers):
         raise ValueError("need mu, nu >= 0 with mu + nu >= 1")
     if len(smoothers) != len(levels):
         raise ValueError("need one smoother per level")
+    bits = {op.fmt.significand_bits for op in smoothers}
+    if len(bits) > 1:
+        raise ValueError(f"a V-cycle runs in one format; its smoothers were "
+                         f"built for bits {sorted(bits)}")
 
 
-def v_cycle(levels, mu: int, nu: int, r, fmt: PrecisionFormat, *,
-            smoothers) -> np.ndarray:
-    """Recursive V(mu, nu)-cycle over a hierarchy, all levels in ``fmt``.
+def v_cycle(levels, mu: int, nu: int, r, *, smoothers) -> np.ndarray:
+    """Recursive V(mu, nu)-cycle over a hierarchy, all levels in the format
+    of its smoothers.
 
     ``levels`` is a list of two-grid levels, as :func:`build_multilevel`
     gives it; ``r`` is one right-hand side ``(n,)`` or a block ``(n, T)`` of
@@ -474,14 +471,15 @@ def v_cycle(levels, mu: int, nu: int, r, fmt: PrecisionFormat, *,
     ``mu = nu = 1`` the result is bit for bit that of :func:`tg_cycle` with
     an exact coarse solver.
 
-    ``smoothers`` is required: one smoother per level.
+    ``smoothers`` is required: one smoother per level, all built for one
+    format.
     """
     _check_cycle(levels, mu, nu, smoothers)
     level = levels[0]
     if len(levels) == 1:
         coarse = lambda r_c: solve_spd(level.A_c, r_c)  # noqa: E731
     else:
-        coarse = lambda r_c: v_cycle(levels[1:], mu, nu, r_c, fmt,  # noqa: E731
+        coarse = lambda r_c: v_cycle(levels[1:], mu, nu, r_c,  # noqa: E731
                                      smoothers=smoothers[1:])
-    ops = _operations(level, smoothers[0], coarse, fmt)
+    ops = _operations(level, smoothers[0], coarse)
     return _cycle(r, mu, nu, lambda _, op, *inputs: ops[op](*inputs))

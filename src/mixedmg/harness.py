@@ -274,12 +274,12 @@ def make_smoother(kind: str, A, omega: float, fmt: PrecisionFormat) -> Relaxatio
     raise ConfigError(f"unknown smoother {kind!r}")
 
 
-def bound_inputs_for(level: GridLevel, S: RelaxationOp, fmt: PrecisionFormat) -> BoundInputs:
+def bound_inputs_for(level: GridLevel, S: RelaxationOp) -> BoundInputs:
     """Assemble the bounds-engine inputs from a level and its smoother, which
     is both the pre-relaxation ``M`` and the post-relaxation ``N`` of the
-    bound."""
+    bound and whose format gives ``eps``."""
     return BoundInputs(
-        eps=fmt.unit_roundoff,
+        eps=S.fmt.unit_roundoff,
         kappa=level.kappa,
         kappa_c=level.kappa_c,
         eta_A=level.eta_A,
@@ -342,7 +342,7 @@ def run_experiment(config: ExperimentConfig) -> list[TrialRecord]:
                 f"exact-arithmetic contraction factor {rho:.4f} >= 1 at "
                 f"bits={bits}; the error bound is vacuous for this "
                 f"configuration", stacklevel=2)
-        inputs = bound_inputs_for(level, S, fmt)
+        inputs = bound_inputs_for(level, S)
         reports.append(compute_constants(
             inputs, rho_star=rho,
             n=level.n, n_c=level.n_c, significand_bits=bits,
@@ -372,13 +372,10 @@ def run_experiment(config: ExperimentConfig) -> list[TrialRecord]:
         r = np.divide(draws.T, column_norms(draws.T), order="C")
         x = solve_spd(level.A, r)
         x_norm = energy_norm(x, level.A)
-        # a block of one format runs with that format's smoother and format
-        # alone, one of several with one of each per column
-        if len(runs) == 1:
-            S, fmt = smoothers[columns[0]], formats[columns[0]]
-        else:
-            S, fmt = [smoothers[f] for f in columns], [formats[f] for f in columns]
-        y, trace = tg_cycle(r, S, coarse, fmt)
+        # a block of one format runs with that format's smoother alone, one
+        # of several with one smoother per column
+        S = smoothers[columns[0]] if len(runs) == 1 else [smoothers[f] for f in columns]
+        y, trace = tg_cycle(r, S, coarse)
         ref_error = energy_norm(trace.y_reference - x, level.A)
         fp_error = energy_norm(y - x, level.A)
         # one row per trial cell: the two errors, the measured ratio and

@@ -1,4 +1,4 @@
-"""Model problems, interpolation operators, and normalized grid hierarchies.
+"""Normalized grid hierarchies of the model problems, built in stencil space.
 
 A :class:`GridLevel` packages one fine/coarse pair: the fine matrix scaled
 to unit spectral norm, the prolongation rescaled by a scalar so the
@@ -20,7 +20,7 @@ product is formed.
 Every set-up constant comes from the symbol of a stencil:
 :mod:`mixedmg.fourier` reads an operator back as stencil values and checks
 them bit for bit against the stored matrix, and the symbol's certified ends
-give :func:`spectral_norm`, :func:`condition_number` and
+give :func:`spectrum_ends`, :func:`condition_number` and
 :func:`abs_matrix_norm`.  Each scale is the upper end of the norm before
 scaling, so a scaled norm exceeds one by at most the rounding of the
 scaling itself: a few units of roundoff.  An operator that is not a stencil
@@ -95,21 +95,7 @@ def _assemble(c: np.ndarray, k: int) -> sparse.csr_array:
     return _csr_rows(cols, vals, keep & (vals != 0), (k**d, k**d))
 
 
-def poisson_1d(n: int) -> SparseSpd:
-    """Tridiagonal (-1, 2, -1) stiffness matrix on ``n`` interior points."""
-    if n < 3:
-        raise ValueError(f"n must be >= 3, got {n}")
-    return SparseSpd(_assemble(_MODEL_STENCILS["poisson1d"], n))
-
-
-def poisson_2d(k: int) -> SparseSpd:
-    """Standard 5-point Laplacian on a k-by-k interior grid (Dirichlet)."""
-    if k < 3:
-        raise ValueError(f"k must be >= 3, got {k}")
-    return SparseSpd(_assemble(_MODEL_STENCILS["poisson2d"], k))
-
-
-def _interpolation(d: int, k: int, p: float = 1.0) -> sparse.csr_array:
+def _interpolation(d: int, k: int, p: float) -> sparse.csr_array:
     """``p`` times the (bi)linear interpolation from ``(k - 1) / 2`` to ``k``
     points per axis in ``d`` dimensions.
 
@@ -133,20 +119,6 @@ def _interpolation(d: int, k: int, p: float = 1.0) -> sparse.csr_array:
         vals = _outer(vals, weight, np.multiply)  # products of powers of two: exact
         keep = _outer(keep, inside, np.logical_and)
     return _csr_rows(cols, vals * p, keep, (k**d, k_c**d))
-
-
-def linear_interpolation(n_fine: int) -> sparse.csr_array:
-    """1D linear interpolation with the (1/2, 1, 1/2) column stencil.
-
-    Maps ``n_c = (n_fine - 1) / 2`` coarse points to ``n_fine`` fine
-    points; rows carry at most 2 nonzeros and columns at most 3.
-    """
-    return _interpolation(1, n_fine)
-
-
-def bilinear_interpolation(k_fine: int) -> sparse.csr_array:
-    """2D tensor-product interpolation; rows carry at most 4 nonzeros."""
-    return _interpolation(2, k_fine)
 
 
 @dataclass(frozen=True, eq=False)
@@ -209,13 +181,6 @@ def spectrum_ends(K) -> tuple[float, float]:
     return symbol_ends(*_symmetric_stencil(_csr(K)))
 
 
-def spectral_norm(K) -> float:
-    """Certified upper end of the largest eigenvalue magnitude of a symmetric
-    stencil matrix."""
-    lo, hi = spectrum_ends(K)
-    return max(hi, -lo)
-
-
 def condition_number(A) -> float:
     """Certified upper end of the two-norm condition number of an SPD stencil matrix.
 
@@ -242,28 +207,6 @@ def abs_matrix_norm(K) -> float:
     P = M if M.shape[0] > M.shape[1] else M.T
     d, k = _grid(*P.shape)
     return interpolation_norm(_interpolation_weight(P, d, k), d, k)
-
-
-def _galerkin(A, P) -> sparse.csr_array:
-    P = sparse.csr_array(P)
-    B = sparse.csr_array(P.T @ _csr(A) @ P)
-    # the float64 triple product is symmetric only to roundoff; enforce it
-    return sparse.csr_array((B + B.T) * 0.5)
-
-
-def galerkin_coarse(A, P) -> SparseSpd:
-    """The Galerkin coarse matrix ``P' A P`` in the carrier, symmetrized.
-
-    It raises :class:`mixedmg.fourier.StructureError` when the product is
-    not the matrix of its stencil.  Below the first 2D coarsening, where
-    ``A`` is a 9-point stencil matrix, the float64 product's ``(1, 1)`` and
-    ``(1, -1)`` couplings can differ in the last bit, so the product need
-    not be a stencil matrix: it is refused on the third grid pair (7 to 3
-    points per axis) of ``build_multilevel(31, 4, "poisson2d")``, for one.
-    :func:`build_multilevel` never forms this product; it builds every
-    level's ``A_c`` in stencil space (:func:`_galerkin_stencil`).
-    """
-    return SparseSpd(_galerkin(A, P))
 
 
 @dataclass(frozen=True, eq=False)
@@ -368,9 +311,9 @@ def _probe(d: int, m: int) -> tuple:
 
 
 def _galerkin_stencil(c: np.ndarray, k: int, p: float) -> np.ndarray:
-    """The stencil of the symmetrized ``P' A P`` (:func:`_galerkin`), for ``A``
-    the matrix of the stencil ``c`` on ``k`` points per axis and ``P = p``
-    times the (bi)linear interpolation.
+    """The stencil of the symmetrized ``(B + B') / 2`` of the float64 sparse
+    product ``B = P' A P``, for ``A`` the matrix of the stencil ``c`` on
+    ``k`` points per axis and ``P = p`` times the (bi)linear interpolation.
 
     It is summed on a probe grid of ``min(k, 7)`` points per axis: seven is
     the smallest grid whose centre coarse point ``x`` has every coarse
@@ -404,10 +347,10 @@ def _norm_end(c: np.ndarray, k: int) -> float:
 
 def check_refinable(size: int, levels: int):
     """Raise ``ValueError`` unless a ``size``-point grid halves ``levels - 1`` times."""
-    k = int(round(np.log2(size + 1)))
-    if 2**k - 1 != size:
+    n = int(size)
+    if n != size or n < 0 or (n + 1) & n:
         raise ValueError(f"size must be 2**k - 1, got {size}")
-    if k < levels:
+    if (n + 1).bit_length() - 1 < levels:
         raise ValueError(f"size {size} cannot be coarsened {levels - 1} times")
 
 

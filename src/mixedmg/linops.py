@@ -101,9 +101,6 @@ class SparseSpd:
         # max absolute row sum, a cheap upper bound on the spectral norm
         return float(abs(self._matrix).sum(axis=1).max(initial=0.0))
 
-    def apply(self, w: np.ndarray) -> np.ndarray:
-        return self._matrix @ w
-
 
 def energy_norm(w, A: SparseSpd):
     """The A-weighted norm ``sqrt(w' A w)`` evaluated in the carrier.
@@ -116,7 +113,7 @@ def energy_norm(w, A: SparseSpd):
     # A runs on w itself as an (n, T) block, not on a copy: the sparse
     # product gives each column the same bits for any layout of the block.
     # A w is dropped once its rows are copied, before w's rows are.
-    products = _columns(A.apply(w.reshape(A.n, -1)))
+    products = _columns(A.matrix @ w.reshape(A.n, -1))
     rows = _columns(w)
     q = np.vecdot(rows, products)
     if np.any(q < 0):

@@ -1,16 +1,77 @@
-"""Dense ``O(n^3)`` formulas for the set-up constants: the test oracle.
+"""Textbook forms of the operators and dense ``O(n^3)`` formulas for the
+set-up constants: the test oracle.
 
-The library takes its spectral constants from stencil symbols and its
-``rho_star`` from Fourier blocks.  These are the textbook forms (dense
-copies, full eigendecompositions, banded eigenvalue reductions, dense
-Cholesky factors and SVDs, the explicit sine matrix), used only to check it
-at small orders.
+The library builds every operator from a stencil in one assembler, takes
+its spectral constants from stencil symbols and its ``rho_star`` from
+Fourier blocks.  These are the textbook forms (the unscaled model matrices
+and interpolations from ``scipy.sparse.diags_array`` and ``kron``, the
+float64 sparse Galerkin product, dense copies, full eigendecompositions,
+banded eigenvalue reductions, dense Cholesky factors and SVDs, the explicit
+sine matrix), used only to check it at small orders.
 """
 
 import math
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse as sparse
+
+from mixedmg import SparseSpd
+
+
+def laplacian(d: int, k: int) -> sparse.csr_array:
+    """The unscaled second difference ``(-1, 2, -1)`` on ``k`` points, or in
+    2D the 5-point Laplacian on a ``k`` by ``k`` grid, its Kronecker sum."""
+    T = sparse.csr_array(sparse.diags_array([-1.0, 2.0, -1.0], offsets=[-1, 0, 1],
+                                            shape=(k, k)))
+    if d == 1:
+        return T
+    eye = sparse.eye_array(k, format="csr")
+    return sparse.csr_array(sparse.kron(T, eye) + sparse.kron(eye, T))
+
+
+def poisson_1d(n: int) -> SparseSpd:
+    """The tridiagonal ``(-1, 2, -1)`` stiffness matrix on ``n`` points."""
+    return SparseSpd(laplacian(1, n))
+
+
+def poisson_2d(k: int) -> SparseSpd:
+    """The 5-point Laplacian on a ``k`` by ``k`` interior grid (Dirichlet)."""
+    return SparseSpd(laplacian(2, k))
+
+
+def interpolation(d: int, k: int) -> sparse.csr_array:
+    """The linear interpolation from ``(k - 1) / 2`` to ``k`` points, the
+    column ``(1/2, 1, 1/2)`` on fine points ``2 j, 2 j + 1, 2 j + 2`` for
+    coarse point ``j``, or in 2D its Kronecker square, the bilinear one."""
+    steps = sparse.diags_array([0.5, 1.0, 0.5], offsets=[0, -1, -2], shape=(k, k - 1))
+    one_d = sparse.csr_array(steps)[:, ::2]
+    return one_d if d == 1 else sparse.csr_array(sparse.kron(one_d, one_d))
+
+
+def linear_interpolation(n: int) -> sparse.csr_array:
+    return interpolation(1, n)
+
+
+def bilinear_interpolation(k: int) -> sparse.csr_array:
+    return interpolation(2, k)
+
+
+def galerkin(A, P) -> sparse.csr_array:
+    """The float64 sparse product ``B = P' A P``, symmetrized as ``(B + B') / 2``.
+
+    Its :class:`SparseSpd` raises :class:`mixedmg.StructureError` when it is
+    not the matrix of its stencil.  Below the first 2D coarsening, where
+    ``A`` is a 9-point stencil matrix, the product's ``(1, 1)`` and ``(1,
+    -1)`` couplings can differ in the last bit: it is refused on the third
+    grid pair (7 to 3 points per axis) of ``build_multilevel(31, 4,
+    "poisson2d")``, for one.  The library builds every level's ``A_c`` in
+    stencil space and forms no such product.
+    """
+    P = sparse.csr_array(P)
+    B = sparse.csr_array(P.T @ sparse.csr_array(getattr(A, "matrix", A)) @ P)
+    # the float64 triple product is symmetric only to roundoff; enforce it
+    return sparse.csr_array((B + B.T) * 0.5)
 
 
 def dense(A) -> np.ndarray:

@@ -42,7 +42,6 @@ from mixedmg import (
 )
 from mixedmg.harness import ExperimentConfig, progressive_study, run_experiment
 from mixedmg.bounds import KERNEL_BOUNDS
-from mixedmg.hierarchy import linear_interpolation, poisson_1d
 from mixedmg.precision import RowLayout, column_norms, rounded_scale
 
 from test_bounds import constants_oracle, random_inputs
@@ -107,9 +106,9 @@ def test_a3_kernel_certification():
     # table on the kernel's input norms
     t0 = time.perf_counter()
     draws = 1000
-    A = poisson_1d(24)
+    A = oracle.poisson_1d(24)
     K = A.matrix
-    P = linear_interpolation(31)
+    P = oracle.linear_interpolation(31)
     Pt = RowLayout.of(P.T)
     level2d = build_multilevel(7, 2, problem="poisson2d")[0]
     # each operator's eta and row count once, not on every call of a row kernel
@@ -290,15 +289,15 @@ def test_a7_structural_identities():
         rng = np.random.default_rng(n)
         for _ in range(10):
             r = rng.standard_normal(n)
-            y_tg, _ = tg_cycle(r, S, make_exact_coarse(lvl), fmt)
-            y_v = v_cycle(levels, 1, 1, r, fmt, smoothers=[S])
+            y_tg, _ = tg_cycle(r, S, make_exact_coarse(lvl))
+            y_v = v_cycle(levels, 1, 1, r, smoothers=[S])
             assert np.array_equal(y_tg, y_v), "bitwise identity broken"
 
         Sc = make_jacobi(lvl.A, 2.0 / 3.0, CARRIER)
         tol = 1e3 * EPS * math.sqrt(lvl.kappa)
         for _ in range(10):
             r = rng.standard_normal(n)
-            y, trace = tg_cycle(r, Sc, make_exact_coarse(lvl), CARRIER)
+            y, trace = tg_cycle(r, Sc, make_exact_coarse(lvl))
             x = solve_spd(lvl.A, r)
             rel = energy_norm(y - trace.y_reference, lvl.A) / energy_norm(x, lvl.A)
             worst_rel = max(worst_rel, rel)

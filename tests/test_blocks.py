@@ -25,7 +25,6 @@ from mixedmg import (
     v_cycle,
 )
 from mixedmg.bounds import KERNEL_BOUNDS
-from mixedmg.hierarchy import poisson_1d, poisson_2d
 from mixedmg import precision as mixedmg_precision
 from mixedmg.precision import RowLayout, column_norms, rounded_scale
 
@@ -101,12 +100,9 @@ class TestKernels:
 
     def test_relaxation(self, jacobi31):
         W = _block(np.random.default_rng(4), 31)
-        call = lambda z: (jacobi31.apply_rounded(z, FMT).value,  # noqa: E731
+        call = lambda z: (rounded_scale(jacobi31.w, z, jacobi31.fmt).value,  # noqa: E731
                           _bound("relax", z, alpha=jacobi31.alpha))
         _assert_columns_match(call, W)
-        exact = jacobi31.apply_exact(W)
-        for t in range(T):
-            assert np.array_equal(exact[:, t], jacobi31.apply_exact(np.array(W[:, t])))
 
     def test_cached_layout_matches_fresh_one(self, level31):
         assert level31.A.row_layout is level31.A.row_layout
@@ -230,9 +226,9 @@ class TestMixedFormats:
                               quantize_vector(W, MIXED[0]).value)
 
     def test_relaxation_block_of_one_format_is_its_row(self, jacobi31):
-        # apply_rounded of one smoother is the scale row of one entry
+        # one smoother's relaxation is the scale row of one entry
         Z = _block(np.random.default_rng(24), 31)
-        assert np.array_equal(jacobi31.apply_rounded(Z, FMT).value,
+        assert np.array_equal(rounded_scale(jacobi31.w, Z, jacobi31.fmt).value,
                               rounded_scale([jacobi31.w] * T, Z, [FMT] * T).value)
 
 
@@ -250,12 +246,13 @@ class TestCarrierOperations:
     def test_solve_spd(self):
         # the transforms run several columns side by side; each column of a
         # block of any width gets the bits it gets alone
-        _assert_solve_columns_match((poisson_1d(255), poisson_2d(31)), seed=7)
+        _assert_solve_columns_match((oracle.poisson_1d(255), oracle.poisson_2d(31)), seed=7)
 
     def test_solve_spd_large_factor(self):
         # the same at the large orders, where a multi-column solve is most
         # likely to round some column differently from the one-column solve
-        _assert_solve_columns_match((poisson_1d(8191), poisson_2d(63)), seed=8)
+        _assert_solve_columns_match((oracle.poisson_1d(8191), oracle.poisson_2d(63)),
+                                    seed=8)
 
     @pytest.mark.parametrize("problem", ["poisson1d", "poisson2d"])
     def test_kernels_at_carrier_are_plain_float64(self, problem):
@@ -272,7 +269,7 @@ class TestCarrierOperations:
             (rounded_matvec(lvl.P_t_layout, Y, CARRIER).value, lvl.P_t @ Y),
             (rounded_matvec(lvl.P_layout, Z, CARRIER).value, lvl.P @ Z),
             (rounded_add_sub(Y, C, "-", CARRIER).value, Y - C),
-            (M.apply_rounded(Y, CARRIER).value, M.apply_exact(Y)),
+            (rounded_scale(M.w, Y, CARRIER).value, M.w * Y),
         ]
         for kernel, plain in pairs:
             assert kernel.shape == plain.shape
@@ -310,9 +307,9 @@ class TestCycles:
         coarse = _coarse_variants(levels31_3, jacobi_smoothers)[variant]
         S = make_jacobi(lvl.A, 2.0 / 3.0, FMT)
         R = np.random.default_rng(9).standard_normal((31, T))
-        Y, trace = tg_cycle(R, S, coarse, FMT)
+        Y, trace = tg_cycle(R, S, coarse)
         for t in range(T):
-            y, single = tg_cycle(np.array(R[:, t]), S, coarse, FMT)
+            y, single = tg_cycle(np.array(R[:, t]), S, coarse)
             assert np.array_equal(Y[:, t], y)
             assert np.array_equal(trace.y_reference[:, t], single.y_reference)
             for name, norms in trace.line_norms.items():
@@ -322,10 +319,10 @@ class TestCycles:
     def test_v_cycle(self, levels31_3, jacobi_smoothers, fmt):
         smoothers = jacobi_smoothers(levels31_3, fmt)
         R = np.random.default_rng(10).standard_normal((31, T))
-        Y = v_cycle(levels31_3, 2, 1, R, fmt, smoothers=smoothers)
+        Y = v_cycle(levels31_3, 2, 1, R, smoothers=smoothers)
         for t in range(T):
             assert np.array_equal(Y[:, t], v_cycle(levels31_3, 2, 1, np.array(R[:, t]),
-                                                   fmt, smoothers=smoothers))
+                                                   smoothers=smoothers))
 
     @pytest.mark.parametrize("variant", ["exact", "perturbed", "recursive"])
     def test_solve_matrix_columns_are_unit_vector_solves(self, levels31_3, jacobi_smoothers,
@@ -359,8 +356,8 @@ class TestCycles:
 
     def test_two_level_v_cycle_block_matches_tg_cycle(self, level31, jacobi31):
         R = np.random.default_rng(11).standard_normal((31, T))
-        y_tg, _ = tg_cycle(R, jacobi31, make_exact_coarse(level31), FMT)
-        y_v = v_cycle([level31], 1, 1, R, FMT, smoothers=[jacobi31])
+        y_tg, _ = tg_cycle(R, jacobi31, make_exact_coarse(level31))
+        y_v = v_cycle([level31], 1, 1, R, smoothers=[jacobi31])
         assert np.array_equal(y_tg, y_v)
 
 
@@ -388,15 +385,15 @@ class TestFailuresInOneColumn:
         with pytest.raises(ValueError):
             rounded_matvec(level31.P_t_layout, X, FMT)
         with pytest.raises(ValueError):
-            jacobi31.apply_rounded(X, FMT)
+            rounded_scale(jacobi31.w, X, FMT)
         with pytest.raises(ValueError):
             solve_spd(level31.A, X)
         with pytest.raises(ValueError):
-            tg_cycle(X, jacobi31, make_exact_coarse(level31), FMT)
+            tg_cycle(X, jacobi31, make_exact_coarse(level31))
         with pytest.raises(ValueError):
-            tg_cycle(X, jacobi31, make_exact_coarse(level31), CARRIER)
+            tg_cycle(X, jacobi_smoothers([level31])[0], make_exact_coarse(level31))
         with pytest.raises(ValueError):
-            v_cycle([level31], 1, 1, X, CARRIER, smoothers=jacobi_smoothers([level31]))
+            v_cycle([level31], 1, 1, X, smoothers=jacobi_smoothers([level31]))
 
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_overflow_raises(self, level31):
@@ -415,7 +412,7 @@ class TestFailuresInOneColumn:
         M = make_jacobi(level31.A, 2.0 / 3.0, fmt12)
         # the Jacobi diagonal of the unit-norm matrix exceeds one
         with pytest.raises(OverflowError):
-            M.apply_rounded(_poison(quantize_vector(W, fmt12).value, BIG), fmt12)
+            rounded_scale(M.w, _poison(quantize_vector(W, fmt12).value, BIG), M.fmt)
 
     def test_mismatched_blocks_rejected(self, level31):
         W = _block(np.random.default_rng(14), 31)

@@ -194,7 +194,7 @@ class TestGammaConstants:
 
         fmt = PrecisionFormat(12)
         level = build_multilevel(15, 2, problem="poisson2d")[0]
-        inputs = bound_inputs_for(level, make_jacobi(level.A, 2.0 / 3.0, fmt), fmt)
+        inputs = bound_inputs_for(level, make_jacobi(level.A, 2.0 / 3.0, fmt))
         assert (inputs.m_A, inputs.m_P) == (5, 4)
         limit = BoundInputs(**{**inputs.__dict__, "eps": 0.0})
         assert compute_constants(inputs).gamma == gamma_constants(limit)

@@ -20,7 +20,6 @@ from mixedmg import (
     SparseSpd,
     build_multilevel,
     energy_norm,
-    galerkin_coarse,
     make_exact_coarse,
     make_jacobi,
     make_perturbed_coarse,
@@ -35,7 +34,7 @@ from mixedmg import (
 from mixedmg.bounds import KERNEL_BOUNDS
 from mixedmg.cycles import CoarseSolver, _cycle, _operations
 from mixedmg.fourier import StructureError
-from mixedmg.precision import column_norms
+from mixedmg.precision import column_norms, rounded_scale
 from mixedmg.harness import ExperimentConfig, run_experiment, trial_passed
 
 EPS = float(np.finfo(np.float64).eps)
@@ -44,7 +43,7 @@ FMT12 = PrecisionFormat(12)
 
 def exact_stages(r, S, coarse):
     """The intermediates of the exact two-grid cycle, by stage name."""
-    ops, stages = _operations(coarse.level, S, coarse.apply, CARRIER), {}
+    ops, stages = _operations(coarse.level, S, coarse.apply, carrier=True), {}
 
     def stage(name, op, *inputs):
         stages[name] = ops[op](*inputs)
@@ -104,15 +103,11 @@ class TestMakeJacobi:
         rng = np.random.default_rng(0)
         for _ in range(1000):
             z = rng.standard_normal(31)
-            value = M.apply_rounded(z, FMT12).value
+            value = rounded_scale(M.w, z, M.fmt).value
             bound = KERNEL_BOUNDS["relax"](FMT12.unit_roundoff, column_norms(z), alpha=M.alpha)
-            err = np.linalg.norm(value - M.apply_exact(z))
+            err = np.linalg.norm(value - M.w * z)
             assert err <= bound
             assert bound <= M.alpha * FMT12.unit_roundoff * np.linalg.norm(z) * (1 + 1e-15)
-
-    def test_format_mismatch_rejected(self, jacobi31):
-        with pytest.raises(ValueError):
-            jacobi31.apply_rounded(np.ones(31), PrecisionFormat(8))
 
 
 class TestMakeRichardson:
@@ -221,14 +216,14 @@ class TestExactReference:
 class TestTgCycle:
     def test_zero_rhs_gives_zero(self, level31, jacobi31):
         S = jacobi31
-        y, trace = tg_cycle(np.zeros(31), S, make_exact_coarse(level31), FMT12)
+        y, trace = tg_cycle(np.zeros(31), S, make_exact_coarse(level31))
         assert np.array_equal(y, np.zeros(31))
         assert np.array_equal(trace.y_reference, np.zeros(31))
 
     def test_trace_norms_finite_nonnegative(self, level31, jacobi31):
         S = jacobi31
         r = np.random.default_rng(5).standard_normal(31)
-        _, trace = tg_cycle(r, S, make_exact_coarse(level31), FMT12)
+        _, trace = tg_cycle(r, S, make_exact_coarse(level31))
         assert list(trace.line_norms) == list(PROOF_LINES)
         for v in trace.line_norms.values():
             assert np.isfinite(v) and v >= 0.0
@@ -240,7 +235,7 @@ class TestTgCycle:
         level = build_multilevel(size, 2, problem=problem)[0]
         r = np.random.default_rng(4).standard_normal((level.n, 9))
         y, trace = tg_cycle(r, make_jacobi(level.A, 2.0 / 3.0, FMT12),
-                            make_exact_coarse(level), FMT12)
+                            make_exact_coarse(level))
         assert y.flags.c_contiguous and trace.y_reference.flags.c_contiguous
 
     @pytest.mark.parametrize("T", [None, 1, 50], ids=["vector", "T1", "T50"])
@@ -260,7 +255,7 @@ class TestTgCycle:
         with monkeypatch.context() as patch:
             patch.setattr(mixedmg.cycles, "_side_by_side",
                           lambda apply, v, w: (apply(v), apply(w)))
-            y_two, trace_two = tg_cycle(r, S, coarse, FMT12)
+            y_two, trace_two = tg_cycle(r, S, coarse)
 
         applied, halves = [], []
         apply, side_by_side = CoarseSolver.apply, mixedmg.cycles._side_by_side
@@ -268,7 +263,7 @@ class TestTgCycle:
             applied.append(r_c.shape), apply(self, r_c))[1])
         monkeypatch.setattr(mixedmg.cycles, "_side_by_side", lambda apply, v, w: (
             halves.append(out := side_by_side(apply, v, w)), out)[1])
-        y, trace = tg_cycle(r, S, coarse, FMT12)
+        y, trace = tg_cycle(r, S, coarse)
         assert applied == [(lvl.n_c, 2 * (T or 1))]
         (got, ref), = halves
         assert got.shape == ref.shape == (lvl.n_c,) + r.shape[1:]
@@ -288,7 +283,7 @@ class TestTgCycle:
         tol = 1e3 * EPS * math.sqrt(lvl.kappa)
         for _ in range(20):
             r = rng.standard_normal(3)
-            y, trace = tg_cycle(r, S, make_exact_coarse(lvl), CARRIER)
+            y, trace = tg_cycle(r, S, make_exact_coarse(lvl))
             x = solve_spd(lvl.A, r)
             rel = energy_norm(y - trace.y_reference, lvl.A) / energy_norm(x, lvl.A)
             assert rel <= tol
@@ -301,12 +296,12 @@ class TestTgCycle:
         coarse = make_exact_coarse(level31)
         rho = rho_star(S, coarse)
         report = compute_constants(
-            bound_inputs_for(level31, S, FMT12), rho_star=rho)
+            bound_inputs_for(level31, S), rho_star=rho)
         rng = np.random.default_rng(7)
         for _ in range(100):
             r = rng.standard_normal(31)
             x = solve_spd(level31.A, r)
-            y, _ = tg_cycle(r, S, coarse, FMT12)
+            y, _ = tg_cycle(r, S, coarse)
             assert (energy_norm(y - x, level31.A)
                     <= report.rho_tg * energy_norm(x, level31.A))
 
@@ -335,7 +330,7 @@ class TestTgCycle:
         # operation's error against the carrier per column of a block
         level = build_multilevel(7, 2, problem="poisson2d")[0]
         S, coarse = make_jacobi(level.A, 2.0 / 3.0, FMT12), make_exact_coarse(level)
-        run, exact = (_operations(level, S, coarse.apply, f) for f in (FMT12, CARRIER))
+        run, exact = (_operations(level, S, coarse.apply, carrier) for carrier in (False, True))
         assert set(KERNEL_BOUNDS) == set(run) - {"zero", "coarse"}
         layouts = {"residual": (level.A.row_layout, level.eta_A),
                    "restrict": (level.P_t_layout, level.eta_P),
@@ -362,7 +357,7 @@ class TestTgCycle:
         S1 = jacobi_smoothers(levels31_3[1:2], FMT12)[0]
         r = np.random.default_rng(9).standard_normal(31)
         with pytest.raises(ValueError, match="order 15, not the level's order 31"):
-            tg_cycle(r, S1, make_exact_coarse(levels31_3[0]), FMT12)
+            tg_cycle(r, S1, make_exact_coarse(levels31_3[0]))
 
     @pytest.mark.parametrize("problem, size", [("poisson1d", 63), ("poisson2d", 31)])
     def test_kernel_fault_lands_on_its_step_lines(self, monkeypatch, problem, size):
@@ -408,16 +403,16 @@ class TestTgCycle:
                   "recursive": lambda: make_recursive_coarse(
                       hierarchy, 1, 1, jacobi_smoothers(hierarchy[1:]))}[variant]()
         if bits == (12,):
-            S, fmt = make_jacobi(lvl.A, 2.0 / 3.0, FMT12), FMT12
+            S = make_jacobi(lvl.A, 2.0 / 3.0, FMT12)
         else:
             formats = [PrecisionFormat(b) for b in np.repeat(bits, -(-T // len(bits)))[:T]]
             smoothers = {f: make_jacobi(lvl.A, 2.0 / 3.0, f) for f in set(formats)}
-            S, fmt = [smoothers[f] for f in formats], formats
+            S = [smoothers[f] for f in formats]
         r = np.random.default_rng(8).standard_normal((lvl.n, T))
-        tg_cycle(r, S, coarse, fmt)  # first use fills the set-up caches
+        tg_cycle(r, S, coarse)  # first use fills the set-up caches
         tracemalloc.start()
         try:
-            tg_cycle(r, S, coarse, fmt)
+            tg_cycle(r, S, coarse)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -451,13 +446,13 @@ class TestPackedFormats:
         # its own columns: y, y_reference and all sixteen line norms
         lvl, coarse, formats, smoothers, R = _packed_case(problem, variant,
                                                           jacobi_smoothers)
-        Y, trace = tg_cycle(R, [smoothers[f] for f in formats], coarse, formats)
+        Y, trace = tg_cycle(R, [smoothers[f] for f in formats], coarse)
         assert Y.shape == trace.y_reference.shape == R.shape
         assert Y.flags.c_contiguous and trace.y_reference.flags.c_contiguous
         assert list(trace.line_norms) == list(PROOF_LINES)
         for fmt, S in smoothers.items():
             cols = [t for t, f in enumerate(formats) if f == fmt]
-            y, alone = tg_cycle(np.ascontiguousarray(R[:, cols]), S, coarse, fmt)
+            y, alone = tg_cycle(np.ascontiguousarray(R[:, cols]), S, coarse)
             assert Y[:, cols].tobytes() == np.ascontiguousarray(y).tobytes()
             assert (trace.y_reference[:, cols].tobytes()
                     == np.ascontiguousarray(alone.y_reference).tobytes())
@@ -466,12 +461,12 @@ class TestPackedFormats:
                         == alone.line_norms[name].tobytes()), name
 
     def test_packed_vector_is_the_one_format_call(self, jacobi_smoothers):
-        # one column with its smoother and format in sequences of one
+        # one column with its smoother in a sequence of one
         lvl, coarse, formats, smoothers, R = _packed_case("poisson1d", "exact",
                                                           jacobi_smoothers)
         S, r = smoothers[formats[0]], R[:, 0]
-        y, trace = tg_cycle(r, [S], coarse, [formats[0]])
-        y_one, one = tg_cycle(r, S, coarse, formats[0])
+        y, trace = tg_cycle(r, [S], coarse)
+        y_one, one = tg_cycle(r, S, coarse)
         assert y.tobytes() == y_one.tobytes()
         assert trace.line_norms == one.line_norms
 
@@ -480,33 +475,27 @@ class TestPackedFormats:
         lvl, coarse, formats, smoothers, R = _packed_case("poisson1d", "exact",
                                                           jacobi_smoothers)
         S = make_jacobi(lvl.A, 2.0 / 3.0, CARRIER)
-        y_one, one = tg_cycle(R, S, coarse, CARRIER)
+        y_one, one = tg_cycle(R, S, coarse)
         monkeypatch.setattr(mixedmg.cycles, "quantize_vector", None)
-        y, trace = tg_cycle(R, [S] * R.shape[1], coarse, [CARRIER] * R.shape[1])
+        y, trace = tg_cycle(R, [S] * R.shape[1], coarse)
         assert y.tobytes() == y_one.tobytes()
         for name in PROOF_LINES:
             assert trace.line_norms[name].tobytes() == one.line_norms[name].tobytes()
 
     def test_smoother_of_another_format_rejected(self, jacobi_smoothers):
+        # each column runs in its smoother's format, so a smoother cannot
+        # disagree with a format; a smoother list must match the columns
         lvl, coarse, formats, smoothers, R = _packed_case("poisson1d", "exact",
                                                           jacobi_smoothers)
-        per_column = [smoothers[f] for f in formats]
-        per_column[3] = smoothers[formats[6]]
-        with pytest.raises(ValueError, match="built for a different format"):
-            tg_cycle(R, per_column, coarse, formats)
-        with pytest.raises(ValueError, match="built for a different format"):
-            tg_cycle(R, per_column[:1], coarse, formats)
-        with pytest.raises(ValueError, match="built for a different format"):
-            tg_cycle(R[:, 0], smoothers[formats[0]], coarse, formats[2])
         with pytest.raises(ValueError, match="one per column"):
-            tg_cycle(R[:, :2], [smoothers[formats[0]]] * 3, coarse, [formats[0]] * 3)
+            tg_cycle(R[:, :2], [smoothers[formats[0]]] * 3, coarse)
 
 
 class TestRhoStar:
     def test_exact_inverse_smoother_gives_zero(self):
         # identity system: Richardson with omega = 1 is the exact inverse
         A, P = SparseSpd(np.eye(3)), sparse.csr_array(np.array([[0.5], [1.0], [0.5]]))
-        lvl = GridLevel(A, P, galerkin_coarse(A, P))
+        lvl = GridLevel(A, P, SparseSpd(oracle.galerkin(A, P)))
         S = make_richardson(lvl.A, 1.0, CARRIER)
         assert rho_star(S, make_exact_coarse(lvl)) == pytest.approx(0.0, abs=1e-13)
 
@@ -526,7 +515,7 @@ class TestRhoStar:
 
 class TestVCycle:
     def test_zero_rhs(self, levels31_3, jacobi_smoothers):
-        y = v_cycle(levels31_3, 1, 1, np.zeros(31), FMT12,
+        y = v_cycle(levels31_3, 1, 1, np.zeros(31),
                     smoothers=jacobi_smoothers(levels31_3, FMT12))
         assert np.array_equal(y, np.zeros(31))
 
@@ -535,8 +524,8 @@ class TestVCycle:
         rng = np.random.default_rng(8)
         for _ in range(10):
             r = rng.standard_normal(31)
-            y_tg, _ = tg_cycle(r, S, make_exact_coarse(level31), FMT12)
-            y_v = v_cycle([level31], 1, 1, r, FMT12, smoothers=[S])
+            y_tg, _ = tg_cycle(r, S, make_exact_coarse(level31))
+            y_v = v_cycle([level31], 1, 1, r, smoothers=[S])
             assert np.array_equal(y_tg, y_v)
 
     def test_three_level_reduces_energy_error(self, levels31_3, jacobi_smoothers):
@@ -547,7 +536,7 @@ class TestVCycle:
         for _ in range(10):
             r = rng.standard_normal(31)
             x = solve_spd(lvl.A, r)
-            y = v_cycle(levels31_3, 1, 1, r, fmt, smoothers=smoothers)
+            y = v_cycle(levels31_3, 1, 1, r, smoothers=smoothers)
             assert energy_norm(y - x, lvl.A) < energy_norm(x, lvl.A)
 
     def test_multiple_sweeps_beat_single(self, levels31_3, jacobi_smoothers):
@@ -558,9 +547,9 @@ class TestVCycle:
         for _ in range(10):
             r = rng.standard_normal(31)
             x = solve_spd(lvl.A, r)
-            e1 = energy_norm(v_cycle(levels31_3, 1, 1, r, CARRIER,
+            e1 = energy_norm(v_cycle(levels31_3, 1, 1, r,
                                      smoothers=smoothers) - x, lvl.A)
-            e3 = energy_norm(v_cycle(levels31_3, 3, 3, r, CARRIER,
+            e3 = energy_norm(v_cycle(levels31_3, 3, 3, r,
                                      smoothers=smoothers) - x, lvl.A)
             worse += e1
             better += e3
@@ -569,18 +558,25 @@ class TestVCycle:
     def test_rejects_bad_arguments(self, levels31_3, jacobi_smoothers):
         smoothers = jacobi_smoothers(levels31_3, FMT12)
         with pytest.raises(ValueError):
-            v_cycle([], 1, 1, np.zeros(31), FMT12, smoothers=[])
+            v_cycle([], 1, 1, np.zeros(31), smoothers=[])
         with pytest.raises(ValueError):
-            v_cycle(levels31_3, 0, 0, np.zeros(31), FMT12, smoothers=smoothers)
+            v_cycle(levels31_3, 0, 0, np.zeros(31), smoothers=smoothers)
         with pytest.raises(ValueError):
-            v_cycle(levels31_3, 1, 1, np.zeros(31), FMT12, smoothers=[])
+            v_cycle(levels31_3, 1, 1, np.zeros(31), smoothers=[])
+
+    def test_smoothers_of_two_formats_rejected(self, levels31_3, jacobi_smoothers):
+        # a V-cycle runs in one format, the one its smoothers were built for
+        smoothers = [*jacobi_smoothers(levels31_3[:1], FMT12),
+                     *jacobi_smoothers(levels31_3[1:], PrecisionFormat(16))]
+        with pytest.raises(ValueError, match=r"one format; .* bits \[12, 16\]"):
+            v_cycle(levels31_3, 1, 1, np.ones(31), smoothers=smoothers)
 
     def test_smoother_of_another_level_rejected(self, levels31_3, jacobi_smoothers):
         # the grids' smoothers swapped: each would relax with the other's weight
         S0, S1 = jacobi_smoothers(levels31_3[:2], FMT12)
         r = np.random.default_rng(9).standard_normal(31)
         with pytest.raises(ValueError, match="order 15, not the level's order 31"):
-            v_cycle(levels31_3[:2], 1, 1, r, FMT12, smoothers=[S1, S0])
+            v_cycle(levels31_3[:2], 1, 1, r, smoothers=[S1, S0])
 
     @pytest.mark.parametrize("function", [v_cycle, make_recursive_coarse])
     def test_smoothers_have_no_default(self, function):
@@ -675,14 +671,20 @@ class TestRecursiveCoarse:
         assert solver.bc_deviation < 1.0
         r_c = np.random.default_rng(14).standard_normal(levels31_3[0].n_c)
         assert np.array_equal(solver.apply(r_c), v_cycle(
-            levels31_3[1:], 1, 1, r_c, CARRIER, smoothers=smoothers))
+            levels31_3[1:], 1, 1, r_c, smoothers=smoothers))
         lvl = levels31_3[0]
         S = make_jacobi(lvl.A, 2.0 / 3.0, FMT12)
         assert rho_star(S, solver) < 1.0
         r = np.random.default_rng(11).standard_normal(31)
         x = solve_spd(lvl.A, r)
-        y, _ = tg_cycle(r, S, solver, FMT12)
+        y, _ = tg_cycle(r, S, solver)
         assert energy_norm(y - x, lvl.A) < energy_norm(x, lvl.A)
+
+    def test_smoothers_of_a_reduced_format_rejected(self, levels31_3, jacobi_smoothers):
+        # the cycle below the coarse grid is a carrier map, as its Fourier
+        # blocks certify it
+        with pytest.raises(ValueError, match="runs in the carrier"):
+            make_recursive_coarse(levels31_3, 1, 1, jacobi_smoothers(levels31_3[1:], FMT12))
 
     def test_no_grid_below_rejected(self, level31):
         # a recursive solve needs a cycle below the coarse grid

@@ -222,13 +222,12 @@ def test_a_square_order_matrix_failing_both_reads_names_both():
     # a 2D Galerkin product whose diagonal couplings differ in the last bit
     # is read neither on its 3x3 grid nor on a line of 9 points
     from mixedmg.fourier import _symmetric_stencil
-    from mixedmg.hierarchy import _galerkin, bilinear_interpolation
 
     A = build_multilevel(31, 3, problem="poisson2d")[-1].A_c
     with pytest.raises(StructureError, match=(
             r"^the 9x9 matrix is not the matrix of its stencil \[[^]]*\] on a 3x3 "
             r"grid, nor of its stencil \[[^]]*\] on a line of 9 points$")):
-        _symmetric_stencil(_galerkin(A, bilinear_interpolation(7)))
+        _symmetric_stencil(oracle.galerkin(A, oracle.bilinear_interpolation(7)))
 
 
 def test_other_operators_are_named():

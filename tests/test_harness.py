@@ -271,6 +271,12 @@ def render_with_csv_writer(records) -> str:
 
 
 class TestRunExperiment:
+    @pytest.mark.parametrize("bits", [8, 12, CARRIER_BITS])
+    def test_bound_inputs_take_eps_from_the_smoother(self, level15, bits):
+        # the smoother carries its format: no second format can disagree
+        S = make_smoother("jacobi", level15.A, 2.0 / 3.0, PrecisionFormat(bits))
+        assert harness.bound_inputs_for(level15, S).eps == S.fmt.unit_roundoff == 2.0**-bits
+
     @pytest.mark.parametrize("name", ["default_sweep.csv", "sweep_n15.csv",
                                       "sweep_n31.csv", "sweep_n63.csv"])
     def test_render_csv_matches_csv_writer(self, name):
@@ -335,19 +341,18 @@ class TestRunExperiment:
     @staticmethod
     def _record_blocks(monkeypatch, config):
         """The width of each tg_cycle call of the sweep, after checking that
-        each column's smoother is built for its format and that the columns
-        run format-major, in the order of the records."""
+        each column's smoother is built for its trial's format and that the
+        columns run format-major, in the order of the records."""
         seen = []
         original = harness.tg_cycle
 
-        def recording(r, S, coarse, fmt):
-            one = isinstance(fmt, PrecisionFormat)
-            formats = [fmt] * r.shape[1] if one else list(fmt)
-            # a block of one format passes that format and its smoother alone
-            assert one == (len(set(formats)) == 1) == isinstance(S, RelaxationOp)
-            assert [s.fmt for s in ([S] * r.shape[1] if one else S)] == formats
+        def recording(r, S, coarse):
+            one = isinstance(S, RelaxationOp)
+            formats = [s.fmt for s in ([S] * r.shape[1] if one else S)]
+            # a block of one format passes that format's smoother alone
+            assert one == (len(set(formats)) == 1)
             seen.append((r.shape[1], [f.significand_bits for f in formats]))
-            return original(r, S, coarse, fmt)
+            return original(r, S, coarse)
 
         monkeypatch.setattr(harness, "tg_cycle", recording)
         records = run_experiment(config)
@@ -460,7 +465,7 @@ class TestRunExperiment:
         rho_star(S, coarse)
         rng = np.random.default_rng(5)
         for _ in range(10):
-            tg_cycle(rng.standard_normal(15), S, coarse, fmt)
+            tg_cycle(rng.standard_normal(15), S, coarse)
         assert digest() == before
 
     def test_perturbed_and_recursive_variants_run(self):
@@ -749,6 +754,12 @@ class TestCli:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: bits: format 8 is listed more than once\n"
+
+    def test_sweep_with_a_negative_size_exits_2(self, capsys):
+        assert cli_main(["sweep", "--sizes", "-1", "--bits", "8"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: size must be 2**k - 1, got -1\n"
 
     def test_sweep_out_below_a_regular_file_exits_2(self, tmp_path, capsys):
         blocker = tmp_path / "file"

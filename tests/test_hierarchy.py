@@ -1,7 +1,14 @@
-"""Model problems, interpolation, Galerkin coarsening, and normalization."""
+"""Model problems, interpolation, Galerkin coarsening, and normalization.
+
+The model matrices and interpolations are those of the one assembler
+(``_assemble``) and of ``_interpolation``, which every hierarchy is built
+from; ``dense_oracle`` holds their textbook forms and the float64 sparse
+Galerkin product.
+"""
 
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -14,21 +21,34 @@ from mixedmg import (
     StructureError,
     abs_matrix_norm,
     build_multilevel,
-    bilinear_interpolation,
     condition_number,
-    galerkin_coarse,
-    linear_interpolation,
-    poisson_1d,
-    poisson_2d,
-    spectral_norm,
     spectrum_ends,
 )
 from mixedmg import hierarchy
 from mixedmg.fourier import _read
-from mixedmg.harness import ExperimentConfig, run_experiment
-from mixedmg.hierarchy import _assemble, _galerkin, _galerkin_stencil, _interpolation
+from mixedmg.harness import ConfigError, ExperimentConfig, run_experiment
+from mixedmg.hierarchy import _MODEL_STENCILS, _assemble, _galerkin_stencil, _interpolation
+from test_linops import spectral_norm
 
 EPS = float(np.finfo(np.float64).eps)
+
+
+def poisson_1d(n):
+    """The unscaled model matrix of ``poisson1d`` on ``n`` points, as the assembler makes it."""
+    return SparseSpd(_assemble(_MODEL_STENCILS["poisson1d"], n))
+
+
+def poisson_2d(k):
+    """The unscaled model matrix of ``poisson2d`` on ``k`` by ``k`` points."""
+    return SparseSpd(_assemble(_MODEL_STENCILS["poisson2d"], k))
+
+
+def linear_interpolation(n):
+    return _interpolation(1, n, 1.0)
+
+
+def galerkin_coarse(A, P):
+    return SparseSpd(oracle.galerkin(A, P))
 
 
 class TestPoisson1d:
@@ -49,8 +69,9 @@ class TestPoisson1d:
         assert np.all(sums[1:-1] == 0.0)
 
     def test_too_small_rejected(self):
-        with pytest.raises(ValueError):
-            poisson_1d(2)
+        # a grid of fewer than three points has no coarse grid
+        with pytest.raises(ValueError, match="size 1 cannot be coarsened 1 times"):
+            build_multilevel(1, 2)
 
 
 class TestPoisson2d:
@@ -70,12 +91,7 @@ class TestPoisson2d:
     def test_matches_kronecker_sum(self, k):
         # the direct build stores exactly the Kronecker sum's entries: a
         # stored zero would count in a row's nonzeros, and so in the bound
-        one_d, eye = poisson_1d(k).matrix, sparse.eye_array(k)
-        kron = sparse.csr_array(sparse.kron(one_d, eye) + sparse.kron(eye, one_d))
-        A = poisson_2d(k).matrix
-        for got, expected in ((A.data, kron.data), (A.indices, kron.indices),
-                              (A.indptr, kron.indptr)):
-            assert got.dtype == expected.dtype and np.array_equal(got, expected)
+        assert_same_csr(poisson_2d(k).matrix, oracle.laplacian(2, k))
         assert poisson_2d(k).row_layout.m == 5
 
 
@@ -121,7 +137,7 @@ class TestLinearInterpolation:
 
 class TestBilinearInterpolation:
     def test_shape_and_row_count(self):
-        P = bilinear_interpolation(7)
+        P = _interpolation(2, 7, 1.0)
         assert P.shape == (49, 9)
         assert np.diff(P.indptr).max() == 4
 
@@ -130,15 +146,30 @@ class TestBilinearInterpolation:
     def test_same_arrays_as_the_kronecker_product(self, k, p):
         # the tensor-product rows against the Kronecker product of the 1D
         # interpolation, scaled after the product
-        one_d = linear_interpolation(k)
+        one_d = oracle.linear_interpolation(k)
         expected = sparse.csr_array(sparse.kron(one_d, one_d)) * p
         P = _interpolation(2, k, p)
-        for got, want in ((P.indptr, expected.indptr), (P.indices, expected.indices),
-                          (P.data, expected.data)):
-            assert got.dtype == want.dtype and np.array_equal(got, want)
+        assert_same_csr(P, expected)
+
+
+def assert_same_csr(got, want):
+    """The same csr arrays bit for bit: data, indices and indptr (the index
+    dtype is scipy's choice, not the operator's)."""
+    assert got.shape == want.shape
+    assert got.data.dtype == want.data.dtype and got.data.tobytes() == want.data.tobytes()
+    assert np.array_equal(got.indices, want.indices)
+    assert np.array_equal(got.indptr, want.indptr)
 
 
 class TestAssemble:
+    @pytest.mark.parametrize("d, k", [(1, 3), (1, 7), (1, 255), (2, 3), (2, 7), (2, 31)])
+    def test_model_stencils_and_interpolations_are_the_textbook_forms(self, d, k):
+        # the one assembler on each model stencil against its diags and
+        # kron form, and the unit interpolation against the kron of columns
+        problem = "poisson1d" if d == 1 else "poisson2d"
+        assert_same_csr(_assemble(_MODEL_STENCILS[problem], k), oracle.laplacian(d, k))
+        assert_same_csr(_interpolation(d, k, 1.0), oracle.interpolation(d, k))
+
     @pytest.mark.parametrize("d, k", [(1, 3), (1, 9), (2, 3), (2, 7)])
     def test_random_stencil_against_the_dense_rule(self, d, k):
         # entry (i, j) is c[|i - j|] wherever the points are at most one apart
@@ -155,7 +186,7 @@ def _product_stencil(level, p):
     """The stencil read off the sparse product ``P' A P`` of ``level.A`` and
     ``p`` times the interpolation, or None where it is no stencil matrix."""
     st = level.stencils
-    product = _galerkin(level.A, _interpolation(st.d, st.k, p))
+    product = oracle.galerkin(level.A, _interpolation(st.d, st.k, p))
     c, exact = _read(product, st.d, (st.k - 1) // 2, "P' A P")
     return c if exact else None
 
@@ -181,20 +212,26 @@ class TestGalerkinStencil:
     @pytest.mark.parametrize("problem, size", [("poisson1d", 255), ("poisson2d", 31)])
     def test_coarse_matrix_is_the_product_bit_for_bit(self, problem, size):
         for level in build_multilevel(size, 3, problem=problem)[:1]:
-            product = _galerkin(level.A, level.P)
+            product = oracle.galerkin(level.A, level.P)
             for got, want in ((level.A_c.matrix.data, product.data),
                               (level.A_c.matrix.indices, product.indices),
                               (level.A_c.matrix.indptr, product.indptr)):
                 assert np.array_equal(got, want)
 
     def test_build_forms_no_sparse_product(self, monkeypatch):
+        # every product of two sparse arrays, csr or csc, runs through this
+        # method; a Galerkin product P' A P would make two calls
         def refuse(*args):
-            raise AssertionError("an order-n Galerkin product was formed")
+            raise AssertionError("a sparse matrix product was formed")
 
-        monkeypatch.setattr(hierarchy, "_galerkin", refuse)
-        monkeypatch.setattr(hierarchy, "galerkin_coarse", refuse)
+        monkeypatch.setattr(sparse.csr_array, "_matmul_sparse", refuse)
+        monkeypatch.setattr(sparse.csc_array, "_matmul_sparse", refuse)
         build_multilevel(255, 4)
         build_multilevel(31, 4, problem="poisson2d")
+        # the patch catches the product the build would form
+        A, P = build_multilevel(15, 2)[0].A.matrix, _interpolation(1, 15, 1.0)
+        with pytest.raises(AssertionError, match="sparse matrix product"):
+            oracle.galerkin(A, P)
 
     @pytest.mark.parametrize("size, grids", [(31, 4), (63, 5), (127, 3)])
     def test_deep_2d_recursive_sweeps_pass(self, size, grids):
@@ -224,7 +261,7 @@ class TestGalerkinCoarse:
         X = rng.standard_normal((10, 10))
         A = X @ X.T + 10 * np.eye(10)
         P = sparse.csr_array(rng.standard_normal((10, 4)))
-        dense = _galerkin(A, P).toarray()
+        dense = oracle.galerkin(A, P).toarray()
         assert np.array_equal(dense, dense.T)
         with pytest.raises(StructureError, match="^the 4x4 matrix is not"):
             galerkin_coarse(A, P)
@@ -371,3 +408,14 @@ class TestBuildMultilevel:
             build_multilevel(12, 2)
         with pytest.raises(ValueError):
             build_multilevel(7, 4)
+
+    @pytest.mark.parametrize("size", [-5, -1, 0, 2, 6])
+    def test_bad_size_is_a_config_error_naming_it(self, size):
+        # checked in integers: no float log2 to warn, overflow or give NaN
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConfigError, match=f"size {size} cannot|got {size}$"):
+                ExperimentConfig(size=size)
+
+    def test_numpy_integer_size_accepted(self):
+        assert ExperimentConfig(size=np.int64(255)).size == 255

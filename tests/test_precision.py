@@ -9,6 +9,7 @@ import scipy.sparse as sparse
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from dense_oracle import galerkin, linear_interpolation, poisson_1d
 from mixedmg import (
     CARRIER,
     CARRIER_BITS,
@@ -18,7 +19,6 @@ from mixedmg import (
     SparseSpd,
     abs_matrix_norm,
     build_multilevel,
-    galerkin_coarse,
     make_jacobi,
     mdot_plus_eps,
     quantize_vector,
@@ -28,7 +28,6 @@ from mixedmg import (
     spectrum_ends,
 )
 from mixedmg.bounds import KERNEL_BOUNDS
-from mixedmg.hierarchy import linear_interpolation, poisson_1d
 from mixedmg.precision import RowLayout, _csr, _round_array, column_norms, rounded_scale
 
 
@@ -514,7 +513,6 @@ class TestKernelsLeaveInputs:
             (quantize_vector(w, fmt), w),
             (rounded_add_sub(w, c, "-", fmt), w),
             (rounded_scale(S.w, w, fmt), w),
-            (S.apply_rounded(w, fmt), w),
             (rounded_residual(level.A, w, c, fmt), w),
             (rounded_matvec(level.P_t_layout, w, fmt), wc),
             (rounded_matvec(level.P_layout, wc, fmt), w),
@@ -573,7 +571,7 @@ class TestUnsortedOperators:
                               rounded_residual(A, w, c, fmt).value)
         assert abs_matrix_norm(K) == eta and abs_matrix_norm(Q) == abs_matrix_norm(P)
         assert spectrum_ends(K) == A.spectrum_ends
-        level = GridLevel(A, Q, galerkin_coarse(A, Q))
+        level = GridLevel(A, Q, SparseSpd(galerkin(A, Q)))
         assert level.stencils.p == 1.0 and level.P_t_layout.m == 3
         for M, before in pristine:
             for got, want in zip((M.data, M.indices, M.indptr), before):
