@@ -7,9 +7,11 @@ inequalities of the accumulation proof verbatim from the structural inputs,
 so a cycle can be instrumented line by line; the constants ``c0 .. c5``
 are the coefficients of its total lines.  :func:`gamma_constants` gives the
 simplified asymptotic coefficients of the leading precision-conditioning
-term ``pi_dot = sqrt(kappa) * u``.  :data:`KERNEL_BOUNDS` states, once, the
-error model of each emulated kernel the cycle runs, which the proof lines
-compose stage by stage.
+term ``pi_dot = sqrt(kappa) * u``.  :data:`STAGE_LINES` states, once, the
+proof's line table, which the instrumented cycle measures and
+:data:`PROOF_LINES` flattens into the sixteen labels; :data:`KERNEL_BOUNDS`
+states, once, the error model of each emulated kernel the cycle runs,
+which the proof lines compose stage by stage.
 """
 
 from __future__ import annotations
@@ -26,30 +28,32 @@ from .precision import (
     mdot_plus_eps,
 )
 
+#: The proof's line table: each stage of the cycle's step sequence
+#: (:func:`mixedmg.cycles._cycle`), in step order, with its step line and
+#: its total line, ``None`` where it has none, each with the norm it is
+#: measured in: ``"2"`` Euclidean, ``"A"`` fine energy, ``"A_c"`` coarse
+#: energy.  A ``*_step`` line bounds the fresh rounding one kernel
+#: application commits on already-perturbed inputs, measured against the
+#: stage's operation run in the carrier on the computed inputs; a
+#: ``*_total`` line bounds the accumulated deviation of the stage from the
+#: exact-arithmetic cycle.
+STAGE_LINES = {
+    "r": (None, ("rhs_quantize", "2")),
+    "y_mu": (("pre_relax_step", "2"), ("pre_relax_total", "2")),
+    "r_mu": (("pre_residual_step", "2"), ("pre_residual_total", "2")),
+    "r_c": (("restrict_step", "2"), None),
+    "d_c": (None, ("coarse_correction_total", "A_c")),
+    "d": (("prolong_step", "A"), ("prolong_total", "A")),
+    "y_nu": (("correction_sub_step", "2"), ("corrected_total", "A")),
+    "r_nu": (("post_residual_step", "A"), ("post_residual_total", "A")),
+    "r_N": (("post_relax_step", "2"), ("post_relax_total", "A")),
+    "y": (("final_sub_step", "A"), None),
+}
+
 #: Labels of the sixteen instrumented proof inequalities, in execution
-#: order.  ``*_step`` lines bound the fresh rounding committed by one
-#: kernel application on already-perturbed inputs; ``*_total`` lines bound
-#: the accumulated deviation of a stage from the exact-arithmetic cycle.
-#: Each line's stage and norm are in :data:`mixedmg.cycles.STAGE_LINES`,
-#: which is checked against this order when ``cycles`` is imported.
-PROOF_LINES = (
-    "rhs_quantize",
-    "pre_relax_step",
-    "pre_relax_total",
-    "pre_residual_step",
-    "pre_residual_total",
-    "restrict_step",
-    "coarse_correction_total",
-    "prolong_step",
-    "prolong_total",
-    "correction_sub_step",
-    "corrected_total",
-    "post_residual_step",
-    "post_residual_total",
-    "post_relax_step",
-    "post_relax_total",
-    "final_sub_step",
-)
+#: order: :data:`STAGE_LINES` flattened, each stage's step line before its
+#: total line.
+PROOF_LINES = tuple(line[0] for lines in STAGE_LINES.values() for line in lines if line)
 
 
 @dataclass(frozen=True)
@@ -243,7 +247,8 @@ KERNEL_BOUNDS = {
 
 
 def per_line_bounds(inputs: BoundInputs) -> dict[str, float]:
-    """Coefficients of the sixteen instrumented proof inequalities.
+    """Coefficients of the sixteen instrumented proof inequalities, keyed
+    by their labels in :data:`STAGE_LINES`.
 
     Each value multiplies the energy norm of the true solution to bound
     the deviation recorded under the same key in a cycle trace.  The

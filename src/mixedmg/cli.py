@@ -62,9 +62,9 @@ def _add_sweep(sub):
     p = sub.add_parser("sweep", help="grid over sizes and formats")
     p.add_argument("--sizes", type=int, nargs="+", required=True)
     p.add_argument("--bits", type=int, nargs="+", required=True)
-    p.add_argument("--trials", type=int, default=100)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--problem", default="poisson1d")
+    p.add_argument("--trials", type=int, default=ExperimentConfig.trials)
+    p.add_argument("--seed", type=int, default=ExperimentConfig.rng_seed)
+    p.add_argument("--problem", default=ExperimentConfig.problem)
     p.add_argument("--omega", type=float, default=ExperimentConfig.omega)
     p.add_argument("--out", default=None)
 
@@ -74,8 +74,8 @@ def _add_progressive(sub):
     p.add_argument("--sizes", type=int, nargs="+", required=True)
     p.add_argument("--pi-target", type=float, required=True)
     p.add_argument("--trials", type=int, default=50)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--problem", default="poisson1d")
+    p.add_argument("--seed", type=int, default=ExperimentConfig.rng_seed)
+    p.add_argument("--problem", default=ExperimentConfig.problem)
 
 
 def _add_validate(sub):

@@ -34,12 +34,13 @@ its caller gives: :func:`v_cycle` runs the operations of one format.
 :func:`tg_cycle` runs the sequence once, with ``mu = nu = 1``, on pairs of
 a computed value in the working format and its exact reference in the
 carrier; step 5, the same carrier map on both, is one call on the two
-side by side.  For every stage it measures the lines :data:`STAGE_LINES` gives
-it, in the norm the accumulation proof uses for each (see
-:data:`mixedmg.bounds.PROOF_LINES`): a step line against the stage's own
-operation run in the carrier on the computed inputs, a total line against
-the reference.  A value is held only while a later step reads it, so a
-cycle holds a few blocks at a time rather than both full sequences.
+side by side.  For every stage it measures the lines that the proof's line
+table, :data:`mixedmg.bounds.STAGE_LINES`, gives it, each in the norm the
+table names: a step line against the stage's own operation run in the
+carrier on the computed inputs, a total line against the reference.  The
+table's stages are those of :func:`_cycle`, in its step order.  A value is
+held only while a later step reads it, so a cycle holds a few blocks at a
+time rather than both full sequences.
 
 Every cycle, coarse solve and relaxation takes one right-hand side ``(n,)``
 or a block ``(n, T)`` of them, which runs through each kernel in one call.
@@ -59,7 +60,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import fourier
-from .bounds import PROOF_LINES
+from .bounds import STAGE_LINES
 from .hierarchy import GridLevel
 from .linops import SparseSpd, energy_norm, solve_spd
 from .precision import (
@@ -337,27 +338,6 @@ def _cycle(r, mu: int, nu: int, stage):
     return y
 
 
-#: Each stage's step line and total line of :data:`mixedmg.bounds.PROOF_LINES`,
-#: ``None`` where it has none, each with the norm it is measured in:
-#: ``"2"`` Euclidean, ``"A"`` fine energy, ``"A_c"`` coarse energy.  A step
-#: line measures the stage against its operation run in the carrier on the
-#: computed inputs, a total line against the exact reference.
-STAGE_LINES = {
-    "r": (None, ("rhs_quantize", "2")),
-    "y_mu": (("pre_relax_step", "2"), ("pre_relax_total", "2")),
-    "r_mu": (("pre_residual_step", "2"), ("pre_residual_total", "2")),
-    "r_c": (("restrict_step", "2"), None),
-    "d_c": (None, ("coarse_correction_total", "A_c")),
-    "d": (("prolong_step", "A"), ("prolong_total", "A")),
-    "y_nu": (("correction_sub_step", "2"), ("corrected_total", "A")),
-    "r_nu": (("post_residual_step", "A"), ("post_residual_total", "A")),
-    "r_N": (("post_relax_step", "2"), ("post_relax_total", "A")),
-    "y": (("final_sub_step", "A"), None),
-}
-if tuple(line[0] for lines in STAGE_LINES.values() for line in lines if line) != PROOF_LINES:
-    raise ImportError("STAGE_LINES does not give the proof lines in their order")
-
-
 def _side_by_side(apply, v: np.ndarray, w: np.ndarray):
     """``apply(v)`` and ``apply(w)`` from one call on the block ``[v | w]``
     of their columns, each a C-contiguous array of its input's shape.  A map
@@ -381,12 +361,12 @@ def tg_cycle(r, S, coarse: CoarseSolver):
     reference computed with the same smoothers and coarse solver.
 
     The cycle runs once on pairs, each stage's computed value and its
-    reference, and measures the lines of :data:`STAGE_LINES` as it goes: a
-    stage's step line as soon as the stage is made, its total line when the
-    next stage begins (or the cycle ends), once the cycle has dropped the
-    inputs only that stage read.  The coarse correction runs in the carrier
-    on both sides, so it is one :meth:`CoarseSolver.apply` call on the value
-    and its reference side by side, ``(n_c, 2T)``.
+    reference, and measures the lines of :data:`mixedmg.bounds.STAGE_LINES`
+    as it goes: a stage's step line as soon as the stage is made, its total
+    line when the next stage begins (or the cycle ends), once the cycle has
+    dropped the inputs only that stage read.  The coarse correction runs in
+    the carrier on both sides, so it is one :meth:`CoarseSolver.apply` call
+    on the value and its reference side by side, ``(n_c, 2T)``.
     """
     level = coarse.level
     run, exact = (_operations(level, S, coarse.apply, carrier) for carrier in (False, True))

@@ -194,13 +194,6 @@ def _up(x) -> float:
     return float(np.nextafter(np.max(x), np.inf))
 
 
-def _flat_index(point, k: int) -> int:
-    out = 0
-    for i in point:
-        out = out * k + i
-    return out
-
-
 def _entries(matrix) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Row, column and value of every stored nonzero of a sparse matrix."""
     M = sparse.csr_array(matrix)
@@ -228,7 +221,7 @@ def _read(matrix, d: int, k: int, name: str) -> tuple[np.ndarray, bool]:
                              np.unravel_index(cols, (k,) * d)))
     near = (gap <= 1).all(axis=0)
     c = np.zeros((2,) * d)
-    centre = near & (rows == _flat_index((k // 2,) * d, k))
+    centre = near & (rows == np.ravel_multi_index((k // 2,) * d, (k,) * d))
     c[tuple(gap[:, centre])] = data[centre]
     pairs = sum(math.prod(2 * (k - 1) if s else k for s in a)
                 for a in itertools.product((0, 1), repeat=d) if c[a] != 0)

@@ -354,14 +354,12 @@ def run_experiment(config: ExperimentConfig) -> list[TrialRecord]:
     rngs = [np.random.default_rng([config.rng_seed, fmt.significand_bits])
             for fmt in formats]
     # the sweep's trials, format-major, in ceil(total / most) blocks of at
-    # most _BLOCK_ENTRIES entries; the first `extra` blocks hold one more
+    # most _BLOCK_ENTRIES entries; the first total % blocks hold one more
     total = len(formats) * config.trials
     blocks = -(-total // max(_BLOCK_ENTRIES // level.n, 1))
-    base, extra = divmod(total, blocks)
     records: list[TrialRecord] = []
-    for b in range(blocks):
-        first, width = b * base + min(b, extra), base + (b < extra)
-        which, trials = np.divmod(np.arange(first, first + width), config.trials)
+    for block in np.array_split(np.arange(total), blocks):
+        which, trials = np.divmod(block, config.trials)
         columns = which.tolist()  # each column's format, by index
         runs = [(f, len(list(run))) for f, run in itertools.groupby(columns)]
         # one normalized right-hand side per trial, each format's drawn from
@@ -484,7 +482,8 @@ def validate_csv(path) -> tuple[bool, list[str]]:
 
 
 def progressive_study(sizes, pi_target: float, trials: int, *,
-                      problem: str = "poisson1d", seed: int = 0) -> dict:
+                      problem: str = ExperimentConfig.problem,
+                      seed: int = ExperimentConfig.rng_seed) -> dict:
     """Pick a format per size so ``sqrt(kappa) * u`` stays near the target.
 
     For each size the study runs the trials at the selected format and

@@ -295,10 +295,7 @@ def _probe(d: int, m: int) -> tuple:
     point = np.indices((m,) * d).reshape(d, -1)
     gap = np.abs(point[:, :, None] - point[:, None, :])
     m_c = (m - 1) // 2
-    line = np.abs(np.arange(m)[:, None] - (2 * np.arange(m_c) + 1))
-    P = np.maximum(1.0 - 0.5 * line, 0.0)  # weights 1 and 1/2: exact
-    for _ in range(d - 1):
-        P = np.kron(P, P)
+    P = _interpolation(d, m, 1.0).toarray()
     centre = np.full(d, m_c // 2)
     reach = np.array([a for a in itertools.product((0, 1), repeat=d)
                       if (centre + a < m_c).all()])

@@ -31,7 +31,7 @@ from mixedmg import (
     tg_cycle,
     v_cycle,
 )
-from mixedmg.bounds import KERNEL_BOUNDS
+from mixedmg.bounds import KERNEL_BOUNDS, STAGE_LINES
 from mixedmg.cycles import CoarseSolver, _cycle, _operations
 from mixedmg.fourier import StructureError
 from mixedmg.precision import column_norms, rounded_scale
@@ -322,6 +322,8 @@ class TestTgCycle:
             ("r_N", "relax", ("r_nu",)),
             ("y", "subtract", ("y_nu", "r_N")),
         ]
+        # the proof's line table names the stages in the same step order
+        assert [name for name, _, _ in steps] == list(STAGE_LINES)
 
     def test_kernel_bounds_follow_the_operations(self):
         # the error model has one entry per reduced-format kernel the cycle
