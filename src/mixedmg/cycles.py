@@ -66,6 +66,7 @@ from .linops import SparseSpd, energy_norm, solve_spd
 from .precision import (
     CARRIER,
     PrecisionFormat,
+    Rounding,
     column_norms,
     quantize_vector,
     rounded_add_sub,
@@ -265,19 +266,21 @@ def _operations(level: GridLevel, S, coarse, carrier: bool = False) -> dict:
 
     ``S`` is one smoother, or one per column of the block the operations
     run on, and the operations run in the format each smoother was built
-    for; with ``carrier`` set, or when every smoother was built for the
-    carrier, they run in the carrier.  ``quantize`` rounds the right-hand
-    side into that format, ``zero`` is the zero iterate of its shape, ``relax``
-    is ``S z`` (the smoothers' ``w`` as a row over the columns),
-    ``residual`` ``A y - r``, ``restrict`` ``P' z``, ``coarse`` the map
-    ``r_c -> d_c`` (run as given), ``prolong`` ``P z`` and ``subtract`` ``v
-    - w``.  A reduced format runs the emulated kernels, whose error models
-    are the entries of :data:`mixedmg.bounds.KERNEL_BOUNDS` under the same
-    names, with ``m`` read from the layout each kernel runs on; the carrier
-    runs the plain float64 operations, which give the bits of those kernels
-    at 53 bits.  So the carrier's ``quantize`` is the identity with the
-    kernel's finiteness check: it returns the right-hand side uncopied, and
-    a non-finite entry raises ``ValueError`` in either format.
+    for, through one :class:`mixedmg.precision.Rounding` made from the
+    smoothers' formats; with ``carrier`` set, or when every smoother was
+    built for the carrier, they run in the carrier and make none.
+    ``quantize`` rounds the right-hand side into that format, ``zero`` is
+    the zero iterate of its shape, ``relax`` is ``S z`` (the smoothers' ``w``
+    as a row over the columns), ``residual`` ``A y - r``, ``restrict`` ``P'
+    z``, ``coarse`` the map ``r_c -> d_c`` (run as given), ``prolong`` ``P
+    z`` and ``subtract`` ``v - w``.  A reduced format runs the emulated
+    kernels, whose error models are the entries of
+    :data:`mixedmg.bounds.KERNEL_BOUNDS` under the same names, with ``m``
+    read from the layout each kernel runs on; the carrier runs the plain
+    float64 operations, which give the bits of those kernels at 53 bits.
+    So the carrier's ``quantize`` is the identity with the kernel's
+    finiteness check: it returns the right-hand side uncopied, and a
+    non-finite entry raises ``ValueError`` in either format.
     """
     smoothers = (S,) if isinstance(S, RelaxationOp) else tuple(S)
     n = level.n
@@ -293,14 +296,14 @@ def _operations(level: GridLevel, S, coarse, carrier: bool = False) -> dict:
                       "restrict": lambda z: level.P_t @ z,
                       "prolong": lambda z: level.P @ z,
                       "subtract": lambda v, w: v - w}
-    fmt = S.fmt if isinstance(S, RelaxationOp) else [op.fmt for op in smoothers]
+    rounding = Rounding([op.fmt for op in smoothers])
     return ops | {
-        "quantize": lambda r: quantize_vector(r, fmt).value,
-        "relax": lambda z: rounded_scale(w, z, fmt).value,
-        "residual": lambda y, r: rounded_residual(level.A, y, r, fmt).value,
-        "restrict": lambda z: rounded_matvec(level.P_t_layout, z, fmt).value,
-        "prolong": lambda z: rounded_matvec(level.P_layout, z, fmt).value,
-        "subtract": lambda v, w: rounded_add_sub(v, w, "-", fmt).value}
+        "quantize": lambda r: quantize_vector(r, rounding).value,
+        "relax": lambda z: rounded_scale(w, z, rounding).value,
+        "residual": lambda y, r: rounded_residual(level.A, y, r, rounding).value,
+        "restrict": lambda z: rounded_matvec(level.P_t_layout, z, rounding).value,
+        "prolong": lambda z: rounded_matvec(level.P_layout, z, rounding).value,
+        "subtract": lambda v, w: rounded_add_sub(v, w, "-", rounding).value}
 
 
 def _cycle(r, mu: int, nu: int, stage):

@@ -17,9 +17,8 @@ right-hand sides of at most ``_BLOCK_ENTRIES`` entries ``n * width`` whose
 widths differ by at most one (the 800 trials of four formats at ``n =
 255`` run as eight blocks of 73 and three of 72), each through one blocked
 cycle whatever formats its columns hold: each column runs with its own
-format's smoother, format, line coefficients and ``rho_tg`` (a block of
-one format with that format alone), and each format's right-hand sides
-come from its own stream in trial order.  Every
+format's smoother, format, line coefficients and ``rho_tg``, and each
+format's right-hand sides come from its own stream in trial order.  Every
 column of a block gives bit for bit what its trial gives alone, so the
 split never shows in the output.
 """
@@ -29,7 +28,6 @@ from __future__ import annotations
 import configparser
 import csv
 import io
-import itertools
 import math
 import numbers
 import warnings
@@ -302,8 +300,8 @@ def _check_formats(level: GridLevel, formats) -> None:
     restriction runs on the rows of ``P'``, which hold 9 entries in 2D.
     """
     m = max(level.A.row_layout.m, level.P_layout.m, level.P_t_layout.m)
-    for fmt in formats:
-        mdot_plus_eps(m, fmt.unit_roundoff)
+    # every format passes when the one of the largest u does
+    mdot_plus_eps(m, max(fmt.unit_roundoff for fmt in formats))
 
 
 def _make_coarse(config: ExperimentConfig, levels) -> CoarseSolver:
@@ -361,19 +359,15 @@ def run_experiment(config: ExperimentConfig) -> list[TrialRecord]:
     for block in np.array_split(np.arange(total), blocks):
         which, trials = np.divmod(block, config.trials)
         columns = which.tolist()  # each column's format, by index
-        runs = [(f, len(list(run))) for f, run in itertools.groupby(columns)]
         # one normalized right-hand side per trial, each format's drawn from
         # its own stream in trial order, as the C-ordered columns of r: each
         # kernel then gathers contiguous rows
-        draws = np.concatenate([rngs[f].standard_normal((count, level.n))
-                                for f, count in runs])
+        draws = np.concatenate([rngs[f].standard_normal((count, level.n)) for f, count in
+                                zip(*np.unique(which, return_counts=True))])
         r = np.divide(draws.T, column_norms(draws.T), order="C")
         x = solve_spd(level.A, r)
         x_norm = energy_norm(x, level.A)
-        # a block of one format runs with that format's smoother alone, one
-        # of several with one smoother per column
-        S = smoothers[columns[0]] if len(runs) == 1 else [smoothers[f] for f in columns]
-        y, trace = tg_cycle(r, S, coarse)
+        y, trace = tg_cycle(r, [smoothers[f] for f in columns], coarse)
         ref_error = energy_norm(trace.y_reference - x, level.A)
         fp_error = energy_norm(y - x, level.A)
         # one row per trial cell: the two errors, the measured ratio and

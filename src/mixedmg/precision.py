@@ -7,20 +7,23 @@ and then rounds the result once to the target significand width
 ``u = 2**-significand_bits`` (Higham, *Accuracy and Stability of Numerical
 Algorithms*, 2nd ed., 2002, section 2.2).
 
-A value ``x`` is rounded to ``bits`` by Veltkamp splitting, ``t = c x`` and
-``x_h = t - (t - x)`` with ``c = 2**(53 - bits) + 1``, three passes in place
-over buffers that each kernel call allocates once.  In round-to-nearest-even
-carrier arithmetic ``x_h`` is ``x`` rounded to nearest even on ``bits``
-significand bits (Dekker, *Numer. Math.* 18, 1971), also when ``x`` or
-``x_h`` is subnormal (Boldo, IJCAR 2006), so the kernels give the bits of
-rounding through ``frexp``, ``rint`` and ``ldexp``.  The splitting fails only
-by overflow: ``c x`` overflows from about ``|x| = 2**(971 + bits)``, and a true
-result beyond the carrier overflows too.  Either leaves a non-finite entry,
-since ``inf - inf`` is NaN and NaN survives every later step; a kernel whose
-result is not finite then runs once more with rounding through ``frexp``
-(:func:`_round_array`, also the tests' reference), and that result goes
-through the range check, which raises ``OverflowError`` when it is still not
-finite.
+How a block rounds is one :class:`Rounding`, the one seam between the
+kernels and their arithmetic: made once from the block's formats, it holds
+the widths, the splitting constant and the largest unit roundoff, and every
+kernel runs its body through it.  A value ``x`` is rounded to ``bits`` by
+Veltkamp splitting, ``t = c x`` and ``x_h = t - (t - x)`` with ``c = 2**(53 -
+bits) + 1``, three passes in place over buffers that each kernel call
+allocates once.  In round-to-nearest-even carrier arithmetic ``x_h`` is ``x``
+rounded to nearest even on ``bits`` significand bits (Dekker, *Numer. Math.*
+18, 1971), also when ``x`` or ``x_h`` is subnormal (Boldo, IJCAR 2006), so
+the kernels give the bits of rounding through ``frexp``, ``rint`` and
+``ldexp``.  The splitting fails only by overflow: ``c x`` overflows from
+about ``|x| = 2**(971 + bits)``, and a true result beyond the carrier
+overflows too.  Either leaves a non-finite entry, since ``inf - inf`` is NaN
+and NaN survives every later step; a kernel whose result is not finite then
+runs once more with rounding through ``frexp`` (:func:`_round_array`, also
+the tests' reference), and the rounding raises ``OverflowError`` when that
+result is still not finite.
 
 Matrix kernels accumulate each row sequentially left to right over the
 stored nonzeros, with the right-hand side subtracted last, so each row
@@ -32,17 +35,19 @@ kernel's normwise error bound in this model is an entry of
 the rest of mixedmg.
 
 Every kernel takes a vector ``(n,)`` or a block ``(n, T)`` of ``T`` vectors
-side by side, and one format or a sequence of ``T`` formats, one per column.
-The widths become a row: the splitting constant ``c``, the fallback's
-``bits`` and a relaxation's scale are ``(T,)`` rows broadcast over the
-block, so every entry undergoes the same IEEE operations as in a call of its
-own column's format, and a row whose entries are all equal is that one value.  A vector runs as
-a one-column block, and each column of a block gives bit for bit what the
-same vector gives on its own in its own format: the rounding is entrywise,
-the fallback's rerun gives a column whose splitting did not overflow the
-same bits again, and every per-column norm is summed over a contiguous copy
-of that column (see :func:`column_norms`).  A row kernel checks ``(m + 1) u
-< 1`` at the block's largest ``u``.  No kernel writes its inputs.
+side by side, and in its ``fmt`` slot one format, a sequence of ``T``
+formats, one per column, or a :class:`Rounding` made from either.  The
+widths become a row: the splitting constant ``c``, the fallback's ``bits``
+and a relaxation's scale are ``(T,)`` rows broadcast over the block, so every
+entry undergoes the same IEEE operations as in a call of its own column's
+format, and a row whose entries are all equal is that one value.  A vector
+runs as a one-column block, and each column of a block gives bit for bit
+what the same vector gives on its own in its own format: the rounding is
+entrywise, the fallback's rerun gives a column whose splitting did not
+overflow the same bits again, and every per-column norm is summed over a
+contiguous copy of that column (see :func:`column_norms`).  A row kernel
+checks ``(m + 1) u < 1`` at the rounding's largest ``u``.  No kernel writes
+its inputs.
 """
 
 from __future__ import annotations
@@ -125,7 +130,7 @@ def _round_array(x: np.ndarray, bits) -> np.ndarray:
     m, e = np.frexp(np.atleast_1d(x))
     # m * 2**bits lies in [2**(bits-1), 2**bits): np.rint is exact there and
     # breaks ties to even; scaling by powers of two is exact.  Overflow to
-    # inf is tolerated here and signaled by the range check of _in_range.
+    # inf is tolerated here and raised by Rounding, whose fallback this is.
     # Every step runs in place on frexp's own arrays.
     with np.errstate(over="ignore"):
         np.ldexp(m, bits, out=m)
@@ -133,17 +138,6 @@ def _round_array(x: np.ndarray, bits) -> np.ndarray:
         np.subtract(e, bits, out=e)
         np.ldexp(m, e, out=m)
     return m.reshape(x.shape)
-
-
-def _bits_row(fmt, T: int):
-    """The significand widths of ``fmt`` as a row over a block's ``T``
-    columns (see :func:`_row`): a sequence of one format per column, or
-    one format for every column."""
-    formats = (fmt,) if isinstance(fmt, PrecisionFormat) else tuple(fmt)
-    if len(formats) != 1 and len(formats) != T or not formats:
-        raise ValueError(f"need one format or one per column of the "
-                         f"{T}-column block, got {len(formats)}")
-    return _row([f.significand_bits for f in formats])
 
 
 def _row(values: list):
@@ -154,41 +148,64 @@ def _row(values: list):
     return values[0] if values.count(values[0]) == len(values) else np.array(values)
 
 
-def _split_round(x: np.ndarray, c, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
-    """``x`` rounded into ``out``, which may be ``x`` itself, by Veltkamp
-    splitting, ``t = c x`` and ``x_h = t - (t - x)`` with the row ``c = 2**(53
-    - bits) + 1`` broadcast over the columns and ``tmp`` as scratch; not
-    finite where ``c x`` overflows.  At the carrier's width ``c = 2`` and
-    ``x_h = x``."""
-    np.multiply(x, c, out=tmp)
-    np.subtract(tmp, x, out=out)
-    return np.subtract(tmp, out, out=out)
+class Rounding:
+    """How a block rounds: one format, or a sequence of one per column, made
+    once into the values every kernel call on the block reads.
 
+    ``bits`` is the significand widths as a row over the columns, or the one
+    width (see :func:`_row`), ``c = 2**(53 - bits) + 1`` the splitting
+    constant, ``u`` the largest unit roundoff and ``columns`` the number of
+    formats it was made from, at least one.  Called on a kernel body ``run``, it returns
+    ``run(round_)`` with every rounding made by ``round_(x, out, tmp)``,
+    ``x`` rounded into ``out`` with ``tmp`` as scratch: :meth:`split`, or,
+    when that leaves an entry that is not finite, once more :meth:`fallback`,
+    raising ``OverflowError`` if the value is still not finite.  The rerun
+    rounds the whole block, and gives every column whose splitting did not
+    overflow its bits again.  The two methods are the hooks a subclass
+    overrides.
+    """
 
-def _frexp_round(x: np.ndarray, bits, out: np.ndarray,
-                 tmp: np.ndarray) -> np.ndarray:
-    """``x`` rounded to the row ``bits`` into ``out`` through
-    :func:`_round_array`, which has no overflow but that of the rounded
-    value; ``tmp`` is unused."""
-    out[...] = _round_array(x, bits)
-    return out
+    def __init__(self, fmt):
+        formats = (fmt,) if isinstance(fmt, PrecisionFormat) else tuple(fmt)
+        if not formats:
+            raise ValueError("need one format or one per column of a block, got 0")
+        self.u = max(f.unit_roundoff for f in formats)
+        self.columns = len(formats)
+        self.bits = _row([f.significand_bits for f in formats])
+        self.c = np.ldexp(1.0, CARRIER_BITS - self.bits) + 1.0
 
+    def split(self, x: np.ndarray, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+        """Veltkamp splitting, ``t = c x`` and ``x_h = t - (t - x)``; not
+        finite where ``c x`` overflows.  At the carrier's width ``c = 2`` and
+        ``x_h = x``."""
+        np.multiply(x, self.c, out=tmp)
+        np.subtract(tmp, x, out=out)
+        return np.subtract(tmp, out, out=out)
 
-def _in_range(run: Callable[[Callable], np.ndarray], bits) -> np.ndarray:
-    """``run(round_)``, a kernel's value with every rounding made by
-    ``round_(x, out, tmp)`` to the row ``bits``, one width per column or one
-    for all: by :func:`_split_round`, or, when that leaves an entry that is
-    not finite, once more by :func:`_frexp_round`, raising ``OverflowError``
-    if the value is still not finite.  The rerun rounds the whole block, and
-    gives every column whose splitting did not overflow its bits again."""
-    c = np.ldexp(1.0, CARRIER_BITS - bits) + 1.0
-    with np.errstate(over="ignore", invalid="ignore"):
-        value = run(lambda x, out, tmp: _split_round(x, c, out, tmp))
-    if not np.isfinite(value).all():
-        value = run(lambda x, out, tmp: _frexp_round(x, bits, out, tmp))
+    def fallback(self, x: np.ndarray, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+        """Rounding through :func:`_round_array`, which has no overflow but
+        that of the rounded value; ``tmp`` is unused."""
+        out[...] = _round_array(x, self.bits)
+        return out
+
+    def __call__(self, run: Callable[[Callable], np.ndarray]) -> np.ndarray:
+        with np.errstate(over="ignore", invalid="ignore"):
+            value = run(self.split)
         if not np.isfinite(value).all():
-            raise OverflowError("result overflows the float64 carrier")
-    return value
+            value = run(self.fallback)
+            if not np.isfinite(value).all():
+                raise OverflowError("result overflows the float64 carrier")
+        return value
+
+
+def _rounding(fmt, T: int) -> Rounding:
+    """``fmt``, a :class:`Rounding`, one format or one per column, as the
+    rounding of a ``T``-column block."""
+    rounding = fmt if isinstance(fmt, Rounding) else Rounding(fmt)
+    if rounding.columns not in (1, T):
+        raise ValueError(f"need one format or one per column of the "
+                         f"{T}-column block, got {rounding.columns}")
+    return rounding
 
 
 def _as_block(w, name: str) -> np.ndarray:
@@ -237,16 +254,17 @@ def _rounded(exact: Callable[[np.ndarray], np.ndarray], block: np.ndarray,
              fmt, like) -> RoundedResult:
     """A block of ``block``'s shape computed in the carrier by ``exact(out)``,
     which returns it in ``out`` or in an input it does not write, rounded
-    once into ``fmt``, one format or one per column: the entrywise kernels'
-    one rounding and range check."""
+    once by ``fmt``'s rounding: the entrywise kernels' one rounding and
+    range check."""
     out = np.empty_like(block)
     tmp = np.empty_like(block)
-    bits = _bits_row(fmt, block.shape[1])
-    return _result(_in_range(lambda round_: round_(exact(out), out, tmp), bits), like)
+    rounding = _rounding(fmt, block.shape[1])
+    return _result(rounding(lambda round_: round_(exact(out), out, tmp)), like)
 
 
 def quantize_vector(w, fmt) -> RoundedResult:
-    """Round a vector (or block) into ``fmt``, one format or one per column."""
+    """Round a vector (or block) into ``fmt``: one format, one per column,
+    or a :class:`Rounding`."""
     W = _as_block(w, "w")
     return _rounded(lambda out: W, W, fmt, w)
 
@@ -255,8 +273,8 @@ def rounded_add_sub(v, w, sign: str, fmt) -> RoundedResult:
     """Componentwise rounded ``v + w`` or ``v - w``.
 
     Both operands are expected to be representable in ``fmt`` (one format,
-    or one per column) already; the single rounding then gives the
-    componentwise ``(1 + d)`` model.
+    one per column, or a :class:`Rounding`) already; the single rounding
+    then gives the componentwise ``(1 + d)`` model.
     """
     V = _as_block(v, "v")
     W = _as_block(w, "w")
@@ -270,8 +288,8 @@ def rounded_add_sub(v, w, sign: str, fmt) -> RoundedResult:
 
 def rounded_scale(s, w, fmt) -> RoundedResult:
     """Componentwise rounded ``s * w``: ``s`` is a scalar, or a row ``(T,)``
-    of one scalar per column of a block, and ``fmt`` one format or one per
-    column."""
+    of one scalar per column of a block, and ``fmt`` one format, one per
+    column, or a :class:`Rounding`."""
     W = _as_block(w, "w")
     s = np.asarray(s, dtype=np.float64)
     if s.ndim > 1 or s.size != 1 and s.size != W.shape[1]:
@@ -350,9 +368,9 @@ def rounded_residual(K, w, c, fmt) -> RoundedResult:
     buffers of the result's shape.  ``K`` is a matrix, anything with a
     ``.matrix``, or a :class:`RowLayout`, whose ``m``, the most stored
     nonzeros in a row, is the row count of the error model; ``w`` and ``c``
-    are both vectors or both blocks.  ``fmt`` is one format or one per
-    column, and the model's ``(m + 1) u < 1`` is checked at the largest
-    ``u`` of the block.
+    are both vectors or both blocks.  ``fmt`` is one format, one per
+    column, or a :class:`Rounding`, and the model's ``(m + 1) u < 1`` is
+    checked at its largest ``u``.
     """
     rows = RowLayout.of(K)
     W = _as_block(w, "w")
@@ -361,9 +379,9 @@ def rounded_residual(K, w, c, fmt) -> RoundedResult:
             np.ndim(w) != np.ndim(c) or rows.shape[0] != C.shape[0]
             or W.shape[1] != C.shape[1])):
         raise ValueError(f"nonconformal {'matvec' if C is None else 'residual'} dimensions")
-    bits = _bits_row(fmt, W.shape[1])
+    rounding = _rounding(fmt, W.shape[1])
     # the model needs (m + 1) u < 1 in every column, so at the largest u
-    mdot_plus_eps(rows.m, 2.0 ** -int(bits.min() if np.ndim(bits) else bits))
+    mdot_plus_eps(rows.m, rounding.u)
     acc = np.empty((rows.shape[0], W.shape[1]))
     term = np.empty_like(acc)
     tmp = np.empty_like(acc)
@@ -379,7 +397,7 @@ def rounded_residual(K, w, c, fmt) -> RoundedResult:
         if C is not None:
             round_(np.subtract(acc, C, out=acc), acc, tmp)
         return acc
-    return _result(_in_range(run, bits), w)
+    return _result(rounding(run), w)
 
 
 def rounded_matvec(K, w, fmt) -> RoundedResult:

@@ -38,6 +38,7 @@ from mixedmg import (
     v_cycle,
 )
 from mixedmg.harness import ExperimentConfig
+from mixedmg.precision import Rounding
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
@@ -101,10 +102,9 @@ def test_workload_is_a_valid_config(name):
     ExperimentConfig(**dict(fields, bits=tuple(fields["bits"])))
 
 
-def _kernel_args(attr):
-    """Positional and keyword arguments of a kernel call, as ``cycles`` makes it."""
+def _kernel_args(attr, fmt):
+    """Positional and keyword arguments of a kernel call in ``fmt``."""
     level = build_multilevel(7, 2)[0]
-    fmt = PrecisionFormat(12)
     w, c = np.linspace(-1.0, 1.0, 7), np.ones(7)
     return {
         "quantize_vector": ((w, fmt), {}),
@@ -117,15 +117,20 @@ def _kernel_args(attr):
 @pytest.mark.parametrize("owner_path, attr", KERNELS,
                          ids=[f"{o}.{a}" for o, a in KERNELS])
 def test_kernel_target_returns_a_value(owner_path, attr):
+    # in a format, and with a rounding in the format slot, as ``cycles``
+    # calls it: the tracer reads ``result.value.size`` of that call
     kernel = getattr(importlib.import_module(owner_path), attr)
-    args, kwargs = _kernel_args(attr)
-    result = kernel(*args, **kwargs)
-    assert isinstance(result.value, np.ndarray) and result.value.size
+    for fmt in (PrecisionFormat(12), Rounding(PrecisionFormat(12))):
+        args, kwargs = _kernel_args(attr, fmt)
+        result = kernel(*args, **kwargs)
+        assert isinstance(result.value, np.ndarray) and result.value.size
 
 
 def test_tg_cycle_calls(monkeypatch):
     # one reduced-format cycle with an exact coarse solve, counted as the
-    # tracer counts it: by the names ``mixedmg.cycles`` looks up at call time
+    # tracer counts it: by the names ``mixedmg.cycles`` looks up at call time.
+    # Its formats become widths once, in the one rounding of its reduced
+    # side; the exact side makes none
     cycles = importlib.import_module("mixedmg.cycles")
     level = build_multilevel(15, 2)[0]
     fmt = PrecisionFormat(12)
@@ -139,21 +144,23 @@ def test_tg_cycle_calls(monkeypatch):
         return wrapper
 
     for name in ("quantize_vector", "rounded_scale", "rounded_residual",
-                 "rounded_matvec", "rounded_add_sub", "solve_spd", "energy_norm"):
+                 "rounded_matvec", "rounded_add_sub", "solve_spd", "energy_norm",
+                 "Rounding"):
         monkeypatch.setattr(cycles, name, counted(name, getattr(cycles, name)))
     tg_cycle(np.linspace(-1.0, 1.0, level.n), S, coarse)
     assert calls == {
         ("quantize_vector", False): 1,
         ("rounded_scale", False): 2, ("rounded_residual", False): 2,
         ("rounded_matvec", False): 2, ("rounded_add_sub", False): 2,
-        ("solve_spd", False): 1, ("energy_norm", False): 8,
+        ("solve_spd", False): 1, ("energy_norm", False): 8, ("Rounding", False): 1,
     }
 
 
 def test_carrier_cycle_calls_no_kernel(monkeypatch):
     # the carrier runs plain float64 operations, its quantize the identity:
     # a carrier V-cycle, as every recursive coarse solve runs, calls no
-    # precision kernel, and the tracer counts no carrier kernel call
+    # precision kernel and makes no rounding, and the tracer counts no
+    # carrier kernel call
     cycles = importlib.import_module("mixedmg.cycles")
     levels = build_multilevel(31, 3)
     smoothers = [make_jacobi(level.A, 2.0 / 3.0, CARRIER) for level in levels]
@@ -165,7 +172,7 @@ def test_carrier_cycle_calls_no_kernel(monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
-    for attr in [attr for _, attr in KERNELS] + ["rounded_scale"]:
+    for attr in [attr for _, attr in KERNELS] + ["rounded_scale", "Rounding"]:
         monkeypatch.setattr(cycles, attr, counted(attr, getattr(cycles, attr)))
     r = np.random.default_rng(2).standard_normal((levels[0].n, 3))
     v_cycle(levels, 1, 1, r, smoothers=smoothers)

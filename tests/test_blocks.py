@@ -25,8 +25,7 @@ from mixedmg import (
     v_cycle,
 )
 from mixedmg.bounds import KERNEL_BOUNDS
-from mixedmg import precision as mixedmg_precision
-from mixedmg.precision import RowLayout, column_norms, rounded_scale
+from mixedmg.precision import Rounding, RowLayout, column_norms, rounded_scale
 
 FMT = PrecisionFormat(10)
 T = 6
@@ -128,22 +127,27 @@ class TestKernels:
 MIXED = [PrecisionFormat(bits) for bits in (5, 8, 12, 23, 52, 8, 5)]
 
 
-def _no_fallback(*args):
-    raise AssertionError("the kernel fell back to frexp rounding")
+class _NoFallback(Rounding):
+    """A rounding whose fallback fails the test."""
+
+    def fallback(self, *args):
+        raise AssertionError("the kernel fell back to frexp rounding")
 
 
-def _mixed_kernels(level):
-    """Every kernel as ``call(w, c, fmt)`` on ``level``'s operators: the
-    relaxation takes the ``w`` of a Jacobi smoother built for each format."""
+def _mixed_kernels(level, rounding=lambda fmt: fmt):
+    """Every kernel as ``call(w, c, fmt)`` on ``level``'s operators, given
+    ``rounding(fmt)`` as its format: the relaxation takes the ``w`` of a
+    Jacobi smoother built for each format."""
     w = {f: make_jacobi(level.A, 2.0 / 3.0, f).w for f in set(MIXED)}
     return {
-        "quantize": lambda v, c, fmt: quantize_vector(v, fmt),
-        "add": lambda v, c, fmt: rounded_add_sub(v, c, "+", fmt),
-        "subtract": lambda v, c, fmt: rounded_add_sub(v, c, "-", fmt),
+        "quantize": lambda v, c, fmt: quantize_vector(v, rounding(fmt)),
+        "add": lambda v, c, fmt: rounded_add_sub(v, c, "+", rounding(fmt)),
+        "subtract": lambda v, c, fmt: rounded_add_sub(v, c, "-", rounding(fmt)),
         "scale": lambda v, c, fmt: rounded_scale(
-            w[fmt] if isinstance(fmt, PrecisionFormat) else [w[f] for f in fmt], v, fmt),
-        "residual": lambda v, c, fmt: rounded_residual(level.A, v, c, fmt),
-        "matvec": lambda v, c, fmt: rounded_matvec(level.P_t_layout, v, fmt),
+            w[fmt] if isinstance(fmt, PrecisionFormat) else [w[f] for f in fmt], v,
+            rounding(fmt)),
+        "residual": lambda v, c, fmt: rounded_residual(level.A, v, c, rounding(fmt)),
+        "matvec": lambda v, c, fmt: rounded_matvec(level.P_t_layout, v, rounding(fmt)),
     }
 
 
@@ -175,23 +179,26 @@ class TestMixedFormats:
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     @pytest.mark.parametrize("kernel", ["quantize", "add", "subtract", "scale",
                                         "residual", "matvec"])
-    def test_one_column_overflows_its_splitting(self, level31, monkeypatch, kernel):
+    def test_one_column_overflows_its_splitting(self, level31, kernel):
         # c = 2**48 + 1 at 5 bits: c x overflows in column 0 alone, whose own
         # call reruns through frexp; every other column alone splits without
         # the fallback, and in the block the rerun gives it the same bits
-        call = _mixed_kernels(level31)[kernel]
+        fallbacks = []
+
+        class Counted(Rounding):
+            def fallback(self, *args):
+                fallbacks.append(1)
+                return super().fallback(*args)
+
+        call = _mixed_kernels(level31, Counted)[kernel]
         rng = np.random.default_rng(21)
         V, C = rng.standard_normal((2, 31, len(MIXED)))
         V[:, 0] *= 2.0 ** 990
         C[:, 0] *= 2.0 ** 990
         assert MIXED[0].significand_bits == 5 and MIXED[-1].significand_bits == 5
-        fallbacks = []
-        frexp_round = mixedmg_precision._frexp_round
-        monkeypatch.setattr(mixedmg_precision, "_frexp_round",
-                            lambda *a: (fallbacks.append(1), frexp_round(*a))[1])
         _assert_each_column_in_its_format(call, V, C)
         assert fallbacks
-        monkeypatch.setattr(mixedmg_precision, "_frexp_round", _no_fallback)
+        call = _mixed_kernels(level31, _NoFallback)[kernel]
         with pytest.raises(AssertionError, match="fell back"):
             call(np.array(V[:, 0]), np.array(C[:, 0]), MIXED[0])
         for t in range(1, len(MIXED)):
@@ -221,6 +228,12 @@ class TestMixedFormats:
             rounded_scale([0.5, 0.25], W, MIXED[:3])
         with pytest.raises(ValueError, match="one per column"):
             quantize_vector(W[:, 0], MIXED[:2])
+        # no format at all is named as such, by the kernels and by a rounding
+        for make in (lambda: quantize_vector(W, []),
+                     lambda: rounded_residual(level31.A, W, W, ()),
+                     lambda: Rounding([])):
+            with pytest.raises(ValueError, match="one per column of a block, got 0"):
+                make()
         # one format in a sequence is the one format
         assert np.array_equal(quantize_vector(W, MIXED[:1]).value,
                               quantize_vector(W, MIXED[0]).value)

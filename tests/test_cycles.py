@@ -34,8 +34,8 @@ from mixedmg import (
 from mixedmg.bounds import KERNEL_BOUNDS, STAGE_LINES
 from mixedmg.cycles import CoarseSolver, _cycle, _operations
 from mixedmg.fourier import StructureError
-from mixedmg.precision import column_norms, rounded_scale
-from mixedmg.harness import ExperimentConfig, run_experiment, trial_passed
+from mixedmg.precision import Rounding, column_norms, rounded_scale
+from mixedmg.harness import ExperimentConfig, render_csv, run_experiment, trial_passed
 
 EPS = float(np.finfo(np.float64).eps)
 FMT12 = PrecisionFormat(12)
@@ -54,14 +54,25 @@ def exact_stages(r, S, coarse):
 
 
 def _six_bits_short(kernel):
-    """``kernel`` run with six fewer significand bits than the format, or
-    each of the per-column formats, it is given."""
+    """``kernel`` given a rounding six bits short of each of the widths of
+    the rounding ``cycles`` hands it."""
     def short(*args, **kwargs):
-        *args, fmt = args
-        formats = [PrecisionFormat(f.significand_bits - 6)
-                   for f in ([fmt] if isinstance(fmt, PrecisionFormat) else fmt)]
-        return kernel(*args, formats, **kwargs)
+        *args, rounding = args
+        bits = np.broadcast_to(rounding.bits, rounding.columns)
+        return kernel(*args, Rounding([PrecisionFormat(int(b) - 6) for b in bits]), **kwargs)
     return short
+
+
+def _bits_short(k: int) -> type[Rounding]:
+    """A rounding whose widths are ``k`` bits short of the formats it is
+    made from: substituted for the one ``cycles`` makes, it runs every
+    kernel of a cycle short, while the smoothers, the bounds and the line
+    coefficients stay at the nominal format."""
+    class Short(Rounding):
+        def __init__(self, fmt):
+            formats = [fmt] if isinstance(fmt, PrecisionFormat) else fmt
+            super().__init__([PrecisionFormat(f.significand_bits - k) for f in formats])
+    return Short
 
 
 def assert_direct_solve(solver, level):
@@ -380,6 +391,29 @@ class TestTgCycle:
             for rec in records:
                 assert rec.passed is trial_passed(
                     rec.measured_ratio, rec.report.rho_tg, rec.line_ratios.values())
+
+    @pytest.mark.parametrize("problem, size", [("poisson1d", 63), ("poisson2d", 31)])
+    def test_all_kernels_short_through_the_seam(self, monkeypatch, problem, size):
+        # the fault yardstick for all kernels at once: at k = 0 and 1 bits
+        # short every trial passes, at k = 3 some trial of every format
+        # fails; the total alone never notices up to k = 4
+        config = ExperimentConfig(problem=problem, size=size, bits=(8, 12, 23),
+                                  trials=50, rng_seed=1)
+        nominal = render_csv(run_experiment(config))
+        for k in range(5):
+            monkeypatch.setattr(mixedmg.cycles, "Rounding", _bits_short(k))
+            records = run_experiment(config)
+            if k == 0:
+                assert render_csv(records) == nominal
+            for bits in config.bits:
+                passed = [rec.passed for rec in records
+                          if rec.report.significand_bits == bits]
+                assert len(passed) == config.trials
+                if k <= 1:
+                    assert all(passed), (k, bits)
+                if k == 3:
+                    assert not all(passed), bits
+            assert all(rec.measured_ratio <= rec.report.rho_tg for rec in records), k
 
     @pytest.mark.parametrize("problem, size, levels, variant, T, bits", [
         ("poisson1d", 255, 2, "exact", 50, (12,)),

@@ -347,11 +347,9 @@ class TestRunExperiment:
         original = harness.tg_cycle
 
         def recording(r, S, coarse):
-            one = isinstance(S, RelaxationOp)
-            formats = [s.fmt for s in ([S] * r.shape[1] if one else S)]
-            # a block of one format passes that format's smoother alone
-            assert one == (len(set(formats)) == 1)
-            seen.append((r.shape[1], [f.significand_bits for f in formats]))
+            # every block passes one smoother per column, whatever its formats
+            assert not isinstance(S, RelaxationOp) and len(S) == r.shape[1]
+            seen.append((r.shape[1], [s.fmt.significand_bits for s in S]))
             return original(r, S, coarse)
 
         monkeypatch.setattr(harness, "tg_cycle", recording)

@@ -1,5 +1,6 @@
 """Kernel-level tests: bit-exact rounding, and each kernel within its model bound."""
 
+import functools
 import math
 from fractions import Fraction
 
@@ -28,7 +29,14 @@ from mixedmg import (
     spectrum_ends,
 )
 from mixedmg.bounds import KERNEL_BOUNDS
-from mixedmg.precision import RowLayout, _csr, _round_array, column_norms, rounded_scale
+from mixedmg.precision import (
+    Rounding,
+    RowLayout,
+    _csr,
+    _round_array,
+    column_norms,
+    rounded_scale,
+)
 
 
 def model_bound(op, fmt, *inputs, **params):
@@ -62,7 +70,7 @@ def round_oracle(x: float, bits: int) -> float:
     return float(sign * n * Fraction(2) ** (e - bits))
 
 
-def rounds_in_range(x: float, bits: int) -> bool:
+def rounds_below_overflow(x: float, bits: int) -> bool:
     """Whether ``x`` rounded to ``bits`` stays below ``2**1024``."""
     try:
         round_oracle(x, bits)
@@ -123,21 +131,21 @@ class TestRoundScalar:
 
     @given(x=finite_floats, bits=small_bits)
     def test_idempotent(self, x, bits):
-        assume(rounds_in_range(x, bits))
+        assume(rounds_below_overflow(x, bits))
         fmt = PrecisionFormat(bits)
         once = quantize_vector([x], fmt).value[0]
         assert quantize_vector([once], fmt).value[0] == once
 
     @given(x=finite_floats, y=finite_floats, bits=small_bits)
     def test_monotone(self, x, y, bits):
-        assume(rounds_in_range(x, bits) and rounds_in_range(y, bits))
+        assume(rounds_below_overflow(x, bits) and rounds_below_overflow(y, bits))
         fmt = PrecisionFormat(bits)
         lo, hi = min(x, y), max(x, y)
         assert quantize_vector([lo], fmt).value[0] <= quantize_vector([hi], fmt).value[0]
 
     @given(x=finite_floats, bits=small_bits)
     def test_relative_error_at_most_unit_roundoff(self, x, bits):
-        assume(rounds_in_range(x, bits))
+        assume(rounds_below_overflow(x, bits))
         fmt = PrecisionFormat(bits)
         assert abs(quantize_vector([x], fmt).value[0] - x) <= fmt.unit_roundoff * abs(x)
 
@@ -368,8 +376,12 @@ def _row_reference(K: np.ndarray, W: np.ndarray, C, bits: int) -> np.ndarray:
         return acc if C is None else _round_array(acc - C, bits)
 
 
-def _no_fallback(*args):
-    raise AssertionError("the kernel fell back to frexp rounding")
+class _NoFallback(Rounding):
+    """A rounding whose fallback fails the test: a kernel given it must
+    round every value by splitting."""
+
+    def fallback(self, *args):
+        raise AssertionError("the kernel fell back to frexp rounding")
 
 
 class TestRoundingGrid:
@@ -405,54 +417,51 @@ class TestRoundingGrid:
 
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     @pytest.mark.parametrize("bits", range(2, CARRIER_BITS))
-    def test_entrywise_kernels(self, bits, monkeypatch):
-        fmt = PrecisionFormat(bits)
+    def test_entrywise_kernels(self, bits):
         rng = np.random.default_rng(bits)
         x = _grid(bits, rng)
         y = rng.permutation(x)
         s = float(_round_array(np.float64(2.0 / 3.0), bits))
         kernels = [
-            (lambda v, w: quantize_vector(v, fmt), lambda v, w: v),
-            (lambda v, w: rounded_add_sub(v, w, "+", fmt), np.add),
-            (lambda v, w: rounded_add_sub(v, w, "-", fmt), np.subtract),
-            (lambda v, w: rounded_scale(s, v, fmt), lambda v, w: s * v),
+            (lambda v, w, fmt: quantize_vector(v, fmt), lambda v, w: v),
+            (lambda v, w, fmt: rounded_add_sub(v, w, "+", fmt), np.add),
+            (lambda v, w, fmt: rounded_add_sub(v, w, "-", fmt), np.subtract),
+            (lambda v, w, fmt: rounded_scale(s, v, fmt), lambda v, w: s * v),
         ]
         # c (v +- w) stays below 2**1024 for |v|, |w| < 2**(968 + bits)
         small = np.maximum(abs(x), abs(y)) < 2.0 ** (968 + bits)
         for part, fallback in ((small, False), (~small, True)):
             v, w = x[part], y[part]
-            with monkeypatch.context() as patch:
-                if not fallback:
-                    patch.setattr("mixedmg.precision._frexp_round", _no_fallback)
-                for kernel, exact in kernels:
-                    with np.errstate(all="ignore"):
-                        expected = _round_array(exact(v, w), bits)
-                    assert fallback or np.isfinite(expected).all()
-                    self._check(kernel, expected, v, w)
+            # where no splitting overflows, a rounding that refuses the fallback
+            fmt = PrecisionFormat(bits) if fallback else _NoFallback(PrecisionFormat(bits))
+            for kernel, exact in kernels:
+                with np.errstate(all="ignore"):
+                    expected = _round_array(exact(v, w), bits)
+                assert fallback or np.isfinite(expected).all()
+                self._check(functools.partial(kernel, fmt=fmt), expected, v, w)
 
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     @pytest.mark.parametrize("bits", range(3, CARRIER_BITS))
-    def test_row_kernels(self, bits, monkeypatch):
+    def test_row_kernels(self, bits):
         # from 3 bits, where (m + 1) u < 1 for the rows of 4 nonzeros
-        fmt = PrecisionFormat(bits)
         rng = np.random.default_rng(100 + bits)
         x = _grid(bits, rng)
         W, C = x[: x.size - x.size % 10].reshape(2, 5, -1)
         # every product, partial sum and difference stays below 2**(964 + bits)
         small = (np.maximum(abs(W), abs(C)) < 2.0 ** (960 + bits)).all(axis=0)
 
-        def kernel(w, c):
+        def kernel(w, c, fmt):
             if c is None:
                 return rounded_matvec(self.K, w, fmt)
             return rounded_residual(self.K, w, c, fmt)
         for part, fallback in ((small, False), (~small, True)):
-            with monkeypatch.context() as patch:
-                if not fallback:
-                    patch.setattr("mixedmg.precision._frexp_round", _no_fallback)
-                for c in (None, C[:, part]):
-                    expected = _row_reference(self.K, W[:, part], c, bits)
-                    assert fallback or np.isfinite(expected).all()
-                    self._check(kernel, expected, W[:, part], c, columns=True)
+            # where no splitting overflows, a rounding that refuses the fallback
+            fmt = PrecisionFormat(bits) if fallback else _NoFallback(PrecisionFormat(bits))
+            for c in (None, C[:, part]):
+                expected = _row_reference(self.K, W[:, part], c, bits)
+                assert fallback or np.isfinite(expected).all()
+                self._check(functools.partial(kernel, fmt=fmt), expected, W[:, part], c,
+                            columns=True)
 
 
 class TestSplittingFallback:
