@@ -17,8 +17,7 @@ from .cycles import (ContractionError, CoarseSolver, CycleTrace, RelaxationOp,
                      v_cycle)
 from .harness import (ExperimentConfig, TrialRecord, load_config, progressive_study,
                       run_experiment, validate_csv, write_csv)
-from .hierarchy import (GridLevel, StructureError, abs_matrix_norm, build_multilevel,
-                        condition_number, spectrum_ends)
+from .hierarchy import GridLevel, StructureError, build_multilevel, condition_number
 from .linops import SparseSpd, SpdError, energy_norm, solve_spd
 from .precision import (CARRIER, CARRIER_BITS, PrecisionFormat, PrecisionTooLowError,
                         PrecisionUnachievableError, RoundedResult, mdot_plus_eps,
@@ -31,12 +30,12 @@ __all__ = [
     "ContractionError", "CycleTrace", "ExperimentConfig", "GridLevel", "PROOF_LINES",
     "PrecisionFormat", "PrecisionTooLowError", "PrecisionUnachievableError",
     "RelaxationOp", "RoundedResult", "SparseSpd", "SpdError", "StructureError",
-    "TrialRecord", "abs_matrix_norm", "build_multilevel", "compute_constants",
+    "TrialRecord", "build_multilevel", "compute_constants",
     "condition_number", "energy_norm", "gamma_constants", "load_config",
     "make_exact_coarse", "make_jacobi", "make_perturbed_coarse", "make_recursive_coarse",
     "make_richardson", "mdot_plus_eps", "per_line_bounds", "progressive_epsilon",
     "progressive_study", "quantize_vector", "rho_star", "rounded_add_sub",
     "rounded_matvec", "rounded_residual", "run_experiment", "solve_spd",
-    "spectrum_ends", "tg_cycle", "v_cycle", "validate_csv", "write_csv",
+    "tg_cycle", "v_cycle", "validate_csv", "write_csv",
 ]
 __version__ = "0.1.0"

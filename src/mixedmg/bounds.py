@@ -232,7 +232,7 @@ def _rows_bound(u, z, *, m, eta):
 #: row kernel runs on (``A.row_layout``, ``P_t_layout``, ``P_layout`` of a
 #: :class:`mixedmg.hierarchy.GridLevel`), ``eta`` bounds the spectral norm
 #: of that operator's entrywise absolute value from above (``eta_A``,
-#: ``eta_P``, as :func:`mixedmg.hierarchy.abs_matrix_norm` gives it), and
+#: ``eta_P`` of :class:`mixedmg.hierarchy.GridLevel`), and
 #: ``alpha`` certifies the scaling ``s z``, ``alpha >= |s|`` for ``s``
 #: representable in the format (:attr:`mixedmg.cycles.RelaxationOp.alpha`).
 #: An undefined ``mdot`` raises :class:`mixedmg.precision.PrecisionTooLowError`.

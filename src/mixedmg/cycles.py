@@ -120,7 +120,7 @@ def _finalize_relaxation(kind: str, A: SparseSpd, w: float,
     # is the larger of the two ends' distances from one
     bottom, top = sorted((w * lo, w * hi))
     contraction = fourier._up(max(fourier._up(top) - 1.0, 1.0 - fourier._down(bottom)))
-    if contraction >= 1.0:
+    if not contraction < 1.0:
         raise ContractionError(
             f"{kind} relaxation does not contract: energy norm of the error "
             f"propagator is {contraction:.6f}"
@@ -141,9 +141,7 @@ def make_jacobi(A: SparseSpd, omega: float, fmt: PrecisionFormat) -> RelaxationO
     ``A`` is a stencil matrix (:attr:`SparseSpd.stencil`), whose diagonal is
     its centre ``c_0``, so ``S`` is ``w = fl(omega / c_0)`` times ``I``.
     """
-    c_0 = float(A.stencil[0].flat[0])
-    if c_0 <= 0:
-        raise ContractionError("matrix diagonal must be positive")
+    c_0 = float(A.stencil.flat[0])  # positive, as A is certified positive definite
     w = float(_round_array(np.float64(omega / c_0), fmt.significand_bits))
     return _finalize_relaxation("jacobi", A, w, fmt)
 
@@ -238,7 +236,7 @@ def make_recursive_coarse(levels, mu: int, nu: int, smoothers) -> CoarseSolver:
     if smoothers[0].fmt != CARRIER:
         raise ValueError("a recursive coarse solve runs in the carrier; "
                          "its smoothers must be built for it")
-    if blocks.deviation >= 1.0:
+    if not blocks.deviation < 1.0:
         raise ContractionError(f"recursive coarse solve does not contract "
                                f"(deviation {blocks.deviation:.4f})")
     return CoarseSolver(lambda r_c: v_cycle(sub, mu, nu, r_c, smoothers=smoothers), blocks)
@@ -418,10 +416,9 @@ def rho_star(S, coarse: CoarseSolver) -> float | list[float]:
     gives a float, or a sequence of them, say one per format, which gives
     the list of their values from one pass over the blocks; each value has
     the bits of its smoother's own call.  It raises
-    :class:`mixedmg.fourier.StructureError` when an operator is not the
-    matrix of its stencil or a smoother not of the level's order.  A value
-    >= 1 is reported, not raised: the convergence bound is then vacuous for
-    this configuration.
+    :class:`mixedmg.fourier.StructureError` when a smoother is not of the
+    level's order.  A value >= 1 is reported, not raised: the convergence
+    bound is then vacuous for this configuration.
     """
     return fourier.two_grid_norm(coarse.fourier,
                                  S if isinstance(S, RelaxationOp) else tuple(S))

@@ -42,13 +42,13 @@ and the symmetric eigensolver's backward error, taken as ``4 G u`` times the
 Gram norm for a block of order ``G``.  The largest such bound is reported,
 rounded up.
 
-This module is the one reader of operators as stencils.  An operator is
-read back as stencil values (:func:`_stencil`, :func:`_symmetric_stencil`,
-:func:`_interpolation_weight`), rebuilt from them and compared with the
-stored matrix bit for bit; a mismatch raises :class:`StructureError`
-naming the operator, and the cycles name the level too
-(:attr:`mixedmg.hierarchy.GridLevel.stencils`).  A smoother is its scalar
-``w`` (:class:`mixedmg.cycles.RelaxationOp`), of the level's order.  There
+The blocks read a level's stencils where the operators were made from
+them: ``level.d``, ``level.k``, the interpolation weight ``level.p`` and
+the stencils of ``level.A`` and ``level.A_c``
+(:class:`mixedmg.linops.SparseSpd`), so no matrix is read back.  A smoother
+is its scalar ``w`` (:class:`mixedmg.cycles.RelaxationOp`), of the level's
+order; one of another order, or a lower level that is not the coarse grid
+of the one above, raises :class:`StructureError` naming the level.  There
 is no dense fallback.
 
 The same symbols give the set-up constants of :mod:`mixedmg.hierarchy`:
@@ -66,13 +66,13 @@ from dataclasses import dataclass
 from functools import cache, cached_property
 
 import numpy as np
-import scipy.sparse as sparse
 
 _U = float(np.finfo(np.float64).eps) / 2  # unit roundoff of the carrier
 
 
 class StructureError(ValueError):
-    """An operator is not the matrix its stencil values rebuild."""
+    """Operators that do not fit together: a level whose grids do not coarsen,
+    a smoother of another order, or a lower level that is not the coarse grid."""
 
 
 def _gamma(m: int) -> float:
@@ -194,108 +194,6 @@ def _up(x) -> float:
     return float(np.nextafter(np.max(x), np.inf))
 
 
-def _entries(matrix) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Row, column and value of every stored nonzero of a sparse matrix."""
-    M = sparse.csr_array(matrix)
-    if not M.has_canonical_format:
-        M = M.copy()  # summing sorts in place; the caller's arrays stay unwritten
-        M.sum_duplicates()
-    rows = np.repeat(np.arange(M.shape[0]), np.diff(M.indptr))
-    nonzero = M.data != 0
-    return rows[nonzero], M.indices[nonzero], M.data[nonzero]
-
-
-def _read(matrix, d: int, k: int, name: str) -> tuple[np.ndarray, bool]:
-    """The stencil of a symmetric operator on a ``k``-point grid, read at its
-    centre, and whether the matrix rebuilt from it equals the stored one bit
-    for bit: every stored nonzero couples points at most one apart along
-    each axis and equals the stencil value of its offsets, and there are as
-    many of them as the rebuilt matrix has nonzeros.  A matrix not of the
-    grid's order raises :class:`StructureError`.
-    """
-    if matrix.shape != (k**d, k**d):
-        raise StructureError(f"{name} has shape {matrix.shape}, not that of a "
-                             f"{'x'.join([str(k)] * d)} grid")
-    rows, cols, data = _entries(matrix)
-    gap = np.abs(np.subtract(np.unravel_index(rows, (k,) * d),
-                             np.unravel_index(cols, (k,) * d)))
-    near = (gap <= 1).all(axis=0)
-    c = np.zeros((2,) * d)
-    centre = near & (rows == np.ravel_multi_index((k // 2,) * d, (k,) * d))
-    c[tuple(gap[:, centre])] = data[centre]
-    pairs = sum(math.prod(2 * (k - 1) if s else k for s in a)
-                for a in itertools.product((0, 1), repeat=d) if c[a] != 0)
-    return c, bool(near.all() and len(data) == pairs and np.all(data == c[tuple(gap)]))
-
-
-def _stencil(matrix, d: int, k: int, name: str) -> np.ndarray:
-    """The stencil of :func:`_read`; a matrix that is not its stencil's raises
-    :class:`StructureError` naming it ``name``."""
-    c, exact = _read(matrix, d, k, name)
-    if not exact:
-        raise StructureError(f"{name} is not the matrix of its stencil "
-                             f"{c.ravel().tolist()}")
-    return c
-
-
-def _symmetric_stencil(M) -> tuple[np.ndarray, int]:
-    """The stencil ``c`` of a square sparse matrix on a square 2D grid, or
-    else on a 1D grid, and the grid's ``k`` points per axis; ``c.ndim`` is
-    the dimension.  A matrix of square order that neither read rebuilds
-    raises :class:`StructureError` naming both reads."""
-    n = M.shape[0]
-    name = f"the {n}x{M.shape[1]} matrix"
-    k = math.isqrt(n)
-    if k * k == n and M.shape[1] == n:
-        square, exact = _read(M, 2, k, name)
-        if exact:
-            return square, k
-        line, exact = _read(M, 1, n, name)
-        if exact:
-            return line, n
-        raise StructureError(f"{name} is not the matrix of its stencil "
-                             f"{square.ravel().tolist()} on a {k}x{k} grid, nor of "
-                             f"its stencil {line.ravel().tolist()} on a line of {n} points")
-    return _stencil(M, 1, n, name), n
-
-
-def _grid(n: int, n_c: int) -> tuple[int, int]:
-    """``(d, k)`` of a (bi)linear coarsening of ``n`` points to ``n_c``."""
-    k = math.isqrt(n)
-    if n % 2 and n_c == (n - 1) // 2:
-        return 1, n
-    if k * k == n and k % 2 and n_c == ((k - 1) // 2) ** 2:
-        return 2, k
-    raise StructureError(f"P maps {n} points to {n_c}: not a (bi)linear "
-                         f"coarsening of a 1D or square 2D grid")
-
-
-def _interpolation_weight(P, d: int, k: int) -> float:
-    """The ``p`` of ``P = p * interpolation`` from ``k`` points per axis, checked
-    bit for bit: fine point ``f`` takes ``p / 2^t`` from coarse point ``j``,
-    with ``t`` the number of axes along which ``f`` is a neighbour of
-    ``2 j + 1`` (and is ``2 j + 1`` along the others)."""
-    k_c = (k - 1) // 2
-    if P.shape != (k**d, k_c**d):
-        raise StructureError(f"P has shape {P.shape}, not {(k**d, k_c**d)}")
-    rows, cols, data = _entries(P)
-    gap = np.abs(np.subtract(np.unravel_index(rows, (k,) * d),
-                             2 * np.array(np.unravel_index(cols, (k_c,) * d)) + 1))
-    p = float(data[0]) * 2.0 ** int(gap[:, 0].sum()) if len(data) else 0.0
-    if (len(data) != (3 * k_c) ** d or np.any(gap > 1)
-            or np.any(data != p * 0.5 ** gap.sum(axis=0))):
-        raise StructureError(f"P is not {p!r} times the interpolation stencil")
-    return p
-
-
-def _stencils(level, depth: int):
-    """``level.stencils``, with the level's depth in its hierarchy named on a mismatch."""
-    try:
-        return level.stencils
-    except StructureError as exc:
-        raise StructureError(f"level {depth}: {exc}") from None
-
-
 def _expand(per_axis: list[_Ball]) -> list[_Ball]:
     """Per-axis ``(B_a, g_a)`` balls, broadcastable to ``(B_1..B_d, g_1..g_d)``."""
     d = len(per_axis)
@@ -378,18 +276,17 @@ def _identity(B: int, G: int) -> _Ball:
     return _Ball(np.broadcast_to(np.eye(G), (B, G, G)))
 
 
-def _core(level, coarse_classes, X, depth: int):
+def _core(level, coarse_classes, X):
     """The smoother-free part of one level's propagator blocks: ``I - P X P' A``.
 
     ``coarse_classes`` lists the frequency classes of the coarse grid, each a
     ``(B, g)`` array of ``B`` groups of ``g`` frequencies, and ``X`` maps a
     class key (one class index per axis) to the coarse solve's ``(B, G, G)``
-    blocks.  ``depth`` numbers the level in its hierarchy for the errors.
-    Returns the fine grid's classes, and per key the ``(B, G)`` symbol of
-    ``A`` and the core blocks (the identity on a class with no coarse image).
+    blocks.  Returns the fine grid's classes, and per key the ``(B, G)``
+    symbol of ``A`` and the core blocks (the identity on a class with no
+    coarse image).
     """
-    c = _stencils(level, depth)
-    d, k = c.d, c.k
+    d, k = level.d, level.k
     # each coarse group pulls back to its fine modes j and k + 1 - j on every
     # axis; the middle mode has no coarse image and is a class of its own
     classes = [np.hstack([F, k + 1 - F]) for F in coarse_classes]
@@ -402,10 +299,10 @@ def _core(level, coarse_classes, X, depth: int):
                for F, (_, one_plus_cos) in zip(classes[:-1], harmonics)]
     symbols, cores = {}, {}
     for key in itertools.product(range(len(classes)), repeat=d):
-        lam = _symbol(c.A, [harmonics[i][0] for i in key])
+        lam = _symbol(level.A.stencil, [harmonics[i][0] for i in key])
         core = _identity(*lam.mid.shape)
         if key in X:
-            r = _flatten(_prod(_expand([weights[i] for i in key])), d) * c.p
+            r = _flatten(_prod(_expand([weights[i] for i in key])), d) * level.p
             sizes = [classes[i].shape[1] // 2 for i in key]
             cidx = np.ravel_multi_index(
                 np.meshgrid(*[np.arange(2 * g) % g for g in sizes], indexing="ij"),
@@ -464,7 +361,7 @@ class CoarseBlocks:
     def core(self):
         """``(classes, symbols, cores, roots)`` of ``level`` with this solve,
         built once (:func:`_core`, :func:`_roots`)."""
-        classes, symbols, cores = _core(self.level, self.classes, self.X, 0)
+        classes, symbols, cores = _core(self.level, self.classes, self.X)
         return classes, symbols, cores, _roots(symbols)
 
 
@@ -479,19 +376,17 @@ def coarse_blocks(level, below, mu: int, nu: int) -> CoarseBlocks:
     ``E``.
     """
     chain = [level] + [l for l, _ in below]
-    stencils = [_stencils(l, depth) for depth, l in enumerate(chain)]
-    d = stencils[0].d
     for depth in range(1, len(chain)):
-        above, here = stencils[depth - 1], stencils[depth]
-        if ((here.d, here.k) != (d, (above.k - 1) // 2)
-                or not np.array_equal(here.A, above.A_c)):
+        above, here = chain[depth - 1].A_c, chain[depth].A
+        if here.k != above.k or not np.array_equal(here.stencil, above.stencil):
             raise StructureError(f"level {depth} is not the coarse grid of level {depth - 1}")
-    k = (stencils[-1].k - 1) // 2
+    coarsest, d = chain[-1].A_c, level.d
+    k = coarsest.k
     classes = [np.arange(1, k + 1)[:, None]]
-    lam = _symbol(stencils[-1].A_c, [_harmonics(classes[0], k)[0]] * d)
+    lam = _symbol(coarsest.stencil, [_harmonics(classes[0], k)[0]] * d)
     X = {(0,) * d: lam.reciprocal().map(lambda v: v[:, :, None])}
     for depth, (sub, S) in reversed(list(enumerate(below, start=1))):
-        classes, symbols, cores = _core(sub, classes, X, depth)
+        classes, symbols, cores = _core(sub, classes, X)
         E = _smoothed(sub, S, mu, nu, symbols, cores, depth)
         X = {key: (_identity(*e.mid.shape[:2]) - e) * symbols[key].reciprocal().map(
             lambda v: v[:, None, :]) for key, e in E.items()}

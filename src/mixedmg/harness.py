@@ -31,7 +31,7 @@ import io
 import math
 import numbers
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -484,18 +484,21 @@ def progressive_study(sizes, pi_target: float, trials: int, *,
     records the worst observed deviation beyond the exact contraction
     factor; a size is within its bound when every trial passes
     (:func:`trial_passed`, the total and all sixteen proof lines).  It also
-    checks that ``delta_rho`` itself stays at most 1 across sizes.
+    checks that ``delta_rho`` itself stays at most 1 across sizes.  An empty
+    or repeated list of sizes raises :class:`ConfigError`, and each size is
+    checked by :class:`ExperimentConfig` as given.
     """
+    sizes = list(sizes)
+    if not sizes or len(set(sizes)) != len(sizes):
+        raise ConfigError(f"sizes must be one or more distinct sizes, got {sizes}")
     per_size: dict[int, dict] = {}
-    base = ExperimentConfig(problem=problem, size=int(sizes[0]), levels=2,
-                            coarse="exact", pi_target=pi_target,
-                            trials=trials, rng_seed=seed)
     for size in sizes:
-        cfg = replace(base, size=int(size))
+        cfg = ExperimentConfig(problem=problem, size=size, levels=2, coarse="exact",
+                               pi_target=pi_target, trials=trials, rng_seed=seed)
         records = run_experiment(cfg)
         report = records[0].report
         max_observed = max(r.measured_ratio - report.rho_star for r in records)
-        per_size[int(size)] = {
+        per_size[int(cfg.size)] = {
             "significand_bits": report.significand_bits,
             "eps": report.inputs.eps,
             "pi_dot": report.pi_dot,

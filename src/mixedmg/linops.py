@@ -1,8 +1,8 @@
 """High-precision sparse SPD linear algebra: direct solves and energy norms.
 
 Everything here runs in the float64 carrier.  Every :class:`SparseSpd` the
-cycles solve is a stencil matrix, which the orthonormal sine modes of its
-grid diagonalise: :func:`solve_spd` is one orthonormal DST-I pair, ``x =
+cycles solve is made from its stencil, so the orthonormal sine modes of its
+grid diagonalise it: :func:`solve_spd` is one orthonormal DST-I pair, ``x =
 Phi (f Phi' b / lambda)``, with ``lambda`` the matrix's eigenvalues on those
 modes from the stencil symbol (:func:`mixedmg.fourier.sine_eigenvalues`)
 and ``f`` optional factors per mode, the stored ``f_j`` of a sine-mode
@@ -10,11 +10,12 @@ coarse solve.  This is the one place the sine transform runs.  No matrix
 is factored, and no operator norm is formed here either: the
 spectral set-up constants come from stencil symbols
 (:mod:`mixedmg.hierarchy`), and ``rho_star`` and the coarse deviations from
-Fourier blocks (:mod:`mixedmg.fourier`).  A :class:`SparseSpd` reads its
-stencil back once, at construction, with the reader of :mod:`mixedmg.fourier`,
-and keeps it with the certified ends of its symbol, whose lower end
-certifies that it is positive definite.  Its arrays are read-only, so an
-in-place edit raises ``ValueError`` instead of leaving those caches stale.
+Fourier blocks (:mod:`mixedmg.fourier`).  A :class:`SparseSpd` keeps its
+stencil with the certified ends of its symbol, whose lower end certifies
+that it is positive definite, and assembles its matrix from the stencil
+(:func:`_assemble`), so the two cannot disagree.  Its arrays are read-only,
+so an in-place edit raises ``ValueError`` instead of leaving those caches
+stale.
 
 :func:`energy_norm` and :func:`solve_spd` take a vector ``(n,)`` or a block
 ``(n, T)``, and each column of a block gives bit for bit what the same
@@ -24,14 +25,16 @@ and the sine transforms treat each column alone.
 
 from __future__ import annotations
 
+import itertools
 from functools import cached_property
+from numbers import Integral
 
 import numpy as np
 import scipy.fft
 import scipy.sparse as sparse
 
-from .fourier import _symmetric_stencil, sine_eigenvalues, symbol_ends
-from .precision import RowLayout, _columns, _csr, _per_column
+from .fourier import sine_eigenvalues, symbol_ends
+from .precision import RowLayout, _columns, _per_column
 
 _EPS = float(np.finfo(np.float64).eps)
 
@@ -40,66 +43,99 @@ class SpdError(ValueError):
     """The matrix is not symmetric positive definite (or numerically fails it)."""
 
 
-class SparseSpd:
-    """A sparse symmetric positive definite stencil matrix.
+def _csr_rows(cols: np.ndarray, vals: np.ndarray, keep: np.ndarray, shape) -> sparse.csr_array:
+    """The csr array whose row ``i`` holds ``vals[i, j]`` at ``cols[i, j]`` for
+    each ``j`` with ``keep[i, j]``, in that order."""
+    indptr = np.concatenate([[0], np.cumsum(keep.sum(axis=1))])
+    return sparse.csr_array((vals[keep], cols[keep], indptr), shape=shape)
 
-    Construction is the one check: the stencil is read off the matrix and
-    checked bit for bit (:attr:`stencil`), which also forces symmetry, and
-    the certified lower end of its symbol (:attr:`spectrum_ends`) must be
-    positive.  A matrix that is not a stencil matrix raises
-    :class:`mixedmg.fourier.StructureError`, and one that is not positive
-    definite :class:`SpdError`.  The matrix's arrays are read-only, so
-    instances are immutable after construction and safe to share across
-    threads.
+
+def _outer(a: np.ndarray, b: np.ndarray, op) -> np.ndarray:
+    """``op`` of every row pair and candidate pair of two ``(rows, candidates)``
+    arrays, as one ``(rows, candidates)`` array in C order: the candidates
+    of a grid row from those of one axis."""
+    out = op(a[:, None, :, None], b[None, :, None, :])
+    return out.reshape(a.shape[0] * b.shape[0], -1)
+
+
+def _assemble(c: np.ndarray, k: int) -> sparse.csr_array:
+    """The matrix of the symmetric stencil ``c`` on ``k`` points per axis.
+
+    Point ``i`` couples to each in-grid point ``i + o`` with the value
+    ``c[|o|]``, ``o`` in ``{-1, 0, 1}^d``; the offsets run in increasing
+    column order, so the indices come out sorted, and a zero stencil value
+    is not stored.
+    """
+    d = c.ndim
+    step = np.array([-1, 0, 1])
+    line = np.arange(k)[:, None] + step  # each point's neighbours along one axis
+    inside = (line >= 0) & (line < k)
+    cols, keep = line, inside
+    for _ in range(d - 1):
+        cols = _outer(cols, line, lambda a, b: a * k + b)
+        keep = _outer(keep, inside, np.logical_and)
+    offsets = np.array(list(itertools.product(step, repeat=d)))
+    vals = np.broadcast_to(c[tuple(np.abs(offsets).T)], keep.shape)
+    return _csr_rows(cols, vals, keep & (vals != 0), (k**d, k**d))
+
+
+class SparseSpd:
+    """The symmetric positive definite matrix of a stencil on a grid.
+
+    ``c`` is the stencil, of shape ``(2,) * d`` with ``d`` 1 or 2: ``c[a_1,
+    .., a_d]`` (each ``a_i`` 0 or 1) couples the points that differ by one
+    along the axes where ``a_i = 1``.  ``k`` is the number of points per
+    axis.  Construction is the one check: a stencil of another shape, a
+    non-finite value or a ``k`` that is not an integer of at least one
+    raises ``ValueError``, and a stencil whose certified lower symbol end
+    (:attr:`spectrum_ends`) is not positive :class:`SpdError`.  The matrix
+    (:func:`_assemble`) and the stencil are read-only arrays, so an instance
+    cannot be edited in place and is safe to share across threads.
     """
 
-    def __init__(self, matrix):
-        M = _csr(matrix).copy()  # freezing shared arrays would freeze the caller's
-        for array in (M.data, M.indices, M.indptr):
-            array.flags.writeable = False  # an edit would leave the caches stale
-        if M.shape[0] != M.shape[1]:
-            raise SpdError(f"matrix must be square, got {M.shape}")
-        self._matrix = M
+    def __init__(self, c, k):
+        c = np.array(c, dtype=np.float64)  # a copy: freezing it leaves the caller's
+        if c.ndim not in (1, 2) or c.shape != (2,) * c.ndim:
+            raise ValueError(f"a stencil has shape (2,) or (2, 2), got {c.shape}")
+        if not np.isfinite(c).all():
+            raise ValueError(f"stencil {c.ravel().tolist()} has a non-finite value")
+        if isinstance(k, bool) or not isinstance(k, Integral) or k < 1:
+            raise ValueError(f"k must be an integer >= 1, got {k!r}")
+        c.flags.writeable = False
+        self.stencil, self.k = c, int(k)
         lo = self.spectrum_ends[0]
         if not lo > 0:
-            raise SpdError(f"the {self.n}x{self.n} matrix is not positive definite: "
-                           f"the lower end of its spectrum is {lo}")
-
-    @property
-    def matrix(self) -> sparse.csr_array:
-        return self._matrix
+            raise SpdError(f"the stencil {c.ravel().tolist()} on {k} points per axis is "
+                           f"not positive definite: the lower end of its spectrum is {lo}")
+        M = _assemble(c, self.k)
+        for array in (M.data, M.indices, M.indptr):
+            array.flags.writeable = False  # an edit would leave the caches stale
+        self.matrix = M
 
     @property
     def n(self) -> int:
-        return self._matrix.shape[0]
+        return self.matrix.shape[0]
 
     @cached_property
     def row_layout(self) -> RowLayout:
         """The padded row layout the rounded kernels traverse, built once."""
-        return RowLayout.of(self._matrix)
-
-    @cached_property
-    def stencil(self) -> tuple[np.ndarray, int]:
-        """``(c, k)``: the stencil read off the matrix and checked bit for bit,
-        on a square 2D grid or else a 1D one of ``k`` points per axis
-        (``c.ndim`` axes), read once, at construction."""
-        return _symmetric_stencil(self._matrix)
+        return RowLayout.of(self.matrix)
 
     @cached_property
     def spectrum_ends(self) -> tuple[float, float]:
         """Certified ends of the spectrum, from the symbol of :attr:`stencil`."""
-        return symbol_ends(*self.stencil)
+        return symbol_ends(self.stencil, self.k)
 
     @cached_property
     def sine_eigenvalues(self) -> np.ndarray:
         """The eigenvalues on the orthonormal sine modes, shaped as the grid,
         computed once from the stencil symbol."""
-        return sine_eigenvalues(*self.stencil)
+        return sine_eigenvalues(self.stencil, self.k)
 
     @cached_property
     def _row_sum_bound(self) -> float:
         # max absolute row sum, a cheap upper bound on the spectral norm
-        return float(abs(self._matrix).sum(axis=1).max(initial=0.0))
+        return float(abs(self.matrix).sum(axis=1).max(initial=0.0))
 
 
 def energy_norm(w, A: SparseSpd):

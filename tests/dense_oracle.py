@@ -1,7 +1,7 @@
 """Textbook forms of the operators and dense ``O(n^3)`` formulas for the
 set-up constants: the test oracle.
 
-The library builds every operator from a stencil in one assembler, takes
+The library makes every operator from its stencil in one assembler, takes
 its spectral constants from stencil symbols and its ``rho_star`` from
 Fourier blocks.  These are the textbook forms (the unscaled model matrices
 and interpolations from ``scipy.sparse.diags_array`` and ``kron``, the
@@ -31,13 +31,15 @@ def laplacian(d: int, k: int) -> sparse.csr_array:
 
 
 def poisson_1d(n: int) -> SparseSpd:
-    """The tridiagonal ``(-1, 2, -1)`` stiffness matrix on ``n`` points."""
-    return SparseSpd(laplacian(1, n))
+    """The tridiagonal ``(-1, 2, -1)`` stiffness matrix on ``n`` points, made
+    from its stencil; its matrix is :func:`laplacian` bit for bit."""
+    return SparseSpd(np.array([2.0, -1.0]), n)
 
 
 def poisson_2d(k: int) -> SparseSpd:
-    """The 5-point Laplacian on a ``k`` by ``k`` interior grid (Dirichlet)."""
-    return SparseSpd(laplacian(2, k))
+    """The 5-point Laplacian on a ``k`` by ``k`` interior grid (Dirichlet),
+    made from its stencil; its matrix is :func:`laplacian` bit for bit."""
+    return SparseSpd(np.array([[4.0, -1.0], [-1.0, 0.0]]), k)
 
 
 def interpolation(d: int, k: int) -> sparse.csr_array:
@@ -60,13 +62,12 @@ def bilinear_interpolation(k: int) -> sparse.csr_array:
 def galerkin(A, P) -> sparse.csr_array:
     """The float64 sparse product ``B = P' A P``, symmetrized as ``(B + B') / 2``.
 
-    Its :class:`SparseSpd` raises :class:`mixedmg.StructureError` when it is
-    not the matrix of its stencil.  Below the first 2D coarsening, where
-    ``A`` is a 9-point stencil matrix, the product's ``(1, 1)`` and ``(1,
-    -1)`` couplings can differ in the last bit: it is refused on the third
-    grid pair (7 to 3 points per axis) of ``build_multilevel(31, 4,
-    "poisson2d")``, for one.  The library builds every level's ``A_c`` in
-    stencil space and forms no such product.
+    Below the first 2D coarsening, where ``A`` is a 9-point stencil matrix,
+    the product's ``(1, 1)`` and ``(1, -1)`` couplings can differ in the last
+    bit, so that it is no stencil matrix: on the third grid pair (7 to 3
+    points per axis) of ``build_multilevel(31, 4, "poisson2d")``, for one.
+    The library builds every level's ``A_c`` in stencil space and forms no
+    such product.
     """
     P = sparse.csr_array(P)
     B = sparse.csr_array(P.T @ sparse.csr_array(getattr(A, "matrix", A)) @ P)

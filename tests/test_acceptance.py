@@ -23,7 +23,6 @@ from mixedmg import (
     BoundInputs,
     PROOF_LINES,
     PrecisionFormat,
-    abs_matrix_norm,
     build_multilevel,
     compute_constants,
     energy_norm,
@@ -42,6 +41,7 @@ from mixedmg import (
 )
 from mixedmg.harness import ExperimentConfig, progressive_study, run_experiment
 from mixedmg.bounds import KERNEL_BOUNDS
+from mixedmg.fourier import interpolation_norm, symbol_ends
 from mixedmg.precision import RowLayout, column_norms, rounded_scale
 
 from test_bounds import constants_oracle, random_inputs
@@ -112,10 +112,12 @@ def test_a3_kernel_certification():
     Pt = RowLayout.of(P.T)
     level2d = build_multilevel(7, 2, problem="poisson2d")[0]
     # each operator's eta and row count once, not on every call of a row kernel
-    eta_K, eta_P = abs_matrix_norm(K), abs_matrix_norm(P)
+    # (the certified ends of the symbols of |A| and of the interpolation,
+    # which P' shares)
+    eta_K, eta_P = symbol_ends(np.abs(A.stencil), A.k)[1], interpolation_norm(1.0, 1, 31)
     rows = {"residual": dict(m=RowLayout.of(K).m, eta=eta_K),
             "prolong": dict(m=RowLayout.of(P).m, eta=eta_P),
-            "restrict": dict(m=Pt.m, eta=abs_matrix_norm(Pt.matrix)),
+            "restrict": dict(m=Pt.m, eta=eta_P),
             "restrict2d": dict(m=level2d.P_t_layout.m, eta=level2d.eta_P)}
     assert (rows["restrict"]["m"], rows["restrict2d"]["m"]) == (3, 9)
     checked = 0

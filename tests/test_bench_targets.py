@@ -53,10 +53,13 @@ def _targets():
 
 
 # the dense energy operator norm left the package with the dense rho_star,
-# and the spectral norm of a stencil matrix, which no module read, with the
-# other names only the tests called
+# the spectral norm of a stencil matrix, which no module read, with the
+# other names only the tests called, and the norm of |K| of a matrix read
+# as a stencil with the reader: a level derives eta_A and eta_P from the
+# stencil and the weight it holds
 RETIRED = {("mixedmg.cycles", "energy_operator_norm"),
-           ("mixedmg.hierarchy", "spectral_norm")}
+           ("mixedmg.hierarchy", "spectral_norm"),
+           ("mixedmg.hierarchy", "abs_matrix_norm")}
 TARGETS = [(owner, attr) for owner, attr, _ in _targets()
            if (owner, attr) not in RETIRED]
 KERNELS = [(owner, attr) for owner, attr, group in _targets()

@@ -7,7 +7,6 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
-import scipy.sparse as sparse
 
 import dense_oracle as oracle
 import mixedmg.cycles
@@ -90,7 +89,7 @@ def jacobi31(level31):
 
 class TestMakeJacobi:
     def test_identity_matrix_gives_identity_operator(self):
-        M = make_jacobi(SparseSpd(np.eye(5)), 1.0, FMT12)
+        M = make_jacobi(SparseSpd([1.0, 0.0], 5), 1.0, FMT12)
         assert (M.w, M.n) == (1.0, 5)
         assert M.contraction == pytest.approx(0.0, abs=1e-14)
         assert M.eta == 1.0
@@ -105,9 +104,12 @@ class TestMakeJacobi:
         assert np.abs(lams).max() <= M.contraction + 1e-12
 
     def test_overrelaxation_rejected(self):
+        # a NaN omega gives a NaN contraction, which is no contraction either
         lvl = build_multilevel(7, 2)[0]
-        with pytest.raises(ContractionError):
-            make_jacobi(lvl.A, 4.0, FMT12)
+        for make in (make_jacobi, make_richardson):
+            for omega in (4.0, float("nan")):
+                with pytest.raises(ContractionError, match="does not contract"):
+                    make(lvl.A, omega, FMT12)
 
     def test_alpha_certification_1000_draws(self, level31):
         M = make_jacobi(level31.A, 2.0 / 3.0, FMT12)
@@ -530,8 +532,8 @@ class TestPackedFormats:
 class TestRhoStar:
     def test_exact_inverse_smoother_gives_zero(self):
         # identity system: Richardson with omega = 1 is the exact inverse
-        A, P = SparseSpd(np.eye(3)), sparse.csr_array(np.array([[0.5], [1.0], [0.5]]))
-        lvl = GridLevel(A, P, SparseSpd(oracle.galerkin(A, P)))
+        # P' P = 3/2 on the one coarse point
+        lvl = GridLevel(SparseSpd([1.0, 0.0], 3), 1.0, SparseSpd([1.5, 0.0], 1))
         S = make_richardson(lvl.A, 1.0, CARRIER)
         assert rho_star(S, make_exact_coarse(lvl)) == pytest.approx(0.0, abs=1e-13)
 
@@ -731,7 +733,7 @@ class TestRecursiveCoarse:
         # the deviation is the sub-cycle's norm only when levels[1].A is
         # levels[0].A_c; a lower grid with another matrix is refused
         lvl, sub = levels31_3
-        other = dataclasses.replace(sub, A=SparseSpd(2 * sub.A.matrix))
+        other = dataclasses.replace(sub, A=SparseSpd(2 * sub.A.stencil, sub.k))
         with pytest.raises(StructureError, match="level 1 is not the coarse grid of level 0"):
             make_recursive_coarse([lvl, other], 1, 1, jacobi_smoothers([other]))
 

@@ -187,23 +187,6 @@ def test_certified_against_fifty_digits(problem, size, variant):
 
 # --- the structure check -------------------------------------------------------
 
-def _nudged(matrix, row, col):
-    """A copy of a sparse matrix with one stored entry moved up by one ulp."""
-    out = matrix.copy()
-    out[row, col] = np.nextafter(out[row, col], np.inf)
-    return out
-
-
-@pytest.mark.parametrize("problem, size", [("poisson1d", 15), ("poisson2d", 7)])
-def test_perturbed_A_entry_is_named(problem, size):
-    # a matrix one ulp off its stencil is refused where it is made, so no
-    # level can hold it
-    level = hierarchy(problem, size, 2)[0]
-    with pytest.raises(StructureError,
-                       match=f"^the {level.n}x{level.n} matrix is not the matrix"):
-        SparseSpd(_nudged(level.A.matrix, 3, 4))
-
-
 @pytest.mark.parametrize("which", ["M", "N"])
 def test_smoother_of_another_order_is_named(which):
     # one smoother relaxes at both steps; a recursive solve whose sub-cycle
@@ -218,40 +201,12 @@ def test_smoother_of_another_order_is_named(which):
         make_recursive_coarse(levels, mu, nu, [bad])
 
 
-def test_a_square_order_matrix_failing_both_reads_names_both():
-    # a 2D Galerkin product whose diagonal couplings differ in the last bit
-    # is read neither on its 3x3 grid nor on a line of 9 points
-    from mixedmg.fourier import _symmetric_stencil
-
-    A = build_multilevel(31, 3, problem="poisson2d")[-1].A_c
-    with pytest.raises(StructureError, match=(
-            r"^the 9x9 matrix is not the matrix of its stencil \[[^]]*\] on a 3x3 "
-            r"grid, nor of its stencil \[[^]]*\] on a line of 9 points$")):
-        _symmetric_stencil(oracle.galerkin(A, oracle.bilinear_interpolation(7)))
-
-
-def test_other_operators_are_named():
-    levels = hierarchy("poisson1d", 15, 3)
-    level = levels[0]
-    bad_P = dataclasses.replace(level, P=_nudged(level.P, 1, 0))
-    with pytest.raises(StructureError, match="^level 0: P is not"):
-        make_exact_coarse(bad_P)
-    # the coarse matrix of level 0 and the fine matrix of level 1, nudged,
-    # are refused where they are made
-    for K, entry in ((level.A_c, 2), (levels[1].A, 1)):
-        with pytest.raises(StructureError,
-                           match=f"^the {K.n}x{K.n} matrix is not the matrix"):
-            SparseSpd(_nudged(K.matrix, entry, entry))
-
-
 def test_non_model_level_is_rejected_not_densified():
-    # a level whose P does not halve the grid has no Fourier form; its coarse
-    # solver, which carries that form, is refused instead of falling back to
-    # the dense path
-    level = dataclasses.replace(hierarchy("poisson1d", 15, 2)[0],
-                                A=SparseSpd(np.eye(14)))
-    with pytest.raises(StructureError, match="P maps 14 points"):
-        make_exact_coarse(level)
+    # a level whose grids do not halve has no Fourier form; it is refused
+    # where it is made, so no coarse solver can fall back to the dense path
+    level = hierarchy("poisson1d", 15, 2)[0]
+    with pytest.raises(StructureError, match="grid of 14 points per axis"):
+        dataclasses.replace(level, A=SparseSpd(level.A.stencil, 14))
 
 
 # --- every format in one pass --------------------------------------------------

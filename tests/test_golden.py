@@ -87,7 +87,7 @@ _PINNED = {
         ExperimentConfig(size=63, levels=3, coarse="recursive", mu=0, nu=1,
                          trials=30),
         "8a09f4bd5fb1b21303b05f11d7f174736bb68898dcf005ad57dd5e921f82075a"),
-    # a one-point coarsest grid, whose stencil _operator_stencil reads again
+    # a one-point coarsest grid, a stencil whose couplings reach no point
     "recursive2d_one_point": (
         ExperimentConfig(problem="poisson2d", size=7, levels=3,
                          coarse="recursive", trials=30),

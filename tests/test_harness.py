@@ -497,14 +497,14 @@ class TestRunExperiment:
 
     def test_setup_is_computed_once_and_not_kept(self, monkeypatch):
         # the recursive bench workload's set-up (one trial per format): each
-        # square operator is read as a stencil once, each symbol end is
-        # evaluated once, sine-mode eigenvalues are built only for the
-        # matrices that are solved, the format-independent Fourier blocks
-        # are built once, and nothing outlives the sweep
+        # square operator is assembled once and each P built once, each
+        # symbol end is evaluated once, sine-mode eigenvalues are built only
+        # for the matrices that are solved, the format-independent Fourier
+        # blocks are built once, and nothing outlives the sweep
         import gc
         import weakref
 
-        from mixedmg import fourier
+        from mixedmg import fourier, hierarchy, linops
 
         def count(owners, fn, record=lambda *args: None):
             calls = []
@@ -520,8 +520,9 @@ class TestRunExperiment:
             return calls
 
         modules = [m for name, m in sys.modules.items() if name.startswith("mixedmg")]
-        reads = count(modules, fourier._stencil,
-                      lambda M, *_: (M.shape, M.data.tobytes(), M.indices.tobytes()))
+        assemblies = count(modules, linops._assemble, lambda c, k: k)
+        # the probe grids interpolate with the unit weight, each P with its p
+        interpolations = count(modules, hierarchy._interpolation, lambda d, k, p: (k, p))
         ends = count(modules, fourier.symbol_ends)
         eigenvalues = count(modules, fourier.sine_eigenvalues, lambda c, k: k)
         harmonics = count([fourier], fourier._harmonics)
@@ -540,9 +541,10 @@ class TestRunExperiment:
         # without them, so that they count the same harmonics
         fourier._corners.cache_clear()
         assert len(run_experiment(config)) == 4
-        # the square operators: the finest matrix before and after scaling,
-        # and per level the Galerkin product before and after P is scaled
-        assert len(reads) == len(set(reads)) <= 2 + 2 * (config.levels - 1)
+        # the square operators, on 255, 127, 63 and 31 points, and the P of
+        # each level, however often eta_P, P_layout and P_t read it
+        assert assemblies == [255, 127, 63, 31]
+        assert sorted(k for k, p in interpolations if p != 1.0) == [63, 127, 255]
         # the finest matrix before scaling, the three Galerkin products, the
         # four distinct A, and |c| of the three levels' A
         assert len(ends) <= 11
@@ -653,6 +655,16 @@ class TestProgressiveStudy:
         summary = progressive_study([15, 31], 2.0**-8, trials=5, seed=0)
         assert summary["all_ok"]
         assert summary["delta_rho_spread"] < 4.0
+
+    @pytest.mark.parametrize("sizes, match", [
+        ([], "one or more distinct sizes, got \\[\\]"),
+        ([15.9], "size must be an integer, got 15.9"),
+        ([15, 15], "distinct sizes, got \\[15, 15\\]"),
+        ([True], "size must be an integer, got True"),
+    ], ids=["empty", "fraction", "repeated", "bool"])
+    def test_sizes_are_refused_not_changed(self, sizes, match):
+        with pytest.raises(ConfigError, match=match):
+            progressive_study(sizes, 2.0**-8, trials=3)
 
     def test_a_failing_proof_line_fails_the_study(self, monkeypatch, capsys):
         # within_bound follows the trials' pass flags, not the total alone

@@ -1,9 +1,9 @@
 """Model problems, interpolation, Galerkin coarsening, and normalization.
 
 The model matrices and interpolations are those of the one assembler
-(``_assemble``) and of ``_interpolation``, which every hierarchy is built
-from; ``dense_oracle`` holds their textbook forms and the float64 sparse
-Galerkin product.
+(``_assemble``, which every :class:`SparseSpd` runs on its stencil) and of
+``_interpolation``, which every hierarchy is built from; ``dense_oracle``
+holds their textbook forms and the float64 sparse Galerkin product.
 """
 
 import dataclasses
@@ -15,40 +15,25 @@ import pytest
 import scipy.sparse as sparse
 
 import dense_oracle as oracle
+from dense_oracle import poisson_1d, poisson_2d
 from mixedmg import (
     GridLevel,
     SparseSpd,
     StructureError,
-    abs_matrix_norm,
     build_multilevel,
     condition_number,
-    spectrum_ends,
 )
-from mixedmg import hierarchy
-from mixedmg.fourier import _read
+from mixedmg.fourier import symbol_ends
 from mixedmg.harness import ConfigError, ExperimentConfig, run_experiment
-from mixedmg.hierarchy import _MODEL_STENCILS, _assemble, _galerkin_stencil, _interpolation
+from mixedmg.hierarchy import _MODEL_STENCILS, _galerkin_stencil, _interpolation
+from mixedmg.linops import _assemble
 from test_linops import spectral_norm
 
 EPS = float(np.finfo(np.float64).eps)
 
 
-def poisson_1d(n):
-    """The unscaled model matrix of ``poisson1d`` on ``n`` points, as the assembler makes it."""
-    return SparseSpd(_assemble(_MODEL_STENCILS["poisson1d"], n))
-
-
-def poisson_2d(k):
-    """The unscaled model matrix of ``poisson2d`` on ``k`` by ``k`` points."""
-    return SparseSpd(_assemble(_MODEL_STENCILS["poisson2d"], k))
-
-
 def linear_interpolation(n):
     return _interpolation(1, n, 1.0)
-
-
-def galerkin_coarse(A, P):
-    return SparseSpd(oracle.galerkin(A, P))
 
 
 class TestPoisson1d:
@@ -182,13 +167,10 @@ class TestAssemble:
         assert M.has_sorted_indices and np.all(M.data != 0)
 
 
-def _product_stencil(level, p):
-    """The stencil read off the sparse product ``P' A P`` of ``level.A`` and
-    ``p`` times the interpolation, or None where it is no stencil matrix."""
-    st = level.stencils
-    product = oracle.galerkin(level.A, _interpolation(st.d, st.k, p))
-    c, exact = _read(product, st.d, (st.k - 1) // 2, "P' A P")
-    return c if exact else None
+def _product(level, p):
+    """The symmetrized float64 sparse product ``P' A P`` of ``level.A`` and
+    ``p`` times the interpolation."""
+    return oracle.galerkin(level.A, _interpolation(level.d, level.k, p))
 
 
 class TestGalerkinStencil:
@@ -196,18 +178,15 @@ class TestGalerkinStencil:
         *(("poisson1d", 2**j - 1, min(j, 6)) for j in range(3, 15)),
         *(("poisson2d", 2**j - 1, j) for j in range(3, 7))])
     def test_probe_equals_the_sparse_product(self, problem, size, grids):
-        # every level's A_c stencil, and that of the unscaled interpolation,
-        # against the stencil of the float64 product, wherever the product
-        # is a stencil matrix; the finest level's always is
-        compared = []
-        for depth, level in enumerate(build_multilevel(size, grids, problem=problem)):
-            st = level.stencils
-            for p in (1.0, st.p):
-                expected = _product_stencil(level, p)
-                if expected is not None:
-                    assert np.array_equal(_galerkin_stencil(st.A, st.k, p), expected)
-                    compared.append(depth)
-        assert compared[:2] == [0, 0]
+        # every level's A_c, and the matrix of the Galerkin stencil of the
+        # unscaled interpolation, against the float64 product, as matrices
+        # and bit for bit, where the product is a stencil matrix: in 1D, and
+        # at the first 2D coarsening
+        levels = build_multilevel(size, grids, problem=problem)
+        for level in levels if problem == "poisson1d" else levels[:1]:
+            assert_same_csr(level.A_c.matrix, _product(level, level.p))
+            unscaled = _galerkin_stencil(level.A.stencil, level.k, 1.0)
+            assert_same_csr(_assemble(unscaled, level.A_c.k), _product(level, 1.0))
 
     @pytest.mark.parametrize("problem, size", [("poisson1d", 255), ("poisson2d", 31)])
     def test_coarse_matrix_is_the_product_bit_for_bit(self, problem, size):
@@ -244,37 +223,37 @@ class TestGalerkinStencil:
 
 
 class TestGalerkinCoarse:
+    """The float64 sparse product of the test oracle, the reference of every
+    Galerkin stencil."""
+
     def test_identity_prolongation(self):
         A = poisson_1d(5)
-        assert np.array_equal(galerkin_coarse(A, sparse.eye_array(5)).matrix.toarray(),
+        assert np.array_equal(oracle.galerkin(A, sparse.eye_array(5)).toarray(),
                               A.matrix.toarray())
 
     def test_single_point_by_hand(self):
         # P' A P for the (1/2, 1, 1/2) column on the n=3 stiffness matrix is 1
-        A_c = galerkin_coarse(poisson_1d(3), linear_interpolation(3))
-        assert A_c.matrix.toarray() == pytest.approx(np.array([[1.0]]), rel=1e-15)
+        A_c = oracle.galerkin(poisson_1d(3), linear_interpolation(3))
+        assert A_c.toarray() == pytest.approx(np.array([[1.0]]), rel=1e-15)
 
     def test_symmetric_for_random_inputs(self):
-        # the product of random inputs is no stencil matrix, so it is formed
-        # without the check of galerkin_coarse, which refuses it
         rng = np.random.default_rng(0)
         X = rng.standard_normal((10, 10))
         A = X @ X.T + 10 * np.eye(10)
         P = sparse.csr_array(rng.standard_normal((10, 4)))
         dense = oracle.galerkin(A, P).toarray()
         assert np.array_equal(dense, dense.T)
-        with pytest.raises(StructureError, match="^the 4x4 matrix is not"):
-            galerkin_coarse(A, P)
 
-    def test_product_below_the_first_2d_coarsening_is_refused(self):
+    def test_product_below_the_first_2d_coarsening_is_no_stencil_matrix(self):
         # the float64 product of a 9-point operator need not be a stencil
-        # matrix; the hierarchy builds that level's A_c in stencil space
-        levels = build_multilevel(31, 4, problem="poisson2d")
-        for level in levels[:2]:
-            assert galerkin_coarse(level.A, level.P).n == level.n_c
-        with pytest.raises(StructureError, match="^the 9x9 matrix is not the matrix of its"):
-            galerkin_coarse(levels[2].A, levels[2].P)
-        assert levels[2].A_c.n == 9
+        # matrix: at level 2 its (1, 1) and (1, -1) couplings differ, where a
+        # stencil has one value for both; the hierarchy builds that level's
+        # A_c in stencil space
+        level = build_multilevel(31, 4, problem="poisson2d")[2]
+        product = oracle.galerkin(level.A, level.P).toarray()
+        # the centre point of the 3x3 coarse grid and its diagonal neighbours
+        assert product[4, 8] != product[4, 6]
+        assert level.A_c.n == 9
 
     def test_galerkin_quadratic_form_identity(self, level31):
         # <A_c w, w> = <A P w, P w> with the stored rescaled prolongation
@@ -289,28 +268,34 @@ class TestGalerkinCoarse:
 
 class TestNormalizeHierarchy:
     """The normalized levels of ``build_multilevel`` and the structure checks
-    behind them: ``A`` is checked when its ``SparseSpd`` is made, ``P`` when
-    ``GridLevel.stencils`` is first read."""
+    behind them, each made where its operator is: ``A`` when its
+    ``SparseSpd`` is made, the grid pair and ``p`` when the ``GridLevel`` is."""
 
     def test_identity_like_input(self):
-        # 2I is a stencil matrix, but the identity is no (bi)linear coarsening
-        A, P = SparseSpd(2.0 * np.eye(4)), sparse.csr_array(sparse.eye_array(4))
-        with pytest.raises(StructureError, match="^P maps 4 points to 4"):
-            GridLevel(A, P, galerkin_coarse(A, P)).stencils
+        # 2I is a stencil matrix, but a grid of 4 points is no (bi)linear
+        # coarsening of another of 4
+        A = SparseSpd([2.0, 0.0], 4)
+        with pytest.raises(StructureError, match="^A_c, on 4 points per axis in 1D, is not"):
+            GridLevel(A, 1.0, A)
+
+    @pytest.mark.parametrize("A, p, A_c, match", [
+        pytest.param(poisson_1d(7), 1.0, poisson_2d(3), "in 2D, is not", id="dimensions"),
+        pytest.param(poisson_1d(7), 1.0, poisson_1d(2), "on 2 points per axis", id="coarse-k"),
+        pytest.param(poisson_1d(8), 1.0, poisson_1d(3), "grid of 8 points", id="even-k"),
+        pytest.param(poisson_1d(1), 1.0, poisson_1d(1), "grid of 1 points", id="one-point-k"),
+        pytest.param(poisson_1d(7), 0.0, poisson_1d(3), "got 0.0$", id="p-zero"),
+        pytest.param(poisson_1d(7), np.inf, poisson_1d(3), "got inf$", id="p-inf"),
+        pytest.param(poisson_1d(7), np.nan, poisson_1d(3), "got nan$", id="p-nan"),
+    ])
+    def test_grid_level_refuses(self, A, p, A_c, match):
+        with pytest.raises(StructureError, match=match):
+            GridLevel(A, p, A_c)
 
     def test_random_spd_matrix_is_named(self):
+        # a matrix given for a stencil is refused, naming its shape
         X = np.random.default_rng(0).standard_normal((7, 7))
-        with pytest.raises(StructureError,
-                           match="^the 7x7 matrix is not the matrix of its stencil"):
-            SparseSpd(X @ X.T + 7 * np.eye(7))
-
-    def test_scaled_interpolation_with_one_entry_off_is_named(self):
-        A = poisson_1d(7)
-        P = linear_interpolation(7).tolil()
-        P[2, 1] = 0.25
-        level = GridLevel(A, sparse.csr_array(P), galerkin_coarse(A, linear_interpolation(7)))
-        with pytest.raises(StructureError, match="^P is not 1.0 times"):
-            level.stencils
+        with pytest.raises(ValueError, match=r"got \(7, 7\)$"):
+            SparseSpd(X @ X.T + 7 * np.eye(7), 7)
 
     def test_unit_norms(self, level31):
         assert abs(spectral_norm(level31.A) - 1.0) <= 10 * EPS
@@ -369,39 +354,40 @@ class TestBuildMultilevel:
             assert fine.kappa_c == coarse.kappa
 
     def test_one_abs_norm_per_matrix(self, monkeypatch):
-        # eta_A and eta_P are derived on first read: one call per matrix
-        # read, however often, and none for the level never read
+        # eta_A and eta_P are derived on first read: one symbol of |c| and
+        # one interpolation norm per level read, however often, and none for
+        # the level never read
         from mixedmg import hierarchy
 
-        calls = []
-        norm = hierarchy.abs_matrix_norm
-        monkeypatch.setattr(hierarchy, "abs_matrix_norm",
-                            lambda K: (calls.append(K), norm(K))[1])
         levels = build_multilevel(31, 4)
-        assert calls == []
+        calls = []
+        for name in ("symbol_ends", "interpolation_norm"):
+            fn = getattr(hierarchy, name)
+            monkeypatch.setattr(hierarchy, name, lambda *args, fn=fn, name=name: (
+                calls.append(name), fn(*args))[1])
         for _ in range(2):
             for level in levels[:2]:
                 assert level.eta_A > 0 and level.eta_P > 0
-        assert [id(K) for K in calls] == [id(K) for level in levels[:2]
-                                          for K in (level.A, level.P)]
+        assert calls == ["symbol_ends", "interpolation_norm"] * 2
 
     def test_constants_follow_the_operators(self, level31):
         # a level made from another by replacing A derives its constants
-        # from the new A: twice the matrix, twice eta_A, the same kappa
-        doubled = dataclasses.replace(level31, A=SparseSpd(2 * level31.A.matrix))
+        # from the new A: twice the stencil, twice eta_A, the same kappa
+        doubled = dataclasses.replace(level31, A=SparseSpd(2 * level31.A.stencil, level31.k))
         assert doubled.eta_A == 2 * level31.eta_A
         assert doubled.kappa == level31.kappa
-        assert [f.name for f in dataclasses.fields(GridLevel)] == ["A", "P", "A_c"]
+        assert [f.name for f in dataclasses.fields(GridLevel)] == ["A", "p", "A_c"]
 
     @pytest.mark.parametrize("problem, size", [("poisson1d", 63), ("poisson2d", 15)])
     def test_kept_ends_equal_fresh_ends(self, problem, size):
-        # every SparseSpd keeps the ends of its stencil symbol; read afresh
-        # from the raw csr_array they have the same bits
+        # every SparseSpd keeps the ends of its stencil symbol, and a level
+        # its eta_A; evaluated afresh from the stencil they have the same bits
         for level in build_multilevel(size, 3, problem=problem):
             for A in (level.A, level.A_c):
-                kept = spectrum_ends(A) + (abs_matrix_norm(A),)
-                fresh = spectrum_ends(A.matrix) + (abs_matrix_norm(A.matrix),)
-                assert [x.hex() for x in kept] == [x.hex() for x in fresh]
+                fresh = symbol_ends(A.stencil, A.k)
+                assert [x.hex() for x in A.spectrum_ends] == [x.hex() for x in fresh]
+            fresh = symbol_ends(np.abs(level.A.stencil), level.k)[1]
+            assert level.eta_A.hex() == fresh.hex()
 
     def test_uncoarsenable_size_rejected(self):
         with pytest.raises(ValueError):

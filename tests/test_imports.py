@@ -83,14 +83,13 @@ PUBLIC_NAMES = [
     "ContractionError", "CycleTrace", "ExperimentConfig", "GridLevel",
     "PROOF_LINES", "PrecisionFormat", "PrecisionTooLowError",
     "PrecisionUnachievableError", "RelaxationOp", "RoundedResult", "SparseSpd",
-    "SpdError", "StructureError", "TrialRecord", "abs_matrix_norm",
-    "build_multilevel", "compute_constants", "condition_number", "energy_norm",
-    "gamma_constants", "load_config", "make_exact_coarse", "make_jacobi",
-    "make_perturbed_coarse", "make_recursive_coarse", "make_richardson",
-    "mdot_plus_eps", "per_line_bounds", "progressive_epsilon", "progressive_study",
-    "quantize_vector", "rho_star", "rounded_add_sub", "rounded_matvec",
-    "rounded_residual", "run_experiment", "solve_spd", "spectrum_ends", "tg_cycle",
-    "v_cycle", "validate_csv", "write_csv",
+    "SpdError", "StructureError", "TrialRecord", "build_multilevel",
+    "compute_constants", "condition_number", "energy_norm", "gamma_constants",
+    "load_config", "make_exact_coarse", "make_jacobi", "make_perturbed_coarse",
+    "make_recursive_coarse", "make_richardson", "mdot_plus_eps", "per_line_bounds",
+    "progressive_epsilon", "progressive_study", "quantize_vector", "rho_star",
+    "rounded_add_sub", "rounded_matvec", "rounded_residual", "run_experiment",
+    "solve_spd", "tg_cycle", "v_cycle", "validate_csv", "write_csv",
 ]
 
 

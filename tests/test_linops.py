@@ -1,6 +1,7 @@
 """Norms, spectra, condition numbers, and the norm inequalities they satisfy."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -10,55 +11,78 @@ import scipy.sparse as sparse
 import dense_oracle as oracle
 from mixedmg import (
     CARRIER,
+    GridLevel,
     PrecisionFormat,
     PrecisionTooLowError,
     SparseSpd,
     SpdError,
-    StructureError,
-    abs_matrix_norm,
     build_multilevel,
     condition_number,
     energy_norm,
+    make_jacobi,
     make_richardson,
     mdot_plus_eps,
     solve_spd,
-    spectrum_ends,
 )
-from dense_oracle import linear_interpolation, poisson_1d, poisson_2d
+from mixedmg.fourier import symbol_ends
+from mixedmg.linops import _assemble
+from dense_oracle import poisson_1d, poisson_2d
 
 EPS = float(np.finfo(np.float64).eps)
 
 
-def spectral_norm(K) -> float:
+def spectral_norm(A: SparseSpd) -> float:
     """The certified upper end of the largest eigenvalue magnitude, from
     the ends of the stencil symbol."""
-    lo, hi = spectrum_ends(K)
+    lo, hi = A.spectrum_ends
     return max(hi, -lo)
 
 
-def indefinite_stencil():
-    """The stencil (-0.5, 1) on 7 points: eigenvalues -0.5 + 2 cos(j pi / 8)."""
-    return sparse.diags_array([np.ones(6), np.full(7, -0.5), np.ones(6)],
-                              offsets=[-1, 0, 1])
+#: The stencil (-0.5, 1) on 7 points: eigenvalues -0.5 + 2 cos(j pi / 8).
+INDEFINITE = np.array([-0.5, 1.0])
+
+IDENTITY = np.array([1.0, 0.0])
 
 
 class TestSparseSpd:
-    def test_rejects_asymmetric(self):
-        # the stencil read forces symmetry: the centre row's coupling to the
-        # left is 0, the stored coupling to the right 1
-        M = np.array([[2.0, 1.0], [0.0, 2.0]])
-        with pytest.raises(StructureError, match="^the 2x2 matrix is not the matrix"):
-            SparseSpd(M)
-
-    def test_rejects_indefinite(self):
-        with pytest.raises(SpdError, match="^the 7x7 matrix is not positive definite"):
-            SparseSpd(indefinite_stencil())
+    @pytest.mark.parametrize("c, k, error, match", [
+        pytest.param(2.0, 3, ValueError, r"got \(\)$", id="0-axes"),
+        pytest.param(np.ones((2, 2, 2)), 3, ValueError, r"got \(2, 2, 2\)$", id="3-axes"),
+        # a line has one coupling value: separate left and right values are
+        # no symmetric stencil
+        pytest.param([2.0, -1.0, 0.0], 3, ValueError, r"got \(3,\)$", id="asymmetric"),
+        pytest.param([[4.0, -1.0]], 3, ValueError, r"got \(1, 2\)$", id="wrong-shape"),
+        pytest.param([2.0, np.nan], 3, ValueError, "non-finite", id="nan"),
+        pytest.param([np.inf, -1.0], 3, ValueError, "non-finite", id="inf"),
+        pytest.param([2.0, -1.0], True, ValueError, "got True$", id="bool-k"),
+        pytest.param([2.0, -1.0], 3.0, ValueError, r"got 3\.0$", id="float-k"),
+        pytest.param([2.0, -1.0], 0, ValueError, "got 0$", id="zero-k"),
+        pytest.param(INDEFINITE, 7, SpdError,
+                     r"^the stencil \[-0\.5, 1\.0\] on 7 points per axis is not "
+                     r"positive definite", id="indefinite"),
+        pytest.param([-2.0, 1.0], 7, SpdError, "not positive definite", id="negative"),
+    ])
+    def test_refuses(self, c, k, error, match):
+        with pytest.raises(error, match=match) as info:
+            SparseSpd(c, k)
+        assert type(info.value) is error
 
     def test_rejects_a_matrix_that_is_no_stencil(self):
-        # definiteness is certified by the stencil symbol, which diag(1, -1)
-        # does not have
-        with pytest.raises(StructureError, match="^the 2x2 matrix is not the matrix"):
-            SparseSpd(np.diag([1.0, -1.0]))
+        # a matrix given for a stencil is refused by its shape; a 2x2 one has
+        # the shape of a 2D stencil and is read as one, and diag(1, -1) is
+        # then the indefinite stencil with centre 1 and corners -1
+        with pytest.raises(ValueError, match=re.escape("got (5, 5)")):
+            SparseSpd(oracle.laplacian(1, 5).toarray(), 5)
+        with pytest.raises(SpdError, match=r"^the stencil \[1\.0, 0\.0, 0\.0, -1\.0\]"):
+            SparseSpd(np.diag([1.0, -1.0]), 3)
+
+    def test_stencil_is_a_read_only_copy(self):
+        c = np.array([2.0, -1.0])
+        A = SparseSpd(c, 5)
+        c[1] = 0.0
+        assert A.stencil.tolist() == [2.0, -1.0] and A.k == 5
+        with pytest.raises(ValueError, match="read-only"):
+            A.stencil[1] = 0.0
 
     def test_m_row_counts_stored_nonzeros(self):
         assert poisson_1d(8).row_layout.m == 3
@@ -77,7 +101,7 @@ class TestEnergyNorm:
         assert energy_norm(np.zeros(31), level31.A) == 0.0
 
     def test_identity_unit_vector(self):
-        I3 = SparseSpd(np.eye(3))
+        I3 = SparseSpd(IDENTITY, 3)
         e1 = np.array([1.0, 0.0, 0.0])
         assert energy_norm(e1, I3) == 1.0
 
@@ -110,15 +134,15 @@ class TestEnergyNorm:
 
 class TestSpectralQuantities:
     def test_spectral_norm_identity(self):
-        assert spectral_norm(np.eye(4)) == pytest.approx(1.0, abs=1e-15)
+        assert spectral_norm(SparseSpd(IDENTITY, 4)) == pytest.approx(1.0, abs=1e-15)
 
     def test_spectral_norm_diagonal(self):
-        # a diagonal that is not constant is no stencil matrix: no symbol, and
-        # no dense or iterative fallback
+        # a diagonal that is not constant has no stencil: a matrix given for
+        # one is refused, with no dense or iterative fallback
         X = np.random.default_rng(9).standard_normal((12, 12))
         for K in (np.diag([3.0, 1.0, 0.5]), X @ X.T + 12 * np.eye(12)):
-            with pytest.raises(StructureError, match="is not the matrix of its stencil"):
-                spectral_norm(K)
+            with pytest.raises(ValueError, match=re.escape(f"got {K.shape}")):
+                SparseSpd(K, len(K))
 
     def test_spectral_norm_2d_closed_form(self):
         # eigenvalues 4 - 2 cos(i pi / 6) - 2 cos(j pi / 6), largest 4 + 2 sqrt(3)
@@ -131,11 +155,17 @@ class TestSpectralQuantities:
             2.0 + math.sqrt(2.0), rel=1e-14)
 
     def test_condition_number_identity(self):
-        assert condition_number(SparseSpd(np.eye(5))) == pytest.approx(1.0)
+        assert condition_number(SparseSpd(IDENTITY, 5)) == pytest.approx(1.0)
 
     def test_condition_number_diagonal(self):
-        with pytest.raises(StructureError, match="2x2 matrix is not the matrix"):
-            condition_number(SparseSpd(np.diag([4.0, 1.0])))
+        # diag(4, 1) is the 2D stencil with centre 4 and corners 1: on 3
+        # points per axis its eigenvalues are 4 + 4 cos(i pi / 4) cos(j pi / 4),
+        # from 2 to 6
+        A = SparseSpd(np.diag([4.0, 1.0]), 3)
+        w = np.linalg.eigvalsh(A.matrix.toarray())
+        assert w[0] == pytest.approx(2.0, rel=1e-14) and w[-1] == pytest.approx(6.0, rel=1e-14)
+        kappa = condition_number(A)
+        assert w[-1] / w[0] <= kappa == pytest.approx(3.0, rel=1e-13)
 
     def test_condition_number_tridiagonal(self):
         expected = (2.0 + math.sqrt(2.0)) / (2.0 - math.sqrt(2.0))
@@ -143,41 +173,34 @@ class TestSpectralQuantities:
 
     def test_condition_number_scale_invariant(self):
         A = poisson_1d(9)
-        scaled = SparseSpd(A.matrix * 7.5)
+        scaled = SparseSpd(A.stencil * 7.5, A.k)
         assert condition_number(scaled) == pytest.approx(
             condition_number(A), rel=1e-12)
 
     def test_abs_matrix_norm_identity_and_sign(self):
-        assert abs_matrix_norm(np.eye(3)) == pytest.approx(1.0)
-        assert abs_matrix_norm(-np.eye(3)) == pytest.approx(1.0)
+        # eta_A of the identity, and eta_P of a weight of either sign
+        for p in (1.0, -1.0):
+            level = GridLevel(SparseSpd(IDENTITY, 3), p, SparseSpd(IDENTITY, 1))
+            assert level.eta_A == pytest.approx(1.0)
+            assert level.eta_P == pytest.approx(oracle.abs_matrix_norm(level.P))
 
     def test_abs_matrix_norm_rectangular_and_unsymmetric(self):
-        # a scaled interpolation and its transpose have the norm of their
-        # symbol; any other rectangular or unsymmetric matrix has none
-        for k in (3, 15, 31):
-            P = -0.75 * linear_interpolation(k)
-            for K in (P, P.T):
-                assert abs_matrix_norm(K) == pytest.approx(
-                    oracle.abs_matrix_norm(K), rel=1e-12)
-        rng = np.random.default_rng(8)
-        with pytest.raises(StructureError, match="P is not"):
-            abs_matrix_norm(rng.standard_normal((9, 4)))
-        with pytest.raises(StructureError, match="P maps 8 points to 3"):
-            abs_matrix_norm(rng.standard_normal((3, 8)))
-        with pytest.raises(StructureError, match="6x6 matrix is not the matrix"):
-            abs_matrix_norm(rng.standard_normal((6, 6)))
+        # eta_P of a scaled interpolation is the norm of |P| and of |P'|
+        for model, k in ((poisson_1d, 3), (poisson_1d, 15), (poisson_1d, 31), (poisson_2d, 7)):
+            level = GridLevel(model(k), -0.75, model((k - 1) // 2))
+            for K in (level.P, level.P_t):
+                assert level.eta_P == pytest.approx(oracle.abs_matrix_norm(K), rel=1e-12)
 
     def test_spectral_norm_indefinite(self):
         # the stencil (-0.5, 1) has the eigenvalues -0.5 + 2 cos(j pi / 8);
         # the one of largest magnitude is the smallest
-        K = indefinite_stencil()
-        assert spectral_norm(K) == pytest.approx(0.5 + 2 * math.cos(math.pi / 8),
-                                                 rel=1e-14)
+        lo, hi = symbol_ends(INDEFINITE, 7)
+        assert max(hi, -lo) == pytest.approx(0.5 + 2 * math.cos(math.pi / 8), rel=1e-14)
 
     def test_abs_matrix_norm_tridiagonal(self):
         # |A| = tridiag(1, 2, 1) has largest eigenvalue 2 + sqrt(2)
-        assert abs_matrix_norm(poisson_1d(3)) == pytest.approx(
-            2.0 + math.sqrt(2.0), rel=1e-14)
+        level = GridLevel(poisson_1d(3), 1.0, poisson_1d(1))
+        assert level.eta_A == pytest.approx(2.0 + math.sqrt(2.0), rel=1e-14)
 
 
 class TestMdotPlus:
@@ -205,7 +228,7 @@ class TestSolveSpd:
     def test_identity(self):
         # the transform pair is orthonormal only up to rounding
         b = np.arange(1.0, 6.0)
-        assert solve_spd(SparseSpd(np.eye(5)), b) == pytest.approx(b, rel=4 * EPS)
+        assert solve_spd(SparseSpd(IDENTITY, 5), b) == pytest.approx(b, rel=4 * EPS)
 
     def test_zero_rhs(self, level31):
         assert np.array_equal(solve_spd(level31.A, np.zeros(31)), np.zeros(31))
@@ -308,8 +331,8 @@ class TestEnergyOperatorNorm:
         assert sup >= 0.2 * norm  # random probing gets within a small factor
 
 
-def _ends(K):
-    lo, hi = spectrum_ends(K)
+def _ends(c, k):
+    lo, hi = symbol_ends(np.asarray(c, dtype=np.float64), k)
     assert lo <= hi
     return lo, hi
 
@@ -317,37 +340,38 @@ def _ends(K):
 class TestEigenvalueBound:
     """Certified ends of extreme eigenvalues from the stencil symbol."""
 
-    @pytest.mark.parametrize("width", [1, 3])
+    @pytest.mark.parametrize("d", [1, 2])
     @pytest.mark.parametrize("c", [1.0, 2.0 / 3.0, -0.375])
-    def test_multiple_of_identity(self, c, width):
-        # every eigenvalue coincides; zeros stored off the diagonal (a band
-        # of width 3) leave the stencil as it is
-        i, j = np.nonzero(np.abs(np.subtract.outer(np.arange(40), np.arange(40))) < width)
-        K = sparse.csr_array((np.where(i == j, c, 0.0), (i, j)), shape=(40, 40))
-        assert K.nnz == len(i)
-        lo, hi = _ends(K)
+    def test_multiple_of_identity(self, c, d):
+        # every eigenvalue coincides, on a line and on a square grid
+        stencil = np.zeros((2,) * d)
+        stencil.flat[0] = c
+        lo, hi = _ends(stencil, 40)
         assert lo <= c <= hi
         assert hi - lo <= 4 * EPS * abs(c)
 
     def test_indefinite_band(self):
-        # a 2D nine-point stencil with both signs: the ends bracket the dense
-        # eigenvalues within a few units of roundoff
-        one_d = poisson_1d(6).matrix
-        S = sparse.kron(one_d, one_d) - 3.0 * sparse.eye_array(36)
+        # a 2D nine-point stencil with both signs, the textbook kron(T, T) -
+        # 3 I: the ends bracket its dense eigenvalues within a few units of
+        # roundoff
+        one_d = oracle.laplacian(1, 6)
+        S = sparse.csr_array(sparse.kron(one_d, one_d) - 3.0 * sparse.eye_array(36))
+        c = np.array([[1.0, -2.0], [-2.0, 1.0]])
+        assert np.array_equal(_assemble(c, 6).toarray(), S.toarray())
         w = np.linalg.eigvalsh(S.toarray())
-        lo, hi = _ends(S)
+        lo, hi = _ends(c, 6)
         assert lo < 0 < hi
         assert w[0] - 1e-14 * np.abs(w).max() <= lo <= w[0]
         assert w[-1] <= hi <= w[-1] + 1e-14 * np.abs(w).max()
 
     def test_one_by_one(self):
-        lo, hi = _ends(np.array([[2.5]]))
+        lo, hi = _ends([2.5, 0.0], 1)
         assert lo <= 2.5 <= hi and hi - lo <= 4 * EPS * 2.5
 
     def test_two_by_two(self):
         # [[2, 1], [1, 2]] has eigenvalues 1 and 3; the radii of the sines
         # and cosines dominate the width of the ends
-        lo, hi = _ends(np.array([[2.0, 1.0], [1.0, 2.0]]))
+        lo, hi = _ends([2.0, 1.0], 2)
         assert 1.0 - 1e-14 <= lo <= 1.0
         assert 3.0 <= hi <= 3.0 * (1 + 1e-14)
 
@@ -359,23 +383,17 @@ class TestEigenvalueBound:
         assert make_richardson(A, c, CARRIER).eta == c
 
     def test_pencil_with_diagonal_b_is_the_scaled_matrix(self):
-        # a matrix whose diagonal is not constant is no stencil matrix, so no
-        # SparseSpd for Jacobi to run on: it is refused at construction,
-        # naming the matrix
-        d = np.linspace(2.5, 3.5, 15)
-        with pytest.raises(StructureError,
-                           match="^the 15x15 matrix is not the matrix of its stencil"):
-            SparseSpd(sparse.diags_array([-np.ones(14), d, -np.ones(14)],
-                                         offsets=[-1, 0, 1]))
+        # a stencil matrix has its centre c_0 on the whole diagonal, so the
+        # Jacobi pencil is Richardson's at weight omega / c_0
+        A = SparseSpd([2.5, -1.0], 15)
+        assert np.array_equal(A.matrix.diagonal(), np.full(15, 2.5))
+        jacobi = make_jacobi(A, 2.0 / 3.0, CARRIER)
+        richardson = make_richardson(A, (2.0 / 3.0) / 2.5, CARRIER)
+        assert (jacobi.w, jacobi.eta, jacobi.contraction) == (
+            richardson.w, richardson.eta, richardson.contraction)
 
     def test_same_bits_on_every_call(self):
         A = poisson_2d(15)
-        first = [x.hex() for x in spectrum_ends(A)]
-        again = [x.hex() for x in spectrum_ends(A.matrix)]
+        first = [x.hex() for x in A.spectrum_ends]
+        again = [x.hex() for x in SparseSpd(A.stencil, A.k).spectrum_ends]
         assert first == again
-
-    def test_bad_arguments_rejected(self):
-        with pytest.raises(StructureError, match="has shape"):
-            spectrum_ends(np.ones((3, 4)))
-        with pytest.raises(SpdError, match="not certified positive"):
-            condition_number(-poisson_1d(7).matrix)

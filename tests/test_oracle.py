@@ -23,7 +23,6 @@ from mixedmg import (
     make_recursive_coarse,
     make_richardson,
     rho_star,
-    spectrum_ends,
 )
 from mixedmg.harness import ExperimentConfig, render_csv, run_experiment
 
@@ -104,17 +103,15 @@ def test_constants_on_the_safe_side(name):
     levels = hierarchy(name)
     with mpmath.workdps(50):
         for lvl in levels:
-            st = lvl.stencils
-            lam = eigenvalues_50(st.A, st.k)
-            lam_c = eigenvalues_50(st.A_c, (st.k - 1) // 2)
+            lam = eigenvalues_50(lvl.A.stencil, lvl.k)
+            lam_c = eigenvalues_50(lvl.A_c.stencil, lvl.A_c.k)
             assert_safe(lvl.kappa, max(lam) / min(lam), "kappa")
             assert_safe(lvl.kappa_c, max(lam_c) / min(lam_c), "kappa_c")
-            assert_safe(lvl.eta_A, max(eigenvalues_50(np.abs(st.A), st.k)), "eta_A")
-            top_P = abs(mpmath.mpf(st.p)) * mpmath.sqrt(
-                1 + mpmath.cos(mpmath.pi / (st.k + 1)) ** 2) ** st.d
+            assert_safe(lvl.eta_A, max(eigenvalues_50(np.abs(lvl.A.stencil), lvl.k)), "eta_A")
+            top_P = abs(mpmath.mpf(lvl.p)) * mpmath.sqrt(
+                1 + mpmath.cos(mpmath.pi / (lvl.k + 1)) ** 2) ** lvl.d
             assert_safe(lvl.eta_P, top_P, "eta_P")
-        st = levels[0].stencils
-        lam = eigenvalues_50(st.A, st.k)
+        lam = eigenvalues_50(levels[0].A.stencil, levels[0].k)
         for kind in ("jacobi", "richardson"):
             for fmt in (FMT, CARRIER):
                 K = smoother(kind, levels[0].A, fmt)
@@ -134,7 +131,7 @@ def test_unit_scales_from_above(name):
         for M in (lvl.A, lvl.A_c):
             top = oracle.eigenvalues(M)[-1]
             assert 1.0 - 1e-13 <= top <= 1.0 + 4 * eps, top
-            assert top <= spectrum_ends(M)[1] <= 1.0 + 4 * eps, spectrum_ends(M)
+            assert top <= M.spectrum_ends[1] <= 1.0 + 4 * eps, M.spectrum_ends
 
 
 def test_kappa_at_the_largest_1d_grid():
@@ -229,9 +226,9 @@ def test_run_experiment_takes_no_dense_spectral_path(monkeypatch, config):
     with pytest.raises(AssertionError, match="dense spectral path"):
         np.linalg.norm(np.eye(2), 2)
     with pytest.raises(AssertionError, match="dense spectral path"):
-        oracle.eigenvalues(SparseSpd(np.eye(2)))
+        oracle.eigenvalues(SparseSpd([1.0, 0.0], 2))
     with pytest.raises(AssertionError, match="dense spectral path"):
-        SparseSpd(np.eye(2)).dense  # noqa: B018
+        SparseSpd([1.0, 0.0], 2).dense  # noqa: B018
     with pytest.raises(AssertionError, match="dense spectral path"):
         scipy.linalg.lapack.dpbtrf(np.ones((1, 2)), lower=1)
     with pytest.raises(AssertionError, match="dense spectral path"):

@@ -10,15 +10,12 @@ import scipy.sparse as sparse
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from dense_oracle import galerkin, linear_interpolation, poisson_1d
+from dense_oracle import abs_matrix_norm, linear_interpolation, poisson_1d
 from mixedmg import (
     CARRIER,
     CARRIER_BITS,
-    GridLevel,
     PrecisionFormat,
     PrecisionTooLowError,
-    SparseSpd,
-    abs_matrix_norm,
     build_multilevel,
     make_jacobi,
     mdot_plus_eps,
@@ -26,7 +23,6 @@ from mixedmg import (
     rounded_add_sub,
     rounded_matvec,
     rounded_residual,
-    spectrum_ends,
 )
 from mixedmg.bounds import KERNEL_BOUNDS
 from mixedmg.precision import (
@@ -311,9 +307,9 @@ class TestOperatorDuckTyping:
         via_wrapper = rounded_matvec(A, w, fmt)
         via_csr = rounded_matvec(A.matrix, w, fmt)
         assert np.array_equal(via_wrapper.value, via_csr.value)
-        assert (model_bound("prolong", fmt, w, m=rows_of(A), eta=abs_matrix_norm(A))
-                == model_bound("prolong", fmt, w, m=rows_of(A.matrix),
-                               eta=abs_matrix_norm(A.matrix)))
+        eta = abs_matrix_norm(A.matrix)
+        assert (model_bound("prolong", fmt, w, m=rows_of(A), eta=eta)
+                == model_bound("prolong", fmt, w, m=rows_of(A.matrix), eta=eta))
 
 
 class TestCarrierWidthExactness:
@@ -570,18 +566,13 @@ class TestUnsortedOperators:
         K, Q = _reversed_rows(A.matrix, writable), _reversed_rows(P, writable)
         pristine = [(M, [x.copy() for x in (M.data, M.indices, M.indptr)]) for M in (K, Q)]
         w, c = np.random.default_rng(3).standard_normal((2, 15))
-        eta = abs_matrix_norm(A)
 
-        assert np.array_equal(SparseSpd(K).matrix.toarray(), A.matrix.toarray())
         assert RowLayout.of(K).m == A.row_layout.m
         assert _csr(K).has_sorted_indices and _csr(Q).has_sorted_indices
         assert np.array_equal(rounded_matvec(K, w, fmt).value, rounded_matvec(A, w, fmt).value)
         assert np.array_equal(rounded_residual(K, w, c, fmt).value,
                               rounded_residual(A, w, c, fmt).value)
-        assert abs_matrix_norm(K) == eta and abs_matrix_norm(Q) == abs_matrix_norm(P)
-        assert spectrum_ends(K) == A.spectrum_ends
-        level = GridLevel(A, Q, SparseSpd(galerkin(A, Q)))
-        assert level.stencils.p == 1.0 and level.P_t_layout.m == 3
+        assert RowLayout.of(Q.T).m == 3
         for M, before in pristine:
             for got, want in zip((M.data, M.indices, M.indptr), before):
                 assert np.array_equal(got, want) and got.flags.writeable == writable
