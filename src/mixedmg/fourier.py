@@ -51,11 +51,21 @@ order; one of another order, or a lower level that is not the coarse grid
 of the one above, raises :class:`StructureError` naming the level.  There
 is no dense fallback.
 
+Each value is evaluated once and read where it is needed.  The harmonics
+of a grid of ``k`` points per axis are one read-only table over its modes
+``1..k``, cached per ``k`` (:func:`_harmonic_table`); every corner, class
+and symbol reads its entries from it.  An operator's symbol on all its
+sine modes is evaluated once per :class:`mixedmg.linops.SparseSpd`
+(:func:`sine_symbol`, kept as its ``sine_symbol``), and the coarsest
+direct solve and each class key's symbol of ``A`` are read from it.  Every
+entry is computed alone, so a value read from a table has the bits of the
+class's own evaluation.
+
 The same symbols give the set-up constants of :mod:`mixedmg.hierarchy`:
 :func:`symbol_ends` encloses the spectrum of a stencil matrix and
 :func:`interpolation_norm` the norm of a scaled interpolation.  They also
-give the direct solves of :mod:`mixedmg.linops`: :func:`sine_eigenvalues`
-is a stencil matrix's eigenvalue on every sine mode.
+give the direct solves of :mod:`mixedmg.linops`: the mids of
+:func:`sine_symbol` are a stencil matrix's eigenvalues on its sine modes.
 """
 
 from __future__ import annotations
@@ -172,14 +182,21 @@ def _harmonics(F: np.ndarray, k: int) -> tuple[_Ball, _Ball]:
 
 
 @cache
-def _corners(k: int) -> _Ball:
-    """``4 sin^2(theta / 2)`` of :func:`_harmonics` at the two corner modes
-    ``1`` and ``k`` on ``k`` points, where every symbol takes its ends:
-    computed once per ``k``, its arrays read-only."""
-    s = _harmonics(np.array([[1, k]]), k)[0]
-    for array in (s.mid, s.rad):
-        array.flags.writeable = False  # shared by every later call
-    return s
+def _harmonic_table(k: int) -> tuple[_Ball, _Ball]:
+    """:func:`_harmonics` of every mode ``1..k`` on ``k`` points per axis,
+    evaluated once per ``k``, its arrays read-only: every corner, class and
+    symbol reads its entries from it (:func:`_harmonics_at`)."""
+    table = _harmonics(np.arange(1, k + 1), k)
+    for ball in table:
+        for array in (ball.mid, ball.rad):
+            array.flags.writeable = False  # shared by every later call
+    return table
+
+
+def _harmonics_at(F: np.ndarray, k: int) -> tuple[_Ball, _Ball]:
+    """:func:`_harmonics` of the modes ``F`` on ``k`` points, read from the
+    grid's table: each entry is computed alone, so these are its bits."""
+    return tuple(x.map(lambda v: v[F - 1]) for x in _harmonic_table(k))
 
 
 def _down(x) -> float:
@@ -194,21 +211,34 @@ def _up(x) -> float:
     return float(np.nextafter(np.max(x), np.inf))
 
 
+def _spread(x: np.ndarray, a: int, d: int) -> np.ndarray:
+    """A ``(B_a, g_a)`` array of axis ``a``, broadcastable to ``(B_1..B_d, g_1..g_d)``."""
+    shape = [1] * (2 * d)
+    shape[a], shape[d + a] = x.shape
+    return x.reshape(shape)
+
+
 def _expand(per_axis: list[_Ball]) -> list[_Ball]:
     """Per-axis ``(B_a, g_a)`` balls, broadcastable to ``(B_1..B_d, g_1..g_d)``."""
     d = len(per_axis)
-    out = []
-    for a, x in enumerate(per_axis):
-        shape = [1] * (2 * d)
-        shape[a], shape[d + a] = x.mid.shape
-        out.append(x.map(lambda v, s=tuple(shape): v.reshape(s)))
-    return out
+    return [x.map(lambda v, a=a: _spread(v, a, d)) for a, x in enumerate(per_axis)]
 
 
 def _flatten(x: _Ball, d: int) -> _Ball:
     """A ``(B_1..B_d, g_1..g_d)`` ball as ``(B, G)`` blocks, in Kronecker order."""
     B = int(np.prod(x.mid.shape[:d]))
     return x.map(lambda v: v.reshape(B, -1))
+
+
+@cache
+def _covers(d: int) -> tuple:
+    """Per axis set ``S`` in ``{0, 1}^d``, the stencil offsets ``a`` that
+    cover it, each with its weight ``2^(|a| - |S|)``: the terms of the
+    coefficient of ``prod s_i`` over the axes of ``S`` in :func:`_symbol`."""
+    corners = list(itertools.product((0, 1), repeat=d))
+    return tuple((S, tuple((a, 2.0 ** (sum(a) - sum(S))) for a in corners
+                           if all(x >= y for x, y in zip(a, S))))
+                 for S in corners)
 
 
 def _symbol(c: np.ndarray, s: list[_Ball]) -> _Ball:
@@ -222,12 +252,10 @@ def _symbol(c: np.ndarray, s: list[_Ball]) -> _Ball:
     t = _expand(s)
     shape = tuple(int(max(x.mid.shape[i] for x in t)) for i in range(2 * d))
     total = _Ball(np.zeros(shape))
-    for S in itertools.product((0, 1), repeat=d):
+    for S, cover in _covers(d):
         # c[a] prod (2 - s_i) over the axes of a; the coefficient of prod s_i
         # over the axes of S sums c[a] 2^(|a| - |S|) over every a that covers S
-        coeff = (-1) ** sum(S) * math.fsum(
-            c[a] * 2.0 ** (sum(a) - sum(S)) for a in itertools.product((0, 1), repeat=d)
-            if all(x >= y for x, y in zip(a, S)))
+        coeff = (-1) ** sum(S) * math.fsum(c[a] * weight for a, weight in cover)
         if coeff == 0.0:
             continue
         term = _Ball(np.full(shape, coeff), _U * abs(coeff))
@@ -247,16 +275,20 @@ def symbol_ends(c: np.ndarray, k: int) -> tuple[float, float]:
     ``pi / (k + 1)`` or ``k pi / (k + 1)``; the half-angle form of
     :func:`_symbol` keeps each within a few units of roundoff relative.
     """
-    lam = _symbol(c, [_corners(k)] * c.ndim)
+    lam = _symbol(c, [_harmonics_at(np.array([[1, k]]), k)[0]] * c.ndim)
     return _down(lam.mid - lam.rad), _up(lam.mid + lam.rad)
 
 
-def sine_eigenvalues(c: np.ndarray, k: int) -> np.ndarray:
-    """The eigenvalues of the stencil ``c`` on ``k`` points per axis, on its
-    orthonormal sine modes, shaped as the grid (axis ``i`` holds mode ``j``
-    at index ``j - 1``): the mids of :func:`_symbol` over every mode."""
-    s = _harmonics(np.arange(1, k + 1)[:, None], k)[0]
-    return _symbol(c, [s] * c.ndim).mid.reshape((k,) * c.ndim)
+def sine_symbol(c: np.ndarray, k: int) -> _Ball:
+    """:func:`_symbol` of the stencil ``c`` on every sine mode of ``k``
+    points per axis, a ``(k^d, 1)`` ball in Kronecker order, its arrays
+    read-only: a stencil matrix's eigenvalues on its orthonormal sine modes
+    (the mids), from which each class's symbol is read
+    (:attr:`mixedmg.linops.SparseSpd.sine_symbol`)."""
+    lam = _symbol(c, [_harmonics_at(np.arange(1, k + 1)[:, None], k)[0]] * c.ndim)
+    for array in (lam.mid, lam.rad):
+        array.flags.writeable = False  # shared by every class and solve
+    return lam
 
 
 def interpolation_norm(p: float, d: int, k: int) -> float:
@@ -266,9 +298,18 @@ def interpolation_norm(p: float, d: int, k: int) -> float:
     Per axis ``P' P`` has the symbol ``p^2 (1 + cos^2 theta)`` on the coarse
     modes, ``theta = j pi / (k + 1)``, largest at ``j = 1``.
     """
-    cos = _harmonics(np.array([[1]]), k)[1] - 1.0
+    cos = _harmonics_at(np.array([[1]]), k)[1] - 1.0
     top = abs(p) * (1.0 + cos * cos).sqrt() ** d
     return _up(top.mid + top.rad)
+
+
+def _class_symbol(A, F: list[np.ndarray]) -> _Ball:
+    """The ``(B, G)`` symbol of the operator ``A`` on the class key with the
+    classes ``F`` per axis: the entries of :attr:`SparseSpd.sine_symbol` at
+    its modes, in the layout of :func:`_symbol`, whose bits they are."""
+    d = len(F)
+    at = tuple(_spread(Fa - 1, a, d) for a, Fa in enumerate(F))
+    return _flatten(A.sine_symbol.map(lambda v: v.reshape((A.k,) * d)[at]), d)
 
 
 def _identity(B: int, G: int) -> _Ball:
@@ -283,23 +324,22 @@ def _core(level, coarse_classes, X):
     ``(B, g)`` array of ``B`` groups of ``g`` frequencies, and ``X`` maps a
     class key (one class index per axis) to the coarse solve's ``(B, G, G)``
     blocks.  Returns the fine grid's classes, and per key the ``(B, G)``
-    symbol of ``A`` and the core blocks (the identity on a class with no
-    coarse image).
+    symbol of ``A``, read from ``level.A.sine_symbol``, and the core blocks
+    (the identity on a class with no coarse image).
     """
     d, k = level.d, level.k
     # each coarse group pulls back to its fine modes j and k + 1 - j on every
     # axis; the middle mode has no coarse image and is a class of its own
     classes = [np.hstack([F, k + 1 - F]) for F in coarse_classes]
     classes.append(np.array([[(k + 1) // 2]]))
-    # the harmonics depend on the class alone, and so does the P' weight of
-    # each fine mode of a class with a coarse image: +-(1 + cos) / sqrt(2)
-    harmonics = [_harmonics(F, k) for F in classes]
-    weights = [one_plus_cos * _HALF_SQRT2
+    # the P' weight of each fine mode of a class with a coarse image depends
+    # on the class alone: +-(1 + cos) / sqrt(2)
+    weights = [_harmonics_at(F, k)[1] * _HALF_SQRT2
                * np.where(np.arange(F.shape[1]) < F.shape[1] // 2, 1.0, -1.0)
-               for F, (_, one_plus_cos) in zip(classes[:-1], harmonics)]
+               for F in classes[:-1]]
     symbols, cores = {}, {}
     for key in itertools.product(range(len(classes)), repeat=d):
-        lam = _symbol(level.A.stencil, [harmonics[i][0] for i in key])
+        lam = _class_symbol(level.A, [classes[i] for i in key])
         core = _identity(*lam.mid.shape)
         if key in X:
             r = _flatten(_prod(_expand([weights[i] for i in key])), d) * level.p
@@ -327,7 +367,9 @@ def _smoothed(level, S, mu: int, nu: int, symbols, cores, depth: int) -> dict:
     E = {}
     for key, lam in symbols.items():
         s = 1.0 - lam * w
-        E[key] = (s ** nu).map(lambda v: v[..., :, None]) * cores[key] * (s ** mu).map(
+        after = s ** nu
+        before = after if mu == nu else s ** mu
+        E[key] = after.map(lambda v: v[..., :, None]) * cores[key] * before.map(
             lambda v: v[..., None, :])
     return E
 
@@ -381,10 +423,8 @@ def coarse_blocks(level, below, mu: int, nu: int) -> CoarseBlocks:
         if here.k != above.k or not np.array_equal(here.stencil, above.stencil):
             raise StructureError(f"level {depth} is not the coarse grid of level {depth - 1}")
     coarsest, d = chain[-1].A_c, level.d
-    k = coarsest.k
-    classes = [np.arange(1, k + 1)[:, None]]
-    lam = _symbol(coarsest.stencil, [_harmonics(classes[0], k)[0]] * d)
-    X = {(0,) * d: lam.reciprocal().map(lambda v: v[:, :, None])}
+    classes = [np.arange(1, coarsest.k + 1)[:, None]]
+    X = {(0,) * d: coarsest.sine_symbol.reciprocal().map(lambda v: v[:, :, None])}
     for depth, (sub, S) in reversed(list(enumerate(below, start=1))):
         classes, symbols, cores = _core(sub, classes, X)
         E = _smoothed(sub, S, mu, nu, symbols, cores, depth)

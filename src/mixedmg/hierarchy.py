@@ -35,7 +35,7 @@ import numpy as np
 import scipy.sparse as sparse
 
 from .fourier import StructureError, interpolation_norm, symbol_ends
-from .linops import SparseSpd, _csr_rows, _outer
+from .linops import SparseSpd, _csr_rows, _outer, _read_only
 from .precision import RowLayout, _csr
 
 #: The stencils of the model problems (see :class:`mixedmg.linops.SparseSpd`).
@@ -135,13 +135,15 @@ class GridLevel:
 
     @cached_property
     def P(self) -> sparse.csr_array:
-        """``p`` times the (bi)linear interpolation, built once."""
-        return _interpolation(self.d, self.k, self.p)
+        """``p`` times the (bi)linear interpolation, built once, its arrays
+        read-only."""
+        return _read_only(_interpolation(self.d, self.k, self.p))
 
     @cached_property
     def P_t(self) -> sparse.csr_array:
-        """``P'`` as a csr array with sorted indices, built once."""
-        return _csr(self.P.T)
+        """``P'`` as a csr array with sorted indices, built once, its arrays
+        read-only."""
+        return _read_only(_csr(self.P.T))
 
     @cached_property
     def eta_A(self) -> float:

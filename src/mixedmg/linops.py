@@ -4,18 +4,23 @@ Everything here runs in the float64 carrier.  Every :class:`SparseSpd` the
 cycles solve is made from its stencil, so the orthonormal sine modes of its
 grid diagonalise it: :func:`solve_spd` is one orthonormal DST-I pair, ``x =
 Phi (f Phi' b / lambda)``, with ``lambda`` the matrix's eigenvalues on those
-modes from the stencil symbol (:func:`mixedmg.fourier.sine_eigenvalues`)
-and ``f`` optional factors per mode, the stored ``f_j`` of a sine-mode
-coarse solve.  This is the one place the sine transform runs.  No matrix
-is factored, and no operator norm is formed here either: the
-spectral set-up constants come from stencil symbols
+modes and ``f`` optional factors per mode, the stored ``f_j`` of a
+sine-mode coarse solve.  The eigenvalues are the mids of
+:attr:`SparseSpd.sine_symbol`, the stencil symbol on every sine mode in
+midpoint-radius form (:func:`mixedmg.fourier.sine_symbol`), evaluated once
+per operator; the Fourier blocks of :mod:`mixedmg.fourier` read each
+class's symbol from the same ball.  This is the one place the sine
+transform runs.  No matrix is factored, and no operator norm is formed
+here either: the spectral set-up constants come from stencil symbols
 (:mod:`mixedmg.hierarchy`), and ``rho_star`` and the coarse deviations from
 Fourier blocks (:mod:`mixedmg.fourier`).  A :class:`SparseSpd` keeps its
 stencil with the certified ends of its symbol, whose lower end certifies
 that it is positive definite, and assembles its matrix from the stencil
-(:func:`_assemble`), so the two cannot disagree.  Its arrays are read-only,
-so an in-place edit raises ``ValueError`` instead of leaving those caches
-stale.
+(:func:`_assemble`), so the two cannot disagree.  Its arrays, the kept
+symbol and eigenvalues among them, are read-only (:func:`_read_only`), so
+an in-place edit raises ``ValueError`` instead of leaving those caches
+stale; so are the arrays of a level's ``P`` and ``P'``
+(:class:`mixedmg.hierarchy.GridLevel`).
 
 :func:`energy_norm` and :func:`solve_spd` take a vector ``(n,)`` or a block
 ``(n, T)``, and each column of a block gives bit for bit what the same
@@ -33,7 +38,7 @@ import numpy as np
 import scipy.fft
 import scipy.sparse as sparse
 
-from .fourier import sine_eigenvalues, symbol_ends
+from .fourier import _Ball, sine_symbol, symbol_ends
 from .precision import RowLayout, _columns, _per_column
 
 _EPS = float(np.finfo(np.float64).eps)
@@ -48,6 +53,14 @@ def _csr_rows(cols: np.ndarray, vals: np.ndarray, keep: np.ndarray, shape) -> sp
     each ``j`` with ``keep[i, j]``, in that order."""
     indptr = np.concatenate([[0], np.cumsum(keep.sum(axis=1))])
     return sparse.csr_array((vals[keep], cols[keep], indptr), shape=shape)
+
+
+def _read_only(M: sparse.csr_array) -> sparse.csr_array:
+    """``M`` with its arrays made read-only: an edit would leave what was
+    derived from them stale, so it raises ``ValueError`` instead."""
+    for array in (M.data, M.indices, M.indptr):
+        array.flags.writeable = False
+    return M
 
 
 def _outer(a: np.ndarray, b: np.ndarray, op) -> np.ndarray:
@@ -89,8 +102,9 @@ class SparseSpd:
     non-finite value or a ``k`` that is not an integer of at least one
     raises ``ValueError``, and a stencil whose certified lower symbol end
     (:attr:`spectrum_ends`) is not positive :class:`SpdError`.  The matrix
-    (:func:`_assemble`) and the stencil are read-only arrays, so an instance
-    cannot be edited in place and is safe to share across threads.
+    (:func:`_assemble`), the stencil and the kept :attr:`sine_symbol` are
+    read-only arrays, so an instance cannot be edited in place and is safe
+    to share across threads.
     """
 
     def __init__(self, c, k):
@@ -107,10 +121,7 @@ class SparseSpd:
         if not lo > 0:
             raise SpdError(f"the stencil {c.ravel().tolist()} on {k} points per axis is "
                            f"not positive definite: the lower end of its spectrum is {lo}")
-        M = _assemble(c, self.k)
-        for array in (M.data, M.indices, M.indptr):
-            array.flags.writeable = False  # an edit would leave the caches stale
-        self.matrix = M
+        self.matrix = _read_only(_assemble(c, self.k))
 
     @property
     def n(self) -> int:
@@ -127,10 +138,17 @@ class SparseSpd:
         return symbol_ends(self.stencil, self.k)
 
     @cached_property
+    def sine_symbol(self) -> _Ball:
+        """The stencil symbol on every sine mode, a read-only ``(k^d, 1)``
+        ball in Kronecker order, computed once
+        (:func:`mixedmg.fourier.sine_symbol`)."""
+        return sine_symbol(self.stencil, self.k)
+
+    @property
     def sine_eigenvalues(self) -> np.ndarray:
-        """The eigenvalues on the orthonormal sine modes, shaped as the grid,
-        computed once from the stencil symbol."""
-        return sine_eigenvalues(self.stencil, self.k)
+        """The eigenvalues on the orthonormal sine modes, shaped as the grid:
+        a read-only view of the mids of :attr:`sine_symbol`."""
+        return self.sine_symbol.mid.reshape((self.k,) * self.stencil.ndim)
 
     @cached_property
     def _row_sum_bound(self) -> float:

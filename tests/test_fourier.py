@@ -247,25 +247,69 @@ def test_a_sequence_with_a_smoother_of_another_order_is_refused():
         rho_star([good, bad], make_exact_coarse(level))
 
 
+def _same(x, y) -> bool:
+    """Whether two balls hold the same bytes, shape included."""
+    return all(a.shape == b.shape and a.tobytes() == b.tobytes()
+               for a, b in ((x.mid, y.mid), (x.rad, y.rad)))
+
+
 def test_harmonics_once_per_class(monkeypatch):
-    # the harmonics depend on the class alone: the 2D core of an exact solve
-    # has two classes per axis, the coarse modes and the middle mode, and
-    # four keys
-    coarse = make_exact_coarse(hierarchy("poisson2d", 31, 2)[0])
+    # the harmonics are evaluated once per grid size and process, at every
+    # mode of the grid; no class evaluates them again, however many levels
+    # and coarse solves read them: the 2D core of an exact solve has two
+    # classes per axis, the coarse modes and the middle mode, and four keys
     calls = []
     harmonics = mixedmg.fourier._harmonics
     monkeypatch.setattr(mixedmg.fourier, "_harmonics",
-                        lambda F, k: (calls.append(F.shape), harmonics(F, k))[1])
-    symbols = coarse.fourier.core[1]
-    assert len(symbols) == 4 and calls == [(15, 2), (1, 1)]
+                        lambda F, k: (calls.append((F.shape, k)), harmonics(F, k))[1])
+    mixedmg.fourier._harmonic_table.cache_clear()
+    for _ in range(2):
+        level = build_multilevel(31, 2, problem="poisson2d")[0]
+        assert len(make_exact_coarse(level).fourier.core[1]) == 4
+    assert calls == [((31,), 31), ((15,), 15)]
 
 
 def test_corner_harmonics_are_cached_read_only():
-    # symbol_ends reads the two corner modes of each grid size from a cache
-    mixedmg.fourier._corners.cache_clear()
-    s = mixedmg.fourier._corners(31)
-    assert mixedmg.fourier._corners(31) is s
-    assert not s.mid.flags.writeable and not s.rad.flags.writeable
-    fresh = mixedmg.fourier._harmonics(np.array([[1, 31]]), 31)[0]
-    assert s.mid.tobytes() == fresh.mid.tobytes()
-    assert s.rad.tobytes() == fresh.rad.tobytes()
+    # every corner, class and symbol reads the harmonics of its grid size
+    # from one read-only table, whose entries are the bits of a fresh call
+    mixedmg.fourier._harmonic_table.cache_clear()
+    table = mixedmg.fourier._harmonic_table(31)
+    assert mixedmg.fourier._harmonic_table(31) is table
+    fresh = mixedmg.fourier._harmonics(np.arange(1, 32), 31)
+    for x, y in zip(table, fresh):
+        assert not x.mid.flags.writeable and not x.rad.flags.writeable
+        assert _same(x, y)
+    corners = np.array([[1, 31]])
+    for x, y in zip(mixedmg.fourier._harmonics_at(corners, 31),
+                    mixedmg.fourier._harmonics(corners, 31)):
+        assert _same(x, y)
+
+
+_GATHERED = ([("poisson1d", n, grids) for n in (15, 255, 16383) for grids in range(2, 6)
+              if n > 15 or grids < 5]
+             + [("poisson2d", k, grids) for k in (15, 31, 127) for grids in range(2, 5)])
+
+
+@pytest.mark.parametrize("problem, size, grids", _GATHERED,
+                         ids=[f"{p[-2:]}-{size}-L{grids}" for p, size, grids in _GATHERED])
+def test_gathered_harmonics_and_symbols_are_the_fresh_evaluations(problem, size, grids):
+    # every harmonic and symbol a level's blocks read from the per-grid table
+    # and SparseSpd.sine_symbol is, byte for byte, what _harmonics and
+    # _symbol give on that class alone, on every level and class key
+    fourier = mixedmg.fourier
+    levels = build_multilevel(size, grids, problem=problem)
+    coarsest = levels[-1].A_c
+    d, k = coarsest.stencil.ndim, coarsest.k
+    classes = [np.arange(1, k + 1)[:, None]]
+    assert coarsest.sine_symbol.mid.shape == (k**d, 1)
+    assert _same(coarsest.sine_symbol,
+                 fourier._symbol(coarsest.stencil, [fourier._harmonics(classes[0], k)[0]] * d))
+    for level in reversed(levels):
+        k = level.k
+        classes, symbols, _ = fourier._core(level, classes, {})
+        fresh = [fourier._harmonics(F, k) for F in classes]
+        for F, one in zip(classes, fresh):
+            assert all(_same(x, y) for x, y in zip(fourier._harmonics_at(F, k), one))
+        assert len(symbols) == len(classes) ** d
+        for key, lam in symbols.items():
+            assert _same(lam, fourier._symbol(level.A.stencil, [fresh[i][0] for i in key]))

@@ -498,9 +498,11 @@ class TestRunExperiment:
     def test_setup_is_computed_once_and_not_kept(self, monkeypatch):
         # the recursive bench workload's set-up (one trial per format): each
         # square operator is assembled once and each P built once, each
-        # symbol end is evaluated once, sine-mode eigenvalues are built only
-        # for the matrices that are solved, the format-independent Fourier
-        # blocks are built once, and nothing outlives the sweep
+        # symbol end is evaluated once, each operator's symbol on all its
+        # sine modes is evaluated once and every class reads it, the
+        # harmonics are evaluated once per grid size and process, the
+        # format-independent Fourier blocks are built once, and nothing
+        # outlives the sweep
         import gc
         import weakref
 
@@ -524,8 +526,9 @@ class TestRunExperiment:
         # the probe grids interpolate with the unit weight, each P with its p
         interpolations = count(modules, hierarchy._interpolation, lambda d, k, p: (k, p))
         ends = count(modules, fourier.symbol_ends)
-        eigenvalues = count(modules, fourier.sine_eigenvalues, lambda c, k: k)
-        harmonics = count([fourier], fourier._harmonics)
+        sine_symbols = count(modules, fourier.sine_symbol, lambda c, k: k)
+        symbols = count([fourier], fourier._symbol)
+        harmonics = count([fourier], fourier._harmonics, lambda F, k: k)
         alive = []
         build = harness.build_multilevel
 
@@ -537,9 +540,9 @@ class TestRunExperiment:
         monkeypatch.setattr(harness, "build_multilevel", tracked)
         config = ExperimentConfig(size=255, levels=4, coarse="recursive",
                                   bits=(8, 12, 16, 23), trials=1)
-        # the corner harmonics are cached per grid size: both sweeps start
-        # without them, so that they count the same harmonics
-        fourier._corners.cache_clear()
+        # the harmonic tables are cached per grid size: the first sweep
+        # starts without them
+        fourier._harmonic_table.cache_clear()
         assert len(run_experiment(config)) == 4
         # the square operators, on 255, 127, 63 and 31 points, and the P of
         # each level, however often eta_P, P_layout and P_t read it
@@ -548,14 +551,19 @@ class TestRunExperiment:
         # the finest matrix before scaling, the three Galerkin products, the
         # four distinct A, and |c| of the three levels' A
         assert len(ends) <= 11
-        # the finest A (the trials' reference solve) and the coarsest A_c
-        # (the V-cycle's direct solve), on 255 and 31 points
-        assert sorted(eigenvalues) == [31, 255]
-        all_formats = len(harmonics)
-        harmonics.clear()
-        fourier._corners.cache_clear()
+        # each distinct operator's symbol on every sine mode: the finest A
+        # (the trials' reference solve), the two A the V-cycle relaxes on,
+        # and the coarsest A_c (its direct solve); no class, corner or coarse
+        # solve evaluates a symbol of its own
+        assert sorted(sine_symbols) == [31, 63, 127, 255]
+        assert len(symbols) == len(ends) + len(sine_symbols)
+        assert sorted(harmonics) == [31, 63, 127, 255]
+        all_formats = len(symbols)
+        for calls in (ends, sine_symbols, symbols, harmonics):
+            calls.clear()
         run_experiment(dataclasses.replace(config, bits=(8,)))
-        assert len(harmonics) == all_formats
+        assert len(symbols) == all_formats and sorted(sine_symbols) == [31, 63, 127, 255]
+        assert harmonics == []
         gc.collect()
         assert alive and all(ref() is None for ref in alive)
 

@@ -370,6 +370,16 @@ class TestBuildMultilevel:
                 assert level.eta_A > 0 and level.eta_P > 0
         assert calls == ["symbol_ends", "interpolation_norm"] * 2
 
+    @pytest.mark.parametrize("problem", ["poisson1d", "poisson2d"])
+    @pytest.mark.parametrize("operator", ["P", "P_t"])
+    @pytest.mark.parametrize("array", ["data", "indices", "indptr"])
+    def test_interpolation_edit_raises(self, problem, operator, array):
+        # an edit would change the carrier's P z and P' z but not the kept
+        # P_layout and P_t_layout the rounded kernels read
+        level = build_multilevel(15, 2, problem=problem)[0]
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(getattr(level, operator), array)[0] = 2
+
     def test_constants_follow_the_operators(self, level31):
         # a level made from another by replacing A derives its constants
         # from the new A: twice the stencil, twice eta_A, the same kappa

@@ -95,6 +95,16 @@ class TestSparseSpd:
         with pytest.raises(ValueError, match="read-only"):
             getattr(A.matrix, array)[0] = 2
 
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_sine_symbol_edit_raises(self, d):
+        # the kept symbol is shared: an edit would change every later
+        # solve_spd and every class symbol of the Fourier blocks
+        A = poisson_1d(5) if d == 1 else poisson_2d(5)
+        assert A.sine_symbol.mid.shape == (A.n, 1)
+        for array in (A.sine_eigenvalues, A.sine_symbol.mid, A.sine_symbol.rad):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 1e9
+
 
 class TestEnergyNorm:
     def test_zero_vector(self, level31):
